@@ -55,6 +55,17 @@ class Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _degree(text: str) -> int:
+    """argparse type for --degree: an integer of at least 1."""
+    try:
+        n = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {n}")
+    return n
+
+
 def _load(text: str):
     if text.startswith("@"):
         with open(text[1:], "r", encoding="utf-8") as fh:
@@ -102,13 +113,13 @@ def build_parser() -> Parser:
         sp.add_argument("--poly", help="monic coefficients (with --companion)")
         sp.add_argument("--matrix", help="row-major matrix JSON or @file")
         sp.add_argument("--companion", action="store_true")
-        sp.add_argument("--degree", type=int, help="ring-level decision at this degree")
+        sp.add_argument("--degree", type=_degree, help="ring-level decision at this degree")
         sp.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
         sp.add_argument("--verify", help="re-verify a previously emitted document")
 
     sp = sub.add_parser("audit", help="exhaustive theorem-equivalence audit")
     common(sp)
-    sp.add_argument("--degree", type=int, required=True)
+    sp.add_argument("--degree", type=_degree, required=True)
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--samples", type=int, default=5)
     sp.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
@@ -116,7 +127,7 @@ def build_parser() -> Parser:
 
     sp = sub.add_parser("triangular", help="certify all upper-triangular matrices")
     common(sp)
-    sp.add_argument("--degree", type=int, required=True)
+    sp.add_argument("--degree", type=_degree, required=True)
     sp.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
 
     sp = sub.add_parser("jclean", help="the 2x2 radical-root criterion")

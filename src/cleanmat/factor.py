@@ -11,7 +11,14 @@ Four searches are exposed:
 * ``sp_search_local`` / ``sp_search`` / ``gsp_search``: factor h = h0*p0
   with h0(0) a unit and p0 congruent to a power of t modulo nilpotents.
 
-Searches over finite stalks are exhaustive.  Over Z_(p) the degree splits
+Every search works stalk by stalk, in degree order, and stops once it has
+its answer.  A finite stalk is a Henselian local ring, so its lowest-degree
+split is constructed, not searched for: for SP, deg(p0) must be ord_t(h mod
+m) and p0 is the Hensel lift of that power of t; for SR/SRC, deg(f0) >= b =
+ord_(t-1)(h mod m) and the degree-b split is the unique lift of (t-1)^b.
+Only ``src_search``, which needs one degree split shared by every stalk,
+still scans the monic candidates of a finite stalk, and only at degrees
+above b; those scans are exhaustive.  Over Z_(p) the degree splits
 0, 1, n-1, n are decided completely (trivial unit tests plus rational-root
 enumeration; Z_(p) is integrally closed, so monic linear factors come from
 rational roots); middle splits of degree >= 4 polynomials fall back to a
@@ -201,6 +208,63 @@ class DegreeOutcome:
     note: str
 
 
+class _Profile:
+    """One stalk's outcomes for deg 0..n, computed in degree order on demand."""
+
+    def __init__(self, degree: int, outcomes):
+        self.degree = degree
+        self.examined: list[DegreeOutcome] = []
+        self._rest = iter(outcomes)
+
+    def at(self, d: int) -> DegreeOutcome:
+        while len(self.examined) <= d:
+            self.examined.append(next(self._rest))
+        return self.examined[d]
+
+    def first_hit(self):
+        """(degree, certificate) of the lowest degree with one, or None."""
+        for d in range(self.degree + 1):
+            out = self.at(d)
+            if out.cert is not None:
+                return d, out.cert
+        return None
+
+    @property
+    def complete(self) -> bool:
+        return all(out.complete for out in self.examined)
+
+
+def _hensel_split(h: Poly, a: int):
+    """Newton-lift h = q*p with p monic, p = t^a mod m, over a finite local ring.
+
+    ``a`` must be ord_t(h mod m), the index of the first unit coefficient of
+    h; then t^a and (h mod m)/t^a are coprime, finite local rings are
+    Henselian, and the lift exists and is unique.  Each round divides h by p
+    (quotient q, remainder r) and adds r*u mod p to p, where u*q + v*p = 1;
+    the remainder's ideal order doubles, so the lift is exact within
+    ceil(log2(nil index)) + 1 rounds.  Returns (q, p, rounds).
+    """
+    R = h.ring
+    limit = (R.max_nil_index() - 1).bit_length() + 1
+    p = Poly.t_power(R, a)
+    for rounds in range(1, limit + 1):
+        q, r, exact = monic_divide(h, p)
+        if exact:
+            return q, p, rounds
+        bez = comaximality(q, p)
+        if bez is None:
+            break
+        p = p + monic_divide(r * bez[0], p)[1]
+    raise VerificationFailed(
+        [f"Hensel lift of {h!r} from t^{a} did not converge in {limit} rounds"]
+    )
+
+
+def _first_unit_index(h: Poly) -> int:
+    R = h.ring
+    return next(i for i, c in enumerate(h.coeffs) if R.is_unit(c))
+
+
 def _attempt_pair(h: Poly, f0: Poly, mode: str):
     """Check one monic candidate f0; return an SRCCertificate or None."""
     R = h.ring
@@ -219,10 +283,7 @@ def _attempt_pair(h: Poly, f0: Poly, mode: str):
 
 
 def _monic_candidates(R: Ring, d: int):
-    """All monic degree-d polynomials with unit constant term, canonical order."""
-    if d == 0:
-        yield Poly.one(R)
-        return
+    """Monic degree-d (d >= 1) polynomials with unit constant term, canonical order."""
     elems = list(R.elements())
     units = [x for x in elems if R.is_unit(x)]
     for c0 in units:
@@ -230,41 +291,60 @@ def _monic_candidates(R: Ring, d: int):
             yield Poly(R, [c0, *mids, R.one])
 
 
-def _src_profile_finite(h: Poly, mode: str) -> dict[int, DegreeOutcome]:
+def _src_outcomes_finite(h: Poly, mode: str):
+    """Degrees below b are impossible, b is lifted, degrees above b are scanned.
+
+    With b = ord_(t-1)(h mod m), f1(1) a unit forces (t-1)^b to divide
+    f0 mod m, so deg f0 >= b; at deg f0 = b the split is the unique Hensel
+    lift of (t-1)^b * (h mod m)/(t-1)^b, which is comaximal, so SR and SRC
+    get the same pair.  It is found as the SP lift of g(t) = h(t+1) at t^b,
+    shifted back by t -> t-1.
+    """
     R = h.ring
-    n = h.degree
-    profile = {}
-    for d in range(n + 1):
+    g = h.translate(R.one)
+    b = _first_unit_index(g)
+    for _ in range(b):
+        yield DegreeOutcome(
+            None, True, f"(t-1)^{b} divides h mod m but not f1 mod m, so deg f0 >= {b}"
+        )
+    q, p, _ = _hensel_split(g, b)
+    f0, f1 = p.translate(-R.one), q.translate(-R.one)
+    bez = (None, None)
+    if mode == "SRC":
+        bez = comaximality(f0, f1)
+        if bez is None:
+            raise VerificationFailed([f"Hensel split of {h!r} is not comaximal"])
+    yield DegreeOutcome(SRCCertificate(f0, f1, *bez, mode), True, "found")
+    for d in range(b + 1, h.degree + 1):
         cert = None
         for f0 in _monic_candidates(R, d):
             cert = _attempt_pair(h, f0, mode)
             if cert is not None:
                 break
         note = "found" if cert else f"exhausted all monic degree-{d} candidates"
-        profile[d] = DegreeOutcome(cert, True, note)
-    return profile
+        yield DegreeOutcome(cert, True, note)
 
 
-def _src_profile_zloc(h: Poly, mode: str) -> dict[int, DegreeOutcome]:
+def _src_outcomes_zloc(h: Poly, mode: str):
     R = h.ring
     n = h.degree
-    one = Poly.one(R)
-    profile: dict[int, DegreeOutcome] = {}
-    roots = rational_roots(h) if n >= 2 else []
+    roots = None
 
     def linear(r: Fraction) -> Poly:
         return Poly(R, [R.from_parts((-r,)), R.one])
 
     for d in range(n + 1):
         if d == 0:
-            cert = _attempt_pair(h, one, mode)
+            cert = _attempt_pair(h, Poly.one(R), mode)
             note = "found" if cert else f"h(1) = {h(R.one)!r} is not a unit"
-            profile[d] = DegreeOutcome(cert, True, note)
+            yield DegreeOutcome(cert, True, note)
         elif d == n:
             cert = _attempt_pair(h, h, mode)
             note = "found" if cert else f"h(0) = {h(R.zero)!r} is not a unit"
-            profile[d] = DegreeOutcome(cert, True, note)
+            yield DegreeOutcome(cert, True, note)
         elif d in (1, n - 1):
+            if roots is None:
+                roots = rational_roots(h)
             cert = None
             for r in roots:
                 f0 = linear(r) if d == 1 else monic_divide(h, linear(r))[0]
@@ -276,7 +356,7 @@ def _src_profile_zloc(h: Poly, mode: str) -> dict[int, DegreeOutcome]:
                 if cert
                 else f"all rational roots {[str(r) for r in roots]} fail the unit tests"
             )
-            profile[d] = DegreeOutcome(cert, True, note)
+            yield DegreeOutcome(cert, True, note)
         else:
             cert = None
             span = range(-BOUNDED_HEIGHT, BOUNDED_HEIGHT + 1)
@@ -296,37 +376,31 @@ def _src_profile_zloc(h: Poly, mode: str) -> dict[int, DegreeOutcome]:
                 if cert
                 else f"bounded search (height {BOUNDED_HEIGHT}) exhausted; not decisive"
             )
-            profile[d] = DegreeOutcome(cert, cert is not None, note)
-    return profile
+            yield DegreeOutcome(cert, cert is not None, note)
 
 
-def _src_profile(h: Poly, mode: str) -> dict[int, DegreeOutcome]:
+def _src_profile(h: Poly, mode: str) -> _Profile:
     R = h.ring
     if R.num_stalks != 1:
         raise ValueError("profiles run on single-stalk rings")
-    if R.is_finite:
-        return _src_profile_finite(h, mode)
-    return _src_profile_zloc(h, mode)
+    outcomes = _src_outcomes_finite if R.is_finite else _src_outcomes_zloc
+    return _Profile(h.degree, outcomes(h, mode))
 
 
-def _sp_profile(h: Poly) -> dict[int, DegreeOutcome]:
-    """SP outcomes per deg(p0); complete for every in-scope stalk."""
+def _sp_outcomes(h: Poly):
     R = h.ring
     n = h.degree
-    profile = {}
     if R.is_finite:
-        nils = R.nilpotents()
+        # p0 = t^d mod m and h0(0) a unit force d = ord_t(h mod m)
+        a = _first_unit_index(h)
+        q, p, _ = _hensel_split(h, a)
         for d in range(n + 1):
-            cert = None
-            for low in itertools.product(nils, repeat=d):
-                p0 = Poly(R, [*low, R.one]) if d else Poly.one(R)
-                q, _, exact = monic_divide(h, p0)
-                if exact and R.is_unit(q(R.zero)):
-                    cert = SPCertificate(q, p0)
-                    break
-            note = "found" if cert else f"no nilpotent-tail divisor of degree {d}"
-            profile[d] = DegreeOutcome(cert, True, note)
-        return profile
+            if d == a:
+                yield DegreeOutcome(SPCertificate(q, p), True, "found")
+            else:
+                note = f"no nilpotent-tail divisor of degree {d}"
+                yield DegreeOutcome(None, True, note)
+        return
     # Z_(p) is a domain: Nil = 0, so p0 must be exactly t^d and only the
     # t-adic valuation of h can work.
     val = 0
@@ -344,7 +418,15 @@ def _sp_profile(h: Poly) -> dict[int, DegreeOutcome]:
                 note = f"h0(0) = {h0(R.zero)!r} is not a unit"
         elif d < val:
             note = f"h0(0) would be 0 (valuation of h is {val})"
-        profile[d] = DegreeOutcome(cert, True, note)
+        yield DegreeOutcome(cert, True, note)
+
+
+def _sp_profile(h: Poly) -> _Profile:
+    """SP outcomes per deg(p0); one lift decides every degree, so all are filled."""
+    if h.ring.num_stalks != 1:
+        raise ValueError("profiles run on single-stalk rings")
+    profile = _Profile(h.degree, _sp_outcomes(h))
+    profile.at(h.degree)
     return profile
 
 
@@ -357,36 +439,34 @@ def _require_monic(h: Poly):
 
 
 def _profile_transcript(R: Ring, profiles, mode: str) -> dict:
+    """The outcome of every degree each stalk's search examined."""
     stalks = []
     for i, prof in enumerate(profiles):
         outcomes = {
             str(d): out.note + ("" if out.complete else " [incomplete]")
-            for d, out in sorted(prof.items())
+            for d, out in enumerate(prof.examined)
         }
         stalks.append({"stalk": R.stalk_ring(i).label(), "degrees": outcomes})
     return {"mode": mode, "stalks": stalks}
 
 
-def _local_result(profile, transcript) -> SearchResult:
-    hits = [(d, out.cert) for d, out in sorted(profile.items()) if out.cert]
-    if hits:
-        return SearchResult(FOUND, hits[0][1], transcript)
-    if all(out.complete for out in profile.values()):
-        return SearchResult(ABSENT, None, transcript)
-    return SearchResult(INCOMPLETE, None, transcript)
+def _local_result(h: Poly, profile: _Profile, mode: str) -> SearchResult:
+    hit = profile.first_hit()
+    transcript = _profile_transcript(h.ring, [profile], mode)
+    if hit:
+        return SearchResult(FOUND, hit[1], transcript)
+    return SearchResult(ABSENT if profile.complete else INCOMPLETE, None, transcript)
 
 
 def src_search_local(h: Poly, mode: str = "SRC") -> SearchResult:
     """SR/SRC factorization over a local (single-stalk) ring."""
     _require_monic(h)
-    profile = _src_profile(h, mode)
-    return _local_result(profile, _profile_transcript(h.ring, [profile], mode))
+    return _local_result(h, _src_profile(h, mode), mode)
 
 
 def sp_search_local(h: Poly) -> SearchResult:
     _require_monic(h)
-    profile = _sp_profile(h)
-    return _local_result(profile, _profile_transcript(h.ring, [profile], "SP"))
+    return _local_result(h, _sp_profile(h), "SP")
 
 
 def _stalk_profiles(h: Poly, R: Ring, kind: str, mode: str = "SRC"):
@@ -395,6 +475,21 @@ def _stalk_profiles(h: Poly, R: Ring, kind: str, mode: str = "SRC"):
         hx = h.restrict(i)
         out.append(_src_profile(hx, mode) if kind == "src" else _sp_profile(hx))
     return out
+
+
+def _common_degree_result(h: Poly, R: Ring, profiles, mode: str, glue) -> SearchResult:
+    """The lowest degree split that every stalk shares, glued by CRT."""
+    undecided = False
+    for d in range(h.degree + 1):
+        outs = [prof.at(d) for prof in profiles]
+        if all(out.cert for out in outs):
+            cert = glue(R, tuple(range(R.num_stalks)), [o.cert for o in outs])
+            return SearchResult(FOUND, cert, _profile_transcript(R, profiles, mode))
+        if any(out.cert is None and out.complete for out in outs):
+            continue  # this degree split is definitively impossible at some stalk
+        undecided = True
+    status = INCOMPLETE if undecided else ABSENT
+    return SearchResult(status, None, _profile_transcript(R, profiles, mode))
 
 
 def src_search(h: Poly, R: Ring, mode: str = "SRC") -> SearchResult:
@@ -406,42 +501,14 @@ def src_search(h: Poly, R: Ring, mode: str = "SRC") -> SearchResult:
     """
     _require_monic(h)
     profiles = _stalk_profiles(h, R, "src", mode)
-    transcript = _profile_transcript(R, profiles, mode)
-    n = h.degree
-    undecided = False
-    for d in range(n + 1):
-        outs = [prof[d] for prof in profiles]
-        if all(out.cert for out in outs):
-            cert = _glue_src_block(
-                R, tuple(range(R.num_stalks)), [o.cert for o in outs]
-            )
-            return SearchResult(FOUND, cert, transcript)
-        if any(out.cert is None and out.complete for out in outs):
-            continue  # this degree split is definitively impossible at some stalk
-        undecided = True
-    if undecided:
-        return SearchResult(INCOMPLETE, None, transcript)
-    return SearchResult(ABSENT, None, transcript)
+    return _common_degree_result(h, R, profiles, mode, _glue_src_block)
 
 
 def sp_search(h: Poly, R: Ring) -> SearchResult:
-    """Single-block SP factorization over R, by direct nilpotent-tail enumeration."""
+    """Single-block SP factorization over R: one common deg(p0) on every stalk."""
     _require_monic(h)
-    n = h.degree
-    nils = R.nilpotents()
-    attempts = {}
-    for d in range(n + 1):
-        found = None
-        for low in itertools.product(nils, repeat=d):
-            p0 = Poly(R, [*low, R.one]) if d else Poly.one(R)
-            q, _, exact = monic_divide(h, p0)
-            if exact and R.is_unit(q(R.zero)):
-                found = SPCertificate(q, p0)
-                break
-        attempts[str(d)] = "found" if found else "no nilpotent-tail divisor"
-        if found:
-            return SearchResult(FOUND, found, {"mode": "SP", "degrees": attempts})
-    return SearchResult(ABSENT, None, {"mode": "SP", "degrees": attempts})
+    profiles = _stalk_profiles(h, R, "sp")
+    return _common_degree_result(h, R, profiles, "SP", _glue_sp_block)
 
 
 def block_target(R: Ring, support: tuple[int, ...]) -> Ring:
@@ -486,38 +553,28 @@ def _assemble_global(R: Ring, choices, glue) -> list[Block]:
     return blocks
 
 
+def _global_result(h: Poly, R: Ring, profiles, mode: str, glue, wrap) -> SearchResult:
+    """Each stalk's lowest-degree certificate, grouped into blocks by degree."""
+    choices = [prof.first_hit() for prof in profiles]
+    transcript = _profile_transcript(R, profiles, mode)
+    missing = [prof for prof, hit in zip(profiles, choices) if hit is None]
+    if missing:
+        status = ABSENT if any(prof.complete for prof in missing) else INCOMPLETE
+        return SearchResult(status, None, transcript)
+    blocks = _assemble_global(R, choices, glue)
+    assert len(blocks) <= h.degree + 1
+    return SearchResult(FOUND, wrap(blocks), transcript)
+
+
 def gsrc_search(h: Poly, R: Ring, mode: str = "SRC") -> SearchResult:
     """Globalized SR(C) factorization: per-stalk searches grouped by degree."""
     _require_monic(h)
     profiles = _stalk_profiles(h, R, "src", mode)
-    transcript = _profile_transcript(R, profiles, mode)
-    choices = []
-    incomplete = False
-    for prof in profiles:
-        hit = next(((d, o.cert) for d, o in sorted(prof.items()) if o.cert), None)
-        if hit is None:
-            if all(o.complete for o in prof.values()):
-                return SearchResult(ABSENT, None, transcript)
-            incomplete = True
-        choices.append(hit)
-    if incomplete:
-        return SearchResult(INCOMPLETE, None, transcript)
-    blocks = _assemble_global(R, choices, _glue_src_block)
-    assert len(blocks) <= h.degree + 1
-    return SearchResult(FOUND, GSRCCertificate(blocks), transcript)
+    return _global_result(h, R, profiles, mode, _glue_src_block, GSRCCertificate)
 
 
 def gsp_search(h: Poly, R: Ring) -> SearchResult:
     """Globalized SP factorization; complete over every in-scope ring."""
     _require_monic(h)
     profiles = _stalk_profiles(h, R, "sp")
-    transcript = _profile_transcript(R, profiles, "SP")
-    choices = []
-    for prof in profiles:
-        hit = next(((d, o.cert) for d, o in sorted(prof.items()) if o.cert), None)
-        if hit is None:
-            return SearchResult(ABSENT, None, transcript)
-        choices.append(hit)
-    blocks = _assemble_global(R, choices, _glue_sp_block)
-    assert len(blocks) <= h.degree + 1
-    return SearchResult(FOUND, GSPCertificate(blocks), transcript)
+    return _global_result(h, R, profiles, "SP", _glue_sp_block, GSPCertificate)

@@ -95,6 +95,15 @@ class Poly:
             return self
         return Poly(self.ring, [self.ring.zero] * d + list(self.coeffs))
 
+    def translate(self, c: Element) -> "Poly":
+        """The polynomial p(t + c) (Taylor shift by repeated synthetic division)."""
+        coeffs = list(self.coeffs)
+        n = len(coeffs)
+        for i in range(n - 1):
+            for j in range(n - 2, i - 1, -1):
+                coeffs[j] = coeffs[j] + c * coeffs[j + 1]
+        return Poly(self.ring, coeffs)
+
     def __eq__(self, other) -> bool:
         if not isinstance(other, Poly):
             return NotImplemented
@@ -162,12 +171,6 @@ def monic_divide(f: Poly, g: Poly):
             rem[top - dg + i] = rem[top - dg + i] - c * gc
     r = Poly(ring, rem[:dg])
     return Poly(ring, q), r, r.is_zero
-
-
-def divides_exactly(f: Poly, g: Poly):
-    """Quotient f/g when g is monic and divides f, else None."""
-    q, _, exact = monic_divide(f, g)
-    return q if exact else None
 
 
 def glue_polys(R: Ring, per_stalk: list[Poly]) -> Poly:

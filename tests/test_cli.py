@@ -161,3 +161,19 @@ def test_ring_level_decide_cli(capsys):
     doc = json.loads(out)
     assert doc["decision"]["verdict"] == "no"
     assert doc["decision"]["refutation"]["witness_h"] == [["2/1"], ["-1/1"], ["1/1"]]
+
+
+def test_degree_below_one_is_a_usage_error(capsys):
+    """Rejected with exit 1 and one line, before any enumeration starts."""
+    z4 = '{"type":"zmod","n":4}'
+    cases = [
+        ("audit", "--ring", z4, "--degree", "-2"),
+        ("audit", "--ring", z4, "--degree", "0", "--pi"),
+        ("triangular", "--ring", z4, "--degree", "-1"),
+        ("decide", "--ring", z4, "--degree", "0"),
+        ("pi-regular", "--ring", z4, "--degree", "-3", "--companion", "--poly", "[1,1]"),
+    ]
+    for argv in cases:
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == "", argv
+        assert err == f"error: argument --degree: must be at least 1, got {argv[4]}\n"

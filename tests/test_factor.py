@@ -1,12 +1,19 @@
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cleanmat import factor
 from cleanmat.factor import (
+    GSPCertificate,
+    GSRCCertificate,
+    SPCertificate,
+    SRCCertificate,
+    _hensel_split,
     comaximality,
     gsp_search,
     gsrc_search,
@@ -18,6 +25,7 @@ from cleanmat.factor import (
 )
 from cleanmat.polys import Poly, monic_divide
 from cleanmat.rings import Element, build_ring
+from cleanmat.serialize import dumps_canonical, to_jsonable
 from cleanmat.verify import verify_gsp, verify_gsrc, verify_sp, verify_src
 
 
@@ -277,3 +285,138 @@ def test_every_emitted_certificate_verifies(n, lows):
     res = sp_search(h, R)
     if res.found:
         assert not verify_sp(h, res.certificate)
+
+
+# -- oracle: the first-in-canonical-order exhaustive scans ---------------------------
+#
+# The searches construct the lowest-degree split on a finite local stalk by a
+# Hensel lift.  The oracle scans every monic candidate of each degree in
+# canonical order and keeps the first hit.  Finite local rings are Henselian
+# and the lifted split is unique, so certificates must agree byte for byte.
+
+
+def _oracle_src_at(h, d, mode):
+    """First monic degree-d f0 (unit f0(0)) giving an SR/SRC pair, or None."""
+    R = h.ring
+    elems = list(R.elements())
+    heads = [x for x in elems if R.is_unit(x)] if d else [None]
+    for c0 in heads:
+        for mids in itertools.product(elems, repeat=max(d - 1, 0)):
+            f0 = Poly(R, [c0, *mids, R.one]) if d else Poly.one(R)
+            f1, _, exact = monic_divide(h, f0)
+            if not exact or not R.is_unit(f1(R.one)):
+                continue
+            if mode == "SR":
+                return SRCCertificate(f0, f1, None, None, "SR")
+            bez = comaximality(f0, f1)
+            if bez is not None:
+                return SRCCertificate(f0, f1, bez[0], bez[1], "SRC")
+    return None
+
+
+def _oracle_sp_at(h, d):
+    """First nilpotent-tail monic degree-d p0 with h = h0*p0, h0(0) a unit."""
+    R = h.ring
+    for low in itertools.product(R.nilpotents(), repeat=d):
+        p0 = Poly(R, [*low, R.one])
+        h0, _, exact = monic_divide(h, p0)
+        if exact and R.is_unit(h0(R.zero)):
+            return SPCertificate(h0, p0)
+    return None
+
+
+def _oracle_searches(h, R, mode):
+    """Certificates (or None) of the global and single-block searches in ``mode``.
+
+    ``mode`` is "SR" or "SRC" (gsrc_search / src_search) or "SP" (gsp_search /
+    sp_search); a stalk's profile at degree d is the first scanned hit.
+    """
+    stalk_polys = [h.restrict(i) for i in range(R.num_stalks)]
+    memo = {}
+
+    def at(i, d):
+        if (i, d) not in memo:
+            hx = stalk_polys[i]
+            memo[i, d] = _oracle_sp_at(hx, d) if mode == "SP" else _oracle_src_at(hx, d, mode)
+        return memo[i, d]
+
+    everyone = tuple(range(R.num_stalks))
+    degrees = range(h.degree + 1)
+    glue = factor._glue_sp_block if mode == "SP" else factor._glue_src_block
+    choices = []
+    for i in everyone:
+        d = next((d for d in degrees if at(i, d)), None)
+        choices.append(None if d is None else (d, at(i, d)))
+    global_cert = None
+    if None not in choices:
+        wrap = GSPCertificate if mode == "SP" else GSRCCertificate
+        global_cert = wrap(factor._assemble_global(R, choices, glue))
+    common = next((d for d in degrees if all(at(i, d) for i in everyone)), None)
+    block_cert = None
+    if common is not None:
+        block_cert = glue(R, everyone, [at(i, common) for i in everyone])
+    return global_cert, block_cert
+
+
+def _dump(cert):
+    return dumps_canonical(to_jsonable(cert))
+
+
+def _assert_matches_oracle(R, max_degree):
+    elems = list(R.elements())
+    for n in range(max_degree + 1):
+        for lows in itertools.product(elems, repeat=n):
+            h = Poly(R, [*lows, R.one])
+            for mode in ("SR", "SRC", "SP"):
+                if mode == "SP":
+                    got = gsp_search(h, R), sp_search(h, R)
+                else:
+                    got = gsrc_search(h, R, mode), src_search(h, R, mode)
+                want = _oracle_searches(h, R, mode)
+                for res, cert in zip(got, want):
+                    where = (R.label(), mode, [R.render_value(c) for c in h.coeffs])
+                    assert res.status == ("found" if cert else "absent"), where
+                    assert _dump(res.certificate) == _dump(cert), where
+
+
+def test_certificates_match_exhaustive_scan_oracle(zmod, f4_ring, dual_ring):
+    """Every monic h of degree <= 3, both modes: lifted split == first scanned split."""
+    for R in (zmod(4), zmod(8), zmod(9), f4_ring, dual_ring):
+        _assert_matches_oracle(R, 3)
+
+
+def test_certificates_match_oracle_high_nil_index_and_products(zmod, f2xf2_ring):
+    """Nil index 3 and 4 (Z/27, Z/16) and multi-stalk gluing, degree <= 2."""
+    for R in (zmod(16), zmod(27), zmod(12), f2xf2_ring):
+        _assert_matches_oracle(R, 2)
+
+
+def test_hensel_lift_round_bound(zmod, dual_ring):
+    """The lift (of h, and of h(t+1)) ends within ceil(log2(nil index)) + 1 rounds."""
+    cases = [(zmod(4), 3), (zmod(8), 3), (zmod(9), 3), (zmod(16), 2), (zmod(27), 2),
+             (dual_ring, 3)]
+    for R, max_degree in cases:
+        nil_index = R.max_nil_index()
+        bound = math.ceil(math.log2(nil_index)) + 1
+        elems = list(R.elements())
+        for n in range(1, max_degree + 1):
+            for lows in itertools.product(elems, repeat=n):
+                h = Poly(R, [*lows, R.one])
+                for g in (h, h.translate(R.one)):
+                    a = next(i for i, c in enumerate(g.coeffs) if R.is_unit(c))
+                    q, p, rounds = _hensel_split(g, a)
+                    assert q * p == g and rounds <= bound, (R.label(), h)
+                    assert all(R.radical_membership(c).in_nil for c in p.coeffs[:-1])
+
+
+def test_gsrc_transcript_stops_at_first_hit(zmod):
+    R8 = zmod(8)
+    # h = t^3 + t = t (t-1)^2 mod 2: b = 2, so degrees 0 and 1 are ruled out unscanned
+    h = Poly.from_ints(R8, [0, 1, 0, 1])
+    res = gsrc_search(h, R8, "SRC")
+    degrees = res.transcript["stalks"][0]["degrees"]
+    assert list(degrees) == ["0", "1", "2"] and degrees["2"] == "found"
+    assert "deg f0 >= 2" in degrees["0"]
+    # one lift decides every SP degree, so the SP transcript lists them all
+    res = gsp_search(h, R8)
+    assert list(res.transcript["stalks"][0]["degrees"]) == ["0", "1", "2", "3"]

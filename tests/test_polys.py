@@ -77,3 +77,16 @@ def test_restriction_keeps_monic_degree(zmod):
     for i in range(R.num_stalks):
         hx = h.restrict(i)
         assert hx.is_monic and hx.degree == h.degree
+
+
+def test_translate_is_the_taylor_shift(zmod, zloc):
+    R8 = zmod(8)
+    h = Poly.from_ints(R8, [0, 0, 1])
+    assert h.translate(R8.one) == Poly.from_ints(R8, [1, 2, 1])
+    g = Poly.from_ints(R8, [5, 3, 7, 1])
+    for c in (R8.from_int(3), -R8.one):
+        shifted = g.translate(c)
+        assert shifted.translate(-c) == g
+        assert all(shifted(x) == g(x + c) for x in R8.elements())
+    Z2 = zloc(2)
+    assert Poly.from_ints(Z2, [2, 1]).translate(Z2.from_int(-2)) == Poly.t_power(Z2, 1)
