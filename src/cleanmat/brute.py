@@ -4,16 +4,16 @@ These scans are the independent side of the dual-route checks: theorem-level
 deciders must agree with them wherever they can run.  Finite rings are
 encoded as numpy operation tables and handed to the kernels in
 ``_kernels``; enumeration order is the canonical element order, so results
-are deterministic and identical on the jit and pure-numpy paths.
+are deterministic and identical on the jit and pure-numpy paths.  numpy and
+``_kernels`` are imported by the functions that use them, so importing this
+module (as the CLI and the deciders do) does not load numpy.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-from . import _kernels
 from .errors import BudgetExceeded, InfiniteRing, UnsupportedSize
 from .matrices import (
     PiRegularCertificate,
@@ -24,6 +24,9 @@ from .matrices import (
     transpose,
 )
 from .rings import Element, Ring
+
+if TYPE_CHECKING:
+    import numpy as np
 
 DEFAULT_BUDGET = 10**6
 ENCODE_CAP = 1024
@@ -52,6 +55,8 @@ def encode_ring(R: Ring) -> RingTable:
         raise UnsupportedSize(f"|R| = {R.size} exceeds the {ENCODE_CAP} encode cap")
     if R.key in _TABLE_CACHE:
         return _TABLE_CACHE[R.key]
+    import numpy as np
+
     elems = list(R.elements())
     index = {e: i for i, e in enumerate(elems)}
     m = len(elems)
@@ -73,6 +78,8 @@ def encode_ring(R: Ring) -> RingTable:
 
 
 def encode_matrix(tab: RingTable, A: SquareMatrix) -> np.ndarray:
+    import numpy as np
+
     return np.array(
         [[tab.index[x] for x in row] for row in A.rows], dtype=np.int64
     )
@@ -109,6 +116,8 @@ def strongly_clean_bruteforce(
         raise BudgetExceeded(
             f"{R.size}^{A.n * A.n} = {total} candidates exceed budget {budget}"
         )
+    from . import _kernels
+
     tab = encode_ring(R)
     perms, signs = _kernels.permutation_table(A.n)
     hit = _kernels.scan_strongly_clean(

@@ -113,8 +113,9 @@ def build_parser() -> Parser:
         sp.add_argument("--poly", help="monic coefficients (with --companion)")
         sp.add_argument("--matrix", help="row-major matrix JSON or @file")
         sp.add_argument("--companion", action="store_true")
-        sp.add_argument("--degree", type=_degree, help="ring-level decision at this degree")
-        sp.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
+        if name == "decide":
+            sp.add_argument("--degree", type=_degree, help="ring-level decision at this degree")
+            sp.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
         sp.add_argument("--verify", help="re-verify a previously emitted document")
 
     sp = sub.add_parser("audit", help="exhaustive theorem-equivalence audit")
@@ -145,7 +146,8 @@ def _input_matrix(R, args):
     if args.poly and args.companion:
         h = poly_from_json(R, _load(args.poly))
         return companion(h), {"poly": poly_to_json(h), "companion": True}
-    raise UsageError("provide --matrix, or --poly with --companion, or --degree")
+    ring_level = ", or --degree" if args.command == "decide" else ""
+    raise UsageError(f"provide --matrix, or --poly with --companion{ring_level}")
 
 
 def _decision_exit(decision) -> int:
@@ -247,7 +249,7 @@ def cmd_decide(args, pi: bool) -> int:
         _emit(out, args)
         return 0 if not fails else 3
     R = ring_from_json(_load(args.ring))
-    if args.degree is not None and not pi:
+    if not pi and args.degree is not None:
         decision = decide_ring_strongly_clean(R, args.degree, args.budget)
         doc = {
             "command": "decide",

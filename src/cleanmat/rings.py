@@ -21,8 +21,6 @@ import itertools
 import json
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import (
     IncompleteCover,
     InfiniteRing,
@@ -370,6 +368,8 @@ class Ring:
 
 
 def _build_table_ring(descriptor: dict) -> Ring:
+    import numpy as np
+
     add = descriptor.get("add")
     mul = descriptor.get("mul")
     if not isinstance(add, list) or not isinstance(mul, list):

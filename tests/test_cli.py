@@ -1,8 +1,16 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
+import cleanmat
 from cleanmat.cli import main
+
+SRC = str(Path(cleanmat.__file__).resolve().parents[1])
 
 PROD = '{"type":"product","factors":[{"type":"zloc","p":2},{"type":"zloc","p":2}]}'
 
@@ -171,9 +179,78 @@ def test_degree_below_one_is_a_usage_error(capsys):
         ("audit", "--ring", z4, "--degree", "0", "--pi"),
         ("triangular", "--ring", z4, "--degree", "-1"),
         ("decide", "--ring", z4, "--degree", "0"),
-        ("pi-regular", "--ring", z4, "--degree", "-3", "--companion", "--poly", "[1,1]"),
     ]
     for argv in cases:
         code, out, err = run(capsys, *argv)
         assert code == 1 and out == "", argv
         assert err == f"error: argument --degree: must be at least 1, got {argv[4]}\n"
+    # pi-regular has no ring-level decision, so it has no --degree at all
+    code, out, err = run(
+        capsys, "pi-regular", "--ring", z4, "--degree", "-3", "--companion", "--poly", "[1,1]"
+    )
+    assert code == 1 and out == ""
+    assert err == "error: unrecognized arguments: --degree -3\n"
+
+
+def test_pi_regular_rejects_ring_level_flags(capsys):
+    """pi-regular takes no --degree or --budget; argparse rejects both."""
+    z4 = '{"type":"zmod","n":4}'
+    for flag, value in (("--degree", "2"), ("--budget", "5")):
+        code, out, err = run(
+            capsys, "pi-regular", "--ring", z4, flag, value, "--companion", "--poly", "[1,1]"
+        )
+        assert code == 1 and out == ""
+        assert err == f"error: unrecognized arguments: {flag} {value}\n"
+    code, out, err = run(capsys, "pi-regular", "--ring", z4, "--degree", "2")
+    assert code == 1 and out == "" and err.count("\n") == 1
+    code, out, err = run(capsys, "pi-regular", "--ring", z4)
+    assert code == 1 and out == ""
+    assert err == "error: provide --matrix, or --poly with --companion\n"
+    code, out, err = run(capsys, "decide", "--ring", z4)
+    assert err == "error: provide --matrix, or --poly with --companion, or --degree\n"
+
+
+def _python(*argv, timeout=10):
+    """Run a fresh interpreter on this checkout's src/."""
+    env = dict(os.environ, PYTHONPATH=SRC)
+    return subprocess.run(
+        [sys.executable, *argv], capture_output=True, text=True, env=env, timeout=timeout
+    )
+
+
+def test_numpy_loads_only_for_the_exhaustive_scan():
+    """ring and a companion decide run without numpy; the audit's scan loads it."""
+    code = textwrap.dedent(
+        """
+        import contextlib, io, sys
+        import cleanmat, cleanmat.cli
+        from cleanmat.cli import main
+        z6 = '{"type":"zmod","n":6}'
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert main(["ring", "--ring", z6]) == 0
+            assert main(["decide", "--ring", z6, "--poly", "[2,3,1]", "--companion"]) == 0
+        assert "numpy" not in sys.modules, "numpy loaded without a scan"
+        with contextlib.redirect_stdout(out):
+            assert main(["audit", "--ring", z6, "--degree", "2"]) == 0
+        assert "numpy" in sys.modules, "the audit's scan did not load numpy"
+        print("ok")
+        """
+    )
+    res = _python("-c", code, timeout=60)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout == "ok\n"
+
+
+def test_large_zmod_rings_do_not_hang():
+    """Locality of Z/p^k is a primality test, not a scan of Z/q."""
+    for n in (1048576, 1000000007):
+        res = _python("-m", "cleanmat.cli", "ring", "--ring", json.dumps({"type": "zmod", "n": n}))
+        assert res.returncode == 0, res.stderr
+        doc = json.loads(res.stdout)
+        assert doc["size"] == n and doc["classification"]["is_local"] is True
+    res = _python(
+        "-m", "cleanmat.cli", "decide", "--ring", '{"type":"zmod","n":1000000007}', "--degree", "1"
+    )
+    assert res.returncode == 1 and res.stdout == ""
+    assert res.stderr == "error: 1000000007 monic polynomials exceed budget 1000000\n"

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -18,6 +19,7 @@ from cleanmat.rings import (
     is_complete_orthogonal,
     pierce_glue,
 )
+from cleanmat.stalks import ZModStalk
 
 from conftest import zmod_tables
 
@@ -236,6 +238,27 @@ def test_nil_membership_iff_all_stalks_nilpotent(n, v):
 def test_every_stalk_is_local(zmod, zloc, f4_ring, dual_ring, f2xf2_ring):
     for R in (zmod(12), zmod(360), zloc(3), f4_ring, dual_ring, f2xf2_ring):
         assert all(s.check_local() for s in R.stalks)
+
+
+def _nonunits_form_an_ideal(q: int) -> bool:
+    """Independent locality oracle for Z/q: units are the residues prime to q."""
+    nonunits = [a for a in range(q) if math.gcd(a, q) != 1]
+    if any(math.gcd((a + b) % q, q) == 1 for a in nonunits for b in nonunits):
+        return False
+    return all(math.gcd(a * r % q, q) != 1 for a in nonunits for r in range(q))
+
+
+def test_zmod_locality_matches_ideal_oracle(zmod):
+    stalks = {(s.p, s.k): s for n in range(2, 301) for s in zmod(n).stalks}
+    for s in stalks.values():
+        assert _nonunits_form_an_ideal(s.q) is True
+        assert s.check_local() is True, s.label()
+    # a hand-built stalk whose "p" is not prime: Z/6 is not local
+    assert _nonunits_form_an_ideal(6) is False
+    assert ZModStalk(6, 1).check_local() is False
+    for q in range(2, 301):
+        if all(q % (d * d) for d in range(2, q)):  # squarefree: p = q, k = 1
+            assert ZModStalk(q, 1).check_local() is _nonunits_form_an_ideal(q), q
 
 
 def test_element_parsing_and_rendering(zmod, zloc2_squared):
