@@ -7,6 +7,13 @@ table arithmetic.  The default path is numba-jitted; set
 same fallback engages automatically when numba is unavailable).  Both paths
 scan candidates in identical mixed-radix order, so the first hit (and hence
 every certificate downstream) is byte-identical across paths.
+
+Only idempotents can pass, and they are few (386 of the 65,536 2x2
+matrices over Z/16), so the numpy path keeps an idempotent index: the
+E^2 = E survivors of each chunk of the enumeration, built the first time a
+scan reaches the chunk and kept by the caller (``brute`` keeps it on the
+ring's cached ``RingTable``).  Later scans test EA = AE and the
+determinant on the indexed idempotents only.
 """
 
 from __future__ import annotations
@@ -44,25 +51,32 @@ def permutation_table(n: int):
 
 
 def _scan_strongly_clean_numpy(
-    add, mul, neg, unit, a, n, perms, signs, one, zero, start, stop, chunk=1 << 14
+    add, mul, neg, unit, a, n, perms, signs, one, zero, start, stop,
+    chunk=1 << 14, idempotents=None,
 ):
-    """Vectorized fallback: decode candidate chunks, batch table matmuls."""
-    m = add.shape[0]
-    nn = n * n
-    for base in range(start, stop, chunk):
-        hi = min(stop, base + chunk)
-        sel = np.arange(base, hi, dtype=np.int64)
-        E = np.empty((sel.size, n, n), dtype=np.int64)
-        rem = sel.copy()
-        for pos in range(nn - 1, -1, -1):
-            E[:, pos // n, pos % n] = rem % m
-            rem //= m
+    """Vectorized path: test EA = AE and det(A - E) on idempotents only.
 
-        EE = _batch_matmul(add, mul, zero, E, E)
-        mask = (EE == E).all(axis=(1, 2))
-        if not mask.any():
+    The enumeration is cut into chunks on a fixed grid, [lo, lo + chunk).
+    The first scan to reach a chunk decodes it and keeps its E^2 = E
+    survivors, their enumeration indices and E arrays, in ``idempotents``
+    under the key (n, lo, hi); later scans read them back instead of
+    decoding and squaring every candidate again.  With no dict given, the
+    survivors are kept for this call only.  Survivors stay in enumeration
+    order, so the first hit is the one a full scan finds.
+    """
+    if idempotents is None:
+        idempotents = {}
+    total = add.shape[0] ** (n * n)
+    for lo in range(start - start % chunk, min(stop, total), chunk):
+        key = (n, lo, min(total, lo + chunk))
+        if key not in idempotents:
+            idempotents[key] = _chunk_idempotents(add, mul, zero, n, *key[1:])
+        sel, E = idempotents[key]
+        if lo < start or key[2] > stop:
+            mask = (sel >= start) & (sel < stop)
+            sel, E = sel[mask], E[mask]
+        if not sel.size:
             continue
-        sel, E = sel[mask], E[mask]
 
         Ab = np.broadcast_to(a, E.shape)
         mask = (
@@ -86,6 +100,21 @@ def _scan_strongly_clean_numpy(
         if mask.any():
             return int(sel[np.nonzero(mask)[0][0]])
     return -1
+
+
+def _chunk_idempotents(add, mul, zero, n, lo, hi):
+    """Enumeration indices in [lo, hi) whose matrix E has E^2 = E, and the Es."""
+    m = add.shape[0]
+    sel = np.arange(lo, hi, dtype=np.int64)
+    E = np.empty((sel.size, n, n), dtype=np.int64)
+    rem = sel.copy()
+    for pos in range(n * n - 1, -1, -1):
+        E[:, pos // n, pos % n] = rem % m
+        rem //= m
+    mask = (_batch_matmul(add, mul, zero, E, E) == E).all(axis=(1, 2))
+    sel, E = sel[mask], E[mask]
+    sel.flags.writeable = E.flags.writeable = False
+    return sel, E
 
 
 def _batch_matmul(add, mul, zero, X, Y):
@@ -163,8 +192,16 @@ if HAVE_NUMBA:
     _scan_strongly_clean_jit = njit(cache=True)(_scan_strongly_clean_loops)
 
 
-def scan_strongly_clean(add, mul, neg, unit, a, n, perms, signs, one, zero, start, stop):
-    """First enumeration index whose E certifies A strongly clean, or -1."""
+def scan_strongly_clean(
+    add, mul, neg, unit, a, n, perms, signs, one, zero, start, stop, *,
+    idempotents=None,
+):
+    """First enumeration index in [start, stop) whose E certifies A, or -1.
+
+    ``idempotents`` is the numpy path's per-ring index of E^2 = E survivors
+    (see ``_scan_strongly_clean_numpy``); the jit path scans every candidate
+    and ignores it.
+    """
     if HAVE_NUMBA:
         return int(
             _scan_strongly_clean_jit(
@@ -172,5 +209,6 @@ def scan_strongly_clean(add, mul, neg, unit, a, n, perms, signs, one, zero, star
             )
         )
     return _scan_strongly_clean_numpy(
-        add, mul, neg, unit, a, n, perms, signs, one, zero, start, stop
+        add, mul, neg, unit, a, n, perms, signs, one, zero, start, stop,
+        idempotents=idempotents,
     )

@@ -7,11 +7,17 @@ encoded as numpy operation tables and handed to the kernels in
 are deterministic and identical on the jit and pure-numpy paths.  numpy and
 ``_kernels`` are imported by the functions that use them, so importing this
 module (as the CLI and the deciders do) does not load numpy.
+
+Each ring's ``RingTable`` is encoded once and cached, and it also holds the
+numpy kernel's idempotent index: for each matrix size n and chunk of the
+enumeration, the candidates with E^2 = E.  The first scan that reaches a
+chunk builds its entry, and every later scan of an n x n matrix over the
+same ring tests only those idempotents, in the same order.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 from .errors import BudgetExceeded, InfiniteRing, UnsupportedSize
@@ -43,6 +49,8 @@ class RingTable:
     unit: np.ndarray
     zero: int
     one: int
+    # the scan kernel's idempotent index: (n, lo, hi) -> (indices, E arrays)
+    idempotents: dict = field(default_factory=dict)
 
 
 _TABLE_CACHE: dict[str, RingTable] = {}
@@ -133,6 +141,7 @@ def strongly_clean_bruteforce(
         tab.zero,
         0,
         total,
+        idempotents=tab.idempotents,
     )
     if hit < 0:
         return None

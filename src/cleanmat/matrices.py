@@ -77,18 +77,11 @@ class SquareMatrix:
 
     def __matmul__(self, other):
         self._check(other)
-        n = self.n
+        dot = self.ring.dot
         cols = list(zip(*other.rows))
-        out = []
-        for i in range(n):
-            row = []
-            for j in range(n):
-                acc = self.ring.zero
-                for a, b in zip(self.rows[i], cols[j]):
-                    acc = acc + a * b
-                row.append(acc)
-            out.append(row)
-        return SquareMatrix(self.ring, out)
+        return SquareMatrix(
+            self.ring, [[dot(row, col) for col in cols] for row in self.rows]
+        )
 
     def __mul__(self, other):
         if isinstance(other, Element):
@@ -191,32 +184,12 @@ def _berkowitz_vector(ring, rows, n):
     items = [ring.one, -a]
     vec = C
     for _ in range(n - 1):
-        dot = ring.zero
-        for r, v in zip(R, vec):
-            dot = dot + r * v
-        items.append(-dot)
-        vec = [
-            _dot(ring, sub_row, vec) for sub_row in sub
-        ]
+        items.append(-ring.dot(R, vec))
+        vec = [ring.dot(sub_row, vec) for sub_row in sub]
     # items has length n+1; build the (n+1) x n Toeplitz product with the
     # Berkowitz vector of the trailing principal submatrix.
     d = _berkowitz_vector(ring, sub, n - 1)
-    out = []
-    for r in range(n + 1):
-        acc = ring.zero
-        for c in range(n):
-            k = r - c
-            if 0 <= k <= n:
-                acc = acc + items[k] * d[c]
-        out.append(acc)
-    return out
-
-
-def _dot(ring, row, vec):
-    acc = ring.zero
-    for a, b in zip(row, vec):
-        acc = acc + a * b
-    return acc
+    return [ring.dot(items[r::-1], d[: r + 1]) for r in range(n + 1)]
 
 
 def char_poly_cofactor(A: SquareMatrix) -> Poly:
@@ -262,13 +235,7 @@ def inverse(A: SquareMatrix):
     if c0_inv is None:
         return None
     # A * (A^{n-1} + c_{n-1} A^{n-2} + ... + c_1 I) = -c_0 I
-    acc = SquareMatrix.zeros(ring, A.n)
-    power = SquareMatrix.identity(ring, A.n)
-    for i in range(1, A.n + 1):
-        acc = acc + power * chi.coeff(i)
-        if i < A.n:
-            power = power @ A
-    inv = acc * (-c0_inv)
+    inv = poly_at_matrix(Poly(ring, chi.coeffs[1:]), A) * (-c0_inv)
     assert inv @ A == SquareMatrix.identity(ring, A.n)
     return inv
 
@@ -319,12 +286,30 @@ def matrix_classify(A: SquareMatrix) -> MatrixClassification:
 
 
 def poly_at_matrix(f: Poly, A: SquareMatrix) -> SquareMatrix:
-    """Evaluate a polynomial at a matrix argument (Horner)."""
+    """Evaluate a polynomial at a matrix argument (Horner).
+
+    Each step adds the coefficient on the diagonal of ``acc @ A``; the
+    leading coefficient starts the scalar matrix, so no step multiplies
+    the zero matrix.
+    """
     ring = A.ring
-    acc = SquareMatrix.zeros(ring, A.n)
-    for c in reversed(f.coeffs):
-        acc = acc @ A + SquareMatrix.identity(ring, A.n) * c
+    if f.is_zero:
+        return SquareMatrix.zeros(ring, A.n)
+    *lower, lead = f.coeffs
+    acc = _plus_diagonal(SquareMatrix.zeros(ring, A.n), lead)
+    for c in reversed(lower):
+        acc = _plus_diagonal(acc @ A, c)
     return acc
+
+
+def _plus_diagonal(M: SquareMatrix, c: Element) -> SquareMatrix:
+    return SquareMatrix(
+        M.ring,
+        [
+            [x + c if i == j else x for j, x in enumerate(row)]
+            for i, row in enumerate(M.rows)
+        ],
+    )
 
 
 # -- linear solving ----------------------------------------------------------------
@@ -412,13 +397,14 @@ def random_with_charpoly(h: Poly, seed: int) -> SquareMatrix:
     if n == 1:
         return C
     rng = random.Random(seed)
-    P = None
+    P = P_inv = None
     for _ in range(64):
         cand = SquareMatrix(
             ring,
             [[ring.random_element(rng) for _ in range(n)] for _ in range(n)],
         )
-        if inverse(cand) is not None:
+        P_inv = inverse(cand)
+        if P_inv is not None:
             P = cand
             break
     if P is None:
@@ -434,6 +420,7 @@ def random_with_charpoly(h: Poly, seed: int) -> SquareMatrix:
                 elif i > j:
                     lo[i][j] = ring.random_element(rng)
         P = SquareMatrix(ring, up) @ SquareMatrix(ring, lo)
-    A = P @ C @ inverse(P)
+        P_inv = inverse(P)
+    A = P @ C @ P_inv
     assert char_poly(A) == h
     return A

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from operator import mul
 
 MAX_TABLE_SIZE = 64
 
@@ -76,6 +77,9 @@ class ZModStalk:
 
     def mul(self, a, b):
         return (a * b) % self.q
+
+    def dot(self, xs, ys):
+        return sum(map(mul, xs, ys)) % self.q
 
     def neg(self, a):
         return (-a) % self.q
@@ -171,6 +175,9 @@ class ZLocStalk:
     def mul(self, a, b):
         return a * b
 
+    def dot(self, xs, ys):
+        return sum(map(mul, xs, ys), self.zero)
+
     def neg(self, a):
         return -a
 
@@ -247,6 +254,10 @@ class TableStalk:
         self.zero = zero_idx
         self.one = one_idx
         self._pos = {m: i for i, m in enumerate(self.members)}
+        self._neg = {
+            a: next(b for b in self.members if add_table[a][b] == zero_idx)
+            for a in self.members
+        }
         self._inv = {}
         for a in self.members:
             for b in self.members:
@@ -265,17 +276,20 @@ class TableStalk:
         return self._add[a][b]
 
     def sub(self, a, b):
-        return self._add[a][self.neg(b)]
+        return self._add[a][self._neg[b]]
 
     def mul(self, a, b):
         return self._mul[a][b]
 
+    def dot(self, xs, ys):
+        add, mul_t = self._add, self._mul
+        acc = self.zero
+        for a, b in zip(xs, ys):
+            acc = add[acc][mul_t[a][b]]
+        return acc
+
     def neg(self, a):
-        row = self._add[a]
-        for b in self.members:
-            if row[b] == self.zero:
-                return b
-        raise AssertionError("no additive inverse in table stalk")
+        return self._neg[a]
 
     def from_int(self, v: int):
         out = self.zero

@@ -7,6 +7,7 @@ import pytest
 
 from cleanmat import _kernels
 from cleanmat.brute import (
+    decode_matrix,
     encode_matrix,
     encode_ring,
     pi_regular_bruteforce,
@@ -14,6 +15,7 @@ from cleanmat.brute import (
     strongly_clean_bruteforce,
 )
 from cleanmat.errors import BudgetExceeded, InfiniteRing
+from cleanmat.decide import monic_polys
 from cleanmat.matrices import SquareMatrix, companion
 from cleanmat.polys import Poly
 from cleanmat.verify import verify_pi_regular, verify_strong_clean
@@ -172,3 +174,170 @@ def test_encode_ring_tables(zmod):
         assert tab.elements[tab.neg[i]] == -a
         assert tab.unit[i] == R.is_unit(a)
     assert np.count_nonzero(tab.unit) == 2  # 1 and 5
+
+
+# -- the idempotent index -------------------------------------------------------------
+
+
+def _unindexed_scan(
+    add, mul, neg, unit, a, n, perms, signs, one, zero, start, stop, chunk=1 << 14
+):
+    """Oracle: the scan without an index, which decodes every candidate of
+    [start, stop) chunk by chunk and tests E^2 = E, EA = AE and det(A - E)."""
+    m = add.shape[0]
+    nn = n * n
+
+    def matmul(X, Y):
+        C = np.full((X.shape[0], n, n), zero, dtype=np.int64)
+        for k in range(n):
+            C = add[C, mul[X[:, :, k][:, :, None], Y[:, k, :][:, None, :]]]
+        return C
+
+    for base in range(start, stop, chunk):
+        sel = np.arange(base, min(stop, base + chunk), dtype=np.int64)
+        E = np.empty((sel.size, n, n), dtype=np.int64)
+        rem = sel.copy()
+        for pos in range(nn - 1, -1, -1):
+            E[:, pos // n, pos % n] = rem % m
+            rem //= m
+        Ab = np.broadcast_to(a, E.shape)
+        mask = (matmul(E, E) == E).all(axis=(1, 2))
+        mask &= (matmul(E, Ab) == matmul(Ab, E)).all(axis=(1, 2))
+        sel, E = sel[mask], E[mask]
+        U = add[a[None, :, :], neg[E]]
+        dets = np.full(sel.size, zero, dtype=np.int64)
+        for p, sign in zip(perms, signs):
+            prod = np.full(sel.size, one, dtype=np.int64)
+            for i in range(n):
+                prod = mul[prod, U[:, i, p[i]]]
+            dets = add[dets, neg[prod] if sign < 0 else prod]
+        hits = np.nonzero(unit[dets])[0]
+        if hits.size:
+            return int(sel[hits[0]])
+    return -1
+
+
+def _check_index(R, matrices, ranges=None, chunk=1 << 14, warm=None):
+    """Indexed scans, cold and warm, give the oracle's first hit.
+
+    ``ranges(total, hit)`` lists extra [start, stop) ranges for a matrix;
+    ``warm`` is an index to share with other calls.
+    """
+    tab = encode_ring(R)
+    n = matrices[0].n
+    perms, signs = _kernels.permutation_table(n)
+    total = R.size ** (n * n)
+    warm = {} if warm is None else warm
+    jobs = []
+    for A in matrices:
+        a = encode_matrix(tab, A)
+        args = (tab.add, tab.mul, tab.neg, tab.unit, a, n, perms, signs, tab.one, tab.zero)
+        hit = _unindexed_scan(*args, 0, total, chunk=chunk)
+        spans = [(0, total)] + (ranges(total, hit) if ranges else [])
+        for start, stop in spans:
+            want = _unindexed_scan(*args, start, stop, chunk=chunk)
+            jobs.append((args, start, stop, want))
+
+    def scan(args, start, stop, index):
+        return _kernels._scan_strongly_clean_numpy(
+            *args, start, stop, chunk=chunk, idempotents=index
+        )
+
+    for args, start, stop, want in jobs:
+        assert scan(args, start, stop, {}) == want  # cold
+        assert scan(args, start, stop, warm) == want  # warming up
+    built = dict(warm)
+    for args, start, stop, want in jobs:
+        assert scan(args, start, stop, warm) == want  # warm
+    # the warm pass read the index and built no entry again
+    assert warm.keys() == built.keys()
+    assert all(warm[k] is built[k] for k in built)
+    return warm
+
+
+def test_index_matches_unindexed_scan_on_companions(
+    zmod, f4_ring, dual_ring, f2xf2_ring
+):
+    for R in (zmod(4), zmod(6), zmod(8), zmod(9), f4_ring, dual_ring, f2xf2_ring):
+        for d in (1, 2):
+            _check_index(R, [companion(h) for h in monic_polys(R, d)])
+    for R in (zmod(2), zmod(3)):
+        _check_index(R, [companion(h) for h in monic_polys(R, 3)])
+
+
+def test_index_matches_unindexed_scan_on_seeded_matrices(zmod, f4_ring, dual_ring):
+    rng = random.Random(4711)
+    for R, n in (
+        (zmod(4), 2), (zmod(12), 2), (f4_ring, 2), (dual_ring, 2),
+        (zmod(2), 3), (zmod(3), 3),
+    ):
+        mats = [
+            SquareMatrix(R, [[R.random_element(rng) for _ in range(n)] for _ in range(n)])
+            for _ in range(8)
+        ]
+        _check_index(R, mats)
+
+
+def test_index_on_sub_ranges_and_small_chunks(zmod, dual_ring):
+    # a chunk of 100 puts many chunk boundaries inside each scan, so starts
+    # fall mid-chunk and stops fall before, at and after the first hit
+    rng = random.Random(99)
+
+    def ranges(total, hit):
+        spans = []
+        if hit >= 0:
+            spans += [(0, hit), (hit, hit + 1), (max(0, hit - 37), hit), (hit + 1, total)]
+        for _ in range(6):
+            start = rng.randrange(total)
+            spans.append((start, rng.randrange(start, total + 1)))
+        return spans
+
+    for R, n in ((zmod(4), 2), (zmod(6), 2), (dual_ring, 2), (zmod(2), 3)):
+        mats = [
+            SquareMatrix(R, [[R.random_element(rng) for _ in range(n)] for _ in range(n)])
+            for _ in range(6)
+        ] + [SquareMatrix.identity(R, n), SquareMatrix.zeros(R, n)]
+        for chunk in (100, 1 << 14):
+            _check_index(R, mats, ranges, chunk=chunk)
+
+
+def test_one_index_serves_every_matrix_size(zmod):
+    # with a chunk of 10, chunks of different sizes n share their bounds
+    rng = random.Random(5)
+    for R in (zmod(2), zmod(3)):
+        index = {}
+        for n in (1, 2, 3, 2, 1):
+            mats = [
+                SquareMatrix(R, [[R.random_element(rng) for _ in range(n)] for _ in range(n)])
+                for _ in range(4)
+            ]
+            _check_index(R, mats, chunk=10, warm=index)
+        assert {key[0] for key in index} == {1, 2, 3}
+
+
+def test_index_holds_exactly_the_idempotents(zmod):
+    chunk = 1000
+    for R, n, count in (
+        (zmod(8), 2, 98), (zmod(9), 2, 110), (zmod(12), 2, 364), (zmod(16), 2, 386),
+        (zmod(2), 3, 58), (zmod(3), 3, 236),
+    ):
+        tab = encode_ring(R)
+        total = R.size ** (n * n)
+        indices = []
+        for lo in range(0, total, chunk):
+            sel, E = _kernels._chunk_idempotents(
+                tab.add, tab.mul, tab.zero, n, lo, min(total, lo + chunk)
+            )
+            assert [decode_matrix(tab, int(i), n) for i in sel] == [
+                SquareMatrix(R, [[tab.elements[x] for x in row] for row in e])
+                for e in E
+            ]
+            indices += sel.tolist()
+        assert len(indices) == count
+        if total <= 20736:
+            idempotents = []
+            for i in range(total):
+                M = decode_matrix(tab, i, n)
+                if M @ M == M:
+                    idempotents.append(i)
+            assert indices == idempotents

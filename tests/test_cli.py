@@ -254,3 +254,14 @@ def test_large_zmod_rings_do_not_hang():
     )
     assert res.returncode == 1 and res.stdout == ""
     assert res.stderr == "error: 1000000007 monic polynomials exceed budget 1000000\n"
+
+
+def test_jclean_on_a_large_finite_stalk_does_not_hang():
+    """A finite local stalk answers by Hensel's lemma, not by a root scan."""
+    res = _python("-m", "cleanmat.cli", "jclean", "--ring", '{"type":"zmod","n":1048576}')
+    assert res.returncode == 0, res.stderr
+    decision = json.loads(res.stdout)["decision"]
+    assert decision["verdict"] == "yes"
+    assert decision["details"]["stalks"] == [
+        {"checked": 524288, "stalk": "Z/1048576", "status": "all roots found"}
+    ]

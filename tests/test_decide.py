@@ -23,6 +23,7 @@ from cleanmat.factor import SRCCertificate, comaximality
 from cleanmat.matrices import SquareMatrix, companion, random_with_charpoly
 from cleanmat.polys import Poly
 from cleanmat.rings import Element, build_ring
+from cleanmat.stalks import factorize
 from cleanmat.verify import verify_src, verify_strong_clean
 
 
@@ -163,6 +164,34 @@ def test_jclean_matches_exhaustive_route(zmod, f4_ring, dual_ring):
         crit = jclean_quadratic_criterion(R)
         full = decide_ring_strongly_clean(R, 2)
         assert crit.verdict == full.verdict == "yes"
+
+
+def _jclean_root_scan(S):
+    """Oracle: the non-units a of a finite local ring S, each checked for a
+    root of t^2 - t + a by trying every element."""
+    rad = [a for a in S.elements() if not S.is_unit(a)]
+    for a in rad:
+        assert any(r * r - r + a == S.zero for r in S.elements()), a
+    return len(rad)
+
+
+def test_jclean_matches_root_scan_on_small_finite_stalks(zmod, f4_ring, dual_ring, f2xf2_ring):
+    # every Z/p^k with at most 64 elements, the table stalks, and products
+    rings = [zmod(q) for q in range(2, 65) if len(factorize(q)) == 1]
+    rings += [f4_ring, dual_ring, f2xf2_ring, zmod(72), zmod(2 * 27 * 25)]
+    for R in rings:
+        d = jclean_quadratic_criterion(R)
+        assert d.verdict == "yes" and d.route == "jclean_root"
+        reports = d.details["stalks"]
+        assert len(reports) == R.num_stalks
+        for i, report in enumerate(reports):
+            S = R.stalk_ring(i)
+            assert S.size <= 64
+            assert report == {
+                "stalk": S.label(),
+                "status": "all roots found",
+                "checked": _jclean_root_scan(S),
+            }
 
 
 def test_sqrt_one_plus_radical(zmod, zloc):

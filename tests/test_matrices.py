@@ -24,6 +24,8 @@ from cleanmat.matrices import (
 from cleanmat.polys import Poly
 from cleanmat.rings import Element, build_ring
 
+from conftest import dual_f2_tables, f2xf2_tables, f4_tables
+
 
 def test_companion_and_charpoly_roundtrip(zmod):
     R8 = zmod(8)
@@ -221,3 +223,94 @@ def test_transpose(zmod):
     R = zmod(5)
     A = SquareMatrix.from_ints(R, [[1, 2], [3, 4]])
     assert transpose(A) == SquareMatrix.from_ints(R, [[1, 3], [2, 4]])
+
+
+# -- raw-value folds against Element folds ----------------------------------------------
+
+_FOLD_RINGS = [
+    build_ring({"type": "zmod", "n": 8}),
+    build_ring({"type": "zmod", "n": 9}),
+    build_ring({"type": "zmod", "n": 12}),
+    build_ring({"type": "zloc", "p": 2}),
+    build_ring({"type": "zloc", "p": 3}),
+    build_ring({"type": "product", "factors": [{"type": "zloc", "p": 2}, {"type": "zloc", "p": 2}]}),
+    build_ring({"type": "product", "factors": [{"type": "zmod", "n": 4}, {"type": "zloc", "p": 3}]}),
+    *(
+        build_ring({"type": "table", "add": add, "mul": mul})
+        for add, mul in (f4_tables(), dual_f2_tables(), f2xf2_tables())
+    ),
+]
+
+
+def _stalk_values(s):
+    if s.kind == "zmod":
+        return st.integers(0, s.q - 1)
+    if s.kind == "zloc":
+        dens = [d for d in (1, 2, 3, 5, 7, 9) if d % s.p]
+        return st.builds(Fraction, st.integers(-30, 30), st.sampled_from(dens))
+    return st.sampled_from(s.members)
+
+
+def _elements(R):
+    return st.tuples(*(_stalk_values(s) for s in R.stalks)).map(
+        lambda parts: Element(R, parts)
+    )
+
+
+def _fold_dot(R, xs, ys):
+    acc = R.zero
+    for x, y in zip(xs, ys):
+        acc = acc + x * y
+    return acc
+
+
+def _fold_matmul(A, B):
+    cols = list(zip(*B.rows))
+    return SquareMatrix(A.ring, [[_fold_dot(A.ring, r, c) for c in cols] for r in A.rows])
+
+
+def _fold_poly_at(f, A):
+    ident = SquareMatrix.identity(A.ring, A.n)
+    acc = SquareMatrix.zeros(A.ring, A.n)
+    for c in reversed(f.coeffs):
+        acc = _fold_matmul(acc, A) + ident * c
+    return acc
+
+
+def _draw_matrix(data, R, n):
+    return SquareMatrix(
+        R, [[data.draw(_elements(R)) for _ in range(n)] for _ in range(n)]
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(R=st.sampled_from(_FOLD_RINGS), length=st.integers(0, 5), data=st.data())
+def test_ring_dot_matches_element_fold(R, length, data):
+    xs = [data.draw(_elements(R)) for _ in range(length)]
+    ys = [data.draw(_elements(R)) for _ in range(length)]
+    d = R.dot(xs, ys)
+    assert d == _fold_dot(R, xs, ys)
+    assert d.parts == _fold_dot(R, xs, ys).parts
+
+
+@settings(max_examples=60, deadline=None)
+@given(R=st.sampled_from(_FOLD_RINGS), n=st.integers(0, 3), data=st.data())
+def test_matmul_matches_element_fold(R, n, data):
+    A, B = _draw_matrix(data, R, n), _draw_matrix(data, R, n)
+    assert A @ B == _fold_matmul(A, B)
+
+
+@settings(max_examples=60, deadline=None)
+@given(R=st.sampled_from(_FOLD_RINGS), n=st.integers(1, 3), data=st.data())
+def test_char_poly_and_poly_at_matrix_match_element_folds(R, n, data):
+    A = _draw_matrix(data, R, n)
+    chi = char_poly(A)
+    assert chi == char_poly_cofactor(A)
+    assert poly_at_matrix(chi, A) == SquareMatrix.zeros(R, n)
+    f = Poly(R, [data.draw(_elements(R)) for _ in range(data.draw(st.integers(0, 4)))])
+    assert poly_at_matrix(f, A) == _fold_poly_at(f, A)
+    inv = inverse(A)
+    if inv is not None:
+        # the Cayley-Hamilton inverse, folded on Elements
+        q = Poly(R, chi.coeffs[1:])
+        assert inv == _fold_poly_at(q, A) * (-R.inv(chi.coeff(0)))

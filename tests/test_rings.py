@@ -267,3 +267,19 @@ def test_element_parsing_and_rendering(zmod, zloc2_squared):
         assert R12.to_int(R12.from_int(v)) == v
     a = zloc2_squared.from_parts((Fraction(3, 5), Fraction(1)))
     assert zloc2_squared.render_value(a) == ("3/5", "1/1")
+
+
+def test_table_stalk_neg_matches_add_table_scan(f4_ring, dual_ring, f2xf2_ring):
+    # the three characteristic-2 tables have neg(a) = a; Z/4 and Z/6 do not
+    tables = [zmod_tables(4), zmod_tables(6)]
+    rings = [build_ring({"type": "table", "add": add, "mul": mul}) for add, mul in tables]
+    for R in (f4_ring, dual_ring, f2xf2_ring, *rings):
+        for s in R.stalks:
+            scan = {
+                a: next(b for b in s.members if s._add[a][b] == s.zero)
+                for a in s.members
+            }
+            for a in s.members:
+                assert s.neg(a) == scan[a]
+                for b in s.members:
+                    assert s.sub(a, b) == s._add[a][scan[b]]
