@@ -1,0 +1,96 @@
+#!/usr/bin/env python3
+"""Micro-benchmark of the matrix layer: per-call time of each matrix operation.
+
+For each case a fixed seed draws 64 random matrices, 64 random monic
+polynomials of degree n, and 64 random monic pairs (f0, f1) with
+deg f0 + deg f1 = n.  The table gives the per-call microseconds of ``A @ B``,
+``char_poly``, ``inverse``, ``poly_at_matrix`` and ``factor.comaximality``
+(whose Sylvester matrix is n x n), as the best of 20 passes over the inputs.
+Run with ``python benchmarks/bench_matrices.py``.
+"""
+
+from __future__ import annotations
+
+import random
+import sys
+import time
+from pathlib import Path
+
+# run against this checkout's src/ whether or not the package is installed
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+
+from cleanmat.factor import comaximality  # noqa: E402
+from cleanmat.matrices import (  # noqa: E402
+    SquareMatrix,
+    char_poly,
+    inverse,
+    poly_at_matrix,
+)
+from cleanmat.polys import Poly  # noqa: E402
+from cleanmat.rings import build_ring  # noqa: E402
+
+SEED = 2024
+INPUTS = 64
+PASSES = 20
+
+CASES = [
+    ("Z/16", {"type": "zmod", "n": 16}, 2),
+    ("Z/12", {"type": "zmod", "n": 12}, 2),
+    (
+        "Z/4 x Z_(3)",
+        {"type": "product", "factors": [{"type": "zmod", "n": 4}, {"type": "zloc", "p": 3}]},
+        2,
+    ),
+    ("Z/3", {"type": "zmod", "n": 3}, 3),
+]
+
+
+def inputs(descriptor, n):
+    R = build_ring(descriptor)
+    rng = random.Random(SEED)
+
+    def matrix():
+        return SquareMatrix(R, [[R.random_element(rng) for _ in range(n)] for _ in range(n)])
+
+    def monic(d):
+        return Poly(R, [R.random_element(rng) for _ in range(d)] + [R.one])
+
+    mats = [matrix() for _ in range(INPUTS)]
+    others = [matrix() for _ in range(INPUTS)]
+    polys = [monic(n) for _ in range(INPUTS)]
+    pairs = [(monic(n // 2), monic(n - n // 2)) for _ in range(INPUTS)]
+    return mats, others, polys, pairs
+
+
+def per_call_us(fn, args):
+    best = float("inf")
+    for _ in range(PASSES):
+        t0 = time.perf_counter()
+        for a in args:
+            fn(*a)
+        best = min(best, time.perf_counter() - t0)
+    return 1e6 * best / len(args)
+
+
+def main():
+    ops = ["A @ B", "char_poly", "inverse", "poly_at_matrix", "comaximality"]
+    print(f"per-call microseconds, best of {PASSES} passes over {INPUTS} seeded inputs")
+    print(f"{'case':>18} " + " ".join(f"{op:>14}" for op in ops))
+    for label, descriptor, n in CASES:
+        mats, others, polys, pairs = inputs(descriptor, n)
+        times = [
+            per_call_us(lambda A, B: A @ B, list(zip(mats, others))),
+            per_call_us(char_poly, [(A,) for A in mats]),
+            per_call_us(inverse, [(A,) for A in mats]),
+            per_call_us(poly_at_matrix, list(zip(polys, mats))),
+            per_call_us(comaximality, pairs),
+        ]
+        invertible = sum(inverse(A) is not None for A in mats)
+        comaximal = sum(comaximality(*p) is not None for p in pairs)
+        case = f"{n}x{n} {label}"
+        print(f"{case:>18} " + " ".join(f"{t:>14.1f}" for t in times))
+        print(f"{'':>18} {invertible}/{INPUTS} invertible, {comaximal}/{INPUTS} comaximal")
+
+
+if __name__ == "__main__":
+    main()

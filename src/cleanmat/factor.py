@@ -4,8 +4,8 @@ Four searches are exposed:
 
 * ``src_search_local`` / ``src_search``: factor h = f0*f1 with f0(0) and
   f1(1) units; with comaximality of the factors as an extra requirement the
-  pair is certified by an explicit Bezout identity u*f0 + v*f1 = 1 extracted
-  from the Sylvester resultant.
+  pair is certified by an explicit Bezout identity u*f0 + v*f1 = 1 read off
+  the inverse of the Sylvester matrix.
 * ``gsrc_search``: the globalized form; one factorization per idempotent
   block, with blocks grouped by deg(f0) so at most deg(h)+1 blocks appear.
 * ``sp_search_local`` / ``sp_search`` / ``gsp_search``: factor h = h0*p0
@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import VerificationFailed
-from .matrices import SquareMatrix, det
+from .matrices import SquareMatrix, inverse
 from .polys import Poly, glue_polys, monic_divide
 from .rings import Element, Ring, block_ring
 from .stalks import ZLocStalk
@@ -94,11 +94,14 @@ class SearchResult:
 def comaximality(f0: Poly, f1: Poly):
     """Bezout pair (u, v) with u*f0 + v*f1 = 1, or None if not comaximal.
 
-    The matrix of (u, v) -> u*f0 + v*f1 on monomial bases (deg u < deg f1,
-    deg v < deg f0) is square of size deg f0 + deg f1; its determinant is the
-    resultant up to sign.  For monic polynomials over a ring whose stalks are
-    local, the resultant is a unit exactly when the pair is comaximal, and
-    Cramer's rule turns the unit resultant into the Bezout cofactors.
+    The matrix M of (u, v) -> u*f0 + v*f1 on monomial bases (deg u < deg f1,
+    deg v < deg f0) is the Sylvester matrix, square of size deg f0 + deg f1;
+    its determinant is the resultant up to sign.  For monic polynomials over
+    a ring whose stalks are local, the resultant is a unit exactly when the
+    pair is comaximal.  One Cayley-Hamilton inverse of the Sylvester matrix
+    settles both: ``inverse`` returns None exactly when the resultant is not
+    a unit, and otherwise the unique solution of M (u, v) = e_0 is column 0
+    of M^{-1}.
     """
     if not f0.is_monic or not f1.is_monic:
         raise ValueError("comaximality needs monic polynomials")
@@ -116,17 +119,10 @@ def comaximality(f0: Poly, f1: Poly):
     for j in range(d0):
         cols.append([f1.coeff(r - j) for r in range(n)])
     M = SquareMatrix(R, [[cols[c][r] for c in range(n)] for r in range(n)])
-    res = det(M)
-    res_inv = R.inv(res)
-    if res_inv is None:
+    M_inv = inverse(M)
+    if M_inv is None:
         return None
-    e0 = [R.one] + [R.zero] * (n - 1)
-    w = []
-    for i in range(n):
-        rows = [
-            [e0[r] if c == i else cols[c][r] for c in range(n)] for r in range(n)
-        ]
-        w.append(det(SquareMatrix(R, rows)) * res_inv)
+    w = [row[0] for row in M_inv.rows]
     u = Poly(R, w[:d1])
     v = Poly(R, w[d1:])
     if (u * f0 + v * f1) != Poly.one(R):

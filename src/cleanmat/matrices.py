@@ -1,9 +1,18 @@
 """Square matrices over a Ring: arithmetic, characteristic polynomials, solving.
 
+A ``SquareMatrix`` holds a tuple of tuples of ``Element``s, but ``@``,
+``char_poly``, ``poly_at_matrix`` and ``inverse`` compute on per-stalk raw
+grids: each operand is unpacked once per stalk into a list of lists of raw
+stalk values, one raw helper per operation works on a stalk and its grids
+with that stalk's own ``dot``/``add``/``mul``/``neg``/``inv``, and each
+result entry is boxed into an ``Element`` once, at the end.  These helpers
+are the only code path; there are no Element-level versions beside them.
+
 The characteristic polynomial is computed by the Berkowitz algorithm, which
-uses no divisions and is therefore valid over rings with zero divisors.  A
-cofactor-expansion oracle over the polynomial ring is kept alongside for
-cross-checks at small sizes.
+uses no divisions and is therefore valid over rings with zero divisors.  The
+inverse is the Cayley-Hamilton one, -c_0^{-1} (A^{n-1} + c_{n-1} A^{n-2} +
+... + c_1 I), and exists exactly when c_0 = (-1)^n det A is a unit on every
+stalk.
 """
 
 from __future__ import annotations
@@ -34,15 +43,46 @@ class SquareMatrix:
         self.rows = rows
 
     @classmethod
-    def identity(cls, ring: Ring, n: int) -> "SquareMatrix":
-        return cls(
+    def _make(cls, ring: Ring, rows: tuple) -> "SquareMatrix":
+        """Internal constructor: ``rows`` is already a square tuple of tuples."""
+        M = object.__new__(cls)
+        M.ring = ring
+        M.n = len(rows)
+        M.rows = rows
+        return M
+
+    @classmethod
+    def _from_grids(cls, ring: Ring, grids) -> "SquareMatrix":
+        """Box one raw grid per stalk of ``ring`` into a matrix of Elements."""
+        return cls._make(
             ring,
-            [[ring.one if i == j else ring.zero for j in range(n)] for i in range(n)],
+            tuple(
+                [
+                    tuple([Element(ring, parts) for parts in zip(*stalk_rows)])
+                    for stalk_rows in zip(*grids)
+                ]
+            ),
+        )
+
+    def _grids(self) -> list:
+        """One raw grid (a list of lists of stalk values) per stalk."""
+        rows = self.rows
+        return [
+            [[e.parts[s] for e in row] for row in rows]
+            for s in range(self.ring.num_stalks)
+        ]
+
+    @classmethod
+    def identity(cls, ring: Ring, n: int) -> "SquareMatrix":
+        one, zero = ring.one, ring.zero
+        return cls._make(
+            ring,
+            tuple(tuple(one if i == j else zero for j in range(n)) for i in range(n)),
         )
 
     @classmethod
     def zeros(cls, ring: Ring, n: int) -> "SquareMatrix":
-        return cls(ring, [[ring.zero] * n for _ in range(n)])
+        return cls._make(ring, ((ring.zero,) * n,) * n)
 
     @classmethod
     def from_ints(cls, ring: Ring, rows) -> "SquareMatrix":
@@ -54,39 +94,44 @@ class SquareMatrix:
 
     def __add__(self, other):
         self._check(other)
-        return SquareMatrix(
+        return SquareMatrix._make(
             self.ring,
-            [
-                [a + b for a, b in zip(r1, r2)]
+            tuple(
+                tuple(a + b for a, b in zip(r1, r2))
                 for r1, r2 in zip(self.rows, other.rows)
-            ],
+            ),
         )
 
     def __sub__(self, other):
         self._check(other)
-        return SquareMatrix(
+        return SquareMatrix._make(
             self.ring,
-            [
-                [a - b for a, b in zip(r1, r2)]
+            tuple(
+                tuple(a - b for a, b in zip(r1, r2))
                 for r1, r2 in zip(self.rows, other.rows)
-            ],
+            ),
         )
 
     def __neg__(self):
-        return SquareMatrix(self.ring, [[-a for a in r] for r in self.rows])
+        return SquareMatrix._make(
+            self.ring, tuple(tuple(-a for a in r) for r in self.rows)
+        )
 
     def __matmul__(self, other):
         self._check(other)
-        dot = self.ring.dot
-        cols = list(zip(*other.rows))
-        return SquareMatrix(
-            self.ring, [[dot(row, col) for col in cols] for row in self.rows]
+        ring = self.ring
+        return SquareMatrix._from_grids(
+            ring,
+            [
+                _raw_matmul(s, a, b)
+                for s, a, b in zip(ring.stalks, self._grids(), other._grids())
+            ],
         )
 
     def __mul__(self, other):
         if isinstance(other, Element):
-            return SquareMatrix(
-                self.ring, [[a * other for a in r] for r in self.rows]
+            return SquareMatrix._make(
+                self.ring, tuple(tuple(a * other for a in r) for r in self.rows)
             )
         return NotImplemented
 
@@ -122,9 +167,9 @@ class SquareMatrix:
 
     def restrict(self, i: int) -> "SquareMatrix":
         R = self.ring
-        return SquareMatrix(
+        return SquareMatrix._make(
             R.stalk_ring(i),
-            [[R.restrict_element(a, i) for a in row] for row in self.rows],
+            tuple(tuple(R.restrict_element(a, i) for a in row) for row in self.rows),
         )
 
     def sort_key(self):
@@ -134,18 +179,13 @@ class SquareMatrix:
 def glue_matrices(R: Ring, per_stalk: list[SquareMatrix]) -> SquareMatrix:
     if len(per_stalk) != R.num_stalks:
         raise RingMismatch("need one matrix per stalk")
-    n = per_stalk[0].n
-    rows = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            parts = tuple(
-                R.stalks[s].from_standalone(per_stalk[s].rows[i][j].parts[0])
-                for s in range(R.num_stalks)
-            )
-            row.append(Element(R, parts))
-        rows.append(row)
-    return SquareMatrix(R, rows)
+    return SquareMatrix._from_grids(
+        R,
+        [
+            [[s.from_standalone(a.parts[0]) for a in row] for row in M.rows]
+            for s, M in zip(R.stalks, per_stalk)
+        ],
+    )
 
 
 def companion(h: Poly) -> SquareMatrix:
@@ -159,89 +199,134 @@ def companion(h: Poly) -> SquareMatrix:
         rows[i][i - 1] = ring.one
     for i in range(n):
         rows[i][n - 1] = -h.coeff(i)
-    return SquareMatrix(ring, rows)
+    return SquareMatrix._make(ring, tuple(map(tuple, rows)))
+
+
+def transpose(A: SquareMatrix) -> SquareMatrix:
+    return SquareMatrix._make(A.ring, tuple(zip(*A.rows)))
+
+
+# -- raw per-stalk kernels -----------------------------------------------------------
+#
+# Each helper takes a stalk and raw grids of that stalk's values (lists of
+# lists, n x n) and returns raw values; the public functions below unpack
+# and box.
+
+
+def _raw_identity(s, n: int) -> list:
+    one, zero = s.one, s.zero
+    return [[one if i == j else zero for j in range(n)] for i in range(n)]
+
+
+def _raw_matmul(s, a: list, b: list) -> list:
+    dot = s.dot
+    cols = list(zip(*b))
+    return [[dot(row, col) for col in cols] for row in a]
+
+
+def _raw_berkowitz(s, a: list) -> list:
+    """Coefficients of det(tI - a), highest degree first."""
+    n = len(a)
+    if n == 0:
+        return [s.one]
+    if n == 1:
+        return [s.one, s.neg(a[0][0])]
+    dot, neg = s.dot, s.neg
+    top = a[0][1:]
+    sub = [row[1:] for row in a[1:]]
+    vec = [row[0] for row in a[1:]]
+    # items[k + 2] = -top . sub^k . vec for k = 0 .. n-2
+    items = [s.one, neg(a[0][0]), neg(dot(top, vec))]
+    for _ in range(n - 2):
+        vec = [dot(row, vec) for row in sub]
+        items.append(neg(dot(top, vec)))
+    # items has length n+1; the (n+1) x n Toeplitz product with the
+    # Berkowitz vector of the trailing principal submatrix.
+    d = _raw_berkowitz(s, sub)
+    return [dot(items[r::-1], d[: r + 1]) for r in range(n + 1)]
+
+
+def _raw_char_poly(s, a: list) -> list:
+    """Coefficients of det(tI - a), lowest degree first."""
+    return _raw_berkowitz(s, a)[::-1]
+
+
+def _raw_horner(s, coeffs: list, a: list) -> list:
+    """sum coeffs[k] a^k (Horner; coefficients lowest degree first).
+
+    The leading coefficient starts the scalar matrix, and each later step
+    adds its coefficient on the diagonal of ``acc @ a``.
+    """
+    n = len(a)
+    add, zero = s.add, s.zero
+    if not coeffs:
+        return [[zero] * n for _ in range(n)]
+    *lower, lead = coeffs
+    acc = [[lead if i == j else zero for j in range(n)] for i in range(n)]
+    for c in reversed(lower):
+        acc = _raw_matmul(s, acc, a)
+        for i in range(n):
+            acc[i][i] = add(acc[i][i], c)
+    return acc
+
+
+def _raw_inverse(s, a: list, chi: list, c0_inv) -> list:
+    """-c0^{-1} (chi[1:])(a), checked against a on the raw grids."""
+    k = s.neg(c0_inv)
+    mul = s.mul
+    inv = [[mul(x, k) for x in row] for row in _raw_horner(s, chi[1:], a)]
+    assert _raw_matmul(s, inv, a) == _raw_identity(s, len(a))
+    return inv
+
+
+# -- public matrix functions ---------------------------------------------------------
 
 
 def char_poly(A: SquareMatrix) -> Poly:
     """Monic characteristic polynomial det(tI - A), by Berkowitz."""
-    desc = _berkowitz_vector(A.ring, [list(r) for r in A.rows], A.n)
-    coeffs = list(reversed(desc))
-    p = Poly(A.ring, coeffs)
+    ring = A.ring
+    per_stalk = [_raw_char_poly(s, a) for s, a in zip(ring.stalks, A._grids())]
+    p = Poly(ring, [Element(ring, parts) for parts in zip(*per_stalk)])
     assert p.is_monic and p.degree == A.n
     return p
 
 
-def _berkowitz_vector(ring, rows, n):
-    # Coefficients of det(tI - A), highest degree first.
-    if n == 0:
-        return [ring.one]
-    if n == 1:
-        return [ring.one, -rows[0][0]]
-    a = rows[0][0]
-    R = rows[0][1:]
-    C = [rows[i][0] for i in range(1, n)]
-    sub = [rows[i][1:] for i in range(1, n)]
-    items = [ring.one, -a]
-    vec = C
-    for _ in range(n - 1):
-        items.append(-ring.dot(R, vec))
-        vec = [ring.dot(sub_row, vec) for sub_row in sub]
-    # items has length n+1; build the (n+1) x n Toeplitz product with the
-    # Berkowitz vector of the trailing principal submatrix.
-    d = _berkowitz_vector(ring, sub, n - 1)
-    return [ring.dot(items[r::-1], d[: r + 1]) for r in range(n + 1)]
-
-
-def char_poly_cofactor(A: SquareMatrix) -> Poly:
-    """Oracle: det(tI - A) by cofactor expansion over the polynomial ring."""
-    ring = A.ring
-    t = Poly.t_power(ring, 1)
-    grid = [
-        [
-            (t if i == j else Poly.zero(ring)) - Poly.constant(A.rows[i][j])
-            for j in range(A.n)
-        ]
-        for i in range(A.n)
-    ]
-    return _poly_det(ring, grid)
-
-
-def _poly_det(ring, grid):
-    n = len(grid)
-    if n == 1:
-        return grid[0][0]
-    acc = Poly.zero(ring)
-    for j in range(n):
-        minor = [row[:j] + row[j + 1 :] for row in grid[1:]]
-        term = grid[0][j] * _poly_det(ring, minor)
-        acc = acc + term if j % 2 == 0 else acc - term
-    return acc
-
-
-def det(A: SquareMatrix) -> Element:
-    chi = char_poly(A)
-    d = chi(A.ring.zero)
-    if A.n % 2 == 1:
-        d = -d
-    return d
-
-
 def inverse(A: SquareMatrix):
-    """Inverse via Cayley-Hamilton, or None when det is not a unit."""
+    """Inverse via Cayley-Hamilton, or None when det is not a unit.
+
+    Every stalk's char poly and c_0 inverse come first, so a matrix that is
+    singular on some stalk costs no Horner step on any.
+    """
     ring = A.ring
-    chi = char_poly(A)
-    c0 = chi.coeff(0)
-    c0_inv = ring.inv(c0)
-    if c0_inv is None:
-        return None
-    # A * (A^{n-1} + c_{n-1} A^{n-2} + ... + c_1 I) = -c_0 I
-    inv = poly_at_matrix(Poly(ring, chi.coeffs[1:]), A) * (-c0_inv)
-    assert inv @ A == SquareMatrix.identity(ring, A.n)
-    return inv
+    grids = A._grids()
+    polys = []
+    for s, a in zip(ring.stalks, grids):
+        chi = _raw_char_poly(s, a)
+        c0_inv = s.inv(chi[0])
+        if c0_inv is None:
+            return None
+        polys.append((chi, c0_inv))
+    return SquareMatrix._from_grids(
+        ring,
+        [
+            _raw_inverse(s, a, chi, c0_inv)
+            for s, a, (chi, c0_inv) in zip(ring.stalks, grids, polys)
+        ],
+    )
 
 
-def transpose(A: SquareMatrix) -> SquareMatrix:
-    return SquareMatrix(A.ring, list(zip(*A.rows)))
+def poly_at_matrix(f: Poly, A: SquareMatrix) -> SquareMatrix:
+    """Evaluate a polynomial at a matrix argument (Horner)."""
+    ring = A.ring
+    if f.ring.key != ring.key:
+        raise RingMismatch("polynomial and matrix over different rings")
+    return SquareMatrix._from_grids(
+        ring,
+        [
+            _raw_horner(s, [c.parts[i] for c in f.coeffs], a)
+            for i, (s, a) in enumerate(zip(ring.stalks, A._grids()))
+        ],
+    )
 
 
 @dataclass
@@ -260,56 +345,6 @@ class PiRegularCertificate:
     k: int
     X: SquareMatrix
     Y: SquareMatrix
-
-
-@dataclass
-class MatrixClassification:
-    is_unit: bool
-    inverse: SquareMatrix | None
-    is_idempotent: bool
-    is_nilpotent: bool
-
-
-def matrix_classify(A: SquareMatrix) -> MatrixClassification:
-    ring = A.ring
-    inv = inverse(A)
-    chi = char_poly(A)
-    nilpotent = all(
-        ring.radical_membership(chi.coeff(i)).in_nil for i in range(A.n)
-    )
-    return MatrixClassification(
-        is_unit=inv is not None,
-        inverse=inv,
-        is_idempotent=A @ A == A,
-        is_nilpotent=nilpotent,
-    )
-
-
-def poly_at_matrix(f: Poly, A: SquareMatrix) -> SquareMatrix:
-    """Evaluate a polynomial at a matrix argument (Horner).
-
-    Each step adds the coefficient on the diagonal of ``acc @ A``; the
-    leading coefficient starts the scalar matrix, so no step multiplies
-    the zero matrix.
-    """
-    ring = A.ring
-    if f.is_zero:
-        return SquareMatrix.zeros(ring, A.n)
-    *lower, lead = f.coeffs
-    acc = _plus_diagonal(SquareMatrix.zeros(ring, A.n), lead)
-    for c in reversed(lower):
-        acc = _plus_diagonal(acc @ A, c)
-    return acc
-
-
-def _plus_diagonal(M: SquareMatrix, c: Element) -> SquareMatrix:
-    return SquareMatrix(
-        M.ring,
-        [
-            [x + c if i == j else x for j, x in enumerate(row)]
-            for i, row in enumerate(M.rows)
-        ],
-    )
 
 
 # -- linear solving ----------------------------------------------------------------

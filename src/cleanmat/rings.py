@@ -194,16 +194,6 @@ class Ring:
         for parts in itertools.product(*(s.elements() for s in self.stalks)):
             yield Element(self, parts)
 
-    def dot(self, xs, ys) -> Element:
-        """The sum of xs[i] * ys[i], folded on raw values stalk by stalk."""
-        return Element(
-            self,
-            tuple(
-                s.dot([x.parts[i] for x in xs], [y.parts[i] for y in ys])
-                for i, s in enumerate(self.stalks)
-            ),
-        )
-
     def random_element(self, rng) -> Element:
         return Element(self, tuple(s.random(rng) for s in self.stalks))
 

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import random
 from fractions import Fraction
 
 from hypothesis import given, settings
@@ -27,6 +28,8 @@ from cleanmat.polys import Poly, monic_divide
 from cleanmat.rings import Element, build_ring
 from cleanmat.serialize import dumps_canonical, to_jsonable
 from cleanmat.verify import verify_gsp, verify_gsrc, verify_sp, verify_src
+
+from oracles import comaximality_cramer
 
 
 def ints(R, p):
@@ -420,3 +423,68 @@ def test_gsrc_transcript_stops_at_first_hit(zmod):
     # one lift decides every SP degree, so the SP transcript lists them all
     res = gsp_search(h, R8)
     assert list(res.transcript["stalks"][0]["degrees"]) == ["0", "1", "2", "3"]
+
+
+# -- oracle: comaximality by Cramer's rule on the Sylvester matrix -------------------
+
+
+def _bezout_parts(bez):
+    if bez is None:
+        return None
+    u, v = bez
+    return tuple(c.parts for c in u.coeffs), tuple(c.parts for c in v.coeffs)
+
+
+def test_comaximality_matches_cramer_oracle_exhaustive(
+    zmod, f4_ring, dual_ring, f2xf2_ring
+):
+    """Every monic pair with deg f0 + deg f1 <= 3: same (u, v), or None on both."""
+    for R in (zmod(4), zmod(8), zmod(9), zmod(12), f4_ring, dual_ring, f2xf2_ring):
+        monics = {d: list(_all_monic(R, d)) for d in range(4)}
+        outcomes = set()
+        for d0 in range(4):
+            for d1 in range(4 - d0):
+                for f0 in monics[d0]:
+                    for f1 in monics[d1]:
+                        got = _bezout_parts(comaximality(f0, f1))
+                        assert got == _bezout_parts(comaximality_cramer(f0, f1)), (
+                            R.label(), f0, f1,
+                        )
+                        outcomes.add(got is None)
+        assert outcomes == {True, False}, R.label()
+
+
+def _random_monic(R, d, rng):
+    return Poly(R, [R.random_element(rng) for _ in range(d)] + [R.one])
+
+
+def test_comaximality_matches_cramer_oracle_seeded(zloc):
+    rng = random.Random(2718)
+    Z43 = build_ring(
+        {"type": "product", "factors": [{"type": "zmod", "n": 4}, {"type": "zloc", "p": 3}]}
+    )
+    pairs = []
+    for R in (zloc(2), zloc(3), Z43):
+        for _ in range(40):
+            d0, d1 = rng.randint(1, 2), rng.randint(1, 2)
+            pairs.append((_random_monic(R, d0, rng), _random_monic(R, d1, rng)))
+    # f1 = f0*g + k has resultant k^deg f0 with f0, so a k that is a unit on
+    # one stalk of Z/4 x Z_(3) and not on the other fails on that stalk only
+    split = []
+    for _ in range(10):
+        units = (rng.choice([1, 3]), Fraction(rng.choice([1, 2, 4, 5]), rng.choice([1, 2])))
+        nonunits = (rng.choice([0, 2]), Fraction(3 * rng.randint(-3, 3), rng.choice([1, 2])))
+        for k in ((nonunits[0], units[1]), (units[0], nonunits[1])):
+            f0 = _random_monic(Z43, rng.randint(1, 2), rng)
+            g = _random_monic(Z43, rng.randint(0, 1), rng)
+            split.append((f0, f0 * g + Poly.constant(Element(Z43, k))))
+    for f0, f1 in pairs + split:
+        assert _bezout_parts(comaximality(f0, f1)) == _bezout_parts(
+            comaximality_cramer(f0, f1)
+        ), (f0, f1)
+    for f0, f1 in split:
+        assert comaximality(f0, f1) is None
+        per_stalk = [comaximality(f0.restrict(i), f1.restrict(i)) for i in range(2)]
+        assert [b is None for b in per_stalk].count(True) == 1
+    assert any(comaximality(f0, f1) is None for f0, f1 in pairs)
+    assert any(comaximality(f0, f1) is not None for f0, f1 in pairs)

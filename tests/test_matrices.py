@@ -11,20 +11,20 @@ from cleanmat.intlinalg import smith_normal_form
 from cleanmat.matrices import (
     SquareMatrix,
     char_poly,
-    char_poly_cofactor,
     companion,
     inverse,
     linear_solve,
-    matrix_classify,
     poly_at_matrix,
     random_with_charpoly,
     solve_matrix_equation,
     transpose,
 )
 from cleanmat.polys import Poly
-from cleanmat.rings import Element, build_ring
+from cleanmat.rings import Element, Ring, build_ring
+from cleanmat.stalks import ZModStalk
 
 from conftest import dual_f2_tables, f2xf2_tables, f4_tables
+from oracles import char_poly_cofactor, matrix_classify
 
 
 def test_companion_and_charpoly_roundtrip(zmod):
@@ -286,11 +286,14 @@ def _draw_matrix(data, R, n):
 @settings(max_examples=60, deadline=None)
 @given(R=st.sampled_from(_FOLD_RINGS), length=st.integers(0, 5), data=st.data())
 def test_ring_dot_matches_element_fold(R, length, data):
+    # the stalk-level dot that the raw kernels fold with, stalk by stalk
     xs = [data.draw(_elements(R)) for _ in range(length)]
     ys = [data.draw(_elements(R)) for _ in range(length)]
-    d = R.dot(xs, ys)
-    assert d == _fold_dot(R, xs, ys)
-    assert d.parts == _fold_dot(R, xs, ys).parts
+    parts = tuple(
+        s.dot([x.parts[i] for x in xs], [y.parts[i] for y in ys])
+        for i, s in enumerate(R.stalks)
+    )
+    assert parts == _fold_dot(R, xs, ys).parts
 
 
 @settings(max_examples=60, deadline=None)
@@ -314,3 +317,87 @@ def test_char_poly_and_poly_at_matrix_match_element_folds(R, n, data):
         # the Cayley-Hamilton inverse, folded on Elements
         q = Poly(R, chi.coeffs[1:])
         assert inv == _fold_poly_at(q, A) * (-R.inv(chi.coeff(0)))
+
+
+# -- edges of the per-stalk raw kernels -------------------------------------------------
+
+
+def test_inverse_none_when_det_is_a_unit_on_one_stalk_only(zmod):
+    R12 = zmod(12)
+    Z43 = _FOLD_RINGS[6]
+    assert Z43.label() == "Z/4 x Z_(3)"
+    # det = 3, 2 in Z/12 and (2, 1), (1, 3/2) in Z/4 x Z_(3)
+    cases = [
+        (R12, SquareMatrix.from_ints(R12, [[3, 0], [0, 1]])),
+        (R12, SquareMatrix.from_ints(R12, [[2, 1], [0, 1]])),
+    ] + [
+        (Z43, SquareMatrix(Z43, [[Element(Z43, d), Z43.one], [Z43.zero, Z43.one]]))
+        for d in ((2, Fraction(1)), (1, Fraction(3, 2)))
+    ]
+    for R, A in cases:
+        assert inverse(A) is None
+        units = [R.stalks[i].is_unit(char_poly(A).coeff(0).parts[i]) for i in range(2)]
+        assert sorted(units) == [False, True]
+        for i in range(2):
+            # each stalk alone: invertible exactly where det is a unit
+            assert (inverse(A.restrict(i)) is not None) == units[i]
+
+
+def test_results_are_tuple_rows_that_equal_and_hash_like_constructed():
+    R = _FOLD_RINGS[6]
+    rng = random.Random(5)
+    A = SquareMatrix(R, [[R.random_element(rng) for _ in range(3)] for _ in range(3)])
+    B = SquareMatrix(R, [[R.random_element(rng) for _ in range(3)] for _ in range(3)])
+    f = Poly(R, [R.random_element(rng) for _ in range(3)] + [R.one])
+    results = [A @ B, poly_at_matrix(f, A), A + B, A - B, -A, A * R.one, transpose(A)]
+    inv = inverse(SquareMatrix.identity(R, 3) + companion(Poly.t_power(R, 3)))
+    assert inv is not None
+    results.append(inv)
+    for P in results:
+        assert type(P.rows) is tuple and all(type(r) is tuple for r in P.rows)
+        assert P.n == 3 and all(len(r) == 3 for r in P.rows)
+        Q = SquareMatrix(R, P.rows)
+        assert P == Q and hash(P) == hash(Q)
+        assert all(isinstance(e, Element) and e.ring is R for r in P.rows for e in r)
+
+
+def test_sizes_zero_and_one():
+    for R in _FOLD_RINGS:
+        E = SquareMatrix(R, [])
+        assert E @ E == E
+        assert char_poly(E) == Poly.one(R)
+        assert inverse(E) == E
+        assert poly_at_matrix(Poly.from_ints(R, [1, 1]), E) == E
+        rng = random.Random(R.key)
+        for _ in range(6):
+            a, b = R.random_element(rng), R.random_element(rng)
+            A = SquareMatrix(R, [[a]])
+            assert A @ SquareMatrix(R, [[b]]) == SquareMatrix(R, [[a * b]])
+            assert char_poly(A) == Poly(R, [-a, R.one])
+            a_inv = R.inv(a)
+            expected = None if a_inv is None else SquareMatrix(R, [[a_inv]])
+            assert inverse(A) == expected
+            f = Poly(R, [b, a, R.one])
+            assert poly_at_matrix(f, A) == SquareMatrix(R, [[f(a)]])
+            assert poly_at_matrix(Poly.zero(R), A) == SquareMatrix.zeros(R, 1)
+
+
+def test_berkowitz_dot_count():
+    """char_poly folds 4 stalk dots for a 2x2 matrix and 12 for a 3x3 one.
+
+    A level of size m >= 2 takes m - 1 dots for the items -R sub^k C,
+    (m - 1)(m - 2) for the sub^k C vectors those items read, and m + 1 for
+    the Toeplitz product, and the levels m = n, ..., 2 add up.  A vector
+    past the last item is not computed.
+    """
+    stalk = ZModStalk(7, 1)
+    R = Ring({"type": "zmod", "n": 7}, [stalk])
+    calls = []
+    plain = stalk.dot
+    stalk.dot = lambda xs, ys: calls.append(len(xs)) or plain(xs, ys)
+    for n, expected in ((2, 4), (3, 12)):
+        calls.clear()
+        A = SquareMatrix.from_ints(R, [[i * n + j + 1 for j in range(n)] for i in range(n)])
+        chi = char_poly(A)
+        assert len(calls) == expected
+        assert chi == char_poly_cofactor(A)
