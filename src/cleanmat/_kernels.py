@@ -1,39 +1,25 @@
-"""Hot brute-force scan kernels over table-encoded finite rings.
+"""The exhaustive strong-cleanness scan over table-encoded finite rings.
 
-The exhaustive strong-cleanness scan walks all |R|^(n^2) candidate matrices
-E and checks E^2 = E, EA = AE, and det(A - E) a unit, entirely in small-int
-table arithmetic.  The default path is numba-jitted; set
-``CLEANMAT_PURE_NUMPY=1`` to force the vectorized pure-numpy fallback (the
-same fallback engages automatically when numba is unavailable).  Both paths
-scan candidates in identical mixed-radix order, so the first hit (and hence
-every certificate downstream) is byte-identical across paths.
+The scan walks the |R|^(n^2) candidate matrices E in mixed-radix order
+(last entry fastest) and returns the first with E^2 = E, EA = AE and
+det(A - E) a unit, entirely in vectorized small-int table arithmetic.
 
 Only idempotents can pass, and they are few (386 of the 65,536 2x2
-matrices over Z/16), so the numpy path keeps an idempotent index: the
-E^2 = E survivors of each chunk of the enumeration, built the first time a
-scan reaches the chunk and kept by the caller (``brute`` keeps it on the
-ring's cached ``RingTable``).  Later scans test EA = AE and the
-determinant on the indexed idempotents only.
+matrices over Z/16), so the scan keeps an idempotent index: the E^2 = E
+survivors of each chunk of the enumeration, built the first time a scan
+reaches the chunk and kept by the caller (``brute`` keeps it on the ring's
+cached ``RingTable``).  Later scans test EA = AE and the determinant on
+the indexed idempotents only.
 """
 
 from __future__ import annotations
 
 import itertools
-import os
 
 import numpy as np
 
-_FORCED_NUMPY = bool(os.environ.get("CLEANMAT_PURE_NUMPY"))
-
-try:
-    if _FORCED_NUMPY:
-        raise ImportError("CLEANMAT_PURE_NUMPY is set")
-    from numba import njit
-
-    HAVE_NUMBA = True
-except ImportError:
-    njit = None
-    HAVE_NUMBA = False
+# read by perfbench/run.py's env stamp; the scan has no jit tier
+HAVE_NUMBA = False
 
 
 def permutation_table(n: int):
@@ -50,11 +36,11 @@ def permutation_table(n: int):
     )
 
 
-def _scan_strongly_clean_numpy(
-    add, mul, neg, unit, a, n, perms, signs, one, zero, start, stop,
+def scan_strongly_clean(
+    add, mul, neg, unit, a, n, perms, signs, one, zero, start, stop, *,
     chunk=1 << 14, idempotents=None,
 ):
-    """Vectorized path: test EA = AE and det(A - E) on idempotents only.
+    """First enumeration index in [start, stop) whose E certifies A, or -1.
 
     The enumeration is cut into chunks on a fixed grid, [lo, lo + chunk).
     The first scan to reach a chunk decodes it and keeps its E^2 = E
@@ -126,89 +112,3 @@ def _batch_matmul(add, mul, zero, X, Y):
     return C
 
 
-def _scan_strongly_clean_loops(
-    add, mul, neg, unit, a, n, perms, signs, one, zero, start, stop
-):
-    m = add.shape[0]
-    nn = n * n
-    E = np.empty((n, n), dtype=np.int64)
-    rem = start
-    for pos in range(nn - 1, -1, -1):
-        E[pos // n, pos % n] = rem % m
-        rem //= m
-    nperm = perms.shape[0]
-    for cur in range(start, stop):
-        ok = True
-        # E*E == E
-        for i in range(n):
-            if not ok:
-                break
-            for j in range(n):
-                acc = zero
-                for k in range(n):
-                    acc = add[acc, mul[E[i, k], E[k, j]]]
-                if acc != E[i, j]:
-                    ok = False
-                    break
-        if ok:
-            # E*A == A*E
-            for i in range(n):
-                if not ok:
-                    break
-                for j in range(n):
-                    ea = zero
-                    ae = zero
-                    for k in range(n):
-                        ea = add[ea, mul[E[i, k], a[k, j]]]
-                        ae = add[ae, mul[a[i, k], E[k, j]]]
-                    if ea != ae:
-                        ok = False
-                        break
-        if ok:
-            detv = zero
-            for pi in range(nperm):
-                prod = one
-                for i in range(n):
-                    prod = mul[prod, add[a[i, perms[pi, i]], neg[E[i, perms[pi, i]]]]]
-                if signs[pi] < 0:
-                    prod = neg[prod]
-                detv = add[detv, prod]
-            if unit[detv]:
-                return cur
-        # odometer increment in mixed radix, last entry fastest
-        pos = nn - 1
-        while pos >= 0:
-            i, j = pos // n, pos % n
-            E[i, j] += 1
-            if E[i, j] == m:
-                E[i, j] = 0
-                pos -= 1
-            else:
-                break
-    return -1
-
-
-if HAVE_NUMBA:
-    _scan_strongly_clean_jit = njit(cache=True)(_scan_strongly_clean_loops)
-
-
-def scan_strongly_clean(
-    add, mul, neg, unit, a, n, perms, signs, one, zero, start, stop, *,
-    idempotents=None,
-):
-    """First enumeration index in [start, stop) whose E certifies A, or -1.
-
-    ``idempotents`` is the numpy path's per-ring index of E^2 = E survivors
-    (see ``_scan_strongly_clean_numpy``); the jit path scans every candidate
-    and ignores it.
-    """
-    if HAVE_NUMBA:
-        return int(
-            _scan_strongly_clean_jit(
-                add, mul, neg, unit, a, n, perms, signs, one, zero, start, stop
-            )
-        )
-    return _scan_strongly_clean_numpy(
-        add, mul, neg, unit, a, n, perms, signs, one, zero, start, stop,
-        idempotents=idempotents,
-    )

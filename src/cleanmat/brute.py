@@ -2,14 +2,14 @@
 
 These scans are the independent side of the dual-route checks: theorem-level
 deciders must agree with them wherever they can run.  Finite rings are
-encoded as numpy operation tables and handed to the kernels in
-``_kernels``; enumeration order is the canonical element order, so results
-are deterministic and identical on the jit and pure-numpy paths.  numpy and
-``_kernels`` are imported by the functions that use them, so importing this
-module (as the CLI and the deciders do) does not load numpy.
+encoded as numpy operation tables and handed to the scan in ``_kernels``;
+enumeration order is the canonical element order, so results are
+deterministic.  numpy and ``_kernels`` are imported by the functions that
+use them, so importing this module (as the CLI and the deciders do) does
+not load numpy.
 
 Each ring's ``RingTable`` is encoded once and cached, and it also holds the
-numpy kernel's idempotent index: for each matrix size n and chunk of the
+scan's idempotent index: for each matrix size n and chunk of the
 enumeration, the candidates with E^2 = E.  The first scan that reaches a
 chunk builds its entry, and every later scan of an n x n matrix over the
 same ring tests only those idempotents, in the same order.
@@ -150,40 +150,6 @@ def strongly_clean_bruteforce(
     U_inv = inverse(U)
     assert U_inv is not None and E @ E == E and E @ U == U @ E
     return StrongCleanCertificate(E, U, U_inv)
-
-
-def pi_regular_bruteforce(
-    A: SquareMatrix, budget: int = 10**4
-) -> PiRegularCertificate | None:
-    """Naive enumeration oracle: scan all X (and Y) directly, tiny rings only."""
-    R = A.ring
-    if not R.is_finite:
-        raise InfiniteRing(f"brute force cannot scan {R.label()}")
-    total = R.size ** (A.n * A.n)
-    if total > budget:
-        raise BudgetExceeded(f"{total} candidates exceed budget {budget}")
-    elems = list(R.elements())
-    K = A.n * R.max_nil_index()
-    Ak = A
-    for k in range(1, K + 1):
-        Ak1 = Ak @ A
-        X = _enumerate_solution(R, elems, lambda M: Ak1 @ M == Ak, A.n)
-        if X is not None:
-            Y = _enumerate_solution(R, elems, lambda M: M @ Ak1 == Ak, A.n)
-            if Y is not None:
-                return PiRegularCertificate(k, X, Y)
-        Ak = Ak1
-    return None
-
-
-def _enumerate_solution(R, elems, pred, n):
-    import itertools
-
-    for combo in itertools.product(elems, repeat=n * n):
-        M = SquareMatrix(R, [list(combo[i * n : (i + 1) * n]) for i in range(n)])
-        if pred(M):
-            return M
-    return None
 
 
 def pi_regular_oracle(A: SquareMatrix) -> PiRegularCertificate | None:

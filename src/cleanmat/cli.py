@@ -260,9 +260,7 @@ def cmd_decide(args, pi: bool) -> int:
         _emit(doc, args)
         return _decision_exit(decision)
     A, described = _input_matrix(R, args)
-    decision = (
-        decide_pi_regular(A) if pi else decide_strongly_clean(A, args.budget)
-    )
+    decision = decide_pi_regular(A) if pi else decide_strongly_clean(A)
     doc = {
         "command": "pi-regular" if pi else "decide",
         "ring": R.descriptor,

@@ -2,10 +2,11 @@
 
 ``decide_strongly_clean`` realizes the three-way equivalence for clean
 rings: a gSRC factorization of the characteristic polynomial is turned into
-an explicit commuting (E, U) pair block by block, a definitive gSRC absence
-refutes the companion matrix, and finite rings fall back to the exhaustive
-scan for matrices the theorem leaves open.  Every constructed certificate is
-re-verified before it is returned; derivations are never trusted.
+an explicit commuting (E, U) pair block by block, and a definitive gSRC
+absence refutes the companion matrix.  Over a finite ring every stalk is
+Henselian, so the gSRC always exists and every ``unknown`` verdict comes
+from a Z_(p) stalk.  Every constructed certificate is re-verified before it
+is returned; derivations are never trusted.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ from .errors import (
 )
 from .factor import (
     GSRCCertificate,
-    SearchResult,
     SRCCertificate,
     comaximality,
     gsp_search,
@@ -70,7 +70,6 @@ class Decision:
     refutation: dict | None = None
     reason: str | None = None
     details: dict | None = None
-    collected: list | None = None
 
 
 @dataclass
@@ -194,7 +193,7 @@ def _require_clean(R: Ring):
         raise NotCleanRing(f"{R.label()} is not clean")
 
 
-def decide_strongly_clean(A: SquareMatrix, budget: int = DEFAULT_BUDGET) -> Decision:
+def decide_strongly_clean(A: SquareMatrix) -> Decision:
     R = A.ring
     _require_clean(R)
     h = char_poly(A)
@@ -205,35 +204,15 @@ def decide_strongly_clean(A: SquareMatrix, budget: int = DEFAULT_BUDGET) -> Deci
         return Decision(
             YES, "gSRC", certificate=cert, factorization=res.certificate
         )
-    if res.status == "absent":
-        if A == companion(h):
-            return Decision(
-                NO,
-                "companion_negation",
-                refutation={
-                    "companion": True,
-                    "gsrc_transcript": res.transcript,
-                },
-            )
-        return _brute_force_decision(A, res, budget)
-    return _brute_force_decision(A, res, budget)
-
-
-def _brute_force_decision(A: SquareMatrix, res: SearchResult, budget: int) -> Decision:
-    R = A.ring
-    if R.is_finite and R.size ** (A.n * A.n) <= budget:
-        cert = strongly_clean_bruteforce(A, budget)
-        if cert is None:
-            return Decision(
-                NO,
-                "brute_force",
-                refutation={
-                    "exhausted_candidates": R.size ** (A.n * A.n),
-                    "gsrc_transcript": res.transcript,
-                },
-            )
-        ensure(verify_strong_clean(A, cert))
-        return Decision(YES, "brute_force", certificate=cert)
+    if res.status == "absent" and A == companion(h):
+        return Decision(
+            NO,
+            "companion_negation",
+            refutation={
+                "companion": True,
+                "gsrc_transcript": res.transcript,
+            },
+        )
     reason = (
         "gSRC search was inconclusive"
         if res.status == "incomplete"
@@ -274,10 +253,7 @@ def decide_pi_regular(A: SquareMatrix, cross_check: bool = True) -> Decision:
 
 
 def decide_ring_strongly_clean(
-    R: Ring,
-    n: int,
-    budget: int = DEFAULT_BUDGET,
-    collect_certs: bool = False,
+    R: Ring, n: int, budget: int = DEFAULT_BUDGET
 ) -> Decision:
     """Is Mat_n(R) strongly clean?  (Equivalently: every monic degree-n h has a gSRC.)"""
     _require_clean(R)
@@ -285,7 +261,6 @@ def decide_ring_strongly_clean(
         total = R.size**n
         if total > budget:
             raise BudgetExceeded(f"{total} monic polynomials exceed budget {budget}")
-        collected = [] if collect_certs else None
         for h in monic_polys(R, n):
             res = gsrc_search(h, R, "SRC")
             if not res.found:
@@ -298,13 +273,10 @@ def decide_ring_strongly_clean(
                     },
                 )
             ensure(verify_gsrc(h, R, res.certificate))
-            if collected is not None:
-                collected.append((h, res.certificate))
         return Decision(
             YES,
             "gSRC",
             details={"instances": total, "certificates_verified": total},
-            collected=collected,
         )
     if n == 2:
         return jclean_quadratic_criterion(R)
@@ -346,32 +318,8 @@ def jclean_quadratic_criterion(R: Ring) -> Decision:
         stalk = R.stalks[i]
         if isinstance(stalk, ZLocStalk):
             p = stalk.p
-            candidates = [
-                Fraction(0),
-                Fraction(p),
-                Fraction(-p),
-                Fraction(3 * p),
-                Fraction(p * p),
-            ]
-            failed = None
-            for a in candidates:
-                disc = 1 - 4 * a
-                s = _fraction_sqrt(disc)
-                if s is None:
-                    failed = (a, f"discriminant {disc} is not a rational square")
-                    break
-                # roots (1 +- s)/2; both lie in Z_(p) whenever s does
-            if failed is None:
-                stalk_reports.append(
-                    {"stalk": S.label(), "status": "sampled", "checked": len(candidates)}
-                )
-                return Decision(
-                    UNKNOWN,
-                    "jclean_root",
-                    reason="representative radical sampling found no witness; "
-                    "the criterion is not proved over an infinite radical",
-                )
-            a, why = failed
+            a = Fraction(p)
+            why = f"discriminant {1 - 4 * p} is not a rational square"
             stalk_reports.append({"stalk": S.label(), "witness_a": str(a), "why": why})
             if a_elem is None:
                 a_elem = R.from_parts(
@@ -482,32 +430,26 @@ def strong_clean_triangular(T: SquareMatrix) -> StrongCleanCertificate:
 
 
 def triangular_sweep(R: Ring, n: int, budget: int = DEFAULT_BUDGET) -> AuditReport:
-    """Certify every upper-triangular n x n matrix strongly clean."""
+    """Certify every upper-triangular n x n matrix strongly clean.
+
+    Each matrix takes the diagonal split of ``strong_clean_triangular``; a
+    split that is not comaximal raises ``VerificationFailed``.
+    """
     if not R.is_finite:
         raise InfiniteRing("triangular sweeps enumerate a finite ring")
     total = R.size ** (n * (n + 1) // 2)
     if total > budget:
         raise BudgetExceeded(f"{total} triangular matrices exceed budget {budget}")
     start = time.perf_counter()
-    routes = {"diagonal_split": 0, "brute_force": 0}
-    failures = []
     for T in _upper_triangulars(R, n):
-        try:
-            strong_clean_triangular(T)
-            routes["diagonal_split"] += 1
-        except VerificationFailed:
-            cert = strongly_clean_bruteforce(T, budget)
-            if cert is None:
-                failures.append(T)
-            else:
-                routes["brute_force"] += 1
+        strong_clean_triangular(T)
     return AuditReport(
         ring=R.descriptor,
         degree=n,
         instances=total,
-        agreements=total - len(failures),
-        disagreements=failures,
-        routes=routes,
+        agreements=total,
+        disagreements=[],
+        routes={"diagonal_split": total},
         wall_time_s=time.perf_counter() - start,
     )
 
@@ -583,7 +525,7 @@ def pi_regular_audit(R: Ring, n: int, budget: int = DEFAULT_BUDGET) -> AuditRepo
         routes["gsp_found"] += 1
         ensure(verify_gsp(h, R, res.certificate))
         pi_regular_from_gsp(C, res.certificate)
-        sc = decide_strongly_clean(C, budget)
+        sc = decide_strongly_clean(C)
         if sc.verdict != YES:
             disagreements.append({"h": h, "pi_regular": True, "strongly_clean": sc.verdict})
         else:

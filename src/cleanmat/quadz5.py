@@ -120,18 +120,6 @@ def ideal_membership(x: QuadInt) -> bool:
     return (x.a + x.b) % 2 == 0
 
 
-def ideal_membership_search(x: QuadInt, box: int = 12) -> bool:
-    """Cross-check: write x = 2u + (1+theta)v with coefficients in a box."""
-    g = ONE + THETA
-    for ua in range(-box, box + 1):
-        for ub in range(-box, box + 1):
-            rest = x - QuadInt(2) * QuadInt(ua, ub)
-            v = rest.exact_div(g)
-            if v is not None:
-                return True
-    return False
-
-
 def sqrt_in_ring(d: QuadInt) -> "QuadInt | None":
     """A square root of d in Z[theta], or None (complete decision).
 

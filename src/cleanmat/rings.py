@@ -333,14 +333,6 @@ class Ring:
                 return False
         return True
 
-    def strongly_clean_element(self, r: Element):
-        """Split r = e + u with e idempotent and u a unit, scanning idempotents."""
-        for e in self.idempotents():
-            u = r - e
-            if self.is_unit(u):
-                return e, u
-        return None
-
     def to_int(self, a: Element) -> int:
         """CRT representative in [0, n) for a zmod ring."""
         if self.descriptor["type"] != "zmod":

@@ -1,19 +1,30 @@
-"""Independent slow oracles for the matrix layer, used only by the tests.
+"""Independent slow oracles, used only by the tests.
 
 ``char_poly_cofactor`` expands det(tI - A) over the polynomial ring,
 ``matrix_classify`` classifies a matrix from its inverse, char poly and
 square, and ``comaximality_cramer`` takes the Bezout pair of two monic
 polynomials by Cramer's rule on the Sylvester matrix, with determinants by
-cofactor expansion on Elements.
+cofactor expansion on Elements.  ``pi_regular_bruteforce`` enumerates every
+X and Y for strong pi-regularity, ``strongly_clean_element`` scans the
+idempotents for a clean split of one element, and
+``ideal_membership_search`` writes a Z[sqrt(-5)] element in the ideal
+(2, 1+theta) by a search over a coefficient box.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
-from cleanmat.errors import VerificationFailed
-from cleanmat.matrices import SquareMatrix, char_poly, inverse
+from cleanmat.errors import BudgetExceeded, InfiniteRing, VerificationFailed
+from cleanmat.matrices import (
+    PiRegularCertificate,
+    SquareMatrix,
+    char_poly,
+    inverse,
+)
 from cleanmat.polys import Poly
+from cleanmat.quadz5 import ONE, THETA, QuadInt
 
 
 def char_poly_cofactor(A: SquareMatrix) -> Poly:
@@ -113,3 +124,56 @@ def comaximality_cramer(f0: Poly, f1: Poly):
     if (u * f0 + v * f1) != Poly.one(R):
         raise VerificationFailed(["Cramer Bezout pair failed its identity check"])
     return u, v
+
+
+def pi_regular_bruteforce(
+    A: SquareMatrix, budget: int = 10**4
+) -> PiRegularCertificate | None:
+    """Naive enumeration oracle: scan all X (and Y) directly, tiny rings only."""
+    R = A.ring
+    if not R.is_finite:
+        raise InfiniteRing(f"brute force cannot scan {R.label()}")
+    total = R.size ** (A.n * A.n)
+    if total > budget:
+        raise BudgetExceeded(f"{total} candidates exceed budget {budget}")
+    elems = list(R.elements())
+    K = A.n * R.max_nil_index()
+    Ak = A
+    for k in range(1, K + 1):
+        Ak1 = Ak @ A
+        X = _enumerate_solution(R, elems, lambda M: Ak1 @ M == Ak, A.n)
+        if X is not None:
+            Y = _enumerate_solution(R, elems, lambda M: M @ Ak1 == Ak, A.n)
+            if Y is not None:
+                return PiRegularCertificate(k, X, Y)
+        Ak = Ak1
+    return None
+
+
+def _enumerate_solution(R, elems, pred, n):
+    for combo in itertools.product(elems, repeat=n * n):
+        M = SquareMatrix(R, [list(combo[i * n : (i + 1) * n]) for i in range(n)])
+        if pred(M):
+            return M
+    return None
+
+
+def strongly_clean_element(R, r):
+    """Split r = e + u with e idempotent and u a unit, scanning idempotents."""
+    for e in R.idempotents():
+        u = r - e
+        if R.is_unit(u):
+            return e, u
+    return None
+
+
+def ideal_membership_search(x: QuadInt, box: int = 12) -> bool:
+    """Cross-check: write x = 2u + (1+theta)v with coefficients in a box."""
+    g = ONE + THETA
+    for ua in range(-box, box + 1):
+        for ub in range(-box, box + 1):
+            rest = x - QuadInt(2) * QuadInt(ua, ub)
+            v = rest.exact_div(g)
+            if v is not None:
+                return True
+    return False

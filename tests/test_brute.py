@@ -10,7 +10,6 @@ from cleanmat.brute import (
     decode_matrix,
     encode_matrix,
     encode_ring,
-    pi_regular_bruteforce,
     pi_regular_oracle,
     strongly_clean_bruteforce,
 )
@@ -19,6 +18,8 @@ from cleanmat.decide import monic_polys
 from cleanmat.matrices import SquareMatrix, companion
 from cleanmat.polys import Poly
 from cleanmat.verify import verify_pi_regular, verify_strong_clean
+
+from oracles import pi_regular_bruteforce
 
 
 def test_spec_examples(zmod):
@@ -48,30 +49,6 @@ def test_budget_and_infinite_ring(zmod, zloc):
         strongly_clean_bruteforce(SquareMatrix.identity(zloc(2), 2))
     with pytest.raises(InfiniteRing):
         pi_regular_oracle(SquareMatrix.identity(zloc(2), 2))
-
-
-def test_numba_and_numpy_paths_agree(zmod, f4_ring, dual_ring):
-    if not _kernels.HAVE_NUMBA:
-        pytest.skip("numba unavailable; only one path exists")
-    rng = random.Random(17)
-    perms, signs = _kernels.permutation_table(2)
-    for R in (zmod(4), zmod(6), f4_ring, dual_ring):
-        tab = encode_ring(R)
-        total = R.size**4
-        for _ in range(6):
-            A = SquareMatrix(
-                R, [[R.random_element(rng) for _ in range(2)] for _ in range(2)]
-            )
-            a = encode_matrix(tab, A)
-            jit = _kernels._scan_strongly_clean_jit(
-                tab.add, tab.mul, tab.neg, tab.unit, a, 2, perms, signs,
-                tab.one, tab.zero, 0, total,
-            )
-            np_hit = _kernels._scan_strongly_clean_numpy(
-                tab.add, tab.mul, tab.neg, tab.unit, a, 2, perms, signs,
-                tab.one, tab.zero, 0, total,
-            )
-            assert int(jit) == int(np_hit)
 
 
 def test_scan_order_and_range_exhaustion(zmod):
@@ -239,7 +216,7 @@ def _check_index(R, matrices, ranges=None, chunk=1 << 14, warm=None):
             jobs.append((args, start, stop, want))
 
     def scan(args, start, stop, index):
-        return _kernels._scan_strongly_clean_numpy(
+        return _kernels.scan_strongly_clean(
             *args, start, stop, chunk=chunk, idempotents=index
         )
 

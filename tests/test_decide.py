@@ -18,13 +18,13 @@ from cleanmat.decide import (
     theorem_main_audit,
     triangular_sweep,
 )
-from cleanmat.errors import BudgetExceeded, NotInRadical, TwoNotUnit
-from cleanmat.factor import SRCCertificate, comaximality
+from cleanmat.errors import BudgetExceeded, NotInRadical, TwoNotUnit, VerificationFailed
+from cleanmat.factor import SRCCertificate, comaximality, gsrc_search
 from cleanmat.matrices import SquareMatrix, companion, random_with_charpoly
 from cleanmat.polys import Poly
 from cleanmat.rings import Element, build_ring
 from cleanmat.stalks import factorize
-from cleanmat.verify import verify_src, verify_strong_clean
+from cleanmat.verify import verify_gsrc, verify_src, verify_strong_clean
 
 
 def test_decide_companion_negative(zloc):
@@ -68,24 +68,6 @@ def test_decide_unknown_for_non_companion_over_zloc(zloc):
     d = decide_strongly_clean(A)
     assert d.verdict == "unknown"
     assert d.reason
-
-
-def test_decide_brute_force_fallback_route(zmod, monkeypatch):
-    # force the gSRC search to report absence so a finite non-companion
-    # matrix exercises the brute-force fallback
-    import cleanmat.decide as decide_mod
-    from cleanmat.factor import SearchResult
-
-    R = zmod(4)
-    A = SquareMatrix.from_ints(R, [[1, 2], [0, 3]])
-
-    def fake_search(h, ring, mode="SRC"):
-        return SearchResult("absent", None, {"mode": "SRC", "stalks": []})
-
-    monkeypatch.setattr(decide_mod, "gsrc_search", fake_search)
-    d = decide_mod.decide_strongly_clean(A)
-    assert d.verdict == "yes" and d.route == "brute_force"
-    assert not verify_strong_clean(A, d.certificate)
 
 
 def test_decide_pi_regular_examples(zmod, zloc):
@@ -133,10 +115,15 @@ def test_ring_level_decisions(zloc, zmod):
     assert [c.parts[0] for c in wh.coeffs] == [Fraction(2), Fraction(-1), Fraction(1)]
     for k in (1, 2, 3):
         R = zmod(2**k)
-        d = decide_ring_strongly_clean(R, 2, collect_certs=True)
+        d = decide_ring_strongly_clean(R, 2)
         assert d.verdict == "yes"
         assert d.details["instances"] == (2**k) ** 2
-        assert len(d.collected) == d.details["instances"]
+        verified = 0
+        for h in monic_polys(R, 2):
+            res = gsrc_search(h, R, "SRC")
+            assert res.found and not verify_gsrc(h, R, res.certificate)
+            verified += 1
+        assert verified == d.details["certificates_verified"]
     with pytest.raises(BudgetExceeded):
         decide_ring_strongly_clean(zmod(12), 2, budget=10)
     d = decide_ring_strongly_clean(zloc(2), 3)
@@ -148,6 +135,17 @@ def test_jclean_criterion(zloc, zmod):
     assert d.verdict == "no"
     assert d.refutation["witness_a"].parts[0] == Fraction(2)
     assert "not a rational square" in d.refutation["stalks"][0]["why"]
+    # the witness is a = p on every Z_(p) stalk, alone or beside a finite one
+    mixed = build_ring(
+        {"type": "product", "factors": [{"type": "zmod", "n": 4}, {"type": "zloc", "p": 3}]}
+    )
+    for R, p in ((zloc(3), 3), (zloc(5), 5), (mixed, 3)):
+        d = jclean_quadratic_criterion(R)
+        assert d.verdict == "no"
+        assert d.refutation["witness_a"].parts[-1] == Fraction(p)
+        report = d.refutation["stalks"][-1]
+        assert report["witness_a"] == str(p)
+        assert report["why"] == f"discriminant {1 - 4 * p} is not a rational square"
     assert jclean_quadratic_criterion(zmod(4)).verdict == "yes"
     assert jclean_quadratic_criterion(zmod(7)).verdict == "yes"
     # witness for products: the failing stalk is glued against zeros
@@ -222,6 +220,29 @@ def test_triangular_construction_and_sweep(zmod):
 
     rep = triangular_sweep(zmod(2), 3)
     assert rep.instances == 64 and rep.agreements == 64
+
+
+def _no_bezout_pair(monkeypatch):
+    import cleanmat.decide as decide_mod
+
+    monkeypatch.setattr(decide_mod, "comaximality", lambda f0, f1: None)
+
+
+def test_triangular_sweep_fails_hard_on_a_non_comaximal_split(zmod, monkeypatch):
+    _no_bezout_pair(monkeypatch)
+    with pytest.raises(VerificationFailed, match="not comaximal"):
+        triangular_sweep(zmod(4), 2)
+
+
+def test_triangular_cli_exits_3_on_a_non_comaximal_split(monkeypatch, capsys):
+    from cleanmat.cli import main
+
+    _no_bezout_pair(monkeypatch)
+    code = main(["triangular", "--ring", '{"type":"zmod","n":4}', "--degree", "2"])
+    out = capsys.readouterr()
+    assert code == 3 and out.out == ""
+    assert out.err.startswith("verification failure:") and out.err.count("\n") == 1
+    assert "Traceback" not in out.err
 
 
 def test_theorem_main_audit_small(zmod):

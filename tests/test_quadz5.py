@@ -19,7 +19,6 @@ from cleanmat.quadz5 import (
     basis_coords,
     char_poly_2x2,
     ideal_membership,
-    ideal_membership_search,
     phi_apply,
     phi_matrix,
     phi_strong_clean_certificate,
@@ -27,6 +26,8 @@ from cleanmat.quadz5 import (
     sqrt_in_ring,
     sr_exists_deg2,
 )
+
+from oracles import ideal_membership_search
 
 
 def test_arithmetic_examples():

@@ -14,7 +14,6 @@ from __future__ import annotations
 import contextlib
 import io
 import json
-import sys
 import tempfile
 from pathlib import Path
 
@@ -62,12 +61,6 @@ def _verify_round_trip(run, out_json: Path):
     return {"decide_to_out_json": first, "verify_out_json": second}
 
 
-def _capture_all(out_json: Path) -> dict:
-    runs = {name: _run(argv) for name, argv in EXAMPLES.items()}
-    runs.update(_verify_round_trip(_run, out_json))
-    return runs
-
-
 @pytest.fixture(scope="module")
 def golden():
     return json.loads(GOLDEN.read_text(encoding="utf-8"))
@@ -96,8 +89,8 @@ def test_readme_verify_round_trip(golden, capsys, tmp_path):
 
 
 if __name__ == "__main__":
+    captured = {name: _run(argv) for name, argv in EXAMPLES.items()}
     with tempfile.TemporaryDirectory() as tmp:
-        captured = _capture_all(Path(tmp) / "out.json")
+        captured.update(_verify_round_trip(_run, Path(tmp) / "out.json"))
     GOLDEN.parent.mkdir(exist_ok=True)
     GOLDEN.write_text(json.dumps(captured, indent=1, sort_keys=True) + "\n", encoding="utf-8")
-    sys.exit(0)
