@@ -6,6 +6,11 @@ polynomials of degree n, and 64 random monic pairs (f0, f1) with
 deg f0 + deg f1 = n.  The table gives the per-call microseconds of ``A @ B``,
 ``char_poly``, ``inverse``, ``poly_at_matrix`` and ``factor.comaximality``
 (whose Sylvester matrix is n x n), as the best of 20 passes over the inputs.
+The last two columns time the audits' certificate layer on the polynomials
+that have a gSRC factorization: ``from_gsrc`` is
+``decide.strong_clean_from_gsrc(A, gsrc)`` for A = ``random_with_charpoly(h)``
+(it includes the verifier call the construction makes), and ``verify_sc`` is
+``verify.verify_strong_clean`` of the resulting certificate.
 Run with ``python benchmarks/bench_matrices.py``.
 """
 
@@ -19,15 +24,18 @@ from pathlib import Path
 # run against this checkout's src/ whether or not the package is installed
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from cleanmat.factor import comaximality  # noqa: E402
+from cleanmat.decide import strong_clean_from_gsrc  # noqa: E402
+from cleanmat.factor import comaximality, gsrc_search  # noqa: E402
 from cleanmat.matrices import (  # noqa: E402
     SquareMatrix,
     char_poly,
     inverse,
     poly_at_matrix,
+    random_with_charpoly,
 )
 from cleanmat.polys import Poly  # noqa: E402
 from cleanmat.rings import build_ring  # noqa: E402
+from cleanmat.verify import verify_strong_clean  # noqa: E402
 
 SEED = 2024
 INPUTS = 64
@@ -59,7 +67,13 @@ def inputs(descriptor, n):
     others = [matrix() for _ in range(INPUTS)]
     polys = [monic(n) for _ in range(INPUTS)]
     pairs = [(monic(n // 2), monic(n - n // 2)) for _ in range(INPUTS)]
-    return mats, others, polys, pairs
+    splits = []
+    for i, h in enumerate(polys):
+        res = gsrc_search(h, R, "SRC")
+        if res.found:
+            A = random_with_charpoly(h, SEED + i)
+            splits.append((A, res.certificate, strong_clean_from_gsrc(A, res.certificate)))
+    return mats, others, polys, pairs, splits
 
 
 def per_call_us(fn, args):
@@ -73,23 +87,28 @@ def per_call_us(fn, args):
 
 
 def main():
-    ops = ["A @ B", "char_poly", "inverse", "poly_at_matrix", "comaximality"]
+    ops = ["A @ B", "char_poly", "inverse", "poly_at_matrix", "comaximality", "from_gsrc", "verify_sc"]
     print(f"per-call microseconds, best of {PASSES} passes over {INPUTS} seeded inputs")
     print(f"{'case':>18} " + " ".join(f"{op:>14}" for op in ops))
     for label, descriptor, n in CASES:
-        mats, others, polys, pairs = inputs(descriptor, n)
+        mats, others, polys, pairs, splits = inputs(descriptor, n)
         times = [
             per_call_us(lambda A, B: A @ B, list(zip(mats, others))),
             per_call_us(char_poly, [(A,) for A in mats]),
             per_call_us(inverse, [(A,) for A in mats]),
             per_call_us(poly_at_matrix, list(zip(polys, mats))),
             per_call_us(comaximality, pairs),
+            per_call_us(strong_clean_from_gsrc, [(A, g) for A, g, _ in splits]),
+            per_call_us(verify_strong_clean, [(A, c) for A, _, c in splits]),
         ]
         invertible = sum(inverse(A) is not None for A in mats)
         comaximal = sum(comaximality(*p) is not None for p in pairs)
         case = f"{n}x{n} {label}"
         print(f"{case:>18} " + " ".join(f"{t:>14.1f}" for t in times))
-        print(f"{'':>18} {invertible}/{INPUTS} invertible, {comaximal}/{INPUTS} comaximal")
+        print(
+            f"{'':>18} {invertible}/{INPUTS} invertible, {comaximal}/{INPUTS} comaximal, "
+            f"{len(splits)}/{INPUTS} with a gSRC"
+        )
 
 
 if __name__ == "__main__":

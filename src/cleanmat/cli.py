@@ -226,6 +226,10 @@ def _verify_document(doc) -> list[str]:
             continue
         cert = certificate_from_json(R, data)
         t = data["type"]
+        if t in ("strong_clean", "pi_regular") and A is None:
+            raise UsageError(f"a {t} certificate needs a matrix in the document's input")
+        if t in ("gsrc", "gsp", "src", "sp") and h is None:
+            raise UsageError(f"a {t} certificate needs a polynomial in the document's input")
         if t == "strong_clean":
             fails += verify_strong_clean(A, cert)
         elif t == "pi_regular":

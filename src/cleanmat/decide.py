@@ -38,11 +38,12 @@ from .matrices import (
     PiRegularCertificate,
     SquareMatrix,
     StrongCleanCertificate,
+    _raw_horner,
+    _raw_inverses,
+    _raw_matmul,
+    _raw_sub,
     char_poly,
     companion,
-    glue_matrices,
-    inverse,
-    poly_at_matrix,
     random_with_charpoly,
 )
 from .polys import Poly
@@ -107,6 +108,14 @@ def _stalk_cert(gcert: GSRCCertificate, stalk_index: int) -> SRCCertificate:
     raise AssertionError(f"no block covers stalk {stalk_index}")
 
 
+def _raw_coeffs(s, f: Poly) -> list:
+    """Coefficients of f, over a standalone stalk ring, as values of stalk ``s``.
+
+    A table stalk encodes its values differently from its standalone ring.
+    """
+    return [s.from_standalone(c.parts[0]) for c in f.coeffs]
+
+
 def _strong_clean_from_stalk_certs(
     A: SquareMatrix, certs: list[SRCCertificate]
 ) -> StrongCleanCertificate:
@@ -116,21 +125,34 @@ def _strong_clean_from_stalk_certs(
     E = u(A) f0(A) is the projection onto ker f1(A) along ker f0(A); f0(0)
     a unit makes A an automorphism of ker f0(A) and f1(1) a unit makes A - I
     an automorphism of ker f1(A), so U = A - E is invertible.
+
+    Each stalk's certificate lives over the standalone stalk ring; its
+    coefficients are mapped into the parent stalk's values with
+    ``from_standalone``, and E, U and U^-1 are computed on A's raw stalk
+    grids and boxed once.
     """
     R = A.ring
-    per_stalk = []
-    for i, cert in enumerate(certs):
+    grids = A._grids()
+    E = []
+    for s, a, cert in zip(R.stalks, grids, certs):
         if cert.bezout_u is None:
             raise VerificationFailed(["SR-only certificate cannot split the module"])
-        Ax = A.restrict(i)
-        Ex = poly_at_matrix(cert.bezout_u, Ax) @ poly_at_matrix(cert.f0, Ax)
-        per_stalk.append(Ex)
-    E = glue_matrices(R, per_stalk)
-    U = A - E
-    U_inv = inverse(U)
+        E.append(
+            _raw_matmul(
+                s,
+                _raw_horner(s, _raw_coeffs(s, cert.bezout_u), a),
+                _raw_horner(s, _raw_coeffs(s, cert.f0), a),
+            )
+        )
+    U = [_raw_sub(s, a, e) for s, a, e in zip(R.stalks, grids, E)]
+    U_inv = _raw_inverses(R.stalks, U)
     if U_inv is None:
         raise VerificationFailed(["constructed U = A - E is not invertible"])
-    cert = StrongCleanCertificate(E, U, U_inv)
+    cert = StrongCleanCertificate(
+        SquareMatrix._from_grids(R, E),
+        SquareMatrix._from_grids(R, U),
+        SquareMatrix._from_grids(R, U_inv),
+    )
     ensure(verify_strong_clean(A, cert))
     return cert
 
@@ -148,35 +170,48 @@ def pi_regular_from_gsp(A: SquareMatrix, gcert) -> PiRegularCertificate:
     Per stalk, the SP pair upgrades to an SRC pair (the resultant of h0 and
     p0 is a unit), the Bezout pair yields the projection P onto ker h0(A),
     and X = -h0(0)^{-1} q(A) P with q = (h0 - h0(0))/t inverts A there while
-    killing the nilpotent part.
+    killing the nilpotent part.  X and the powers of A in the search for k
+    are computed on A's raw stalk grids, as in
+    ``_strong_clean_from_stalk_certs``.
     """
     R = A.ring
-    per_stalk = []
-    for i in range(R.num_stalks):
+    grids = A._grids()
+    X = []
+    for i, (s, a) in enumerate(zip(R.stalks, grids)):
         blk = next(b for b in gcert.blocks if i in b.support)
         pos = blk.support.index(i)
         h0 = blk.cert.h0.restrict(pos)
         p0 = blk.cert.p0.restrict(pos)
-        Sx = h0.ring
         bez = comaximality(h0, p0)
         if bez is None:
             raise VerificationFailed(
                 ["SP factors are not comaximal on a local stalk"]
             )
-        u, v = bez
-        Ax = A.restrict(i)
-        proj = poly_at_matrix(v, Ax) @ poly_at_matrix(p0, Ax)
-        q = Poly(Sx, h0.coeffs[1:])
-        c_inv = Sx.inv(h0(Sx.zero))
-        Xx = (poly_at_matrix(q, Ax) @ proj) * (-c_inv)
-        per_stalk.append(Xx)
-    X = glue_matrices(R, per_stalk)
+        _, v = bez
+        proj = _raw_matmul(
+            s,
+            _raw_horner(s, _raw_coeffs(s, v), a),
+            _raw_horner(s, _raw_coeffs(s, p0), a),
+        )
+        c, *q = _raw_coeffs(s, h0)
+        scale = s.neg(s.inv(c))
+        mul = s.mul
+        X.append(
+            [
+                [mul(x, scale) for x in row]
+                for row in _raw_matmul(s, _raw_horner(s, q, a), proj)
+            ]
+        )
     K = A.n * R.max_nil_index()
-    Ak = A
+    Ak = grids
     for k in range(1, K + 1):
-        Ak1 = Ak @ A
-        if Ak1 @ X == Ak and X @ Ak1 == Ak:
-            cert = PiRegularCertificate(k, X, X)
+        Ak1 = [_raw_matmul(s, p, a) for s, p, a in zip(R.stalks, Ak, grids)]
+        if all(
+            _raw_matmul(s, p1, x) == p and _raw_matmul(s, x, p1) == p
+            for s, p, p1, x in zip(R.stalks, Ak, Ak1, X)
+        ):
+            Xm = SquareMatrix._from_grids(R, X)
+            cert = PiRegularCertificate(k, Xm, Xm)
             ensure(verify_pi_regular(A, cert))
             return cert
         Ak = Ak1
@@ -263,14 +298,10 @@ def decide_ring_strongly_clean(
             raise BudgetExceeded(f"{total} monic polynomials exceed budget {budget}")
         for h in monic_polys(R, n):
             res = gsrc_search(h, R, "SRC")
+            # finite stalks are Henselian, so every h has a gSRC split
             if not res.found:
-                return Decision(
-                    NO,
-                    "gSRC",
-                    refutation={
-                        "witness_h": h,
-                        "gsrc_transcript": res.transcript,
-                    },
+                raise VerificationFailed(
+                    [f"no gSRC split of a degree-{n} polynomial over the finite ring {R.label()}"]
                 )
             ensure(verify_gsrc(h, R, res.certificate))
         return Decision(
@@ -411,10 +442,9 @@ def strong_clean_triangular(T: SquareMatrix) -> StrongCleanCertificate:
     certs = []
     for i in range(R.num_stalks):
         S = R.stalk_ring(i)
-        Tx = T.restrict(i)
         f0, f1 = Poly.one(S), Poly.one(S)
         for d in range(T.n):
-            diag = Tx.rows[d][d]
+            diag = R.restrict_element(T.rows[d][d], i)
             lin = Poly(S, [-diag, S.one])
             if S.is_unit(diag):
                 f0 = f0 * lin

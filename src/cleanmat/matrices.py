@@ -1,12 +1,20 @@
 """Square matrices over a Ring: arithmetic, characteristic polynomials, solving.
 
 A ``SquareMatrix`` holds a tuple of tuples of ``Element``s, but ``@``,
-``char_poly``, ``poly_at_matrix`` and ``inverse`` compute on per-stalk raw
-grids: each operand is unpacked once per stalk into a list of lists of raw
-stalk values, one raw helper per operation works on a stalk and its grids
-with that stalk's own ``dot``/``add``/``mul``/``neg``/``inv``, and each
-result entry is boxed into an ``Element`` once, at the end.  These helpers
-are the only code path; there are no Element-level versions beside them.
+``**``, ``char_poly``, ``poly_at_matrix``, ``inverse`` and
+``random_with_charpoly`` compute on per-stalk raw grids: each operand is
+unpacked once per stalk into a list of lists of raw stalk values
+(``SquareMatrix._grids``), one raw helper per operation works on a stalk and
+its grids with that stalk's own ``dot``/``add``/``sub``/``mul``/``neg``/``inv``,
+and each result entry is boxed into an ``Element`` once, at the end
+(``SquareMatrix._from_grids``).  The raw helpers are ``_raw_identity``,
+``_raw_sub``, ``_raw_matmul``, ``_raw_power``, ``_raw_char_poly`` (Berkowitz),
+``_raw_horner`` (polynomial at a matrix), ``_raw_inverse`` and
+``_raw_inverses`` (every stalk's inverse, or None).  ``decide`` builds the
+(E, U) and (k, X) certificates with them and ``verify`` checks those
+certificates with them.  They are the only code path; there are no
+Element-level versions beside them, and matrices are compared on their
+entries' ``parts`` after one ring-key and size check.
 
 The characteristic polynomial is computed by the Berkowitz algorithm, which
 uses no divisions and is therefore valid over rings with zero divisors.  The
@@ -138,22 +146,20 @@ class SquareMatrix:
     def __pow__(self, k: int) -> "SquareMatrix":
         if k < 0:
             raise ValueError("negative powers not supported; invert first")
-        acc = SquareMatrix.identity(self.ring, self.n)
-        base = self
-        while k:
-            if k & 1:
-                acc = acc @ base
-            base = base @ base if k > 1 else base
-            k >>= 1
-        return acc
+        ring = self.ring
+        return SquareMatrix._from_grids(
+            ring, [_raw_power(s, a, k) for s, a in zip(ring.stalks, self._grids())]
+        )
 
     def __eq__(self, other):
         if not isinstance(other, SquareMatrix):
             return NotImplemented
-        return (
-            self.ring.key == other.ring.key
-            and self.n == other.n
-            and self.rows == other.rows
+        if self.ring.key != other.ring.key or self.n != other.n:
+            return False
+        return all(
+            a.parts == b.parts
+            for r1, r2 in zip(self.rows, other.rows)
+            for a, b in zip(r1, r2)
         )
 
     def __hash__(self):
@@ -174,18 +180,6 @@ class SquareMatrix:
 
     def sort_key(self):
         return tuple(a.sort_key() for row in self.rows for a in row)
-
-
-def glue_matrices(R: Ring, per_stalk: list[SquareMatrix]) -> SquareMatrix:
-    if len(per_stalk) != R.num_stalks:
-        raise RingMismatch("need one matrix per stalk")
-    return SquareMatrix._from_grids(
-        R,
-        [
-            [[s.from_standalone(a.parts[0]) for a in row] for row in M.rows]
-            for s, M in zip(R.stalks, per_stalk)
-        ],
-    )
 
 
 def companion(h: Poly) -> SquareMatrix:
@@ -218,10 +212,27 @@ def _raw_identity(s, n: int) -> list:
     return [[one if i == j else zero for j in range(n)] for i in range(n)]
 
 
+def _raw_sub(s, a: list, b: list) -> list:
+    sub = s.sub
+    return [[sub(x, y) for x, y in zip(r1, r2)] for r1, r2 in zip(a, b)]
+
+
 def _raw_matmul(s, a: list, b: list) -> list:
     dot = s.dot
     cols = list(zip(*b))
     return [[dot(row, col) for col in cols] for row in a]
+
+
+def _raw_power(s, a: list, k: int) -> list:
+    """a^k by binary powering, k >= 0."""
+    acc = _raw_identity(s, len(a))
+    while k:
+        if k & 1:
+            acc = _raw_matmul(s, acc, a)
+        k >>= 1
+        if k:
+            a = _raw_matmul(s, a, a)
+    return acc
 
 
 def _raw_berkowitz(s, a: list) -> list:
@@ -279,6 +290,25 @@ def _raw_inverse(s, a: list, chi: list, c0_inv) -> list:
     return inv
 
 
+def _raw_inverses(stalks, grids):
+    """One inverse grid per stalk, or None when det is not a unit on some stalk.
+
+    Every stalk's char poly and c_0 inverse come first, so a matrix that is
+    singular on some stalk costs no Horner step on any.
+    """
+    polys = []
+    for s, a in zip(stalks, grids):
+        chi = _raw_char_poly(s, a)
+        c0_inv = s.inv(chi[0])
+        if c0_inv is None:
+            return None
+        polys.append((chi, c0_inv))
+    return [
+        _raw_inverse(s, a, chi, c0_inv)
+        for s, a, (chi, c0_inv) in zip(stalks, grids, polys)
+    ]
+
+
 # -- public matrix functions ---------------------------------------------------------
 
 
@@ -292,27 +322,9 @@ def char_poly(A: SquareMatrix) -> Poly:
 
 
 def inverse(A: SquareMatrix):
-    """Inverse via Cayley-Hamilton, or None when det is not a unit.
-
-    Every stalk's char poly and c_0 inverse come first, so a matrix that is
-    singular on some stalk costs no Horner step on any.
-    """
-    ring = A.ring
-    grids = A._grids()
-    polys = []
-    for s, a in zip(ring.stalks, grids):
-        chi = _raw_char_poly(s, a)
-        c0_inv = s.inv(chi[0])
-        if c0_inv is None:
-            return None
-        polys.append((chi, c0_inv))
-    return SquareMatrix._from_grids(
-        ring,
-        [
-            _raw_inverse(s, a, chi, c0_inv)
-            for s, a, (chi, c0_inv) in zip(ring.stalks, grids, polys)
-        ],
-    )
+    """Inverse via Cayley-Hamilton, or None when det is not a unit."""
+    inv = _raw_inverses(A.ring.stalks, A._grids())
+    return None if inv is None else SquareMatrix._from_grids(A.ring, inv)
 
 
 def poly_at_matrix(f: Poly, A: SquareMatrix) -> SquareMatrix:
@@ -425,37 +437,49 @@ def solve_matrix_equation(A: SquareMatrix, B: SquareMatrix):
 
 
 def random_with_charpoly(h: Poly, seed: int) -> SquareMatrix:
-    """A seeded random conjugate P*C_h*P^{-1}; char poly is exactly h."""
+    """A seeded random conjugate P*C_h*P^{-1}; char poly is exactly h.
+
+    P is drawn entry by entry, row-major, with one ``random`` per stalk in
+    stalk order (the order of ``Ring.random_element``), and split into
+    per-stalk raw grids; P^{-1}, the product and the char-poly check run on
+    those grids, and A is boxed once.
+    """
     ring = h.ring
     n = h.degree
     C = companion(h)
     if n == 1:
         return C
+    stalks = ring.stalks
     rng = random.Random(seed)
-    P = P_inv = None
+
+    def draw():
+        return tuple(s.random(rng) for s in stalks)
+
+    def grids(entries):
+        return [[[e[k] for e in row] for row in entries] for k in range(len(stalks))]
+
     for _ in range(64):
-        cand = SquareMatrix(
-            ring,
-            [[ring.random_element(rng) for _ in range(n)] for _ in range(n)],
-        )
-        P_inv = inverse(cand)
+        P = grids([[draw() for _ in range(n)] for _ in range(n)])
+        P_inv = _raw_inverses(stalks, P)
         if P_inv is not None:
-            P = cand
             break
-    if P is None:
+    else:
         # unit-triangular product: always invertible, still seed-dependent
-        upper = SquareMatrix.identity(ring, n)
-        lower = SquareMatrix.identity(ring, n)
-        up = [list(r) for r in upper.rows]
-        lo = [list(r) for r in lower.rows]
+        one, zero = ring.one.parts, ring.zero.parts
+        up = [[one if i == j else zero for j in range(n)] for i in range(n)]
+        lo = [row[:] for row in up]
         for i in range(n):
             for j in range(n):
                 if i < j:
-                    up[i][j] = ring.random_element(rng)
+                    up[i][j] = draw()
                 elif i > j:
-                    lo[i][j] = ring.random_element(rng)
-        P = SquareMatrix(ring, up) @ SquareMatrix(ring, lo)
-        P_inv = inverse(P)
-    A = P @ C @ P_inv
-    assert char_poly(A) == h
-    return A
+                    lo[i][j] = draw()
+        P = [_raw_matmul(s, u, v) for s, u, v in zip(stalks, grids(up), grids(lo))]
+        P_inv = _raw_inverses(stalks, P)
+    A = [
+        _raw_matmul(s, _raw_matmul(s, p, c), p_inv)
+        for s, p, c, p_inv in zip(stalks, P, C._grids(), P_inv)
+    ]
+    for k, (s, a) in enumerate(zip(stalks, A)):
+        assert _raw_char_poly(s, a) == [c.parts[k] for c in h.coeffs]
+    return SquareMatrix._from_grids(ring, A)

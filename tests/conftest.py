@@ -51,6 +51,27 @@ def f2xf2_tables():
     return add, mul
 
 
+def _table(tables):
+    add, mul = tables
+    return {"type": "table", "add": add, "mul": mul}
+
+
+# rings for the certificate golden file and the verifier oracle checks: two
+# Z/n, a finite stalk beside Z_(3), and the three 4-element tables (whose
+# stalks encode values differently from their standalone rings)
+CERT_RINGS = {
+    "Z/12": {"type": "zmod", "n": 12},
+    "Z/16": {"type": "zmod", "n": 16},
+    "Z/4 x Z_(3)": {
+        "type": "product",
+        "factors": [{"type": "zmod", "n": 4}, {"type": "zloc", "p": 3}],
+    },
+    "F4": _table(f4_tables()),
+    "dual-F2": _table(dual_f2_tables()),
+    "F2 x F2": _table(f2xf2_tables()),
+}
+
+
 @pytest.fixture(scope="session")
 def zmod():
     cache = {}

@@ -4,7 +4,11 @@
 ``matrix_classify`` classifies a matrix from its inverse, char poly and
 square, and ``comaximality_cramer`` takes the Bezout pair of two monic
 polynomials by Cramer's rule on the Sylvester matrix, with determinants by
-cofactor expansion on Elements.  ``pi_regular_bruteforce`` enumerates every
+cofactor expansion on Elements.  ``verify_strong_clean_elementwise`` and
+``verify_pi_regular_elementwise`` check the certificate identities with
+whole-matrix ``@`` and ``==`` on Elements (powers as repeated products),
+for comparison with the per-stalk raw-grid verifiers.
+``pi_regular_bruteforce`` enumerates every
 X and Y for strong pi-regularity, ``strongly_clean_element`` scans the
 idempotents for a clean split of one element, and
 ``ideal_membership_search`` writes a Z[sqrt(-5)] element in the ideal
@@ -20,6 +24,7 @@ from cleanmat.errors import BudgetExceeded, InfiniteRing, VerificationFailed
 from cleanmat.matrices import (
     PiRegularCertificate,
     SquareMatrix,
+    StrongCleanCertificate,
     char_poly,
     inverse,
 )
@@ -124,6 +129,38 @@ def comaximality_cramer(f0: Poly, f1: Poly):
     if (u * f0 + v * f1) != Poly.one(R):
         raise VerificationFailed(["Cramer Bezout pair failed its identity check"])
     return u, v
+
+
+def verify_strong_clean_elementwise(
+    A: SquareMatrix, cert: StrongCleanCertificate
+) -> list[str]:
+    fails = []
+    I = SquareMatrix.identity(A.ring, A.n)
+    if cert.E @ cert.E != cert.E:
+        fails.append("E is not idempotent")
+    if cert.E + cert.U != A:
+        fails.append("E + U != A")
+    if cert.E @ cert.U != cert.U @ cert.E:
+        fails.append("E and U do not commute")
+    if cert.U @ cert.U_inv != I or cert.U_inv @ cert.U != I:
+        fails.append("U_inv is not a two-sided inverse of U")
+    return fails
+
+
+def verify_pi_regular_elementwise(A: SquareMatrix, cert: PiRegularCertificate) -> list[str]:
+    fails = []
+    if cert.k < 1:
+        fails.append("exponent k must be >= 1")
+        return fails
+    Ak = A
+    for _ in range(cert.k - 1):
+        Ak = Ak @ A
+    Ak1 = Ak @ A
+    if Ak1 @ cert.X != Ak:
+        fails.append("A^{k+1} X != A^k")
+    if cert.Y @ Ak1 != Ak:
+        fails.append("Y A^{k+1} != A^k")
+    return fails
 
 
 def pi_regular_bruteforce(

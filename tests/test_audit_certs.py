@@ -33,31 +33,13 @@ from cleanmat.matrices import SquareMatrix, random_with_charpoly
 from cleanmat.polys import Poly
 from cleanmat.rings import build_ring
 from cleanmat.serialize import dumps_canonical, to_jsonable
-from conftest import dual_f2_tables, f2xf2_tables, f4_tables
+from conftest import CERT_RINGS
 
 GOLDEN = Path(__file__).resolve().parent / "golden" / "audit_certs.json"
 
 SEED = 2026
 DEGREES = (1, 2, 3)
 POLYS_PER_DEGREE = 4
-
-
-def _table(tables):
-    add, mul = tables
-    return {"type": "table", "add": add, "mul": mul}
-
-
-RINGS = {
-    "Z/12": {"type": "zmod", "n": 12},
-    "Z/16": {"type": "zmod", "n": 16},
-    "Z/4 x Z_(3)": {
-        "type": "product",
-        "factors": [{"type": "zmod", "n": 4}, {"type": "zloc", "p": 3}],
-    },
-    "F4": _table(f4_tables()),
-    "dual-F2": _table(dual_f2_tables()),
-    "F2 x F2": _table(f2xf2_tables()),
-}
 
 
 def _upper_triangular(R, n, rng):
@@ -69,7 +51,7 @@ def _upper_triangular(R, n, rng):
 
 def entries(name: str) -> list:
     """The golden entries of one ring, as canonical JSON values."""
-    R = build_ring(RINGS[name])
+    R = build_ring(CERT_RINGS[name])
     rng = random.Random(SEED)
     out = []
     for n in DEGREES:
@@ -104,16 +86,16 @@ def golden():
 
 
 def test_golden_names_every_ring(golden):
-    assert list(golden) == list(RINGS)
+    assert list(golden) == list(CERT_RINGS)
     assert all(len(v) == len(DEGREES) * POLYS_PER_DEGREE for v in golden.values())
 
 
-@pytest.mark.parametrize("name", list(RINGS))
+@pytest.mark.parametrize("name", list(CERT_RINGS))
 def test_audit_certificates_match_golden(name, golden):
     assert dumps_canonical(entries(name)) == dumps_canonical(golden[name])
 
 
 if __name__ == "__main__":
-    captured = {name: entries(name) for name in RINGS}
+    captured = {name: entries(name) for name in CERT_RINGS}
     GOLDEN.parent.mkdir(exist_ok=True)
     GOLDEN.write_text(json.dumps(captured, indent=1) + "\n", encoding="utf-8")

@@ -128,6 +128,29 @@ def test_verify_roundtrip_pi_regular(capsys, tmp_path):
     assert code == 0 and json.loads(vout)["valid"] is True
 
 
+def test_verify_without_an_input_matrix_is_an_input_error(capsys, tmp_path):
+    ring = '{"type":"zmod","n":6}'
+    for command in ("decide", "pi-regular"):
+        _, out, _ = run(capsys, command, "--ring", ring, "--poly", "[2,3,1]", "--companion")
+        doc = json.loads(out)
+        del doc["input"]["companion"]
+        p = tmp_path / f"{command}.json"
+        p.write_text(json.dumps(doc))
+        code, vout, err = run(capsys, command, "--ring", ring, "--verify", f"@{p}")
+        assert code == 1 and vout == ""
+        assert err.startswith("error:") and "matrix" in err and err.count("\n") == 1
+
+    # a factorization document without its polynomial fails the same way
+    _, out, _ = run(capsys, "factor", "--ring", ring, "--poly", "[2,3,1]")
+    doc = json.loads(out)
+    del doc["poly"]
+    p = tmp_path / "factor.json"
+    p.write_text(json.dumps(doc))
+    code, vout, err = run(capsys, "decide", "--ring", ring, "--verify", f"@{p}")
+    assert code == 1 and vout == ""
+    assert err.startswith("error:") and "polynomial" in err and err.count("\n") == 1
+
+
 def test_factor_and_ring_documents(capsys):
     code, out, _ = run(
         capsys, "factor", "--ring", PROD, "--poly", "[[2,3],[3,1],[1,1]]", "--mode", "sr"

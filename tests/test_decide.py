@@ -245,6 +245,23 @@ def test_triangular_cli_exits_3_on_a_non_comaximal_split(monkeypatch, capsys):
     assert "Traceback" not in out.err
 
 
+def test_ring_level_decide_fails_hard_without_a_split_on_a_finite_ring(zmod, monkeypatch, capsys):
+    import cleanmat.decide as decide_mod
+    from cleanmat.cli import main
+    from cleanmat.factor import SearchResult
+
+    monkeypatch.setattr(
+        decide_mod, "gsrc_search", lambda h, R, mode: SearchResult("absent", None, {})
+    )
+    with pytest.raises(VerificationFailed, match="no gSRC split"):
+        decide_ring_strongly_clean(zmod(4), 2)
+    code = main(["decide", "--ring", '{"type":"zmod","n":4}', "--degree", "2"])
+    out = capsys.readouterr()
+    assert code == 3 and out.out == ""
+    assert out.err.startswith("verification failure:") and out.err.count("\n") == 1
+    assert "Traceback" not in out.err
+
+
 def test_theorem_main_audit_small(zmod):
     for n in (4, 6):
         rep = theorem_main_audit(build_ring({"type": "zmod", "n": n}), 2, samples=2)

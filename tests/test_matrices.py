@@ -361,6 +361,27 @@ def test_results_are_tuple_rows_that_equal_and_hash_like_constructed():
         assert all(isinstance(e, Element) and e.ring is R for r in P.rows for e in r)
 
 
+def test_equality_truth_table():
+    Z12, Z6 = build_ring({"type": "zmod", "n": 12}), build_ring({"type": "zmod", "n": 6})
+    A = SquareMatrix.from_ints(Z12, [[1, 2], [3, 4]])
+    assert A == SquareMatrix.from_ints(build_ring({"type": "zmod", "n": 12}), [[1, 2], [3, 4]])
+    assert A != SquareMatrix.from_ints(Z6, [[1, 2], [3, 4]])
+    # Z/4 x Z/3 has Z/12's stalks, so only the ring key tells the two apart
+    P = build_ring(
+        {"type": "product", "factors": [{"type": "zmod", "n": 4}, {"type": "zmod", "n": 3}]}
+    )
+    assert A != SquareMatrix(P, [[Element(P, e.parts) for e in r] for r in A.rows])
+    assert A != SquareMatrix.from_ints(Z12, [[1, 2, 0], [3, 4, 0], [0, 0, 1]])
+    assert A.__eq__(A.rows) is NotImplemented and A != A.rows
+    for stalk in range(Z12.num_stalks):
+        # one entry moved on one stalk only
+        parts = list(A.rows[1][0].parts)
+        parts[stalk] = Z12.stalks[stalk].add(parts[stalk], Z12.stalks[stalk].one)
+        rows = [list(r) for r in A.rows]
+        rows[1][0] = Element(Z12, tuple(parts))
+        assert A != SquareMatrix(Z12, rows)
+
+
 def test_sizes_zero_and_one():
     for R in _FOLD_RINGS:
         E = SquareMatrix(R, [])
