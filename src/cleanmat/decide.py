@@ -7,6 +7,11 @@ absence refutes the companion matrix.  Over a finite ring every stalk is
 Henselian, so the gSRC always exists and every ``unknown`` verdict comes
 from a Z_(p) stalk.  Every constructed certificate is re-verified before it
 is returned; derivations are never trusted.
+
+The certificates are built with public matrix operations only: each block's
+polynomials are lifted to polynomials over the whole ring (``_over_R``),
+evaluated at A with ``poly_at_matrix`` (which runs every stalk at its own
+degree) and combined with ``@``, ``-``, ``*`` and ``inverse``.
 """
 
 from __future__ import annotations
@@ -28,8 +33,9 @@ from .errors import (
     VerificationFailed,
 )
 from .factor import (
+    Block,
     GSRCCertificate,
-    SRCCertificate,
+    block_target,
     comaximality,
     gsp_search,
     gsrc_search,
@@ -38,16 +44,14 @@ from .matrices import (
     PiRegularCertificate,
     SquareMatrix,
     StrongCleanCertificate,
-    _raw_horner,
-    _raw_inverses,
-    _raw_matmul,
-    _raw_sub,
     char_poly,
     companion,
+    inverse,
+    poly_at_matrix,
     random_with_charpoly,
 )
-from .polys import Poly
-from .rings import Element, Ring
+from .polys import Poly, glue_polys
+from .rings import Element, Ring, embed_from_block
 from .stalks import ZLocStalk, ZModStalk
 from .verify import (
     ensure,
@@ -94,65 +98,37 @@ def monic_polys(R: Ring, n: int):
 # -- certificate constructions --------------------------------------------------------
 
 
-def _stalk_cert(gcert: GSRCCertificate, stalk_index: int) -> SRCCertificate:
-    for b in gcert.blocks:
-        if stalk_index in b.support:
-            pos = b.support.index(stalk_index)
-            return SRCCertificate(
-                b.cert.f0.restrict(pos),
-                b.cert.f1.restrict(pos),
-                None if b.cert.bezout_u is None else b.cert.bezout_u.restrict(pos),
-                None if b.cert.bezout_v is None else b.cert.bezout_v.restrict(pos),
-                b.cert.kind,
-            )
-    raise AssertionError(f"no block covers stalk {stalk_index}")
+def _over_R(R: Ring, blocks: list[Block], polys: list[Poly]) -> Poly:
+    """The polynomial over R that is ``polys[j]`` on the stalks of ``blocks[j]``.
 
-
-def _raw_coeffs(s, f: Poly) -> list:
-    """Coefficients of f, over a standalone stalk ring, as values of stalk ``s``.
-
-    A table stalk encodes its values differently from its standalone ring.
+    A block polynomial lives over the block ring ``block_target(R, support)``;
+    a block that covers every stalk is already over R and is used as it is,
+    any other is embedded coefficient by coefficient (zero off its support).
+    The supports partition the stalks, so the sum glues the blocks.
     """
-    return [s.from_standalone(c.parts[0]) for c in f.coeffs]
+    total = Poly.zero(R)
+    for b, f in zip(blocks, polys):
+        if block_target(R, b.support) is not R:
+            f = Poly(R, [embed_from_block(R, c, b.support) for c in f.coeffs])
+        total = total + f
+    return total
 
 
-def _strong_clean_from_stalk_certs(
-    A: SquareMatrix, certs: list[SRCCertificate]
-) -> StrongCleanCertificate:
-    """Build (E, U) from per-stalk SRC factorizations of the char polynomial.
+def _strong_clean(A: SquareMatrix, u: Poly, f0: Poly) -> StrongCleanCertificate:
+    """(E, U) from an SRC factor f0 of the char polynomial and its Bezout u.
 
     With u*f0 + v*f1 = 1 and f0(A)f1(A) = h(A) = 0, the matrix
     E = u(A) f0(A) is the projection onto ker f1(A) along ker f0(A); f0(0)
     a unit makes A an automorphism of ker f0(A) and f1(1) a unit makes A - I
-    an automorphism of ker f1(A), so U = A - E is invertible.
-
-    Each stalk's certificate lives over the standalone stalk ring; its
-    coefficients are mapped into the parent stalk's values with
-    ``from_standalone``, and E, U and U^-1 are computed on A's raw stalk
-    grids and boxed once.
+    an automorphism of ker f1(A), so U = A - E is invertible.  u and f0 may
+    have different degrees on different stalks.
     """
-    R = A.ring
-    grids = A._grids()
-    E = []
-    for s, a, cert in zip(R.stalks, grids, certs):
-        if cert.bezout_u is None:
-            raise VerificationFailed(["SR-only certificate cannot split the module"])
-        E.append(
-            _raw_matmul(
-                s,
-                _raw_horner(s, _raw_coeffs(s, cert.bezout_u), a),
-                _raw_horner(s, _raw_coeffs(s, cert.f0), a),
-            )
-        )
-    U = [_raw_sub(s, a, e) for s, a, e in zip(R.stalks, grids, E)]
-    U_inv = _raw_inverses(R.stalks, U)
+    E = poly_at_matrix(u, A) @ poly_at_matrix(f0, A)
+    U = A - E
+    U_inv = inverse(U)
     if U_inv is None:
         raise VerificationFailed(["constructed U = A - E is not invertible"])
-    cert = StrongCleanCertificate(
-        SquareMatrix._from_grids(R, E),
-        SquareMatrix._from_grids(R, U),
-        SquareMatrix._from_grids(R, U_inv),
-    )
+    cert = StrongCleanCertificate(E, U, U_inv)
     ensure(verify_strong_clean(A, cert))
     return cert
 
@@ -160,58 +136,45 @@ def _strong_clean_from_stalk_certs(
 def strong_clean_from_gsrc(
     A: SquareMatrix, gcert: GSRCCertificate
 ) -> StrongCleanCertificate:
-    certs = [_stalk_cert(gcert, i) for i in range(A.ring.num_stalks)]
-    return _strong_clean_from_stalk_certs(A, certs)
+    """Build (E, U) from a gSRC factorization of the char polynomial of A."""
+    R = A.ring
+    blocks = gcert.blocks
+    if any(b.cert.bezout_u is None for b in blocks):
+        raise VerificationFailed(["SR-only certificate cannot split the module"])
+    u = _over_R(R, blocks, [b.cert.bezout_u for b in blocks])
+    f0 = _over_R(R, blocks, [b.cert.f0 for b in blocks])
+    return _strong_clean(A, u, f0)
 
 
 def pi_regular_from_gsp(A: SquareMatrix, gcert) -> PiRegularCertificate:
-    """Build (k, X) from per-stalk SP factorizations of the char polynomial.
+    """Build (k, X) from a gSP factorization of the char polynomial of A.
 
-    Per stalk, the SP pair upgrades to an SRC pair (the resultant of h0 and
-    p0 is a unit), the Bezout pair yields the projection P onto ker h0(A),
-    and X = -h0(0)^{-1} q(A) P with q = (h0 - h0(0))/t inverts A there while
-    killing the nilpotent part.  X and the powers of A in the search for k
-    are computed on A's raw stalk grids, as in
-    ``_strong_clean_from_stalk_certs``.
+    Per block, the SP pair upgrades to an SRC pair (the resultant of h0 and
+    p0 is a unit on every stalk of the block), the Bezout pair (u, v) yields
+    the projection P = v(A) p0(A) onto ker h0(A), and
+    X = -h0(0)^{-1} q(A) P with q = (h0 - h0(0))/t inverts A there while
+    killing the nilpotent part.  All of a block's stalks share one degree of
+    h0, so its Bezout pair is the unique one of each stalk.
     """
     R = A.ring
-    grids = A._grids()
-    X = []
-    for i, (s, a) in enumerate(zip(R.stalks, grids)):
-        blk = next(b for b in gcert.blocks if i in b.support)
-        pos = blk.support.index(i)
-        h0 = blk.cert.h0.restrict(pos)
-        p0 = blk.cert.p0.restrict(pos)
-        bez = comaximality(h0, p0)
+    blocks = gcert.blocks
+    vs = []
+    for b in blocks:
+        bez = comaximality(b.cert.h0, b.cert.p0)
         if bez is None:
-            raise VerificationFailed(
-                ["SP factors are not comaximal on a local stalk"]
-            )
-        _, v = bez
-        proj = _raw_matmul(
-            s,
-            _raw_horner(s, _raw_coeffs(s, v), a),
-            _raw_horner(s, _raw_coeffs(s, p0), a),
-        )
-        c, *q = _raw_coeffs(s, h0)
-        scale = s.neg(s.inv(c))
-        mul = s.mul
-        X.append(
-            [
-                [mul(x, scale) for x in row]
-                for row in _raw_matmul(s, _raw_horner(s, q, a), proj)
-            ]
-        )
+            raise VerificationFailed(["SP factors are not comaximal on a local stalk"])
+        vs.append(bez[1])
+    v = _over_R(R, blocks, vs)
+    p0 = _over_R(R, blocks, [b.cert.p0 for b in blocks])
+    h0 = _over_R(R, blocks, [b.cert.h0 for b in blocks])
+    proj = poly_at_matrix(v, A) @ poly_at_matrix(p0, A)
+    X = (poly_at_matrix(Poly(R, h0.coeffs[1:]), A) @ proj) * -R.inv(h0.coeff(0))
     K = A.n * R.max_nil_index()
-    Ak = grids
+    Ak = A
     for k in range(1, K + 1):
-        Ak1 = [_raw_matmul(s, p, a) for s, p, a in zip(R.stalks, Ak, grids)]
-        if all(
-            _raw_matmul(s, p1, x) == p and _raw_matmul(s, x, p1) == p
-            for s, p, p1, x in zip(R.stalks, Ak, Ak1, X)
-        ):
-            Xm = SquareMatrix._from_grids(R, X)
-            cert = PiRegularCertificate(k, Xm, Xm)
+        Ak1 = Ak @ A
+        if Ak1 @ X == Ak and X @ Ak1 == Ak:
+            cert = PiRegularCertificate(k, X, X)
             ensure(verify_pi_regular(A, cert))
             return cert
         Ak = Ak1
@@ -439,14 +402,15 @@ def strong_clean_triangular(T: SquareMatrix) -> StrongCleanCertificate:
     applies with no search.
     """
     R = T.ring
-    certs = []
+    diag = [row[d] for d, row in enumerate(T.rows)]
+    us, f0s = [], []
     for i in range(R.num_stalks):
         S = R.stalk_ring(i)
         f0, f1 = Poly.one(S), Poly.one(S)
-        for d in range(T.n):
-            diag = R.restrict_element(T.rows[d][d], i)
-            lin = Poly(S, [-diag, S.one])
-            if S.is_unit(diag):
+        for d in diag:
+            x = R.restrict_element(d, i)
+            lin = Poly(S, [-x, S.one])
+            if S.is_unit(x):
                 f0 = f0 * lin
             else:
                 f1 = f1 * lin
@@ -455,8 +419,9 @@ def strong_clean_triangular(T: SquareMatrix) -> StrongCleanCertificate:
             raise VerificationFailed(
                 ["triangular unit/non-unit split is not comaximal"]
             )
-        certs.append(SRCCertificate(f0, f1, bez[0], bez[1], "SRC"))
-    return _strong_clean_from_stalk_certs(T, certs)
+        us.append(bez[0])
+        f0s.append(f0)
+    return _strong_clean(T, glue_polys(R, us), glue_polys(R, f0s))
 
 
 def triangular_sweep(R: Ring, n: int, budget: int = DEFAULT_BUDGET) -> AuditReport:

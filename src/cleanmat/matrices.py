@@ -1,20 +1,18 @@
 """Square matrices over a Ring: arithmetic, characteristic polynomials, solving.
 
-A ``SquareMatrix`` holds a tuple of tuples of ``Element``s, but ``@``,
-``**``, ``char_poly``, ``poly_at_matrix``, ``inverse`` and
-``random_with_charpoly`` compute on per-stalk raw grids: each operand is
-unpacked once per stalk into a list of lists of raw stalk values
-(``SquareMatrix._grids``), one raw helper per operation works on a stalk and
-its grids with that stalk's own ``dot``/``add``/``sub``/``mul``/``neg``/``inv``,
-and each result entry is boxed into an ``Element`` once, at the end
-(``SquareMatrix._from_grids``).  The raw helpers are ``_raw_identity``,
-``_raw_sub``, ``_raw_matmul``, ``_raw_power``, ``_raw_char_poly`` (Berkowitz),
-``_raw_horner`` (polynomial at a matrix), ``_raw_inverse`` and
-``_raw_inverses`` (every stalk's inverse, or None).  ``decide`` builds the
-(E, U) and (k, X) certificates with them and ``verify`` checks those
-certificates with them.  They are the only code path; there are no
-Element-level versions beside them, and matrices are compared on their
-entries' ``parts`` after one ring-key and size check.
+A ``SquareMatrix`` is the family of its stalk matrices, as the Pierce sheaf
+sees it: its only state besides ``ring`` and ``n`` is ``grids``, one raw grid
+(a list of lists of raw stalk values) per stalk of the ring.
+``SquareMatrix(ring, rows)`` unpacks Element rows once, and the ``rows``
+property boxes Elements on demand, for serializing, printing and the
+exhaustive scan's encoding.  Every operator (``+ - neg * @ ** == hash``) and
+every public function (``transpose``, ``identity``, ``zeros``,
+``companion``, ``char_poly``, ``inverse``, ``poly_at_matrix``,
+``random_with_charpoly``, ``solve_matrix_equation``) runs one raw kernel per
+stalk with that stalk's own ``dot``/``add``/``sub``/``mul``/``neg``/``inv``.
+The kernels and the raw-grid format are private to this module: the
+certificate constructions in ``decide`` and the verifiers in ``verify`` use
+the public operations only.
 
 The characteristic polynomial is computed by the Berkowitz algorithm, which
 uses no divisions and is therefore valid over rings with zero divisors.  The
@@ -39,58 +37,29 @@ TABLE_SOLVE_BUDGET = 500_000
 
 
 class SquareMatrix:
-    __slots__ = ("ring", "n", "rows")
+    __slots__ = ("ring", "n", "grids")
 
     def __init__(self, ring: Ring, rows):
-        rows = tuple(tuple(r) for r in rows)
+        rows = [tuple(r) for r in rows]
         n = len(rows)
         if any(len(r) != n for r in rows):
             raise ValueError("matrix is not square")
         self.ring = ring
         self.n = n
-        self.rows = rows
+        self.grids = _unbox(ring, rows)
 
-    @classmethod
-    def _make(cls, ring: Ring, rows: tuple) -> "SquareMatrix":
-        """Internal constructor: ``rows`` is already a square tuple of tuples."""
-        M = object.__new__(cls)
-        M.ring = ring
-        M.n = len(rows)
-        M.rows = rows
-        return M
-
-    @classmethod
-    def _from_grids(cls, ring: Ring, grids) -> "SquareMatrix":
-        """Box one raw grid per stalk of ``ring`` into a matrix of Elements."""
-        return cls._make(
-            ring,
-            tuple(
-                [
-                    tuple([Element(ring, parts) for parts in zip(*stalk_rows)])
-                    for stalk_rows in zip(*grids)
-                ]
-            ),
-        )
-
-    def _grids(self) -> list:
-        """One raw grid (a list of lists of stalk values) per stalk."""
-        rows = self.rows
-        return [
-            [[e.parts[s] for e in row] for row in rows]
-            for s in range(self.ring.num_stalks)
-        ]
+    @property
+    def rows(self) -> tuple:
+        """The entries as a tuple of tuples of Elements, boxed on each access."""
+        return _box(self.ring, self.grids)
 
     @classmethod
     def identity(cls, ring: Ring, n: int) -> "SquareMatrix":
-        one, zero = ring.one, ring.zero
-        return cls._make(
-            ring,
-            tuple(tuple(one if i == j else zero for j in range(n)) for i in range(n)),
-        )
+        return _matrix(ring, [_raw_identity(s, n) for s in ring.stalks])
 
     @classmethod
     def zeros(cls, ring: Ring, n: int) -> "SquareMatrix":
-        return cls._make(ring, ((ring.zero,) * n,) * n)
+        return _matrix(ring, [[[s.zero] * n for _ in range(n)] for s in ring.stalks])
 
     @classmethod
     def from_ints(cls, ring: Ring, rows) -> "SquareMatrix":
@@ -100,70 +69,74 @@ class SquareMatrix:
         if self.ring.key != other.ring.key or self.n != other.n:
             raise RingMismatch("matrix shape/ring mismatch")
 
-    def __add__(self, other):
+    def _entrywise(self, other: "SquareMatrix", op: str) -> "SquareMatrix":
+        """The stalk method ``op`` applied entry by entry to self and other."""
         self._check(other)
-        return SquareMatrix._make(
-            self.ring,
-            tuple(
-                tuple(a + b for a, b in zip(r1, r2))
-                for r1, r2 in zip(self.rows, other.rows)
-            ),
-        )
+        grids = []
+        for s, a, b in zip(self.ring.stalks, self.grids, other.grids):
+            f = getattr(s, op)
+            grids.append([[f(x, y) for x, y in zip(r1, r2)] for r1, r2 in zip(a, b)])
+        return _matrix(self.ring, grids)
+
+    def __add__(self, other):
+        return self._entrywise(other, "add")
 
     def __sub__(self, other):
-        self._check(other)
-        return SquareMatrix._make(
-            self.ring,
-            tuple(
-                tuple(a - b for a, b in zip(r1, r2))
-                for r1, r2 in zip(self.rows, other.rows)
-            ),
-        )
+        return self._entrywise(other, "sub")
 
     def __neg__(self):
-        return SquareMatrix._make(
-            self.ring, tuple(tuple(-a for a in r) for r in self.rows)
+        return _matrix(
+            self.ring,
+            [
+                [[s.neg(x) for x in row] for row in a]
+                for s, a in zip(self.ring.stalks, self.grids)
+            ],
         )
 
     def __matmul__(self, other):
         self._check(other)
-        ring = self.ring
-        return SquareMatrix._from_grids(
-            ring,
+        return _matrix(
+            self.ring,
             [
                 _raw_matmul(s, a, b)
-                for s, a, b in zip(ring.stalks, self._grids(), other._grids())
+                for s, a, b in zip(self.ring.stalks, self.grids, other.grids)
             ],
         )
 
     def __mul__(self, other):
-        if isinstance(other, Element):
-            return SquareMatrix._make(
-                self.ring, tuple(tuple(a * other for a in r) for r in self.rows)
-            )
-        return NotImplemented
+        if not isinstance(other, Element):
+            return NotImplemented
+        if other.ring.key != self.ring.key:
+            raise RingMismatch("matrix and scalar over different rings")
+        return _matrix(
+            self.ring,
+            [
+                [[s.mul(x, c) for x in row] for row in a]
+                for s, a, c in zip(self.ring.stalks, self.grids, other.parts)
+            ],
+        )
 
     def __pow__(self, k: int) -> "SquareMatrix":
         if k < 0:
             raise ValueError("negative powers not supported; invert first")
-        ring = self.ring
-        return SquareMatrix._from_grids(
-            ring, [_raw_power(s, a, k) for s, a in zip(ring.stalks, self._grids())]
+        return _matrix(
+            self.ring,
+            [_raw_power(s, a, k) for s, a in zip(self.ring.stalks, self.grids)],
         )
 
     def __eq__(self, other):
         if not isinstance(other, SquareMatrix):
             return NotImplemented
-        if self.ring.key != other.ring.key or self.n != other.n:
-            return False
-        return all(
-            a.parts == b.parts
-            for r1, r2 in zip(self.rows, other.rows)
-            for a, b in zip(r1, r2)
+        return (
+            self.ring.key == other.ring.key
+            and self.n == other.n
+            and self.grids == other.grids
         )
 
     def __hash__(self):
-        return hash((self.ring.key, self.rows))
+        return hash(
+            (self.ring.key, self.n, tuple(tuple(map(tuple, a)) for a in self.grids))
+        )
 
     def __repr__(self):
         body = "; ".join(
@@ -172,14 +145,35 @@ class SquareMatrix:
         return f"<matrix [{body}] over {self.ring.label()}>"
 
     def restrict(self, i: int) -> "SquareMatrix":
-        R = self.ring
-        return SquareMatrix._make(
-            R.stalk_ring(i),
-            tuple(tuple(R.restrict_element(a, i) for a in row) for row in self.rows),
+        s = self.ring.stalks[i]
+        return _matrix(
+            self.ring.stalk_ring(i),
+            [[[s.to_standalone(x) for x in row] for row in self.grids[i]]],
         )
 
-    def sort_key(self):
-        return tuple(a.sort_key() for row in self.rows for a in row)
+
+def _matrix(ring: Ring, grids: list) -> SquareMatrix:
+    """The matrix whose state is ``grids``, one raw grid per stalk of ``ring``."""
+    M = object.__new__(SquareMatrix)
+    M.ring = ring
+    M.n = len(grids[0])
+    M.grids = grids
+    return M
+
+
+def _unbox(ring: Ring, rows) -> list:
+    """One raw grid per stalk from rows of Elements (any rectangular shape)."""
+    return [
+        [[e.parts[s] for e in row] for row in rows] for s in range(ring.num_stalks)
+    ]
+
+
+def _box(ring: Ring, grids) -> tuple:
+    """Rows of Elements from one raw grid per stalk (any rectangular shape)."""
+    return tuple(
+        tuple([Element(ring, parts) for parts in zip(*stalk_rows)])
+        for stalk_rows in zip(*grids)
+    )
 
 
 def companion(h: Poly) -> SquareMatrix:
@@ -188,33 +182,31 @@ def companion(h: Poly) -> SquareMatrix:
         raise ValueError("companion needs a monic polynomial of degree >= 1")
     ring = h.ring
     n = h.degree
-    rows = [[ring.zero] * n for _ in range(n)]
-    for i in range(1, n):
-        rows[i][i - 1] = ring.one
-    for i in range(n):
-        rows[i][n - 1] = -h.coeff(i)
-    return SquareMatrix._make(ring, tuple(map(tuple, rows)))
+    grids = []
+    for k, s in enumerate(ring.stalks):
+        a = [[s.zero] * n for _ in range(n)]
+        for i in range(1, n):
+            a[i][i - 1] = s.one
+        for i in range(n):
+            a[i][n - 1] = s.neg(h.coeffs[i].parts[k])
+        grids.append(a)
+    return _matrix(ring, grids)
 
 
 def transpose(A: SquareMatrix) -> SquareMatrix:
-    return SquareMatrix._make(A.ring, tuple(zip(*A.rows)))
+    return _matrix(A.ring, [[list(col) for col in zip(*a)] for a in A.grids])
 
 
 # -- raw per-stalk kernels -----------------------------------------------------------
 #
 # Each helper takes a stalk and raw grids of that stalk's values (lists of
-# lists, n x n) and returns raw values; the public functions below unpack
-# and box.
+# lists, n x n) and returns raw values; the matrix operations above and the
+# public functions below wrap them, one call per stalk.
 
 
 def _raw_identity(s, n: int) -> list:
     one, zero = s.one, s.zero
     return [[one if i == j else zero for j in range(n)] for i in range(n)]
-
-
-def _raw_sub(s, a: list, b: list) -> list:
-    sub = s.sub
-    return [[sub(x, y) for x, y in zip(r1, r2)] for r1, r2 in zip(a, b)]
 
 
 def _raw_matmul(s, a: list, b: list) -> list:
@@ -265,16 +257,21 @@ def _raw_char_poly(s, a: list) -> list:
 def _raw_horner(s, coeffs: list, a: list) -> list:
     """sum coeffs[k] a^k (Horner; coefficients lowest degree first).
 
-    The leading coefficient starts the scalar matrix, and each later step
-    adds its coefficient on the diagonal of ``acc @ a``.
+    Trailing zero coefficients are skipped, so a polynomial glued from
+    factors of different degrees costs each stalk only its own degree in
+    matmuls.  The leading coefficient starts the scalar matrix, and each
+    later step adds its coefficient on the diagonal of ``acc @ a``.
     """
     n = len(a)
     add, zero = s.add, s.zero
-    if not coeffs:
+    d = len(coeffs)
+    while d and coeffs[d - 1] == zero:
+        d -= 1
+    if not d:
         return [[zero] * n for _ in range(n)]
-    *lower, lead = coeffs
+    lead = coeffs[d - 1]
     acc = [[lead if i == j else zero for j in range(n)] for i in range(n)]
-    for c in reversed(lower):
+    for c in reversed(coeffs[: d - 1]):
         acc = _raw_matmul(s, acc, a)
         for i in range(n):
             acc[i][i] = add(acc[i][i], c)
@@ -315,7 +312,7 @@ def _raw_inverses(stalks, grids):
 def char_poly(A: SquareMatrix) -> Poly:
     """Monic characteristic polynomial det(tI - A), by Berkowitz."""
     ring = A.ring
-    per_stalk = [_raw_char_poly(s, a) for s, a in zip(ring.stalks, A._grids())]
+    per_stalk = [_raw_char_poly(s, a) for s, a in zip(ring.stalks, A.grids)]
     p = Poly(ring, [Element(ring, parts) for parts in zip(*per_stalk)])
     assert p.is_monic and p.degree == A.n
     return p
@@ -323,20 +320,20 @@ def char_poly(A: SquareMatrix) -> Poly:
 
 def inverse(A: SquareMatrix):
     """Inverse via Cayley-Hamilton, or None when det is not a unit."""
-    inv = _raw_inverses(A.ring.stalks, A._grids())
-    return None if inv is None else SquareMatrix._from_grids(A.ring, inv)
+    inv = _raw_inverses(A.ring.stalks, A.grids)
+    return None if inv is None else _matrix(A.ring, inv)
 
 
 def poly_at_matrix(f: Poly, A: SquareMatrix) -> SquareMatrix:
-    """Evaluate a polynomial at a matrix argument (Horner)."""
+    """Evaluate a polynomial at a matrix argument (Horner, stalk by stalk)."""
     ring = A.ring
     if f.ring.key != ring.key:
         raise RingMismatch("polynomial and matrix over different rings")
-    return SquareMatrix._from_grids(
+    return _matrix(
         ring,
         [
             _raw_horner(s, [c.parts[i] for c in f.coeffs], a)
-            for i, (s, a) in enumerate(zip(ring.stalks, A._grids()))
+            for i, (s, a) in enumerate(zip(ring.stalks, A.grids))
         ],
     )
 
@@ -363,41 +360,38 @@ class PiRegularCertificate:
 
 
 def linear_solve(ring: Ring, mat_rows, rhs_rows):
-    """One solution X (list of lists of Elements) of mat*X = rhs, or None.
+    """One solution X (rows of Elements) of mat*X = rhs, or None."""
+    x = _solve_grids(ring, _unbox(ring, mat_rows), _unbox(ring, rhs_rows))
+    return None if x is None else _box(ring, x)
 
-    Works per stalk: Z/p^k and Z_(p) stalks lift to integer systems solved via
-    Smith normal form; table stalks fall back to exhaustive search.  Free
-    coordinates are fixed to 0, so the answer is canonical.
+
+def _solve_grids(ring: Ring, mats, rhss):
+    """One raw solution grid per stalk of m*X = b, or None.
+
+    Z/p^k and Z_(p) stalks lift to integer systems solved via Smith normal
+    form; table stalks fall back to exhaustive search.  Free coordinates are
+    fixed to 0, so the answer is canonical.
     """
-    rows = len(mat_rows)
-    cols = len(mat_rows[0]) if rows else 0
-    k = len(rhs_rows[0]) if rhs_rows and rhs_rows[0] else 0
-    per_stalk = []
-    for idx, stalk in enumerate(ring.stalks):
-        m = [[e.parts[idx] for e in row] for row in mat_rows]
-        b = [[e.parts[idx] for e in row] for row in rhs_rows]
+    out = []
+    for stalk, m, b in zip(ring.stalks, mats, rhss):
         if isinstance(stalk, ZModStalk):
             x = solve_mod(m, b, stalk.q)
         elif isinstance(stalk, ZLocStalk):
             x = solve_zloc(m, b, stalk.p)
         elif isinstance(stalk, TableStalk):
-            x = _solve_table(stalk, m, b, rows, cols, k)
+            x = _solve_table(stalk, m, b)
         else:  # pragma: no cover
             raise AssertionError(f"unknown stalk {stalk!r}")
         if x is None:
             return None
-        per_stalk.append(x)
-    out = []
-    for i in range(cols):
-        row = []
-        for j in range(k):
-            parts = tuple(per_stalk[s][i][j] for s in range(ring.num_stalks))
-            row.append(Element(ring, parts))
-        out.append(row)
+        out.append(x)
     return out
 
 
-def _solve_table(stalk: TableStalk, m, b, rows, cols, k):
+def _solve_table(stalk: TableStalk, m, b):
+    rows = len(m)
+    cols = len(m[0]) if rows else 0
+    k = len(b[0]) if b and b[0] else 0
     size = stalk.size
     if size**cols > TABLE_SOLVE_BUDGET:
         raise BudgetExceeded(
@@ -427,10 +421,8 @@ def _solve_table(stalk: TableStalk, m, b, rows, cols, k):
 
 def solve_matrix_equation(A: SquareMatrix, B: SquareMatrix):
     A._check(B)
-    x = linear_solve(A.ring, [list(r) for r in A.rows], [list(r) for r in B.rows])
-    if x is None:
-        return None
-    return SquareMatrix(A.ring, x)
+    x = _solve_grids(A.ring, A.grids, B.grids)
+    return None if x is None else _matrix(A.ring, x)
 
 
 # -- seeded similar matrices ----------------------------------------------------------
@@ -442,7 +434,7 @@ def random_with_charpoly(h: Poly, seed: int) -> SquareMatrix:
     P is drawn entry by entry, row-major, with one ``random`` per stalk in
     stalk order (the order of ``Ring.random_element``), and split into
     per-stalk raw grids; P^{-1}, the product and the char-poly check run on
-    those grids, and A is boxed once.
+    those grids.
     """
     ring = h.ring
     n = h.degree
@@ -478,8 +470,8 @@ def random_with_charpoly(h: Poly, seed: int) -> SquareMatrix:
         P_inv = _raw_inverses(stalks, P)
     A = [
         _raw_matmul(s, _raw_matmul(s, p, c), p_inv)
-        for s, p, c, p_inv in zip(stalks, P, C._grids(), P_inv)
+        for s, p, c, p_inv in zip(stalks, P, C.grids, P_inv)
     ]
     for k, (s, a) in enumerate(zip(stalks, A)):
         assert _raw_char_poly(s, a) == [c.parts[k] for c in h.coeffs]
-    return SquareMatrix._from_grids(ring, A)
+    return _matrix(ring, A)

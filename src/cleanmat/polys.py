@@ -86,15 +86,6 @@ class Poly:
                 out[i + j] = out[i + j] + a * b
         return Poly(self.ring, out)
 
-    def scale(self, c: Element) -> "Poly":
-        return Poly(self.ring, [c * a for a in self.coeffs])
-
-    def shift(self, d: int) -> "Poly":
-        """Multiply by t^d."""
-        if self.is_zero:
-            return self
-        return Poly(self.ring, [self.ring.zero] * d + list(self.coeffs))
-
     def translate(self, c: Element) -> "Poly":
         """The polynomial p(t + c) (Taylor shift by repeated synthetic division)."""
         coeffs = list(self.coeffs)
@@ -129,9 +120,6 @@ class Poly:
             v = self.ring.render_value(c)
             terms.append(f"{v}" if i == 0 else f"{v}*t^{i}")
         return "<poly " + " + ".join(terms) + ">"
-
-    def sort_key(self):
-        return tuple(c.sort_key() for c in self.coeffs)
 
     def restrict(self, i: int) -> "Poly":
         R = self.ring

@@ -214,9 +214,6 @@ class Ring:
 
     # -- Pierce decomposition ----------------------------------------------------
 
-    def restrictions(self, a: Element) -> tuple:
-        return a.parts
-
     def stalk_ring(self, i: int) -> "Ring":
         if i not in self._stalk_rings:
             self._stalk_rings[i] = build_ring(self.stalks[i].ring_descriptor())

@@ -5,12 +5,13 @@ tests) and never consult the search code, so a certificate accepted here is
 evidence on its own.  Each verifier returns a list of failure strings; empty
 means valid.
 
-The matrix certificates are checked stalk by stalk on raw grids: A and the
-certificate's own boxed matrices are unpacked with ``SquareMatrix._grids``
-and each identity (E^2 = E, A - U = E, EU = UE, U U^-1 = U^-1 U = I, and
-A^{k+1} X = A^k = Y A^{k+1}) is tested on every stalk with the raw matrix
-helpers.  Nothing is taken from the construction that produced the
-certificate.
+The matrix certificates are checked with the public matrix operations
+``@``, ``+``, ``**`` and ``==``: E^2 = E, E + U = A, EU = UE and
+U U^-1 = U^-1 U = I against the identity of the certificate's own ring and
+size, and A^{k+1} X = A^k = Y A^{k+1}.  A certificate whose matrices
+disagree in shape or ring raises ``RingMismatch``; an A of another shape or
+ring fails only the sum.  Nothing is taken from the construction that
+produced the certificate.
 """
 
 from __future__ import annotations
@@ -24,15 +25,7 @@ from .factor import (
     SRCCertificate,
     block_target,
 )
-from .matrices import (
-    PiRegularCertificate,
-    SquareMatrix,
-    StrongCleanCertificate,
-    _raw_identity,
-    _raw_matmul,
-    _raw_power,
-    _raw_sub,
-)
+from .matrices import PiRegularCertificate, SquareMatrix, StrongCleanCertificate
 from .polys import Poly
 from .rings import Ring, is_complete_orthogonal
 
@@ -102,61 +95,27 @@ def verify_gsp(h: Poly, R: Ring, cert: GSPCertificate) -> list[str]:
     return _verify_blocks(h, R, cert.blocks, verify_sp)
 
 
-def _strong_clean_checks(s, a, e, u, u_inv) -> tuple:
-    """The four identities of a strong-clean certificate on one stalk's grids.
-
-    ``a`` is None when A has another shape or ring than the certificate.
-    The identity matrix is A's, so such an A fails the inverse identity too.
-    """
-    eye = _raw_identity(s, len(e))
-    return (
-        _raw_matmul(s, e, e) == e,
-        a is not None and _raw_sub(s, a, u) == e,
-        _raw_matmul(s, e, u) == _raw_matmul(s, u, e),
-        a is not None
-        and _raw_matmul(s, u, u_inv) == eye
-        and _raw_matmul(s, u_inv, u) == eye,
-    )
-
-
 def verify_strong_clean(A: SquareMatrix, cert: StrongCleanCertificate) -> list[str]:
     E, U, U_inv = cert.E, cert.U, cert.U_inv
-    E._check(U)
-    E._check(U_inv)
-    R = E.ring
-    same = A.ring.key == R.key and A.n == E.n
-    A_grids = A._grids() if same else [None] * R.num_stalks
-    per_stalk = [
-        _strong_clean_checks(s, a, e, u, u_inv)
-        for s, a, e, u, u_inv in zip(
-            R.stalks, A_grids, E._grids(), U._grids(), U_inv._grids()
-        )
-    ]
-    messages = (
-        "E is not idempotent",
-        "E + U != A",
-        "E and U do not commute",
-        "U_inv is not a two-sided inverse of U",
+    I = SquareMatrix.identity(E.ring, E.n)
+    checks = (
+        ("E is not idempotent", E @ E == E),
+        ("E + U != A", E + U == A),
+        ("E and U do not commute", E @ U == U @ E),
+        ("U_inv is not a two-sided inverse of U", U @ U_inv == I and U_inv @ U == I),
     )
-    return [msg for msg, ok in zip(messages, zip(*per_stalk)) if not all(ok)]
+    return [msg for msg, ok in checks if not ok]
 
 
 def verify_pi_regular(A: SquareMatrix, cert: PiRegularCertificate) -> list[str]:
-    fails = []
     if cert.k < 1:
-        fails.append("exponent k must be >= 1")
-        return fails
-    A._check(cert.X)
-    A._check(cert.Y)
-    x_ok = y_ok = True
-    for s, a, x, y in zip(A.ring.stalks, A._grids(), cert.X._grids(), cert.Y._grids()):
-        ak = _raw_power(s, a, cert.k)
-        ak1 = _raw_matmul(s, ak, a)
-        x_ok = x_ok and _raw_matmul(s, ak1, x) == ak
-        y_ok = y_ok and _raw_matmul(s, y, ak1) == ak
-    if not x_ok:
+        return ["exponent k must be >= 1"]
+    Ak = A**cert.k
+    Ak1 = Ak @ A
+    fails = []
+    if Ak1 @ cert.X != Ak:
         fails.append("A^{k+1} X != A^k")
-    if not y_ok:
+    if cert.Y @ Ak1 != Ak:
         fails.append("Y A^{k+1} != A^k")
     return fails
 

@@ -5,9 +5,10 @@
 square, and ``comaximality_cramer`` takes the Bezout pair of two monic
 polynomials by Cramer's rule on the Sylvester matrix, with determinants by
 cofactor expansion on Elements.  ``verify_strong_clean_elementwise`` and
-``verify_pi_regular_elementwise`` check the certificate identities with
-whole-matrix ``@`` and ``==`` on Elements (powers as repeated products),
-for comparison with the per-stalk raw-grid verifiers.
+``verify_pi_regular_elementwise`` check the certificate identities on the
+boxed Element rows, with every product an Element fold (``fold_matmul``,
+powers as repeated products) and every comparison entry by entry, so they
+share no matrix kernel with the verifiers in ``cleanmat.verify``.
 ``pi_regular_bruteforce`` enumerates every
 X and Y for strong pi-regularity, ``strongly_clean_element`` scans the
 idempotents for a clean split of one element, and
@@ -20,7 +21,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from cleanmat.errors import BudgetExceeded, InfiniteRing, VerificationFailed
+from cleanmat.errors import BudgetExceeded, InfiniteRing, RingMismatch, VerificationFailed
 from cleanmat.matrices import (
     PiRegularCertificate,
     SquareMatrix,
@@ -131,18 +132,40 @@ def comaximality_cramer(f0: Poly, f1: Poly):
     return u, v
 
 
+def fold_dot(R, xs, ys):
+    acc = R.zero
+    for x, y in zip(xs, ys):
+        acc = acc + x * y
+    return acc
+
+
+def fold_matmul(A: SquareMatrix, B: SquareMatrix) -> SquareMatrix:
+    """A @ B as Element folds over the boxed rows; a shape or ring mismatch raises."""
+    if A.ring.key != B.ring.key or A.n != B.n:
+        raise RingMismatch("matrix shape/ring mismatch")
+    cols = list(zip(*B.rows))
+    return SquareMatrix(A.ring, [[fold_dot(A.ring, r, c) for c in cols] for r in A.rows])
+
+
+def _same(M: SquareMatrix, N: SquareMatrix) -> bool:
+    # Element rows compared entry by entry: any other ring or size is unequal
+    return M.rows == N.rows
+
+
 def verify_strong_clean_elementwise(
     A: SquareMatrix, cert: StrongCleanCertificate
 ) -> list[str]:
+    E, U, U_inv = cert.E, cert.U, cert.U_inv
+    R, n = E.ring, E.n
+    I = SquareMatrix(R, [[R.one if i == j else R.zero for j in range(n)] for i in range(n)])
     fails = []
-    I = SquareMatrix.identity(A.ring, A.n)
-    if cert.E @ cert.E != cert.E:
+    if not _same(fold_matmul(E, E), E):
         fails.append("E is not idempotent")
-    if cert.E + cert.U != A:
+    if tuple(tuple(e + u for e, u in zip(r1, r2)) for r1, r2 in zip(E.rows, U.rows)) != A.rows:
         fails.append("E + U != A")
-    if cert.E @ cert.U != cert.U @ cert.E:
+    if not _same(fold_matmul(E, U), fold_matmul(U, E)):
         fails.append("E and U do not commute")
-    if cert.U @ cert.U_inv != I or cert.U_inv @ cert.U != I:
+    if not (_same(fold_matmul(U, U_inv), I) and _same(fold_matmul(U_inv, U), I)):
         fails.append("U_inv is not a two-sided inverse of U")
     return fails
 
@@ -154,11 +177,11 @@ def verify_pi_regular_elementwise(A: SquareMatrix, cert: PiRegularCertificate) -
         return fails
     Ak = A
     for _ in range(cert.k - 1):
-        Ak = Ak @ A
-    Ak1 = Ak @ A
-    if Ak1 @ cert.X != Ak:
+        Ak = fold_matmul(Ak, A)
+    Ak1 = fold_matmul(Ak, A)
+    if not _same(fold_matmul(Ak1, cert.X), Ak):
         fails.append("A^{k+1} X != A^k")
-    if cert.Y @ Ak1 != Ak:
+    if not _same(fold_matmul(cert.Y, Ak1), Ak):
         fails.append("Y A^{k+1} != A^k")
     return fails
 

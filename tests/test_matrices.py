@@ -4,6 +4,7 @@ import itertools
 import random
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -19,12 +20,12 @@ from cleanmat.matrices import (
     solve_matrix_equation,
     transpose,
 )
-from cleanmat.polys import Poly
+from cleanmat.polys import Poly, glue_polys
 from cleanmat.rings import Element, Ring, build_ring
 from cleanmat.stalks import ZModStalk
 
-from conftest import dual_f2_tables, f2xf2_tables, f4_tables
-from oracles import char_poly_cofactor, matrix_classify
+from conftest import CERT_RINGS, dual_f2_tables, f2xf2_tables, f4_tables
+from oracles import char_poly_cofactor, fold_dot, fold_matmul, matrix_classify
 
 
 def test_companion_and_charpoly_roundtrip(zmod):
@@ -257,23 +258,11 @@ def _elements(R):
     )
 
 
-def _fold_dot(R, xs, ys):
-    acc = R.zero
-    for x, y in zip(xs, ys):
-        acc = acc + x * y
-    return acc
-
-
-def _fold_matmul(A, B):
-    cols = list(zip(*B.rows))
-    return SquareMatrix(A.ring, [[_fold_dot(A.ring, r, c) for c in cols] for r in A.rows])
-
-
 def _fold_poly_at(f, A):
     ident = SquareMatrix.identity(A.ring, A.n)
     acc = SquareMatrix.zeros(A.ring, A.n)
     for c in reversed(f.coeffs):
-        acc = _fold_matmul(acc, A) + ident * c
+        acc = fold_matmul(acc, A) + ident * c
     return acc
 
 
@@ -293,14 +282,14 @@ def test_ring_dot_matches_element_fold(R, length, data):
         s.dot([x.parts[i] for x in xs], [y.parts[i] for y in ys])
         for i, s in enumerate(R.stalks)
     )
-    assert parts == _fold_dot(R, xs, ys).parts
+    assert parts == fold_dot(R, xs, ys).parts
 
 
 @settings(max_examples=60, deadline=None)
 @given(R=st.sampled_from(_FOLD_RINGS), n=st.integers(0, 3), data=st.data())
 def test_matmul_matches_element_fold(R, n, data):
     A, B = _draw_matrix(data, R, n), _draw_matrix(data, R, n)
-    assert A @ B == _fold_matmul(A, B)
+    assert A @ B == fold_matmul(A, B)
 
 
 @settings(max_examples=60, deadline=None)
@@ -422,3 +411,43 @@ def test_berkowitz_dot_count():
         chi = char_poly(A)
         assert len(calls) == expected
         assert chi == char_poly_cofactor(A)
+
+
+@pytest.mark.parametrize("name", ["Z/12", "Z/4 x Z_(3)", "F2 x F2"])
+def test_glued_poly_costs_each_stalk_its_own_degree(name, monkeypatch):
+    """A glued polynomial evaluates stalk by stalk at each stalk's degree.
+
+    With f_i of different degrees, poly_at_matrix(glue_polys(R, fs), A)
+    restricts to poly_at_matrix(f_i, A_i) on stalk i, and stalk i makes
+    exactly deg f_i matmuls (n^2 stalk dots each): the coefficients above
+    its own degree are zeros that Horner skips.
+    """
+    R = build_ring(CERT_RINGS[name])
+    assert R.num_stalks == 2 and R.stalks[0] is not R.stalks[1]
+    rng = random.Random(name)
+    n = 3
+    A = SquareMatrix(R, [[R.random_element(rng) for _ in range(n)] for _ in range(n)])
+    dots = [0, 0]
+    for i, s in enumerate(R.stalks):
+
+        def counted(xs, ys, i=i, plain=s.dot):
+            dots[i] += 1
+            return plain(xs, ys)
+
+        monkeypatch.setattr(s, "dot", counted)
+
+    def random_poly(S, d):
+        if d < 0:
+            return Poly.zero(S)
+        lead = S.zero
+        while lead == S.zero:
+            lead = S.random_element(rng)
+        return Poly(S, [S.random_element(rng) for _ in range(d)] + [lead])
+
+    for degrees in ((3, 1), (1, 3), (0, 2), (2, -1)):
+        fs = [random_poly(R.stalk_ring(i), d) for i, d in enumerate(degrees)]
+        expected = [poly_at_matrix(f, A.restrict(i)) for i, f in enumerate(fs)]
+        dots[:] = [0, 0]
+        glued = poly_at_matrix(glue_polys(R, fs), A)
+        assert dots == [max(d, 0) * n * n for d in degrees]
+        assert [glued.restrict(i) for i in range(2)] == expected
