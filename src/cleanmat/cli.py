@@ -204,9 +204,9 @@ def cmd_factor(args) -> int:
     return 2 if res.status == "incomplete" else 0
 
 
-def _verify_document(doc) -> list[str]:
+def _parse_document(doc):
+    """The ring, input matrix, polynomial and typed certificates of a document."""
     R = ring_from_json(doc["ring"])
-    fails = []
     payload = doc.get("decision") or doc.get("result") or {}
     inp = doc.get("input", {})
     A = None
@@ -220,12 +220,21 @@ def _verify_document(doc) -> list[str]:
             A = companion(h)
     elif "poly" in doc:
         h = poly_from_json(R, doc["poly"])
+    certs = []
     for key in ("certificate", "factorization"):
         data = payload.get(key)
-        if not isinstance(data, dict) or "type" not in data:
-            continue
-        cert = certificate_from_json(R, data)
-        t = data["type"]
+        if isinstance(data, dict) and "type" in data:
+            certs.append((data["type"], certificate_from_json(R, data)))
+    return R, A, h, certs
+
+
+def _verify_document(doc) -> list[str]:
+    try:
+        R, A, h, certs = _parse_document(doc)
+    except (KeyError, IndexError, TypeError, AttributeError) as exc:
+        raise UsageError(f"malformed document ({type(exc).__name__}: {exc})") from exc
+    fails = []
+    for t, cert in certs:
         if t in ("strong_clean", "pi_regular") and A is None:
             raise UsageError(f"a {t} certificate needs a matrix in the document's input")
         if t in ("gsrc", "gsp", "src", "sp") and h is None:

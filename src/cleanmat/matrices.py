@@ -145,11 +145,7 @@ class SquareMatrix:
         return f"<matrix [{body}] over {self.ring.label()}>"
 
     def restrict(self, i: int) -> "SquareMatrix":
-        s = self.ring.stalks[i]
-        return _matrix(
-            self.ring.stalk_ring(i),
-            [[[s.to_standalone(x) for x in row] for row in self.grids[i]]],
-        )
+        return _matrix(self.ring.stalk_ring(i), [self.grids[i]])
 
 
 def _matrix(ring: Ring, grids: list) -> SquareMatrix:

@@ -166,11 +166,8 @@ def glue_polys(R: Ring, per_stalk: list[Poly]) -> Poly:
     if len(per_stalk) != R.num_stalks:
         raise RingMismatch("need exactly one polynomial per stalk")
     deg = max((p.degree for p in per_stalk), default=-1)
-    coeffs = []
-    for i in range(deg + 1):
-        parts = []
-        for j, p in enumerate(per_stalk):
-            c = p.coeff(i)
-            parts.append(R.stalks[j].from_standalone(c.parts[0]))
-        coeffs.append(Element(R, tuple(parts)))
+    coeffs = [
+        Element(R, tuple(p.coeff(i).parts[0] for p in per_stalk))
+        for i in range(deg + 1)
+    ]
     return Poly(R, coeffs)

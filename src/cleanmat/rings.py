@@ -10,9 +10,11 @@ A ``Ring`` is built from a JSON-style descriptor::
 Construction computes the full stalk decomposition once: Z/n splits into
 Z/p^k factors by the Chinese remainder theorem, products concatenate their
 factors' stalks, and table rings are decomposed along their primitive
-idempotents (each block of a finite commutative ring is local).  Every
-element is stored as its tuple of stalk restrictions, which makes gluing a
-constructor and restriction a projection.
+idempotents (each block of a finite commutative ring is local; the build
+checks it), each block keeping its own tables.  Every element is stored as
+its tuple of stalk values, and a stalk value is the same in the ring, in its
+block rings and in ``stalk_ring(i)``, which makes gluing a constructor and
+restriction a projection.
 """
 
 from __future__ import annotations
@@ -115,9 +117,6 @@ class Element:
     def __repr__(self):
         return f"<{self.ring.render_value(self)} in {self.ring.label()}>"
 
-    def sort_key(self):
-        return tuple(s.key(a) for s, a in zip(self.ring.stalks, self.parts))
-
 
 @dataclass(frozen=True)
 class RingClassification:
@@ -134,6 +133,9 @@ class RadicalMembership:
 
 class Ring:
     """A commutative ring presented as a finite product of local stalks."""
+
+    # a table ring's stalk values for each index of its input tables
+    table_values: tuple | None = None
 
     def __init__(self, descriptor: dict, stalks, factors=None):
         self.descriptor = descriptor
@@ -220,8 +222,7 @@ class Ring:
         return self._stalk_rings[i]
 
     def restrict_element(self, a: Element, i: int) -> Element:
-        sr = self.stalk_ring(i)
-        return Element(sr, (self.stalks[i].to_standalone(a.parts[i]),))
+        return Element(self.stalk_ring(i), (a.parts[i],))
 
     def primitive_idempotents(self) -> list[Element]:
         """One indicator idempotent per stalk, in stalk order."""
@@ -243,14 +244,11 @@ class Ring:
             raise UnsupportedSize(
                 f"2^{self.num_stalks} idempotents is beyond enumeration"
             )
-        out = []
-        for bits in itertools.product((0, 1), repeat=self.num_stalks):
-            parts = tuple(
-                s.one if b else s.zero for s, b in zip(self.stalks, bits)
-            )
-            out.append(Element(self, parts))
-        out.sort(key=Element.sort_key)
-        return out
+        parts = sorted(
+            tuple(s.one if b else s.zero for s, b in zip(self.stalks, bits))
+            for bits in itertools.product((0, 1), repeat=self.num_stalks)
+        )
+        return [Element(self, p) for p in parts]
 
     def idempotent_support(self, e: Element) -> tuple[int, ...]:
         support = []
@@ -263,72 +261,23 @@ class Ring:
 
     # -- radical / classification --------------------------------------------------
 
-    def nilpotents(self) -> list[Element]:
-        """All nilpotent elements (finite even over Z_(p), whose only nilpotent is 0)."""
-        out = [
-            Element(self, parts)
-            for parts in itertools.product(*(s.nilpotents() for s in self.stalks))
-        ]
-        out.sort(key=Element.sort_key)
-        return out
-
     def radical_membership(self, a: Element) -> RadicalMembership:
-        if self.descriptor["type"] == "table":
-            return self._radical_membership_table(a)
         in_j = all(s.in_max_ideal(v) for s, v in zip(self.stalks, a.parts))
         in_n = all(s.is_nilpotent(v) for s, v in zip(self.stalks, a.parts))
-        return RadicalMembership(in_j, in_n)
-
-    def _radical_membership_table(self, a: Element):
-        # The table backend assumes no stalk structure: Jacobson membership is
-        # the definition (1 + a*s invertible for every s), nilpotence is powering.
-        in_j = all(self.is_unit(self.one + a * s) for s in self.elements())
-        acc = a
-        in_n = False
-        for _ in range(self.size):
-            if acc == self.zero:
-                in_n = True
-                break
-            acc = acc * a
-        in_n = in_n or acc == self.zero
         return RadicalMembership(in_j, in_n)
 
     def max_nil_index(self) -> int:
         return max(s.nil_index() for s in self.stalks)
 
     def classify(self) -> RingClassification:
+        # Every ring here is a product of local stalks (a table ring's blocks
+        # are checked local at build), so it is clean, and J-clean because the
+        # radical of a finite product is the product of the stalk maximal
+        # ideals (the witness idempotent for r is the indicator of the stalks
+        # where r is a unit).
         is_local = self.num_stalks == 1
-        if self.descriptor["type"] == "table":
-            return RingClassification(
-                is_local, self._table_is_clean(), self._table_is_j_clean()
-            )
-        # Product-of-local backends: clean because all stalks are local, and
-        # J-clean because the radical of a finite product is the product of the
-        # stalk maximal ideals (the witness idempotent for r is the indicator
-        # of the stalks where r is a unit).
         all_local = all(s.check_local() for s in self.stalks)
         return RingClassification(is_local, all_local, all_local)
-
-    def _table_is_clean(self) -> bool:
-        idems = self.idempotents()
-        return all(
-            any(self.is_unit(r - e) for e in idems) for r in self.elements()
-        )
-
-    def _table_is_j_clean(self) -> bool:
-        idems = self.idempotents()
-        for r in self.elements():
-            ok = False
-            for e in idems:
-                u = r * e + (self.one - e)
-                if not self.is_unit(u):
-                    continue
-                if self.radical_membership(r * (self.one - e)).in_jacobson:
-                    ok = True
-                    break
-            if not ok:
-                return False
-        return True
 
     def to_int(self, a: Element) -> int:
         """CRT representative in [0, n) for a zmod ring."""
@@ -434,15 +383,26 @@ def _build_table_ring(descriptor: dict) -> Ring:
     if total != one:
         raise AssertionError("primitive idempotents do not sum to 1")
 
+    # block e*R lists its members by ascending index; a value is its rank there
     stalks = []
+    ranks = []
     for e in sorted(primitive):
         members = sorted({mul_t[e][r] for r in range(m)})
-        stalk = TableStalk(add_t, mul_t, members, e, zero)
+        rank = {x: i for i, x in enumerate(members)}
+        stalk = TableStalk(
+            tuple(tuple(rank[add_t[a][b]] for b in members) for a in members),
+            tuple(tuple(rank[mul_t[a][b]] for b in members) for a in members),
+            rank[e],
+            rank[zero],
+        )
         if not stalk.check_local():
             raise AssertionError("table block is not local")
         stalks.append(stalk)
+        ranks.append([rank[mul_t[e][r]] for r in range(m)])
     canonical = {"type": "table", "add": [list(r) for r in add_t], "mul": [list(r) for r in mul_t]}
-    return Ring(canonical, stalks)
+    ring = Ring(canonical, stalks)
+    ring.table_values = tuple(zip(*ranks))
+    return ring
 
 
 def build_ring(descriptor: dict) -> Ring:
@@ -498,16 +458,13 @@ def block_ring(R: Ring, indices: tuple[int, ...]) -> Ring:
 
 
 def restrict_to_block(R: Ring, a: Element, indices: tuple[int, ...]) -> Element:
-    B = block_ring(R, tuple(indices))
-    parts = tuple(R.stalks[i].to_standalone(a.parts[i]) for i in indices)
-    return Element(B, parts)
+    return Element(block_ring(R, tuple(indices)), tuple(a.parts[i] for i in indices))
 
 
 def embed_from_block(R: Ring, b: Element, indices: tuple[int, ...]) -> Element:
-    indices = tuple(indices)
     parts = list(R.zero.parts)
-    for pos, i in enumerate(indices):
-        parts[i] = R.stalks[i].from_standalone(b.parts[pos])
+    for i, v in zip(indices, b.parts):
+        parts[i] = v
     return Element(R, tuple(parts))
 
 

@@ -61,11 +61,9 @@ def element_from_json(R: Ring, data) -> Element:
 
 
 def _table_element(R: Ring, idx: int) -> Element:
-    size = len(R.descriptor["add"])
-    if not 0 <= idx < size:
+    if not 0 <= idx < len(R.table_values):
         raise ValueError(f"table element index {idx} out of range")
-    parts = tuple(s._mul[s.one][idx] for s in R.stalks)
-    return Element(R, parts)
+    return Element(R, R.table_values[idx])
 
 
 def poly_to_json(p: Poly):
@@ -88,6 +86,8 @@ def matrix_to_json(A: SquareMatrix):
 def matrix_from_json(R: Ring, data) -> SquareMatrix:
     if not isinstance(data, list) or not data:
         raise ValueError("a matrix is a non-empty JSON array of rows")
+    if not all(isinstance(row, list) for row in data):
+        raise ValueError("every matrix row is a JSON array")
     return SquareMatrix(R, [[element_from_json(R, x) for x in row] for row in data])
 
 

@@ -4,8 +4,9 @@ Every ring handled by this package is a finite product of local stalks of
 three kinds: Z/p^k (``ZModStalk``), the localization of Z at a prime
 (``ZLocStalk``), and local subrings of user-supplied operation tables
 (``TableStalk``).  A stalk owns exact arithmetic on its raw values: small
-ints for Z/p^k, ``Fraction`` for Z_(p), and parent-table indices for table
-stalks.
+ints for Z/p^k, ``Fraction`` for Z_(p), and ranks in the block for table
+stalks.  A table stalk carries its block's own tables, so a raw value means
+the same in a ring, in its block rings and in the stalk's own ring.
 """
 
 from __future__ import annotations
@@ -105,14 +106,8 @@ class ZModStalk:
     def elements(self):
         return list(range(self.q))
 
-    def nilpotents(self):
-        return list(range(0, self.q, self.p))
-
     def nil_index(self) -> int:
         return self.k
-
-    def key(self, a):
-        return a
 
     def random(self, rng):
         return rng.randrange(self.q)
@@ -130,12 +125,6 @@ class ZModStalk:
 
     def ring_descriptor(self) -> dict:
         return {"type": "zmod", "n": self.q}
-
-    def to_standalone(self, a):
-        return a
-
-    def from_standalone(self, a):
-        return a
 
     def value_to_json(self, a):
         return a
@@ -201,14 +190,8 @@ class ZLocStalk:
     def elements(self):
         raise ValueError("Z_(p) is infinite")
 
-    def nilpotents(self):
-        return [Fraction(0)]
-
     def nil_index(self) -> int:
         return 1
-
-    def key(self, a):
-        return a
 
     def random(self, rng):
         dens = [d for d in (1, 1, 1, 2, 3, 5, 7) if d % self.p != 0]
@@ -221,12 +204,6 @@ class ZLocStalk:
 
     def ring_descriptor(self) -> dict:
         return {"type": "zloc", "p": self.p}
-
-    def to_standalone(self, a):
-        return a
-
-    def from_standalone(self, a):
-        return a
 
     def value_to_json(self, a):
         return f"{a.numerator}/{a.denominator}"
@@ -242,35 +219,33 @@ class ZLocStalk:
 
 
 class TableStalk:
-    """A local subring e*R of a table ring, values stored as parent-table indices."""
+    """A local block e*R of a table ring, with its own add/mul tables.
+
+    A value is the element's rank in the block (blocks list their members by
+    ascending input-table index), so it means the same in R, in every block
+    ring and in the block on its own.
+    """
 
     kind = "table"
     finite = True
 
-    def __init__(self, add_table, mul_table, members, one_idx, zero_idx):
+    def __init__(self, add_table, mul_table, one, zero):
         self._add = add_table
         self._mul = mul_table
-        self.members = tuple(sorted(members))
-        self.zero = zero_idx
-        self.one = one_idx
-        self._pos = {m: i for i, m in enumerate(self.members)}
-        self._neg = {
-            a: next(b for b in self.members if add_table[a][b] == zero_idx)
-            for a in self.members
-        }
+        self.zero = zero
+        self.one = one
+        self._neg = [row.index(zero) for row in add_table]
         self._inv = {}
-        for a in self.members:
-            for b in self.members:
-                if self._mul[a][b] == self.one:
-                    self._inv[a] = b
-                    break
+        for a, row in enumerate(mul_table):
+            if one in row:
+                self._inv[a] = row.index(one)
 
     def label(self) -> str:
-        return f"table[{len(self.members)}]"
+        return f"table[{self.size}]"
 
     @property
     def size(self) -> int:
-        return len(self.members)
+        return len(self._add)
 
     def add(self, a, b):
         return self._add[a][b]
@@ -317,28 +292,25 @@ class TableStalk:
 
     def is_nilpotent(self, a) -> bool:
         acc = a
-        for _ in range(len(self.members)):
+        for _ in range(self.size):
             if acc == self.zero:
                 return True
             acc = self.mul(acc, a)
         return acc == self.zero
 
     def elements(self):
-        return list(self.members)
-
-    def nilpotents(self):
-        return [a for a in self.members if self.is_nilpotent(a)]
+        return list(range(self.size))
 
     def nil_index(self) -> int:
         """Smallest c with m^c = 0 for the maximal ideal m."""
-        ideal = frozenset(a for a in self.members if not self.is_unit(a))
+        ideal = frozenset(a for a in self.elements() if not self.is_unit(a))
         power = ideal
         c = 1
         while power != {self.zero}:
             products = {self.mul(a, b) for a in power for b in ideal}
             power = self._additive_closure(products)
             c += 1
-            if c > len(self.members) + 1:
+            if c > self.size + 1:
                 raise AssertionError("maximal ideal of a table stalk is not nilpotent")
         return c
 
@@ -354,47 +326,37 @@ class TableStalk:
                     frontier.append(s)
         return closed
 
-    def key(self, a):
-        return self._pos[a]
-
     def random(self, rng):
-        return rng.choice(self.members)
+        return rng.randrange(self.size)
 
     def check_local(self) -> bool:
-        nonunits = [a for a in self.members if not self.is_unit(a)]
+        elems = self.elements()
+        nonunits = [a for a in elems if not self.is_unit(a)]
         for a in nonunits:
             for b in nonunits:
                 if self.is_unit(self.add(a, b)):
                     return False
-            for r in self.members:
+            for r in elems:
                 if self.is_unit(self.mul(a, r)):
                     return False
         return True
 
     def ring_descriptor(self) -> dict:
-        m = self.members
-        pos = self._pos
         return {
             "type": "table",
-            "add": [[pos[self._add[a][b]] for b in m] for a in m],
-            "mul": [[pos[self._mul[a][b]] for b in m] for a in m],
+            "add": [list(row) for row in self._add],
+            "mul": [list(row) for row in self._mul],
         }
 
-    def to_standalone(self, a):
-        return self._pos[a]
-
-    def from_standalone(self, a):
-        return self.members[a]
-
     def value_to_json(self, a):
-        return self._pos[a]
+        return a
 
     def value_from_json(self, data):
         if isinstance(data, bool) or not isinstance(data, int):
             raise ValueError(f"expected table index, got {data!r}")
-        if not 0 <= data < len(self.members):
+        if not 0 <= data < self.size:
             raise ValueError(f"table index {data} out of range")
-        return self.members[data]
+        return data
 
 
 @lru_cache(maxsize=None)

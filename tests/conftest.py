@@ -57,8 +57,8 @@ def _table(tables):
 
 
 # rings for the certificate golden file and the verifier oracle checks: two
-# Z/n, a finite stalk beside Z_(3), and the three 4-element tables (whose
-# stalks encode values differently from their standalone rings)
+# Z/n, a finite stalk beside Z_(3), and the three 4-element tables (an
+# F2 x F2 input-table index is not its stalk values)
 CERT_RINGS = {
     "Z/12": {"type": "zmod", "n": 12},
     "Z/16": {"type": "zmod", "n": 16},

@@ -13,7 +13,11 @@ share no matrix kernel with the verifiers in ``cleanmat.verify``.
 X and Y for strong pi-regularity, ``strongly_clean_element`` scans the
 idempotents for a clean split of one element, and
 ``ideal_membership_search`` writes a Z[sqrt(-5)] element in the ideal
-(2, 1+theta) by a search over a coefficient box.
+(2, 1+theta) by a search over a coefficient box.  ``nilpotents`` lists a
+ring's nilpotents by powering on each stalk.  ``radical_membership_definitional``,
+``is_clean_definitional`` and ``is_j_clean_definitional`` classify a finite
+ring from the definitions (1 + a*s a unit for every s; r - e or
+r*e + (1 - e) a unit for some idempotent e), without its stalk structure.
 """
 
 from __future__ import annotations
@@ -31,6 +35,7 @@ from cleanmat.matrices import (
 )
 from cleanmat.polys import Poly
 from cleanmat.quadz5 import ONE, THETA, QuadInt
+from cleanmat.rings import Element, RadicalMembership
 
 
 def char_poly_cofactor(A: SquareMatrix) -> Poly:
@@ -237,3 +242,49 @@ def ideal_membership_search(x: QuadInt, box: int = 12) -> bool:
             if v is not None:
                 return True
     return False
+
+
+def nilpotents(R) -> list[Element]:
+    """Every nilpotent of R in canonical order (over Z_(p) only 0)."""
+    per_stalk = []
+    for s in R.stalks:
+        if not s.finite:
+            per_stalk.append([s.zero])
+            continue
+        values = []
+        for a in s.elements():
+            acc = a
+            for _ in range(s.size):
+                acc = s.mul(acc, a)
+            if acc == s.zero:
+                values.append(a)
+        per_stalk.append(values)
+    return [Element(R, parts) for parts in itertools.product(*per_stalk)]
+
+
+def radical_membership_definitional(R, a) -> RadicalMembership:
+    """Jacobson membership as 1 + a*s a unit for every s; nilpotence by powering."""
+    in_j = all(R.is_unit(R.one + a * s) for s in R.elements())
+    acc = a
+    for _ in range(R.size):
+        acc = acc * a
+    return RadicalMembership(in_j, acc == R.zero)
+
+
+def is_clean_definitional(R) -> bool:
+    """Every r is r = e + u with e idempotent and u a unit."""
+    idems = R.idempotents()
+    return all(any(R.is_unit(r - e) for e in idems) for r in R.elements())
+
+
+def is_j_clean_definitional(R) -> bool:
+    """Every r has an idempotent e with r*e + (1 - e) a unit and r*(1 - e) in J."""
+    idems = R.idempotents()
+    return all(
+        any(
+            R.is_unit(r * e + (R.one - e))
+            and radical_membership_definitional(R, r * (R.one - e)).in_jacobson
+            for e in idems
+        )
+        for r in R.elements()
+    )

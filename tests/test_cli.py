@@ -7,6 +7,8 @@ import sys
 import textwrap
 from pathlib import Path
 
+import pytest
+
 import cleanmat
 from cleanmat.cli import main
 
@@ -288,3 +290,46 @@ def test_jclean_on_a_large_finite_stalk_does_not_hang():
     assert decision["details"]["stalks"] == [
         {"checked": 524288, "stalk": "Z/1048576", "status": "all roots found"}
     ]
+
+
+Z6 = '{"type":"zmod","n":6}'
+
+
+def _verify_argv(mutate):
+    """argv re-verifying the Z/6 companion document after ``mutate`` edits it."""
+
+    def argv(tmp_path, doc):
+        mutate(doc)
+        p = tmp_path / "doc.json"
+        p.write_text(json.dumps(doc))
+        return ["decide", "--ring", Z6, "--verify", f"@{p}"]
+
+    return argv
+
+
+BAD_INPUTS = {
+    "verify-no-ring": _verify_argv(lambda d: d.pop("ring")),
+    "verify-strong-clean-without-E": _verify_argv(
+        lambda d: d["decision"]["certificate"].pop("E")
+    ),
+    "verify-support-out-of-range": _verify_argv(
+        lambda d: d["decision"]["factorization"]["blocks"][0].update(support=[5])
+    ),
+    "verify-blocks-not-a-list": _verify_argv(
+        lambda d: d["decision"]["factorization"].update(blocks=5)
+    ),
+    "verify-input-not-an-object": _verify_argv(lambda d: d.update(input=5)),
+    "verify-decision-not-an-object": _verify_argv(lambda d: d.update(decision=[1])),
+    "matrix-rows-not-arrays": lambda tmp_path, doc: [
+        "decide", "--ring", Z6, "--matrix", "[1,2]"
+    ],
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_INPUTS))
+def test_malformed_input_is_one_error_line(capsys, tmp_path, case):
+    _, out, _ = run(capsys, "decide", "--ring", Z6, "--poly", "[2,3,1]", "--companion")
+    res = _python("-m", "cleanmat.cli", *BAD_INPUTS[case](tmp_path, json.loads(out)))
+    assert res.returncode == 1 and res.stdout == ""
+    assert res.stderr.startswith("error: ") and res.stderr.count("\n") == 1, res.stderr
+    assert "Traceback" not in res.stderr

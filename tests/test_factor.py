@@ -29,7 +29,7 @@ from cleanmat.rings import Element, build_ring
 from cleanmat.serialize import dumps_canonical, to_jsonable
 from cleanmat.verify import verify_gsp, verify_gsrc, verify_sp, verify_src
 
-from oracles import comaximality_cramer
+from oracles import comaximality_cramer, nilpotents
 
 
 def ints(R, p):
@@ -320,7 +320,7 @@ def _oracle_src_at(h, d, mode):
 def _oracle_sp_at(h, d):
     """First nilpotent-tail monic degree-d p0 with h = h0*p0, h0(0) a unit."""
     R = h.ring
-    for low in itertools.product(R.nilpotents(), repeat=d):
+    for low in itertools.product(nilpotents(R), repeat=d):
         p0 = Poly(R, [*low, R.one])
         h0, _, exact = monic_divide(h, p0)
         if exact and R.is_unit(h0(R.zero)):

@@ -1,8 +1,11 @@
-"""Only ``matrices.py`` knows the per-stalk raw-grid format of a matrix.
+"""Layering guards over the modules of ``src/cleanmat``.
 
-Every other module of ``src/cleanmat`` builds and checks matrices with the
-public operations, so none of them may import a private (``_``-prefixed)
-name from ``.matrices``.
+Only ``matrices.py`` knows the per-stalk raw-grid format of a matrix: every
+other module builds and checks matrices with the public operations, so none
+of them may import a private (``_``-prefixed) name from ``.matrices``.
+
+Only ``stalks.py`` knows how a stalk stores its operations: no other module
+may read a stalk's private ``_add``, ``_mul``, ``_neg`` or ``_inv``.
 """
 
 from __future__ import annotations
@@ -36,3 +39,36 @@ def test_the_guard_sees_a_private_import(tmp_path):
     bad = tmp_path / "bad.py"
     bad.write_text("from .matrices import SquareMatrix, _raw_matmul\n", encoding="utf-8")
     assert _private_matrix_imports(bad) == ["_raw_matmul"]
+
+
+STALK_PRIVATES = {"_add", "_mul", "_neg", "_inv"}
+
+
+def _stalk_private_reads(path: Path) -> list[str]:
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    return sorted(
+        node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr in STALK_PRIVATES
+    )
+
+
+def test_no_module_but_stalks_reads_stalk_tables():
+    modules = sorted(SRC.glob("*.py"))
+    assert len(modules) > 10
+    offenders = {
+        p.name: names
+        for p in modules
+        if p.name != "stalks.py" and (names := _stalk_private_reads(p))
+    }
+    assert offenders == {}
+
+
+def test_the_guard_sees_a_stalk_table_read(tmp_path):
+    # a table-index parse that reads each stalk's private table
+    bad = tmp_path / "bad.py"
+    bad.write_text(
+        "def f(R, idx):\n    return tuple(s._mul[s.one][idx] for s in R.stalks)\n",
+        encoding="utf-8",
+    )
+    assert _stalk_private_reads(bad) == ["_mul"]

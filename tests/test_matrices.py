@@ -249,7 +249,7 @@ def _stalk_values(s):
     if s.kind == "zloc":
         dens = [d for d in (1, 2, 3, 5, 7, 9) if d % s.p]
         return st.builds(Fraction, st.integers(-30, 30), st.sampled_from(dens))
-    return st.sampled_from(s.members)
+    return st.sampled_from(s.elements())
 
 
 def _elements(R):

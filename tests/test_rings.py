@@ -19,10 +19,21 @@ from cleanmat.rings import (
     is_complete_orthogonal,
     pierce_glue,
 )
+from cleanmat.serialize import element_from_json
 from cleanmat.stalks import ZModStalk
 
-from conftest import zmod_tables
-from oracles import strongly_clean_element
+from conftest import dual_f2_tables, f2xf2_tables, f4_tables, zmod_tables
+from oracles import (
+    is_clean_definitional,
+    is_j_clean_definitional,
+    radical_membership_definitional,
+    strongly_clean_element,
+)
+
+
+def _table_ring(tables):
+    add, mul = tables
+    return build_ring({"type": "table", "add": add, "mul": mul})
 
 
 def test_zmod12_stalks_and_idempotents(zmod):
@@ -89,18 +100,14 @@ def test_radical_membership_examples(zmod, zloc):
 
 
 def test_table_radical_routes_agree(f4_ring, dual_ring, f2xf2_ring):
-    # definitional route (1 + r*s always a unit) vs the stalk route
-    for R in (f4_ring, dual_ring, f2xf2_ring):
+    # the stalk route of classify and radical_membership vs the definitions
+    for R in (f4_ring, dual_ring, f2xf2_ring, _table_ring(zmod_tables(12))):
+        c = R.classify()
+        assert c.is_local == (R.num_stalks == 1)
+        assert c.is_clean == is_clean_definitional(R)
+        assert c.is_j_clean == is_j_clean_definitional(R)
         for r in R.elements():
-            got = R.radical_membership(r)
-            stalkwise_j = all(
-                s.in_max_ideal(v) for s, v in zip(R.stalks, r.parts)
-            )
-            stalkwise_n = all(
-                s.is_nilpotent(v) for s, v in zip(R.stalks, r.parts)
-            )
-            assert got.in_jacobson == stalkwise_j
-            assert got.in_nil == stalkwise_n
+            assert R.radical_membership(r) == radical_membership_definitional(R, r)
 
 
 def test_classify(zmod, zloc, dual_ring, f2xf2_ring):
@@ -192,7 +199,31 @@ def test_table_decomposition(f2xf2_ring, f4_ring, zmod):
     add, mul = zmod_tables(6)
     R = build_ring({"type": "table", "add": add, "mul": mul})
     assert R.num_stalks == 2
-    assert {len(s.members) for s in R.stalks} == {2, 3}
+    assert {s.size for s in R.stalks} == {2, 3}
+    assert {s.size for s in _table_ring(zmod_tables(12)).stalks} == {3, 4}
+
+
+@pytest.mark.parametrize(
+    "tables", [f4_tables(), dual_f2_tables(), f2xf2_tables(), zmod_tables(12)]
+)
+def test_table_values_mean_the_same_in_every_ring(tables):
+    add, mul = tables
+    R = _table_ring(tables)
+    # parsing an input-table index is a homomorphism from the input tables
+    parse = [element_from_json(R, i) for i in range(len(add))]
+    for i in range(len(add)):
+        for j in range(len(add)):
+            assert parse[add[i][j]] == parse[i] + parse[j]
+            assert parse[mul[i][j]] == parse[i] * parse[j]
+    # a stalk's own ring computes with the very same values
+    for k, s in enumerate(R.stalks):
+        own = R.stalk_ring(k).stalks[0]
+        assert own.elements() == s.elements()
+        assert (own.zero, own.one) == (s.zero, s.one)
+        for a in s.elements():
+            for b in s.elements():
+                assert own.add(a, b) == s.add(a, b)
+                assert own.mul(a, b) == s.mul(a, b)
 
 
 @settings(max_examples=60, deadline=None)
@@ -203,10 +234,9 @@ def test_arithmetic_commutes_with_restriction(n, a, b):
     for op in (lambda u, v: u + v, lambda u, v: u * v, lambda u, v: u - v):
         z = op(x, y)
         for i in range(R.num_stalks):
-            s = R.stalks[i]
             lhs = z.parts[i]
             rhs = op(R.restrict_element(x, i), R.restrict_element(y, i)).parts[0]
-            assert s.key(lhs) == s.key(rhs)
+            assert lhs == rhs
 
 
 @settings(max_examples=60, deadline=None)
@@ -277,10 +307,10 @@ def test_table_stalk_neg_matches_add_table_scan(f4_ring, dual_ring, f2xf2_ring):
     for R in (f4_ring, dual_ring, f2xf2_ring, *rings):
         for s in R.stalks:
             scan = {
-                a: next(b for b in s.members if s._add[a][b] == s.zero)
-                for a in s.members
+                a: next(b for b in s.elements() if s._add[a][b] == s.zero)
+                for a in s.elements()
             }
-            for a in s.members:
+            for a in s.elements():
                 assert s.neg(a) == scan[a]
-                for b in s.members:
+                for b in s.elements():
                     assert s.sub(a, b) == s._add[a][scan[b]]
