@@ -1,0 +1,87 @@
+#!/usr/bin/env python3
+"""Micro-benchmark of the polynomial layer: per-call time of each Poly operation.
+
+For every ring of the fuzz_mixed pool (``perfbench/workloads.py``'s
+``FUZZ_RINGS``) a fixed seed draws 48 inputs: a monic h of degree 1, 2 or
+3 (in turn), a monic g of degree 1..deg h, and two random elements x and c.
+The table gives the per-call microseconds of ``h * g``,
+``monic_divide(h, g)``, ``h.translate(c)``, the evaluation ``h(x)``,
+``factor.comaximality(g, h)`` (a Sylvester matrix of size
+deg g + deg h) and ``factor.gsrc_search(h, R)``, as the best of 10 passes
+over the inputs.  Rows follow the pool's order, so the three 4-element
+tables are F4, dual-F2 and F2 x F2.  Run with
+``python benchmarks/bench_polys.py``.
+"""
+
+from __future__ import annotations
+
+import random
+import sys
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+# run against this checkout's src/ whether or not the package is installed,
+# on the ring pool of the fuzz_mixed workload
+sys.path.insert(0, str(ROOT / "src"))
+sys.path.insert(0, str(ROOT / "perfbench"))
+
+from cleanmat.factor import comaximality, gsrc_search  # noqa: E402
+from cleanmat.polys import Poly, monic_divide  # noqa: E402
+from cleanmat.rings import build_ring  # noqa: E402
+from workloads import FUZZ_RINGS  # noqa: E402
+
+SEED = 2024
+INPUTS = 48
+PASSES = 10
+
+
+def inputs(R):
+    rng = random.Random(SEED)
+
+    def monic(d):
+        return Poly(R, [R.random_element(rng) for _ in range(d)] + [R.one])
+
+    out = []
+    for i in range(INPUTS):
+        d = 1 + i % 3
+        h = monic(d)
+        g = monic(rng.randint(1, d))
+        out.append((h, g, R.random_element(rng), R.random_element(rng)))
+    return out
+
+
+def per_call_us(fn, args):
+    best = float("inf")
+    for _ in range(PASSES):
+        t0 = time.perf_counter()
+        for a in args:
+            fn(*a)
+        best = min(best, time.perf_counter() - t0)
+    return 1e6 * best / len(args)
+
+
+def main():
+    ops = ["h * g", "monic_divide", "translate", "h(x)", "comaximality", "gsrc_search"]
+    print(f"per-call microseconds, best of {PASSES} passes over {INPUTS} seeded inputs")
+    print(f"{'ring':>19} " + " ".join(f"{op:>13}" for op in ops))
+    totals = [0.0] * len(ops)
+    for k, descriptor in enumerate(FUZZ_RINGS):
+        R = build_ring(descriptor)
+        inp = inputs(R)
+        times = [
+            per_call_us(lambda h, g: h * g, [(h, g) for h, g, _, _ in inp]),
+            per_call_us(monic_divide, [(h, g) for h, g, _, _ in inp]),
+            per_call_us(lambda h, c: h.translate(c), [(h, c) for h, _, _, c in inp]),
+            per_call_us(lambda h, x: h(x), [(h, x) for h, _, x, _ in inp]),
+            per_call_us(comaximality, [(g, h) for h, g, _, _ in inp]),
+            per_call_us(lambda h: gsrc_search(h, R, "SRC"), [(h,) for h, _, _, _ in inp]),
+        ]
+        totals = [a + b for a, b in zip(totals, times)]
+        print(f"{k:>2} {R.label():>16} " + " ".join(f"{t:>13.1f}" for t in times))
+    means = [t / len(FUZZ_RINGS) for t in totals]
+    print(f"{'mean':>19} " + " ".join(f"{t:>13.1f}" for t in means))
+
+
+if __name__ == "__main__":
+    main()

@@ -35,7 +35,6 @@ from .errors import (
 from .factor import (
     Block,
     GSRCCertificate,
-    block_target,
     comaximality,
     gsp_search,
     gsrc_search,
@@ -51,7 +50,7 @@ from .matrices import (
     random_with_charpoly,
 )
 from .polys import Poly, glue_polys
-from .rings import Element, Ring, embed_from_block
+from .rings import Element, Ring
 from .stalks import ZLocStalk, ZModStalk
 from .verify import (
     ensure,
@@ -101,17 +100,16 @@ def monic_polys(R: Ring, n: int):
 def _over_R(R: Ring, blocks: list[Block], polys: list[Poly]) -> Poly:
     """The polynomial over R that is ``polys[j]`` on the stalks of ``blocks[j]``.
 
-    A block polynomial lives over the block ring ``block_target(R, support)``;
-    a block that covers every stalk is already over R and is used as it is,
-    any other is embedded coefficient by coefficient (zero off its support).
-    The supports partition the stalks, so the sum glues the blocks.
+    A block polynomial lives over the block ring of its support (R itself
+    for a block that covers every stalk), whose k-th stalk is stalk
+    ``support[k]`` of R; the supports partition the stalks, so each stalk
+    of R takes its coefficients from exactly one block.
     """
-    total = Poly.zero(R)
+    parts = [()] * R.num_stalks
     for b, f in zip(blocks, polys):
-        if block_target(R, b.support) is not R:
-            f = Poly(R, [embed_from_block(R, c, b.support) for c in f.coeffs])
-        total = total + f
-    return total
+        for i, p in zip(b.support, f.parts):
+            parts[i] = p
+    return Poly.from_parts(R, parts)
 
 
 def _strong_clean(A: SquareMatrix, u: Poly, f0: Poly) -> StrongCleanCertificate:
@@ -168,7 +166,8 @@ def pi_regular_from_gsp(A: SquareMatrix, gcert) -> PiRegularCertificate:
     p0 = _over_R(R, blocks, [b.cert.p0 for b in blocks])
     h0 = _over_R(R, blocks, [b.cert.h0 for b in blocks])
     proj = poly_at_matrix(v, A) @ poly_at_matrix(p0, A)
-    X = (poly_at_matrix(Poly(R, h0.coeffs[1:]), A) @ proj) * -R.inv(h0.coeff(0))
+    q = Poly.from_parts(R, [p[1:] for p in h0.parts])
+    X = (poly_at_matrix(q, A) @ proj) * -R.inv(h0.coeff(0))
     K = A.n * R.max_nil_index()
     Ak = A
     for k in range(1, K + 1):

@@ -20,6 +20,10 @@ class NonRing(CleanmatError):
         super().__init__(msg)
 
 
+class MalformedDescriptor(CleanmatError):
+    """A ring descriptor of no known shape, or a table of the wrong shape."""
+
+
 class NotPrime(CleanmatError):
     pass
 

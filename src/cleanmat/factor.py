@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import VerificationFailed
-from .matrices import SquareMatrix, inverse
+from .matrices import inverse, sylvester
 from .polys import Poly, glue_polys, monic_divide
 from .rings import Element, Ring, block_ring
 from .stalks import ZLocStalk
@@ -111,18 +111,11 @@ def comaximality(f0: Poly, f1: Poly):
         return Poly.one(R), Poly.zero(R)
     if f1.degree == 0:
         return Poly.zero(R), Poly.one(R)
-    d0, d1 = f0.degree, f1.degree
-    n = d0 + d1
-    cols = []
-    for j in range(d1):
-        cols.append([f0.coeff(r - j) for r in range(n)])
-    for j in range(d0):
-        cols.append([f1.coeff(r - j) for r in range(n)])
-    M = SquareMatrix(R, [[cols[c][r] for c in range(n)] for r in range(n)])
-    M_inv = inverse(M)
+    M_inv = inverse(sylvester(f0, f1))
     if M_inv is None:
         return None
-    w = [row[0] for row in M_inv.rows]
+    w = M_inv.column(0)
+    d1 = f1.degree
     u = Poly(R, w[:d1])
     v = Poly(R, w[d1:])
     if (u * f0 + v * f1) != Poly.one(R):
@@ -156,7 +149,7 @@ def rational_roots(h: Poly) -> list[Fraction]:
     ring = h.ring
     stalk = ring.stalks[0]
     assert isinstance(stalk, ZLocStalk)
-    coeffs = [c.parts[0] for c in h.coeffs]
+    coeffs = h.parts[0]
     scale = 1
     for c in coeffs:
         scale = scale * c.denominator // _gcd(scale, c.denominator)
@@ -257,8 +250,9 @@ def _hensel_split(h: Poly, a: int):
 
 
 def _first_unit_index(h: Poly) -> int:
-    R = h.ring
-    return next(i for i, c in enumerate(h.coeffs) if R.is_unit(c))
+    """Index of the first unit coefficient of a monic h over a single stalk."""
+    s = h.ring.stalks[0]
+    return next(i for i, c in enumerate(h.parts[0]) if s.is_unit(c))
 
 
 def _attempt_pair(h: Poly, f0: Poly, mode: str):
@@ -279,12 +273,16 @@ def _attempt_pair(h: Poly, f0: Poly, mode: str):
 
 
 def _monic_candidates(R: Ring, d: int):
-    """Monic degree-d (d >= 1) polynomials with unit constant term, canonical order."""
-    elems = list(R.elements())
-    units = [x for x in elems if R.is_unit(x)]
+    """Monic degree-d (d >= 1) polynomials with unit constant term, canonical order.
+
+    R is a single-stalk ring, so its canonical order is its stalk's.
+    """
+    (s,) = R.stalks
+    elems = s.elements()
+    units = [x for x in elems if s.is_unit(x)]
     for c0 in units:
         for mids in itertools.product(elems, repeat=d - 1):
-            yield Poly(R, [c0, *mids, R.one])
+            yield Poly.from_parts(R, [(c0, *mids, s.one)])
 
 
 def _src_outcomes_finite(h: Poly, mode: str):
@@ -399,14 +397,16 @@ def _sp_outcomes(h: Poly):
         return
     # Z_(p) is a domain: Nil = 0, so p0 must be exactly t^d and only the
     # t-adic valuation of h can work.
+    (s,) = R.stalks
+    a = h.parts[0]
     val = 0
-    while val <= n and h.coeff(val) == R.zero:
+    while a[val] == s.zero:  # h is monic, so a[n] = 1 stops the scan
         val += 1
     for d in range(n + 1):
         cert = None
         note = f"p0 = t^{d} does not divide h"
         if d == val:
-            h0 = Poly(R, h.coeffs[d:])
+            h0 = Poly.from_parts(R, [a[d:]])
             if R.is_unit(h0(R.zero)):
                 cert = SPCertificate(h0, Poly.t_power(R, d))
                 note = "found"

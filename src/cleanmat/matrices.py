@@ -7,7 +7,7 @@ sees it: its only state besides ``ring`` and ``n`` is ``grids``, one raw grid
 property boxes Elements on demand, for serializing, printing and the
 exhaustive scan's encoding.  Every operator (``+ - neg * @ ** == hash``) and
 every public function (``transpose``, ``identity``, ``zeros``,
-``companion``, ``char_poly``, ``inverse``, ``poly_at_matrix``,
+``companion``, ``sylvester``, ``char_poly``, ``inverse``, ``poly_at_matrix``,
 ``random_with_charpoly``, ``solve_matrix_equation``) runs one raw kernel per
 stalk with that stalk's own ``dot``/``add``/``sub``/``mul``/``neg``/``inv``.
 The kernels and the raw-grid format are private to this module: the
@@ -144,6 +144,12 @@ class SquareMatrix:
         )
         return f"<matrix [{body}] over {self.ring.label()}>"
 
+    def column(self, j: int) -> tuple:
+        """Column j as a tuple of Elements, boxed on each access."""
+        return tuple(
+            Element(self.ring, tuple(a[i][j] for a in self.grids)) for i in range(self.n)
+        )
+
     def restrict(self, i: int) -> "SquareMatrix":
         return _matrix(self.ring.stalk_ring(i), [self.grids[i]])
 
@@ -179,14 +185,34 @@ def companion(h: Poly) -> SquareMatrix:
     ring = h.ring
     n = h.degree
     grids = []
-    for k, s in enumerate(ring.stalks):
+    for s, c in zip(ring.stalks, h.parts):
         a = [[s.zero] * n for _ in range(n)]
         for i in range(1, n):
             a[i][i - 1] = s.one
         for i in range(n):
-            a[i][n - 1] = s.neg(h.coeffs[i].parts[k])
+            a[i][n - 1] = s.neg(c[i])
         grids.append(a)
     return _matrix(ring, grids)
+
+
+def sylvester(f0: Poly, f1: Poly) -> SquareMatrix:
+    """The matrix of (u, v) -> u*f0 + v*f1 on monomial bases, for monic f0, f1.
+
+    Column j < deg f1 holds t^j * f0 and column deg f1 + j holds t^j * f1;
+    the matrix is square of size deg f0 + deg f1.
+    """
+    if not f0.is_monic or not f1.is_monic:
+        raise ValueError("sylvester needs monic polynomials")
+    if f0.ring.key != f1.ring.key:
+        raise RingMismatch("polynomials over different rings")
+    d0, d1 = f0.degree, f1.degree
+    grids = []
+    for s, a, b in zip(f0.ring.stalks, f0.parts, f1.parts):
+        z = s.zero
+        cols = [[z] * j + list(a) + [z] * (d1 - 1 - j) for j in range(d1)]
+        cols += [[z] * j + list(b) + [z] * (d0 - 1 - j) for j in range(d0)]
+        grids.append([list(row) for row in zip(*cols)])
+    return _matrix(f0.ring, grids)
 
 
 def transpose(A: SquareMatrix) -> SquareMatrix:
@@ -250,24 +276,22 @@ def _raw_char_poly(s, a: list) -> list:
     return _raw_berkowitz(s, a)[::-1]
 
 
-def _raw_horner(s, coeffs: list, a: list) -> list:
-    """sum coeffs[k] a^k (Horner; coefficients lowest degree first).
+def _raw_horner(s, coeffs, a: list) -> list:
+    """sum coeffs[k] a^k (Horner; coefficients lowest degree first, trimmed).
 
-    Trailing zero coefficients are skipped, so a polynomial glued from
-    factors of different degrees costs each stalk only its own degree in
-    matmuls.  The leading coefficient starts the scalar matrix, and each
-    later step adds its coefficient on the diagonal of ``acc @ a``.
+    A stalk's coefficients carry no trailing zeros (a ``Poly`` stalk is
+    trimmed, a char poly ends in 1), so a polynomial glued from factors of
+    different degrees costs each stalk only its own degree in matmuls.  The
+    leading coefficient starts the scalar matrix, and each later step adds
+    its coefficient on the diagonal of ``acc @ a``.
     """
     n = len(a)
     add, zero = s.add, s.zero
-    d = len(coeffs)
-    while d and coeffs[d - 1] == zero:
-        d -= 1
-    if not d:
+    if not coeffs:
         return [[zero] * n for _ in range(n)]
-    lead = coeffs[d - 1]
+    lead = coeffs[-1]
     acc = [[lead if i == j else zero for j in range(n)] for i in range(n)]
-    for c in reversed(coeffs[: d - 1]):
+    for c in reversed(coeffs[:-1]):
         acc = _raw_matmul(s, acc, a)
         for i in range(n):
             acc[i][i] = add(acc[i][i], c)
@@ -308,8 +332,7 @@ def _raw_inverses(stalks, grids):
 def char_poly(A: SquareMatrix) -> Poly:
     """Monic characteristic polynomial det(tI - A), by Berkowitz."""
     ring = A.ring
-    per_stalk = [_raw_char_poly(s, a) for s, a in zip(ring.stalks, A.grids)]
-    p = Poly(ring, [Element(ring, parts) for parts in zip(*per_stalk)])
+    p = Poly.from_parts(ring, [_raw_char_poly(s, a) for s, a in zip(ring.stalks, A.grids)])
     assert p.is_monic and p.degree == A.n
     return p
 
@@ -328,8 +351,8 @@ def poly_at_matrix(f: Poly, A: SquareMatrix) -> SquareMatrix:
     return _matrix(
         ring,
         [
-            _raw_horner(s, [c.parts[i] for c in f.coeffs], a)
-            for i, (s, a) in enumerate(zip(ring.stalks, A.grids))
+            _raw_horner(s, c, a)
+            for s, c, a in zip(ring.stalks, f.parts, A.grids)
         ],
     )
 
@@ -468,6 +491,6 @@ def random_with_charpoly(h: Poly, seed: int) -> SquareMatrix:
         _raw_matmul(s, _raw_matmul(s, p, c), p_inv)
         for s, p, c, p_inv in zip(stalks, P, C.grids, P_inv)
     ]
-    for k, (s, a) in enumerate(zip(stalks, A)):
-        assert _raw_char_poly(s, a) == [c.parts[k] for c in h.coeffs]
+    for s, a, c in zip(stalks, A, h.parts):
+        assert tuple(_raw_char_poly(s, a)) == c
     return _matrix(ring, A)

@@ -1,38 +1,64 @@
-"""Polynomial arithmetic over a Ring.
+"""Polynomial arithmetic over a Ring, held stalk by stalk.
 
-Coefficients are stored low degree first.  ``Poly`` covers general
-polynomials (Bezout cofactors need not be monic); monic polynomials are
-ordinary ``Poly`` values whose leading coefficient is 1, validated by
-``monic``.  Division by a monic divisor is exact over any commutative ring.
+A ``Poly`` is the family of its stalk polynomials, as the Pierce sheaf sees
+it: its only state besides ``ring`` is ``parts``, one tuple of raw stalk
+values per stalk of the ring, low degree first, each trimmed of its own
+trailing zeros.  So ``==`` and ``hash`` compare ``parts`` directly, the
+degree is the largest stalk degree, and a polynomial is monic when every
+stalk has full length and the leading value ``s.one``.  Stalks may have
+different lengths: a Bezout cofactor need not be monic, and a polynomial
+glued from stalk factors of different degrees has stalks of different
+degrees.
+
+``Poly(ring, coeffs)`` unpacks Element coefficients once and
+``Poly.from_parts`` takes raw values per stalk; the ``coeffs`` property and
+``coeff(i)`` box Elements on demand, for serializing and printing.  Every
+operation (``+ - neg *``, ``translate``, evaluation and ``monic_divide``)
+runs one raw kernel per stalk with that stalk's own
+``add``/``sub``/``mul``/``neg``/``dot``, and ``restrict``, ``on_block`` and
+``glue_polys`` select parts.  Division by a monic divisor is exact over any
+commutative ring.
 """
 
 from __future__ import annotations
 
 from .errors import NonMonicDivisor, RingMismatch
-from .rings import Element, Ring, block_ring, restrict_to_block
+from .rings import Element, Ring, block_ring
 
 
 class Poly:
-    __slots__ = ("ring", "coeffs")
+    __slots__ = ("ring", "parts")
 
     def __init__(self, ring: Ring, coeffs):
         coeffs = list(coeffs)
-        while coeffs and coeffs[-1] == ring.zero:
-            coeffs.pop()
+        for c in coeffs:
+            if not isinstance(c, Element) or (c.ring is not ring and c.ring.key != ring.key):
+                raise RingMismatch(f"coefficient {c!r} is not an element of {ring.label()}")
         self.ring = ring
-        self.coeffs = tuple(coeffs)
+        self.parts = tuple(
+            _trim(s, [c.parts[k] for c in coeffs]) for k, s in enumerate(ring.stalks)
+        )
+
+    @classmethod
+    def from_parts(cls, ring: Ring, parts) -> "Poly":
+        """The polynomial with raw coefficients ``parts[k]`` on stalk k."""
+        parts = list(parts)
+        if len(parts) != ring.num_stalks:
+            raise RingMismatch("need exactly one coefficient list per stalk")
+        return _poly(ring, [_trim(s, p) for s, p in zip(ring.stalks, parts)])
 
     @classmethod
     def from_ints(cls, ring: Ring, ints) -> "Poly":
-        return cls(ring, [ring.from_int(v) for v in ints])
+        ints = list(ints)
+        return cls.from_parts(ring, [[s.from_int(v) for v in ints] for s in ring.stalks])
 
     @classmethod
     def zero(cls, ring: Ring) -> "Poly":
-        return cls(ring, [])
+        return _poly(ring, [()] * ring.num_stalks)
 
     @classmethod
     def one(cls, ring: Ring) -> "Poly":
-        return cls(ring, [ring.one])
+        return _poly(ring, [(s.one,) for s in ring.stalks])
 
     @classmethod
     def constant(cls, c: Element) -> "Poly":
@@ -40,75 +66,98 @@ class Poly:
 
     @classmethod
     def t_power(cls, ring: Ring, d: int) -> "Poly":
-        return cls(ring, [ring.zero] * d + [ring.one])
+        return _poly(ring, [(s.zero,) * d + (s.one,) for s in ring.stalks])
+
+    @property
+    def coeffs(self) -> tuple:
+        """The coefficients as Elements, low degree first, boxed on each access."""
+        return tuple(self.coeff(i) for i in range(self.degree + 1))
 
     @property
     def degree(self) -> int:
-        return len(self.coeffs) - 1
+        return max(map(len, self.parts)) - 1
 
     @property
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not any(self.parts)
 
     @property
     def is_monic(self) -> bool:
-        return bool(self.coeffs) and self.coeffs[-1] == self.ring.one
+        n = len(self.parts[0])
+        if not n:
+            return False
+        for s, p in zip(self.ring.stalks, self.parts):
+            if len(p) != n or p[-1] != s.one:
+                return False
+        return True
 
     def coeff(self, i: int) -> Element:
-        if 0 <= i < len(self.coeffs):
-            return self.coeffs[i]
-        return self.ring.zero
+        R = self.ring
+        if i < 0:
+            return R.zero
+        return Element(
+            R, tuple(p[i] if i < len(p) else s.zero for s, p in zip(R.stalks, self.parts))
+        )
 
     def _check(self, other: "Poly"):
         if self.ring.key != other.ring.key:
             raise RingMismatch("polynomials over different rings")
 
-    def __add__(self, other: "Poly") -> "Poly":
+    def _scalar(self, c: Element) -> tuple:
+        """The stalk values of an Element of this ring."""
+        if isinstance(c, Element) and (c.ring is self.ring or c.ring.key == self.ring.key):
+            return c.parts
+        raise RingMismatch(f"{c!r} is not an element of {self.ring.label()}")
+
+    def _stalkwise(self, kernel, other: "Poly") -> "Poly":
         self._check(other)
-        n = max(len(self.coeffs), len(other.coeffs))
-        return Poly(self.ring, [self.coeff(i) + other.coeff(i) for i in range(n)])
+        return _poly(
+            self.ring,
+            [kernel(s, a, b) for s, a, b in zip(self.ring.stalks, self.parts, other.parts)],
+        )
+
+    def __add__(self, other: "Poly") -> "Poly":
+        return self._stalkwise(_raw_add, other)
 
     def __sub__(self, other: "Poly") -> "Poly":
-        self._check(other)
-        n = max(len(self.coeffs), len(other.coeffs))
-        return Poly(self.ring, [self.coeff(i) - other.coeff(i) for i in range(n)])
+        return self._stalkwise(_raw_sub, other)
 
     def __neg__(self) -> "Poly":
-        return Poly(self.ring, [-c for c in self.coeffs])
+        return _poly(
+            self.ring,
+            [tuple(map(s.neg, a)) for s, a in zip(self.ring.stalks, self.parts)],
+        )
 
     def __mul__(self, other: "Poly") -> "Poly":
-        self._check(other)
-        if self.is_zero or other.is_zero:
-            return Poly.zero(self.ring)
-        out = [self.ring.zero] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            for j, b in enumerate(other.coeffs):
-                out[i + j] = out[i + j] + a * b
-        return Poly(self.ring, out)
+        return self._stalkwise(_raw_mul, other)
 
     def translate(self, c: Element) -> "Poly":
         """The polynomial p(t + c) (Taylor shift by repeated synthetic division)."""
-        coeffs = list(self.coeffs)
-        n = len(coeffs)
-        for i in range(n - 1):
-            for j in range(n - 2, i - 1, -1):
-                coeffs[j] = coeffs[j] + c * coeffs[j + 1]
-        return Poly(self.ring, coeffs)
+        return _poly(
+            self.ring,
+            [
+                _raw_translate(s, a, v)
+                for s, a, v in zip(self.ring.stalks, self.parts, self._scalar(c))
+            ],
+        )
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Poly):
             return NotImplemented
-        return self.ring.key == other.ring.key and self.coeffs == other.coeffs
+        return self.ring.key == other.ring.key and self.parts == other.parts
 
     def __hash__(self):
-        return hash((self.ring.key, self.coeffs))
+        return hash((self.ring.key, self.parts))
 
     def __call__(self, x: Element) -> Element:
-        """Horner evaluation."""
-        acc = self.ring.zero
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
+        """Horner evaluation, stalk by stalk."""
+        R = self.ring
+        return Element(
+            R,
+            tuple(
+                _raw_eval(s, a, v) for s, a, v in zip(R.stalks, self.parts, self._scalar(x))
+            ),
+        )
 
     def __repr__(self):
         if self.is_zero:
@@ -122,13 +171,110 @@ class Poly:
         return "<poly " + " + ".join(terms) + ">"
 
     def restrict(self, i: int) -> "Poly":
-        R = self.ring
-        return Poly(R.stalk_ring(i), [R.restrict_element(c, i) for c in self.coeffs])
+        return _poly(self.ring.stalk_ring(i), [self.parts[i]])
 
     def on_block(self, indices) -> "Poly":
-        R = self.ring
-        B = block_ring(R, tuple(indices))
-        return Poly(B, [restrict_to_block(R, c, tuple(indices)) for c in self.coeffs])
+        indices = tuple(indices)
+        return _poly(block_ring(self.ring, indices), [self.parts[i] for i in indices])
+
+
+def _poly(ring: Ring, parts) -> Poly:
+    """The polynomial whose state is ``parts``, already trimmed per stalk."""
+    p = object.__new__(Poly)
+    p.ring = ring
+    p.parts = tuple(parts)
+    return p
+
+
+# -- raw per-stalk kernels -----------------------------------------------------------
+#
+# Each helper takes a stalk and tuples of that stalk's raw values, low degree
+# first and trimmed, and returns a trimmed tuple; the operations above wrap
+# them, one call per stalk.
+
+
+def _trim(s, values) -> tuple:
+    """``values`` without its trailing zeros, as a tuple."""
+    n = len(values)
+    zero = s.zero
+    while n and values[n - 1] == zero:
+        n -= 1
+    return tuple(values[:n])
+
+
+def _raw_add(s, a, b) -> tuple:
+    if len(a) < len(b):
+        a, b = b, a
+    out = list(map(s.add, a, b))
+    out += a[len(b) :]
+    return _trim(s, out)
+
+
+def _raw_sub(s, a, b) -> tuple:
+    n = min(len(a), len(b))
+    out = list(map(s.sub, a, b))
+    out += a[n:]
+    out += map(s.neg, b[n:])
+    return _trim(s, out)
+
+
+def _raw_mul(s, a, b) -> tuple:
+    """The convolution of a and b, one ``dot`` per output coefficient."""
+    if not a or not b:
+        return ()
+    dot = s.dot
+    m, n = len(a), len(b)
+    rb = b[::-1]
+    out = []
+    for k in range(m + n - 1):
+        lo, hi = max(0, k - n + 1), min(k, m - 1) + 1
+        # a[i] pairs with b[k - i] = rb[n - 1 - k + i] for lo <= i < hi
+        out.append(dot(a[lo:hi], rb[n - 1 - k + lo : n - 1 - k + hi]))
+    return _trim(s, out)
+
+
+def _raw_translate(s, a, c) -> tuple:
+    """a(t + c); the leading value never changes, so the result stays trimmed."""
+    add, mul = s.add, s.mul
+    out = list(a)
+    n = len(out)
+    for i in range(n - 1):
+        for j in range(n - 2, i - 1, -1):
+            out[j] = add(out[j], mul(c, out[j + 1]))
+    return tuple(out)
+
+
+def _raw_eval(s, a, x):
+    if not a:
+        return s.zero
+    add, mul = s.add, s.mul
+    acc = a[-1]
+    for c in a[-2::-1]:
+        acc = add(mul(acc, x), c)
+    return acc
+
+
+def _raw_divide(s, f, g):
+    """(q, r) with f = q*g + r and len(r) < len(g), for g monic on this stalk.
+
+    q's leading value is f's, so q is trimmed as built.
+    """
+    dg = len(g) - 1
+    if len(f) <= dg:
+        return (), f
+    sub, mul, zero = s.sub, s.mul, s.zero
+    rem = list(f)
+    q = [zero] * (len(f) - dg)
+    low = g[:dg]
+    for top in range(len(f) - 1, dg - 1, -1):
+        c = rem[top]
+        if c == zero:
+            continue
+        base = top - dg
+        q[base] = c
+        for i, gc in enumerate(low):
+            rem[base + i] = sub(rem[base + i], mul(c, gc))
+    return tuple(q), _trim(s, rem[:dg])
 
 
 def monic(ring: Ring, coeffs) -> Poly:
@@ -143,31 +289,13 @@ def monic_divide(f: Poly, g: Poly):
     if not g.is_monic:
         raise NonMonicDivisor(f"divisor {g!r} is not monic")
     f._check(g)
-    ring = f.ring
-    rem = list(f.coeffs)
-    dg = g.degree
-    if len(rem) - 1 < dg:
-        r = Poly(ring, rem)
-        return Poly.zero(ring), r, r.is_zero
-    q = [ring.zero] * (len(rem) - dg)
-    for top in range(len(rem) - 1, dg - 1, -1):
-        c = rem[top]
-        q[top - dg] = c
-        if c == ring.zero:
-            continue
-        for i, gc in enumerate(g.coeffs):
-            rem[top - dg + i] = rem[top - dg + i] - c * gc
-    r = Poly(ring, rem[:dg])
-    return Poly(ring, q), r, r.is_zero
+    qs, rs = zip(*map(_raw_divide, f.ring.stalks, f.parts, g.parts))
+    r = _poly(f.ring, rs)
+    return _poly(f.ring, qs), r, r.is_zero
 
 
 def glue_polys(R: Ring, per_stalk: list[Poly]) -> Poly:
-    """Assemble a polynomial over R from one polynomial per stalk (padded with 0)."""
+    """Assemble a polynomial over R from one single-stalk polynomial per stalk."""
     if len(per_stalk) != R.num_stalks:
         raise RingMismatch("need exactly one polynomial per stalk")
-    deg = max((p.degree for p in per_stalk), default=-1)
-    coeffs = [
-        Element(R, tuple(p.coeff(i).parts[0] for p in per_stalk))
-        for i in range(deg + 1)
-    ]
-    return Poly(R, coeffs)
+    return _poly(R, [p.parts[0] for p in per_stalk])

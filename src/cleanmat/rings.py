@@ -26,6 +26,7 @@ from dataclasses import dataclass
 from .errors import (
     IncompleteCover,
     InfiniteRing,
+    MalformedDescriptor,
     NonRing,
     NotPrime,
     RingMismatch,
@@ -311,19 +312,19 @@ def _build_table_ring(descriptor: dict) -> Ring:
     add = descriptor.get("add")
     mul = descriptor.get("mul")
     if not isinstance(add, list) or not isinstance(mul, list):
-        raise NonRing("missing add/mul tables")
+        raise MalformedDescriptor("missing add/mul tables")
     m = len(add)
     if m < 2 or m != len(mul):
-        raise NonRing("tables must be square of matching size >= 2")
+        raise MalformedDescriptor("tables must be square of matching size >= 2")
     if m > MAX_TABLE_SIZE:
         raise UnsupportedSize(f"table size {m} exceeds {MAX_TABLE_SIZE}")
     A = np.asarray(add, dtype=np.int64)
     M = np.asarray(mul, dtype=np.int64)
     for name, T in (("add", A), ("mul", M)):
         if T.shape != (m, m):
-            raise NonRing(f"{name} table is not {m}x{m}")
+            raise MalformedDescriptor(f"{name} table is not {m}x{m}")
         if T.min() < 0 or T.max() >= m:
-            raise NonRing(f"{name} table has out-of-range entries")
+            raise MalformedDescriptor(f"{name} table has out-of-range entries")
 
     idx = np.arange(m)
     if not np.array_equal(A, A.T):
@@ -408,7 +409,7 @@ def _build_table_ring(descriptor: dict) -> Ring:
 def build_ring(descriptor: dict) -> Ring:
     """Build a Ring from a descriptor, computing its Pierce decomposition."""
     if not isinstance(descriptor, dict) or "type" not in descriptor:
-        raise NonRing(f"malformed ring descriptor: {descriptor!r}")
+        raise MalformedDescriptor(f"malformed ring descriptor: {descriptor!r}")
     t = descriptor["type"]
     if t == "zmod":
         n = descriptor.get("n")
@@ -424,14 +425,14 @@ def build_ring(descriptor: dict) -> Ring:
     if t == "product":
         factors = descriptor.get("factors")
         if not isinstance(factors, list) or not factors:
-            raise NonRing("product requires a non-empty factor list")
+            raise MalformedDescriptor("product requires a non-empty factor list")
         rings = [build_ring(f) for f in factors]
         stalks = [s for r in rings for s in r.stalks]
         canonical = {"type": "product", "factors": [r.descriptor for r in rings]}
         return Ring(canonical, stalks, factors=tuple(rings))
     if t == "table":
         return _build_table_ring(descriptor)
-    raise NonRing(f"unknown ring type {t!r}")
+    raise MalformedDescriptor(f"unknown ring type {t!r}")
 
 
 # -- block subrings and gluing ---------------------------------------------------
@@ -455,10 +456,6 @@ def block_ring(R: Ring, indices: tuple[int, ...]) -> Ring:
         )
     R._block_rings[indices] = ring
     return ring
-
-
-def restrict_to_block(R: Ring, a: Element, indices: tuple[int, ...]) -> Element:
-    return Element(block_ring(R, tuple(indices)), tuple(a.parts[i] for i in indices))
 
 
 def embed_from_block(R: Ring, b: Element, indices: tuple[int, ...]) -> Element:

@@ -192,6 +192,9 @@ def dumps_canonical(doc, pretty: bool = False) -> str:
 
 
 def src_cert_from_json(R: Ring, data) -> SRCCertificate:
+    kind = data["kind"]
+    if kind not in ("SR", "SRC"):
+        raise ValueError(f'certificate kind {kind!r} is neither "SR" nor "SRC"')
     u = v = None
     if "bezout_u" in data:
         u = poly_from_json(R, data["bezout_u"], require_monic=False)
@@ -201,7 +204,7 @@ def src_cert_from_json(R: Ring, data) -> SRCCertificate:
         poly_from_json(R, data["f1"]),
         u,
         v,
-        data["kind"],
+        kind,
     )
 
 
@@ -211,10 +214,25 @@ def sp_cert_from_json(R: Ring, data) -> SPCertificate:
     )
 
 
+def _support_from_json(R: Ring, data) -> tuple[int, ...]:
+    """A block support: distinct stalk indices in [0, number of stalks)."""
+    n = R.num_stalks
+    if (
+        not isinstance(data, list)
+        or not data
+        or any(isinstance(i, bool) or not isinstance(i, int) or not 0 <= i < n for i in data)
+        or len(set(data)) != len(data)
+    ):
+        raise ValueError(
+            f"block support {json.dumps(data)} must list distinct stalk indices in [0, {n})"
+        )
+    return tuple(data)
+
+
 def _blocks_from_json(R: Ring, data, leaf):
     blocks = []
     for b in data["blocks"]:
-        support = tuple(b["support"])
+        support = _support_from_json(R, b["support"])
         target = block_target(R, support)
         blocks.append(
             Block(

@@ -41,7 +41,9 @@ def verify_src(h: Poly, cert: SRCCertificate) -> list[str]:
         fails.append("f0(0) is not a unit")
     if not R.is_unit(cert.f1(R.one)):
         fails.append("f1(1) is not a unit")
-    if cert.kind == "SRC":
+    if cert.kind not in ("SR", "SRC"):
+        fails.append(f"unknown certificate kind {cert.kind!r}")
+    elif cert.kind == "SRC":
         if cert.bezout_u is None or cert.bezout_v is None:
             fails.append("SRC certificate lacks a Bezout pair")
         elif cert.bezout_u * cert.f0 + cert.bezout_v * cert.f1 != Poly.one(R):
@@ -60,7 +62,10 @@ def verify_sp(h: Poly, cert: SPCertificate) -> list[str]:
         fails.append("h0(0) is not a unit")
     d = cert.p0.degree
     for i in range(d):
-        if not R.radical_membership(cert.p0.coeff(i)).in_nil:
+        # a stalk shorter than i + 1 has coefficient 0 there, which is nilpotent
+        if not all(
+            i >= len(p) or s.is_nilpotent(p[i]) for s, p in zip(R.stalks, cert.p0.parts)
+        ):
             fails.append(f"p0 coefficient {i} is not nilpotent")
     return fails
 

@@ -1,6 +1,10 @@
 """Independent slow oracles, used only by the tests.
 
-``char_poly_cofactor`` expands det(tI - A) over the polynomial ring,
+``fold_poly_add``, ``fold_poly_sub``, ``fold_poly_mul``, ``fold_translate``,
+``fold_eval`` and ``fold_monic_divide`` are polynomial arithmetic as Element
+folds over the boxed coefficients, sharing no kernel with the per-stalk
+arithmetic of ``cleanmat.polys``; the polynomial oracles below use only
+them.  ``char_poly_cofactor`` expands det(tI - A) over the polynomial ring,
 ``matrix_classify`` classifies a matrix from its inverse, char poly and
 square, and ``comaximality_cramer`` takes the Bezout pair of two monic
 polynomials by Cramer's rule on the Sylvester matrix, with determinants by
@@ -25,7 +29,13 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from cleanmat.errors import BudgetExceeded, InfiniteRing, RingMismatch, VerificationFailed
+from cleanmat.errors import (
+    BudgetExceeded,
+    InfiniteRing,
+    NonMonicDivisor,
+    RingMismatch,
+    VerificationFailed,
+)
 from cleanmat.matrices import (
     PiRegularCertificate,
     SquareMatrix,
@@ -38,13 +48,93 @@ from cleanmat.quadz5 import ONE, THETA, QuadInt
 from cleanmat.rings import Element, RadicalMembership
 
 
+# -- Element-level polynomial arithmetic ----------------------------------------------
+#
+# Folds over the boxed coefficients (``Poly.coeffs``) with Element operators,
+# so they share no kernel with the per-stalk arithmetic of ``cleanmat.polys``.
+
+
+def _coeff(f: Poly, i: int):
+    cs = f.coeffs
+    return cs[i] if 0 <= i < len(cs) else f.ring.zero
+
+
+def _check_rings(f: Poly, g: Poly):
+    if f.ring.key != g.ring.key:
+        raise RingMismatch("polynomials over different rings")
+
+
+def fold_poly_add(f: Poly, g: Poly) -> Poly:
+    _check_rings(f, g)
+    n = max(len(f.coeffs), len(g.coeffs))
+    return Poly(f.ring, [_coeff(f, i) + _coeff(g, i) for i in range(n)])
+
+
+def fold_poly_sub(f: Poly, g: Poly) -> Poly:
+    _check_rings(f, g)
+    n = max(len(f.coeffs), len(g.coeffs))
+    return Poly(f.ring, [_coeff(f, i) - _coeff(g, i) for i in range(n)])
+
+
+def fold_poly_mul(f: Poly, g: Poly) -> Poly:
+    _check_rings(f, g)
+    fc, gc = f.coeffs, g.coeffs
+    if not fc or not gc:
+        return Poly.zero(f.ring)
+    out = [f.ring.zero] * (len(fc) + len(gc) - 1)
+    for i, a in enumerate(fc):
+        for j, b in enumerate(gc):
+            out[i + j] = out[i + j] + a * b
+    return Poly(f.ring, out)
+
+
+def fold_translate(f: Poly, c) -> Poly:
+    """f(t + c) by repeated synthetic division on Elements."""
+    coeffs = list(f.coeffs)
+    n = len(coeffs)
+    for i in range(n - 1):
+        for j in range(n - 2, i - 1, -1):
+            coeffs[j] = coeffs[j] + c * coeffs[j + 1]
+    return Poly(f.ring, coeffs)
+
+
+def fold_eval(f: Poly, x):
+    """Horner evaluation on Elements."""
+    acc = f.ring.zero
+    for c in reversed(f.coeffs):
+        acc = acc * x + c
+    return acc
+
+
+def fold_monic_divide(f: Poly, g: Poly):
+    """Long division f = q*g + r by a monic g on Elements; returns (q, r, exact)."""
+    cs = g.coeffs
+    if not cs or cs[-1] != g.ring.one:
+        raise NonMonicDivisor(f"divisor {g!r} is not monic")
+    _check_rings(f, g)
+    ring = f.ring
+    rem = list(f.coeffs)
+    dg = len(cs) - 1
+    if len(rem) - 1 < dg:
+        r = Poly(ring, rem)
+        return Poly.zero(ring), r, r.is_zero
+    q = [ring.zero] * (len(rem) - dg)
+    for top in range(len(rem) - 1, dg - 1, -1):
+        c = rem[top]
+        q[top - dg] = c
+        for i, gc in enumerate(cs):
+            rem[top - dg + i] = rem[top - dg + i] - c * gc
+    r = Poly(ring, rem[:dg])
+    return Poly(ring, q), r, r.is_zero
+
+
 def char_poly_cofactor(A: SquareMatrix) -> Poly:
     """det(tI - A) by cofactor expansion over the polynomial ring."""
     ring = A.ring
     t = Poly.t_power(ring, 1)
     grid = [
         [
-            (t if i == j else Poly.zero(ring)) - Poly.constant(A.rows[i][j])
+            fold_poly_sub(t if i == j else Poly.zero(ring), Poly.constant(A.rows[i][j]))
             for j in range(A.n)
         ]
         for i in range(A.n)
@@ -59,8 +149,8 @@ def _poly_det(ring, grid):
     acc = Poly.zero(ring)
     for j in range(n):
         minor = [row[:j] + row[j + 1 :] for row in grid[1:]]
-        term = grid[0][j] * _poly_det(ring, minor)
-        acc = acc + term if j % 2 == 0 else acc - term
+        term = fold_poly_mul(grid[0][j], _poly_det(ring, minor))
+        acc = fold_poly_add(acc, term) if j % 2 == 0 else fold_poly_sub(acc, term)
     return acc
 
 
@@ -118,9 +208,9 @@ def comaximality_cramer(f0: Poly, f1: Poly):
     n = d0 + d1
     cols = []
     for j in range(d1):
-        cols.append([f0.coeff(r - j) for r in range(n)])
+        cols.append([_coeff(f0, r - j) for r in range(n)])
     for j in range(d0):
-        cols.append([f1.coeff(r - j) for r in range(n)])
+        cols.append([_coeff(f1, r - j) for r in range(n)])
     M = [[cols[c][r] for c in range(n)] for r in range(n)]
     res_inv = R.inv(_det_cofactor(R, M))
     if res_inv is None:
@@ -132,7 +222,7 @@ def comaximality_cramer(f0: Poly, f1: Poly):
         w.append(_det_cofactor(R, rows) * res_inv)
     u = Poly(R, w[:d1])
     v = Poly(R, w[d1:])
-    if (u * f0 + v * f1) != Poly.one(R):
+    if fold_poly_add(fold_poly_mul(u, f0), fold_poly_mul(v, f1)) != Poly.one(R):
         raise VerificationFailed(["Cramer Bezout pair failed its identity check"])
     return u, v
 

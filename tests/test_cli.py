@@ -333,3 +333,52 @@ def test_malformed_input_is_one_error_line(capsys, tmp_path, case):
     assert res.returncode == 1 and res.stdout == ""
     assert res.stderr.startswith("error: ") and res.stderr.count("\n") == 1, res.stderr
     assert "Traceback" not in res.stderr
+
+
+def _z6_verify(capsys, tmp_path, mutate):
+    """(exit code, stdout, stderr) of --verify on the Z/6 companion document after ``mutate``."""
+    _, out, _ = run(capsys, "decide", "--ring", Z6, "--poly", "[2,3,1]", "--companion")
+    return run(capsys, *_verify_argv(mutate)(tmp_path, json.loads(out)))
+
+
+def _gsrc_block(doc):
+    return doc["decision"]["factorization"]["blocks"][0]
+
+
+def test_an_unknown_src_kind_is_an_input_error(capsys, tmp_path):
+    code, out, err = _z6_verify(capsys, tmp_path, lambda d: _gsrc_block(d)["cert"].update(kind=5))
+    assert (code, out) == (1, "")
+    assert err == 'error: certificate kind 5 is neither "SR" nor "SRC"\n'
+
+
+@pytest.mark.parametrize(
+    "support", [[-1], [5], [2], [0, 0], [True], ["0"], [0.0], [], 0]
+)
+def test_block_supports_must_name_distinct_stalks(capsys, tmp_path, support):
+    code, out, err = _z6_verify(capsys, tmp_path, lambda d: _gsrc_block(d).update(support=support))
+    assert (code, out) == (1, "")
+    assert err == (
+        f"error: block support {json.dumps(support)} must list distinct stalk indices in [0, 2)\n"
+    )
+
+
+def test_only_table_axiom_failures_say_the_table_is_not_a_ring(capsys, tmp_path):
+    expected = {
+        '{"type":"foo"}': "error: unknown ring type 'foo'\n",
+        '{"type":"product","factors":[]}': "error: product requires a non-empty factor list\n",
+        "5": "error: malformed ring descriptor: 5\n",
+        '{"type":"table"}': "error: missing add/mul tables\n",
+    }
+    add = [[(i + j) % 4 for j in range(4)] for i in range(4)]
+    mul = [[(i * j) % 4 for j in range(4)] for i in range(4)]
+    mul[2][3] = 1
+    table = json.dumps({"type": "table", "add": add, "mul": mul})
+    expected[table] = (
+        "error: table is not a commutative unital ring: "
+        "multiplication commutativity fails at (2, 3)\n"
+    )
+    for ring, line in expected.items():
+        code, out, err = run(capsys, "ring", "--ring", ring)
+        assert (code, out, err) == (1, "", line), ring
+    code, out, err = _z6_verify(capsys, tmp_path, lambda d: d.update(ring=5))
+    assert (code, out, err) == (1, "", "error: malformed ring descriptor: 5\n")

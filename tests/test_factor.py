@@ -58,6 +58,15 @@ def test_src_local_z8(zmod):
     assert not verify_src(h, c)
 
 
+def test_verify_src_fails_an_unknown_kind(zmod):
+    R = zmod(6)
+    h = Poly.from_ints(R, [2, 3, 1])
+    c = src_search(h, R, "SRC").certificate
+    assert verify_src(h, c) == []
+    bad = SRCCertificate(c.f0, c.f1, c.bezout_u, c.bezout_v, 5)
+    assert verify_src(h, bad) == ["unknown certificate kind 5"]
+
+
 def test_src_local_zloc_complete_quadratic(zloc):
     Z2 = zloc(2)
     res = src_search_local(Poly.from_ints(Z2, [2, -1, 1]))

@@ -1,8 +1,10 @@
 """Layering guards over the modules of ``src/cleanmat``.
 
-Only ``matrices.py`` knows the per-stalk raw-grid format of a matrix: every
-other module builds and checks matrices with the public operations, so none
-of them may import a private (``_``-prefixed) name from ``.matrices``.
+Only ``matrices.py`` knows the per-stalk raw-grid format of a matrix, and
+only ``polys.py`` the raw kernels of a polynomial: every other module builds
+and checks matrices and polynomials with the public operations, so none of
+them may import a private (``_``-prefixed) name from ``.matrices`` or
+``.polys``.
 
 Only ``stalks.py`` knows how a stalk stores its operations: no other module
 may read a stalk's private ``_add``, ``_mul``, ``_neg`` or ``_inv``.
@@ -16,29 +18,40 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parent.parent / "src" / "cleanmat"
 
 
-def _private_matrix_imports(path: Path) -> list[str]:
+def _private_imports(path: Path, module: str) -> list[str]:
     found = []
     for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[-1] == "matrices":
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[-1] == module:
             found += [alias.name for alias in node.names if alias.name.startswith("_")]
     return found
 
 
-def test_no_module_but_matrices_imports_its_private_names():
+def _private_import_offenders(module: str) -> dict:
     modules = sorted(SRC.glob("*.py"))
     assert len(modules) > 10
-    offenders = {
+    return {
         p.name: names
         for p in modules
-        if p.name != "matrices.py" and (names := _private_matrix_imports(p))
+        if p.name != f"{module}.py" and (names := _private_imports(p, module))
     }
-    assert offenders == {}
+
+
+def test_no_module_but_matrices_imports_its_private_names():
+    assert _private_import_offenders("matrices") == {}
+
+
+def test_no_module_but_polys_imports_its_private_names():
+    assert _private_import_offenders("polys") == {}
 
 
 def test_the_guard_sees_a_private_import(tmp_path):
     bad = tmp_path / "bad.py"
-    bad.write_text("from .matrices import SquareMatrix, _raw_matmul\n", encoding="utf-8")
-    assert _private_matrix_imports(bad) == ["_raw_matmul"]
+    bad.write_text(
+        "from .matrices import SquareMatrix, _raw_matmul\nfrom .polys import Poly, _poly\n",
+        encoding="utf-8",
+    )
+    assert _private_imports(bad, "matrices") == ["_raw_matmul"]
+    assert _private_imports(bad, "polys") == ["_poly"]
 
 
 STALK_PRIVATES = {"_add", "_mul", "_neg", "_inv"}

@@ -1,14 +1,25 @@
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cleanmat.errors import NonMonicDivisor
+from cleanmat.errors import NonMonicDivisor, RingMismatch
+from cleanmat.factor import comaximality
 from cleanmat.polys import Poly, glue_polys, monic, monic_divide
 from cleanmat.rings import build_ring
+from conftest import CERT_RINGS
+from oracles import (
+    fold_eval,
+    fold_monic_divide,
+    fold_poly_add,
+    fold_poly_mul,
+    fold_poly_sub,
+    fold_translate,
+)
 
 
 def test_eval_examples(zloc, zmod):
@@ -33,6 +44,16 @@ def test_monic_validation(zmod):
     assert monic(R, [R.from_int(2), R.one]).is_monic
     with pytest.raises(ValueError):
         monic(R, [R.one, R.from_int(2)])
+
+
+def test_coefficients_from_another_ring_are_rejected(zmod):
+    R6, R12 = zmod(6), zmod(12)
+    with pytest.raises(RingMismatch):
+        Poly(R6, [R6.one, R12.one])
+    h = Poly.from_ints(R6, [1, 1])
+    for bad in (lambda: h(R12.one), lambda: h.translate(R12.one), lambda: h + Poly.one(R12)):
+        with pytest.raises(RingMismatch):
+            bad()
 
 
 def test_glue_polys_roundtrip(zmod):
@@ -90,3 +111,72 @@ def test_translate_is_the_taylor_shift(zmod, zloc):
         assert all(shifted(x) == g(x + c) for x in R8.elements())
     Z2 = zloc(2)
     assert Poly.from_ints(Z2, [2, 1]).translate(Z2.from_int(-2)) == Poly.t_power(Z2, 1)
+
+
+# -- per-stalk kernels against the Element-level folds -------------------------------
+
+KERNEL_RINGS = {
+    **CERT_RINGS,
+    "Z_(2)": {"type": "zloc", "p": 2},
+    "Z_(2) x Z_(2)": {
+        "type": "product",
+        "factors": [{"type": "zloc", "p": 2}, {"type": "zloc", "p": 2}],
+    },
+}
+
+
+def _kernel_pool(R, rng):
+    """Zero, random, monic, glued and Bezout-cofactor polynomials over R."""
+
+    def rand(d):
+        return Poly(R, [R.random_element(rng) for _ in range(d + 1)])
+
+    def monic_of(d):
+        return Poly(R, [R.random_element(rng) for _ in range(d)] + [R.one])
+
+    pool = [Poly.zero(R), Poly.one(R), Poly.t_power(R, 2)]
+    pool += [rand(d) for d in (0, 1, 2, 3)]
+    pool += [monic_of(d) for d in (1, 2, 3)]
+    # stalk i gets degree (i + k) % 4, so the stalks' lengths differ
+    for k in range(2):
+        stalk_polys = []
+        for i in range(R.num_stalks):
+            S = R.stalk_ring(i)
+            d = (i + k) % 4
+            stalk_polys.append(Poly(S, [S.random_element(rng) for _ in range(d)] + [S.one]))
+        pool.append(glue_polys(R, stalk_polys))
+    cofactors = []
+    for _ in range(16):
+        bez = comaximality(monic_of(rng.randint(1, 3)), monic_of(rng.randint(1, 3)))
+        if bez is not None:
+            cofactors += bez
+    return pool + cofactors, cofactors
+
+
+@pytest.mark.parametrize("label", sorted(KERNEL_RINGS))
+def test_poly_kernels_match_the_fold_oracles(label):
+    R = build_ring(KERNEL_RINGS[label])
+    rng = random.Random(4242)
+    pool, cofactors = _kernel_pool(R, rng)
+    assert any(p.is_zero for p in pool)
+    assert any(not p.is_zero and not p.is_monic for p in cofactors)
+    if R.num_stalks > 1:
+        assert any(len({len(part) for part in p.parts}) > 1 for p in pool)
+    for f in pool:
+        assert Poly(R, f.coeffs) == f and hash(Poly(R, f.coeffs)) == hash(f)
+        assert f.degree == len(f.coeffs) - 1
+        assert f.is_monic == (bool(f.coeffs) and f.coeffs[-1] == R.one)
+        assert -f == fold_poly_sub(Poly.zero(R), f)
+        for _ in range(2):
+            x = R.random_element(rng)
+            assert f(x) == fold_eval(f, x)
+            assert f.translate(x) == fold_translate(f, x)
+        for g in pool:
+            assert f + g == fold_poly_add(f, g)
+            assert f - g == fold_poly_sub(f, g)
+            assert f * g == fold_poly_mul(f, g)
+            if g.is_monic:
+                assert monic_divide(f, g) == fold_monic_divide(f, g)
+            else:
+                with pytest.raises(NonMonicDivisor):
+                    monic_divide(f, g)
