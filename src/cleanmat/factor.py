@@ -5,7 +5,7 @@ Four searches are exposed:
 * ``src_search_local`` / ``src_search``: factor h = f0*f1 with f0(0) and
   f1(1) units; with comaximality of the factors as an extra requirement the
   pair is certified by an explicit Bezout identity u*f0 + v*f1 = 1 read off
-  the inverse of the Sylvester matrix.
+  the Gauss-Jordan inverse of the Sylvester matrix.
 * ``gsrc_search``: the globalized form; one factorization per idempotent
   block, with blocks grouped by deg(f0) so at most deg(h)+1 blocks appear.
 * ``sp_search_local`` / ``sp_search`` / ``gsp_search``: factor h = h0*p0
@@ -98,10 +98,11 @@ def comaximality(f0: Poly, f1: Poly):
     deg v < deg f0) is the Sylvester matrix, square of size deg f0 + deg f1;
     its determinant is the resultant up to sign.  For monic polynomials over
     a ring whose stalks are local, the resultant is a unit exactly when the
-    pair is comaximal.  One Cayley-Hamilton inverse of the Sylvester matrix
-    settles both: ``inverse`` returns None exactly when the resultant is not
-    a unit, and otherwise the unique solution of M (u, v) = e_0 is column 0
-    of M^{-1}.
+    pair is comaximal.  One inverse of the Sylvester matrix settles both:
+    ``inverse`` runs Gauss-Jordan on each stalk and returns None exactly
+    when some column has no unit pivot, that is when the resultant is not a
+    unit; otherwise the unique solution of M (u, v) = e_0 is column 0 of
+    M^{-1}.
     """
     if not f0.is_monic or not f1.is_monic:
         raise ValueError("comaximality needs monic polynomials")

@@ -15,10 +15,17 @@ certificate constructions in ``decide`` and the verifiers in ``verify`` use
 the public operations only.
 
 The characteristic polynomial is computed by the Berkowitz algorithm, which
-uses no divisions and is therefore valid over rings with zero divisors.  The
-inverse is the Cayley-Hamilton one, -c_0^{-1} (A^{n-1} + c_{n-1} A^{n-2} +
-... + c_1 I), and exists exactly when c_0 = (-1)^n det A is a unit on every
-stalk.
+uses no divisions and is therefore valid over rings with zero divisors.
+Inverting and solving are eliminations on each local stalk, in the stalk's
+own arithmetic.  Over a local ring a matrix is invertible exactly when
+Gauss-Jordan finds a unit pivot in every column, so ``inverse`` pivots on
+the first unit of each column and stops at a column that has none.  Z/p^k
+and Z_(p) are chain rings: an entry of least valuation divides every entry
+of its block, so ``solve_matrix_equation`` pivots on one (a row swap and a
+column swap), back-substitutes with the free coordinates 0 and finds the
+system solvable exactly when each reduced right-hand side is divisible by
+its pivot.  A table stalk need not be a chain ring; its systems are searched
+exhaustively under a budget.
 """
 
 from __future__ import annotations
@@ -28,10 +35,9 @@ import random
 from dataclasses import dataclass
 
 from .errors import BudgetExceeded, RingMismatch
-from .intlinalg import solve_mod, solve_zloc
 from .polys import Poly
 from .rings import Element, Ring
-from .stalks import TableStalk, ZLocStalk, ZModStalk
+from .stalks import TableStalk
 
 TABLE_SOLVE_BUDGET = 500_000
 
@@ -298,32 +304,50 @@ def _raw_horner(s, coeffs, a: list) -> list:
     return acc
 
 
-def _raw_inverse(s, a: list, chi: list, c0_inv) -> list:
-    """-c0^{-1} (chi[1:])(a), checked against a on the raw grids."""
-    k = s.neg(c0_inv)
-    mul = s.mul
-    inv = [[mul(x, k) for x in row] for row in _raw_horner(s, chi[1:], a)]
-    assert _raw_matmul(s, inv, a) == _raw_identity(s, len(a))
+def _raw_inverse(s, a: list):
+    """The inverse grid of a by Gauss-Jordan on a local stalk, or None.
+
+    Column c pivots on its first unit at or below the diagonal.  When it has
+    none, a is block triangular over the columns already cleared, and the
+    trailing block has a column in the maximal ideal, so det a is not a unit.
+    The elimination runs in place: once column c is cleared it holds column
+    c of the inverse of the row-swapped matrix, and the swaps permute the
+    columns of the result back at the end.
+    """
+    n = len(a)
+    is_unit, mul, sub, zero = s.is_unit, s.mul, s.sub, s.zero
+    m = [list(row) for row in a]
+    perm = list(range(n))
+    for c in range(n):
+        for p in range(c, n):
+            if is_unit(m[p][c]):
+                break
+        else:
+            return None
+        m[c], m[p], perm[c], perm[p] = m[p], m[c], perm[p], perm[c]
+        k = s.inv(m[c][c])
+        m[c][c] = s.one
+        top = m[c] = [mul(x, k) for x in m[c]]
+        for r in range(n):
+            f = m[r][c]
+            if r != c and f != zero:
+                m[r][c] = zero
+                m[r] = [sub(x, mul(f, y)) for x, y in zip(m[r], top)]
+    order = sorted(range(n), key=perm.__getitem__)
+    inv = [[row[k] for k in order] for row in m]
+    assert _raw_matmul(s, inv, a) == _raw_identity(s, n)
     return inv
 
 
 def _raw_inverses(stalks, grids):
-    """One inverse grid per stalk, or None when det is not a unit on some stalk.
-
-    Every stalk's char poly and c_0 inverse come first, so a matrix that is
-    singular on some stalk costs no Horner step on any.
-    """
-    polys = []
+    """One inverse grid per stalk, or None when some stalk's grid has none."""
+    out = []
     for s, a in zip(stalks, grids):
-        chi = _raw_char_poly(s, a)
-        c0_inv = s.inv(chi[0])
-        if c0_inv is None:
+        inv = _raw_inverse(s, a)
+        if inv is None:
             return None
-        polys.append((chi, c0_inv))
-    return [
-        _raw_inverse(s, a, chi, c0_inv)
-        for s, a, (chi, c0_inv) in zip(stalks, grids, polys)
-    ]
+        out.append(inv)
+    return out
 
 
 # -- public matrix functions ---------------------------------------------------------
@@ -338,7 +362,11 @@ def char_poly(A: SquareMatrix) -> Poly:
 
 
 def inverse(A: SquareMatrix):
-    """Inverse via Cayley-Hamilton, or None when det is not a unit."""
+    """The inverse of A, or None when det A is not a unit.
+
+    Gauss-Jordan runs on each stalk and pivots on a unit; a stalk with a
+    column that has no unit pivot makes the answer None.
+    """
     inv = _raw_inverses(A.ring.stalks, A.grids)
     return None if inv is None else _matrix(A.ring, inv)
 
@@ -378,67 +406,98 @@ class PiRegularCertificate:
 # -- linear solving ----------------------------------------------------------------
 
 
-def linear_solve(ring: Ring, mat_rows, rhs_rows):
-    """One solution X (rows of Elements) of mat*X = rhs, or None."""
-    x = _solve_grids(ring, _unbox(ring, mat_rows), _unbox(ring, rhs_rows))
-    return None if x is None else _box(ring, x)
-
-
 def _solve_grids(ring: Ring, mats, rhss):
-    """One raw solution grid per stalk of m*X = b, or None.
+    """One raw solution grid per stalk of m*X = b (all n x n), or None.
 
-    Z/p^k and Z_(p) stalks lift to integer systems solved via Smith normal
-    form; table stalks fall back to exhaustive search.  Free coordinates are
-    fixed to 0, so the answer is canonical.
+    Z/p^k and Z_(p) stalks run the least-valuation elimination; table stalks
+    search exhaustively.  Free coordinates are 0, so the answer is canonical.
     """
     out = []
     for stalk, m, b in zip(ring.stalks, mats, rhss):
-        if isinstance(stalk, ZModStalk):
-            x = solve_mod(m, b, stalk.q)
-        elif isinstance(stalk, ZLocStalk):
-            x = solve_zloc(m, b, stalk.p)
-        elif isinstance(stalk, TableStalk):
-            x = _solve_table(stalk, m, b)
-        else:  # pragma: no cover
-            raise AssertionError(f"unknown stalk {stalk!r}")
+        solve = _solve_table if isinstance(stalk, TableStalk) else _solve_chain
+        x = solve(stalk, m, b)
         if x is None:
             return None
         out.append(x)
     return out
 
 
+def _least_valuation(s, m: list, t: int):
+    """(i, j) of the first nonzero entry of least valuation in m[t:][t:], or None."""
+    cells = [
+        (s.valuation(x), i, j)
+        for i in range(t, len(m))
+        for j, x in enumerate(m[i][t:], t)
+        if x != s.zero
+    ]
+    return min(cells)[1:] if cells else None
+
+
+def _solve_chain(s, m, b):
+    """One solution of m*X = b on a chain stalk (Z/p^k or Z_(p)), or None.
+
+    Step t moves an entry of least valuation in the trailing block to (t, t)
+    by a row swap and a column swap.  It divides every entry of that block,
+    so ``s.divide`` clears the column below it.  Row i of the reduced system
+    is then d_i (y_i + sum_j u_ij y_j) = b_i, which is solvable exactly when
+    d_i divides b_i, and rows past the rank need b_i = 0.  Back substitution
+    sets the free coordinates to 0 and divides each reduced right-hand side
+    by its pivot.
+    """
+    n = len(m)
+    zero, sub, mul = s.zero, s.sub, s.mul
+    m = [list(row) for row in m]
+    b = [list(row) for row in b]
+    perm = list(range(n))
+    rank = 0
+    for t in range(n):
+        at = _least_valuation(s, m, t)
+        if at is None:
+            break
+        i, j = at
+        m[t], m[i], b[t], b[i] = m[i], m[t], b[i], b[t]
+        for row in m:
+            row[t], row[j] = row[j], row[t]
+        perm[t], perm[j] = perm[j], perm[t]
+        d, top, rhs = m[t][t], m[t], b[t]
+        for r in range(t + 1, n):
+            if m[r][t] != zero:
+                f = s.divide(m[r][t], d)
+                m[r] = [sub(x, mul(f, y)) for x, y in zip(m[r], top)]
+                b[r] = [sub(x, mul(f, y)) for x, y in zip(b[r], rhs)]
+        rank = t + 1
+    if any(x != zero for row in b[rank:] for x in row):
+        return None
+    y = [[zero] * n for _ in range(n)]
+    for i in reversed(range(rank)):
+        for c in range(n):
+            r = sub(b[i][c], s.dot(m[i][i + 1 : rank], [y[j][c] for j in range(i + 1, rank)]))
+            y[i][c] = s.divide(r, m[i][i])
+            if y[i][c] is None:
+                return None
+    return [row for _, row in sorted(zip(perm, y))]
+
+
 def _solve_table(stalk: TableStalk, m, b):
-    rows = len(m)
-    cols = len(m[0]) if rows else 0
-    k = len(b[0]) if b and b[0] else 0
-    size = stalk.size
-    if size**cols > TABLE_SOLVE_BUDGET:
+    """One solution of m*X = b by trying every column vector, first found."""
+    n, dot = len(m), stalk.dot
+    if stalk.size**n > TABLE_SOLVE_BUDGET:
         raise BudgetExceeded(
-            f"table solve over {size}^{cols} candidate vectors exceeds budget"
+            f"table solve over {stalk.size}^{n} candidate vectors exceeds budget"
         )
-    out_cols = []
-    for col in range(k):
-        target = [b[i][col] for i in range(rows)]
-        found = None
-        for cand in itertools.product(stalk.elements(), repeat=cols):
-            ok = True
-            for i in range(rows):
-                acc = stalk.zero
-                for j in range(cols):
-                    acc = stalk.add(acc, stalk.mul(m[i][j], cand[j]))
-                if acc != target[i]:
-                    ok = False
-                    break
-            if ok:
-                found = cand
+    cols = []
+    for target in zip(*b):
+        for x in itertools.product(stalk.elements(), repeat=n):
+            if all(dot(row, x) == t for row, t in zip(m, target)):
+                cols.append(x)
                 break
-        if found is None:
+        else:
             return None
-        out_cols.append(found)
-    return [[out_cols[col][i] for col in range(k)] for i in range(cols)]
+    return [list(row) for row in zip(*cols)]
 
 
 def solve_matrix_equation(A: SquareMatrix, B: SquareMatrix):
+    """One X with A @ X == B, or None when there is none."""
     A._check(B)
     x = _solve_grids(A.ring, A.grids, B.grids)
     return None if x is None else _matrix(A.ring, x)

@@ -96,6 +96,25 @@ class ZModStalk:
             return None
         return pow(a, -1, self.q)
 
+    def valuation(self, a) -> int:
+        """The largest v <= k with p^v dividing a (so v(0) = k)."""
+        v = 0
+        while v < self.k and a % self.p == 0:
+            a //= self.p
+            v += 1
+        return v
+
+    def divide(self, b, a):
+        """The least c >= 0 with c*a = b, or None when v(b) < v(a).
+
+        c*a depends on c only modulo p^(k - v(a)), and c is below that.
+        """
+        pv = self.p ** self.valuation(a)
+        if b % pv:
+            return None
+        r = self.q // pv
+        return (b // pv) * pow(a // pv, -1, r) % r
+
     def in_max_ideal(self, a) -> bool:
         return a % self.p == 0
 
@@ -181,6 +200,19 @@ class ZLocStalk:
             return None
         return 1 / a
 
+    def valuation(self, a) -> int:
+        """The exponent of p in a's numerator, for a != 0."""
+        n, v = a.numerator, 0
+        while n % self.p == 0:
+            n //= self.p
+            v += 1
+        return v
+
+    def divide(self, b, a):
+        """b / a when it lies in Z_(p) (v(b) >= v(a), a != 0), else None."""
+        c = b / a
+        return None if c.denominator % self.p == 0 else c
+
     def in_max_ideal(self, a) -> bool:
         return a.numerator % self.p == 0
 
@@ -209,13 +241,13 @@ class ZLocStalk:
         return f"{a.numerator}/{a.denominator}"
 
     def value_from_json(self, data):
-        if isinstance(data, bool):
+        if isinstance(data, bool) or not isinstance(data, (int, str)):
             raise ValueError(f"expected fraction, got {data!r}")
-        if isinstance(data, int):
-            return self._check(Fraction(data))
-        if isinstance(data, str):
-            return self._check(Fraction(data))
-        raise ValueError(f"expected fraction, got {data!r}")
+        try:
+            a = Fraction(data)
+        except ZeroDivisionError:
+            raise ValueError(f"fraction {data!r} has a zero denominator") from None
+        return self._check(a)
 
 
 class TableStalk:

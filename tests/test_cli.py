@@ -335,6 +335,26 @@ def test_malformed_input_is_one_error_line(capsys, tmp_path, case):
     assert "Traceback" not in res.stderr
 
 
+ZLOC3 = '{"type":"zloc","p":3}'
+ZLOC2_Z3 = '{"type":"product","factors":[{"type":"zloc","p":2},{"type":"zmod","n":3}]}'
+
+
+@pytest.mark.parametrize(
+    "ring, flags, value",
+    [
+        (ZLOC3, ["--matrix", '[["1/0",0],[0,1]]'], "1/0"),
+        (ZLOC3, ["--poly", '["1/0",1]', "--companion"], "1/0"),
+        (ZLOC2_Z3, ["--matrix", '[[["0/0",1],0],[0,1]]'], "0/0"),
+        (ZLOC2_Z3, ["--poly", '[["0/0",1],[1,1]]', "--companion"], "0/0"),
+    ],
+    ids=["zloc-matrix", "zloc-poly", "product-matrix", "product-poly"],
+)
+def test_a_zero_denominator_is_an_input_error(capsys, ring, flags, value):
+    code, out, err = run(capsys, "decide", "--ring", ring, *flags)
+    assert (code, out) == (1, "")
+    assert err == f"error: fraction '{value}' has a zero denominator\n"
+
+
 def _z6_verify(capsys, tmp_path, mutate):
     """(exit code, stdout, stderr) of --verify on the Z/6 companion document after ``mutate``."""
     _, out, _ = run(capsys, "decide", "--ring", Z6, "--poly", "[2,3,1]", "--companion")

@@ -8,13 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cleanmat.intlinalg import smith_normal_form
 from cleanmat.matrices import (
     SquareMatrix,
     char_poly,
     companion,
     inverse,
-    linear_solve,
     poly_at_matrix,
     random_with_charpoly,
     solve_matrix_equation,
@@ -25,7 +23,14 @@ from cleanmat.rings import Element, Ring, build_ring
 from cleanmat.stalks import ZModStalk
 
 from conftest import CERT_RINGS, dual_f2_tables, f2xf2_tables, f4_tables
-from oracles import char_poly_cofactor, fold_dot, fold_matmul, matrix_classify
+from oracles import (
+    char_poly_cofactor,
+    fold_dot,
+    fold_matmul,
+    matrix_classify,
+    smith_normal_form,
+    smith_solvable,
+)
 
 
 def test_companion_and_charpoly_roundtrip(zmod):
@@ -125,10 +130,12 @@ def test_inverse_roundtrip(zmod):
 
 def test_linear_solve_examples(zmod, zloc):
     R6 = zmod(6)
-    x = linear_solve(R6, [[R6.from_int(2)]], [[R6.from_int(4)]])
-    assert R6.to_int(x[0][0]) == 2
+    X = solve_matrix_equation(SquareMatrix.from_ints(R6, [[2]]), SquareMatrix.from_ints(R6, [[4]]))
+    assert X == SquareMatrix.from_ints(R6, [[2]])
     Z2 = zloc(2)
-    assert linear_solve(Z2, [[Z2.from_int(2)]], [[Z2.from_int(3)]]) is None
+    assert solve_matrix_equation(
+        SquareMatrix.from_ints(Z2, [[2]]), SquareMatrix.from_ints(Z2, [[3]])
+    ) is None
     B = SquareMatrix.from_ints(R6, [[1, 2], [3, 4]])
     X = solve_matrix_equation(SquareMatrix.identity(R6, 2), B)
     assert X == B
@@ -154,11 +161,108 @@ def test_linear_solve_exhaustive_agreement(zmod):
     R6 = zmod(6)
     for a in range(6):
         for b in range(6):
-            x = linear_solve(R6, [[R6.from_int(a)]], [[R6.from_int(b)]])
+            X = solve_matrix_equation(
+                SquareMatrix.from_ints(R6, [[a]]), SquareMatrix.from_ints(R6, [[b]])
+            )
             brute = [v for v in range(6) if (a * v) % 6 == b]
-            assert (x is not None) == bool(brute)
-            if x is not None:
-                assert R6.to_int(x[0][0]) in brute
+            assert (X is not None) == bool(brute)
+            if X is not None:
+                assert R6.to_int(X.rows[0][0]) in brute
+
+
+_ZLOC = {
+    "Z_(2)": {"type": "zloc", "p": 2},
+    "Z_(3)": {"type": "zloc", "p": 3},
+}
+
+
+def _ring(name):
+    if name in CERT_RINGS:
+        return build_ring(CERT_RINGS[name])
+    if name in _ZLOC:
+        return build_ring(_ZLOC[name])
+    return build_ring({"type": "zmod", "n": int(name.removeprefix("Z/"))})
+
+
+def _random_matrix(R, rng, n):
+    return SquareMatrix(R, [[R.random_element(rng) for _ in range(n)] for _ in range(n)])
+
+
+def _system(R, rng, n):
+    """A seeded (A, B) for A X = B.
+
+    A is random, or singular as N @ P with N strictly upper triangular
+    (nilpotent); B is random, or A @ X0 so that the system is solvable.
+    """
+    A = _random_matrix(R, rng, n)
+    if rng.random() < 0.5:
+        N = SquareMatrix(
+            R,
+            [[R.random_element(rng) if i < j else R.zero for j in range(n)] for i in range(n)],
+        )
+        A = N @ A
+    B = _random_matrix(R, rng, n)
+    if rng.random() < 0.5:
+        B = A @ B
+    return A, B
+
+
+@pytest.mark.parametrize("name", ["Z/4", "Z/8", "Z/9", "dual-F2"])
+def test_solver_none_matches_enumeration(name):
+    """A 2x2 system has a solution exactly when every column of B is some A x."""
+    R = _ring(name)
+    elems = list(R.elements())
+    rng = random.Random(name)
+    seen = set()
+    for _ in range(60):
+        A, B = _system(R, rng, 2)
+        (a, b), (c, d) = A.rows
+        image = {(a * x + b * y, c * x + d * y) for x in elems for y in elems}
+        solvable = all(B.column(j) in image for j in range(2))
+        X = solve_matrix_equation(A, B)
+        assert (X is not None) == solvable
+        if X is not None:
+            assert A @ X == B
+        seen.add(solvable)
+    assert seen == {False, True}
+
+
+@pytest.mark.parametrize("name", ["Z/27", "Z_(2)", "Z_(3)", "Z/4 x Z_(3)"])
+def test_solver_none_matches_smith_form_oracle(name):
+    R = _ring(name)
+    rng = random.Random(name)
+    seen = set()
+    for n in (1, 2, 3):
+        for _ in range(40):
+            A, B = _system(R, rng, n)
+            X = solve_matrix_equation(A, B)
+            assert (X is not None) == smith_solvable(A, B)
+            if X is not None:
+                assert A @ X == B
+            seen.add(X is not None)
+    assert seen == {False, True}
+
+
+@pytest.mark.parametrize("name", ["Z/12", "Z/27", "Z_(2)", "Z/4 x Z_(3)", "dual-F2", "F2 x F2"])
+def test_inverse_at_larger_sizes(name):
+    """At n = 4..6, inverse(A) exists iff char_poly(A)(0) is a unit, and inverts A."""
+    R = _ring(name)
+    rng = random.Random(name)
+    seen = set()
+    for n in (4, 5, 6):
+        I = SquareMatrix.identity(R, n)
+        for k in range(10):
+            A = _random_matrix(R, rng, n)
+            if k % 2:
+                # (I + upper nilpotent) @ random: invertible exactly when the random factor is
+                up = [[R.random_element(rng) if i < j else R.zero for j in range(n)] for i in range(n)]
+                A = (I + SquareMatrix(R, up)) @ transpose(A)
+            inv = inverse(A)
+            assert (inv is not None) == R.is_unit(char_poly(A).coeff(0))
+            if inv is not None:
+                assert A @ inv == I and inv @ A == I
+            seen.add(inv is not None)
+    assert seen == {False, True}
 
 
 def _int_det(m):
