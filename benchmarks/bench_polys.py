@@ -7,8 +7,10 @@ For every ring of the fuzz_mixed pool (``perfbench/workloads.py``'s
 The table gives the per-call microseconds of ``h * g``,
 ``monic_divide(h, g)``, ``h.translate(c)``, the evaluation ``h(x)``,
 ``factor.comaximality(g, h)`` (a Sylvester matrix of size
-deg g + deg h) and ``factor.gsrc_search(h, R)``, as the best of 10 passes
-over the inputs.  Rows follow the pool's order, so the three 4-element
+deg g + deg h), ``factor.gsrc_search(h, R)``, ``verify.verify_gsrc`` of the
+certificates that search found (over Z_(p) some h have none, so that column
+averages over fewer inputs) and ``factor.gsp_search(h, R)``, as the best of
+10 passes over the inputs.  Rows follow the pool's order, so the three 4-element
 tables are F4, dual-F2 and F2 x F2.  Run with
 ``python benchmarks/bench_polys.py``.
 """
@@ -26,9 +28,10 @@ ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
 sys.path.insert(0, str(ROOT / "perfbench"))
 
-from cleanmat.factor import comaximality, gsrc_search  # noqa: E402
+from cleanmat.factor import comaximality, gsp_search, gsrc_search  # noqa: E402
 from cleanmat.polys import Poly, monic_divide  # noqa: E402
 from cleanmat.rings import build_ring  # noqa: E402
+from cleanmat.verify import verify_gsrc  # noqa: E402
 from workloads import FUZZ_RINGS  # noqa: E402
 
 SEED = 2024
@@ -62,13 +65,18 @@ def per_call_us(fn, args):
 
 
 def main():
-    ops = ["h * g", "monic_divide", "translate", "h(x)", "comaximality", "gsrc_search"]
+    ops = [
+        "h * g", "monic_divide", "translate", "h(x)", "comaximality", "gsrc_search",
+        "verify_gsrc", "gsp_search",
+    ]
     print(f"per-call microseconds, best of {PASSES} passes over {INPUTS} seeded inputs")
     print(f"{'ring':>19} " + " ".join(f"{op:>13}" for op in ops))
     totals = [0.0] * len(ops)
     for k, descriptor in enumerate(FUZZ_RINGS):
         R = build_ring(descriptor)
         inp = inputs(R)
+        found = [(h, gsrc_search(h, R, "SRC")) for h, _, _, _ in inp]
+        certs = [(h, res.certificate) for h, res in found if res.found]
         times = [
             per_call_us(lambda h, g: h * g, [(h, g) for h, g, _, _ in inp]),
             per_call_us(monic_divide, [(h, g) for h, g, _, _ in inp]),
@@ -76,6 +84,8 @@ def main():
             per_call_us(lambda h, x: h(x), [(h, x) for h, _, x, _ in inp]),
             per_call_us(comaximality, [(g, h) for h, g, _, _ in inp]),
             per_call_us(lambda h: gsrc_search(h, R, "SRC"), [(h,) for h, _, _, _ in inp]),
+            per_call_us(lambda h, c: verify_gsrc(h, R, c), certs),
+            per_call_us(lambda h: gsp_search(h, R), [(h,) for h, _, _, _ in inp]),
         ]
         totals = [a + b for a, b in zip(totals, times)]
         print(f"{k:>2} {R.label():>16} " + " ".join(f"{t:>13.1f}" for t in times))

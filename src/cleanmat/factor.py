@@ -4,10 +4,12 @@ Four searches are exposed:
 
 * ``src_search_local`` / ``src_search``: factor h = f0*f1 with f0(0) and
   f1(1) units; with comaximality of the factors as an extra requirement the
-  pair is certified by an explicit Bezout identity u*f0 + v*f1 = 1 read off
-  the Gauss-Jordan inverse of the Sylvester matrix.
+  pair is certified by an explicit Bezout identity u*f0 + v*f1 = 1 from one
+  unit-pivot solve of the Sylvester system.
 * ``gsrc_search``: the globalized form; one factorization per idempotent
   block, with blocks grouped by deg(f0) so at most deg(h)+1 blocks appear.
+  A block is a set of stalks, and its idempotent is the indicator of that
+  support (``Ring.indicator``).
 * ``sp_search_local`` / ``sp_search`` / ``gsp_search``: factor h = h0*p0
   with h0(0) a unit and p0 congruent to a power of t modulo nilpotents.
 
@@ -24,6 +26,11 @@ enumeration; Z_(p) is integrally closed, so monic linear factors come from
 rational roots); middle splits of degree >= 4 polynomials fall back to a
 bounded-height scan and report ``incomplete`` when they find nothing, which
 is distinct from a definitive ``absent``.
+
+The unit tests read raw coefficients: f(0) is a unit when every stalk's
+constant coefficient is, f(1) when every stalk's coefficient sum is
+(``Poly.unit_at_zero`` / ``Poly.unit_at_one``).  Rational-root candidates
+a/b are tested with the integer identity sum c_i a^i b^(n-i) = 0.
 """
 
 from __future__ import annotations
@@ -33,7 +40,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import VerificationFailed
-from .matrices import inverse, sylvester
+from .matrices import sylvester_solve
 from .polys import Poly, glue_polys, monic_divide
 from .rings import Element, Ring, block_ring
 from .stalks import ZLocStalk
@@ -98,11 +105,11 @@ def comaximality(f0: Poly, f1: Poly):
     deg v < deg f0) is the Sylvester matrix, square of size deg f0 + deg f1;
     its determinant is the resultant up to sign.  For monic polynomials over
     a ring whose stalks are local, the resultant is a unit exactly when the
-    pair is comaximal.  One inverse of the Sylvester matrix settles both:
-    ``inverse`` runs Gauss-Jordan on each stalk and returns None exactly
-    when some column has no unit pivot, that is when the resultant is not a
-    unit; otherwise the unique solution of M (u, v) = e_0 is column 0 of
-    M^{-1}.
+    pair is comaximal.  One solve settles both: ``sylvester_solve`` runs a
+    unit-pivot elimination of M (u, v) = e_0 on each stalk and returns None
+    exactly when some column has no unit pivot, that is when the resultant
+    is not a unit; otherwise its answer is the unique solution, and the
+    identity u*f0 + v*f1 = 1 is checked exactly before it is returned.
     """
     if not f0.is_monic or not f1.is_monic:
         raise ValueError("comaximality needs monic polynomials")
@@ -112,13 +119,10 @@ def comaximality(f0: Poly, f1: Poly):
         return Poly.one(R), Poly.zero(R)
     if f1.degree == 0:
         return Poly.zero(R), Poly.one(R)
-    M_inv = inverse(sylvester(f0, f1))
-    if M_inv is None:
+    bez = sylvester_solve(f0, f1)
+    if bez is None:
         return None
-    w = M_inv.column(0)
-    d1 = f1.degree
-    u = Poly(R, w[:d1])
-    v = Poly(R, w[d1:])
+    u, v = bez
     if (u * f0 + v * f1) != Poly.one(R):
         raise VerificationFailed(["resultant Bezout pair failed its identity check"])
     return u, v
@@ -143,9 +147,11 @@ def _divisors(n: int):
 def rational_roots(h: Poly) -> list[Fraction]:
     """All roots of a monic h over Z_(p) (they are rational, and p-integral).
 
-    Clears denominators and enumerates a/b with a | const, b | lead of the
-    integer polynomial; Z_(p) is integrally closed, so every rational root of
-    a monic polynomial over it already lies in Z_(p).
+    Clears denominators and enumerates a/b in lowest terms with a | const,
+    b | lead of the integer polynomial sum c_i t^i; a/b is a root exactly
+    when the integer sum c_i a^i b^(n-i) is 0.  Z_(p) is integrally closed,
+    so every rational root of a monic polynomial over it already lies in
+    Z_(p).
     """
     ring = h.ring
     stalk = ring.stalks[0]
@@ -154,7 +160,7 @@ def rational_roots(h: Poly) -> list[Fraction]:
     scale = 1
     for c in coeffs:
         scale = scale * c.denominator // _gcd(scale, c.denominator)
-    ints = [int(c * scale) for c in coeffs]
+    ints = [c.numerator * (scale // c.denominator) for c in coeffs]
     roots = set()
     # strip powers of t
     v = 0
@@ -165,17 +171,19 @@ def rational_roots(h: Poly) -> list[Fraction]:
     ints = ints[v:]
     if len(ints) > 1:
         const, lead = ints[0], ints[-1]
+        rest = ints[-2::-1]
         for a in _divisors(const):
             for b in _divisors(lead):
+                if _gcd(a, b) != 1:
+                    continue
                 for num in (a, -a):
-                    r = Fraction(num, b)
-                    if r in roots:
-                        continue
-                    acc = Fraction(0)
-                    for c in reversed(ints):
-                        acc = acc * r + c
+                    # Horner on the homogenized sum: acc = sum c_i num^i b^(n-i)
+                    acc, bpow = lead, 1
+                    for c in rest:
+                        bpow *= b
+                        acc = acc * num + c * bpow
                     if acc == 0:
-                        roots.add(r)
+                        roots.add(Fraction(num, b))
     for r in roots:
         assert r.denominator % stalk.p != 0, "monic root escaped Z_(p)"
     return sorted(roots)
@@ -263,7 +271,7 @@ def _attempt_pair(h: Poly, f0: Poly, mode: str):
     if not exact:
         return None
     f1 = q
-    if not R.is_unit(f0(R.zero)) or not R.is_unit(f1(R.one)):
+    if not f0.unit_at_zero or not f1.unit_at_one:
         return None
     if mode == "SR":
         return SRCCertificate(f0, f1, None, None, "SR")
@@ -408,11 +416,11 @@ def _sp_outcomes(h: Poly):
         note = f"p0 = t^{d} does not divide h"
         if d == val:
             h0 = Poly.from_parts(R, [a[d:]])
-            if R.is_unit(h0(R.zero)):
+            if h0.unit_at_zero:
                 cert = SPCertificate(h0, Poly.t_power(R, d))
                 note = "found"
             else:
-                note = f"h0(0) = {h0(R.zero)!r} is not a unit"
+                note = f"h0(0) = {h0.coeff(0)!r} is not a unit"
         elif d < val:
             note = f"h0(0) would be 0 (valuation of h is {val})"
         yield DegreeOutcome(cert, True, note)
@@ -539,14 +547,10 @@ def _assemble_global(R: Ring, choices, glue) -> list[Block]:
     for i, (d, _) in enumerate(choices):
         groups.setdefault(d, []).append(i)
     blocks = []
-    prim = R.primitive_idempotents()
     for d in sorted(groups):
         support = tuple(groups[d])
-        e = R.zero
-        for i in support:
-            e = e + prim[i]
         certs = [choices[i][1] for i in support]
-        blocks.append(Block(support, e, glue(R, support, certs)))
+        blocks.append(Block(support, R.indicator(support), glue(R, support, certs)))
     return blocks
 
 

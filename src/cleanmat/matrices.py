@@ -7,9 +7,10 @@ sees it: its only state besides ``ring`` and ``n`` is ``grids``, one raw grid
 property boxes Elements on demand, for serializing, printing and the
 exhaustive scan's encoding.  Every operator (``+ - neg * @ ** == hash``) and
 every public function (``transpose``, ``identity``, ``zeros``,
-``companion``, ``sylvester``, ``char_poly``, ``inverse``, ``poly_at_matrix``,
-``random_with_charpoly``, ``solve_matrix_equation``) runs one raw kernel per
-stalk with that stalk's own ``dot``/``add``/``sub``/``mul``/``neg``/``inv``.
+``companion``, ``sylvester``, ``sylvester_solve``, ``char_poly``, ``inverse``,
+``poly_at_matrix``, ``random_with_charpoly``, ``solve_matrix_equation``) runs
+one raw kernel per stalk with that stalk's own
+``dot``/``add``/``sub``/``mul``/``neg``/``inv``.
 The kernels and the raw-grid format are private to this module: the
 certificate constructions in ``decide`` and the verifiers in ``verify`` use
 the public operations only.
@@ -19,13 +20,15 @@ uses no divisions and is therefore valid over rings with zero divisors.
 Inverting and solving are eliminations on each local stalk, in the stalk's
 own arithmetic.  Over a local ring a matrix is invertible exactly when
 Gauss-Jordan finds a unit pivot in every column, so ``inverse`` pivots on
-the first unit of each column and stops at a column that has none.  Z/p^k
-and Z_(p) are chain rings: an entry of least valuation divides every entry
-of its block, so ``solve_matrix_equation`` pivots on one (a row swap and a
-column swap), back-substitutes with the free coordinates 0 and finds the
-system solvable exactly when each reduced right-hand side is divisible by
-its pivot.  A table stalk need not be a chain ring; its systems are searched
-exhaustively under a budget.
+the first unit of each column and stops at a column that has none, and
+``sylvester_solve`` solves one Sylvester system M x = e_0 by forward
+elimination on the same pivots and back substitution.  Z/p^k and Z_(p) are
+chain rings: an entry of least valuation divides every entry of its block,
+so ``solve_matrix_equation`` pivots on one (a row swap and a column swap),
+back-substitutes with the free coordinates 0 and finds the system solvable
+exactly when each reduced right-hand side is divisible by its pivot.  A
+table stalk need not be a chain ring; its systems are searched exhaustively
+under a budget.
 """
 
 from __future__ import annotations
@@ -150,12 +153,6 @@ class SquareMatrix:
         )
         return f"<matrix [{body}] over {self.ring.label()}>"
 
-    def column(self, j: int) -> tuple:
-        """Column j as a tuple of Elements, boxed on each access."""
-        return tuple(
-            Element(self.ring, tuple(a[i][j] for a in self.grids)) for i in range(self.n)
-        )
-
     def restrict(self, i: int) -> "SquareMatrix":
         return _matrix(self.ring.stalk_ring(i), [self.grids[i]])
 
@@ -211,14 +208,35 @@ def sylvester(f0: Poly, f1: Poly) -> SquareMatrix:
         raise ValueError("sylvester needs monic polynomials")
     if f0.ring.key != f1.ring.key:
         raise RingMismatch("polynomials over different rings")
-    d0, d1 = f0.degree, f1.degree
-    grids = []
+    return _matrix(
+        f0.ring,
+        [_raw_sylvester(s, a, b) for s, a, b in zip(f0.ring.stalks, f0.parts, f1.parts)],
+    )
+
+
+def sylvester_solve(f0: Poly, f1: Poly):
+    """(u, v) with u*f0 + v*f1 = 1 and deg u < deg f1, deg v < deg f0, or None.
+
+    For monic f0, f1 of degree >= 1 (anything else raises ``ValueError``)
+    this is the solution of M (u, v) = e_0 for M = ``sylvester(f0, f1)``, by
+    one unit-pivot elimination per stalk.
+    It is None exactly when some stalk's M has a column with no unit pivot,
+    that is when the resultant is not a unit.
+    """
+    if not f0.is_monic or not f1.is_monic or min(f0.degree, f1.degree) < 1:
+        raise ValueError("sylvester_solve needs monic polynomials of degree >= 1")
+    if f0.ring.key != f1.ring.key:
+        raise RingMismatch("polynomials over different rings")
+    d1 = f1.degree
+    us, vs = [], []
     for s, a, b in zip(f0.ring.stalks, f0.parts, f1.parts):
-        z = s.zero
-        cols = [[z] * j + list(a) + [z] * (d1 - 1 - j) for j in range(d1)]
-        cols += [[z] * j + list(b) + [z] * (d0 - 1 - j) for j in range(d0)]
-        grids.append([list(row) for row in zip(*cols)])
-    return _matrix(f0.ring, grids)
+        m = _raw_sylvester(s, a, b)
+        x = _raw_unit_solve(s, m, [s.one] + [s.zero] * (len(m) - 1))
+        if x is None:
+            return None
+        us.append(x[:d1])
+        vs.append(x[d1:])
+    return Poly.from_parts(f0.ring, us), Poly.from_parts(f0.ring, vs)
 
 
 def transpose(A: SquareMatrix) -> SquareMatrix:
@@ -337,6 +355,48 @@ def _raw_inverse(s, a: list):
     inv = [[row[k] for k in order] for row in m]
     assert _raw_matmul(s, inv, a) == _raw_identity(s, n)
     return inv
+
+
+def _raw_unit_solve(s, a: list, b: list):
+    """The solution x of a x = b on a local stalk, or None when det a is not a unit.
+
+    Forward elimination pivots column c on its first unit at or below the
+    diagonal, the same pivots as ``_raw_inverse``, so it fails at the same
+    column; back substitution then scales by the stored pivot inverses.
+    """
+    n = len(a)
+    is_unit, mul, sub, zero = s.is_unit, s.mul, s.sub, s.zero
+    m = [row + [v] for row, v in zip(a, b)]
+    pivot_inv = []
+    for c in range(n):
+        for p in range(c, n):
+            if is_unit(m[p][c]):
+                break
+        else:
+            return None
+        m[c], m[p] = m[p], m[c]
+        k = s.inv(m[c][c])
+        pivot_inv.append(k)
+        top = m[c][c + 1 :]
+        for r in range(c + 1, n):
+            row = m[r]
+            if row[c] != zero:
+                f = mul(row[c], k)
+                row[c + 1 :] = [sub(x, mul(f, y)) for x, y in zip(row[c + 1 :], top)]
+    x = [zero] * n
+    for c in reversed(range(n)):
+        row = m[c]
+        x[c] = mul(sub(row[n], s.dot(row[c + 1 : n], x[c + 1 :])), pivot_inv[c])
+    return x
+
+
+def _raw_sylvester(s, a, b) -> list:
+    """The Sylvester grid of two monic stalk polynomials a, b (see ``sylvester``)."""
+    d0, d1 = len(a) - 1, len(b) - 1
+    z = s.zero
+    cols = [[z] * j + list(a) + [z] * (d1 - 1 - j) for j in range(d1)]
+    cols += [[z] * j + list(b) + [z] * (d0 - 1 - j) for j in range(d0)]
+    return [list(row) for row in zip(*cols)]
 
 
 def _raw_inverses(stalks, grids):

@@ -17,7 +17,8 @@ operation (``+ - neg *``, ``translate``, evaluation and ``monic_divide``)
 runs one raw kernel per stalk with that stalk's own
 ``add``/``sub``/``mul``/``neg``/``dot``, and ``restrict``, ``on_block`` and
 ``glue_polys`` select parts.  Division by a monic divisor is exact over any
-commutative ring.
+commutative ring.  The unit tests ``unit_at_zero`` and ``unit_at_one`` read
+each stalk's constant coefficient and coefficient sum, with no evaluation.
 """
 
 from __future__ import annotations
@@ -90,6 +91,16 @@ class Poly:
             if len(p) != n or p[-1] != s.one:
                 return False
         return True
+
+    @property
+    def unit_at_zero(self) -> bool:
+        """Whether p(0) is a unit: every stalk's constant coefficient is one."""
+        return all(p and s.is_unit(p[0]) for s, p in zip(self.ring.stalks, self.parts))
+
+    @property
+    def unit_at_one(self) -> bool:
+        """Whether p(1) is a unit: every stalk's coefficient sum is one."""
+        return all(s.is_unit(s.sum(p)) for s, p in zip(self.ring.stalks, self.parts))
 
     def coeff(self, i: int) -> Element:
         R = self.ring

@@ -225,15 +225,16 @@ class Ring:
     def restrict_element(self, a: Element, i: int) -> Element:
         return Element(self.stalk_ring(i), (a.parts[i],))
 
+    def indicator(self, support) -> Element:
+        """The idempotent that is 1 on the stalks in ``support`` and 0 elsewhere."""
+        return Element(
+            self,
+            tuple(s.one if i in support else s.zero for i, s in enumerate(self.stalks)),
+        )
+
     def primitive_idempotents(self) -> list[Element]:
         """One indicator idempotent per stalk, in stalk order."""
-        out = []
-        for i in range(self.num_stalks):
-            parts = tuple(
-                s.one if j == i else s.zero for j, s in enumerate(self.stalks)
-            )
-            out.append(Element(self, parts))
-        return out
+        return [self.indicator((i,)) for i in range(self.num_stalks)]
 
     def idempotents(self) -> list[Element]:
         """All idempotents: 0/1 stalk vectors, sorted canonically.

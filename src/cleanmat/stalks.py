@@ -82,6 +82,9 @@ class ZModStalk:
     def dot(self, xs, ys):
         return sum(map(mul, xs, ys)) % self.q
 
+    def sum(self, xs):
+        return sum(xs) % self.q
+
     def neg(self, a):
         return (-a) % self.q
 
@@ -186,6 +189,9 @@ class ZLocStalk:
     def dot(self, xs, ys):
         return sum(map(mul, xs, ys), self.zero)
 
+    def sum(self, xs):
+        return sum(xs, self.zero)
+
     def neg(self, a):
         return -a
 
@@ -267,6 +273,7 @@ class TableStalk:
         self.zero = zero
         self.one = one
         self._neg = [row.index(zero) for row in add_table]
+        self._nil_index = None
         self._inv = {}
         for a, row in enumerate(mul_table):
             if one in row:
@@ -293,6 +300,13 @@ class TableStalk:
         acc = self.zero
         for a, b in zip(xs, ys):
             acc = add[acc][mul_t[a][b]]
+        return acc
+
+    def sum(self, xs):
+        add = self._add
+        acc = self.zero
+        for a in xs:
+            acc = add[acc][a]
         return acc
 
     def neg(self, a):
@@ -334,7 +348,13 @@ class TableStalk:
         return list(range(self.size))
 
     def nil_index(self) -> int:
-        """Smallest c with m^c = 0 for the maximal ideal m."""
+        """Smallest c with m^c = 0 for the maximal ideal m, computed once."""
+        if self._nil_index is None:
+            self._nil_index = self._ideal_power_index()
+        return self._nil_index
+
+    def _ideal_power_index(self) -> int:
+        """The c of ``nil_index``, by closing m, m^2, ... under addition."""
         ideal = frozenset(a for a in self.elements() if not self.is_unit(a))
         power = ideal
         c = 1

@@ -1,9 +1,16 @@
 """Independent re-verification of every certificate kind.
 
-These checks use only ring primitives (multiplication, evaluation, unit
-tests) and never consult the search code, so a certificate accepted here is
-evidence on its own.  Each verifier returns a list of failure strings; empty
-means valid.
+These checks use only ring primitives (multiplication and unit tests) and
+never consult the search code, so a certificate accepted here is evidence
+on its own.  Each verifier returns a list of failure strings; empty means
+valid.
+
+The polynomial certificates are checked on raw stalk values: f(0) is a
+unit when every stalk's constant coefficient is, and f(1) when every
+stalk's coefficient sum is.  A gSRC/gSP block is a set of stalks, so the
+blocks are checked on their supports: the supports must partition the
+stalks and each block idempotent must equal the indicator of its support,
+which together make the idempotents a complete orthogonal set.
 
 The matrix certificates are checked with the public matrix operations
 ``@``, ``+``, ``**`` and ``==``: E^2 = E, E + U = A, EU = UE and
@@ -27,7 +34,7 @@ from .factor import (
 )
 from .matrices import PiRegularCertificate, SquareMatrix, StrongCleanCertificate
 from .polys import Poly
-from .rings import Ring, is_complete_orthogonal
+from .rings import Ring
 
 
 def verify_src(h: Poly, cert: SRCCertificate) -> list[str]:
@@ -37,9 +44,9 @@ def verify_src(h: Poly, cert: SRCCertificate) -> list[str]:
         fails.append("factors are not monic")
     if cert.f0 * cert.f1 != h:
         fails.append("f0 * f1 != h")
-    if not R.is_unit(cert.f0(R.zero)):
+    if not cert.f0.unit_at_zero:
         fails.append("f0(0) is not a unit")
-    if not R.is_unit(cert.f1(R.one)):
+    if not cert.f1.unit_at_one:
         fails.append("f1(1) is not a unit")
     if cert.kind not in ("SR", "SRC"):
         fails.append(f"unknown certificate kind {cert.kind!r}")
@@ -58,7 +65,7 @@ def verify_sp(h: Poly, cert: SPCertificate) -> list[str]:
         fails.append("factors are not monic")
     if cert.h0 * cert.p0 != h:
         fails.append("h0 * p0 != h")
-    if not R.is_unit(cert.h0(R.zero)):
+    if not cert.h0.unit_at_zero:
         fails.append("h0(0) is not a unit")
     d = cert.p0.degree
     for i in range(d):
@@ -71,22 +78,25 @@ def verify_sp(h: Poly, cert: SPCertificate) -> list[str]:
 
 
 def _verify_blocks(h: Poly, R: Ring, blocks: list[Block], leaf) -> list[str]:
+    """Blocks partition the stalks, each idempotent is its support's indicator.
+
+    Those two facts make the idempotents a complete orthogonal set, so both
+    are checked on raw stalk values; then each block's certificate is
+    checked over its block ring.
+    """
     fails = []
-    if not is_complete_orthogonal(R, [b.idempotent for b in blocks]):
-        fails.append("block idempotents are not a complete orthogonal set")
     if len(blocks) > h.degree + 1:
         fails.append(f"{len(blocks)} blocks exceed the deg(h)+1 bound")
     covered = sorted(i for b in blocks for i in b.support)
     if covered != list(range(R.num_stalks)):
         fails.append("block supports do not partition the stalks")
+    if any(
+        b.idempotent.ring.key != R.key or b.idempotent.parts != R.indicator(b.support).parts
+        for b in blocks
+    ):
+        fails.append("block idempotent does not match its support")
     for b in blocks:
-        target = block_target(R, b.support)
-        if b.idempotent.ring.key != R.key:
-            fails.append("block idempotent lives in the wrong ring")
-            continue
-        if R.idempotent_support(b.idempotent) != b.support:
-            fails.append("block idempotent does not match its support")
-        hb = h if target is R else h.on_block(b.support)
+        hb = h if block_target(R, b.support) is R else h.on_block(b.support)
         for msg in leaf(hb, b.cert):
             fails.append(f"block {b.support}: {msg}")
     return fails

@@ -8,7 +8,9 @@ them.  ``char_poly_cofactor`` expands det(tI - A) over the polynomial ring,
 ``matrix_classify`` classifies a matrix from its inverse, char poly and
 square, and ``comaximality_cramer`` takes the Bezout pair of two monic
 polynomials by Cramer's rule on the Sylvester matrix, with determinants by
-cofactor expansion on Elements.  ``verify_strong_clean_elementwise`` and
+cofactor expansion on Elements.  ``rational_roots_horner`` finds the
+rational roots of a monic Z_(p) polynomial by Fraction Horner at every
+rational-root-theorem candidate.  ``verify_strong_clean_elementwise`` and
 ``verify_pi_regular_elementwise`` check the certificate identities on the
 boxed Element rows, with every product an Element fold (``fold_matmul``,
 powers as repeated products) and every comparison entry by entry, so they
@@ -231,6 +233,35 @@ def comaximality_cramer(f0: Poly, f1: Poly):
     if fold_poly_add(fold_poly_mul(u, f0), fold_poly_mul(v, f1)) != Poly.one(R):
         raise VerificationFailed(["Cramer Bezout pair failed its identity check"])
     return u, v
+
+
+def rational_roots_horner(h: Poly) -> list[Fraction]:
+    """The rational roots of a monic h over Z_(p), by Fraction Horner on its coefficients.
+
+    Every candidate r = a/b with a | const and b | lead of the cleared integer
+    polynomial (after dividing out t^v) is evaluated at the Fraction
+    coefficients themselves, so no integer identity is shared with
+    ``factor.rational_roots``.
+    """
+    (coeffs,) = h.parts
+    v = next(i for i, c in enumerate(coeffs) if c != 0)
+    rest = coeffs[v:]
+    scale = lcm(*(c.denominator for c in rest))
+    const, lead = int(rest[0] * scale), int(rest[-1] * scale)
+
+    def divisors(n):
+        return [d for d in range(1, abs(n) + 1) if n % d == 0]
+
+    roots = {Fraction(0)} if v else set()
+    for a in divisors(const):
+        for b in divisors(lead):
+            for r in (Fraction(a, b), Fraction(-a, b)):
+                acc = Fraction(0)
+                for c in reversed(coeffs):
+                    acc = acc * r + c
+                if acc == 0:
+                    roots.add(r)
+    return sorted(roots)
 
 
 def fold_dot(R, xs, ys):

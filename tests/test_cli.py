@@ -119,6 +119,50 @@ def test_verify_roundtrip(capsys, tmp_path):
     assert json.loads(vout)["valid"] is False
 
 
+def _set_idempotent(value):
+    def mutate(blocks):
+        blocks[0]["idempotent"] = value
+
+    return mutate
+
+
+def _swap_idempotents(blocks):
+    blocks[0]["idempotent"], blocks[1]["idempotent"] = (
+        blocks[1]["idempotent"],
+        blocks[0]["idempotent"],
+    )
+
+
+@pytest.mark.parametrize(
+    "mutate",
+    [
+        _set_idempotent(["0/1", "2/1"]),
+        _set_idempotent(["0/1", "0/1"]),
+        _set_idempotent(["1/1", "1/1"]),
+        _swap_idempotents,
+    ],
+    ids=["not-0/1", "all-zeros", "all-ones", "swapped"],
+)
+def test_a_tampered_block_idempotent_fails_verification(capsys, tmp_path, mutate):
+    """Exit 3 with one failure: the idempotent is not its support's indicator."""
+    _, out, _ = run(
+        capsys, "decide", "--ring", PROD, "--poly", "[[2,3],[3,1],[1,1]]", "--companion"
+    )
+    doc = json.loads(out)
+    path = tmp_path / "doc.json"
+    path.write_text(out)
+    assert run(capsys, "decide", "--ring", PROD, "--verify", f"@{path}")[0] == 0
+    mutate(doc["decision"]["factorization"]["blocks"])
+    path.write_text(json.dumps(doc))
+    code, vout, err = run(capsys, "decide", "--ring", PROD, "--verify", f"@{path}")
+    assert (code, err) == (3, "")
+    assert json.loads(vout) == {
+        "command": "verify",
+        "failures": ["block idempotent does not match its support"],
+        "valid": False,
+    }
+
+
 def test_verify_roundtrip_pi_regular(capsys, tmp_path):
     args = ["pi-regular", "--ring", '{"type":"zmod","n":6}', "--poly", "[2,3,1]", "--companion"]
     _, out, _ = run(capsys, *args)

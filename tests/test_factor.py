@@ -5,6 +5,7 @@ import math
 import random
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -24,12 +25,14 @@ from cleanmat.factor import (
     src_search,
     src_search_local,
 )
+from cleanmat.matrices import inverse, sylvester, sylvester_solve
 from cleanmat.polys import Poly, monic_divide
 from cleanmat.rings import Element, build_ring
 from cleanmat.serialize import dumps_canonical, to_jsonable
 from cleanmat.verify import verify_gsp, verify_gsrc, verify_sp, verify_src
 
-from oracles import comaximality_cramer, nilpotents
+from conftest import CERT_RINGS
+from oracles import comaximality_cramer, nilpotents, rational_roots_horner
 
 
 def ints(R, p):
@@ -497,3 +500,102 @@ def test_comaximality_matches_cramer_oracle_seeded(zloc):
         assert [b is None for b in per_stalk].count(True) == 1
     assert any(comaximality(f0, f1) is None for f0, f1 in pairs)
     assert any(comaximality(f0, f1) is not None for f0, f1 in pairs)
+
+
+COMAX_RINGS = {
+    **CERT_RINGS,
+    "Z_(2)": {"type": "zloc", "p": 2},
+    "Z_(3)": {"type": "zloc", "p": 3},
+    "Z_(2) x Z_(2)": {
+        "type": "product",
+        "factors": [{"type": "zloc", "p": 2}, {"type": "zloc", "p": 2}],
+    },
+}
+
+
+def _nonunit_on(R, j, rng):
+    """An element that is a non-unit on stalk j and random elsewhere."""
+    parts = list(R.random_element(rng).parts)
+    s = R.stalks[j]
+    if s.finite:
+        parts[j] = rng.choice([x for x in s.elements() if not s.is_unit(x)])
+    else:
+        parts[j] = s.p * s.random(rng)
+    return Element(R, tuple(parts))
+
+
+@pytest.mark.parametrize("label", sorted(COMAX_RINGS))
+def test_comaximality_matches_cramer_oracle_per_ring(label):
+    """Seeded pairs, comaximal or not: the same (u, v), or None on both sides."""
+    R = build_ring(COMAX_RINGS[label])
+    rng = random.Random(31415)
+    pairs = [
+        (_random_monic(R, rng.randint(1, 2), rng), _random_monic(R, rng.randint(1, 2), rng))
+        for _ in range(24)
+    ]
+    # resultant(f0, f0*g + c) = +-c^deg f0, not a unit where c is not; and
+    # f0 shares the factor f0 with f0*g
+    refuted = []
+    for _ in range(8):
+        f0 = _random_monic(R, rng.randint(1, 2), rng)
+        g = _random_monic(R, 1, rng)
+        c = _nonunit_on(R, rng.randrange(R.num_stalks), rng)
+        refuted += [(f0, f0 * g + Poly.constant(c)), (f0, f0 * g)]
+    for f0, f1 in pairs + refuted:
+        got = comaximality(f0, f1)
+        assert _bezout_parts(got) == _bezout_parts(comaximality_cramer(f0, f1)), (f0, f1)
+        # the one solve pivots like the Gauss-Jordan inverse: same None, column 0
+        M_inv = inverse(sylvester(f0, f1))
+        assert (got is None) == (M_inv is None)
+        if got is not None:
+            u, v = got
+            w = [row[0] for row in M_inv.rows]
+            assert (u, v) == (Poly(R, w[: f1.degree]), Poly(R, w[f1.degree :]))
+    assert all(comaximality(f0, f1) is None for f0, f1 in refuted)
+    assert any(comaximality(f0, f1) is not None for f0, f1 in pairs)
+    # a degree-0 factor has no Sylvester system; comaximality answers it directly
+    f1 = pairs[0][1]
+    with pytest.raises(ValueError):
+        sylvester_solve(Poly.one(R), f1)
+    assert comaximality(Poly.one(R), f1) == (Poly.one(R), Poly.zero(R))
+
+
+def _zloc_root_polys(p, rng):
+    """Seeded monic Z_(p) polynomials with p-integral rational roots and t-power factors."""
+    Z = build_ring({"type": "zloc", "p": p})
+    s = Z.stalks[0]
+    polys = []
+    for k in range(60):
+        roots = [s.random(rng) for _ in range(rng.randint(0, 2))]
+        h = Poly.t_power(Z, k % 3)
+        for r in roots:
+            h = h * Poly.from_parts(Z, [[-r, s.one]])
+        rest = rng.randint(0 if roots or k % 3 else 1, 2)
+        h = h * Poly.from_parts(Z, [[s.random(rng) for _ in range(rest)] + [s.one]])
+        polys.append((h, set(roots) | ({Fraction(0)} if k % 3 else set())))
+    return polys
+
+
+def test_rational_roots_match_fraction_horner():
+    rng = random.Random(1618)
+    for p in (2, 3, 5):
+        polys = _zloc_root_polys(p, rng)
+        assert any(any(c.denominator > 1 for c in h.parts[0]) for h, _ in polys)
+        for h, known in polys:
+            got = rational_roots(h)
+            assert got == rational_roots_horner(h), h
+            assert known <= set(got), h
+
+
+def test_rational_roots_match_sympy():
+    sympy = pytest.importorskip("sympy")
+    t = sympy.Symbol("t")
+    rng = random.Random(2236)
+    for p in (2, 3, 5):
+        for h, _ in _zloc_root_polys(p, rng):
+            coeffs = [sympy.Rational(c.numerator, c.denominator) for c in reversed(h.parts[0])]
+            expected = sorted(
+                Fraction(int(r.p), int(r.q))
+                for r in sympy.Poly(coeffs, t, domain="QQ").ground_roots()
+            )
+            assert rational_roots(h) == expected, h

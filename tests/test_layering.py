@@ -8,6 +8,12 @@ them may import a private (``_``-prefixed) name from ``.matrices`` or
 
 Only ``stalks.py`` knows how a stalk stores its operations: no other module
 may read a stalk's private ``_add``, ``_mul``, ``_neg`` or ``_inv``.
+
+A Pierce block is its support: ``factor.py`` builds each block idempotent
+as the indicator of its support and ``verify.py`` checks it on raw stalk
+values, so neither may use the Element-level idempotent bookkeeping
+(``primitive_idempotents``, ``idempotent_support``,
+``is_complete_orthogonal``).
 """
 
 from __future__ import annotations
@@ -85,3 +91,40 @@ def test_the_guard_sees_a_stalk_table_read(tmp_path):
         encoding="utf-8",
     )
     assert _stalk_private_reads(bad) == ["_mul"]
+
+
+BOXED_IDEMPOTENT_NAMES = {"primitive_idempotents", "idempotent_support", "is_complete_orthogonal"}
+
+
+def _boxed_idempotent_uses(path: Path) -> list[str]:
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Name):
+            found.append(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.append(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            found += [alias.name for alias in node.names]
+    return sorted(name for name in found if name in BOXED_IDEMPOTENT_NAMES)
+
+
+def test_blocks_are_built_and_verified_on_supports():
+    offenders = {
+        name: uses
+        for name in ("factor.py", "verify.py")
+        if (uses := _boxed_idempotent_uses(SRC / name))
+    }
+    assert offenders == {}
+
+
+def test_the_guard_sees_boxed_idempotent_bookkeeping(tmp_path):
+    bad = tmp_path / "bad.py"
+    bad.write_text(
+        "from .rings import is_complete_orthogonal\n"
+        "def f(R, e):\n"
+        "    return R.primitive_idempotents(), R.idempotent_support(e)\n",
+        encoding="utf-8",
+    )
+    assert _boxed_idempotent_uses(bad) == [
+        "idempotent_support", "is_complete_orthogonal", "primitive_idempotents"
+    ]

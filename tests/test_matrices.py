@@ -218,7 +218,7 @@ def test_solver_none_matches_enumeration(name):
         A, B = _system(R, rng, 2)
         (a, b), (c, d) = A.rows
         image = {(a * x + b * y, c * x + d * y) for x in elems for y in elems}
-        solvable = all(B.column(j) in image for j in range(2))
+        solvable = all(col in image for col in zip(*B.rows))
         X = solve_matrix_equation(A, B)
         assert (X is not None) == solvable
         if X is not None:

@@ -180,3 +180,20 @@ def test_poly_kernels_match_the_fold_oracles(label):
             else:
                 with pytest.raises(NonMonicDivisor):
                     monic_divide(f, g)
+
+
+@pytest.mark.parametrize("label", sorted(KERNEL_RINGS))
+def test_unit_coefficient_tests_match_evaluation(label):
+    """p(0) is a unit iff every constant coefficient is; p(1) iff every coefficient sum is."""
+    R = build_ring(KERNEL_RINGS[label])
+    rng = random.Random(777)
+    pool, _ = _kernel_pool(R, rng)
+    pool += [p * q for p in pool[:10] for q in pool[:10]]
+    seen = set()
+    for p in pool:
+        at_zero, at_one = R.is_unit(p(R.zero)), R.is_unit(p(R.one))
+        assert p.unit_at_zero == at_zero, p
+        assert p.unit_at_one == at_one, p
+        seen.add((at_zero, at_one))
+    assert {a for a, _ in seen} == {True, False}
+    assert {b for _, b in seen} == {True, False}

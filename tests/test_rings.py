@@ -314,3 +314,29 @@ def test_table_stalk_neg_matches_add_table_scan(f4_ring, dual_ring, f2xf2_ring):
                 assert s.neg(a) == scan[a]
                 for b in s.elements():
                     assert s.sub(a, b) == s._add[a][scan[b]]
+
+
+def _nil_index_by_products(s) -> int:
+    """Smallest c with every product of c non-units 0 (they generate m^c additively)."""
+    nonunits = [a for a in s.elements() if not s.is_unit(a)]
+    products, c = set(nonunits), 1
+    while products != {s.zero}:
+        products = {s.mul(a, b) for a in products for b in nonunits}
+        c += 1
+    return c
+
+
+@pytest.mark.parametrize(
+    "tables",
+    [f4_tables(), dual_f2_tables(), f2xf2_tables(), zmod_tables(8), zmod_tables(12)],
+    ids=["F4", "dual-F2", "F2 x F2", "Z/8", "Z/12"],
+)
+def test_table_nil_index_is_stored_once(tables, monkeypatch):
+    R = _table_ring(tables)
+    for s in R.stalks:
+        expected = _nil_index_by_products(s)
+        assert s.nil_index() == s._ideal_power_index() == expected
+        # the stored value answers later calls without another closure
+        monkeypatch.setattr(s, "_ideal_power_index", lambda: pytest.fail("recomputed"))
+        assert s.nil_index() == expected
+    assert R.max_nil_index() == max(map(_nil_index_by_products, R.stalks))
