@@ -17,7 +17,7 @@ from .decide import (
     theorem_main_audit,
     triangular_sweep,
 )
-from .factor import gsp_search, gsrc_search, sp_search, src_search, src_search_local
+from .factor import gsp_search, gsrc_search, sp_search, src_search
 from .matrices import SquareMatrix, char_poly, companion
 from .polys import Poly
 from .rings import Element, Ring, build_ring, pierce_glue
@@ -40,7 +40,6 @@ __all__ = [
     "pierce_glue",
     "sp_search",
     "src_search",
-    "src_search_local",
     "sqrt_one_plus_radical",
     "theorem_main_audit",
     "triangular_sweep",

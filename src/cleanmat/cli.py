@@ -84,17 +84,17 @@ def build_parser() -> Parser:
     p = Parser(prog="cleanmat", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, ring=True):
+    def common(sp, run, ring=True):
+        sp.set_defaults(run=run)
         if ring:
             sp.add_argument("--ring", required=True, help="ring descriptor JSON or @file")
         sp.add_argument("--pretty", action="store_true", help="indented output")
-        sp.add_argument("--json", action="store_true", help="compact output (default)")
 
     sp = sub.add_parser("ring", help="stalk decomposition and classification")
-    common(sp)
+    common(sp, cmd_ring)
 
     sp = sub.add_parser("factor", help="SR/SRC/gSRC/SP/gSP factorization search")
-    common(sp)
+    common(sp, cmd_factor)
     sp.add_argument("--poly", required=True, help="monic coefficients, low degree first")
     sp.add_argument(
         "--mode",
@@ -109,7 +109,7 @@ def build_parser() -> Parser:
             if name == "decide"
             else "strong pi-regularity decision",
         )
-        common(sp)
+        common(sp, cmd_decide)
         sp.add_argument("--poly", help="monic coefficients (with --companion)")
         sp.add_argument("--matrix", help="row-major matrix JSON or @file")
         sp.add_argument("--companion", action="store_true")
@@ -119,7 +119,7 @@ def build_parser() -> Parser:
         sp.add_argument("--verify", help="re-verify a previously emitted document")
 
     sp = sub.add_parser("audit", help="exhaustive theorem-equivalence audit")
-    common(sp)
+    common(sp, cmd_audit)
     sp.add_argument("--degree", type=_degree, required=True)
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--samples", type=int, default=5)
@@ -127,22 +127,23 @@ def build_parser() -> Parser:
     sp.add_argument("--pi", action="store_true", help="audit pi-regularity instead")
 
     sp = sub.add_parser("triangular", help="certify all upper-triangular matrices")
-    common(sp)
+    common(sp, cmd_triangular)
     sp.add_argument("--degree", type=_degree, required=True)
     sp.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
 
     sp = sub.add_parser("jclean", help="the 2x2 radical-root criterion")
-    common(sp)
+    common(sp, cmd_jclean)
 
     sp = sub.add_parser("z5-example", help="the Z[sqrt(-5)] module audit")
-    common(sp, ring=False)
+    common(sp, cmd_z5, ring=False)
 
     return p
 
 
 def _input_matrix(R, args):
     if args.matrix:
-        return matrix_from_json(R, _load(args.matrix)), {"matrix": _load(args.matrix)}
+        data = _load(args.matrix)
+        return matrix_from_json(R, data), {"matrix": data}
     if args.poly and args.companion:
         h = poly_from_json(R, _load(args.poly))
         return companion(h), {"poly": poly_to_json(h), "companion": True}
@@ -254,7 +255,7 @@ def _verify_document(doc) -> list[str]:
     return fails
 
 
-def cmd_decide(args, pi: bool) -> int:
+def cmd_decide(args) -> int:
     if args.verify:
         doc = _load(args.verify)
         fails = _verify_document(doc)
@@ -262,6 +263,7 @@ def cmd_decide(args, pi: bool) -> int:
         _emit(out, args)
         return 0 if not fails else 3
     R = ring_from_json(_load(args.ring))
+    pi = args.command == "pi-regular"
     if not pi and args.degree is not None:
         decision = decide_ring_strongly_clean(R, args.degree, args.budget)
         doc = {
@@ -275,7 +277,7 @@ def cmd_decide(args, pi: bool) -> int:
     A, described = _input_matrix(R, args)
     decision = decide_pi_regular(A) if pi else decide_strongly_clean(A)
     doc = {
-        "command": "pi-regular" if pi else "decide",
+        "command": args.command,
         "ring": R.descriptor,
         "input": described,
         "decision": to_jsonable(decision),
@@ -332,23 +334,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        if args.command == "ring":
-            return cmd_ring(args)
-        if args.command == "factor":
-            return cmd_factor(args)
-        if args.command == "decide":
-            return cmd_decide(args, pi=False)
-        if args.command == "pi-regular":
-            return cmd_decide(args, pi=True)
-        if args.command == "audit":
-            return cmd_audit(args)
-        if args.command == "triangular":
-            return cmd_triangular(args)
-        if args.command == "jclean":
-            return cmd_jclean(args)
-        if args.command == "z5-example":
-            return cmd_z5(args)
-        raise UsageError(f"unknown command {args.command!r}")
+        return args.run(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

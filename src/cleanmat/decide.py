@@ -3,10 +3,12 @@
 ``decide_strongly_clean`` realizes the three-way equivalence for clean
 rings: a gSRC factorization of the characteristic polynomial is turned into
 an explicit commuting (E, U) pair block by block, and a definitive gSRC
-absence refutes the companion matrix.  Over a finite ring every stalk is
-Henselian, so the gSRC always exists and every ``unknown`` verdict comes
-from a Z_(p) stalk.  Every constructed certificate is re-verified before it
-is returned; derivations are never trusted.
+absence refutes the companion matrix.  ``build_ring`` only makes finite
+products of local stalks, which are clean and J-clean, so no decider checks
+either property again.  Over a finite ring every stalk is Henselian, so the
+gSRC always exists and every ``unknown`` verdict comes from a Z_(p) stalk.
+Every constructed certificate is re-verified before it is returned;
+derivations are never trusted.
 
 The certificates are built with public matrix operations only: each block's
 polynomials are lifted to polynomials over the whole ring (``_over_R``),
@@ -26,9 +28,7 @@ from .brute import DEFAULT_BUDGET, pi_regular_oracle, strongly_clean_bruteforce
 from .errors import (
     BudgetExceeded,
     InfiniteRing,
-    NotCleanRing,
     NotInRadical,
-    PreconditionNotJClean,
     TwoNotUnit,
     VerificationFailed,
 )
@@ -185,14 +185,8 @@ def pi_regular_from_gsp(A: SquareMatrix, gcert) -> PiRegularCertificate:
 # -- matrix-level deciders ---------------------------------------------------------
 
 
-def _require_clean(R: Ring):
-    if not R.classify().is_clean:
-        raise NotCleanRing(f"{R.label()} is not clean")
-
-
 def decide_strongly_clean(A: SquareMatrix) -> Decision:
     R = A.ring
-    _require_clean(R)
     h = char_poly(A)
     res = gsrc_search(h, R, "SRC")
     if res.found:
@@ -221,7 +215,6 @@ def decide_strongly_clean(A: SquareMatrix) -> Decision:
 
 def decide_pi_regular(A: SquareMatrix, cross_check: bool = True) -> Decision:
     R = A.ring
-    _require_clean(R)
     h = char_poly(A)
     res = gsp_search(h, R)
     if res.found:
@@ -253,7 +246,6 @@ def decide_ring_strongly_clean(
     R: Ring, n: int, budget: int = DEFAULT_BUDGET
 ) -> Decision:
     """Is Mat_n(R) strongly clean?  (Equivalently: every monic degree-n h has a gSRC.)"""
-    _require_clean(R)
     if R.is_finite:
         total = R.size**n
         if total > budget:
@@ -301,9 +293,6 @@ def jclean_quadratic_criterion(R: Ring) -> Decision:
     representative a = p is always a witness of failure since 1 - 4p < 0
     cannot be a rational square, so Z_(p) stalks always answer No.
     """
-    cls = R.classify()
-    if not cls.is_j_clean:
-        raise PreconditionNotJClean(f"{R.label()} is not J-clean")
     stalk_reports = []
     a_elem = None
     for i in range(R.num_stalks):

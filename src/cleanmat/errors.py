@@ -52,14 +52,6 @@ class InfiniteRing(CleanmatError):
     pass
 
 
-class NotCleanRing(CleanmatError):
-    pass
-
-
-class PreconditionNotJClean(CleanmatError):
-    pass
-
-
 class TwoNotUnit(CleanmatError):
     """Raised by the square-root supplement when 2 is not invertible."""
 

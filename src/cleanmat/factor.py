@@ -2,16 +2,20 @@
 
 Four searches are exposed:
 
-* ``src_search_local`` / ``src_search``: factor h = f0*f1 with f0(0) and
-  f1(1) units; with comaximality of the factors as an extra requirement the
-  pair is certified by an explicit Bezout identity u*f0 + v*f1 = 1 from one
-  unit-pivot solve of the Sylvester system.
+* ``src_search``: factor h = f0*f1 with f0(0) and f1(1) units; with
+  comaximality of the factors as an extra requirement the pair is certified
+  by an explicit Bezout identity u*f0 + v*f1 = 1 from one unit-pivot solve
+  of the Sylvester system.
 * ``gsrc_search``: the globalized form; one factorization per idempotent
   block, with blocks grouped by deg(f0) so at most deg(h)+1 blocks appear.
   A block is a set of stalks, and its idempotent is the indicator of that
   support (``Ring.indicator``).
-* ``sp_search_local`` / ``sp_search`` / ``gsp_search``: factor h = h0*p0
-  with h0(0) a unit and p0 congruent to a power of t modulo nilpotents.
+* ``sp_search`` / ``gsp_search``: factor h = h0*p0 with h0(0) a unit and p0
+  congruent to a power of t modulo nilpotents.
+
+A local ring is a ring with one stalk, so the search over a local ring is
+``src_search(h, h.ring)`` or ``sp_search(h, h.ring)``: the single stalk's
+degree profile, whose certificate is glued over its one block, R itself.
 
 Every search works stalk by stalk, in degree order, and stops once it has
 its answer.  A finite stalk is a Henselian local ring, so its lowest-degree
@@ -383,10 +387,7 @@ def _src_outcomes_zloc(h: Poly, mode: str):
 
 
 def _src_profile(h: Poly, mode: str) -> _Profile:
-    R = h.ring
-    if R.num_stalks != 1:
-        raise ValueError("profiles run on single-stalk rings")
-    outcomes = _src_outcomes_finite if R.is_finite else _src_outcomes_zloc
+    outcomes = _src_outcomes_finite if h.ring.is_finite else _src_outcomes_zloc
     return _Profile(h.degree, outcomes(h, mode))
 
 
@@ -428,8 +429,6 @@ def _sp_outcomes(h: Poly):
 
 def _sp_profile(h: Poly) -> _Profile:
     """SP outcomes per deg(p0); one lift decides every degree, so all are filled."""
-    if h.ring.num_stalks != 1:
-        raise ValueError("profiles run on single-stalk rings")
     profile = _Profile(h.degree, _sp_outcomes(h))
     profile.at(h.degree)
     return profile
@@ -455,33 +454,6 @@ def _profile_transcript(R: Ring, profiles, mode: str) -> dict:
     return {"mode": mode, "stalks": stalks}
 
 
-def _local_result(h: Poly, profile: _Profile, mode: str) -> SearchResult:
-    hit = profile.first_hit()
-    transcript = _profile_transcript(h.ring, [profile], mode)
-    if hit:
-        return SearchResult(FOUND, hit[1], transcript)
-    return SearchResult(ABSENT if profile.complete else INCOMPLETE, None, transcript)
-
-
-def src_search_local(h: Poly, mode: str = "SRC") -> SearchResult:
-    """SR/SRC factorization over a local (single-stalk) ring."""
-    _require_monic(h)
-    return _local_result(h, _src_profile(h, mode), mode)
-
-
-def sp_search_local(h: Poly) -> SearchResult:
-    _require_monic(h)
-    return _local_result(h, _sp_profile(h), "SP")
-
-
-def _stalk_profiles(h: Poly, R: Ring, kind: str, mode: str = "SRC"):
-    out = []
-    for i in range(R.num_stalks):
-        hx = h.restrict(i)
-        out.append(_src_profile(hx, mode) if kind == "src" else _sp_profile(hx))
-    return out
-
-
 def _common_degree_result(h: Poly, R: Ring, profiles, mode: str, glue) -> SearchResult:
     """The lowest degree split that every stalk shares, glued by CRT."""
     undecided = False
@@ -505,26 +477,19 @@ def src_search(h: Poly, R: Ring, mode: str = "SRC") -> SearchResult:
     combines the per-stalk degree profiles at each uniform degree.
     """
     _require_monic(h)
-    profiles = _stalk_profiles(h, R, "src", mode)
+    profiles = [_src_profile(h.restrict(i), mode) for i in range(R.num_stalks)]
     return _common_degree_result(h, R, profiles, mode, _glue_src_block)
 
 
 def sp_search(h: Poly, R: Ring) -> SearchResult:
     """Single-block SP factorization over R: one common deg(p0) on every stalk."""
     _require_monic(h)
-    profiles = _stalk_profiles(h, R, "sp")
+    profiles = [_sp_profile(h.restrict(i)) for i in range(R.num_stalks)]
     return _common_degree_result(h, R, profiles, "SP", _glue_sp_block)
 
 
-def block_target(R: Ring, support: tuple[int, ...]) -> Ring:
-    # A block covering every stalk is the idempotent 1, whose subring is R itself.
-    if support == tuple(range(R.num_stalks)):
-        return R
-    return block_ring(R, support)
-
-
 def _glue_src_block(R: Ring, support: tuple[int, ...], certs) -> SRCCertificate:
-    B = block_target(R, support)
+    B = block_ring(R, support)
     f0 = glue_polys(B, [c.f0 for c in certs])
     f1 = glue_polys(B, [c.f1 for c in certs])
     if any(c.bezout_u is None for c in certs):
@@ -535,7 +500,7 @@ def _glue_src_block(R: Ring, support: tuple[int, ...], certs) -> SRCCertificate:
 
 
 def _glue_sp_block(R: Ring, support: tuple[int, ...], certs) -> SPCertificate:
-    B = block_target(R, support)
+    B = block_ring(R, support)
     return SPCertificate(
         glue_polys(B, [c.h0 for c in certs]), glue_polys(B, [c.p0 for c in certs])
     )
@@ -570,12 +535,12 @@ def _global_result(h: Poly, R: Ring, profiles, mode: str, glue, wrap) -> SearchR
 def gsrc_search(h: Poly, R: Ring, mode: str = "SRC") -> SearchResult:
     """Globalized SR(C) factorization: per-stalk searches grouped by degree."""
     _require_monic(h)
-    profiles = _stalk_profiles(h, R, "src", mode)
+    profiles = [_src_profile(h.restrict(i), mode) for i in range(R.num_stalks)]
     return _global_result(h, R, profiles, mode, _glue_src_block, GSRCCertificate)
 
 
 def gsp_search(h: Poly, R: Ring) -> SearchResult:
     """Globalized SP factorization; complete over every in-scope ring."""
     _require_monic(h)
-    profiles = _stalk_profiles(h, R, "sp")
+    profiles = [_sp_profile(h.restrict(i)) for i in range(R.num_stalks)]
     return _global_result(h, R, profiles, "SP", _glue_sp_block, GSPCertificate)

@@ -440,10 +440,16 @@ def build_ring(descriptor: dict) -> Ring:
 
 
 def block_ring(R: Ring, indices: tuple[int, ...]) -> Ring:
-    """The subring e*R for the idempotent e supported on the given stalks."""
+    """The subring e*R for the idempotent e supported on the given stalks.
+
+    Its stalks are R's stalks at ``indices``, in that order.  The full
+    support in order is the idempotent 1, whose subring is R itself.
+    """
     indices = tuple(indices)
     if not indices:
         raise ValueError("a block needs at least one stalk")
+    if indices == tuple(range(R.num_stalks)):
+        return R
     if indices in R._block_rings:
         return R._block_rings[indices]
     if len(indices) == 1:

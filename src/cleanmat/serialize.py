@@ -19,12 +19,10 @@ from .factor import (
     GSRCCertificate,
     SPCertificate,
     SRCCertificate,
-    SearchResult,
-    block_target,
 )
 from .matrices import PiRegularCertificate, SquareMatrix, StrongCleanCertificate
 from .polys import Poly
-from .rings import Element, Ring, build_ring
+from .rings import Element, Ring, block_ring, build_ring
 
 
 def element_to_json(a: Element):
@@ -120,12 +118,6 @@ def to_jsonable(obj):
             "h0": poly_to_json(obj.h0),
             "p0": poly_to_json(obj.p0),
         }
-    if isinstance(obj, Block):
-        return {
-            "support": list(obj.support),
-            "idempotent": element_to_json(obj.idempotent),
-            "cert": to_jsonable(obj.cert),
-        }
     if isinstance(obj, GSRCCertificate):
         return {"type": "gsrc", "blocks": [to_jsonable(b) for b in obj.blocks]}
     if isinstance(obj, GSPCertificate):
@@ -143,12 +135,6 @@ def to_jsonable(obj):
             "k": obj.k,
             "X": matrix_to_json(obj.X),
             "Y": matrix_to_json(obj.Y),
-        }
-    if isinstance(obj, SearchResult):
-        return {
-            "status": obj.status,
-            "certificate": to_jsonable(obj.certificate),
-            "transcript": to_jsonable(obj.transcript),
         }
     if isinstance(obj, Decision):
         out = {"verdict": obj.verdict, "route": obj.route}
@@ -233,12 +219,11 @@ def _blocks_from_json(R: Ring, data, leaf):
     blocks = []
     for b in data["blocks"]:
         support = _support_from_json(R, b["support"])
-        target = block_target(R, support)
         blocks.append(
             Block(
                 support,
                 element_from_json(R, b["idempotent"]),
-                leaf(target, b["cert"]),
+                leaf(block_ring(R, support), b["cert"]),
             )
         )
     return blocks

@@ -30,7 +30,6 @@ from .factor import (
     GSRCCertificate,
     SPCertificate,
     SRCCertificate,
-    block_target,
 )
 from .matrices import PiRegularCertificate, SquareMatrix, StrongCleanCertificate
 from .polys import Poly
@@ -96,8 +95,7 @@ def _verify_blocks(h: Poly, R: Ring, blocks: list[Block], leaf) -> list[str]:
     ):
         fails.append("block idempotent does not match its support")
     for b in blocks:
-        hb = h if block_target(R, b.support) is R else h.on_block(b.support)
-        for msg in leaf(hb, b.cert):
+        for msg in leaf(h.on_block(b.support), b.cert):
             fails.append(f"block {b.support}: {msg}")
     return fails
 

@@ -379,6 +379,26 @@ def test_malformed_input_is_one_error_line(capsys, tmp_path, case):
     assert "Traceback" not in res.stderr
 
 
+def test_a_matrix_read_from_a_pipe():
+    """``@/dev/stdin`` is read once, so a piped matrix decides like an inline one."""
+    argv = ["-m", "cleanmat.cli", "decide", "--ring", Z6]
+    env = dict(os.environ, PYTHONPATH=SRC)
+    piped = subprocess.run(
+        [sys.executable, *argv, "--matrix", "@/dev/stdin"],
+        input="[[1,2],[3,4]]\n", capture_output=True, text=True, env=env, timeout=30,
+    )
+    inline = _python(*argv, "--matrix", "[[1,2],[3,4]]", timeout=30)
+    assert (piped.returncode, piped.stderr) == (0, ""), piped.stderr
+    assert piped.stdout == inline.stdout
+    assert json.loads(piped.stdout)["input"] == {"matrix": [[1, 2], [3, 4]]}
+
+
+def test_there_is_no_json_flag(capsys):
+    code, out, err = run(capsys, "ring", "--ring", Z6, "--json")
+    assert (code, out) == (1, "")
+    assert err == "error: unrecognized arguments: --json\n"
+
+
 ZLOC3 = '{"type":"zloc","p":3}'
 ZLOC2_Z3 = '{"type":"product","factors":[{"type":"zloc","p":2},{"type":"zmod","n":3}]}'
 
@@ -407,6 +427,27 @@ def _z6_verify(capsys, tmp_path, mutate):
 
 def _gsrc_block(doc):
     return doc["decision"]["factorization"]["blocks"][0]
+
+
+def _swap_stalk_values(poly):
+    return [coeff[::-1] for coeff in poly]
+
+
+def test_a_full_support_block_verifies_in_either_stalk_order(capsys, tmp_path):
+    """The block of 1 is R itself; listed as [1, 0] it is R with its stalks swapped."""
+    _, out, _ = run(capsys, "decide", "--ring", Z6, "--poly", "[2,3,1]", "--companion")
+    assert _gsrc_block(json.loads(out))["support"] == [0, 1]
+    code, vout, _ = run(capsys, *_verify_argv(lambda d: None)(tmp_path, json.loads(out)))
+    assert (code, json.loads(vout)["valid"]) == (0, True)
+
+    def permute(doc):
+        block = _gsrc_block(doc)
+        block["support"] = [1, 0]
+        for key in ("f0", "f1", "bezout_u", "bezout_v"):
+            block["cert"][key] = _swap_stalk_values(block["cert"][key])
+
+    code, vout, _ = run(capsys, *_verify_argv(permute)(tmp_path, json.loads(out)))
+    assert (code, json.loads(vout)) == (0, {"command": "verify", "failures": [], "valid": True})
 
 
 def test_an_unknown_src_kind_is_an_input_error(capsys, tmp_path):

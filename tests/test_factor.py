@@ -21,9 +21,7 @@ from cleanmat.factor import (
     gsrc_search,
     rational_roots,
     sp_search,
-    sp_search_local,
     src_search,
-    src_search_local,
 )
 from cleanmat.matrices import inverse, sylvester, sylvester_solve
 from cleanmat.polys import Poly, monic_divide
@@ -53,7 +51,7 @@ def test_comaximality_examples(zmod):
 def test_src_local_z8(zmod):
     R8 = zmod(8)
     h = Poly.from_ints(R8, [2, 3, 1])
-    res = src_search_local(h)
+    res = src_search(h, h.ring)
     c = res.certificate
     assert res.found and c.kind == "SRC"
     assert ints(R8, c.f0) == [1, 1] and ints(R8, c.f1) == [2, 1]
@@ -72,10 +70,10 @@ def test_verify_src_fails_an_unknown_kind(zmod):
 
 def test_src_local_zloc_complete_quadratic(zloc):
     Z2 = zloc(2)
-    res = src_search_local(Poly.from_ints(Z2, [2, -1, 1]))
+    res = src_search(Poly.from_ints(Z2, [2, -1, 1]), Z2)
     assert res.status == "absent"
     # trivial split: t factors as 1 * t with f1(1) = 1
-    res = src_search_local(Poly.t_power(Z2, 1))
+    res = src_search(Poly.t_power(Z2, 1), Z2)
     assert res.found and res.certificate.f0.degree == 0
     assert res.certificate.f1 == Poly.t_power(Z2, 1)
 
@@ -101,7 +99,7 @@ def test_src_local_matches_bruteforce_enumeration(zmod, f4_ring, dual_ring):
                             continue
                         if R.is_unit(f0(R.zero)) and R.is_unit(q(R.one)):
                             oracle = True
-            got = src_search_local(h, "SR").found
+            got = src_search(h, h.ring, "SR").found
             assert got == oracle, (R.label(), [R.render_value(c) for c in h.coeffs])
 
 
@@ -109,11 +107,11 @@ def test_zloc_degree3_is_definitive(zloc):
     Z2 = zloc(2)
     # (t - 1)(t^2 - t + 2): root 1 gives the d = 2 split with f1 = t - 1
     h = Poly.from_ints(Z2, [-2, 3, -2, 1])
-    res = src_search_local(h, "SRC")
+    res = src_search(h, h.ring, "SRC")
     assert res.status in ("found", "absent")  # never incomplete at degree 3
     # irreducible over Q: h(0), h(1) even, no rational roots -> definitive absence
     h = Poly.from_ints(Z2, [2, 1, 0, 1])
-    assert src_search_local(h, "SRC").status == "absent"
+    assert src_search(h, h.ring, "SRC").status == "absent"
 
 
 def test_zloc_degree4_middle_split_incomplete(zloc):
@@ -121,7 +119,7 @@ def test_zloc_degree4_middle_split_incomplete(zloc):
     # irreducible over Q (irreducible mod 3), so no factorization exists, but
     # the middle split cannot be ruled out by a bounded search: incomplete.
     h = Poly.from_ints(Z2, [2, 1, 0, 0, 1])
-    assert src_search_local(h, "SRC").status == "incomplete"
+    assert src_search(h, h.ring, "SRC").status == "incomplete"
 
 
 def test_rational_roots():
@@ -184,16 +182,16 @@ def test_src_z6_requires_full_divisor_scan(zmod):
 
 def test_sp_local_examples(zmod, zloc):
     R4 = zmod(4)
-    res = sp_search_local(Poly.from_ints(R4, [2, 3, 1]))
+    res = sp_search(Poly.from_ints(R4, [2, 3, 1]), R4)
     assert res.found
     assert ints(R4, res.certificate.h0) == [1, 1]
     assert ints(R4, res.certificate.p0) == [2, 1]
     R3 = zmod(3)
-    res = sp_search_local(Poly.from_ints(R3, [2, 3, 1]))
+    res = sp_search(Poly.from_ints(R3, [2, 3, 1]), R3)
     assert res.found and res.certificate.p0 == Poly.one(R3)
     assert res.certificate.h0 == Poly.from_ints(R3, [2, 3, 1])
     Z2 = zloc(2)
-    assert sp_search_local(Poly.from_ints(Z2, [2, 3, 1])).status == "absent"
+    assert sp_search(Poly.from_ints(Z2, [2, 3, 1]), Z2).status == "absent"
 
 
 def test_gsp_z6_blocks_and_single_block_absence(zmod):
@@ -435,6 +433,44 @@ def test_gsrc_transcript_stops_at_first_hit(zmod):
     # one lift decides every SP degree, so the SP transcript lists them all
     res = gsp_search(h, R8)
     assert list(res.transcript["stalks"][0]["degrees"]) == ["0", "1", "2", "3"]
+
+
+# -- a local ring is a ring with one stalk ------------------------------------------
+
+ONE_STALK_RINGS = {
+    label: d
+    for label, d in {
+        **{f"Z/{n}": {"type": "zmod", "n": n} for n in range(2, 28)},
+        **{f"Z_({p})": {"type": "zloc", "p": p} for p in (2, 3, 5)},
+        **CERT_RINGS,
+    }.items()
+    if build_ring(d).num_stalks == 1
+}
+
+
+@pytest.mark.parametrize("label", sorted(ONE_STALK_RINGS))
+def test_one_stalk_searches_agree_with_global_searches(label):
+    """Over one stalk the single-block and globalized searches are one search.
+
+    Same status and transcript, and a found gSRC/gSP certificate is one block
+    on support (0,) carrying the SRC/SP certificate itself.
+    """
+    R = build_ring(ONE_STALK_RINGS[label])
+    rng = random.Random(2718)
+    for d in range(1, 5):
+        for _ in range(12):
+            h = _random_monic(R, d, rng)
+            for mode in ("SR", "SRC"):
+                _assert_one_block(src_search(h, h.ring, mode), gsrc_search(h, h.ring, mode))
+            _assert_one_block(sp_search(h, h.ring), gsp_search(h, h.ring))
+
+
+def _assert_one_block(one, glob):
+    assert (one.status, one.transcript) == (glob.status, glob.transcript)
+    if one.found:
+        (block,) = glob.certificate.blocks
+        assert block.support == (0,)
+        assert block.cert == one.certificate
 
 
 # -- oracle: comaximality by Cramer's rule on the Sylvester matrix -------------------

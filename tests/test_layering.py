@@ -14,11 +14,16 @@ as the indicator of its support and ``verify.py`` checks it on raw stalk
 values, so neither may use the Element-level idempotent bookkeeping
 (``primitive_idempotents``, ``idempotent_support``,
 ``is_complete_orthogonal``).
+
+The benchmark harness under ``perfbench/`` is frozen: it calls the package
+by name, so the names, parameters and methods it uses must keep existing.
 """
 
 from __future__ import annotations
 
 import ast
+import importlib
+import inspect
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "cleanmat"
@@ -128,3 +133,59 @@ def test_the_guard_sees_boxed_idempotent_bookkeeping(tmp_path):
     assert _boxed_idempotent_uses(bad) == [
         "idempotent_support", "is_complete_orthogonal", "primitive_idempotents"
     ]
+
+
+# module -> the names ``perfbench/`` calls in it
+BENCHMARK_ENTRY_POINTS = {
+    "factor": ["src_search", "sp_search", "gsrc_search", "gsp_search"],
+    "verify": [
+        "verify_src",
+        "verify_sp",
+        "verify_gsrc",
+        "verify_gsp",
+        "verify_strong_clean",
+        "verify_pi_regular",
+    ],
+    "decide": [
+        "decide_strongly_clean",
+        "decide_pi_regular",
+        "theorem_main_audit",
+        "pi_regular_audit",
+        "triangular_sweep",
+    ],
+    "serialize": [
+        "ring_from_json",
+        "matrix_from_json",
+        "poly_from_json",
+        "certificate_from_json",
+        "dumps_canonical",
+    ],
+    "matrices": ["companion", "char_poly"],
+    "polys": ["Poly"],
+    "rings": ["build_ring"],
+    "cli": ["main"],
+}
+
+
+def _params(module: str, name: str) -> list[str]:
+    fn = getattr(importlib.import_module(f"cleanmat.{module}"), name)
+    return list(inspect.signature(fn).parameters)
+
+
+def test_the_benchmark_entry_points_exist():
+    missing = [
+        f"{module}.{name}"
+        for module, names in BENCHMARK_ENTRY_POINTS.items()
+        for name in names
+        if not callable(getattr(importlib.import_module(f"cleanmat.{module}"), name, None))
+    ]
+    assert missing == []
+    assert "cross_check" in _params("decide", "decide_pi_regular")
+    assert {"samples", "seed"} <= set(_params("decide", "theorem_main_audit"))
+    # the tracer counts a scan's candidates from its positional start and stop
+    assert _params("_kernels", "scan_strongly_clean")[10:12] == ["start", "stop"]
+    assert isinstance(importlib.import_module("cleanmat._kernels").HAVE_NUMBA, bool)
+    from cleanmat.matrices import SquareMatrix
+    from cleanmat.rings import Ring
+
+    assert callable(Ring.classify) and callable(SquareMatrix.__matmul__)

@@ -15,6 +15,7 @@ from cleanmat.errors import (
     UnsupportedSize,
 )
 from cleanmat.rings import (
+    block_ring,
     build_ring,
     is_complete_orthogonal,
     pierce_glue,
@@ -22,7 +23,7 @@ from cleanmat.rings import (
 from cleanmat.serialize import element_from_json
 from cleanmat.stalks import ZModStalk
 
-from conftest import dual_f2_tables, f2xf2_tables, f4_tables, zmod_tables
+from conftest import CERT_RINGS, dual_f2_tables, f2xf2_tables, f4_tables, zmod_tables
 from oracles import (
     is_clean_definitional,
     is_j_clean_definitional,
@@ -224,6 +225,19 @@ def test_table_values_mean_the_same_in_every_ring(tables):
             for b in s.elements():
                 assert own.add(a, b) == s.add(a, b)
                 assert own.mul(a, b) == s.mul(a, b)
+
+
+@pytest.mark.parametrize("label", sorted(CERT_RINGS))
+def test_the_full_block_is_the_ring_itself(label):
+    R = build_ring(CERT_RINGS[label])
+    assert block_ring(R, tuple(range(R.num_stalks))) is R
+    if R.num_stalks > 1:
+        # listed in another order, the same stalks make another ring
+        order = tuple(reversed(range(R.num_stalks)))
+        B = block_ring(R, order)
+        assert B is not R and B.key != R.key
+        stalks = [s.ring_descriptor() for s in B.stalks]
+        assert stalks == [R.stalks[i].ring_descriptor() for i in order]
 
 
 @settings(max_examples=60, deadline=None)
