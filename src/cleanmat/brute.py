@@ -5,8 +5,8 @@ deciders must agree with them wherever they can run.  Finite rings are
 encoded as numpy operation tables and handed to the scan in ``_kernels``;
 enumeration order is the canonical element order, so results are
 deterministic.  numpy and ``_kernels`` are imported by the functions that
-use them, so importing this module (as the CLI and the deciders do) does
-not load numpy.
+use them, so importing this module does not load numpy; the deciders import
+it only inside the pi-regularity cross-check and the two audits.
 
 Each ring's ``RingTable`` is encoded once and cached, and it also holds the
 scan's idempotent index: for each matrix size n and chunk of the
@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
-from .errors import BudgetExceeded, InfiniteRing, UnsupportedSize
+from .errors import DEFAULT_BUDGET, BudgetExceeded, InfiniteRing, UnsupportedSize
 from .matrices import (
     PiRegularCertificate,
     SquareMatrix,
@@ -34,7 +34,6 @@ from .rings import Element, Ring
 if TYPE_CHECKING:
     import numpy as np
 
-DEFAULT_BUDGET = 10**6
 ENCODE_CAP = 1024
 
 

@@ -4,6 +4,12 @@ Exit codes: 0 decided/completed, 2 unknown or incomplete verdict, 1 usage or
 input error, 3 internal verification failure (a certificate failed its
 re-check).  Wall-clock timings go to stderr so stdout stays byte-identical
 across repeated invocations.
+
+Every command is a fresh process, so its start-up counts: this module
+imports only ``errors`` and ``serialize`` (with ``rings`` and ``stalks``
+behind it), and each ``cmd_*`` handler imports the modules it runs.
+``ring`` builds and classifies a ring and loads nothing more, ``factor``
+loads no decider, and only ``z5-example`` loads ``quadz5``.
 """
 
 from __future__ import annotations
@@ -12,21 +18,7 @@ import argparse
 import json
 import sys
 
-from .brute import DEFAULT_BUDGET
-from .decide import (
-    UNKNOWN,
-    decide_pi_regular,
-    decide_ring_strongly_clean,
-    decide_strongly_clean,
-    jclean_quadratic_criterion,
-    pi_regular_audit,
-    theorem_main_audit,
-    triangular_sweep,
-)
-from .errors import CleanmatError, VerificationFailed
-from .factor import gsp_search, gsrc_search, sp_search, src_search
-from .matrices import char_poly, companion
-from .quadz5 import run_audit
+from .errors import DEFAULT_BUDGET, CleanmatError, VerificationFailed
 from .serialize import (
     certificate_from_json,
     dumps_canonical,
@@ -35,14 +27,6 @@ from .serialize import (
     poly_to_json,
     ring_from_json,
     to_jsonable,
-)
-from .verify import (
-    verify_gsp,
-    verify_gsrc,
-    verify_pi_regular,
-    verify_sp,
-    verify_src,
-    verify_strong_clean,
 )
 
 
@@ -141,6 +125,8 @@ def build_parser() -> Parser:
 
 
 def _input_matrix(R, args):
+    from .matrices import companion
+
     if args.matrix:
         data = _load(args.matrix)
         return matrix_from_json(R, data), {"matrix": data}
@@ -152,6 +138,8 @@ def _input_matrix(R, args):
 
 
 def _decision_exit(decision) -> int:
+    from .decide import UNKNOWN
+
     return 2 if decision.verdict == UNKNOWN else 0
 
 
@@ -179,6 +167,8 @@ def cmd_ring(args) -> int:
 
 
 def cmd_factor(args) -> int:
+    from .factor import gsp_search, gsrc_search, sp_search, src_search
+
     R = ring_from_json(_load(args.ring))
     h = poly_from_json(R, _load(args.poly))
     mode = args.mode
@@ -207,6 +197,8 @@ def cmd_factor(args) -> int:
 
 def _parse_document(doc):
     """The ring, input matrix, polynomial and typed certificates of a document."""
+    from .matrices import char_poly, companion
+
     R = ring_from_json(doc["ring"])
     payload = doc.get("decision") or doc.get("result") or {}
     inp = doc.get("input", {})
@@ -230,6 +222,15 @@ def _parse_document(doc):
 
 
 def _verify_document(doc) -> list[str]:
+    from .verify import (
+        verify_gsp,
+        verify_gsrc,
+        verify_pi_regular,
+        verify_sp,
+        verify_src,
+        verify_strong_clean,
+    )
+
     try:
         R, A, h, certs = _parse_document(doc)
     except (KeyError, IndexError, TypeError, AttributeError) as exc:
@@ -265,6 +266,8 @@ def cmd_decide(args) -> int:
     R = ring_from_json(_load(args.ring))
     pi = args.command == "pi-regular"
     if not pi and args.degree is not None:
+        from .decide import decide_ring_strongly_clean
+
         decision = decide_ring_strongly_clean(R, args.degree, args.budget)
         doc = {
             "command": "decide",
@@ -275,6 +278,9 @@ def cmd_decide(args) -> int:
         _emit(doc, args)
         return _decision_exit(decision)
     A, described = _input_matrix(R, args)
+    # imported once the input has parsed: bad input exits without loading the deciders
+    from .decide import decide_pi_regular, decide_strongly_clean
+
     decision = decide_pi_regular(A) if pi else decide_strongly_clean(A)
     doc = {
         "command": args.command,
@@ -287,6 +293,8 @@ def cmd_decide(args) -> int:
 
 
 def cmd_audit(args) -> int:
+    from .decide import pi_regular_audit, theorem_main_audit
+
     R = ring_from_json(_load(args.ring))
     if args.pi:
         report = pi_regular_audit(R, args.degree, args.budget)
@@ -303,6 +311,8 @@ def cmd_audit(args) -> int:
 
 
 def cmd_triangular(args) -> int:
+    from .decide import triangular_sweep
+
     R = ring_from_json(_load(args.ring))
     report = triangular_sweep(R, args.degree, args.budget)
     print(f"wall_time_s={report.wall_time_s:.3f}", file=sys.stderr)
@@ -312,6 +322,8 @@ def cmd_triangular(args) -> int:
 
 
 def cmd_jclean(args) -> int:
+    from .decide import jclean_quadratic_criterion
+
     R = ring_from_json(_load(args.ring))
     decision = jclean_quadratic_criterion(R)
     doc = {
@@ -324,6 +336,8 @@ def cmd_jclean(args) -> int:
 
 
 def cmd_z5(args) -> int:
+    from .quadz5 import run_audit
+
     report = run_audit()
     doc = {"command": "z5-example", "report": to_jsonable(report)}
     _emit(doc, args)

@@ -14,6 +14,10 @@ The certificates are built with public matrix operations only: each block's
 polynomials are lifted to polynomials over the whole ring (``_over_R``),
 evaluated at A with ``poly_at_matrix`` (which runs every stalk at its own
 degree) and combined with ``@``, ``-``, ``*`` and ``inverse``.
+
+The exhaustive oracles of ``brute`` are imported where they run, in the
+pi-regularity cross-check and the two audits, so deciding one matrix
+loads neither them nor numpy.
 """
 
 from __future__ import annotations
@@ -24,8 +28,8 @@ import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .brute import DEFAULT_BUDGET, pi_regular_oracle, strongly_clean_bruteforce
 from .errors import (
+    DEFAULT_BUDGET,
     BudgetExceeded,
     InfiniteRing,
     NotInRadical,
@@ -221,6 +225,8 @@ def decide_pi_regular(A: SquareMatrix, cross_check: bool = True) -> Decision:
         ensure(verify_gsp(h, R, res.certificate))
         cert = pi_regular_from_gsp(A, res.certificate)
         if cross_check and R.is_finite:
+            from .brute import pi_regular_oracle
+
             other = pi_regular_oracle(A)
             if other is None:
                 raise VerificationFailed(
@@ -231,6 +237,8 @@ def decide_pi_regular(A: SquareMatrix, cross_check: bool = True) -> Decision:
     # the pi-regularity equivalence is existential: absence refutes every A
     # with this characteristic polynomial.
     if cross_check and R.is_finite:
+        from .brute import pi_regular_oracle
+
         other = pi_regular_oracle(A)
         if other is not None:
             raise VerificationFailed(
@@ -451,6 +459,8 @@ def theorem_main_audit(
     gSRC exists, ``samples`` seeded similar matrices are certified strongly
     clean through the constructed (E, U) pair.
     """
+    from .brute import strongly_clean_bruteforce
+
     if not R.is_finite:
         raise InfiniteRing("the equivalence audit enumerates a finite ring")
     total = R.size**n
@@ -487,6 +497,8 @@ def theorem_main_audit(
 
 def pi_regular_audit(R: Ring, n: int, budget: int = DEFAULT_BUDGET) -> AuditReport:
     """Exhaustive agreement of gSP existence with the chain-stabilization oracle."""
+    from .brute import pi_regular_oracle
+
     if not R.is_finite:
         raise InfiniteRing("the pi-regularity audit enumerates a finite ring")
     total = R.size**n

@@ -1,4 +1,8 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the default enumeration budget."""
+
+# the largest enumeration an exhaustive search or audit may start; the CLI's
+# --budget default, kept here so building its parser imports no search module
+DEFAULT_BUDGET = 10**6
 
 
 class CleanmatError(Exception):

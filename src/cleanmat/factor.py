@@ -114,14 +114,17 @@ def comaximality(f0: Poly, f1: Poly):
     exactly when some column has no unit pivot, that is when the resultant
     is not a unit; otherwise its answer is the unique solution, and the
     identity u*f0 + v*f1 = 1 is checked exactly before it is returned.
+
+    Non-monic input raises ``ValueError``, tested once: by ``sylvester_solve``
+    when both factors have degree >= 1, and here when one is a constant.
     """
-    if not f0.is_monic or not f1.is_monic:
-        raise ValueError("comaximality needs monic polynomials")
-    f0._check(f1)
     R = f0.ring
-    if f0.degree == 0:
-        return Poly.one(R), Poly.zero(R)
-    if f1.degree == 0:
+    if len(f0.parts[0]) < 2 or len(f1.parts[0]) < 2:
+        if not f0.is_monic or not f1.is_monic:
+            raise ValueError("comaximality needs monic polynomials")
+        f0._check(f1)
+        if f0.degree == 0:
+            return Poly.one(R), Poly.zero(R)
         return Poly.zero(R), Poly.one(R)
     bez = sylvester_solve(f0, f1)
     if bez is None:

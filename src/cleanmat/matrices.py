@@ -221,15 +221,21 @@ def sylvester_solve(f0: Poly, f1: Poly):
     this is the solution of M (u, v) = e_0 for M = ``sylvester(f0, f1)``, by
     one unit-pivot elimination per stalk.
     It is None exactly when some stalk's M has a column with no unit pivot,
-    that is when the resultant is not a unit.
+    that is when the resultant is not a unit.  Both polynomials are tested
+    for monicity in one pass over the stalks, before any solve.
     """
-    if not f0.is_monic or not f1.is_monic or min(f0.degree, f1.degree) < 1:
-        raise ValueError("sylvester_solve needs monic polynomials of degree >= 1")
     if f0.ring.key != f1.ring.key:
         raise RingMismatch("polynomials over different rings")
-    d1 = f1.degree
+    stalks = f0.ring.stalks
+    n0, n1 = len(f0.parts[0]), len(f1.parts[0])
+    if min(n0, n1) < 2 or not all(
+        len(a) == n0 and len(b) == n1 and a[-1] == s.one and b[-1] == s.one
+        for s, a, b in zip(stalks, f0.parts, f1.parts)
+    ):
+        raise ValueError("a Sylvester solve needs monic polynomials of degree >= 1")
+    d1 = n1 - 1
     us, vs = [], []
-    for s, a, b in zip(f0.ring.stalks, f0.parts, f1.parts):
+    for s, a, b in zip(stalks, f0.parts, f1.parts):
         m = _raw_sylvester(s, a, b)
         x = _raw_unit_solve(s, m, [s.one] + [s.zero] * (len(m) - 1))
         if x is None:

@@ -296,11 +296,22 @@ def monic(ring: Ring, coeffs) -> Poly:
 
 
 def monic_divide(f: Poly, g: Poly):
-    """Long division f = q*g + r by a monic divisor; returns (q, r, exact)."""
-    if not g.is_monic:
-        raise NonMonicDivisor(f"divisor {g!r} is not monic")
+    """Long division f = q*g + r by a monic divisor; returns (q, r, exact).
+
+    A divisor that is not monic raises ``NonMonicDivisor``.  The test is
+    made stalk by stalk in the division's own loop (every stalk of g has the
+    length of the first and ends in ``s.one``), not by a separate
+    ``is_monic`` walk.
+    """
     f._check(g)
-    qs, rs = zip(*map(_raw_divide, f.ring.stalks, f.parts, g.parts))
+    n = len(g.parts[0])
+    qs, rs = [], []
+    for s, a, b in zip(f.ring.stalks, f.parts, g.parts):
+        if not n or len(b) != n or b[-1] != s.one:
+            raise NonMonicDivisor(f"divisor {g!r} is not monic")
+        q, r = _raw_divide(s, a, b)
+        qs.append(q)
+        rs.append(r)
     r = _poly(f.ring, rs)
     return _poly(f.ring, qs), r, r.is_zero
 

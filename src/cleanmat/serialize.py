@@ -4,25 +4,28 @@ Elements serialize as per-stalk value arrays (ints for Z/p^k and table
 stalks, "a/b" strings for Z_(p)); polynomials as coefficient arrays, low
 degree first; matrices as row-major nested arrays.  ``dumps_canonical``
 fixes key order and separators so identical invocations are byte-identical.
+
+Only ``rings`` is imported at module level.  The parsers import the module
+whose type they build when they run, and ``to_jsonable`` imports nothing:
+an object can be an instance of a class only once the class's module is
+loaded, so it tests only against the types of modules already in
+``sys.modules``.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
+import sys
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
-from .decide import AuditReport, Decision
-from .factor import (
-    Block,
-    GSPCertificate,
-    GSRCCertificate,
-    SPCertificate,
-    SRCCertificate,
-)
-from .matrices import PiRegularCertificate, SquareMatrix, StrongCleanCertificate
-from .polys import Poly
 from .rings import Element, Ring, block_ring, build_ring
+
+if TYPE_CHECKING:
+    from .factor import SPCertificate, SRCCertificate
+    from .matrices import SquareMatrix
+    from .polys import Poly
 
 
 def element_to_json(a: Element):
@@ -69,6 +72,8 @@ def poly_to_json(p: Poly):
 
 
 def poly_from_json(R: Ring, data, require_monic: bool = True) -> Poly:
+    from .polys import Poly
+
     if not isinstance(data, list):
         raise ValueError("a polynomial is a JSON array of coefficients")
     p = Poly(R, [element_from_json(R, c) for c in data])
@@ -82,11 +87,18 @@ def matrix_to_json(A: SquareMatrix):
 
 
 def matrix_from_json(R: Ring, data) -> SquareMatrix:
+    from .matrices import SquareMatrix
+
     if not isinstance(data, list) or not data:
         raise ValueError("a matrix is a non-empty JSON array of rows")
     if not all(isinstance(row, list) for row in data):
         raise ValueError("every matrix row is a JSON array")
     return SquareMatrix(R, [[element_from_json(R, x) for x in row] for row in data])
+
+
+def _loaded(name: str):
+    """The package module ``name`` if it has been imported, else None."""
+    return sys.modules.get(f"{__package__}.{name}")
 
 
 def to_jsonable(obj):
@@ -97,62 +109,69 @@ def to_jsonable(obj):
         return f"{obj.numerator}/{obj.denominator}"
     if isinstance(obj, Element):
         return element_to_json(obj)
-    if isinstance(obj, Poly):
+    polys = _loaded("polys")
+    if polys is not None and isinstance(obj, polys.Poly):
         return poly_to_json(obj)
-    if isinstance(obj, SquareMatrix):
-        return matrix_to_json(obj)
-    if isinstance(obj, SRCCertificate):
-        out = {
-            "type": "src",
-            "kind": obj.kind,
-            "f0": poly_to_json(obj.f0),
-            "f1": poly_to_json(obj.f1),
-        }
-        if obj.bezout_u is not None:
-            out["bezout_u"] = poly_to_json(obj.bezout_u)
-            out["bezout_v"] = poly_to_json(obj.bezout_v)
-        return out
-    if isinstance(obj, SPCertificate):
-        return {
-            "type": "sp",
-            "h0": poly_to_json(obj.h0),
-            "p0": poly_to_json(obj.p0),
-        }
-    if isinstance(obj, GSRCCertificate):
-        return {"type": "gsrc", "blocks": [to_jsonable(b) for b in obj.blocks]}
-    if isinstance(obj, GSPCertificate):
-        return {"type": "gsp", "blocks": [to_jsonable(b) for b in obj.blocks]}
-    if isinstance(obj, StrongCleanCertificate):
-        return {
-            "type": "strong_clean",
-            "E": matrix_to_json(obj.E),
-            "U": matrix_to_json(obj.U),
-            "U_inv": matrix_to_json(obj.U_inv),
-        }
-    if isinstance(obj, PiRegularCertificate):
-        return {
-            "type": "pi_regular",
-            "k": obj.k,
-            "X": matrix_to_json(obj.X),
-            "Y": matrix_to_json(obj.Y),
-        }
-    if isinstance(obj, Decision):
-        out = {"verdict": obj.verdict, "route": obj.route}
-        for key in ("certificate", "factorization", "refutation", "reason", "details"):
-            val = getattr(obj, key)
-            if val is not None:
-                out[key] = to_jsonable(val)
-        return out
-    if isinstance(obj, AuditReport):
-        # wall time is reported on stderr, never in the canonical document
-        return {
-            "ring": obj.ring,
-            "degree": obj.degree,
-            "instances": obj.instances,
-            "agreements": obj.agreements,
-            "disagreements": [to_jsonable(d) for d in obj.disagreements],
-            "routes": obj.routes,
-        }
+    matrices = _loaded("matrices")
+    if matrices is not None:
+        if isinstance(obj, matrices.SquareMatrix):
+            return matrix_to_json(obj)
+        if isinstance(obj, matrices.StrongCleanCertificate):
+            return {
+                "type": "strong_clean",
+                "E": matrix_to_json(obj.E),
+                "U": matrix_to_json(obj.U),
+                "U_inv": matrix_to_json(obj.U_inv),
+            }
+        if isinstance(obj, matrices.PiRegularCertificate):
+            return {
+                "type": "pi_regular",
+                "k": obj.k,
+                "X": matrix_to_json(obj.X),
+                "Y": matrix_to_json(obj.Y),
+            }
+    factor = _loaded("factor")
+    if factor is not None:
+        if isinstance(obj, factor.SRCCertificate):
+            out = {
+                "type": "src",
+                "kind": obj.kind,
+                "f0": poly_to_json(obj.f0),
+                "f1": poly_to_json(obj.f1),
+            }
+            if obj.bezout_u is not None:
+                out["bezout_u"] = poly_to_json(obj.bezout_u)
+                out["bezout_v"] = poly_to_json(obj.bezout_v)
+            return out
+        if isinstance(obj, factor.SPCertificate):
+            return {
+                "type": "sp",
+                "h0": poly_to_json(obj.h0),
+                "p0": poly_to_json(obj.p0),
+            }
+        if isinstance(obj, factor.GSRCCertificate):
+            return {"type": "gsrc", "blocks": [to_jsonable(b) for b in obj.blocks]}
+        if isinstance(obj, factor.GSPCertificate):
+            return {"type": "gsp", "blocks": [to_jsonable(b) for b in obj.blocks]}
+    decide = _loaded("decide")
+    if decide is not None:
+        if isinstance(obj, decide.Decision):
+            out = {"verdict": obj.verdict, "route": obj.route}
+            for key in ("certificate", "factorization", "refutation", "reason", "details"):
+                val = getattr(obj, key)
+                if val is not None:
+                    out[key] = to_jsonable(val)
+            return out
+        if isinstance(obj, decide.AuditReport):
+            # wall time is reported on stderr, never in the canonical document
+            return {
+                "ring": obj.ring,
+                "degree": obj.degree,
+                "instances": obj.instances,
+                "agreements": obj.agreements,
+                "disagreements": [to_jsonable(d) for d in obj.disagreements],
+                "routes": obj.routes,
+            }
     if dataclasses.is_dataclass(obj):
         return {
             f.name: to_jsonable(getattr(obj, f.name))
@@ -178,6 +197,8 @@ def dumps_canonical(doc, pretty: bool = False) -> str:
 
 
 def src_cert_from_json(R: Ring, data) -> SRCCertificate:
+    from .factor import SRCCertificate
+
     kind = data["kind"]
     if kind not in ("SR", "SRC"):
         raise ValueError(f'certificate kind {kind!r} is neither "SR" nor "SRC"')
@@ -195,6 +216,8 @@ def src_cert_from_json(R: Ring, data) -> SRCCertificate:
 
 
 def sp_cert_from_json(R: Ring, data) -> SPCertificate:
+    from .factor import SPCertificate
+
     return SPCertificate(
         poly_from_json(R, data["h0"]), poly_from_json(R, data["p0"])
     )
@@ -216,6 +239,8 @@ def _support_from_json(R: Ring, data) -> tuple[int, ...]:
 
 
 def _blocks_from_json(R: Ring, data, leaf):
+    from .factor import Block
+
     blocks = []
     for b in data["blocks"]:
         support = _support_from_json(R, b["support"])
@@ -230,6 +255,9 @@ def _blocks_from_json(R: Ring, data, leaf):
 
 
 def certificate_from_json(R: Ring, data):
+    from .factor import GSPCertificate, GSRCCertificate
+    from .matrices import PiRegularCertificate, StrongCleanCertificate
+
     t = data.get("type")
     if t == "src":
         return src_cert_from_json(R, data)

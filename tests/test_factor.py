@@ -25,6 +25,7 @@ from cleanmat.factor import (
 )
 from cleanmat.matrices import inverse, sylvester, sylvester_solve
 from cleanmat.polys import Poly, monic_divide
+from cleanmat.errors import NonMonicDivisor
 from cleanmat.rings import Element, build_ring
 from cleanmat.serialize import dumps_canonical, to_jsonable
 from cleanmat.verify import verify_gsp, verify_gsrc, verify_sp, verify_src
@@ -46,6 +47,58 @@ def test_comaximality_examples(zmod):
     f = Poly.from_ints(R4, [3, 2, 1])
     u, v = comaximality(Poly.one(R4), f)
     assert u == Poly.one(R4) and v.is_zero
+
+
+def _non_monic_polys(R):
+    """Non-monic polynomials over a two-stalk R that a careless test could miss."""
+    (a, b) = R.stalks
+    return {
+        "zero": Poly.zero(R),
+        "constant 2": Poly.from_ints(R, [2]),
+        "lead 2 everywhere": Poly.from_ints(R, [1, 2]),
+        "lead 2 on stalk 1 only": Poly.from_parts(R, [(a.one, a.one), (b.one, b.from_int(2))]),
+        "degrees 1 and 2": Poly.from_parts(R, [(a.one, a.one), (b.one, b.one, b.one)]),
+        "degrees 0 and 1": Poly.from_parts(R, [(a.one,), (b.one, b.one)]),
+    }
+
+
+def test_public_entries_reject_non_monic_input():
+    R = build_ring(CERT_RINGS["Z/4 x Z_(3)"])
+    h = Poly.from_ints(R, [2, 3, 1])
+    for name, g in _non_monic_polys(R).items():
+        assert not g.is_monic, name
+        with pytest.raises(NonMonicDivisor):
+            monic_divide(h, g)
+        with pytest.raises(ValueError):
+            comaximality(g, h)
+        with pytest.raises(ValueError):
+            comaximality(h, g)
+        with pytest.raises(ValueError):
+            sylvester_solve(g, h)
+        with pytest.raises(ValueError):
+            sylvester_solve(h, g)
+        for search in (src_search, gsrc_search, sp_search, gsp_search):
+            with pytest.raises(ValueError):
+                search(g, R)
+
+
+def test_only_the_public_entry_of_a_search_runs_is_monic(monkeypatch):
+    """Divisions test the divisor inside their own loop and Sylvester solves in one
+    raw pass, so neither they nor the Hensel rounds call ``is_monic``."""
+    tests = []
+    is_monic = Poly.is_monic.fget
+    monkeypatch.setattr(Poly, "is_monic", property(lambda p: tests.append(p) or is_monic(p)))
+    R = build_ring(CERT_RINGS["Z/16"])
+    h, g = Poly.from_ints(R, [2, 3, 5, 1]), Poly.from_ints(R, [3, 1])
+    assert monic_divide(h, g)[2] is False and tests == []
+    assert comaximality(g, h) is not None and tests == []
+    for search in (gsp_search, sp_search):
+        tests.clear()
+        assert search(h, R).found and len(tests) == 1
+    # a Hensel lift of several rounds, over a stalk with nil index 4
+    tests.clear()
+    q, p, rounds = _hensel_split(Poly.from_ints(R, [2, 4, 1, 1]), 2)
+    assert rounds > 1 and q * p == Poly.from_ints(R, [2, 4, 1, 1]) and tests == []
 
 
 def test_src_local_z8(zmod):

@@ -15,6 +15,11 @@ values, so neither may use the Element-level idempotent bookkeeping
 (``primitive_idempotents``, ``idempotent_support``,
 ``is_complete_orthogonal``).
 
+A CLI command is a fresh process, so the modules every command imports stay
+small: at import time ``__init__.py``, ``cli.py`` and ``serialize.py``
+import only the standard library and ``errors``, ``stalks``, ``rings`` and
+``serialize``; everything else is imported inside the function that runs it.
+
 The benchmark harness under ``perfbench/`` is frozen: it calls the package
 by name, so the names, parameters and methods it uses must keep existing.
 """
@@ -24,6 +29,7 @@ from __future__ import annotations
 import ast
 import importlib
 import inspect
+import sys
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "cleanmat"
@@ -133,6 +139,79 @@ def test_the_guard_sees_boxed_idempotent_bookkeeping(tmp_path):
     assert _boxed_idempotent_uses(bad) == [
         "idempotent_support", "is_complete_orthogonal", "primitive_idempotents"
     ]
+
+
+COLD_START_MODULES = ("__init__.py", "cli.py", "serialize.py")
+COLD_START_LAYER = {".errors", ".stalks", ".rings", ".serialize"}
+
+
+def _import_time_imports(path: Path) -> list[str]:
+    """Modules imported when ``path`` is imported (``.name`` for package modules).
+
+    Function bodies run later and ``if TYPE_CHECKING:`` blocks never run, so
+    neither is searched; class bodies and other top-level blocks are.
+    """
+    found = []
+
+    def visit(stmts):
+        for node in stmts:
+            if isinstance(node, ast.Import):
+                found.extend(alias.name for alias in node.names)
+            elif isinstance(node, ast.ImportFrom):
+                if node.level and node.module is None:
+                    found.extend(f".{alias.name}" for alias in node.names)
+                else:
+                    found.append("." * node.level + (node.module or ""))
+            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            elif isinstance(node, ast.If) and ast.unparse(node.test).endswith("TYPE_CHECKING"):
+                visit(node.orelse)
+            else:
+                for field in ("body", "orelse", "finalbody", "handlers"):
+                    visit(getattr(node, field, []))
+
+    visit(ast.parse(path.read_text(encoding="utf-8")).body)
+    return found
+
+
+def _outside_cold_start_layer(path: Path) -> list[str]:
+    return sorted(
+        name
+        for name in _import_time_imports(path)
+        if name not in COLD_START_LAYER
+        and (name.startswith(".") or name.split(".")[0] not in sys.stdlib_module_names)
+    )
+
+
+def test_cli_entry_modules_import_only_the_ring_layer():
+    offenders = {
+        name: names
+        for name in COLD_START_MODULES
+        if (names := _outside_cold_start_layer(SRC / name))
+    }
+    assert offenders == {}
+
+
+def test_the_guard_sees_an_import_time_import(tmp_path):
+    bad = tmp_path / "bad.py"
+    bad.write_text(
+        "import json\n"
+        "import numpy as np\n"
+        "from typing import TYPE_CHECKING\n"
+        "from .rings import Ring\n"
+        "from .decide import Decision\n"
+        "from . import quadz5\n"
+        "if TYPE_CHECKING:\n"
+        "    from .polys import Poly\n"
+        "try:\n"
+        "    from .factor import Block\n"
+        "except ImportError:\n"
+        "    pass\n"
+        "def f():\n"
+        "    from .brute import pi_regular_oracle\n",
+        encoding="utf-8",
+    )
+    assert _outside_cold_start_layer(bad) == [".decide", ".factor", ".quadz5", "numpy"]
 
 
 # module -> the names ``perfbench/`` calls in it
