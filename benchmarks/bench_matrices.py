@@ -46,6 +46,7 @@ PASSES = 20
 CASES = [
     ("Z/16", {"type": "zmod", "n": 16}, 2),
     ("Z/12", {"type": "zmod", "n": 12}, 2),
+    ("Z_(3)", {"type": "zloc", "p": 3}, 2),
     (
         "Z/4 x Z_(3)",
         {"type": "product", "factors": [{"type": "zmod", "n": 4}, {"type": "zloc", "p": 3}]},

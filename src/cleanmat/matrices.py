@@ -10,7 +10,10 @@ every public function (``transpose``, ``identity``, ``zeros``,
 ``companion``, ``sylvester``, ``sylvester_solve``, ``char_poly``, ``inverse``,
 ``poly_at_matrix``, ``random_with_charpoly``, ``solve_matrix_equation``) runs
 one raw kernel per stalk with that stalk's own
-``dot``/``add``/``sub``/``mul``/``neg``/``inv``.
+``dot``/``submul``/``add``/``sub``/``mul``/``neg``/``inv``.  Every multi-term
+step calls a primitive that reduces once per result: a product entry or a
+Berkowitz step is one ``dot``, and an elimination step is one
+``submul(x, f, y) = x - f*y`` per entry, never a ``mul`` then a ``sub``.
 The kernels and the raw-grid format are private to this module: the
 certificate constructions in ``decide`` and the verifiers in ``verify`` use
 the public operations only.
@@ -339,7 +342,7 @@ def _raw_inverse(s, a: list):
     columns of the result back at the end.
     """
     n = len(a)
-    is_unit, mul, sub, zero = s.is_unit, s.mul, s.sub, s.zero
+    is_unit, mul, submul, zero = s.is_unit, s.mul, s.submul, s.zero
     m = [list(row) for row in a]
     perm = list(range(n))
     for c in range(n):
@@ -356,7 +359,7 @@ def _raw_inverse(s, a: list):
             f = m[r][c]
             if r != c and f != zero:
                 m[r][c] = zero
-                m[r] = [sub(x, mul(f, y)) for x, y in zip(m[r], top)]
+                m[r] = [submul(x, f, y) for x, y in zip(m[r], top)]
     order = sorted(range(n), key=perm.__getitem__)
     inv = [[row[k] for k in order] for row in m]
     assert _raw_matmul(s, inv, a) == _raw_identity(s, n)
@@ -371,7 +374,7 @@ def _raw_unit_solve(s, a: list, b: list):
     column; back substitution then scales by the stored pivot inverses.
     """
     n = len(a)
-    is_unit, mul, sub, zero = s.is_unit, s.mul, s.sub, s.zero
+    is_unit, mul, sub, submul, zero = s.is_unit, s.mul, s.sub, s.submul, s.zero
     m = [row + [v] for row, v in zip(a, b)]
     pivot_inv = []
     for c in range(n):
@@ -388,7 +391,7 @@ def _raw_unit_solve(s, a: list, b: list):
             row = m[r]
             if row[c] != zero:
                 f = mul(row[c], k)
-                row[c + 1 :] = [sub(x, mul(f, y)) for x, y in zip(row[c + 1 :], top)]
+                row[c + 1 :] = [submul(x, f, y) for x, y in zip(row[c + 1 :], top)]
     x = [zero] * n
     for c in reversed(range(n)):
         row = m[c]
@@ -511,7 +514,7 @@ def _solve_chain(s, m, b):
     by its pivot.
     """
     n = len(m)
-    zero, sub, mul = s.zero, s.sub, s.mul
+    zero, sub, submul = s.zero, s.sub, s.submul
     m = [list(row) for row in m]
     b = [list(row) for row in b]
     perm = list(range(n))
@@ -529,8 +532,8 @@ def _solve_chain(s, m, b):
         for r in range(t + 1, n):
             if m[r][t] != zero:
                 f = s.divide(m[r][t], d)
-                m[r] = [sub(x, mul(f, y)) for x, y in zip(m[r], top)]
-                b[r] = [sub(x, mul(f, y)) for x, y in zip(b[r], rhs)]
+                m[r] = [submul(x, f, y) for x, y in zip(m[r], top)]
+                b[r] = [submul(x, f, y) for x, y in zip(b[r], rhs)]
         rank = t + 1
     if any(x != zero for row in b[rank:] for x in row):
         return None

@@ -15,10 +15,13 @@ degrees.
 ``coeff(i)`` box Elements on demand, for serializing and printing.  Every
 operation (``+ - neg *``, ``translate``, evaluation and ``monic_divide``)
 runs one raw kernel per stalk with that stalk's own
-``add``/``sub``/``mul``/``neg``/``dot``, and ``restrict``, ``on_block`` and
-``glue_polys`` select parts.  Division by a monic divisor is exact over any
-commutative ring.  The unit tests ``unit_at_zero`` and ``unit_at_one`` read
-each stalk's constant coefficient and coefficient sum, with no evaluation.
+``add``/``sub``/``neg``/``dot``/``submul``, and ``restrict``, ``on_block`` and
+``glue_polys`` select parts.  A product coefficient is one ``dot``, and a
+step of division, translation or evaluation is one
+``submul(x, c, y) = x - c*y``, so each result is reduced once.  Division by
+a monic divisor is exact over any commutative ring.  The unit tests
+``unit_at_zero`` and ``unit_at_one`` read each stalk's constant coefficient
+and coefficient sum, with no evaluation.
 """
 
 from __future__ import annotations
@@ -245,23 +248,28 @@ def _raw_mul(s, a, b) -> tuple:
 
 
 def _raw_translate(s, a, c) -> tuple:
-    """a(t + c); the leading value never changes, so the result stays trimmed."""
-    add, mul = s.add, s.mul
+    """a(t + c); the leading value never changes, so the result stays trimmed.
+
+    Each synthetic-division step adds c times the next value, as a
+    ``submul`` by -c.
+    """
+    submul, nc = s.submul, s.neg(c)
     out = list(a)
     n = len(out)
     for i in range(n - 1):
         for j in range(n - 2, i - 1, -1):
-            out[j] = add(out[j], mul(c, out[j + 1]))
+            out[j] = submul(out[j], nc, out[j + 1])
     return tuple(out)
 
 
 def _raw_eval(s, a, x):
+    """a(x) by Horner; the step acc*x + c is ``submul(c, acc, -x)``."""
     if not a:
         return s.zero
-    add, mul = s.add, s.mul
+    submul, nx = s.submul, s.neg(x)
     acc = a[-1]
     for c in a[-2::-1]:
-        acc = add(mul(acc, x), c)
+        acc = submul(c, acc, nx)
     return acc
 
 
@@ -273,7 +281,7 @@ def _raw_divide(s, f, g):
     dg = len(g) - 1
     if len(f) <= dg:
         return (), f
-    sub, mul, zero = s.sub, s.mul, s.zero
+    submul, zero = s.submul, s.zero
     rem = list(f)
     q = [zero] * (len(f) - dg)
     low = g[:dg]
@@ -284,7 +292,7 @@ def _raw_divide(s, f, g):
         base = top - dg
         q[base] = c
         for i, gc in enumerate(low):
-            rem[base + i] = sub(rem[base + i], mul(c, gc))
+            rem[base + i] = submul(rem[base + i], c, gc)
     return tuple(q), _trim(s, rem[:dg])
 
 

@@ -7,12 +7,23 @@ three kinds: Z/p^k (``ZModStalk``), the localization of Z at a prime
 ints for Z/p^k, ``Fraction`` for Z_(p), and ranks in the block for table
 stalks.  A table stalk carries its block's own tables, so a raw value means
 the same in a ring, in its block rings and in the stalk's own ring.
+
+Every stalk class defines the same primitives, which the matrix and
+polynomial kernels call: ``add``, ``sub``, ``mul``, ``neg``, ``inv`` and
+``is_unit`` on single values, and three multi-term ones, ``dot``, ``sum``
+and ``submul(x, c, y) = x - c*y``.  A multi-term primitive reduces once per
+result: one ``% q`` on Z/p^k, one lowest-terms ``Fraction`` on Z_(p) (an
+integer numerator is accumulated over a running common denominator), one
+chain of table lookups on a table stalk.  So an elimination step is one
+``submul`` per entry, not a ``mul`` and a ``sub``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import repeat
+from math import gcd
 from operator import mul
 
 MAX_TABLE_SIZE = 64
@@ -84,6 +95,9 @@ class ZModStalk:
 
     def sum(self, xs):
         return sum(xs) % self.q
+
+    def submul(self, x, c, y):
+        return (x - c * y) % self.q
 
     def neg(self, a):
         return (-a) % self.q
@@ -187,10 +201,31 @@ class ZLocStalk:
         return a * b
 
     def dot(self, xs, ys):
-        return sum(map(mul, xs, ys), self.zero)
+        """sum x*y: integer products over a running common denominator."""
+        num, den = 0, 1
+        for x, y in zip(xs, ys):
+            tn = x.numerator * y.numerator
+            td = x.denominator * y.denominator
+            if td == den:
+                num += tn
+            elif tn:
+                g = gcd(den, td)
+                num = num * (td // g) + tn * (den // g)
+                den = den // g * td
+        return Fraction(num, den)
 
     def sum(self, xs):
-        return sum(xs, self.zero)
+        return self.dot(xs, repeat(self.one))
+
+    def submul(self, x, c, y):
+        """x - c*y as one Fraction."""
+        tn = c.numerator * y.numerator
+        if not tn:
+            return x
+        xd, td = x.denominator, c.denominator * y.denominator
+        if xd == td:
+            return Fraction(x.numerator - tn, xd)
+        return Fraction(x.numerator * td - tn * xd, xd * td)
 
     def neg(self, a):
         return -a
@@ -207,8 +242,10 @@ class ZLocStalk:
         return 1 / a
 
     def valuation(self, a) -> int:
-        """The exponent of p in a's numerator, for a != 0."""
+        """The exponent of p in a's numerator, for a != 0 (0 raises ValueError)."""
         n, v = a.numerator, 0
+        if not n:
+            raise ValueError("the valuation of 0 in Z_(p) is not finite")
         while n % self.p == 0:
             n //= self.p
             v += 1
@@ -308,6 +345,9 @@ class TableStalk:
         for a in xs:
             acc = add[acc][a]
         return acc
+
+    def submul(self, x, c, y):
+        return self._add[x][self._neg[self._mul[c][y]]]
 
     def neg(self, a):
         return self._neg[a]

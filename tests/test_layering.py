@@ -9,6 +9,10 @@ them may import a private (``_``-prefixed) name from ``.matrices`` or
 Only ``stalks.py`` knows how a stalk stores its operations: no other module
 may read a stalk's private ``_add``, ``_mul``, ``_neg`` or ``_inv``.
 
+A multi-term stalk step reduces once per result: ``matrices.py`` and
+``polys.py`` call the fused ``submul(x, c, y) = x - c*y`` (or ``dot``), so
+neither may nest a ``mul`` call inside an ``add`` or ``sub`` call.
+
 A Pierce block is its support: ``factor.py`` builds each block idempotent
 as the indicator of its support and ``verify.py`` checks it on raw stalk
 values, so neither may use the Element-level idempotent bookkeeping
@@ -102,6 +106,49 @@ def test_the_guard_sees_a_stalk_table_read(tmp_path):
         encoding="utf-8",
     )
     assert _stalk_private_reads(bad) == ["_mul"]
+
+
+def _call_name(node) -> str | None:
+    if isinstance(node, ast.Name):
+        return node.id
+    if isinstance(node, ast.Attribute):
+        return node.attr
+    return None
+
+
+def _unfused_submuls(path: Path) -> list[str]:
+    """The ``add``/``sub`` calls with a ``mul`` call among their arguments."""
+    return sorted(
+        ast.unparse(node)
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Call)
+        and _call_name(node.func) in ("add", "sub")
+        and any(
+            isinstance(arg, ast.Call) and _call_name(arg.func) == "mul" for arg in node.args
+        )
+    )
+
+
+def test_kernels_reduce_once_per_elimination_step():
+    offenders = {
+        name: calls
+        for name in ("matrices.py", "polys.py")
+        if (calls := _unfused_submuls(SRC / name))
+    }
+    assert offenders == {}
+
+
+def test_the_guard_sees_an_unfused_submul(tmp_path):
+    bad = tmp_path / "bad.py"
+    bad.write_text(
+        "def f(s, x, c, y, k):\n"
+        "    sub, mul = s.sub, s.mul\n"
+        "    a = [sub(v, mul(c, w)) for v, w in zip(x, y)]\n"
+        "    b = s.add(s.mul(c, k), x)\n"
+        "    return a, b, s.submul(x, c, k), mul(sub(x, k), c), s.sub(x, s.dot(y, y))\n",
+        encoding="utf-8",
+    )
+    assert _unfused_submuls(bad) == ["s.add(s.mul(c, k), x)", "sub(v, mul(c, w))"]
 
 
 BOXED_IDEMPOTENT_NAMES = {"primitive_idempotents", "idempotent_support", "is_complete_orthogonal"}
