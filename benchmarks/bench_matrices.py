@@ -6,7 +6,9 @@ polynomials of degree n, and 64 random monic pairs (f0, f1) with
 deg f0 + deg f1 = n.  The table gives the per-call microseconds of ``A @ B``,
 ``char_poly``, ``inverse``, ``poly_at_matrix``, ``factor.comaximality``
 (whose Sylvester matrix is n x n) and ``solve_matrix_equation(A, B)`` (with
-B a second random matrix), as the best of 20 passes over the inputs.
+B a second random matrix), as the best of 20 passes over the inputs, each
+pass scaled to nominal machine speed by ``perfbench/pace.py``'s reference
+loop (``paced.best``).
 The last two columns time the audits' certificate layer on the polynomials
 that have a gSRC factorization: ``from_gsrc`` is
 ``decide.strong_clean_from_gsrc(A, gsrc)`` for A = ``random_with_charpoly(h)``
@@ -19,7 +21,6 @@ from __future__ import annotations
 
 import random
 import sys
-import time
 from pathlib import Path
 
 # run against this checkout's src/ whether or not the package is installed
@@ -38,6 +39,7 @@ from cleanmat.matrices import (  # noqa: E402
 from cleanmat.polys import Poly  # noqa: E402
 from cleanmat.rings import build_ring  # noqa: E402
 from cleanmat.verify import verify_strong_clean  # noqa: E402
+from paced import best  # noqa: E402
 
 SEED = 2024
 INPUTS = 64
@@ -80,13 +82,11 @@ def inputs(descriptor, n):
 
 
 def per_call_us(fn, args):
-    best = float("inf")
-    for _ in range(PASSES):
-        t0 = time.perf_counter()
+    def one_pass():
         for a in args:
             fn(*a)
-        best = min(best, time.perf_counter() - t0)
-    return 1e6 * best / len(args)
+
+    return 1e6 * best(one_pass, PASSES)[0] / len(args)
 
 
 def main():
@@ -100,7 +100,10 @@ def main():
         "from_gsrc",
         "verify_sc",
     ]
-    print(f"per-call microseconds, best of {PASSES} passes over {INPUTS} seeded inputs")
+    print(
+        f"per-call microseconds at nominal speed, best of {PASSES} passes "
+        f"over {INPUTS} seeded inputs"
+    )
     print(f"{'case':>18} " + " ".join(f"{op:>14}" for op in ops))
     for label, descriptor, n in CASES:
         mats, others, polys, pairs, splits = inputs(descriptor, n)

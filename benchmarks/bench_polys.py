@@ -10,8 +10,12 @@ The table gives the per-call microseconds of ``h * g``,
 deg g + deg h), ``factor.gsrc_search(h, R)``, ``verify.verify_gsrc`` of the
 certificates that search found (over Z_(p) some h have none, so that column
 averages over fewer inputs) and ``factor.gsp_search(h, R)``, as the best of
-10 passes over the inputs.  Rows follow the pool's order, so the three 4-element
-tables are F4, dual-F2 and F2 x F2.  Run with
+10 passes over the inputs, each pass scaled to nominal machine speed by
+``perfbench/pace.py``'s reference loop (``paced.best``).  The two searches
+keep each finite stalk's answer in their per-stalk memo, so their best pass
+is a warm one: on a finite stalk it times the memo hit, the gluing and the
+transcript, not the lift.  Rows follow the pool's order, so the three
+4-element tables are F4, dual-F2 and F2 x F2.  Run with
 ``python benchmarks/bench_polys.py``.
 """
 
@@ -19,7 +23,6 @@ from __future__ import annotations
 
 import random
 import sys
-import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -32,6 +35,7 @@ from cleanmat.factor import comaximality, gsp_search, gsrc_search  # noqa: E402
 from cleanmat.polys import Poly, monic_divide  # noqa: E402
 from cleanmat.rings import build_ring  # noqa: E402
 from cleanmat.verify import verify_gsrc  # noqa: E402
+from paced import best  # noqa: E402
 from workloads import FUZZ_RINGS  # noqa: E402
 
 SEED = 2024
@@ -55,13 +59,11 @@ def inputs(R):
 
 
 def per_call_us(fn, args):
-    best = float("inf")
-    for _ in range(PASSES):
-        t0 = time.perf_counter()
+    def one_pass():
         for a in args:
             fn(*a)
-        best = min(best, time.perf_counter() - t0)
-    return 1e6 * best / len(args)
+
+    return 1e6 * best(one_pass, PASSES)[0] / len(args)
 
 
 def main():
@@ -69,7 +71,10 @@ def main():
         "h * g", "monic_divide", "translate", "h(x)", "comaximality", "gsrc_search",
         "verify_gsrc", "gsp_search",
     ]
-    print(f"per-call microseconds, best of {PASSES} passes over {INPUTS} seeded inputs")
+    print(
+        f"per-call microseconds at nominal speed, best of {PASSES} passes "
+        f"over {INPUTS} seeded inputs"
+    )
     print(f"{'ring':>19} " + " ".join(f"{op:>13}" for op in ops))
     totals = [0.0] * len(ops)
     for k, descriptor in enumerate(FUZZ_RINGS):

@@ -35,6 +35,18 @@ The unit tests read raw coefficients: f(0) is a unit when every stalk's
 constant coefficient is, f(1) when every stalk's coefficient sum is
 (``Poly.unit_at_zero`` / ``Poly.unit_at_one``).  Rational-root candidates
 a/b are tested with the integer identity sum c_i a^i b^(n-i) = 0.
+
+``gsrc_search`` and ``gsp_search`` decide each stalk on its own, and a
+stalk's lowest-degree hit is a pure function of the stalk ring, the raw
+stalk coefficients and the mode ("SRC", "SR" or "SP").  Over a finite stalk
+it is memoized under the key (stalk ring key, raw coefficient tuple, mode)
+in one module-level memo of at most ``STALK_MEMO_CAP`` entries, evicting the
+least recently used.  An entry holds raw parts and note strings only, and
+every call, hit or miss, rebuilds fresh polynomials, certificates and
+transcript dicts from it, so no caller can change what a later call gets.
+Z_(p) stalks are not memoized, a search that raises leaves no entry, and
+``src_search``/``sp_search`` do not use the memo.  Callers still verify
+every certificate they receive.
 """
 
 from __future__ import annotations
@@ -45,11 +57,12 @@ from fractions import Fraction
 
 from .errors import VerificationFailed
 from .matrices import sylvester_solve
-from .polys import Poly, glue_polys, monic_divide
+from .polys import Poly, monic_divide
 from .rings import Element, Ring, block_ring
 from .stalks import ZLocStalk
 
 BOUNDED_HEIGHT = 3
+STALK_MEMO_CAP = 4096
 
 FOUND = "found"
 ABSENT = "absent"
@@ -445,16 +458,25 @@ def _require_monic(h: Poly):
         raise ValueError(f"{h!r} is not monic")
 
 
+def _notes(prof: _Profile) -> tuple:
+    """(degree, note) of every degree the stalk's search examined."""
+    return tuple(
+        (str(d), out.note + ("" if out.complete else " [incomplete]"))
+        for d, out in enumerate(prof.examined)
+    )
+
+
+def _transcript(R: Ring, notes, mode: str) -> dict:
+    """The transcript document from each stalk's ``_notes``."""
+    stalks = [
+        {"stalk": R.stalk_ring(i).label(), "degrees": dict(n)} for i, n in enumerate(notes)
+    ]
+    return {"mode": mode, "stalks": stalks}
+
+
 def _profile_transcript(R: Ring, profiles, mode: str) -> dict:
     """The outcome of every degree each stalk's search examined."""
-    stalks = []
-    for i, prof in enumerate(profiles):
-        outcomes = {
-            str(d): out.note + ("" if out.complete else " [incomplete]")
-            for d, out in enumerate(prof.examined)
-        }
-        stalks.append({"stalk": R.stalk_ring(i).label(), "degrees": outcomes})
-    return {"mode": mode, "stalks": stalks}
+    return _transcript(R, [_notes(prof) for prof in profiles], mode)
 
 
 def _common_degree_result(h: Poly, R: Ring, profiles, mode: str, glue) -> SearchResult:
@@ -463,7 +485,7 @@ def _common_degree_result(h: Poly, R: Ring, profiles, mode: str, glue) -> Search
     for d in range(h.degree + 1):
         outs = [prof.at(d) for prof in profiles]
         if all(out.cert for out in outs):
-            cert = glue(R, tuple(range(R.num_stalks)), [o.cert for o in outs])
+            cert = glue(R, tuple(range(R.num_stalks)), [_raw_parts(o.cert) for o in outs])
             return SearchResult(FOUND, cert, _profile_transcript(R, profiles, mode))
         if any(out.cert is None and out.complete for out in outs):
             continue  # this degree split is definitively impossible at some stalk
@@ -491,26 +513,39 @@ def sp_search(h: Poly, R: Ring) -> SearchResult:
     return _common_degree_result(h, R, profiles, "SP", _glue_sp_block)
 
 
-def _glue_src_block(R: Ring, support: tuple[int, ...], certs) -> SRCCertificate:
-    B = block_ring(R, support)
-    f0 = glue_polys(B, [c.f0 for c in certs])
-    f1 = glue_polys(B, [c.f1 for c in certs])
-    if any(c.bezout_u is None for c in certs):
-        return SRCCertificate(f0, f1, None, None, "SR")
-    u = glue_polys(B, [c.bezout_u for c in certs])
-    v = glue_polys(B, [c.bezout_v for c in certs])
-    return SRCCertificate(f0, f1, u, v, "SRC")
+def _raw_parts(cert) -> tuple:
+    """The raw stalk parts of a one-stalk certificate, None for a missing cofactor.
 
-
-def _glue_sp_block(R: Ring, support: tuple[int, ...], certs) -> SPCertificate:
-    B = block_ring(R, support)
-    return SPCertificate(
-        glue_polys(B, [c.h0 for c in certs]), glue_polys(B, [c.p0 for c in certs])
+    SR(C): (f0, f1, u, v); SP: (h0, p0).  Blocks are glued from these.
+    """
+    if isinstance(cert, SPCertificate):
+        return cert.h0.parts[0], cert.p0.parts[0]
+    u, v = cert.bezout_u, cert.bezout_v
+    return (
+        cert.f0.parts[0],
+        cert.f1.parts[0],
+        None if u is None else u.parts[0],
+        None if v is None else v.parts[0],
     )
 
 
+def _glue_src_block(R: Ring, support: tuple[int, ...], raws) -> SRCCertificate:
+    B = block_ring(R, support)
+    f0s, f1s, us, vs = zip(*raws)
+    f0, f1 = Poly.from_parts(B, f0s), Poly.from_parts(B, f1s)
+    if None in us:
+        return SRCCertificate(f0, f1, None, None, "SR")
+    return SRCCertificate(f0, f1, Poly.from_parts(B, us), Poly.from_parts(B, vs), "SRC")
+
+
+def _glue_sp_block(R: Ring, support: tuple[int, ...], raws) -> SPCertificate:
+    B = block_ring(R, support)
+    h0s, p0s = zip(*raws)
+    return SPCertificate(Poly.from_parts(B, h0s), Poly.from_parts(B, p0s))
+
+
 def _assemble_global(R: Ring, choices, glue) -> list[Block]:
-    """Group per-stalk certificates by factor degree into <= n+1 blocks."""
+    """Group per-stalk (degree, raw parts) hits by degree into <= n+1 blocks."""
     groups: dict[int, list[int]] = {}
     for i, (d, _) in enumerate(choices):
         groups.setdefault(d, []).append(i)
@@ -522,15 +557,45 @@ def _assemble_global(R: Ring, choices, glue) -> list[Block]:
     return blocks
 
 
-def _global_result(h: Poly, R: Ring, profiles, mode: str, glue, wrap) -> SearchResult:
+# -- the per-stalk step of the global searches, memoized on finite stalks -----------
+
+# (stalk ring key, raw stalk coefficients, mode) -> (hit, notes, complete), where
+# hit is None or (degree, raw certificate parts); insertion order is recency
+_STALK_MEMO: dict = {}
+
+
+def _stalk_step(h: Poly, i: int, mode: str) -> tuple:
+    """Stalk i's lowest-degree hit, examined notes and completeness, all raw."""
+    hi = h.restrict(i)
+    prof = _sp_profile(hi) if mode == "SP" else _src_profile(hi, mode)
+    hit = prof.first_hit()
+    raw = None if hit is None else (hit[0], _raw_parts(hit[1]))
+    return raw, _notes(prof), prof.complete
+
+
+def _stalk_first_hit(h: Poly, R: Ring, i: int, mode: str) -> tuple:
+    """``_stalk_step``, looked up in the memo first when stalk i is finite."""
+    if not R.stalks[i].finite:
+        return _stalk_step(h, i, mode)
+    key = (R.stalk_ring(i).key, h.parts[i], mode)
+    entry = _STALK_MEMO.pop(key, None)
+    if entry is None:
+        entry = _stalk_step(h, i, mode)
+        while len(_STALK_MEMO) >= STALK_MEMO_CAP:
+            del _STALK_MEMO[next(iter(_STALK_MEMO))]
+    _STALK_MEMO[key] = entry
+    return entry
+
+
+def _global_result(h: Poly, R: Ring, mode: str, glue, wrap) -> SearchResult:
     """Each stalk's lowest-degree certificate, grouped into blocks by degree."""
-    choices = [prof.first_hit() for prof in profiles]
-    transcript = _profile_transcript(R, profiles, mode)
-    missing = [prof for prof, hit in zip(profiles, choices) if hit is None]
+    steps = [_stalk_first_hit(h, R, i, mode) for i in range(R.num_stalks)]
+    transcript = _transcript(R, [notes for _, notes, _ in steps], mode)
+    missing = [complete for hit, _, complete in steps if hit is None]
     if missing:
-        status = ABSENT if any(prof.complete for prof in missing) else INCOMPLETE
+        status = ABSENT if any(missing) else INCOMPLETE
         return SearchResult(status, None, transcript)
-    blocks = _assemble_global(R, choices, glue)
+    blocks = _assemble_global(R, [hit for hit, _, _ in steps], glue)
     assert len(blocks) <= h.degree + 1
     return SearchResult(FOUND, wrap(blocks), transcript)
 
@@ -538,12 +603,13 @@ def _global_result(h: Poly, R: Ring, profiles, mode: str, glue, wrap) -> SearchR
 def gsrc_search(h: Poly, R: Ring, mode: str = "SRC") -> SearchResult:
     """Globalized SR(C) factorization: per-stalk searches grouped by degree."""
     _require_monic(h)
-    profiles = [_src_profile(h.restrict(i), mode) for i in range(R.num_stalks)]
-    return _global_result(h, R, profiles, mode, _glue_src_block, GSRCCertificate)
+    if mode not in ("SR", "SRC"):
+        # the memo keys gsp_search's stalks by the mode "SP"
+        raise ValueError(f"gsrc_search mode must be 'SR' or 'SRC', not {mode!r}")
+    return _global_result(h, R, mode, _glue_src_block, GSRCCertificate)
 
 
 def gsp_search(h: Poly, R: Ring) -> SearchResult:
     """Globalized SP factorization; complete over every in-scope ring."""
     _require_monic(h)
-    profiles = [_sp_profile(h.restrict(i)) for i in range(R.num_stalks)]
-    return _global_result(h, R, profiles, "SP", _glue_sp_block, GSPCertificate)
+    return _global_result(h, R, "SP", _glue_sp_block, GSPCertificate)

@@ -46,10 +46,10 @@ class Poly:
     @classmethod
     def from_parts(cls, ring: Ring, parts) -> "Poly":
         """The polynomial with raw coefficients ``parts[k]`` on stalk k."""
-        parts = list(parts)
-        if len(parts) != ring.num_stalks:
+        parts = tuple(parts)
+        if len(parts) != len(ring.stalks):
             raise RingMismatch("need exactly one coefficient list per stalk")
-        return _poly(ring, [_trim(s, p) for s, p in zip(ring.stalks, parts)])
+        return _poly(ring, map(_trim, ring.stalks, parts))
 
     @classmethod
     def from_ints(cls, ring: Ring, ints) -> "Poly":

@@ -22,6 +22,7 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .errors import (
     IncompleteCover,
@@ -307,9 +308,67 @@ class Ring:
 # -- descriptor validation and construction -------------------------------------
 
 
-def _build_table_ring(descriptor: dict) -> Ring:
-    import numpy as np
+def _table_rows(name: str, T: list, m: int) -> tuple:
+    """The m x m table ``T`` as a tuple of row tuples of indices in [0, m)."""
+    if any(not isinstance(row, (list, tuple)) or len(row) != m for row in T):
+        raise MalformedDescriptor(f"{name} table is not {m}x{m}")
+    rows = tuple(tuple(row) for row in T)
+    if any(type(x) is not int for row in rows for x in row):
+        raise MalformedDescriptor(f"{name} table has non-integer entries")
+    if any(not 0 <= x < m for row in rows for x in row):
+        raise MalformedDescriptor(f"{name} table has out-of-range entries")
+    return rows
 
+
+def _first_mismatch(lhs: tuple, rhs: tuple) -> int:
+    return next(k for k, (a, b) in enumerate(zip(lhs, rhs)) if a != b)
+
+
+def _check_ring_axioms(A: tuple, M: tuple) -> tuple[int, int]:
+    """Check that tables of row tuples form a commutative unital ring; (zero, one).
+
+    Each equational axiom is compared one row at a time: for fixed (i, j) the
+    two sides over every k are tuples, so the first failing witness is the
+    first (i, j[, k]) in row-major order.  ``take[j](x)`` is the tuple
+    ``x[T[j][k]]`` over k.
+    """
+    m = len(A)
+    for axiom, T in (("addition commutativity", A), ("multiplication commutativity", M)):
+        for i, (row, col) in enumerate(zip(T, zip(*T))):
+            if row != col:
+                raise NonRing(axiom, (i, _first_mismatch(row, col)))
+    take_a = [itemgetter(*row) for row in A]
+    take_m = [itemgetter(*row) for row in M]
+    sides = (
+        # (a+b)+c vs a+(b+c)
+        ("addition associativity", lambda i, j: (A[A[i][j]], take_a[j](A[i]))),
+        ("multiplication associativity", lambda i, j: (M[M[i][j]], take_m[j](M[i]))),
+        # a*(b+c) vs a*b + a*c
+        ("distributivity", lambda i, j: (take_a[j](M[i]), take_m[i](A[M[i][j]]))),
+    )
+    for axiom, both in sides:
+        for i in range(m):
+            for j in range(m):
+                lhs, rhs = both(i, j)
+                if lhs != rhs:
+                    raise NonRing(axiom, (i, j, _first_mismatch(lhs, rhs)))
+
+    identity = tuple(range(m))
+    zero = next((z for z in range(m) if A[z] == identity), None)
+    if zero is None:
+        raise NonRing("additive identity")
+    i = next((i for i in range(m) if zero not in A[i]), None)
+    if i is not None:
+        raise NonRing("additive inverse", (i,))
+    one = next((u for u in range(m) if M[u] == identity), None)
+    if one is None:
+        raise NonRing("multiplicative identity")
+    if one == zero:
+        raise NonRing("one equals zero")
+    return zero, one
+
+
+def _build_table_ring(descriptor: dict) -> Ring:
     add = descriptor.get("add")
     mul = descriptor.get("mul")
     if not isinstance(add, list) or not isinstance(mul, list):
@@ -319,57 +378,11 @@ def _build_table_ring(descriptor: dict) -> Ring:
         raise MalformedDescriptor("tables must be square of matching size >= 2")
     if m > MAX_TABLE_SIZE:
         raise UnsupportedSize(f"table size {m} exceeds {MAX_TABLE_SIZE}")
-    A = np.asarray(add, dtype=np.int64)
-    M = np.asarray(mul, dtype=np.int64)
-    for name, T in (("add", A), ("mul", M)):
-        if T.shape != (m, m):
-            raise MalformedDescriptor(f"{name} table is not {m}x{m}")
-        if T.min() < 0 or T.max() >= m:
-            raise MalformedDescriptor(f"{name} table has out-of-range entries")
+    add_t = _table_rows("add", add, m)
+    mul_t = _table_rows("mul", mul, m)
+    zero, one = _check_ring_axioms(add_t, mul_t)
 
-    idx = np.arange(m)
-    if not np.array_equal(A, A.T):
-        i, j = map(int, np.argwhere(A != A.T)[0])
-        raise NonRing("addition commutativity", (i, j))
-    if not np.array_equal(M, M.T):
-        i, j = map(int, np.argwhere(M != M.T)[0])
-        raise NonRing("multiplication commutativity", (i, j))
-    # (a+b)+c vs a+(b+c): A[A[i,j],k] vs A[i,A[j,k]]
-    lhs = A[A, :]
-    rhs = A[:, A]
-    if not np.array_equal(lhs, rhs):
-        i, j, k = map(int, np.argwhere(lhs != rhs)[0])
-        raise NonRing("addition associativity", (i, j, k))
-    lhs = M[M, :]
-    rhs = M[:, M]
-    if not np.array_equal(lhs, rhs):
-        i, j, k = map(int, np.argwhere(lhs != rhs)[0])
-        raise NonRing("multiplication associativity", (i, j, k))
-    # a*(b+c) vs a*b + a*c
-    lhs = M[:, A]
-    rhs = A[M[:, :, None], M[:, None, :]]
-    if not np.array_equal(lhs, rhs):
-        i, j, k = map(int, np.argwhere(lhs != rhs)[0])
-        raise NonRing("distributivity", (i, j, k))
-
-    zero_rows = np.nonzero((A == idx[None, :]).all(axis=1))[0]
-    if zero_rows.size == 0:
-        raise NonRing("additive identity")
-    zero = int(zero_rows[0])
-    if not (A == zero).any(axis=1).all():
-        i = int(np.nonzero(~(A == zero).any(axis=1))[0][0])
-        raise NonRing("additive inverse", (i,))
-    one_rows = np.nonzero((M == idx[None, :]).all(axis=1))[0]
-    if one_rows.size == 0:
-        raise NonRing("multiplicative identity")
-    one = int(one_rows[0])
-    if one == zero:
-        raise NonRing("one equals zero")
-
-    add_t = tuple(tuple(int(x) for x in row) for row in A)
-    mul_t = tuple(tuple(int(x) for x in row) for row in M)
-
-    idems = [int(i) for i in idx if mul_t[i][i] == i and i != zero]
+    idems = [i for i in range(m) if mul_t[i][i] == i and i != zero]
     # minimal nonzero idempotents under e <= f iff e*f = e
     primitive = []
     for e in idems:

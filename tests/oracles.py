@@ -28,6 +28,8 @@ ring's nilpotents by powering on each stalk.  ``radical_membership_definitional`
 ``is_clean_definitional`` and ``is_j_clean_definitional`` classify a finite
 ring from the definitions (1 + a*s a unit for every s; r - e or
 r*e + (1 - e) a unit for some idempotent e), without its stalk structure.
+``table_axiom_failure_numpy`` checks the ring axioms of two operation
+tables as whole-array numpy comparisons and returns the first failure.
 """
 
 from __future__ import annotations
@@ -581,3 +583,45 @@ def smith_solvable(A: SquareMatrix, B: SquareMatrix) -> bool:
         if x is None:
             return False
     return True
+
+
+# -- ring axioms of operation tables, vectorized ----------------------------------------
+
+
+def table_axiom_failure_numpy(add, mul):
+    """(axiom, witness) of the first failing ring axiom, or None.
+
+    Axioms are tried in the order ``cleanmat.rings`` checks them; the witness
+    of an equational axiom is the first offending index tuple in C order.
+    """
+    import numpy as np
+
+    A = np.asarray(add, dtype=np.int64)
+    M = np.asarray(mul, dtype=np.int64)
+    idx = np.arange(len(A))
+
+    def first(mask):
+        return tuple(map(int, np.argwhere(mask)[0]))
+
+    equations = (
+        ("addition commutativity", A, A.T),
+        ("multiplication commutativity", M, M.T),
+        ("addition associativity", A[A, :], A[:, A]),
+        ("multiplication associativity", M[M, :], M[:, M]),
+        ("distributivity", M[:, A], A[M[:, :, None], M[:, None, :]]),
+    )
+    for axiom, lhs, rhs in equations:
+        if not np.array_equal(lhs, rhs):
+            return axiom, first(lhs != rhs)
+    zero_rows = np.nonzero((A == idx[None, :]).all(axis=1))[0]
+    if zero_rows.size == 0:
+        return "additive identity", None
+    has_inverse = (A == zero_rows[0]).any(axis=1)
+    if not has_inverse.all():
+        return "additive inverse", (int(np.nonzero(~has_inverse)[0][0]),)
+    one_rows = np.nonzero((M == idx[None, :]).all(axis=1))[0]
+    if one_rows.size == 0:
+        return "multiplicative identity", None
+    if one_rows[0] == zero_rows[0]:
+        return "one equals zero", None
+    return None

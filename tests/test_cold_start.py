@@ -107,9 +107,34 @@ def test_only_z5_example_loads_quadz5(loaded):
     }
 
 
-def test_numpy_loads_only_for_the_scan_and_table_rings(loaded):
-    assert [name for name, rec in loaded.items() if rec["numpy"]] == ["audit", "ring (table)"]
+def test_numpy_loads_only_for_the_scan(loaded):
+    assert [name for name, rec in loaded.items() if rec["numpy"]] == ["audit"]
     assert "_kernels" in loaded["audit"]["modules"]
+
+
+def test_building_table_rings_loads_no_numpy():
+    # every table ring of the test pool, Z/64 at the size limit, and one
+    # table that fails an axiom
+    code = textwrap.dedent(
+        """
+        import json, sys
+        from cleanmat.errors import NonRing
+        from cleanmat.rings import build_ring
+        for d in json.loads(sys.argv[1]):
+            build_ring(d)
+        n = 64
+        build_ring({"type": "table", "add": [[(i + j) % n for j in range(n)] for i in range(n)],
+                    "mul": [[i * j % n for j in range(n)] for i in range(n)]})
+        try:
+            build_ring({"type": "table", "add": [[0, 1], [1, 1]], "mul": [[0, 0], [0, 1]]})
+        except NonRing:
+            print("numpy" in sys.modules)
+        """
+    )
+    tables = [d for d in CERT_RINGS.values() if d["type"] == "table"]
+    res = _python("-c", code, json.dumps(tables))
+    assert res.returncode == 0, res.stderr
+    assert res.stdout == "False\n"
 
 
 def test_the_verify_round_trip_loads_no_oracle(tmp_path):

@@ -9,8 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cleanmat import factor
 from cleanmat.factor import (
+    Block,
     GSPCertificate,
     GSRCCertificate,
     SPCertificate,
@@ -24,9 +24,9 @@ from cleanmat.factor import (
     src_search,
 )
 from cleanmat.matrices import inverse, sylvester, sylvester_solve
-from cleanmat.polys import Poly, monic_divide
+from cleanmat.polys import Poly, glue_polys, monic_divide
 from cleanmat.errors import NonMonicDivisor
-from cleanmat.rings import Element, build_ring
+from cleanmat.rings import Element, block_ring, build_ring
 from cleanmat.serialize import dumps_canonical, to_jsonable
 from cleanmat.verify import verify_gsp, verify_gsrc, verify_sp, verify_src
 
@@ -408,20 +408,40 @@ def _oracle_searches(h, R, mode):
 
     everyone = tuple(range(R.num_stalks))
     degrees = range(h.degree + 1)
-    glue = factor._glue_sp_block if mode == "SP" else factor._glue_src_block
     choices = []
     for i in everyone:
         d = next((d for d in degrees if at(i, d)), None)
         choices.append(None if d is None else (d, at(i, d)))
     global_cert = None
     if None not in choices:
-        wrap = GSPCertificate if mode == "SP" else GSRCCertificate
-        global_cert = wrap(factor._assemble_global(R, choices, glue))
+        groups = {}
+        for i, (d, _) in enumerate(choices):
+            groups.setdefault(d, []).append(i)
+        blocks = []
+        for d in sorted(groups):
+            support = tuple(groups[d])
+            cert = _oracle_glue(R, support, [choices[i][1] for i in support], mode)
+            blocks.append(Block(support, R.indicator(support), cert))
+        global_cert = (GSPCertificate if mode == "SP" else GSRCCertificate)(blocks)
     common = next((d for d in degrees if all(at(i, d) for i in everyone)), None)
     block_cert = None
     if common is not None:
-        block_cert = glue(R, everyone, [at(i, common) for i in everyone])
+        block_cert = _oracle_glue(R, everyone, [at(i, common) for i in everyone], mode)
     return global_cert, block_cert
+
+
+def _oracle_glue(R, support, certs, mode):
+    """One block's certificate, glued from one-stalk certificates by ``glue_polys``."""
+    B = block_ring(R, support)
+
+    def glued(attr):
+        return glue_polys(B, [getattr(c, attr) for c in certs])
+
+    if mode == "SP":
+        return SPCertificate(glued("h0"), glued("p0"))
+    if any(c.bezout_u is None for c in certs):
+        return SRCCertificate(glued("f0"), glued("f1"), None, None, "SR")
+    return SRCCertificate(glued("f0"), glued("f1"), glued("bezout_u"), glued("bezout_v"), "SRC")
 
 
 def _dump(cert):

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import copy
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -9,6 +11,7 @@ from hypothesis import strategies as st
 
 from cleanmat.errors import (
     IncompleteCover,
+    MalformedDescriptor,
     NonRing,
     NotPrime,
     RingMismatch,
@@ -29,6 +32,7 @@ from oracles import (
     is_j_clean_definitional,
     radical_membership_definitional,
     strongly_clean_element,
+    table_axiom_failure_numpy,
 )
 
 
@@ -192,6 +196,68 @@ def test_table_validation_errors():
         )
     with pytest.raises(UnsupportedSize):
         build_ring({"type": "zmod", "n": 1})
+
+
+def _axiom_failure(add, mul):
+    try:
+        build_ring({"type": "table", "add": add, "mul": mul})
+    except NonRing as exc:
+        return exc.axiom, exc.witness
+    return None
+
+
+def test_table_axiom_checks_match_the_numpy_oracle():
+    """Same first failing axiom and witness as whole-array numpy comparisons."""
+    rng = random.Random(1606)
+    bases = [zmod_tables(n) for n in (2, 4, 6, 8, 9, 12, 16)]
+    bases += [f4_tables(), dual_f2_tables(), f2xf2_tables()]
+    cases = [
+        ([[0, 0], [0, 0]], [[0, 0], [0, 0]]),  # no additive identity
+        (zmod_tables(5)[0], [[0] * 5 for _ in range(5)]),  # no multiplicative identity
+        # max and min on a chain: a distributive lattice, with no additive inverses
+        ([[max(i, j) for j in range(4)] for i in range(4)],
+         [[min(i, j) for j in range(4)] for i in range(4)]),
+    ]
+    for _ in range(300):
+        add, mul = (copy.deepcopy(t) for t in rng.choice(bases))
+        m = len(add)
+        for _ in range(rng.randint(1, 3)):
+            T = rng.choice((add, mul))
+            i, j, v = rng.randrange(m), rng.randrange(m), rng.randrange(m)
+            T[i][j] = v
+            if rng.random() < 0.5:
+                T[j][i] = v  # keep the table commutative, so later axioms are reached
+        cases.append((add, mul))
+    seen = set()
+    for add, mul in cases:
+        failure = _axiom_failure(add, mul)
+        assert failure == table_axiom_failure_numpy(add, mul), (add, mul)
+        seen.add(failure and failure[0])
+    assert seen >= {
+        None,
+        "addition commutativity",
+        "multiplication commutativity",
+        "addition associativity",
+        "multiplication associativity",
+        "distributivity",
+        "additive identity",
+        "additive inverse",
+        "multiplicative identity",
+    }
+
+
+def test_malformed_tables_raise_malformed_descriptor():
+    add, mul = zmod_tables(3)
+    for bad_add in (
+        [[0, 1, 2], [1, 2], [2, 0, 1]],  # ragged
+        [[0, 1, 2], [1, 2, 0], "abc"],  # a row that is not a list
+        [[0, 1, 2], [1, 2, 0], [2, 0, 1.0]],  # a float entry
+        [[0, 1, 2], [1, 2, 0], [2, 0, None]],
+        [[0, 1, 2], [1, 2, 0], [2, 0, 3]],  # out of range
+        [[0, 1, 2], [1, 2, 0], [2, 0, -1]],
+    ):
+        with pytest.raises(MalformedDescriptor):
+            build_ring({"type": "table", "add": bad_add, "mul": mul})
 
 
 def test_table_decomposition(f2xf2_ring, f4_ring, zmod):
