@@ -1,12 +1,12 @@
 """Exhaustive ground-truth oracles over finite rings.
 
-These scans are the independent side of the dual-route checks: theorem-level
-deciders must agree with them wherever they can run.  Finite rings are
+These scans are the independent side of the two audits
+(``theorem_main_audit`` and ``pi_regular_audit``), the only place the
+package runs them: no decider consults an oracle.  Finite rings are
 encoded as numpy operation tables and handed to the scan in ``_kernels``;
 enumeration order is the canonical element order, so results are
 deterministic.  numpy and ``_kernels`` are imported by the functions that
-use them, so importing this module does not load numpy; the deciders import
-it only inside the pi-regularity cross-check and the two audits.
+use them, so importing this module does not load numpy.
 
 Each ring's ``RingTable`` is encoded once and cached, and it also holds the
 scan's idempotent index: for each matrix size n and chunk of the

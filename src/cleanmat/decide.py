@@ -15,9 +15,10 @@ polynomials are lifted to polynomials over the whole ring (``_over_R``),
 evaluated at A with ``poly_at_matrix`` (which runs every stalk at its own
 degree) and combined with ``@``, ``-``, ``*`` and ``inverse``.
 
-The exhaustive oracles of ``brute`` are imported where they run, in the
-pi-regularity cross-check and the two audits, so deciding one matrix
-loads neither them nor numpy.
+Every decider is search, construct, verify: no exhaustive oracle runs on a
+decision path.  The oracles of ``brute`` run only in the two audits, which
+import them where they run, so deciding one matrix loads neither them nor
+numpy.
 """
 
 from __future__ import annotations
@@ -211,39 +212,27 @@ def decide_strongly_clean(A: SquareMatrix) -> Decision:
     reason = (
         "gSRC search was inconclusive"
         if res.status == "incomplete"
-        else "no gSRC factorization, A is not the companion matrix, and the "
-        "ring cannot be scanned exhaustively"
+        else "no gSRC factorization and A is not the companion matrix"
     )
-    return Decision(UNKNOWN, "brute_force", reason=reason, details=res.transcript)
+    return Decision(UNKNOWN, "gSRC", reason=reason, details=res.transcript)
 
 
-def decide_pi_regular(A: SquareMatrix, cross_check: bool = True) -> Decision:
+def decide_pi_regular(A: SquareMatrix, cross_check: bool = False) -> Decision:
+    """gSP search, then the (k, X) certificate it yields, re-verified.
+
+    ``cross_check`` has no effect; it stays only because the frozen
+    benchmark harness passes it and ``tests/test_layering.py`` checks it.
+    """
     R = A.ring
     h = char_poly(A)
     res = gsp_search(h, R)
     if res.found:
         ensure(verify_gsp(h, R, res.certificate))
         cert = pi_regular_from_gsp(A, res.certificate)
-        if cross_check and R.is_finite:
-            from .brute import pi_regular_oracle
-
-            other = pi_regular_oracle(A)
-            if other is None:
-                raise VerificationFailed(
-                    ["gSP found a witness but the chain oracle found none"]
-                )
         return Decision(YES, "gSP", certificate=cert, factorization=res.certificate)
     # gSP searches are complete on every in-scope stalk, and condition (2) of
     # the pi-regularity equivalence is existential: absence refutes every A
     # with this characteristic polynomial.
-    if cross_check and R.is_finite:
-        from .brute import pi_regular_oracle
-
-        other = pi_regular_oracle(A)
-        if other is not None:
-            raise VerificationFailed(
-                ["chain oracle found a witness but gSP search reported absence"]
-            )
     return Decision(NO, "gSP", refutation={"gsp_transcript": res.transcript})
 
 
@@ -454,10 +443,11 @@ def theorem_main_audit(
 ) -> AuditReport:
     """Exhaustive (2)<=>(3) audit plus sampled (3)=>(1) checks.
 
-    For every monic degree-n h: gSRC existence must agree with the
-    exhaustive strong-cleanness scan of the companion matrix; whenever the
-    gSRC exists, ``samples`` seeded similar matrices are certified strongly
-    clean through the constructed (E, U) pair.
+    For every monic degree-n h, the gSRC split and the exhaustive
+    strong-cleanness scan of the companion matrix must both exist: finite
+    stalks are Henselian, so a missing split is a disagreement.  Each split
+    then certifies ``samples`` seeded similar matrices strongly clean
+    through the constructed (E, U) pair.
     """
     from .brute import strongly_clean_bruteforce
 
@@ -467,16 +457,13 @@ def theorem_main_audit(
     if total > budget:
         raise BudgetExceeded(f"{total} polynomials exceed budget {budget}")
     start = time.perf_counter()
-    routes = {"gsrc_found": 0, "gsrc_absent": 0, "similar_certified": 0}
+    routes = {"gsrc_found": 0, "similar_certified": 0}
     disagreements = []
     for idx, h in enumerate(monic_polys(R, n)):
         res = gsrc_search(h, R, "SRC")
         bf = strongly_clean_bruteforce(companion(h), budget)
-        if res.found != (bf is not None):
+        if not res.found or bf is None:
             disagreements.append({"h": h, "gsrc": res.status, "brute": bf is not None})
-            continue
-        if not res.found:
-            routes["gsrc_absent"] += 1
             continue
         routes["gsrc_found"] += 1
         ensure(verify_gsrc(h, R, res.certificate))
@@ -496,7 +483,12 @@ def theorem_main_audit(
 
 
 def pi_regular_audit(R: Ring, n: int, budget: int = DEFAULT_BUDGET) -> AuditReport:
-    """Exhaustive agreement of gSP existence with the chain-stabilization oracle."""
+    """Exhaustive agreement of gSP existence with the chain-stabilization oracle.
+
+    M_n(R) is finite, hence strongly pi-regular, and finite stalks are
+    Henselian: for every monic degree-n h both the gSP split and the
+    oracle's witness must exist, and a missing one is a disagreement.
+    """
     from .brute import pi_regular_oracle
 
     if not R.is_finite:
@@ -505,17 +497,14 @@ def pi_regular_audit(R: Ring, n: int, budget: int = DEFAULT_BUDGET) -> AuditRepo
     if total > budget:
         raise BudgetExceeded(f"{total} polynomials exceed budget {budget}")
     start = time.perf_counter()
-    routes = {"gsp_found": 0, "gsp_absent": 0, "strongly_clean_implied": 0}
+    routes = {"gsp_found": 0, "strongly_clean_implied": 0}
     disagreements = []
     for h in monic_polys(R, n):
         C = companion(h)
         res = gsp_search(h, R)
         oracle = pi_regular_oracle(C)
-        if res.found != (oracle is not None):
+        if not res.found or oracle is None:
             disagreements.append({"h": h, "gsp": res.status, "oracle": oracle is not None})
-            continue
-        if not res.found:
-            routes["gsp_absent"] += 1
             continue
         routes["gsp_found"] += 1
         ensure(verify_gsp(h, R, res.certificate))

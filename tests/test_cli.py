@@ -8,6 +8,7 @@ import textwrap
 from pathlib import Path
 
 import pytest
+from conftest import CERT_RINGS
 
 import cleanmat
 from cleanmat.cli import main
@@ -172,6 +173,20 @@ def test_verify_roundtrip_pi_regular(capsys, tmp_path):
         capsys, "pi-regular", "--ring", '{"type":"zmod","n":6}', "--verify", f"@{p}"
     )
     assert code == 0 and json.loads(vout)["valid"] is True
+
+
+def test_pi_regular_over_f4_answers_from_gsp_alone(capsys, tmp_path):
+    # t^10 + 1 over F4: an exhaustive table solve would face 4^10 candidate
+    # vectors, while the gSP certificate is built and verified directly
+    f4 = json.dumps(CERT_RINGS["F4"])
+    poly = "[1,0,0,0,0,0,0,0,0,0,1]"
+    code, out, err = run(capsys, "pi-regular", "--ring", f4, "--poly", poly, "--companion")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["decision"]["verdict"] == "yes"
+    p = tmp_path / "f4.json"
+    p.write_text(out)
+    code, vout, _ = run(capsys, "pi-regular", "--ring", f4, "--verify", f"@{p}")
+    assert code == 0 and '"valid":true' in vout
 
 
 def test_verify_without_an_input_matrix_is_an_input_error(capsys, tmp_path):

@@ -95,7 +95,7 @@ def test_factor_loads_no_decider(loaded):
 
 
 def test_deciding_one_matrix_loads_no_oracle(loaded):
-    for name in ("decide", "decide --degree"):
+    for name in ("decide", "decide --degree", "pi-regular"):
         assert "decide" in loaded[name]["modules"]
         assert not {"brute", "_kernels", "quadz5"} & set(loaded[name]["modules"])
 

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from cleanmat.brute import strongly_clean_bruteforce
+from cleanmat.brute import pi_regular_oracle, strongly_clean_bruteforce
 from cleanmat.decide import (
     decide_pi_regular,
     decide_ring_strongly_clean,
@@ -24,7 +24,7 @@ from cleanmat.matrices import SquareMatrix, companion, random_with_charpoly
 from cleanmat.polys import Poly
 from cleanmat.rings import Element, build_ring
 from cleanmat.stalks import factorize
-from cleanmat.verify import verify_gsrc, verify_src, verify_strong_clean
+from cleanmat.verify import verify_gsrc, verify_pi_regular, verify_src, verify_strong_clean
 
 
 def test_decide_companion_negative(zloc):
@@ -67,6 +67,7 @@ def test_decide_unknown_for_non_companion_over_zloc(zloc):
     assert A != companion(h)
     d = decide_strongly_clean(A)
     assert d.verdict == "unknown"
+    assert d.route == "gSRC"
     assert d.reason
 
 
@@ -89,22 +90,33 @@ def test_decide_pi_regular_examples(zmod, zloc):
     assert blk.cert.p0.degree == 2
 
 
-def test_pi_regular_implies_strongly_clean_decisions(zmod):
-    R = zmod(6)
+def _seeded_matrices(R, n, rng, count):
+    """``count`` matrices with random entries, then ``count`` random conjugates
+    of companion matrices: inputs the companion-only audits never see."""
+    for _ in range(count):
+        yield SquareMatrix(R, [[R.random_element(rng) for _ in range(n)] for _ in range(n)])
+    for _ in range(count):
+        h = Poly(R, [*(R.random_element(rng) for _ in range(n)), R.one])
+        yield random_with_charpoly(h, rng.randrange(2**32))
+
+
+def test_pi_regular_implies_strongly_clean_decisions(zmod, f4_ring, dual_ring, f2xf2_ring):
+    # M_n(R) is finite, hence strongly pi-regular: every decision is yes, its
+    # certificate verifies, and the chain oracle agrees
     rng = random.Random(5)
-    for _ in range(10):
-        A = SquareMatrix(
-            R, [[R.random_element(rng) for _ in range(2)] for _ in range(2)]
-        )
-        dp = decide_pi_regular(A)
-        if dp.verdict == "yes":
-            ds = decide_strongly_clean(A)
-            assert ds.verdict == "yes"
-            # the SP pair re-verifies as an SRC pair per block
-            for b in dp.factorization.blocks:
-                u, v = comaximality(b.cert.h0, b.cert.p0)
-                upgraded = SRCCertificate(b.cert.h0, b.cert.p0, u, v, "SRC")
-                assert not verify_src(b.cert.h0 * b.cert.p0, upgraded)
+    for R in (zmod(6), zmod(8), zmod(9), f4_ring, dual_ring, f2xf2_ring):
+        for n in (2, 3):
+            for A in _seeded_matrices(R, n, rng, 5):
+                dp = decide_pi_regular(A)
+                assert dp.verdict == "yes"
+                assert verify_pi_regular(A, dp.certificate) == []
+                assert pi_regular_oracle(A) is not None
+                assert decide_strongly_clean(A).verdict == "yes"
+                # the SP pair re-verifies as an SRC pair per block
+                for b in dp.factorization.blocks:
+                    u, v = comaximality(b.cert.h0, b.cert.p0)
+                    upgraded = SRCCertificate(b.cert.h0, b.cert.p0, u, v, "SRC")
+                    assert not verify_src(b.cert.h0 * b.cert.p0, upgraded)
 
 
 def test_ring_level_decisions(zloc, zmod):
@@ -245,14 +257,21 @@ def test_triangular_cli_exits_3_on_a_non_comaximal_split(monkeypatch, capsys):
     assert "Traceback" not in out.err
 
 
-def test_ring_level_decide_fails_hard_without_a_split_on_a_finite_ring(zmod, monkeypatch, capsys):
+def _no_split_searches(monkeypatch):
+    """gSRC and gSP searches that report every polynomial absent."""
     import cleanmat.decide as decide_mod
-    from cleanmat.cli import main
     from cleanmat.factor import SearchResult
 
     monkeypatch.setattr(
         decide_mod, "gsrc_search", lambda h, R, mode: SearchResult("absent", None, {})
     )
+    monkeypatch.setattr(decide_mod, "gsp_search", lambda h, R: SearchResult("absent", None, {}))
+
+
+def test_ring_level_decide_fails_hard_without_a_split_on_a_finite_ring(zmod, monkeypatch, capsys):
+    from cleanmat.cli import main
+
+    _no_split_searches(monkeypatch)
     with pytest.raises(VerificationFailed, match="no gSRC split"):
         decide_ring_strongly_clean(zmod(4), 2)
     code = main(["decide", "--ring", '{"type":"zmod","n":4}', "--degree", "2"])
@@ -260,6 +279,23 @@ def test_ring_level_decide_fails_hard_without_a_split_on_a_finite_ring(zmod, mon
     assert code == 3 and out.out == ""
     assert out.err.startswith("verification failure:") and out.err.count("\n") == 1
     assert "Traceback" not in out.err
+
+
+def test_audits_count_an_absence_over_a_finite_ring_as_a_disagreement(zmod, monkeypatch, capsys):
+    from cleanmat.cli import main
+
+    _no_split_searches(monkeypatch)
+    R = zmod(4)
+    every_h = list(monic_polys(R, 2))
+    for rep, key in ((theorem_main_audit(R, 2, samples=1), "gsrc"), (pi_regular_audit(R, 2), "gsp")):
+        assert rep.instances == 16 and rep.agreements == 0
+        assert [d["h"] for d in rep.disagreements] == every_h
+        assert {d[key] for d in rep.disagreements} == {"absent"}
+        assert not [name for name in rep.routes if name.endswith("_absent")]
+    for extra in ([], ["--pi"]):
+        code = main(["audit", "--ring", '{"type":"zmod","n":4}', "--degree", "2", *extra])
+        assert code == 3
+        assert '"disagreements":[{' in capsys.readouterr().out
 
 
 def test_theorem_main_audit_small(zmod):

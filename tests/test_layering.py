@@ -19,6 +19,9 @@ values, so neither may use the Element-level idempotent bookkeeping
 (``primitive_idempotents``, ``idempotent_support``,
 ``is_complete_orthogonal``).
 
+No decider consults an exhaustive oracle: in ``decide.py`` only the two
+audits, ``theorem_main_audit`` and ``pi_regular_audit``, import ``.brute``.
+
 A CLI command is a fresh process, so the modules every command imports stay
 small: at import time ``__init__.py``, ``cli.py`` and ``serialize.py``
 import only the standard library and ``errors``, ``stalks``, ``rings`` and
@@ -186,6 +189,49 @@ def test_the_guard_sees_boxed_idempotent_bookkeeping(tmp_path):
     assert _boxed_idempotent_uses(bad) == [
         "idempotent_support", "is_complete_orthogonal", "primitive_idempotents"
     ]
+
+
+ORACLE_AUDITS = ["pi_regular_audit", "theorem_main_audit"]
+
+
+def _brute_importers(path: Path) -> list[str]:
+    """The functions (``<module>`` for the top level) that import ``.brute``."""
+    found = []
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if isinstance(child, ast.ImportFrom) and (
+                (child.module or "").split(".")[-1] == "brute"
+                or (child.module is None and any(a.name == "brute" for a in child.names))
+            ):
+                found.append(owner)
+            visit(child, owner)
+
+    visit(ast.parse(path.read_text(encoding="utf-8")), "<module>")
+    return sorted(found)
+
+
+def test_only_the_audits_import_the_oracles():
+    assert _brute_importers(SRC / "decide.py") == ORACLE_AUDITS
+
+
+def test_the_guard_sees_an_oracle_on_a_decision_path(tmp_path):
+    bad = tmp_path / "bad.py"
+    bad.write_text(
+        "from .brute import strongly_clean_bruteforce\n"
+        "def decide_pi_regular(A):\n"
+        "    if A:\n"
+        "        from .brute import pi_regular_oracle\n"
+        "def pi_regular_audit(R):\n"
+        "    from . import brute\n"
+        "def theorem_main_audit(R):\n"
+        "    from .factor import gsrc_search\n",
+        encoding="utf-8",
+    )
+    assert _brute_importers(bad) == ["<module>", "decide_pi_regular", "pi_regular_audit"]
 
 
 COLD_START_MODULES = ("__init__.py", "cli.py", "serialize.py")
