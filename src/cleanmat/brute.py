@@ -1,6 +1,7 @@
 """Exhaustive ground-truth oracles over finite rings.
 
-These scans are the independent side of the two audits
+The strong-cleanness scan and the Drazin-inverse oracle for
+pi-regularity are the independent side of the two audits
 (``theorem_main_audit`` and ``pi_regular_audit``), the only place the
 package runs them: no decider consults an oracle.  Finite rings are
 encoded as numpy operation tables and handed to the scan in ``_kernels``;
@@ -20,14 +21,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
-from .errors import DEFAULT_BUDGET, BudgetExceeded, InfiniteRing, UnsupportedSize
+from .errors import DEFAULT_BUDGET, InfiniteRing, UnsupportedSize, enumeration_size
 from .matrices import (
     PiRegularCertificate,
     SquareMatrix,
     StrongCleanCertificate,
     inverse,
     solve_matrix_equation,
-    transpose,
 )
 from .rings import Element, Ring
 
@@ -118,11 +118,7 @@ def strongly_clean_bruteforce(
     R = A.ring
     if not R.is_finite:
         raise InfiniteRing(f"brute force cannot scan {R.label()}")
-    total = R.size ** (A.n * A.n)
-    if total > budget:
-        raise BudgetExceeded(
-            f"{R.size}^{A.n * A.n} = {total} candidates exceed budget {budget}"
-        )
+    total = enumeration_size(R.size, A.n * A.n, budget, "candidates")
     from . import _kernels
 
     tab = encode_ring(R)
@@ -152,7 +148,12 @@ def strongly_clean_bruteforce(
 
 
 def pi_regular_oracle(A: SquareMatrix) -> PiRegularCertificate | None:
-    """Chain-stabilization oracle: first k with A^{k+1}X = A^k and YA^{k+1} = A^k.
+    """Drazin-inverse oracle: the first k with A^{k+1}D = A^k = DA^{k+1}, and D.
+
+    Each step solves A^{k+1}X = A^k once and forms D = A^k X^{k+1}.  When a
+    left witness YA^{k+1} = A^k exists as well, D is the unique Drazin
+    inverse of A (Drazin 1958), so DA^{k+1} = A^k; when that holds, D is
+    itself a left witness.  The certificate is (k, D, D).
 
     The chain bound k <= n * (max stalk nilpotency index) suffices: modulo the
     stalk maximal ideal the Fitting chain stabilizes within n steps, and the
@@ -160,23 +161,15 @@ def pi_regular_oracle(A: SquareMatrix) -> PiRegularCertificate | None:
     """
     R = A.ring
     if not R.is_finite:
-        raise InfiniteRing(
-            "the chain oracle needs a finite ring; use the gSP route instead"
-        )
-    I = SquareMatrix.identity(R, A.n)
-    Z = SquareMatrix.zeros(R, A.n)
+        raise InfiniteRing("the Drazin-inverse oracle needs a finite ring")
     K = A.n * R.max_nil_index()
     Ak = A
     for k in range(1, K + 1):
         Ak1 = Ak @ A
-        if Ak == Z:
-            return PiRegularCertificate(k, Z, Z)
-        if Ak1 == Ak:
-            return PiRegularCertificate(k, I, I)
         X = solve_matrix_equation(Ak1, Ak)
         if X is not None:
-            Yt = solve_matrix_equation(transpose(Ak1), transpose(Ak))
-            if Yt is not None:
-                return PiRegularCertificate(k, X, transpose(Yt))
+            D = Ak @ X ** (k + 1)
+            if D @ Ak1 == Ak:
+                return PiRegularCertificate(k, D, D)
         Ak = Ak1
     return None

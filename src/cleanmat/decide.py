@@ -31,11 +31,11 @@ from fractions import Fraction
 
 from .errors import (
     DEFAULT_BUDGET,
-    BudgetExceeded,
     InfiniteRing,
     NotInRadical,
     TwoNotUnit,
     VerificationFailed,
+    enumeration_size,
 )
 from .factor import (
     Block,
@@ -156,8 +156,9 @@ def pi_regular_from_gsp(A: SquareMatrix, gcert) -> PiRegularCertificate:
     p0 is a unit on every stalk of the block), the Bezout pair (u, v) yields
     the projection P = v(A) p0(A) onto ker h0(A), and
     X = -h0(0)^{-1} q(A) P with q = (h0 - h0(0))/t inverts A there while
-    killing the nilpotent part.  All of a block's stalks share one degree of
-    h0, so its Bezout pair is the unique one of each stalk.
+    killing the nilpotent part: X is the Drazin inverse of A, the witness
+    ``brute.pi_regular_oracle`` returns.  All of a block's stalks share one
+    degree of h0, so its Bezout pair is the unique one of each stalk.
     """
     R = A.ring
     blocks = gcert.blocks
@@ -177,7 +178,8 @@ def pi_regular_from_gsp(A: SquareMatrix, gcert) -> PiRegularCertificate:
     Ak = A
     for k in range(1, K + 1):
         Ak1 = Ak @ A
-        if Ak1 @ X == Ak and X @ Ak1 == Ak:
+        # X is a polynomial in A, so X A^{k+1} = A^{k+1} X; the verifier checks both
+        if Ak1 @ X == Ak:
             cert = PiRegularCertificate(k, X, X)
             ensure(verify_pi_regular(A, cert))
             return cert
@@ -244,9 +246,7 @@ def decide_ring_strongly_clean(
 ) -> Decision:
     """Is Mat_n(R) strongly clean?  (Equivalently: every monic degree-n h has a gSRC.)"""
     if R.is_finite:
-        total = R.size**n
-        if total > budget:
-            raise BudgetExceeded(f"{total} monic polynomials exceed budget {budget}")
+        total = enumeration_size(R.size, n, budget, "monic polynomials")
         for h in monic_polys(R, n):
             res = gsrc_search(h, R, "SRC")
             # finite stalks are Henselian, so every h has a gSRC split
@@ -417,9 +417,7 @@ def triangular_sweep(R: Ring, n: int, budget: int = DEFAULT_BUDGET) -> AuditRepo
     """
     if not R.is_finite:
         raise InfiniteRing("triangular sweeps enumerate a finite ring")
-    total = R.size ** (n * (n + 1) // 2)
-    if total > budget:
-        raise BudgetExceeded(f"{total} triangular matrices exceed budget {budget}")
+    total = enumeration_size(R.size, n * (n + 1) // 2, budget, "triangular matrices")
     start = time.perf_counter()
     for T in _upper_triangulars(R, n):
         strong_clean_triangular(T)
@@ -453,9 +451,7 @@ def theorem_main_audit(
 
     if not R.is_finite:
         raise InfiniteRing("the equivalence audit enumerates a finite ring")
-    total = R.size**n
-    if total > budget:
-        raise BudgetExceeded(f"{total} polynomials exceed budget {budget}")
+    total = enumeration_size(R.size, n, budget, "polynomials")
     start = time.perf_counter()
     routes = {"gsrc_found": 0, "similar_certified": 0}
     disagreements = []
@@ -483,19 +479,19 @@ def theorem_main_audit(
 
 
 def pi_regular_audit(R: Ring, n: int, budget: int = DEFAULT_BUDGET) -> AuditReport:
-    """Exhaustive agreement of gSP existence with the chain-stabilization oracle.
+    """Exhaustive agreement of the gSP certificate with the Drazin-inverse oracle.
 
     M_n(R) is finite, hence strongly pi-regular, and finite stalks are
     Henselian: for every monic degree-n h both the gSP split and the
-    oracle's witness must exist, and a missing one is a disagreement.
+    oracle's witness must exist, and a missing one is a disagreement.  Both
+    sides build the Drazin inverse of the companion matrix and its index, so
+    an oracle (k, X) other than the gSP-built one is a disagreement too.
     """
     from .brute import pi_regular_oracle
 
     if not R.is_finite:
         raise InfiniteRing("the pi-regularity audit enumerates a finite ring")
-    total = R.size**n
-    if total > budget:
-        raise BudgetExceeded(f"{total} polynomials exceed budget {budget}")
+    total = enumeration_size(R.size, n, budget, "polynomials")
     start = time.perf_counter()
     routes = {"gsp_found": 0, "strongly_clean_implied": 0}
     disagreements = []
@@ -508,7 +504,10 @@ def pi_regular_audit(R: Ring, n: int, budget: int = DEFAULT_BUDGET) -> AuditRepo
             continue
         routes["gsp_found"] += 1
         ensure(verify_gsp(h, R, res.certificate))
-        pi_regular_from_gsp(C, res.certificate)
+        cert = pi_regular_from_gsp(C, res.certificate)
+        if (oracle.k, oracle.X) != (cert.k, cert.X):
+            disagreements.append({"h": h, "gsp_certificate": cert, "oracle_certificate": oracle})
+            continue
         sc = decide_strongly_clean(C)
         if sc.verdict != YES:
             disagreements.append({"h": h, "pi_regular": True, "strongly_clean": sc.verdict})

@@ -5,6 +5,20 @@
 DEFAULT_BUDGET = 10**6
 
 
+def enumeration_size(base: int, exp: int, budget: int, what: str) -> int:
+    """base**exp (base >= 2) if it is within budget; never builds a larger count.
+
+    ``BudgetExceeded`` names the count if it was computed in full, else base^exp.
+    """
+    total = 1
+    for done in range(1, exp + 1):
+        total *= base
+        if total > budget:
+            count = total if done == exp else f"{base}^{exp}"
+            raise BudgetExceeded(f"{count} {what} exceed budget {budget}")
+    return total
+
+
 class CleanmatError(Exception):
     """Base class for all package errors."""
 

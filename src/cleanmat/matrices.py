@@ -6,8 +6,8 @@ sees it: its only state besides ``ring`` and ``n`` is ``grids``, one raw grid
 ``SquareMatrix(ring, rows)`` unpacks Element rows once, and the ``rows``
 property boxes Elements on demand, for serializing, printing and the
 exhaustive scan's encoding.  Every operator (``+ - neg * @ ** == hash``) and
-every public function (``transpose``, ``identity``, ``zeros``,
-``companion``, ``sylvester``, ``sylvester_solve``, ``char_poly``, ``inverse``,
+every public function (``identity``, ``zeros``, ``companion``,
+``sylvester``, ``sylvester_solve``, ``char_poly``, ``inverse``,
 ``poly_at_matrix``, ``random_with_charpoly``, ``solve_matrix_equation``) runs
 one raw kernel per stalk with that stalk's own
 ``dot``/``submul``/``add``/``sub``/``mul``/``neg``/``inv``.  Every multi-term
@@ -40,7 +40,7 @@ import itertools
 import random
 from dataclasses import dataclass
 
-from .errors import BudgetExceeded, RingMismatch
+from .errors import RingMismatch, enumeration_size
 from .polys import Poly
 from .rings import Element, Ring
 from .stalks import TableStalk
@@ -246,10 +246,6 @@ def sylvester_solve(f0: Poly, f1: Poly):
         us.append(x[:d1])
         vs.append(x[d1:])
     return Poly.from_parts(f0.ring, us), Poly.from_parts(f0.ring, vs)
-
-
-def transpose(A: SquareMatrix) -> SquareMatrix:
-    return _matrix(A.ring, [[list(col) for col in zip(*a)] for a in A.grids])
 
 
 # -- raw per-stalk kernels -----------------------------------------------------------
@@ -550,10 +546,7 @@ def _solve_chain(s, m, b):
 def _solve_table(stalk: TableStalk, m, b):
     """One solution of m*X = b by trying every column vector, first found."""
     n, dot = len(m), stalk.dot
-    if stalk.size**n > TABLE_SOLVE_BUDGET:
-        raise BudgetExceeded(
-            f"table solve over {stalk.size}^{n} candidate vectors exceeds budget"
-        )
+    enumeration_size(stalk.size, n, TABLE_SOLVE_BUDGET, "table-solve candidate vectors")
     cols = []
     for target in zip(*b):
         for x in itertools.product(stalk.elements(), repeat=n):

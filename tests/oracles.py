@@ -16,7 +16,8 @@ boxed Element rows, with every product an Element fold (``fold_matmul``,
 powers as repeated products) and every comparison entry by entry, so they
 share no matrix kernel with the verifiers in ``cleanmat.verify``.
 ``pi_regular_bruteforce`` enumerates every
-X and Y for strong pi-regularity, ``strongly_clean_element`` scans the
+X and Y for strong pi-regularity, ``drazin_bruteforce`` every candidate
+Drazin inverse, ``strongly_clean_element`` scans the
 idempotents for a clean split of one element, and
 ``ideal_membership_search`` writes a Z[sqrt(-5)] element in the ideal
 (2, 1+theta) by a search over a coefficient box.  ``smith_normal_form``
@@ -341,6 +342,55 @@ def pi_regular_bruteforce(
             if Y is not None:
                 return PiRegularCertificate(k, X, Y)
         Ak = Ak1
+    return None
+
+
+def drazin_bruteforce(A: SquareMatrix, budget: int = 10**4):
+    """(k, Ds): the least k >= 1 at which some D has DAD = D, AD = DA and
+    A^{k+1} D = A^k, and every such D, by enumerating all n x n matrices.
+
+    Products run on element indices through addition and multiplication
+    tables built from Element ``+`` and ``*``, so no matrix kernel is shared
+    with ``cleanmat``.  Drazin's theorem says the list has exactly one entry.
+    """
+    R = A.ring
+    n = A.n
+    total = R.size ** (n * n)
+    if total > budget:
+        raise BudgetExceeded(f"{total} candidates exceed budget {budget}")
+    elems = list(R.elements())
+    index = {e: i for i, e in enumerate(elems)}
+    add = [[index[a + b] for b in elems] for a in elems]
+    mul = [[index[a * b] for b in elems] for a in elems]
+    zero = index[R.zero]
+
+    def mm(X, Y):
+        cols = list(zip(*Y))
+        out = []
+        for row in X:
+            out_row = []
+            for col in cols:
+                acc = zero
+                for x, y in zip(row, col):
+                    acc = add[acc][mul[x][y]]
+                out_row.append(acc)
+            out.append(tuple(out_row))
+        return tuple(out)
+
+    a = tuple(tuple(index[x] for x in row) for row in A.rows)
+    commuting = []
+    for combo in itertools.product(range(len(elems)), repeat=n * n):
+        d = tuple(combo[i * n : (i + 1) * n] for i in range(n))
+        ad = mm(a, d)
+        if ad == mm(d, a) and mm(d, ad) == d:
+            commuting.append(d)
+    ak = a
+    for k in range(1, n * R.max_nil_index() + 1):
+        ak1 = mm(ak, a)
+        ds = [d for d in commuting if mm(ak1, d) == ak]
+        if ds:
+            return k, [SquareMatrix(R, [[elems[i] for i in row] for row in d]) for d in ds]
+        ak = ak1
     return None
 
 

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import random
 
 import numpy as np
@@ -14,12 +15,15 @@ from cleanmat.brute import (
     strongly_clean_bruteforce,
 )
 from cleanmat.errors import BudgetExceeded, InfiniteRing
-from cleanmat.decide import monic_polys
-from cleanmat.matrices import SquareMatrix, companion
+from cleanmat.decide import monic_polys, pi_regular_from_gsp
+from cleanmat.factor import gsp_search
+from cleanmat.matrices import SquareMatrix, companion, random_with_charpoly
 from cleanmat.polys import Poly
+from cleanmat.rings import build_ring
 from cleanmat.verify import verify_pi_regular, verify_strong_clean
 
-from oracles import pi_regular_bruteforce
+from conftest import CERT_RINGS
+from oracles import drazin_bruteforce, pi_regular_bruteforce
 
 
 def test_spec_examples(zmod):
@@ -100,7 +104,8 @@ def test_pi_regular_examples(zmod):
     R2 = zmod(2)
     A = SquareMatrix.from_ints(R2, [[0, 0], [1, 1]])
     cert = pi_regular_oracle(A)
-    assert cert.k == 1 and cert.X == SquareMatrix.identity(R2, 2)
+    # A is idempotent, so it is its own Drazin inverse
+    assert cert.k == 1 and cert.X == cert.Y == A
     assert not verify_pi_regular(A, cert)
 
     R4 = zmod(4)
@@ -126,6 +131,35 @@ def test_pi_regular_oracle_matches_enumeration(zmod, dual_ring):
             assert (fast is None) == (slow is None)
             if fast is not None:
                 assert fast.k == slow.k
+
+
+def test_pi_regular_oracle_is_the_drazin_inverse(zmod, dual_ring):
+    """Every 2x2 matrix: the oracle's k and X = Y are the enumerated index and D."""
+    for R in (zmod(2), zmod(3), zmod(4), dual_ring):
+        elems = list(R.elements())
+        for entries in itertools.product(elems, repeat=4):
+            A = SquareMatrix(R, [entries[:2], entries[2:]])
+            cert = pi_regular_oracle(A)
+            k, Ds = drazin_bruteforce(A)
+            assert cert.k == k and Ds == [cert.X] and cert.Y == cert.X, A
+
+
+def test_pi_regular_oracle_matches_the_gsp_certificate(zmod, f4_ring, dual_ring):
+    """The oracle's (k, X) is the one ``pi_regular_from_gsp`` builds, on the
+    companion and one seeded conjugate of every monic h."""
+    Z4xF4 = build_ring({"type": "product", "factors": [{"type": "zmod", "n": 4}, CERT_RINGS["F4"]]})
+    cases = [(zmod(n), 2) for n in (4, 8, 9, 12, 16)]
+    cases += [(f4_ring, 2), (dual_ring, 2), (Z4xF4, 2)]
+    cases += [(zmod(n), 3) for n in (4, 8, 9, 12)] + [(f4_ring, 3), (dual_ring, 3)]
+    checked = 0
+    for R, n in cases:
+        for i, h in enumerate(monic_polys(R, n)):
+            gsp = gsp_search(h, R).certificate
+            for A in (companion(h), random_with_charpoly(h, i)):
+                cert = pi_regular_from_gsp(A, gsp)
+                assert pi_regular_oracle(A) == cert, (h, A)
+                checked += 1
+    assert checked == 8020
 
 
 def test_pi_regular_implies_strongly_clean(zmod):

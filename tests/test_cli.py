@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import time
 from pathlib import Path
 
 import pytest
@@ -338,6 +339,25 @@ def test_large_zmod_rings_do_not_hang():
     )
     assert res.returncode == 1 and res.stdout == ""
     assert res.stderr == "error: 1000000007 monic polynomials exceed budget 1000000\n"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["decide", "--degree", "100000000"], "2^100000000 monic polynomials"),
+        (["audit", "--degree", "100000000"], "2^100000000 polynomials"),
+        (["audit", "--pi", "--degree", "100000000"], "2^100000000 polynomials"),
+        (["triangular", "--degree", "30000"], "2^450015000 triangular matrices"),
+    ],
+)
+def test_huge_degrees_fail_fast_on_the_budget(argv, message):
+    """A budget check stops multiplying once the count passes the budget."""
+    start = time.perf_counter()
+    res = _python("-m", "cleanmat.cli", argv[0], "--ring", '{"type":"zmod","n":2}', *argv[1:])
+    elapsed = time.perf_counter() - start
+    assert res.returncode == 1 and res.stdout == ""
+    assert res.stderr == f"error: {message} exceed budget 1000000\n"
+    assert elapsed < 1.0
 
 
 def test_jclean_on_a_large_finite_stalk_does_not_hang():

@@ -102,7 +102,7 @@ def _seeded_matrices(R, n, rng, count):
 
 def test_pi_regular_implies_strongly_clean_decisions(zmod, f4_ring, dual_ring, f2xf2_ring):
     # M_n(R) is finite, hence strongly pi-regular: every decision is yes, its
-    # certificate verifies, and the chain oracle agrees
+    # certificate verifies, and the Drazin-inverse oracle finds a witness
     rng = random.Random(5)
     for R in (zmod(6), zmod(8), zmod(9), f4_ring, dual_ring, f2xf2_ring):
         for n in (2, 3):
@@ -296,6 +296,35 @@ def test_audits_count_an_absence_over_a_finite_ring_as_a_disagreement(zmod, monk
         code = main(["audit", "--ring", '{"type":"zmod","n":4}', "--degree", "2", *extra])
         assert code == 3
         assert '"disagreements":[{' in capsys.readouterr().out
+
+
+def test_pi_regular_audit_compares_certificates(zmod, monkeypatch, capsys):
+    """An oracle witness other than the Drazin inverse is a disagreement."""
+    import cleanmat.brute as brute_mod
+    from cleanmat.cli import main
+    from cleanmat.matrices import PiRegularCertificate
+
+    drazin = brute_mod.pi_regular_oracle
+
+    def identity_for_idempotents(A):
+        cert = drazin(A)
+        if A @ A != A:
+            return cert
+        I = SquareMatrix.identity(A.ring, A.n)
+        return PiRegularCertificate(cert.k, I, I)
+
+    monkeypatch.setattr(brute_mod, "pi_regular_oracle", identity_for_idempotents)
+    R = zmod(4)
+    rep = pi_regular_audit(R, 2)
+    # t^2 - t is the one monic quadratic whose companion is idempotent
+    h = Poly.from_ints(R, [0, -1, 1])
+    assert rep.agreements == rep.instances - 1
+    [d] = rep.disagreements
+    assert d["h"] == h and d["gsp_certificate"].X == companion(h)
+    assert d["oracle_certificate"].X == SquareMatrix.identity(R, 2)
+    code = main(["audit", "--ring", '{"type":"zmod","n":4}', "--degree", "2", "--pi"])
+    assert code == 3
+    assert '"oracle_certificate":{' in capsys.readouterr().out
 
 
 def test_theorem_main_audit_small(zmod):

@@ -16,7 +16,6 @@ from cleanmat.matrices import (
     poly_at_matrix,
     random_with_charpoly,
     solve_matrix_equation,
-    transpose,
 )
 from cleanmat.polys import Poly, glue_polys
 from cleanmat.rings import Element, Ring, build_ring
@@ -256,7 +255,7 @@ def test_inverse_at_larger_sizes(name):
             if k % 2:
                 # (I + upper nilpotent) @ random: invertible exactly when the random factor is
                 up = [[R.random_element(rng) if i < j else R.zero for j in range(n)] for i in range(n)]
-                A = (I + SquareMatrix(R, up)) @ transpose(A)
+                A = (I + SquareMatrix(R, up)) @ SquareMatrix(R, zip(*A.rows))
             inv = inverse(A)
             assert (inv is not None) == R.is_unit(char_poly(A).coeff(0))
             if inv is not None:
@@ -322,12 +321,6 @@ def test_poly_at_matrix_cayley_hamilton(zmod, zloc):
                 R, [[R.random_element(rng) for _ in range(2)] for _ in range(2)]
             )
             assert poly_at_matrix(char_poly(A), A) == SquareMatrix.zeros(R, 2)
-
-
-def test_transpose(zmod):
-    R = zmod(5)
-    A = SquareMatrix.from_ints(R, [[1, 2], [3, 4]])
-    assert transpose(A) == SquareMatrix.from_ints(R, [[1, 3], [2, 4]])
 
 
 # -- raw-value folds against Element folds ----------------------------------------------
@@ -442,7 +435,7 @@ def test_results_are_tuple_rows_that_equal_and_hash_like_constructed():
     A = SquareMatrix(R, [[R.random_element(rng) for _ in range(3)] for _ in range(3)])
     B = SquareMatrix(R, [[R.random_element(rng) for _ in range(3)] for _ in range(3)])
     f = Poly(R, [R.random_element(rng) for _ in range(3)] + [R.one])
-    results = [A @ B, poly_at_matrix(f, A), A + B, A - B, -A, A * R.one, transpose(A)]
+    results = [A @ B, poly_at_matrix(f, A), A + B, A - B, -A, A * R.one, SquareMatrix(R, zip(*A.rows))]
     inv = inverse(SquareMatrix.identity(R, 3) + companion(Poly.t_power(R, 3)))
     assert inv is not None
     results.append(inv)
