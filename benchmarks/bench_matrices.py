@@ -9,11 +9,12 @@ deg f0 + deg f1 = n.  The table gives the per-call microseconds of ``A @ B``,
 B a second random matrix), as the best of 20 passes over the inputs, each
 pass scaled to nominal machine speed by ``perfbench/pace.py``'s reference
 loop (``paced.best``).
-The last two columns time the audits' certificate layer on the polynomials
-that have a gSRC factorization: ``from_gsrc`` is
+The last three columns time the audits' certificate layer: ``from_gsrc`` is
 ``decide.strong_clean_from_gsrc(A, gsrc)`` for A = ``random_with_charpoly(h)``
-(it includes the verifier call the construction makes), and ``verify_sc`` is
-``verify.verify_strong_clean`` of the resulting certificate.
+on the polynomials that have a gSRC factorization, ``triangular`` is
+``decide.strong_clean_triangular(T)`` on 64 seeded upper-triangular T (both
+include the verifier call the construction makes), and ``verify_sc`` is
+``verify.verify_strong_clean`` of the ``from_gsrc`` certificates.
 Run with ``python benchmarks/bench_matrices.py``.
 """
 
@@ -26,7 +27,7 @@ from pathlib import Path
 # run against this checkout's src/ whether or not the package is installed
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from cleanmat.decide import strong_clean_from_gsrc  # noqa: E402
+from cleanmat.decide import strong_clean_from_gsrc, strong_clean_triangular  # noqa: E402
 from cleanmat.factor import comaximality, gsrc_search  # noqa: E402
 from cleanmat.matrices import (  # noqa: E402
     SquareMatrix,
@@ -62,8 +63,14 @@ def inputs(descriptor, n):
     R = build_ring(descriptor)
     rng = random.Random(SEED)
 
-    def matrix():
-        return SquareMatrix(R, [[R.random_element(rng) for _ in range(n)] for _ in range(n)])
+    def matrix(upper=False):
+        return SquareMatrix(
+            R,
+            [
+                [R.random_element(rng) if j >= i or not upper else R.zero for j in range(n)]
+                for i in range(n)
+            ],
+        )
 
     def monic(d):
         return Poly(R, [R.random_element(rng) for _ in range(d)] + [R.one])
@@ -78,7 +85,8 @@ def inputs(descriptor, n):
         if res.found:
             A = random_with_charpoly(h, SEED + i)
             splits.append((A, res.certificate, strong_clean_from_gsrc(A, res.certificate)))
-    return mats, others, polys, pairs, splits
+    triangulars = [matrix(upper=True) for _ in range(INPUTS)]
+    return mats, others, polys, pairs, splits, triangulars
 
 
 def per_call_us(fn, args):
@@ -98,6 +106,7 @@ def main():
         "comaximality",
         "solve",
         "from_gsrc",
+        "triangular",
         "verify_sc",
     ]
     print(
@@ -106,7 +115,7 @@ def main():
     )
     print(f"{'case':>18} " + " ".join(f"{op:>14}" for op in ops))
     for label, descriptor, n in CASES:
-        mats, others, polys, pairs, splits = inputs(descriptor, n)
+        mats, others, polys, pairs, splits, triangulars = inputs(descriptor, n)
         times = [
             per_call_us(lambda A, B: A @ B, list(zip(mats, others))),
             per_call_us(char_poly, [(A,) for A in mats]),
@@ -115,6 +124,7 @@ def main():
             per_call_us(comaximality, pairs),
             per_call_us(solve_matrix_equation, list(zip(mats, others))),
             per_call_us(strong_clean_from_gsrc, [(A, g) for A, g, _ in splits]),
+            per_call_us(strong_clean_triangular, [(T,) for T in triangulars]),
             per_call_us(verify_strong_clean, [(A, c) for A, _, c in splits]),
         ]
         invertible = sum(inverse(A) is not None for A in mats)

@@ -9,7 +9,8 @@ matrices over Z/16), so the scan keeps an idempotent index: the E^2 = E
 survivors of each chunk of the enumeration, built the first time a scan
 reaches the chunk and kept by the caller (``brute`` keeps it on the ring's
 cached ``RingTable``).  Later scans test EA = AE and the determinant on
-the indexed idempotents only.
+the indexed idempotents only.  The determinant's permutation table is
+likewise built once per matrix size and shared read-only.
 """
 
 from __future__ import annotations
@@ -22,18 +23,29 @@ import numpy as np
 HAVE_NUMBA = False
 
 
+# n -> the read-only (permutations, signs) arrays of ``permutation_table``
+_PERMUTATION_TABLES: dict = {}
+
+
 def permutation_table(n: int):
-    perms = list(itertools.permutations(range(n)))
-    signs = []
-    for p in perms:
-        inv = sum(
-            1 for i in range(n) for j in range(i + 1, n) if p[i] > p[j]
-        )
-        signs.append(1 if inv % 2 == 0 else -1)
-    return (
-        np.array(perms, dtype=np.int64),
-        np.array(signs, dtype=np.int64),
-    )
+    """The permutations of range(n) and their signs, built once per n.
+
+    The arrays are cached and read-only, so every scan of an n x n matrix
+    shares them.
+    """
+    if n not in _PERMUTATION_TABLES:
+        perms = list(itertools.permutations(range(n)))
+        signs = []
+        for p in perms:
+            inv = sum(
+                1 for i in range(n) for j in range(i + 1, n) if p[i] > p[j]
+            )
+            signs.append(1 if inv % 2 == 0 else -1)
+        table = np.array(perms, dtype=np.int64), np.array(signs, dtype=np.int64)
+        for arr in table:
+            arr.flags.writeable = False
+        _PERMUTATION_TABLES[n] = table
+    return _PERMUTATION_TABLES[n]
 
 
 def scan_strongly_clean(

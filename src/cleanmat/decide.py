@@ -10,10 +10,16 @@ gSRC always exists and every ``unknown`` verdict comes from a Z_(p) stalk.
 Every constructed certificate is re-verified before it is returned;
 derivations are never trusted.
 
-The certificates are built with public matrix operations only: each block's
-polynomials are lifted to polynomials over the whole ring (``_over_R``),
-evaluated at A with ``poly_at_matrix`` (which runs every stalk at its own
-degree) and combined with ``@``, ``-``, ``*`` and ``inverse``.
+The certificates live in R[A]: an SRC split h = f0*f1 with Bezout pair
+u*f0 + v*f1 = 1, each block's polynomials lifted to polynomials over the
+whole ring (``_over_R``), becomes two polynomials e = u*f0 and w of degree
+< n with (t - e) w = 1 mod h, built with ``Poly`` operations and
+``monic_divide``; then E = e(A), U = A - E and
+U^{-1} = w(A) by ``poly_at_matrix`` (which runs every stalk at its own
+degree), and the Drazin inverse of a gSP split is one polynomial x(A) the
+same way.  No certificate inverts a matrix.  A split whose f0(0), f1(1) or
+h0(0) is not a unit raises ``VerificationFailed``.  The audits build each
+split's polynomials once and evaluate them at every matrix that shares it.
 
 Every decider is search, construct, verify: no exhaustive oracle runs on a
 decision path.  The oracles of ``brute`` run only in the two audits, which
@@ -50,11 +56,10 @@ from .matrices import (
     StrongCleanCertificate,
     char_poly,
     companion,
-    inverse,
     poly_at_matrix,
     random_with_charpoly,
 )
-from .polys import Poly, glue_polys
+from .polys import Poly, glue_polys, monic_divide
 from .rings import Element, Ring
 from .stalks import ZLocStalk, ZModStalk
 from .verify import (
@@ -117,21 +122,60 @@ def _over_R(R: Ring, blocks: list[Block], polys: list[Poly]) -> Poly:
     return Poly.from_parts(R, parts)
 
 
-def _strong_clean(A: SquareMatrix, u: Poly, f0: Poly) -> StrongCleanCertificate:
-    """(E, U) from an SRC factor f0 of the char polynomial and its Bezout u.
+def _drop_constant(f: Poly) -> Poly:
+    """The quotient q of f = t*q + f(0)."""
+    return Poly.from_parts(f.ring, [p[1:] for p in f.parts])
 
-    With u*f0 + v*f1 = 1 and f0(A)f1(A) = h(A) = 0, the matrix
-    E = u(A) f0(A) is the projection onto ker f1(A) along ker f0(A); f0(0)
-    a unit makes A an automorphism of ker f0(A) and f1(1) a unit makes A - I
-    an automorphism of ker f1(A), so U = A - E is invertible.  u and f0 may
-    have different degrees on different stalks.
+
+def _unit_inverse(c: Element, what: str) -> Element:
+    """c^{-1}, or ``VerificationFailed`` naming ``what`` when c is not a unit."""
+    c_inv = c.ring.inv(c)
+    if c_inv is None:
+        raise VerificationFailed([f"{what} is not a unit"])
+    return c_inv
+
+
+def _split_polys(f0: Poly, f1: Poly, u: Poly) -> tuple[Poly, Poly]:
+    """(e, w) with E = e(A) and U^{-1} = w(A) for any A with char poly f0*f1.
+
+    With u*f0 + v*f1 = 1, e = u*f0 is 0 mod f0 and 1 mod f1, so E = e(A)
+    is the projection onto ker f1(A) along ker f0(A).  Write
+    f0 = t*q0 + f0(0) and f1 = (t - 1)*q1 + f1(1): then a0 = -f0(0)^{-1} q0
+    inverts t mod f0 and a1 = -f1(1)^{-1} q1 inverts t - 1 mod f1, and the
+    Chinese remainder idempotents v*f1 = 1 - e and e glue them into
+    w = a0 (1 - e) + a1 e mod f0*f1, with (t - e) w = 1 mod f0*f1.
+    Cayley-Hamilton then makes U = A - E invertible with inverse w(A).
+    u and f0 may have different degrees on different stalks; with
+    deg u < deg f1, as a Bezout pair has, both have degree < deg(f0*f1).
     """
-    E = poly_at_matrix(u, A) @ poly_at_matrix(f0, A)
-    U = A - E
-    U_inv = inverse(U)
-    if U_inv is None:
-        raise VerificationFailed(["constructed U = A - E is not invertible"])
-    cert = StrongCleanCertificate(E, U, U_inv)
+    R = f0.ring
+    h = f0 * f1
+    if not h.is_monic:
+        raise VerificationFailed(["f0 * f1 is not monic"])
+    q1, r1, _ = monic_divide(f1, Poly.from_ints(R, [-1, 1]))
+    a0 = Poly.constant(-_unit_inverse(f0.coeff(0), "f0(0)")) * _drop_constant(f0)
+    a1 = Poly.constant(-_unit_inverse(r1.coeff(0), "f1(1)")) * q1
+    e = u * f0
+    return e, monic_divide(a0 + (a1 - a0) * e, h)[1]
+
+
+def _gsrc_polys(R: Ring, gcert: GSRCCertificate) -> tuple[Poly, Poly]:
+    """``_split_polys`` of a gSRC factorization, its blocks lifted to R."""
+    blocks = gcert.blocks
+    if any(b.cert.bezout_u is None for b in blocks):
+        raise VerificationFailed(["SR-only certificate cannot split the module"])
+    return _split_polys(
+        *(
+            _over_R(R, blocks, [getattr(b.cert, k) for b in blocks])
+            for k in ("f0", "f1", "bezout_u")
+        )
+    )
+
+
+def _strong_clean(A: SquareMatrix, e: Poly, w: Poly) -> StrongCleanCertificate:
+    """The (E, U) pair E = e(A), U = A - E, U^{-1} = w(A), re-verified."""
+    E = poly_at_matrix(e, A)
+    cert = StrongCleanCertificate(E, A - E, poly_at_matrix(w, A))
     ensure(verify_strong_clean(A, cert))
     return cert
 
@@ -140,25 +184,20 @@ def strong_clean_from_gsrc(
     A: SquareMatrix, gcert: GSRCCertificate
 ) -> StrongCleanCertificate:
     """Build (E, U) from a gSRC factorization of the char polynomial of A."""
-    R = A.ring
-    blocks = gcert.blocks
-    if any(b.cert.bezout_u is None for b in blocks):
-        raise VerificationFailed(["SR-only certificate cannot split the module"])
-    u = _over_R(R, blocks, [b.cert.bezout_u for b in blocks])
-    f0 = _over_R(R, blocks, [b.cert.f0 for b in blocks])
-    return _strong_clean(A, u, f0)
+    return _strong_clean(A, *_gsrc_polys(A.ring, gcert))
 
 
 def pi_regular_from_gsp(A: SquareMatrix, gcert) -> PiRegularCertificate:
     """Build (k, X) from a gSP factorization of the char polynomial of A.
 
     Per block, the SP pair upgrades to an SRC pair (the resultant of h0 and
-    p0 is a unit on every stalk of the block), the Bezout pair (u, v) yields
-    the projection P = v(A) p0(A) onto ker h0(A), and
-    X = -h0(0)^{-1} q(A) P with q = (h0 - h0(0))/t inverts A there while
-    killing the nilpotent part: X is the Drazin inverse of A, the witness
-    ``brute.pi_regular_oracle`` returns.  All of a block's stalks share one
-    degree of h0, so its Bezout pair is the unique one of each stalk.
+    p0 is a unit on every stalk of the block), and the Bezout pair (u, v)
+    yields the projection v(A) p0(A) onto ker h0(A).  With
+    h0 = t*q + h0(0), X = x(A) for x = -h0(0)^{-1} q v p0 mod h0*p0 inverts A
+    there while killing the nilpotent part: X is the Drazin inverse of A,
+    the witness ``brute.pi_regular_oracle`` returns.  All of a block's
+    stalks share one degree of h0, so its Bezout pair is the unique one of
+    each stalk.
     """
     R = A.ring
     blocks = gcert.blocks
@@ -171,9 +210,9 @@ def pi_regular_from_gsp(A: SquareMatrix, gcert) -> PiRegularCertificate:
     v = _over_R(R, blocks, vs)
     p0 = _over_R(R, blocks, [b.cert.p0 for b in blocks])
     h0 = _over_R(R, blocks, [b.cert.h0 for b in blocks])
-    proj = poly_at_matrix(v, A) @ poly_at_matrix(p0, A)
-    q = Poly.from_parts(R, [p[1:] for p in h0.parts])
-    X = (poly_at_matrix(q, A) @ proj) * -R.inv(h0.coeff(0))
+    c = Poly.constant(-_unit_inverse(h0.coeff(0), "h0(0)"))
+    x = monic_divide(c * _drop_constant(h0) * v * p0, h0 * p0)[1]
+    X = poly_at_matrix(x, A)
     K = A.n * R.max_nil_index()
     Ak = A
     for k in range(1, K + 1):
@@ -368,27 +407,16 @@ def sqrt_one_plus_radical(v: Element):
 # -- audits ---------------------------------------------------------------------------
 
 
-def _upper_triangulars(R: Ring, n: int):
-    elems = list(R.elements())
-    positions = [(i, j) for i in range(n) for j in range(i, n)]
-    for combo in itertools.product(elems, repeat=len(positions)):
-        rows = [[R.zero] * n for _ in range(n)]
-        for (i, j), v in zip(positions, combo):
-            rows[i][j] = v
-        yield SquareMatrix(R, rows)
-
-
-def strong_clean_triangular(T: SquareMatrix) -> StrongCleanCertificate:
-    """Certificate for an upper-triangular matrix via its diagonal unit split.
+def _diagonal_split(R: Ring, diag) -> tuple[Poly, Poly, Poly]:
+    """(f0, f1, u) of the unit/non-unit split of a triangular diagonal.
 
     Per stalk, f0 collects t - d over the unit diagonal entries and f1 the
     rest; f0(0) is a product of units, f1(1) a product of 1 - (non-unit)s,
     and the resultant is a product of unit differences, so the SRC machinery
-    applies with no search.
+    applies with no search.  f0 * f1 is the char polynomial of every
+    upper-triangular matrix with this diagonal.
     """
-    R = T.ring
-    diag = [row[d] for d, row in enumerate(T.rows)]
-    us, f0s = [], []
+    parts = []
     for i in range(R.num_stalks):
         S = R.stalk_ring(i)
         f0, f1 = Poly.one(S), Poly.one(S)
@@ -404,23 +432,39 @@ def strong_clean_triangular(T: SquareMatrix) -> StrongCleanCertificate:
             raise VerificationFailed(
                 ["triangular unit/non-unit split is not comaximal"]
             )
-        us.append(bez[0])
-        f0s.append(f0)
-    return _strong_clean(T, glue_polys(R, us), glue_polys(R, f0s))
+        parts.append((f0, f1, bez[0]))
+    return tuple(glue_polys(R, list(ps)) for ps in zip(*parts))
+
+
+def strong_clean_triangular(T: SquareMatrix) -> StrongCleanCertificate:
+    """Certificate for an upper-triangular matrix via its diagonal unit split."""
+    diag = [row[d] for d, row in enumerate(T.rows)]
+    return _strong_clean(T, *_split_polys(*_diagonal_split(T.ring, diag)))
 
 
 def triangular_sweep(R: Ring, n: int, budget: int = DEFAULT_BUDGET) -> AuditReport:
     """Certify every upper-triangular n x n matrix strongly clean.
 
     Each matrix takes the diagonal split of ``strong_clean_triangular``; a
-    split that is not comaximal raises ``VerificationFailed``.
+    split that is not comaximal raises ``VerificationFailed``.  The
+    diagonals are the outer loop and the strict upper entries the inner
+    one, so each diagonal's (e, w) is built once.
     """
     if not R.is_finite:
         raise InfiniteRing("triangular sweeps enumerate a finite ring")
     total = enumeration_size(R.size, n * (n + 1) // 2, budget, "triangular matrices")
     start = time.perf_counter()
-    for T in _upper_triangulars(R, n):
-        strong_clean_triangular(T)
+    elems = list(R.elements())
+    upper = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    for diag in itertools.product(elems, repeat=n):
+        e, w = _split_polys(*_diagonal_split(R, diag))
+        for above in itertools.product(elems, repeat=len(upper)):
+            rows = [[R.zero] * n for _ in range(n)]
+            for d, x in enumerate(diag):
+                rows[d][d] = x
+            for (i, j), x in zip(upper, above):
+                rows[i][j] = x
+            _strong_clean(SquareMatrix(R, rows), e, w)
     return AuditReport(
         ring=R.descriptor,
         degree=n,
@@ -445,7 +489,8 @@ def theorem_main_audit(
     strong-cleanness scan of the companion matrix must both exist: finite
     stalks are Henselian, so a missing split is a disagreement.  Each split
     then certifies ``samples`` seeded similar matrices strongly clean
-    through the constructed (E, U) pair.
+    through the constructed (E, U) pair; its polynomials e and w are built
+    once and evaluated at each sample.
     """
     from .brute import strongly_clean_bruteforce
 
@@ -463,9 +508,10 @@ def theorem_main_audit(
             continue
         routes["gsrc_found"] += 1
         ensure(verify_gsrc(h, R, res.certificate))
+        e, w = _gsrc_polys(R, res.certificate)
         for j in range(samples):
             A = random_with_charpoly(h, seed * 1_000_003 + idx * 101 + j)
-            strong_clean_from_gsrc(A, res.certificate)
+            _strong_clean(A, e, w)
             routes["similar_certified"] += 1
     return AuditReport(
         ring=R.descriptor,

@@ -310,17 +310,23 @@ def _raw_horner(s, coeffs, a: list) -> list:
 
     A stalk's coefficients carry no trailing zeros (a ``Poly`` stalk is
     trimmed, a char poly ends in 1), so a polynomial glued from factors of
-    different degrees costs each stalk only its own degree in matmuls.  The
-    leading coefficient starts the scalar matrix, and each later step adds
-    its coefficient on the diagonal of ``acc @ a``.
+    different degrees costs each stalk matmuls for its own degree only.  The
+    first step needs no matmul: for degree d >= 1 it starts from
+    lead*a + c_{d-1}*I, so a degree-d stalk costs d - 1 matmuls, and each
+    later step adds its coefficient on the diagonal of ``acc @ a``.
     """
     n = len(a)
     add, zero = s.add, s.zero
     if not coeffs:
         return [[zero] * n for _ in range(n)]
     lead = coeffs[-1]
-    acc = [[lead if i == j else zero for j in range(n)] for i in range(n)]
-    for c in reversed(coeffs[:-1]):
+    if len(coeffs) == 1:
+        return [[lead if i == j else zero for j in range(n)] for i in range(n)]
+    mul = s.mul
+    acc = [[mul(lead, x) for x in row] for row in a]
+    for i in range(n):
+        acc[i][i] = add(acc[i][i], coeffs[-2])
+    for c in reversed(coeffs[:-2]):
         acc = _raw_matmul(s, acc, a)
         for i in range(n):
             acc[i][i] = add(acc[i][i], c)

@@ -15,6 +15,11 @@ rational-root-theorem candidate.  ``verify_strong_clean_elementwise`` and
 boxed Element rows, with every product an Element fold (``fold_matmul``,
 powers as repeated products) and every comparison entry by entry, so they
 share no matrix kernel with the verifiers in ``cleanmat.verify``.
+``strong_clean_reference``, ``gsrc_reference``, ``triangular_reference`` and
+``drazin_reference`` build the strong-clean and Drazin certificates as
+products of matrix polynomials, each a sum of powers of A, with U^-1 by
+Gauss-Jordan: the constructions that ``cleanmat.decide`` replaced by one
+reduced polynomial in A per matrix.
 ``pi_regular_bruteforce`` enumerates every
 X and Y for strong pi-regularity, ``drazin_bruteforce`` every candidate
 Drazin inverse, ``strongly_clean_element`` scans the
@@ -319,6 +324,75 @@ def verify_pi_regular_elementwise(A: SquareMatrix, cert: PiRegularCertificate) -
     if not _same(fold_matmul(cert.Y, Ak1), Ak):
         fails.append("Y A^{k+1} != A^k")
     return fails
+
+
+# -- the certificate constructions as matrix products ---------------------------------
+#
+# E = u(A) f0(A) with U^-1 by Gauss-Jordan, and X = -h0(0)^-1 q(A) v(A) p0(A):
+# each polynomial is evaluated as a sum of powers A**k, never by Horner, and
+# the certificate's polynomials are never reduced or combined before evaluation.
+
+
+def poly_at_matrix_powers(f: Poly, A: SquareMatrix) -> SquareMatrix:
+    """sum f_k A^k with every power taken by ``**``."""
+    acc = SquareMatrix.zeros(A.ring, A.n)
+    for k, c in enumerate(f.coeffs):
+        acc = acc + (A**k) * c
+    return acc
+
+
+def _blocks_over_R(R, blocks, polys) -> Poly:
+    """The polynomial over R that is ``polys[j]`` on the stalks of ``blocks[j]``."""
+    parts = [()] * R.num_stalks
+    for b, f in zip(blocks, polys):
+        for i, part in zip(b.support, f.parts):
+            parts[i] = part
+    return Poly.from_parts(R, parts)
+
+
+def strong_clean_reference(A: SquareMatrix, u: Poly, f0: Poly):
+    """(E, U^-1) with E = u(A) f0(A) and U^-1 = ``inverse(A - E)``."""
+    E = poly_at_matrix_powers(u, A) @ poly_at_matrix_powers(f0, A)
+    return E, inverse(A - E)
+
+
+def gsrc_reference(A: SquareMatrix, gcert):
+    """``strong_clean_reference`` of a gSRC certificate's glued u and f0."""
+    R, blocks = A.ring, gcert.blocks
+    u = _blocks_over_R(R, blocks, [b.cert.bezout_u for b in blocks])
+    f0 = _blocks_over_R(R, blocks, [b.cert.f0 for b in blocks])
+    return strong_clean_reference(A, u, f0)
+
+
+def triangular_reference(T: SquareMatrix):
+    """``strong_clean_reference`` of T's diagonal split, its Bezout u by Cramer."""
+    R = T.ring
+    us, f0s = [], []
+    for i in range(R.num_stalks):
+        S = R.stalk_ring(i)
+        f0, f1 = Poly.one(S), Poly.one(S)
+        for d in range(T.n):
+            x = R.restrict_element(T.rows[d][d], i)
+            lin = Poly(S, [-x, S.one])
+            if S.is_unit(x):
+                f0 = fold_poly_mul(f0, lin)
+            else:
+                f1 = fold_poly_mul(f1, lin)
+        us.append(comaximality_cramer(f0, f1)[0].parts[0])
+        f0s.append(f0.parts[0])
+    return strong_clean_reference(T, Poly.from_parts(R, us), Poly.from_parts(R, f0s))
+
+
+def drazin_reference(A: SquareMatrix, gcert) -> SquareMatrix:
+    """X = -h0(0)^-1 q(A) v(A) p0(A), h0 = t q + h0(0), v by Cramer per block."""
+    R, blocks = A.ring, gcert.blocks
+    vs = [comaximality_cramer(b.cert.h0, b.cert.p0)[1] for b in blocks]
+    v = _blocks_over_R(R, blocks, vs)
+    p0 = _blocks_over_R(R, blocks, [b.cert.p0 for b in blocks])
+    h0 = _blocks_over_R(R, blocks, [b.cert.h0 for b in blocks])
+    q = Poly(R, h0.coeffs[1:])
+    M = poly_at_matrix_powers(q, A) @ poly_at_matrix_powers(v, A)
+    return (M @ poly_at_matrix_powers(p0, A)) * -R.inv(h0.coeff(0))
 
 
 def pi_regular_bruteforce(

@@ -352,3 +352,17 @@ def test_index_holds_exactly_the_idempotents(zmod):
                 if M @ M == M:
                     idempotents.append(i)
             assert indices == idempotents
+
+
+def test_permutation_table_is_built_once_per_size_and_read_only():
+    for n in (1, 2, 3):
+        perms, signs = _kernels.permutation_table(n)
+        again = _kernels.permutation_table(n)
+        assert again[0] is perms and again[1] is signs
+        assert not perms.flags.writeable and not signs.flags.writeable
+        with pytest.raises(ValueError):
+            perms[0, 0] = 1
+        assert sorted(map(tuple, perms.tolist())) == sorted(itertools.permutations(range(n)))
+        # the sign of a permutation is the determinant of its permutation matrix
+        for p, s in zip(perms.tolist(), signs.tolist()):
+            assert s == round(np.linalg.det(np.eye(n)[p]))

@@ -1,0 +1,153 @@
+"""The certificates as polynomials in A agree with the matrix-product oracles.
+
+``strong_clean_from_gsrc``, ``strong_clean_triangular`` and
+``pi_regular_from_gsp`` evaluate one reduced polynomial per matrix:
+E = e(A), U^-1 = w(A) and X = x(A).  ``tests/oracles.py`` builds the same
+matrices the direct way, E = u(A) f0(A) with U^-1 by Gauss-Jordan and
+X = -h0(0)^-1 q(A) v(A) p0(A), each factor a sum of powers of A.  The
+inverse and the Drazin inverse are unique and E is the same polynomial, so
+the two must be equal on every input.  A split whose f0(0), f1(1) or h0(0)
+is not a unit has no such polynomials and fails verification.
+"""
+
+from __future__ import annotations
+
+import itertools
+import random
+import re
+
+import pytest
+from oracles import drazin_reference, gsrc_reference, triangular_reference
+
+import cleanmat.decide as decide_mod
+from cleanmat.decide import (
+    monic_polys,
+    pi_regular_from_gsp,
+    strong_clean_from_gsrc,
+    strong_clean_triangular,
+)
+from cleanmat.errors import VerificationFailed
+from cleanmat.factor import (
+    Block,
+    GSPCertificate,
+    GSRCCertificate,
+    SPCertificate,
+    SRCCertificate,
+    comaximality,
+    gsp_search,
+    gsrc_search,
+)
+from cleanmat.matrices import SquareMatrix, companion, random_with_charpoly
+from cleanmat.polys import Poly
+from cleanmat.rings import build_ring
+from conftest import CERT_RINGS
+
+SEED = 19
+
+# ring name -> descriptor and the degrees whose every monic h is checked
+FINITE = {
+    "F4": (CERT_RINGS["F4"], (2, 3)),
+    "dual-F2": (CERT_RINGS["dual-F2"], (2, 3)),
+    "F2 x F2": (CERT_RINGS["F2 x F2"], (2, 3)),
+    "Z/6": ({"type": "zmod", "n": 6}, (2, 3)),
+    "Z/12": (CERT_RINGS["Z/12"], (2,)),
+    "Z/16": (CERT_RINGS["Z/16"], (2,)),
+}
+
+INFINITE = {
+    "Z_(2)": {"type": "zloc", "p": 2},
+    "Z_(3)": {"type": "zloc", "p": 3},
+    "Z/4 x Z_(3)": CERT_RINGS["Z/4 x Z_(3)"],
+}
+SEEDED_SPLITS = 200
+
+
+def _check(A: SquareMatrix, gsrc, gsp):
+    sc = strong_clean_from_gsrc(A, gsrc)
+    assert (sc.E, sc.U_inv) == gsrc_reference(A, gsrc)
+    if gsp is not None:
+        assert pi_regular_from_gsp(A, gsp).X == drazin_reference(A, gsp)
+
+
+@pytest.mark.parametrize("name", FINITE)
+def test_every_finite_h_matches_the_product_oracle(name):
+    descriptor, degrees = FINITE[name]
+    R = build_ring(descriptor)
+    for n in degrees:
+        for idx, h in enumerate(monic_polys(R, n)):
+            gsrc, gsp = gsrc_search(h, R, "SRC"), gsp_search(h, R)
+            assert gsrc.found and gsp.found
+            for A in (companion(h), random_with_charpoly(h, SEED * 1000 + idx)):
+                _check(A, gsrc.certificate, gsp.certificate)
+
+
+def test_seeded_infinite_splits_match_the_product_oracle():
+    rings = [build_ring(d) for d in INFINITE.values()]
+    rng = random.Random(SEED)
+    checked = 0
+    for i in itertools.count():
+        R = rings[i % len(rings)]
+        n = rng.choice((2, 3))
+        h = Poly(R, [R.from_int(rng.randint(-6, 6)) for _ in range(n)] + [R.one])
+        gsrc = gsrc_search(h, R, "SRC")
+        if not gsrc.found:
+            continue
+        gsp = gsp_search(h, R)
+        A = random_with_charpoly(h, SEED + i)
+        _check(A, gsrc.certificate, gsp.certificate if gsp.found else None)
+        checked += 1
+        if checked == SEEDED_SPLITS:
+            break
+
+
+def test_every_upper_triangular_matrix_matches_the_product_oracle():
+    R = build_ring({"type": "zmod", "n": 3})
+    elems = list(R.elements())
+    for vals in itertools.product(elems, repeat=6):
+        it = iter(vals)
+        T = SquareMatrix(R, [[next(it) if j >= i else R.zero for j in range(3)] for i in range(3)])
+        cert = strong_clean_triangular(T)
+        assert (cert.E, cert.U_inv) == triangular_reference(T)
+
+
+# -- splits whose unit values are not units ----------------------------------------
+
+
+def _split_of(R, f0, f1):
+    u, v = comaximality(f0, f1)
+    return GSRCCertificate([Block((0,), R.one, SRCCertificate(f0, f1, u, v, "SRC"))])
+
+
+@pytest.mark.parametrize(
+    "roots, what",
+    # (t - a)(t - b) split as f0 = t - a, f1 = t - b over Z/3
+    [((0, 1), "f0(0)"), ((2, 1), "f1(1)")],
+)
+def test_a_gsrc_split_without_unit_values_fails_verification(zmod, roots, what):
+    R = zmod(3)
+    f0, f1 = (Poly.from_ints(R, [-r, 1]) for r in roots)
+    A = companion(f0 * f1)
+    with pytest.raises(VerificationFailed, match=re.escape(f"{what} is not a unit")):
+        strong_clean_from_gsrc(A, _split_of(R, f0, f1))
+
+
+def test_a_triangular_split_without_unit_values_fails_verification(zmod, monkeypatch):
+    honest = decide_mod._diagonal_split
+
+    def swapped(R, diag):
+        f0, f1, _ = honest(R, diag)
+        return f1, f0, comaximality(f1, f0)[0]
+
+    monkeypatch.setattr(decide_mod, "_diagonal_split", swapped)
+    T = SquareMatrix.from_ints(zmod(3), [[1, 1], [0, 0]])
+    with pytest.raises(VerificationFailed, match=r"f0\(0\) is not a unit"):
+        strong_clean_triangular(T)
+
+
+def test_a_gsp_split_without_a_unit_h0_0_fails_verification(zmod):
+    # h0 = t and p0 = t - 1 are comaximal, but h0(0) = 0 has no inverse
+    R = zmod(3)
+    h0, p0 = Poly.from_ints(R, [0, 1]), Poly.from_ints(R, [-1, 1])
+    gcert = GSPCertificate([Block((0,), R.one, SPCertificate(h0, p0))])
+    with pytest.raises(VerificationFailed, match=r"h0\(0\) is not a unit"):
+        pi_regular_from_gsp(companion(h0 * p0), gcert)

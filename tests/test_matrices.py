@@ -516,8 +516,9 @@ def test_glued_poly_costs_each_stalk_its_own_degree(name, monkeypatch):
 
     With f_i of different degrees, poly_at_matrix(glue_polys(R, fs), A)
     restricts to poly_at_matrix(f_i, A_i) on stalk i, and stalk i makes
-    exactly deg f_i matmuls (n^2 stalk dots each): the coefficients above
-    its own degree are zeros that Horner skips.
+    exactly max(deg f_i - 1, 0) matmuls (n^2 stalk dots each): the
+    coefficients above its own degree are zeros that Horner skips, and its
+    first step lead*A + c*I needs no matmul.
     """
     R = build_ring(CERT_RINGS[name])
     assert R.num_stalks == 2 and R.stalks[0] is not R.stalks[1]
@@ -546,5 +547,5 @@ def test_glued_poly_costs_each_stalk_its_own_degree(name, monkeypatch):
         expected = [poly_at_matrix(f, A.restrict(i)) for i, f in enumerate(fs)]
         dots[:] = [0, 0]
         glued = poly_at_matrix(glue_polys(R, fs), A)
-        assert dots == [max(d, 0) * n * n for d in degrees]
+        assert dots == [max(d - 1, 0) * n * n for d in degrees]
         assert [glued.restrict(i) for i in range(2)] == expected
