@@ -4,11 +4,10 @@
 For each case a fixed seed draws 64 random matrices, 64 random monic
 polynomials of degree n, and 64 random monic pairs (f0, f1) with
 deg f0 + deg f1 = n.  The table gives the per-call microseconds of ``A @ B``,
-``char_poly``, ``inverse``, ``poly_at_matrix``, ``factor.comaximality``
-(whose Sylvester matrix is n x n) and ``solve_matrix_equation(A, B)`` (with
-B a second random matrix), as the best of 20 passes over the inputs, each
-pass scaled to nominal machine speed by ``perfbench/pace.py``'s reference
-loop (``paced.best``).
+``char_poly``, ``inverse``, ``poly_at_matrix`` and ``factor.comaximality``
+(whose Sylvester matrix is n x n), with B a second random matrix, as the
+best of 20 passes over the inputs, each pass scaled to nominal machine
+speed by ``perfbench/pace.py``'s reference loop (``paced.best``).
 The last three columns time the audits' certificate layer: ``from_gsrc`` is
 ``decide.strong_clean_from_gsrc(A, gsrc)`` for A = ``random_with_charpoly(h)``
 on the polynomials that have a gSRC factorization, ``triangular`` is
@@ -35,7 +34,6 @@ from cleanmat.matrices import (  # noqa: E402
     inverse,
     poly_at_matrix,
     random_with_charpoly,
-    solve_matrix_equation,
 )
 from cleanmat.polys import Poly  # noqa: E402
 from cleanmat.rings import build_ring  # noqa: E402
@@ -104,7 +102,6 @@ def main():
         "inverse",
         "poly_at_matrix",
         "comaximality",
-        "solve",
         "from_gsrc",
         "triangular",
         "verify_sc",
@@ -122,19 +119,17 @@ def main():
             per_call_us(inverse, [(A,) for A in mats]),
             per_call_us(poly_at_matrix, list(zip(polys, mats))),
             per_call_us(comaximality, pairs),
-            per_call_us(solve_matrix_equation, list(zip(mats, others))),
             per_call_us(strong_clean_from_gsrc, [(A, g) for A, g, _ in splits]),
             per_call_us(strong_clean_triangular, [(T,) for T in triangulars]),
             per_call_us(verify_strong_clean, [(A, c) for A, _, c in splits]),
         ]
         invertible = sum(inverse(A) is not None for A in mats)
         comaximal = sum(comaximality(*p) is not None for p in pairs)
-        solvable = sum(solve_matrix_equation(A, B) is not None for A, B in zip(mats, others))
         case = f"{n}x{n} {label}"
         print(f"{case:>18} " + " ".join(f"{t:>14.1f}" for t in times))
         print(
             f"{'':>18} {invertible}/{INPUTS} invertible, {comaximal}/{INPUTS} comaximal, "
-            f"{solvable}/{INPUTS} solvable, {len(splits)}/{INPUTS} with a gSRC"
+            f"{len(splits)}/{INPUTS} with a gSRC"
         )
 
 

@@ -14,11 +14,18 @@ scan's idempotent index: for each matrix size n and chunk of the
 enumeration, the candidates with E^2 = E.  The first scan that reaches a
 chunk builds its entry, and every later scan of an n x n matrix over the
 same ring tests only those idempotents, in the same order.
+
+The Drazin-inverse oracle solves nothing.  Over a finite ring the Drazin
+inverse of A is a power of A: A^(2M-1) for M a multiple of the exponent of
+GL_n(R) past the Fitting index, and ``_gl_exponent`` computes such an M
+from each stalk's residue field and nilpotency index.  The oracle then
+uses only matrix products, powers and equality.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import lcm
 from typing import TYPE_CHECKING
 
 from .errors import DEFAULT_BUDGET, InfiniteRing, UnsupportedSize, enumeration_size
@@ -27,9 +34,9 @@ from .matrices import (
     SquareMatrix,
     StrongCleanCertificate,
     inverse,
-    solve_matrix_equation,
 )
 from .rings import Element, Ring
+from .stalks import factorize
 
 if TYPE_CHECKING:
     import numpy as np
@@ -147,29 +154,54 @@ def strongly_clean_bruteforce(
     return StrongCleanCertificate(E, U, U_inv)
 
 
+def _gl_exponent(R: Ring, n: int) -> int:
+    """A multiple of the exponent of GL_n(R), for a finite ring R.
+
+    On a stalk S with maximal ideal m, m^N = 0 and residue field F_q of
+    characteristic p, reduction mod m maps GL_n(S) into GL_n(F_q), whose
+    exponent divides p^ceil(log_p n) * lcm(q - 1, ..., q^n - 1).  Its kernel
+    I + M_n(m) has exponent dividing p^(N - 1): each p-th power takes
+    I + M_n(m^j) into I + M_n(m^(j+1)), because p lies in m.  The result is
+    at least n * N for every stalk, since p^(N - 1) >= N and
+    p^ceil(log_p n) >= n.
+    """
+    exponent = 1
+    for s in R.stalks:
+        q = s.size // sum(not s.is_unit(a) for a in s.elements())
+        p = factorize(q)[0][0]
+        unipotent = 1
+        while unipotent < n:
+            unipotent *= p
+        exponent = lcm(
+            exponent,
+            p ** (s.nil_index() - 1) * unipotent,
+            *(q**i - 1 for i in range(1, n + 1)),
+        )
+    return exponent
+
+
 def pi_regular_oracle(A: SquareMatrix) -> PiRegularCertificate | None:
-    """Drazin-inverse oracle: the first k with A^{k+1}D = A^k = DA^{k+1}, and D.
+    """Drazin-inverse oracle: the first k with A^{k+1}D = A^k, and D, as (k, D, D).
 
-    Each step solves A^{k+1}X = A^k once and forms D = A^k X^{k+1}.  When a
-    left witness YA^{k+1} = A^k exists as well, D is the unique Drazin
-    inverse of A (Drazin 1958), so DA^{k+1} = A^k; when that holds, D is
-    itself a left witness.  The certificate is (k, D, D).
-
-    The chain bound k <= n * (max stalk nilpotency index) suffices: modulo the
-    stalk maximal ideal the Fitting chain stabilizes within n steps, and the
-    nilpotent correction is killed by the nilpotency index.
+    D is a power of A (Drazin 1958).  By Fitting's lemma R^n = im e + ker e
+    for an idempotent e commuting with A, with A invertible on im e and
+    A^K = 0 on ker e once K = n * (max stalk nilpotency index): modulo a
+    stalk's maximal ideal the nilpotent part vanishes within n steps, and
+    the nilpotency index kills the rest.  So u = A e + (I - e) is a unit, and
+    for M a multiple of the exponent of GL_n(R) with M >= K (``_gl_exponent``
+    is one), A^M = u^M e = e and D = A^(2M-1) = u^-1 e is the Drazin
+    inverse.  It commutes with A, so the witness D A^{k+1} = A^k holds with
+    the same k.
     """
     R = A.ring
     if not R.is_finite:
         raise InfiniteRing("the Drazin-inverse oracle needs a finite ring")
     K = A.n * R.max_nil_index()
+    D = A ** (2 * _gl_exponent(R, A.n) - 1)
     Ak = A
     for k in range(1, K + 1):
         Ak1 = Ak @ A
-        X = solve_matrix_equation(Ak1, Ak)
-        if X is not None:
-            D = Ak @ X ** (k + 1)
-            if D @ Ak1 == Ak:
-                return PiRegularCertificate(k, D, D)
+        if Ak1 @ D == Ak:
+            return PiRegularCertificate(k, D, D)
         Ak = Ak1
     return None

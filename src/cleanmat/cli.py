@@ -39,15 +39,22 @@ class Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _degree(text: str) -> int:
-    """argparse type for --degree: an integer of at least 1."""
-    try:
-        n = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if n < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {n}")
-    return n
+def _at_least(low: int):
+    """argparse type: an integer of at least ``low``."""
+
+    def parse(text: str) -> int:
+        try:
+            n = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if n < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {n}")
+        return n
+
+    return parse
+
+
+_degree = _at_least(1)
 
 
 def _load(text: str):
@@ -106,7 +113,7 @@ def build_parser() -> Parser:
     common(sp, cmd_audit)
     sp.add_argument("--degree", type=_degree, required=True)
     sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--samples", type=int, default=5)
+    sp.add_argument("--samples", type=_at_least(0), default=5)
     sp.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     sp.add_argument("--pi", action="store_true", help="audit pi-regularity instead")
 

@@ -37,6 +37,7 @@ from fractions import Fraction
 
 from .errors import (
     DEFAULT_BUDGET,
+    BudgetExceeded,
     InfiniteRing,
     NotInRadical,
     TwoNotUnit,
@@ -490,13 +491,16 @@ def theorem_main_audit(
     stalks are Henselian, so a missing split is a disagreement.  Each split
     then certifies ``samples`` seeded similar matrices strongly clean
     through the constructed (E, U) pair; its polynomials e and w are built
-    once and evaluated at each sample.
+    once and evaluated at each sample.  The polynomial count, and that count
+    times ``samples``, are checked against the budget before any work starts.
     """
     from .brute import strongly_clean_bruteforce
 
     if not R.is_finite:
         raise InfiniteRing("the equivalence audit enumerates a finite ring")
     total = enumeration_size(R.size, n, budget, "polynomials")
+    if total * samples > budget:
+        raise BudgetExceeded(f"{total * samples} similar samples exceed budget {budget}")
     start = time.perf_counter()
     routes = {"gsrc_found": 0, "similar_certified": 0}
     disagreements = []

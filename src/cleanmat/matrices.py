@@ -1,4 +1,4 @@
-"""Square matrices over a Ring: arithmetic, characteristic polynomials, solving.
+"""Square matrices over a Ring: arithmetic, characteristic polynomials, inverses.
 
 A ``SquareMatrix`` is the family of its stalk matrices, as the Pierce sheaf
 sees it: its only state besides ``ring`` and ``n`` is ``grids``, one raw grid
@@ -8,8 +8,8 @@ property boxes Elements on demand, for serializing, printing and the
 exhaustive scan's encoding.  Every operator (``+ - neg * @ ** == hash``) and
 every public function (``identity``, ``zeros``, ``companion``,
 ``sylvester``, ``sylvester_solve``, ``char_poly``, ``inverse``,
-``poly_at_matrix``, ``random_with_charpoly``, ``solve_matrix_equation``) runs
-one raw kernel per stalk with that stalk's own
+``poly_at_matrix``, ``random_with_charpoly``) runs one raw kernel per
+stalk with that stalk's own
 ``dot``/``submul``/``add``/``sub``/``mul``/``neg``/``inv``.  Every multi-term
 step calls a primitive that reduces once per result: a product entry or a
 Berkowitz step is one ``dot``, and an elimination step is one
@@ -20,32 +20,22 @@ the public operations only.
 
 The characteristic polynomial is computed by the Berkowitz algorithm, which
 uses no divisions and is therefore valid over rings with zero divisors.
-Inverting and solving are eliminations on each local stalk, in the stalk's
-own arithmetic.  Over a local ring a matrix is invertible exactly when
+Inverting is an elimination on each local stalk, in the stalk's own
+arithmetic.  Over a local ring a matrix is invertible exactly when
 Gauss-Jordan finds a unit pivot in every column, so ``inverse`` pivots on
 the first unit of each column and stops at a column that has none, and
 ``sylvester_solve`` solves one Sylvester system M x = e_0 by forward
-elimination on the same pivots and back substitution.  Z/p^k and Z_(p) are
-chain rings: an entry of least valuation divides every entry of its block,
-so ``solve_matrix_equation`` pivots on one (a row swap and a column swap),
-back-substitutes with the free coordinates 0 and finds the system solvable
-exactly when each reduced right-hand side is divisible by its pivot.  A
-table stalk need not be a chain ring; its systems are searched exhaustively
-under a budget.
+elimination on the same pivots and back substitution.
 """
 
 from __future__ import annotations
 
-import itertools
 import random
 from dataclasses import dataclass
 
-from .errors import RingMismatch, enumeration_size
+from .errors import RingMismatch
 from .polys import Poly
 from .rings import Element, Ring
-from .stalks import TableStalk
-
-TABLE_SOLVE_BUDGET = 500_000
 
 
 class SquareMatrix:
@@ -472,103 +462,6 @@ class PiRegularCertificate:
     k: int
     X: SquareMatrix
     Y: SquareMatrix
-
-
-# -- linear solving ----------------------------------------------------------------
-
-
-def _solve_grids(ring: Ring, mats, rhss):
-    """One raw solution grid per stalk of m*X = b (all n x n), or None.
-
-    Z/p^k and Z_(p) stalks run the least-valuation elimination; table stalks
-    search exhaustively.  Free coordinates are 0, so the answer is canonical.
-    """
-    out = []
-    for stalk, m, b in zip(ring.stalks, mats, rhss):
-        solve = _solve_table if isinstance(stalk, TableStalk) else _solve_chain
-        x = solve(stalk, m, b)
-        if x is None:
-            return None
-        out.append(x)
-    return out
-
-
-def _least_valuation(s, m: list, t: int):
-    """(i, j) of the first nonzero entry of least valuation in m[t:][t:], or None."""
-    cells = [
-        (s.valuation(x), i, j)
-        for i in range(t, len(m))
-        for j, x in enumerate(m[i][t:], t)
-        if x != s.zero
-    ]
-    return min(cells)[1:] if cells else None
-
-
-def _solve_chain(s, m, b):
-    """One solution of m*X = b on a chain stalk (Z/p^k or Z_(p)), or None.
-
-    Step t moves an entry of least valuation in the trailing block to (t, t)
-    by a row swap and a column swap.  It divides every entry of that block,
-    so ``s.divide`` clears the column below it.  Row i of the reduced system
-    is then d_i (y_i + sum_j u_ij y_j) = b_i, which is solvable exactly when
-    d_i divides b_i, and rows past the rank need b_i = 0.  Back substitution
-    sets the free coordinates to 0 and divides each reduced right-hand side
-    by its pivot.
-    """
-    n = len(m)
-    zero, sub, submul = s.zero, s.sub, s.submul
-    m = [list(row) for row in m]
-    b = [list(row) for row in b]
-    perm = list(range(n))
-    rank = 0
-    for t in range(n):
-        at = _least_valuation(s, m, t)
-        if at is None:
-            break
-        i, j = at
-        m[t], m[i], b[t], b[i] = m[i], m[t], b[i], b[t]
-        for row in m:
-            row[t], row[j] = row[j], row[t]
-        perm[t], perm[j] = perm[j], perm[t]
-        d, top, rhs = m[t][t], m[t], b[t]
-        for r in range(t + 1, n):
-            if m[r][t] != zero:
-                f = s.divide(m[r][t], d)
-                m[r] = [submul(x, f, y) for x, y in zip(m[r], top)]
-                b[r] = [submul(x, f, y) for x, y in zip(b[r], rhs)]
-        rank = t + 1
-    if any(x != zero for row in b[rank:] for x in row):
-        return None
-    y = [[zero] * n for _ in range(n)]
-    for i in reversed(range(rank)):
-        for c in range(n):
-            r = sub(b[i][c], s.dot(m[i][i + 1 : rank], [y[j][c] for j in range(i + 1, rank)]))
-            y[i][c] = s.divide(r, m[i][i])
-            if y[i][c] is None:
-                return None
-    return [row for _, row in sorted(zip(perm, y))]
-
-
-def _solve_table(stalk: TableStalk, m, b):
-    """One solution of m*X = b by trying every column vector, first found."""
-    n, dot = len(m), stalk.dot
-    enumeration_size(stalk.size, n, TABLE_SOLVE_BUDGET, "table-solve candidate vectors")
-    cols = []
-    for target in zip(*b):
-        for x in itertools.product(stalk.elements(), repeat=n):
-            if all(dot(row, x) == t for row, t in zip(m, target)):
-                cols.append(x)
-                break
-        else:
-            return None
-    return [list(row) for row in zip(*cols)]
-
-
-def solve_matrix_equation(A: SquareMatrix, B: SquareMatrix):
-    """One X with A @ X == B, or None when there is none."""
-    A._check(B)
-    x = _solve_grids(A.ring, A.grids, B.grids)
-    return None if x is None else _matrix(A.ring, x)
 
 
 # -- seeded similar matrices ----------------------------------------------------------

@@ -15,7 +15,11 @@ and ``submul(x, c, y) = x - c*y``.  A multi-term primitive reduces once per
 result: one ``% q`` on Z/p^k, one lowest-terms ``Fraction`` on Z_(p) (an
 integer numerator is accumulated over a running common denominator), one
 chain of table lookups on a table stalk.  So an elimination step is one
-``submul`` per entry, not a ``mul`` and a ``sub``.
+``submul`` per entry, not a ``mul`` and a ``sub``.  No kernel divides by a
+non-unit.  Beyond the primitives a stalk describes itself: ``nil_index``
+(the least c with m^c = 0 for its maximal ideal m), ``in_max_ideal`` and
+``is_nilpotent``, and on a finite stalk ``size`` and ``elements``, from
+which the Drazin-inverse oracle counts the residue field.
 """
 
 from __future__ import annotations
@@ -112,25 +116,6 @@ class ZModStalk:
         if not self.is_unit(a):
             return None
         return pow(a, -1, self.q)
-
-    def valuation(self, a) -> int:
-        """The largest v <= k with p^v dividing a (so v(0) = k)."""
-        v = 0
-        while v < self.k and a % self.p == 0:
-            a //= self.p
-            v += 1
-        return v
-
-    def divide(self, b, a):
-        """The least c >= 0 with c*a = b, or None when v(b) < v(a).
-
-        c*a depends on c only modulo p^(k - v(a)), and c is below that.
-        """
-        pv = self.p ** self.valuation(a)
-        if b % pv:
-            return None
-        r = self.q // pv
-        return (b // pv) * pow(a // pv, -1, r) % r
 
     def in_max_ideal(self, a) -> bool:
         return a % self.p == 0
@@ -240,21 +225,6 @@ class ZLocStalk:
         if not self.is_unit(a):
             return None
         return 1 / a
-
-    def valuation(self, a) -> int:
-        """The exponent of p in a's numerator, for a != 0 (0 raises ValueError)."""
-        n, v = a.numerator, 0
-        if not n:
-            raise ValueError("the valuation of 0 in Z_(p) is not finite")
-        while n % self.p == 0:
-            n //= self.p
-            v += 1
-        return v
-
-    def divide(self, b, a):
-        """b / a when it lies in Z_(p) (v(b) >= v(a), a != 0), else None."""
-        c = b / a
-        return None if c.denominator % self.p == 0 else c
 
     def in_max_ideal(self, a) -> bool:
         return a.numerator % self.p == 0

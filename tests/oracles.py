@@ -25,11 +25,7 @@ X and Y for strong pi-regularity, ``drazin_bruteforce`` every candidate
 Drazin inverse, ``strongly_clean_element`` scans the
 idempotents for a clean split of one element, and
 ``ideal_membership_search`` writes a Z[sqrt(-5)] element in the ideal
-(2, 1+theta) by a search over a coefficient box.  ``smith_normal_form``
-diagonalizes an integer matrix by unimodular row and column operations;
-``solve_mod`` and ``solve_zloc`` solve a system over Z/q or Z_(p) by
-lifting it to Z and solving the diagonal equations, and ``smith_solvable``
-applies them stalk by stalk.  ``nilpotents`` lists a
+(2, 1+theta) by a search over a coefficient box.  ``nilpotents`` lists a
 ring's nilpotents by powering on each stalk.  ``radical_membership_definitional``,
 ``is_clean_definitional`` and ``is_j_clean_definitional`` classify a finite
 ring from the definitions (1 + a*s a unit for every s; r - e or
@@ -43,7 +39,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import lcm
 
 from cleanmat.errors import (
     BudgetExceeded,
@@ -541,172 +537,6 @@ def is_j_clean_definitional(R) -> bool:
         )
         for r in R.elements()
     )
-
-
-# -- integer Smith normal form and the stalk solvers built on it ------------------------
-
-
-def _identity(n):
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-
-def _mat_mul(A, B):
-    cols = len(B[0]) if B else 0
-    return [[sum(a * B[k][j] for k, a in enumerate(row)) for j in range(cols)] for row in A]
-
-
-def smith_normal_form(mat):
-    """Return (U, D, V) with U*mat*V = D diagonal and U, V unimodular over Z.
-
-    Diagonal entries are non-negative and satisfy the divisibility chain
-    d_0 | d_1 | ... .
-    """
-    rows = len(mat)
-    cols = len(mat[0]) if rows else 0
-    D = [list(map(int, row)) for row in mat]
-    U = _identity(rows)
-    V = _identity(cols)
-
-    def swap_rows(i, j):
-        D[i], D[j] = D[j], D[i]
-        U[i], U[j] = U[j], U[i]
-
-    def swap_cols(i, j):
-        for row in D:
-            row[i], row[j] = row[j], row[i]
-        for row in V:
-            row[i], row[j] = row[j], row[i]
-
-    def add_row(src, dst, c):
-        for j in range(cols):
-            D[dst][j] += c * D[src][j]
-        for j in range(rows):
-            U[dst][j] += c * U[src][j]
-
-    def add_col(src, dst, c):
-        for row in D:
-            row[dst] += c * row[src]
-        for row in V:
-            row[dst] += c * row[src]
-
-    t = 0
-    while t < min(rows, cols):
-        # locate the entry of least nonzero magnitude in the trailing block
-        best = None
-        for i in range(t, rows):
-            for j in range(t, cols):
-                v = D[i][j]
-                if v != 0 and (best is None or abs(v) < abs(best[2])):
-                    best = (i, j, v)
-        if best is None:
-            break
-        swap_rows(t, best[0])
-        swap_cols(t, best[1])
-        while True:
-            dirty = False
-            for i in range(t + 1, rows):
-                if D[i][t] != 0:
-                    add_row(t, i, -(D[i][t] // D[t][t]))
-                    if D[i][t] != 0:
-                        swap_rows(t, i)
-                        dirty = True
-            for j in range(t + 1, cols):
-                if D[t][j] != 0:
-                    add_col(t, j, -(D[t][j] // D[t][t]))
-                    if D[t][j] != 0:
-                        swap_cols(t, j)
-                        dirty = True
-            if not dirty:
-                break
-        # enforce divisibility of the rest of the block by the pivot
-        fixed = True
-        for i in range(t + 1, rows):
-            for j in range(t + 1, cols):
-                if D[i][j] % D[t][t] != 0:
-                    add_row(i, t, 1)
-                    fixed = False
-                    break
-            if not fixed:
-                break
-        if fixed:
-            if D[t][t] < 0:
-                D[t] = [-x for x in D[t]]
-                U[t] = [-x for x in U[t]]
-            t += 1
-    return U, D, V
-
-
-def solve_mod(mat, rhs, q):
-    """One solution X (cols x k, entries in [0, q)) of mat*X = rhs over Z/q, or None."""
-    rows = len(mat)
-    cols = len(mat[0]) if rows else 0
-    k = len(rhs[0]) if rhs else 0
-    U, D, V = smith_normal_form(mat)
-    C = _mat_mul(U, rhs)
-    Y = [[0] * k for _ in range(cols)]
-    for col in range(k):
-        for i in range(rows):
-            d = D[i][i] if i < cols else 0
-            c = C[i][col] % q
-            if d == 0:
-                if c != 0:
-                    return None
-                continue
-            g = gcd(d, q)
-            if c % g != 0:
-                return None
-            qq = q // g
-            Y[i][col] = (c // g) * pow(d // g, -1, qq) % qq if qq > 1 else 0
-    return [[x % q for x in row] for row in _mat_mul(V, Y)]
-
-
-def solve_zloc(mat, rhs, p):
-    """One solution of mat*X = rhs over Z_(p) (entries Fraction), or None.
-
-    Each row is scaled by the lcm of its denominators, a unit of Z_(p), to
-    give an integer system.
-    """
-    rows = len(mat)
-    cols = len(mat[0]) if rows else 0
-    k = len(rhs[0]) if rhs else 0
-    int_mat, int_rhs = [], []
-    for i in range(rows):
-        scale = lcm(*(Fraction(x).denominator for x in [*mat[i], *rhs[i]]))
-        int_mat.append([int(Fraction(x) * scale) for x in mat[i]])
-        int_rhs.append([int(Fraction(x) * scale) for x in rhs[i]])
-    U, D, V = smith_normal_form(int_mat)
-    C = _mat_mul(U, int_rhs)
-    Y = [[Fraction(0)] * k for _ in range(cols)]
-    for col in range(k):
-        for i in range(rows):
-            d = D[i][i] if i < cols else 0
-            c = C[i][col]
-            if d == 0:
-                if c != 0:
-                    return None
-                continue
-            y = Fraction(c, d)
-            if y.denominator % p == 0:
-                return None
-            Y[i][col] = y
-    return _mat_mul(V, Y)
-
-
-def smith_solvable(A: SquareMatrix, B: SquareMatrix) -> bool:
-    """Whether A X = B has a solution, by the Smith-form solver on every stalk.
-
-    Only Z/p^k and Z_(p) stalks are supported.
-    """
-    for s, a, b in zip(A.ring.stalks, A.grids, B.grids):
-        if s.kind == "zmod":
-            x = solve_mod(a, b, s.q)
-        elif s.kind == "zloc":
-            x = solve_zloc(a, b, s.p)
-        else:
-            raise ValueError(f"no Smith-form solver over {s.label()}")
-        if x is None:
-            return False
-    return True
 
 
 # -- ring axioms of operation tables, vectorized ----------------------------------------

@@ -8,6 +8,7 @@ import pytest
 
 from cleanmat import _kernels
 from cleanmat.brute import (
+    _gl_exponent,
     decode_matrix,
     encode_matrix,
     encode_ring,
@@ -15,9 +16,9 @@ from cleanmat.brute import (
     strongly_clean_bruteforce,
 )
 from cleanmat.errors import BudgetExceeded, InfiniteRing
-from cleanmat.decide import monic_polys, pi_regular_from_gsp
+from cleanmat.decide import decide_pi_regular, monic_polys, pi_regular_from_gsp
 from cleanmat.factor import gsp_search
-from cleanmat.matrices import SquareMatrix, companion, random_with_charpoly
+from cleanmat.matrices import SquareMatrix, companion, inverse, random_with_charpoly
 from cleanmat.polys import Poly
 from cleanmat.rings import build_ring
 from cleanmat.verify import verify_pi_regular, verify_strong_clean
@@ -160,6 +161,32 @@ def test_pi_regular_oracle_matches_the_gsp_certificate(zmod, f4_ring, dual_ring)
                 assert pi_regular_oracle(A) == cert, (h, A)
                 checked += 1
     assert checked == 8020
+
+
+def test_pi_regular_oracle_answers_the_f4_degree_10_companion(f4_ring):
+    """t^10 + 1 over F4: the oracle's certificate is the one gSP builds."""
+    A = companion(Poly.from_ints(f4_ring, [1] + [0] * 9 + [1]))
+    decision = decide_pi_regular(A)
+    assert decision.verdict == "yes"
+    assert pi_regular_oracle(A) == decision.certificate
+
+
+def test_gl_exponent_is_a_multiple_of_every_unit_order(zmod, f4_ring, dual_ring, f2xf2_ring):
+    """u ** _gl_exponent(R, n) == I for every invertible n x n matrix u, and
+    the exponent is past the oracle's Fitting bound n * (max nilpotency index)."""
+    cases = [(R, 2) for R in (zmod(4), zmod(8), zmod(9), f4_ring, dual_ring, f2xf2_ring)]
+    cases.append((zmod(2), 3))
+    for R, n in cases:
+        exponent = _gl_exponent(R, n)
+        assert exponent >= n * R.max_nil_index()
+        I = SquareMatrix.identity(R, n)
+        units = 0
+        for entries in itertools.product(list(R.elements()), repeat=n * n):
+            u = SquareMatrix(R, [entries[i : i + n] for i in range(0, n * n, n)])
+            if inverse(u) is not None:
+                assert u**exponent == I, (R.label(), u)
+                units += 1
+        assert units > 0
 
 
 def test_pi_regular_implies_strongly_clean(zmod):

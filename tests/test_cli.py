@@ -277,6 +277,15 @@ def test_degree_below_one_is_a_usage_error(capsys):
     assert err == "error: unrecognized arguments: --degree -3\n"
 
 
+def test_negative_sample_count_is_a_usage_error(capsys):
+    """Rejected with exit 1 and one line, like a degree below 1."""
+    code, out, err = run(
+        capsys, "audit", "--ring", '{"type":"zmod","n":4}', "--degree", "2", "--samples", "-3"
+    )
+    assert (code, out) == (1, "")
+    assert err == "error: argument --samples: must be at least 0, got -3\n"
+
+
 def test_pi_regular_rejects_ring_level_flags(capsys):
     """pi-regular takes no --degree or --budget; argparse rejects both."""
     z4 = '{"type":"zmod","n":4}'
@@ -348,6 +357,7 @@ def test_large_zmod_rings_do_not_hang():
         (["audit", "--degree", "100000000"], "2^100000000 polynomials"),
         (["audit", "--pi", "--degree", "100000000"], "2^100000000 polynomials"),
         (["triangular", "--degree", "30000"], "2^450015000 triangular matrices"),
+        (["audit", "--degree", "2", "--samples", "1000000000"], "4000000000 similar samples"),
     ],
 )
 def test_huge_degrees_fail_fast_on_the_budget(argv, message):

@@ -128,17 +128,8 @@ def test_zloc_examples():
     assert s.submul(big, big, Fraction(1)) == 0 and s.sum([big, -big]) == 0
 
 
-def test_zloc_valuation_of_zero_raises():
-    s = zloc_stalk(3)
-    assert [s.valuation(Fraction(v, 2)) for v in (1, 3, -18, 81)] == [0, 1, 2, 4]
-    with pytest.raises(ValueError):
-        s.valuation(Fraction(0))
-
-
-# Stalk attributes every kernel may read, and the two that only the
-# chain-ring elimination of ``matrices._solve_chain`` reads.
+# Stalk attributes every kernel may read.
 PRIMITIVES = {"zero", "one", "add", "sub", "mul", "neg", "inv", "is_unit", "dot", "sum", "submul"}
-CHAIN_ONLY = {"valuation", "divide"}
 
 
 def _stalk_reads(path: Path) -> set[str]:
@@ -154,8 +145,7 @@ def _stalk_reads(path: Path) -> set[str]:
 
 def test_the_stalk_classes_define_what_the_kernels_call():
     reads = _stalk_reads(SRC / "matrices.py") | _stalk_reads(SRC / "polys.py")
-    assert PRIMITIVES | CHAIN_ONLY <= reads
+    assert PRIMITIVES <= reads
     assert {type(s) for s in STALKS.values()} == {ZModStalk, ZLocStalk, TableStalk}
     for name, s in STALKS.items():
-        needed = reads - CHAIN_ONLY if isinstance(s, TableStalk) else reads
-        assert [attr for attr in sorted(needed) if not hasattr(s, attr)] == [], name
+        assert [attr for attr in sorted(reads) if not hasattr(s, attr)] == [], name
