@@ -4,8 +4,9 @@
 For each case a fixed seed draws 64 random matrices, 64 random monic
 polynomials of degree n, and 64 random monic pairs (f0, f1) with
 deg f0 + deg f1 = n.  The table gives the per-call microseconds of ``A @ B``,
-``char_poly``, ``inverse``, ``poly_at_matrix`` and ``factor.comaximality``
-(whose Sylvester matrix is n x n), with B a second random matrix, as the
+``char_poly``, ``poly_at_matrix``, ``factor.comaximality`` (whose Sylvester
+matrix is n x n) and ``similar``, ``random_with_charpoly(h, seed)`` on the
+64 polynomials with one seed each, with B a second random matrix, as the
 best of 20 passes over the inputs, each pass scaled to nominal machine
 speed by ``perfbench/pace.py``'s reference loop (``paced.best``).
 The last three columns time the audits' certificate layer: ``from_gsrc`` is
@@ -31,7 +32,6 @@ from cleanmat.factor import comaximality, gsrc_search  # noqa: E402
 from cleanmat.matrices import (  # noqa: E402
     SquareMatrix,
     char_poly,
-    inverse,
     poly_at_matrix,
     random_with_charpoly,
 )
@@ -99,9 +99,9 @@ def main():
     ops = [
         "A @ B",
         "char_poly",
-        "inverse",
         "poly_at_matrix",
         "comaximality",
+        "similar",
         "from_gsrc",
         "triangular",
         "verify_sc",
@@ -116,14 +116,14 @@ def main():
         times = [
             per_call_us(lambda A, B: A @ B, list(zip(mats, others))),
             per_call_us(char_poly, [(A,) for A in mats]),
-            per_call_us(inverse, [(A,) for A in mats]),
             per_call_us(poly_at_matrix, list(zip(polys, mats))),
             per_call_us(comaximality, pairs),
+            per_call_us(random_with_charpoly, [(h, SEED + i) for i, h in enumerate(polys)]),
             per_call_us(strong_clean_from_gsrc, [(A, g) for A, g, _ in splits]),
             per_call_us(strong_clean_triangular, [(T,) for T in triangulars]),
             per_call_us(verify_strong_clean, [(A, c) for A, _, c in splits]),
         ]
-        invertible = sum(inverse(A) is not None for A in mats)
+        invertible = sum(A.ring.is_unit(char_poly(A).coeff(0)) for A in mats)
         comaximal = sum(comaximality(*p) is not None for p in pairs)
         case = f"{n}x{n} {label}"
         print(f"{case:>18} " + " ".join(f"{t:>14.1f}" for t in times))

@@ -15,11 +15,12 @@ enumeration, the candidates with E^2 = E.  The first scan that reaches a
 chunk builds its entry, and every later scan of an n x n matrix over the
 same ring tests only those idempotents, in the same order.
 
-The Drazin-inverse oracle solves nothing.  Over a finite ring the Drazin
-inverse of A is a power of A: A^(2M-1) for M a multiple of the exponent of
-GL_n(R) past the Fitting index, and ``_gl_exponent`` computes such an M
-from each stalk's residue field and nilpotency index.  The oracle then
-uses only matrix products, powers and equality.
+Neither oracle solves or eliminates anything.  ``_gl_exponent`` computes
+M, a multiple of the exponent of GL_n(R), from each stalk's residue field
+and nilpotency index, once per ring and size.  The scan's certificate takes
+U^-1 = U^(M-1), and over a finite ring the Drazin inverse of A is a power
+of A too: A^(2M-1), as M is past the Fitting index.  Both use only matrix
+products, powers and equality.
 """
 
 from __future__ import annotations
@@ -29,12 +30,7 @@ from math import lcm
 from typing import TYPE_CHECKING
 
 from .errors import DEFAULT_BUDGET, InfiniteRing, UnsupportedSize, enumeration_size
-from .matrices import (
-    PiRegularCertificate,
-    SquareMatrix,
-    StrongCleanCertificate,
-    inverse,
-)
+from .matrices import PiRegularCertificate, SquareMatrix, StrongCleanCertificate
 from .rings import Element, Ring
 from .stalks import factorize
 
@@ -149,13 +145,18 @@ def strongly_clean_bruteforce(
         return None
     E = decode_matrix(tab, hit, A.n)
     U = A - E
-    U_inv = inverse(U)
-    assert U_inv is not None and E @ E == E and E @ U == U @ E
+    U_inv = U ** (_gl_exponent(R, A.n) - 1)
+    assert E @ E == E and E @ U == U @ E and U @ U_inv == SquareMatrix.identity(R, A.n)
     return StrongCleanCertificate(E, U, U_inv)
 
 
+# (ring key, n) -> ``_gl_exponent(R, n)``
+_GL_EXPONENTS: dict = {}
+
+
 def _gl_exponent(R: Ring, n: int) -> int:
-    """A multiple of the exponent of GL_n(R), for a finite ring R.
+    """A multiple of the exponent of GL_n(R), for a finite ring R, computed
+    once per (ring key, n).
 
     On a stalk S with maximal ideal m, m^N = 0 and residue field F_q of
     characteristic p, reduction mod m maps GL_n(S) into GL_n(F_q), whose
@@ -165,6 +166,9 @@ def _gl_exponent(R: Ring, n: int) -> int:
     at least n * N for every stalk, since p^(N - 1) >= N and
     p^ceil(log_p n) >= n.
     """
+    key = (R.key, n)
+    if key in _GL_EXPONENTS:
+        return _GL_EXPONENTS[key]
     exponent = 1
     for s in R.stalks:
         q = s.size // sum(not s.is_unit(a) for a in s.elements())
@@ -177,6 +181,7 @@ def _gl_exponent(R: Ring, n: int) -> int:
             p ** (s.nil_index() - 1) * unipotent,
             *(q**i - 1 for i in range(1, n + 1)),
         )
+    _GL_EXPONENTS[key] = exponent
     return exponent
 
 

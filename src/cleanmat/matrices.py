@@ -1,4 +1,4 @@
-"""Square matrices over a Ring: arithmetic, characteristic polynomials, inverses.
+"""Square matrices over a Ring: arithmetic, char polys, similar samples.
 
 A ``SquareMatrix`` is the family of its stalk matrices, as the Pierce sheaf
 sees it: its only state besides ``ring`` and ``n`` is ``grids``, one raw grid
@@ -7,25 +7,27 @@ sees it: its only state besides ``ring`` and ``n`` is ``grids``, one raw grid
 property boxes Elements on demand, for serializing, printing and the
 exhaustive scan's encoding.  Every operator (``+ - neg * @ ** == hash``) and
 every public function (``identity``, ``zeros``, ``companion``,
-``sylvester``, ``sylvester_solve``, ``char_poly``, ``inverse``,
-``poly_at_matrix``, ``random_with_charpoly``) runs one raw kernel per
-stalk with that stalk's own
-``dot``/``submul``/``add``/``sub``/``mul``/``neg``/``inv``.  Every multi-term
-step calls a primitive that reduces once per result: a product entry or a
-Berkowitz step is one ``dot``, and an elimination step is one
-``submul(x, f, y) = x - f*y`` per entry, never a ``mul`` then a ``sub``.
+``sylvester``, ``sylvester_solve``, ``char_poly``, ``poly_at_matrix``,
+``random_with_charpoly``) runs one raw kernel per stalk with that stalk's
+own ``dot``/``submul``/``add``/``sub``/``mul``/``neg``/``inv``.  Every
+multi-term step calls a primitive that reduces once per result: a product
+entry or a Berkowitz step is one ``dot``, and an elimination or
+transvection step is one ``submul(x, f, y) = x - f*y`` per entry, never a
+``mul`` then a ``sub``.
 The kernels and the raw-grid format are private to this module: the
 certificate constructions in ``decide`` and the verifiers in ``verify`` use
 the public operations only.
 
 The characteristic polynomial is computed by the Berkowitz algorithm, which
 uses no divisions and is therefore valid over rings with zero divisors.
-Inverting is an elimination on each local stalk, in the stalk's own
-arithmetic.  Over a local ring a matrix is invertible exactly when
-Gauss-Jordan finds a unit pivot in every column, so ``inverse`` pivots on
-the first unit of each column and stops at a column that has none, and
-``sylvester_solve`` solves one Sylvester system M x = e_0 by forward
-elimination on the same pivots and back substitution.
+The one elimination is ``sylvester_solve``, on each local stalk in the
+stalk's own arithmetic.  Over a local ring a matrix is invertible exactly
+when elimination finds a unit pivot in every column, so it pivots on the
+first unit of each column, stops at a column that has none, and solves the
+Sylvester system M x = e_0 by back substitution.  Nothing inverts a
+matrix: ``random_with_charpoly`` conjugates a companion matrix by
+elementary operations, each row operation followed by the column operation
+of its inverse.
 """
 
 from __future__ import annotations
@@ -120,7 +122,7 @@ class SquareMatrix:
 
     def __pow__(self, k: int) -> "SquareMatrix":
         if k < 0:
-            raise ValueError("negative powers not supported; invert first")
+            raise ValueError("negative powers not supported")
         return _matrix(
             self.ring,
             [_raw_power(s, a, k) for s, a in zip(self.ring.stalks, self.grids)],
@@ -323,47 +325,12 @@ def _raw_horner(s, coeffs, a: list) -> list:
     return acc
 
 
-def _raw_inverse(s, a: list):
-    """The inverse grid of a by Gauss-Jordan on a local stalk, or None.
-
-    Column c pivots on its first unit at or below the diagonal.  When it has
-    none, a is block triangular over the columns already cleared, and the
-    trailing block has a column in the maximal ideal, so det a is not a unit.
-    The elimination runs in place: once column c is cleared it holds column
-    c of the inverse of the row-swapped matrix, and the swaps permute the
-    columns of the result back at the end.
-    """
-    n = len(a)
-    is_unit, mul, submul, zero = s.is_unit, s.mul, s.submul, s.zero
-    m = [list(row) for row in a]
-    perm = list(range(n))
-    for c in range(n):
-        for p in range(c, n):
-            if is_unit(m[p][c]):
-                break
-        else:
-            return None
-        m[c], m[p], perm[c], perm[p] = m[p], m[c], perm[p], perm[c]
-        k = s.inv(m[c][c])
-        m[c][c] = s.one
-        top = m[c] = [mul(x, k) for x in m[c]]
-        for r in range(n):
-            f = m[r][c]
-            if r != c and f != zero:
-                m[r][c] = zero
-                m[r] = [submul(x, f, y) for x, y in zip(m[r], top)]
-    order = sorted(range(n), key=perm.__getitem__)
-    inv = [[row[k] for k in order] for row in m]
-    assert _raw_matmul(s, inv, a) == _raw_identity(s, n)
-    return inv
-
-
 def _raw_unit_solve(s, a: list, b: list):
     """The solution x of a x = b on a local stalk, or None when det a is not a unit.
 
     Forward elimination pivots column c on its first unit at or below the
-    diagonal, the same pivots as ``_raw_inverse``, so it fails at the same
-    column; back substitution then scales by the stored pivot inverses.
+    diagonal and fails at a column that has none; back substitution then
+    scales by the stored pivot inverses.
     """
     n = len(a)
     is_unit, mul, sub, submul, zero = s.is_unit, s.mul, s.sub, s.submul, s.zero
@@ -400,15 +367,24 @@ def _raw_sylvester(s, a, b) -> list:
     return [list(row) for row in zip(*cols)]
 
 
-def _raw_inverses(stalks, grids):
-    """One inverse grid per stalk, or None when some stalk's grid has none."""
-    out = []
-    for s, a in zip(stalks, grids):
-        inv = _raw_inverse(s, a)
-        if inv is None:
-            return None
-        out.append(inv)
-    return out
+def _raw_transvect(s, a: list, i: int, j: int, c) -> None:
+    """a <- T a T^{-1} in place, for T = I + c e_ij (i != j).
+
+    T adds c * (row j) to row i, and T^{-1} on the right subtracts
+    c * (column i) from column j: one ``submul`` per entry.
+    """
+    submul, nc = s.submul, s.neg(c)
+    a[i] = [submul(x, nc, y) for x, y in zip(a[i], a[j])]
+    for row in a:
+        row[j] = submul(row[j], c, row[i])
+
+
+def _raw_scale(s, a: list, i: int, u) -> None:
+    """a <- D a D^{-1} in place, for D = I with the unit u at (i, i)."""
+    mul, u_inv = s.mul, s.inv(u)
+    a[i] = [mul(x, u) for x in a[i]]
+    for row in a:
+        row[i] = mul(row[i], u_inv)
 
 
 # -- public matrix functions ---------------------------------------------------------
@@ -420,16 +396,6 @@ def char_poly(A: SquareMatrix) -> Poly:
     p = Poly.from_parts(ring, [_raw_char_poly(s, a) for s, a in zip(ring.stalks, A.grids)])
     assert p.is_monic and p.degree == A.n
     return p
-
-
-def inverse(A: SquareMatrix):
-    """The inverse of A, or None when det A is not a unit.
-
-    Gauss-Jordan runs on each stalk and pivots on a unit; a stalk with a
-    column that has no unit pivot makes the answer None.
-    """
-    inv = _raw_inverses(A.ring.stalks, A.grids)
-    return None if inv is None else _matrix(A.ring, inv)
 
 
 def poly_at_matrix(f: Poly, A: SquareMatrix) -> SquareMatrix:
@@ -468,12 +434,18 @@ class PiRegularCertificate:
 
 
 def random_with_charpoly(h: Poly, seed: int) -> SquareMatrix:
-    """A seeded random conjugate P*C_h*P^{-1}; char poly is exactly h.
+    """A seeded conjugate P*C_h*P^{-1}; char poly is exactly h.
 
-    P is drawn entry by entry, row-major, with one ``random`` per stalk in
-    stalk order (the order of ``Ring.random_element``), and split into
-    per-stalk raw grids; P^{-1}, the product and the char-poly check run on
-    those grids.
+    P is a word of elementary operations, applied to C_h's per-stalk grids
+    in place: four sweeps of transvections T_ij(c), lower triangle, upper,
+    lower, upper, then one diagonal unit per index.  Each coefficient is
+    drawn with one ``random`` per stalk in stalk order (the order of
+    ``Ring.random_element``).  A diagonal draw x gives u = x where x is a
+    unit and u = 1 + x where it is not, a unit on a local stalk either way.
+    Over a local ring every unitriangular matrix is one sweep, four
+    alternating sweeps give every matrix of determinant 1 (a local ring has
+    stable rank 1) and the diagonal the rest of GL_n, so every conjugate of
+    C_h has a seed.
     """
     ring = h.ring
     n = h.degree
@@ -486,31 +458,16 @@ def random_with_charpoly(h: Poly, seed: int) -> SquareMatrix:
     def draw():
         return tuple(s.random(rng) for s in stalks)
 
-    def grids(entries):
-        return [[[e[k] for e in row] for row in entries] for k in range(len(stalks))]
+    lower = [(i, j) for i in range(n) for j in range(i)]
+    upper = [(j, i) for i, j in lower]
+    word = [(i, j, draw()) for i, j in (lower + upper) * 2]
+    units = [draw() for _ in range(n)]
+    for k, (s, a) in enumerate(zip(stalks, C.grids)):
+        for i, j, c in word:
+            _raw_transvect(s, a, i, j, c[k])
+        for i, x in enumerate(units):
+            u = x[k] if s.is_unit(x[k]) else s.add(s.one, x[k])
+            _raw_scale(s, a, i, u)
+        assert tuple(_raw_char_poly(s, a)) == h.parts[k]
+    return C
 
-    for _ in range(64):
-        P = grids([[draw() for _ in range(n)] for _ in range(n)])
-        P_inv = _raw_inverses(stalks, P)
-        if P_inv is not None:
-            break
-    else:
-        # unit-triangular product: always invertible, still seed-dependent
-        one, zero = ring.one.parts, ring.zero.parts
-        up = [[one if i == j else zero for j in range(n)] for i in range(n)]
-        lo = [row[:] for row in up]
-        for i in range(n):
-            for j in range(n):
-                if i < j:
-                    up[i][j] = draw()
-                elif i > j:
-                    lo[i][j] = draw()
-        P = [_raw_matmul(s, u, v) for s, u, v in zip(stalks, grids(up), grids(lo))]
-        P_inv = _raw_inverses(stalks, P)
-    A = [
-        _raw_matmul(s, _raw_matmul(s, p, c), p_inv)
-        for s, p, c, p_inv in zip(stalks, P, C.grids, P_inv)
-    ]
-    for s, a, c in zip(stalks, A, h.parts):
-        assert tuple(_raw_char_poly(s, a)) == c
-    return _matrix(ring, A)

@@ -5,21 +5,23 @@
 folds over the boxed coefficients, sharing no kernel with the per-stalk
 arithmetic of ``cleanmat.polys``; the polynomial oracles below use only
 them.  ``char_poly_cofactor`` expands det(tI - A) over the polynomial ring,
-``matrix_classify`` classifies a matrix from its inverse, char poly and
-square, and ``comaximality_cramer`` takes the Bezout pair of two monic
-polynomials by Cramer's rule on the Sylvester matrix, with determinants by
-cofactor expansion on Elements.  ``rational_roots_horner`` finds the
-rational roots of a monic Z_(p) polynomial by Fraction Horner at every
-rational-root-theorem candidate.  ``verify_strong_clean_elementwise`` and
+``inverse_adjugate`` inverts a matrix as adj(A) / det A (the package has
+no general inverse) and ``comaximality_cramer`` takes the Bezout pair of
+two monic polynomials by Cramer's rule on the Sylvester matrix, both with
+determinants by cofactor expansion on Elements; ``matrix_classify``
+classifies a matrix from that inverse, its char poly and its square.
+``rational_roots_horner`` finds the rational roots of a monic Z_(p)
+polynomial by Fraction Horner at every rational-root-theorem candidate.
+``verify_strong_clean_elementwise`` and
 ``verify_pi_regular_elementwise`` check the certificate identities on the
 boxed Element rows, with every product an Element fold (``fold_matmul``,
 powers as repeated products) and every comparison entry by entry, so they
 share no matrix kernel with the verifiers in ``cleanmat.verify``.
 ``strong_clean_reference``, ``gsrc_reference``, ``triangular_reference`` and
 ``drazin_reference`` build the strong-clean and Drazin certificates as
-products of matrix polynomials, each a sum of powers of A, with U^-1 by
-Gauss-Jordan: the constructions that ``cleanmat.decide`` replaced by one
-reduced polynomial in A per matrix.
+products of matrix polynomials, each a sum of powers of A, with U^-1 =
+``inverse_adjugate(U)``: the constructions that ``cleanmat.decide``
+replaced by one reduced polynomial in A per matrix.
 ``pi_regular_bruteforce`` enumerates every
 X and Y for strong pi-regularity, ``drazin_bruteforce`` every candidate
 Drazin inverse, ``strongly_clean_element`` scans the
@@ -53,7 +55,6 @@ from cleanmat.matrices import (
     SquareMatrix,
     StrongCleanCertificate,
     char_poly,
-    inverse,
 )
 from cleanmat.polys import Poly
 from cleanmat.quadz5 import ONE, THETA, QuadInt
@@ -176,7 +177,7 @@ class MatrixClassification:
 
 def matrix_classify(A: SquareMatrix) -> MatrixClassification:
     ring = A.ring
-    inv = inverse(A)
+    inv = inverse_adjugate(A)
     chi = char_poly(A)
     nilpotent = all(
         ring.radical_membership(chi.coeff(i)).in_nil for i in range(A.n)
@@ -199,6 +200,29 @@ def _det_cofactor(ring, rows):
         term = rows[0][j] * _det_cofactor(ring, minor)
         acc = acc + term if j % 2 == 0 else acc - term
     return acc
+
+
+def inverse_adjugate(A: SquareMatrix) -> SquareMatrix | None:
+    """A^-1 = adj(A) / det A with cofactor determinants on Elements, or None
+    when det A is not a unit."""
+    R, rows = A.ring, A.rows
+    det_inv = R.inv(_det_cofactor(R, rows))
+    if det_inv is None:
+        return None
+
+    def minor(i, j):
+        return [r[:j] + r[j + 1 :] for k, r in enumerate(rows) if k != i]
+
+    return SquareMatrix(
+        R,
+        [
+            [
+                _det_cofactor(R, minor(j, i)) * (det_inv if (i + j) % 2 == 0 else -det_inv)
+                for j in range(A.n)
+            ]
+            for i in range(A.n)
+        ],
+    )
 
 
 def comaximality_cramer(f0: Poly, f1: Poly):
@@ -324,7 +348,7 @@ def verify_pi_regular_elementwise(A: SquareMatrix, cert: PiRegularCertificate) -
 
 # -- the certificate constructions as matrix products ---------------------------------
 #
-# E = u(A) f0(A) with U^-1 by Gauss-Jordan, and X = -h0(0)^-1 q(A) v(A) p0(A):
+# E = u(A) f0(A) with U^-1 = adj(U) / det U, and X = -h0(0)^-1 q(A) v(A) p0(A):
 # each polynomial is evaluated as a sum of powers A**k, never by Horner, and
 # the certificate's polynomials are never reduced or combined before evaluation.
 
@@ -347,9 +371,9 @@ def _blocks_over_R(R, blocks, polys) -> Poly:
 
 
 def strong_clean_reference(A: SquareMatrix, u: Poly, f0: Poly):
-    """(E, U^-1) with E = u(A) f0(A) and U^-1 = ``inverse(A - E)``."""
+    """(E, U^-1) with E = u(A) f0(A) and U^-1 = ``inverse_adjugate(A - E)``."""
     E = poly_at_matrix_powers(u, A) @ poly_at_matrix_powers(f0, A)
-    return E, inverse(A - E)
+    return E, inverse_adjugate(A - E)
 
 
 def gsrc_reference(A: SquareMatrix, gcert):

@@ -6,7 +6,7 @@ import random
 import numpy as np
 import pytest
 
-from cleanmat import _kernels
+from cleanmat import _kernels, brute
 from cleanmat.brute import (
     _gl_exponent,
     decode_matrix,
@@ -18,13 +18,13 @@ from cleanmat.brute import (
 from cleanmat.errors import BudgetExceeded, InfiniteRing
 from cleanmat.decide import decide_pi_regular, monic_polys, pi_regular_from_gsp
 from cleanmat.factor import gsp_search
-from cleanmat.matrices import SquareMatrix, companion, inverse, random_with_charpoly
+from cleanmat.matrices import SquareMatrix, companion, random_with_charpoly
 from cleanmat.polys import Poly
 from cleanmat.rings import build_ring
 from cleanmat.verify import verify_pi_regular, verify_strong_clean
 
 from conftest import CERT_RINGS
-from oracles import drazin_bruteforce, pi_regular_bruteforce
+from oracles import drazin_bruteforce, inverse_adjugate, pi_regular_bruteforce
 
 
 def test_spec_examples(zmod):
@@ -183,10 +183,44 @@ def test_gl_exponent_is_a_multiple_of_every_unit_order(zmod, f4_ring, dual_ring,
         units = 0
         for entries in itertools.product(list(R.elements()), repeat=n * n):
             u = SquareMatrix(R, [entries[i : i + n] for i in range(0, n * n, n)])
-            if inverse(u) is not None:
+            if inverse_adjugate(u) is not None:
                 assert u**exponent == I, (R.label(), u)
                 units += 1
         assert units > 0
+
+
+def _finite_cert_rings():
+    rings = [build_ring(d) for d in CERT_RINGS.values()]
+    return [R for R in rings if R.is_finite]
+
+
+def test_gl_exponent_is_computed_once_per_ring_and_size():
+    """The cached exponent equals a recomputation with the cache emptied, on
+    every finite ring of CERT_RINGS at n = 1..3, and is kept per (key, n)."""
+    cases = [(R, n) for R in _finite_cert_rings() for n in (1, 2, 3)]
+    direct = {}
+    for R, n in cases:
+        brute._GL_EXPONENTS.clear()
+        direct[R.key, n] = _gl_exponent(R, n)
+    brute._GL_EXPONENTS.clear()
+    for R, n in cases + cases[::-1]:
+        assert _gl_exponent(R, n) == direct[R.key, n], (R.label(), n)
+    assert brute._GL_EXPONENTS == direct
+
+
+def test_scan_certificate_inverse_is_the_adjugate_inverse():
+    """U^-1 = U^(M-1) on the scan's certificate equals adj(U) / det U, on
+    every companion of degree <= 2 over the finite rings of CERT_RINGS."""
+    checked = 0
+    for R in _finite_cert_rings():
+        for n in (1, 2):
+            for h in monic_polys(R, n):
+                A = companion(h)
+                cert = strongly_clean_bruteforce(A)
+                assert cert.U_inv == inverse_adjugate(cert.U), (R.label(), h)
+                assert not verify_strong_clean(A, cert)
+                checked += 1
+    assert checked == (12 + 144) + (16 + 256) + 3 * (4 + 16)
 
 
 def test_pi_regular_implies_strongly_clean(zmod):

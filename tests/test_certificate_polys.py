@@ -3,7 +3,7 @@
 ``strong_clean_from_gsrc``, ``strong_clean_triangular`` and
 ``pi_regular_from_gsp`` evaluate one reduced polynomial per matrix:
 E = e(A), U^-1 = w(A) and X = x(A).  ``tests/oracles.py`` builds the same
-matrices the direct way, E = u(A) f0(A) with U^-1 by Gauss-Jordan and
+matrices the direct way, E = u(A) f0(A) with U^-1 = adj(U) / det U and
 X = -h0(0)^-1 q(A) v(A) p0(A), each factor a sum of powers of A.  The
 inverse and the Drazin inverse are unique and E is the same polynomial, so
 the two must be equal on every input.  A split whose f0(0), f1(1) or h0(0)

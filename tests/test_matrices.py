@@ -8,11 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cleanmat.brute import _gl_exponent
 from cleanmat.matrices import (
     SquareMatrix,
     char_poly,
     companion,
-    inverse,
     poly_at_matrix,
     random_with_charpoly,
 )
@@ -25,6 +25,7 @@ from oracles import (
     char_poly_cofactor,
     fold_dot,
     fold_matmul,
+    inverse_adjugate,
     matrix_classify,
 )
 
@@ -116,14 +117,6 @@ def test_nilpotency_agrees_with_powering(zmod):
             assert matrix_classify(A).is_nilpotent == powered
 
 
-def test_inverse_roundtrip(zmod):
-    R9 = zmod(9)
-    A = SquareMatrix.from_ints(R9, [[2, 1], [3, 2]])
-    Ainv = inverse(A)
-    assert Ainv @ A == SquareMatrix.identity(R9, 2)
-    assert inverse(SquareMatrix.from_ints(R9, [[3, 0], [0, 1]])) is None
-
-
 _ZLOC = {
     "Z_(2)": {"type": "zloc", "p": 2},
     "Z_(3)": {"type": "zloc", "p": 3},
@@ -144,7 +137,10 @@ def _random_matrix(R, rng, n):
 
 @pytest.mark.parametrize("name", ["Z/12", "Z/27", "Z_(2)", "Z/4 x Z_(3)", "dual-F2", "F2 x F2"])
 def test_inverse_at_larger_sizes(name):
-    """At n = 4..6, inverse(A) exists iff char_poly(A)(0) is a unit, and inverts A."""
+    """At n = 4..6, A is invertible exactly when char_poly(A)(0) is a unit,
+    and over a finite ring its inverse is the power A^(M-1) that the
+    exhaustive scan's certificate takes, M = ``brute._gl_exponent(R, n)``.
+    The inverse it is compared with is ``inverse_adjugate``."""
     R = _ring(name)
     rng = random.Random(name)
     seen = set()
@@ -156,10 +152,12 @@ def test_inverse_at_larger_sizes(name):
                 # (I + upper nilpotent) @ random: invertible exactly when the random factor is
                 up = [[R.random_element(rng) if i < j else R.zero for j in range(n)] for i in range(n)]
                 A = (I + SquareMatrix(R, up)) @ SquareMatrix(R, zip(*A.rows))
-            inv = inverse(A)
+            inv = inverse_adjugate(A)
             assert (inv is not None) == R.is_unit(char_poly(A).coeff(0))
             if inv is not None:
                 assert A @ inv == I and inv @ A == I
+                if R.is_finite:
+                    assert A ** (_gl_exponent(R, n) - 1) == inv
             seen.add(inv is not None)
     assert seen == {False, True}
 
@@ -174,6 +172,31 @@ def test_random_with_charpoly_determinism(zmod):
     assert random_with_charpoly(Poly.t_power(R6, 1), seed=0) == companion(
         Poly.t_power(R6, 1)
     )
+
+
+@pytest.mark.parametrize("name", ["Z/2", "Z/3", "Z/4", "F2 x F2"])
+def test_similar_samples_reach_every_conjugate(name):
+    """At n = 2, seeds 0..399 reach every P C(h) P^-1 of every monic h, with
+    P^-1 = ``inverse_adjugate(P)`` over every 2 x 2 matrix P; each sample has
+    char poly h, and equal seeds give equal matrices."""
+    R = _ring(name)
+    units = []
+    for entries in itertools.product(list(R.elements()), repeat=4):
+        P = SquareMatrix(R, [entries[:2], entries[2:]])
+        P_inv = inverse_adjugate(P)
+        if P_inv is not None:
+            units.append((P, P_inv))
+    for c0, c1 in itertools.product(list(R.elements()), repeat=2):
+        h = Poly(R, [c0, c1, R.one])
+        C = companion(h)
+        conjugates = {P @ C @ P_inv for P, P_inv in units}
+        samples = set()
+        for seed in range(400):
+            A = random_with_charpoly(h, seed)
+            assert A in conjugates and char_poly(A) == h, (h, seed)
+            assert A == random_with_charpoly(h, seed)
+            samples.add(A)
+        assert samples == conjugates, h
 
 
 def test_poly_at_matrix_cayley_hamilton(zmod, zloc):
@@ -261,7 +284,7 @@ def test_char_poly_and_poly_at_matrix_match_element_folds(R, n, data):
     assert poly_at_matrix(chi, A) == SquareMatrix.zeros(R, n)
     f = Poly(R, [data.draw(_elements(R)) for _ in range(data.draw(st.integers(0, 4)))])
     assert poly_at_matrix(f, A) == _fold_poly_at(f, A)
-    inv = inverse(A)
+    inv = inverse_adjugate(A)
     if inv is not None:
         # the Cayley-Hamilton inverse, folded on Elements
         q = Poly(R, chi.coeffs[1:])
@@ -271,27 +294,6 @@ def test_char_poly_and_poly_at_matrix_match_element_folds(R, n, data):
 # -- edges of the per-stalk raw kernels -------------------------------------------------
 
 
-def test_inverse_none_when_det_is_a_unit_on_one_stalk_only(zmod):
-    R12 = zmod(12)
-    Z43 = _FOLD_RINGS[6]
-    assert Z43.label() == "Z/4 x Z_(3)"
-    # det = 3, 2 in Z/12 and (2, 1), (1, 3/2) in Z/4 x Z_(3)
-    cases = [
-        (R12, SquareMatrix.from_ints(R12, [[3, 0], [0, 1]])),
-        (R12, SquareMatrix.from_ints(R12, [[2, 1], [0, 1]])),
-    ] + [
-        (Z43, SquareMatrix(Z43, [[Element(Z43, d), Z43.one], [Z43.zero, Z43.one]]))
-        for d in ((2, Fraction(1)), (1, Fraction(3, 2)))
-    ]
-    for R, A in cases:
-        assert inverse(A) is None
-        units = [R.stalks[i].is_unit(char_poly(A).coeff(0).parts[i]) for i in range(2)]
-        assert sorted(units) == [False, True]
-        for i in range(2):
-            # each stalk alone: invertible exactly where det is a unit
-            assert (inverse(A.restrict(i)) is not None) == units[i]
-
-
 def test_results_are_tuple_rows_that_equal_and_hash_like_constructed():
     R = _FOLD_RINGS[6]
     rng = random.Random(5)
@@ -299,9 +301,7 @@ def test_results_are_tuple_rows_that_equal_and_hash_like_constructed():
     B = SquareMatrix(R, [[R.random_element(rng) for _ in range(3)] for _ in range(3)])
     f = Poly(R, [R.random_element(rng) for _ in range(3)] + [R.one])
     results = [A @ B, poly_at_matrix(f, A), A + B, A - B, -A, A * R.one, SquareMatrix(R, zip(*A.rows))]
-    inv = inverse(SquareMatrix.identity(R, 3) + companion(Poly.t_power(R, 3)))
-    assert inv is not None
-    results.append(inv)
+    results += [A**3, random_with_charpoly(f, 5)]
     for P in results:
         assert type(P.rows) is tuple and all(type(r) is tuple for r in P.rows)
         assert P.n == 3 and all(len(r) == 3 for r in P.rows)
@@ -336,7 +336,6 @@ def test_sizes_zero_and_one():
         E = SquareMatrix(R, [])
         assert E @ E == E
         assert char_poly(E) == Poly.one(R)
-        assert inverse(E) == E
         assert poly_at_matrix(Poly.from_ints(R, [1, 1]), E) == E
         rng = random.Random(R.key)
         for _ in range(6):
@@ -344,9 +343,6 @@ def test_sizes_zero_and_one():
             A = SquareMatrix(R, [[a]])
             assert A @ SquareMatrix(R, [[b]]) == SquareMatrix(R, [[a * b]])
             assert char_poly(A) == Poly(R, [-a, R.one])
-            a_inv = R.inv(a)
-            expected = None if a_inv is None else SquareMatrix(R, [[a_inv]])
-            assert inverse(A) == expected
             f = Poly(R, [b, a, R.one])
             assert poly_at_matrix(f, A) == SquareMatrix(R, [[f(a)]])
             assert poly_at_matrix(Poly.zero(R), A) == SquareMatrix.zeros(R, 1)
