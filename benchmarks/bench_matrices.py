@@ -9,12 +9,17 @@ matrix is n x n) and ``similar``, ``random_with_charpoly(h, seed)`` on the
 64 polynomials with one seed each, with B a second random matrix, as the
 best of 20 passes over the inputs, each pass scaled to nominal machine
 speed by ``perfbench/pace.py``'s reference loop (``paced.best``).
-The last three columns time the audits' certificate layer: ``from_gsrc`` is
+The last columns time the audits' certificate layer: ``from_gsrc`` is
 ``decide.strong_clean_from_gsrc(A, gsrc)`` for A = ``random_with_charpoly(h)``
-on the polynomials that have a gSRC factorization, ``triangular`` is
-``decide.strong_clean_triangular(T)`` on 64 seeded upper-triangular T (both
-include the verifier call the construction makes), and ``verify_sc`` is
-``verify.verify_strong_clean`` of the ``from_gsrc`` certificates.
+on the polynomials that have a gSRC factorization, ``from_gsp`` is
+``decide.pi_regular_from_gsp(A, gsp)`` on those with a gSP factorization,
+``triangular`` is ``decide.strong_clean_triangular(T)`` on 64 seeded
+upper-triangular T (all three include the verifier call the construction
+makes), and ``verify_sc`` is ``verify.verify_strong_clean`` of the
+``from_gsrc`` certificates.  ``from_gsrc`` and ``from_gsp`` are timed warm,
+with each finite stalk's certificate polynomials in the search memo
+(``factor._STALK_MEMO``), and cold, with the memo emptied before every pass
+so that every stalk builds its polynomials.
 Run with ``python benchmarks/bench_matrices.py``.
 """
 
@@ -27,8 +32,13 @@ from pathlib import Path
 # run against this checkout's src/ whether or not the package is installed
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from cleanmat.decide import strong_clean_from_gsrc, strong_clean_triangular  # noqa: E402
-from cleanmat.factor import comaximality, gsrc_search  # noqa: E402
+from cleanmat import factor  # noqa: E402
+from cleanmat.decide import (  # noqa: E402
+    pi_regular_from_gsp,
+    strong_clean_from_gsrc,
+    strong_clean_triangular,
+)
+from cleanmat.factor import comaximality, gsp_search, gsrc_search  # noqa: E402
 from cleanmat.matrices import (  # noqa: E402
     SquareMatrix,
     char_poly,
@@ -77,22 +87,25 @@ def inputs(descriptor, n):
     others = [matrix() for _ in range(INPUTS)]
     polys = [monic(n) for _ in range(INPUTS)]
     pairs = [(monic(n // 2), monic(n - n // 2)) for _ in range(INPUTS)]
-    splits = []
+    splits, sp_splits = [], []
     for i, h in enumerate(polys):
+        A = random_with_charpoly(h, SEED + i)
         res = gsrc_search(h, R, "SRC")
         if res.found:
-            A = random_with_charpoly(h, SEED + i)
             splits.append((A, res.certificate, strong_clean_from_gsrc(A, res.certificate)))
+        res = gsp_search(h, R)
+        if res.found:
+            sp_splits.append((A, res.certificate))
     triangulars = [matrix(upper=True) for _ in range(INPUTS)]
-    return mats, others, polys, pairs, splits, triangulars
+    return mats, others, polys, pairs, splits, sp_splits, triangulars
 
 
-def per_call_us(fn, args):
+def per_call_us(fn, args, before=None):
     def one_pass():
         for a in args:
             fn(*a)
 
-    return 1e6 * best(one_pass, PASSES)[0] / len(args)
+    return 1e6 * best(one_pass, PASSES, before)[0] / len(args)
 
 
 def main():
@@ -103,6 +116,9 @@ def main():
         "comaximality",
         "similar",
         "from_gsrc",
+        "gsrc cold",
+        "from_gsp",
+        "gsp cold",
         "triangular",
         "verify_sc",
     ]
@@ -112,14 +128,28 @@ def main():
     )
     print(f"{'case':>18} " + " ".join(f"{op:>14}" for op in ops))
     for label, descriptor, n in CASES:
-        mats, others, polys, pairs, splits, triangulars = inputs(descriptor, n)
+        mats, others, polys, pairs, splits, sp_splits, triangulars = inputs(descriptor, n)
+        gsrc_args = [(A, g) for A, g, _ in splits]
+        # the warm columns run first: emptying the memo drops the searches' entries
+        warm = [
+            per_call_us(strong_clean_from_gsrc, gsrc_args),
+            per_call_us(pi_regular_from_gsp, sp_splits),
+        ]
+        clear = factor._STALK_MEMO.clear
+        cold = [
+            per_call_us(strong_clean_from_gsrc, gsrc_args, clear),
+            per_call_us(pi_regular_from_gsp, sp_splits, clear),
+        ]
         times = [
             per_call_us(lambda A, B: A @ B, list(zip(mats, others))),
             per_call_us(char_poly, [(A,) for A in mats]),
             per_call_us(poly_at_matrix, list(zip(polys, mats))),
             per_call_us(comaximality, pairs),
             per_call_us(random_with_charpoly, [(h, SEED + i) for i, h in enumerate(polys)]),
-            per_call_us(strong_clean_from_gsrc, [(A, g) for A, g, _ in splits]),
+            warm[0],
+            cold[0],
+            warm[1],
+            cold[1],
             per_call_us(strong_clean_triangular, [(T,) for T in triangulars]),
             per_call_us(verify_strong_clean, [(A, c) for A, _, c in splits]),
         ]
@@ -129,7 +159,7 @@ def main():
         print(f"{case:>18} " + " ".join(f"{t:>14.1f}" for t in times))
         print(
             f"{'':>18} {invertible}/{INPUTS} invertible, {comaximal}/{INPUTS} comaximal, "
-            f"{len(splits)}/{INPUTS} with a gSRC"
+            f"{len(splits)}/{INPUTS} with a gSRC, {len(sp_splits)}/{INPUTS} with a gSP"
         )
 
 

@@ -10,16 +10,18 @@ gSRC always exists and every ``unknown`` verdict comes from a Z_(p) stalk.
 Every constructed certificate is re-verified before it is returned;
 derivations are never trusted.
 
-The certificates live in R[A]: an SRC split h = f0*f1 with Bezout pair
-u*f0 + v*f1 = 1, each block's polynomials lifted to polynomials over the
-whole ring (``_over_R``), becomes two polynomials e = u*f0 and w of degree
-< n with (t - e) w = 1 mod h, built with ``Poly`` operations and
-``monic_divide``; then E = e(A), U = A - E and
-U^{-1} = w(A) by ``poly_at_matrix`` (which runs every stalk at its own
-degree), and the Drazin inverse of a gSP split is one polynomial x(A) the
-same way.  No certificate inverts a matrix.  A split whose f0(0), f1(1) or
-h0(0) is not a unit raises ``VerificationFailed``.  The audits build each
-split's polynomials once and evaluate them at every matrix that shares it.
+The certificates live in R[A] and are built stalk by stalk: on each stalk
+an SRC split h = f0*f1 with Bezout pair u*f0 + v*f1 = 1 gives raw
+polynomials e and w of degree < n with (t - e) w = 1 mod h, and an SP
+split h = h0*p0 gives x, all from ``polys.certificate_parts`` (its
+docstring derives them).  ``factor.certificate_polys`` reads a stalk's
+polynomials from the search memo when its split is the memo's first hit,
+so a repeated stalk split builds them once.  The stalks' parts are joined
+into polynomials over R, and E = e(A), U = A - E, U^{-1} = w(A) and
+X = x(A) by ``poly_at_matrix`` (which runs every stalk at its own degree).
+No certificate inverts a matrix.  A split whose f0(0), f1(1) or h0(0) is
+not a unit raises ``VerificationFailed``.  The audits build each split's
+polynomials once and evaluate them at every matrix that shares it.
 
 Every decider is search, construct, verify: no exhaustive oracle runs on a
 decision path.  The oracles of ``brute`` run only in the two audits, which
@@ -45,11 +47,12 @@ from .errors import (
     enumeration_size,
 )
 from .factor import (
-    Block,
     GSRCCertificate,
+    certificate_polys,
     comaximality,
     gsp_search,
     gsrc_search,
+    keep_certificate_polys,
 )
 from .matrices import (
     PiRegularCertificate,
@@ -60,7 +63,7 @@ from .matrices import (
     poly_at_matrix,
     random_with_charpoly,
 )
-from .polys import Poly, glue_polys, monic_divide
+from .polys import Poly, certificate_parts, glue_polys
 from .rings import Element, Ring
 from .stalks import ZLocStalk, ZModStalk
 from .verify import (
@@ -108,69 +111,9 @@ def monic_polys(R: Ring, n: int):
 # -- certificate constructions --------------------------------------------------------
 
 
-def _over_R(R: Ring, blocks: list[Block], polys: list[Poly]) -> Poly:
-    """The polynomial over R that is ``polys[j]`` on the stalks of ``blocks[j]``.
-
-    A block polynomial lives over the block ring of its support (R itself
-    for a block that covers every stalk), whose k-th stalk is stalk
-    ``support[k]`` of R; the supports partition the stalks, so each stalk
-    of R takes its coefficients from exactly one block.
-    """
-    parts = [()] * R.num_stalks
-    for b, f in zip(blocks, polys):
-        for i, p in zip(b.support, f.parts):
-            parts[i] = p
-    return Poly.from_parts(R, parts)
-
-
-def _drop_constant(f: Poly) -> Poly:
-    """The quotient q of f = t*q + f(0)."""
-    return Poly.from_parts(f.ring, [p[1:] for p in f.parts])
-
-
-def _unit_inverse(c: Element, what: str) -> Element:
-    """c^{-1}, or ``VerificationFailed`` naming ``what`` when c is not a unit."""
-    c_inv = c.ring.inv(c)
-    if c_inv is None:
-        raise VerificationFailed([f"{what} is not a unit"])
-    return c_inv
-
-
-def _split_polys(f0: Poly, f1: Poly, u: Poly) -> tuple[Poly, Poly]:
-    """(e, w) with E = e(A) and U^{-1} = w(A) for any A with char poly f0*f1.
-
-    With u*f0 + v*f1 = 1, e = u*f0 is 0 mod f0 and 1 mod f1, so E = e(A)
-    is the projection onto ker f1(A) along ker f0(A).  Write
-    f0 = t*q0 + f0(0) and f1 = (t - 1)*q1 + f1(1): then a0 = -f0(0)^{-1} q0
-    inverts t mod f0 and a1 = -f1(1)^{-1} q1 inverts t - 1 mod f1, and the
-    Chinese remainder idempotents v*f1 = 1 - e and e glue them into
-    w = a0 (1 - e) + a1 e mod f0*f1, with (t - e) w = 1 mod f0*f1.
-    Cayley-Hamilton then makes U = A - E invertible with inverse w(A).
-    u and f0 may have different degrees on different stalks; with
-    deg u < deg f1, as a Bezout pair has, both have degree < deg(f0*f1).
-    """
-    R = f0.ring
-    h = f0 * f1
-    if not h.is_monic:
-        raise VerificationFailed(["f0 * f1 is not monic"])
-    q1, r1, _ = monic_divide(f1, Poly.from_ints(R, [-1, 1]))
-    a0 = Poly.constant(-_unit_inverse(f0.coeff(0), "f0(0)")) * _drop_constant(f0)
-    a1 = Poly.constant(-_unit_inverse(r1.coeff(0), "f1(1)")) * q1
-    e = u * f0
-    return e, monic_divide(a0 + (a1 - a0) * e, h)[1]
-
-
-def _gsrc_polys(R: Ring, gcert: GSRCCertificate) -> tuple[Poly, Poly]:
-    """``_split_polys`` of a gSRC factorization, its blocks lifted to R."""
-    blocks = gcert.blocks
-    if any(b.cert.bezout_u is None for b in blocks):
-        raise VerificationFailed(["SR-only certificate cannot split the module"])
-    return _split_polys(
-        *(
-            _over_R(R, blocks, [getattr(b.cert, k) for b in blocks])
-            for k in ("f0", "f1", "bezout_u")
-        )
-    )
+def _joined(R: Ring, parts) -> tuple[Poly, ...]:
+    """The polynomials over R whose stalk i is ``parts[i][j]``, one per position j."""
+    return tuple(Poly.from_parts(R, ps) for ps in zip(*parts))
 
 
 def _strong_clean(A: SquareMatrix, e: Poly, w: Poly) -> StrongCleanCertificate:
@@ -184,35 +127,31 @@ def _strong_clean(A: SquareMatrix, e: Poly, w: Poly) -> StrongCleanCertificate:
 def strong_clean_from_gsrc(
     A: SquareMatrix, gcert: GSRCCertificate
 ) -> StrongCleanCertificate:
-    """Build (E, U) from a gSRC factorization of the char polynomial of A."""
-    return _strong_clean(A, *_gsrc_polys(A.ring, gcert))
+    """Build (E, U) from a gSRC factorization of the char polynomial of A.
+
+    E = e(A) and U^{-1} = w(A) for the stalks' (e, w) of
+    ``factor.certificate_polys``; an SR-only certificate has no Bezout pair
+    and raises ``VerificationFailed``.
+    """
+    parts, fills = certificate_polys(A.ring, gcert)
+    cert = _strong_clean(A, *_joined(A.ring, parts))
+    keep_certificate_polys(fills)
+    return cert
 
 
 def pi_regular_from_gsp(A: SquareMatrix, gcert) -> PiRegularCertificate:
     """Build (k, X) from a gSP factorization of the char polynomial of A.
 
-    Per block, the SP pair upgrades to an SRC pair (the resultant of h0 and
-    p0 is a unit on every stalk of the block), and the Bezout pair (u, v)
-    yields the projection v(A) p0(A) onto ker h0(A).  With
-    h0 = t*q + h0(0), X = x(A) for x = -h0(0)^{-1} q v p0 mod h0*p0 inverts A
-    there while killing the nilpotent part: X is the Drazin inverse of A,
-    the witness ``brute.pi_regular_oracle`` returns.  All of a block's
-    stalks share one degree of h0, so its Bezout pair is the unique one of
-    each stalk.
+    Per stalk, the SP pair is comaximal (the resultant of h0 and p0 is a
+    unit), so it has a Bezout pair, and X = x(A) for the stalks' x of
+    ``factor.certificate_polys`` inverts A on ker h0(A) while killing the
+    nilpotent part: X is the Drazin inverse of A, the witness
+    ``brute.pi_regular_oracle`` returns.  k is the first exponent with
+    A^{k+1} X = A^k.
     """
     R = A.ring
-    blocks = gcert.blocks
-    vs = []
-    for b in blocks:
-        bez = comaximality(b.cert.h0, b.cert.p0)
-        if bez is None:
-            raise VerificationFailed(["SP factors are not comaximal on a local stalk"])
-        vs.append(bez[1])
-    v = _over_R(R, blocks, vs)
-    p0 = _over_R(R, blocks, [b.cert.p0 for b in blocks])
-    h0 = _over_R(R, blocks, [b.cert.h0 for b in blocks])
-    c = Poly.constant(-_unit_inverse(h0.coeff(0), "h0(0)"))
-    x = monic_divide(c * _drop_constant(h0) * v * p0, h0 * p0)[1]
+    parts, fills = certificate_polys(R, gcert)
+    (x,) = _joined(R, parts)
     X = poly_at_matrix(x, A)
     K = A.n * R.max_nil_index()
     Ak = A
@@ -222,6 +161,7 @@ def pi_regular_from_gsp(A: SquareMatrix, gcert) -> PiRegularCertificate:
         if Ak1 @ X == Ak:
             cert = PiRegularCertificate(k, X, X)
             ensure(verify_pi_regular(A, cert))
+            keep_certificate_polys(fills)
             return cert
         Ak = Ak1
     raise VerificationFailed(
@@ -437,10 +377,18 @@ def _diagonal_split(R: Ring, diag) -> tuple[Poly, Poly, Poly]:
     return tuple(glue_polys(R, list(ps)) for ps in zip(*parts))
 
 
+def _triangular_polys(R: Ring, diag) -> tuple[Poly, Poly]:
+    """(e, w) of the diagonal split, built stalk by stalk by ``certificate_parts``."""
+    f0, f1, u = _diagonal_split(R, diag)
+    return _joined(
+        R, [certificate_parts(*stalk) for stalk in zip(R.stalks, f0.parts, f1.parts, u.parts)]
+    )
+
+
 def strong_clean_triangular(T: SquareMatrix) -> StrongCleanCertificate:
     """Certificate for an upper-triangular matrix via its diagonal unit split."""
     diag = [row[d] for d, row in enumerate(T.rows)]
-    return _strong_clean(T, *_split_polys(*_diagonal_split(T.ring, diag)))
+    return _strong_clean(T, *_triangular_polys(T.ring, diag))
 
 
 def triangular_sweep(R: Ring, n: int, budget: int = DEFAULT_BUDGET) -> AuditReport:
@@ -458,7 +406,7 @@ def triangular_sweep(R: Ring, n: int, budget: int = DEFAULT_BUDGET) -> AuditRepo
     elems = list(R.elements())
     upper = [(i, j) for i in range(n) for j in range(i + 1, n)]
     for diag in itertools.product(elems, repeat=n):
-        e, w = _split_polys(*_diagonal_split(R, diag))
+        e, w = _triangular_polys(R, diag)
         for above in itertools.product(elems, repeat=len(upper)):
             rows = [[R.zero] * n for _ in range(n)]
             for d, x in enumerate(diag):
@@ -512,10 +460,12 @@ def theorem_main_audit(
             continue
         routes["gsrc_found"] += 1
         ensure(verify_gsrc(h, R, res.certificate))
-        e, w = _gsrc_polys(R, res.certificate)
+        parts, fills = certificate_polys(R, res.certificate)
+        e, w = _joined(R, parts)
         for j in range(samples):
             A = random_with_charpoly(h, seed * 1_000_003 + idx * 101 + j)
             _strong_clean(A, e, w)
+            keep_certificate_polys(fills)
             routes["similar_certified"] += 1
     return AuditReport(
         ring=R.descriptor,

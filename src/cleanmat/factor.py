@@ -41,12 +41,21 @@ stalk's lowest-degree hit is a pure function of the stalk ring, the raw
 stalk coefficients and the mode ("SRC", "SR" or "SP").  Over a finite stalk
 it is memoized under the key (stalk ring key, raw coefficient tuple, mode)
 in one module-level memo of at most ``STALK_MEMO_CAP`` entries, evicting the
-least recently used.  An entry holds raw parts and note strings only, and
-every call, hit or miss, rebuilds fresh polynomials, certificates and
-transcript dicts from it, so no caller can change what a later call gets.
-Z_(p) stalks are not memoized, a search that raises leaves no entry, and
-``src_search``/``sp_search`` do not use the memo.  Callers still verify
-every certificate they receive.
+least recently used.  An entry holds raw parts, note strings and, once a
+certificate has been built from the entry's hit, that hit's raw certificate
+polynomials; every call, hit or miss, rebuilds fresh polynomials,
+certificates and transcript dicts from it, so no caller can change what a
+later call gets.  Z_(p) stalks are not memoized, a search that raises leaves
+no entry, and ``src_search``/``sp_search`` do not use the memo.  Callers
+still verify every certificate they receive.
+
+``certificate_polys`` gives each stalk's raw certificate polynomials of a
+global split, (e, w) of a gSRC and (x,) of a gSP, from the kernel
+``polys.certificate_parts``.  A finite stalk whose split is exactly the
+first hit of its memo entry reads them from the entry once they are built;
+``keep_certificate_polys`` stores newly built ones there after the
+certificate that used them has verified, so the searches themselves cost
+what they did and a failed construction stores nothing.
 """
 
 from __future__ import annotations
@@ -57,7 +66,7 @@ from fractions import Fraction
 
 from .errors import VerificationFailed
 from .matrices import sylvester_solve
-from .polys import Poly, monic_divide
+from .polys import Poly, certificate_parts, monic_divide
 from .rings import Element, Ring, block_ring
 from .stalks import ZLocStalk
 
@@ -513,19 +522,19 @@ def sp_search(h: Poly, R: Ring) -> SearchResult:
     return _common_degree_result(h, R, profiles, "SP", _glue_sp_block)
 
 
-def _raw_parts(cert) -> tuple:
-    """The raw stalk parts of a one-stalk certificate, None for a missing cofactor.
+def _raw_parts(cert, k: int = 0) -> tuple:
+    """The raw parts of stalk k of a certificate, None for a missing cofactor.
 
     SR(C): (f0, f1, u, v); SP: (h0, p0).  Blocks are glued from these.
     """
     if isinstance(cert, SPCertificate):
-        return cert.h0.parts[0], cert.p0.parts[0]
+        return cert.h0.parts[k], cert.p0.parts[k]
     u, v = cert.bezout_u, cert.bezout_v
     return (
-        cert.f0.parts[0],
-        cert.f1.parts[0],
-        None if u is None else u.parts[0],
-        None if v is None else v.parts[0],
+        cert.f0.parts[k],
+        cert.f1.parts[k],
+        None if u is None else u.parts[k],
+        None if v is None else v.parts[k],
     )
 
 
@@ -559,21 +568,22 @@ def _assemble_global(R: Ring, choices, glue) -> list[Block]:
 
 # -- the per-stalk step of the global searches, memoized on finite stalks -----------
 
-# (stalk ring key, raw stalk coefficients, mode) -> (hit, notes, complete), where
-# hit is None or (degree, raw certificate parts); insertion order is recency
+# (stalk ring key, raw stalk coefficients, mode) -> [hit, notes, complete, polys],
+# where hit is None or (degree, raw certificate parts) and polys is None until a
+# certificate built from hit verifies; insertion order is recency
 _STALK_MEMO: dict = {}
 
 
-def _stalk_step(h: Poly, i: int, mode: str) -> tuple:
+def _stalk_step(h: Poly, i: int, mode: str) -> list:
     """Stalk i's lowest-degree hit, examined notes and completeness, all raw."""
     hi = h.restrict(i)
     prof = _sp_profile(hi) if mode == "SP" else _src_profile(hi, mode)
     hit = prof.first_hit()
     raw = None if hit is None else (hit[0], _raw_parts(hit[1]))
-    return raw, _notes(prof), prof.complete
+    return [raw, _notes(prof), prof.complete, None]
 
 
-def _stalk_first_hit(h: Poly, R: Ring, i: int, mode: str) -> tuple:
+def _stalk_first_hit(h: Poly, R: Ring, i: int, mode: str) -> list:
     """``_stalk_step``, looked up in the memo first when stalk i is finite."""
     if not R.stalks[i].finite:
         return _stalk_step(h, i, mode)
@@ -590,12 +600,12 @@ def _stalk_first_hit(h: Poly, R: Ring, i: int, mode: str) -> tuple:
 def _global_result(h: Poly, R: Ring, mode: str, glue, wrap) -> SearchResult:
     """Each stalk's lowest-degree certificate, grouped into blocks by degree."""
     steps = [_stalk_first_hit(h, R, i, mode) for i in range(R.num_stalks)]
-    transcript = _transcript(R, [notes for _, notes, _ in steps], mode)
-    missing = [complete for hit, _, complete in steps if hit is None]
+    transcript = _transcript(R, [notes for _, notes, _, _ in steps], mode)
+    missing = [complete for hit, _, complete, _ in steps if hit is None]
     if missing:
         status = ABSENT if any(missing) else INCOMPLETE
         return SearchResult(status, None, transcript)
-    blocks = _assemble_global(R, [hit for hit, _, _ in steps], glue)
+    blocks = _assemble_global(R, [hit for hit, _, _, _ in steps], glue)
     assert len(blocks) <= h.degree + 1
     return SearchResult(FOUND, wrap(blocks), transcript)
 
@@ -613,3 +623,71 @@ def gsp_search(h: Poly, R: Ring) -> SearchResult:
     """Globalized SP factorization; complete over every in-scope ring."""
     _require_monic(h)
     return _global_result(h, R, "SP", _glue_sp_block, GSPCertificate)
+
+
+# -- certificate polynomials, built once per memoized stalk split ------------------
+
+
+def _stalk_splits(R: Ring, gcert) -> list:
+    """Stalk i's (raw h, raw split parts) of a global certificate's blocks."""
+    splits = [None] * R.num_stalks
+    for b in gcert.blocks:
+        c = b.cert
+        if isinstance(c, SPCertificate):
+            h = c.h0 * c.p0
+        elif c.bezout_u is None:
+            raise VerificationFailed(["SR-only certificate cannot split the module"])
+        else:
+            h = c.f0 * c.f1
+        for k, i in enumerate(b.support):
+            splits[i] = h.parts[k], _raw_parts(c, k)
+    if None in splits:
+        raise VerificationFailed(["block supports do not partition the stalks"])
+    return splits
+
+
+def _stalk_polys(R: Ring, i: int, split: tuple, mode: str) -> tuple:
+    """``certificate_parts`` of stalk i's split; an SP split's u is solved first."""
+    s = R.stalks[i]
+    if mode != "SP":
+        f0, f1, u, _ = split
+        return certificate_parts(s, f0, f1, u)
+    h0, p0 = split
+    S = R.stalk_ring(i)
+    bez = comaximality(Poly.from_parts(S, [h0]), Poly.from_parts(S, [p0]))
+    if bez is None:
+        raise VerificationFailed(["SP factors are not comaximal on a local stalk"])
+    return certificate_parts(s, h0, p0, bez[0].parts[0], drazin=True)
+
+
+def certificate_polys(R: Ring, gcert) -> tuple[list, list]:
+    """Each stalk's raw certificate polynomials of a gSRC or gSP certificate.
+
+    Stalk i gets ``polys.certificate_parts`` of its split: (e, w) for a
+    gSRC, (x,) for a gSP.  A finite stalk whose split is exactly the first
+    hit of its memo entry reads them from the entry when they are there.
+    Returns the per-stalk parts and the entries they are still to fill,
+    for ``keep_certificate_polys`` once the certificate has verified.
+    """
+    mode = "SP" if isinstance(gcert, GSPCertificate) else "SRC"
+    parts, fills = [], []
+    for i, (h, split) in enumerate(_stalk_splits(R, gcert)):
+        entry = None
+        if R.stalks[i].finite:
+            entry = _STALK_MEMO.get((R.stalk_ring(i).key, h, mode))
+            if entry is not None and (entry[0] is None or entry[0][1] != split):
+                entry = None
+        if entry is not None and entry[3] is not None:
+            parts.append(entry[3])
+            continue
+        polys = _stalk_polys(R, i, split, mode)
+        parts.append(polys)
+        if entry is not None:
+            fills.append((entry, polys))
+    return parts, fills
+
+
+def keep_certificate_polys(fills: list) -> None:
+    """Store built certificate polynomials in the memo entries they belong to."""
+    for entry, polys in fills:
+        entry[3] = polys

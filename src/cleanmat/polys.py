@@ -22,11 +22,16 @@ step of division, translation or evaluation is one
 a monic divisor is exact over any commutative ring.  The unit tests
 ``unit_at_zero`` and ``unit_at_one`` read each stalk's constant coefficient
 and coefficient sum, with no evaluation.
+
+``certificate_parts`` is the one public raw kernel: from one stalk's split
+h = f0*f1 and Bezout cofactor u it builds the stalk's certificate
+polynomials (e, w) of a strongly clean pair, or x of a Drazin inverse, with
+``_raw_mul``, ``_raw_divide`` and ``submul``.
 """
 
 from __future__ import annotations
 
-from .errors import NonMonicDivisor, RingMismatch
+from .errors import NonMonicDivisor, RingMismatch, VerificationFailed
 from .rings import Element, Ring, block_ring
 
 
@@ -294,6 +299,53 @@ def _raw_divide(s, f, g):
         for i, gc in enumerate(low):
             rem[base + i] = submul(rem[base + i], c, gc)
     return tuple(q), _trim(s, rem[:dg])
+
+
+def _shift_inverse(s, f, r, what: str) -> tuple:
+    """The inverse of t - r modulo f on this stalk, for f(r) a unit.
+
+    With f = (t - r)*q + f(r), (t - r)*(-f(r)^{-1} q) = 1 mod f.  A value
+    f(r) that is not a unit raises ``VerificationFailed`` naming ``what``.
+    """
+    q, rem = _raw_divide(s, f, (s.neg(r), s.one))
+    c = s.inv(rem[0] if rem else s.zero)
+    if c is None:
+        raise VerificationFailed([f"{what} is not a unit"])
+    submul, zero = s.submul, s.zero
+    return tuple(submul(zero, c, v) for v in q)
+
+
+def certificate_parts(s, f0, f1, u, drazin: bool = False) -> tuple:
+    """One stalk's certificate polynomials of the split h = f0*f1, raw.
+
+    Given raw monic f0, f1 and the cofactor u of a Bezout pair
+    u*f0 + v*f1 = 1 on stalk s, e = u*f0 is 0 mod f0 and 1 mod f1, so for
+    any A with char poly h on this stalk E = e(A) is the projection onto
+    ker f1(A) along ker f0(A).  a0 = -f0(0)^{-1} (f0 - f0(0))/t inverts t
+    mod f0 and a1 = -f1(1)^{-1} (f1 - f1(1))/(t - 1) inverts t - 1 mod f1,
+    and the Chinese remainder idempotents 1 - e = v*f1 and e glue them:
+    w = a0 (1 - e) + a1 e mod h has (t - e) w = 1 mod h, so Cayley-Hamilton
+    makes U = A - E invertible with U^{-1} = w(A).  Returns (e, w).
+
+    With ``drazin`` the split is an SP split h = h0*p0 (f0 = h0, f1 = p0)
+    and the result is (x,) with x = a0 (1 - e) mod h: X = x(A) inverts A on
+    ker h0(A) and kills the nilpotent part on ker p0(A), so X is the Drazin
+    inverse of A.  u and f0 may have different degrees on different stalks;
+    with deg u < deg f1, as a Bezout pair has, e and x have degree < deg h.
+
+    A product that is not monic or a value f0(0), f1(1) (h0(0)) that is not
+    a unit raises ``VerificationFailed``.
+    """
+    n0, n1 = ("h0", "p0") if drazin else ("f0", "f1")
+    h = _raw_mul(s, f0, f1)
+    if not h or h[-1] != s.one:
+        raise VerificationFailed([f"{n0} * {n1} is not monic"])
+    a0 = _shift_inverse(s, f0, s.zero, f"{n0}(0)")
+    e = _raw_mul(s, u, f0)
+    if drazin:
+        return (_raw_divide(s, _raw_sub(s, a0, _raw_mul(s, a0, e)), h)[1],)
+    a1 = _shift_inverse(s, f1, s.one, f"{n1}(1)")
+    return e, _raw_divide(s, _raw_add(s, a0, _raw_mul(s, _raw_sub(s, a1, a0), e)), h)[1]
 
 
 def monic(ring: Ring, coeffs) -> Poly:

@@ -8,6 +8,12 @@ X = -h0(0)^-1 q(A) v(A) p0(A), each factor a sum of powers of A.  The
 inverse and the Drazin inverse are unique and E is the same polynomial, so
 the two must be equal on every input.  A split whose f0(0), f1(1) or h0(0)
 is not a unit has no such polynomials and fails verification.
+
+Each stalk's polynomials come from the raw kernel ``certificate_parts``,
+and a stalk split the search memo holds builds them once: the oracle
+agreement is checked with an empty memo and again with the polynomials
+read from it, and the kernel's results are checked against the identities
+that define them.
 """
 
 from __future__ import annotations
@@ -20,6 +26,7 @@ import pytest
 from oracles import drazin_reference, gsrc_reference, triangular_reference
 
 import cleanmat.decide as decide_mod
+from cleanmat import factor
 from cleanmat.decide import (
     monic_polys,
     pi_regular_from_gsp,
@@ -38,7 +45,7 @@ from cleanmat.factor import (
     gsrc_search,
 )
 from cleanmat.matrices import SquareMatrix, companion, random_with_charpoly
-from cleanmat.polys import Poly
+from cleanmat.polys import Poly, certificate_parts, monic_divide
 from cleanmat.rings import build_ring
 from conftest import CERT_RINGS
 
@@ -98,6 +105,56 @@ def test_seeded_infinite_splits_match_the_product_oracle():
         checked += 1
         if checked == SEEDED_SPLITS:
             break
+
+
+@pytest.mark.parametrize("descriptor", [{"type": "zmod", "n": 36}, CERT_RINGS["Z/12"]])
+def test_the_oracle_agrees_from_a_cold_and_a_warm_memo(descriptor):
+    R = build_ring(descriptor)
+    for idx, h in enumerate(monic_polys(R, 2)):
+        factor._STALK_MEMO.clear()
+        gsrc, gsp = gsrc_search(h, R, "SRC"), gsp_search(h, R)
+        A = random_with_charpoly(h, SEED + idx)
+        # built from the split, then read from the memo
+        for _ in range(2):
+            _check(A, gsrc.certificate, gsp.certificate)
+    factor._STALK_MEMO.clear()
+
+
+def _mod(f: Poly, h: Poly) -> Poly:
+    return monic_divide(f, h)[1]
+
+
+@pytest.mark.parametrize("name", ["Z/16", "Z/12", "F2 x F2", "Z/4 x Z_(3)"])
+def test_the_kernel_builds_the_polynomials_it_promises(name):
+    # every stalk of every degree-2 split: e is 0 mod f0 and 1 mod f1,
+    # (t - e) w = 1 mod h, t x = 1 mod h0 and x = 0 mod p0
+    R = build_ring(CERT_RINGS[name])
+    rng = random.Random(SEED)
+    t = Poly.t_power(R, 1)
+    for _ in range(60):
+        h = Poly(R, [R.random_element(rng) for _ in range(2)] + [R.one])
+        gsrc, gsp = gsrc_search(h, R, "SRC"), gsp_search(h, R)
+        for res, drazin in ((gsrc, False), (gsp, True)):
+            if not res.found:
+                continue
+            for b in res.certificate.blocks:
+                c = b.cert
+                f0, f1 = (c.h0, c.p0) if drazin else (c.f0, c.f1)
+                u = comaximality(f0, f1)[0]
+                for k, i in enumerate(b.support):
+                    S = R.stalk_ring(i)
+                    on_s = [Poly.from_parts(S, [f.parts[k]]) for f in (f0, f1, u)]
+                    out = certificate_parts(R.stalks[i], *(f.parts[0] for f in on_s), drazin)
+                    g0, g1, _ = on_s
+                    one, ts = Poly.one(S), t.restrict(i)
+                    got = [Poly.from_parts(S, [p]) for p in out]
+                    if drazin:
+                        (x,) = got
+                        assert _mod(ts * x, g0) == _mod(one, g0) and _mod(x, g1).is_zero
+                    else:
+                        e, w = got
+                        assert _mod(e, g0).is_zero and _mod(e - one, g1).is_zero
+                        assert _mod((ts - e) * w, g0 * g1) == one
 
 
 def test_every_upper_triangular_matrix_matches_the_product_oracle():

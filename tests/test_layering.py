@@ -19,6 +19,11 @@ values, so neither may use the Element-level idempotent bookkeeping
 (``primitive_idempotents``, ``idempotent_support``,
 ``is_complete_orthogonal``).
 
+A certificate polynomial is built stalk by stalk on raw values, by
+``polys.certificate_parts``: ``decide.py`` builds none with boxed
+arithmetic, so it neither calls ``monic_divide`` nor makes a
+``Poly.constant``.
+
 No decider consults an exhaustive oracle: in ``decide.py`` only the two
 audits, ``theorem_main_audit`` and ``pi_regular_audit``, import ``.brute``.
 
@@ -188,6 +193,41 @@ def test_the_guard_sees_boxed_idempotent_bookkeeping(tmp_path):
     )
     assert _boxed_idempotent_uses(bad) == [
         "idempotent_support", "is_complete_orthogonal", "primitive_idempotents"
+    ]
+
+
+BOXED_CERTIFICATE_NAMES = {"monic_divide", "constant"}
+
+
+def _boxed_certificate_uses(path: Path) -> list[str]:
+    """Uses of ``monic_divide`` (called or imported) and of ``Poly.constant``."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Name) and node.id == "monic_divide":
+            found.append(node.id)
+        elif isinstance(node, ast.Attribute) and node.attr in BOXED_CERTIFICATE_NAMES:
+            found.append(ast.unparse(node))
+        elif isinstance(node, ast.ImportFrom):
+            found += [a.name for a in node.names if a.name == "monic_divide"]
+    return sorted(found)
+
+
+def test_decide_builds_no_certificate_polynomial_boxed():
+    assert _boxed_certificate_uses(SRC / "decide.py") == []
+
+
+def test_the_guard_sees_boxed_certificate_arithmetic(tmp_path):
+    bad = tmp_path / "bad.py"
+    bad.write_text(
+        "from .polys import Poly, monic_divide\n"
+        "from . import polys\n"
+        "def f(f0, h, c):\n"
+        "    a0 = Poly.constant(c) * f0\n"
+        "    return monic_divide(a0, h)[1], polys.monic_divide(f0, h), f0.coeff(0)\n",
+        encoding="utf-8",
+    )
+    assert _boxed_certificate_uses(bad) == [
+        "Poly.constant", "monic_divide", "monic_divide", "polys.monic_divide"
     ]
 
 

@@ -8,10 +8,18 @@ memo through what they get back, and check the memo's bound and that a
 failed search leaves nothing behind.  The Pierce restriction test checks the
 invariant the memo relies on: stalk i of a global search is the search of
 ``h.restrict(i)`` over the stalk ring.
+
+A memo entry also keeps the certificate polynomials built from its first
+hit.  The certificate tests compare constructions and audits with an empty
+memo, with the entry's polynomials already stored and with entries filled
+by other polynomials sharing a stalk; they check that a split other than
+the entry's hit gets its own polynomials, that a failed construction stores
+nothing, and that a Z_(p) stalk is built on every construction.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 from fractions import Fraction
 
@@ -19,8 +27,23 @@ import pytest
 from conftest import CERT_RINGS, f2xf2_tables
 
 from cleanmat import factor
+from cleanmat.decide import (
+    pi_regular_audit,
+    pi_regular_from_gsp,
+    strong_clean_from_gsrc,
+    theorem_main_audit,
+    triangular_sweep,
+)
 from cleanmat.errors import VerificationFailed
-from cleanmat.factor import gsp_search, gsrc_search
+from cleanmat.factor import (
+    Block,
+    GSRCCertificate,
+    SRCCertificate,
+    comaximality,
+    gsp_search,
+    gsrc_search,
+)
+from cleanmat.matrices import SquareMatrix, companion, random_with_charpoly
 from cleanmat.polys import Poly
 from cleanmat.rings import build_ring
 from cleanmat.serialize import dumps_canonical, to_jsonable
@@ -213,3 +236,132 @@ def test_stalk_i_of_a_global_search_is_the_search_of_the_restriction(name):
                 if res.found:
                     assert _stalk_polys(res, i, attrs) == _stalk_polys(loc, 0, attrs), (h, mode)
             assert res.found == all(found)
+
+
+# -- certificate polynomials kept beside the first hit ---------------------------------
+
+
+def _certificates(h, R, seed):
+    """The gSRC (E, U) and gSP (k, X) of a seeded conjugate of C(h), searched afresh."""
+    A = random_with_charpoly(h, seed)
+    gsrc, gsp = gsrc_search(h, R, "SRC"), gsp_search(h, R)
+    return strong_clean_from_gsrc(A, gsrc.certificate), pi_regular_from_gsp(A, gsp.certificate)
+
+
+def _kept(R):
+    """The memo entries of R's stalk rings, and how many hold built polynomials."""
+    keys = {R.stalk_ring(i).key for i, s in enumerate(R.stalks) if s.finite}
+    entries = [e for k, e in factor._STALK_MEMO.items() if k[0] in keys]
+    return len(entries), sum(e[3] is not None for e in entries)
+
+
+@pytest.mark.parametrize("name", PIERCE_RINGS)
+def test_certificates_are_the_same_from_a_cold_and_a_warm_memo(name):
+    R = build_ring(PIERCE_RINGS[name])
+    polys = [h for h in _every_degree(R, 2, 400) if h.degree >= 1]
+    mixed = 0
+    cold = {}
+    for idx, h in enumerate(polys):
+        factor._STALK_MEMO.clear()
+        cold[h] = _certificates(h, R, idx)
+        # the construction stored one stalk split's polynomials per entry
+        finite = _kept(R)[0]
+        assert _kept(R) == (finite, finite), h
+        assert _certificates(h, R, idx) == cold[h], h
+        # blocks group stalks by deg f0, so two blocks mean two degrees
+        mixed += len(gsrc_search(h, R).certificate.blocks) > 1
+    # warm: each stalk split's polynomials come from whichever h built them first
+    factor._STALK_MEMO.clear()
+    for idx, h in enumerate(polys):
+        assert _certificates(h, R, idx) == cold[h], h
+    assert _kept(R)[1] > 0
+    if R.num_stalks > 1:
+        assert mixed > 0, "no h whose stalks split at different degrees"
+
+
+AUDITED = [("Z/12", 2), ("Z/36", 1), ("F2 x F2", 2), ("F2 x F2", 3)]
+
+
+@pytest.mark.parametrize("name, n", AUDITED)
+def test_audit_reports_are_the_same_from_a_cold_and_a_warm_memo(name, n):
+    R = build_ring(PIERCE_RINGS[name])
+
+    def reports():
+        return [
+            dataclasses.replace(rep, wall_time_s=0.0)
+            for rep in (
+                theorem_main_audit(R, n, samples=2, seed=3),
+                pi_regular_audit(R, n),
+                triangular_sweep(R, n),
+            )
+        ]
+
+    factor._STALK_MEMO.clear()
+    cold = reports()
+    assert _kept(R)[1] == _kept(R)[0] > 0
+    assert reports() == cold
+    assert all(not rep.disagreements for rep in cold)
+
+
+def test_a_stalk_split_is_built_once_and_a_zp_stalk_every_time(monkeypatch):
+    R = build_ring(CERT_RINGS["Z/4 x Z_(3)"])
+    h = Poly.from_ints(R, [2, 3, 1])
+    built = []
+    kernel = factor.certificate_parts
+    monkeypatch.setattr(
+        factor, "certificate_parts", lambda s, *a, **k: built.append(s.label()) or kernel(s, *a, **k)
+    )
+    first = _certificates(h, R, 0)
+    assert built == ["Z/4", "Z_(3)", "Z/4", "Z_(3)"]
+    built.clear()
+    assert _certificates(h, R, 0) == first
+    assert built == ["Z_(3)", "Z_(3)"]
+    # only the Z/4 stalk has entries, one per mode
+    assert {key[0] for key in factor._STALK_MEMO} == {R.stalk_ring(0).key}
+    assert len(factor._STALK_MEMO) == 2
+
+
+def test_a_split_other_than_the_first_hit_gets_its_own_polynomials():
+    # over Z/5, h = t^2 + 1 has h(1) = 2 a unit, so the search's first hit is
+    # f0 = 1 (E = I); the split f0 = h, f1 = 1 is also SRC and has E = 0
+    R = build_ring({"type": "zmod", "n": 5})
+    h = Poly.from_ints(R, [1, 0, 1])
+    A = companion(h)
+    found = gsrc_search(h, R).certificate
+    assert found.blocks[0].cert.f0 == Poly.one(R)
+    by_search = strong_clean_from_gsrc(A, found)
+    assert by_search.E == SquareMatrix.identity(R, 2)
+    kept = [e[3] for e in factor._STALK_MEMO.values()]
+    u, v = comaximality(h, Poly.one(R))
+    other = GSRCCertificate([Block((0,), R.one, SRCCertificate(h, Poly.one(R), u, v, "SRC"))])
+    by_hand = strong_clean_from_gsrc(A, other)
+    assert by_hand.E == SquareMatrix.zeros(R, 2) and by_hand.U == A
+    assert [e[3] for e in factor._STALK_MEMO.values()] == kept
+    assert strong_clean_from_gsrc(A, found) == by_search
+
+
+def test_a_construction_that_fails_stores_nothing():
+    R = build_ring(CERT_RINGS["Z/12"])
+    h = Poly.from_ints(R, [2, 3, 1])
+    gsrc, gsp = gsrc_search(h, R).certificate, gsp_search(h, R).certificate
+    # a matrix with another char poly: its (E, U) and X fail verification
+    wrong = companion(Poly.from_ints(R, [5, 0, 1]))
+    with pytest.raises(VerificationFailed):
+        strong_clean_from_gsrc(wrong, gsrc)
+    with pytest.raises(VerificationFailed):
+        pi_regular_from_gsp(wrong, gsp)
+    assert _kept(R) == (4, 0)
+    A = companion(h)
+    strong_clean_from_gsrc(A, gsrc)
+    pi_regular_from_gsp(A, gsp)
+    assert _kept(R) == (4, 4)
+
+
+def test_constructions_keep_the_memo_within_its_cap():
+    R = build_ring({"type": "zmod", "n": 17})
+    cap = factor.STALK_MEMO_CAP
+    for k, h in enumerate(_monic_polys(R)):
+        gsp = gsp_search(h, R).certificate
+        factor.keep_certificate_polys(factor.certificate_polys(R, gsp)[1])
+        assert len(factor._STALK_MEMO) == min(k + 1, cap)
+    assert all(entry[3] is not None for entry in factor._STALK_MEMO.values())
