@@ -6,9 +6,12 @@ polynomials of degree n, and 64 random monic pairs (f0, f1) with
 deg f0 + deg f1 = n.  The table gives the per-call microseconds of ``A @ B``,
 ``char_poly``, ``poly_at_matrix``, ``factor.comaximality`` (whose Sylvester
 matrix is n x n) and ``similar``, ``random_with_charpoly(h, seed)`` on the
-64 polynomials with one seed each, with B a second random matrix, as the
-best of 20 passes over the inputs, each pass scaled to nominal machine
-speed by ``perfbench/pace.py``'s reference loop (``paced.best``).
+64 polynomials with one seed each, with B a second random matrix, and
+``A ** k`` for k = M - 1, M = ``brute._gl_exponent(R, n)``: the power chain
+of the exhaustive scan's U^-1 = U^(M-1) and of the Drazin oracle's
+A^(2M-1), left blank over a ring with a Z_(p) stalk, which has no such M.
+Each is the best of 20 passes over the inputs, each pass scaled to nominal
+machine speed by ``perfbench/pace.py``'s reference loop (``paced.best``).
 The last columns time the audits' certificate layer: ``from_gsrc`` is
 ``decide.strong_clean_from_gsrc(A, gsrc)`` for A = ``random_with_charpoly(h)``
 on the polynomials that have a gSRC factorization, ``from_gsp`` is
@@ -33,6 +36,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from cleanmat import factor  # noqa: E402
+from cleanmat.brute import _gl_exponent  # noqa: E402
 from cleanmat.decide import (  # noqa: E402
     pi_regular_from_gsp,
     strong_clean_from_gsrc,
@@ -111,6 +115,7 @@ def per_call_us(fn, args, before=None):
 def main():
     ops = [
         "A @ B",
+        "A ** k",
         "char_poly",
         "poly_at_matrix",
         "comaximality",
@@ -140,8 +145,14 @@ def main():
             per_call_us(strong_clean_from_gsrc, gsrc_args, clear),
             per_call_us(pi_regular_from_gsp, sp_splits, clear),
         ]
+        R = mats[0].ring
+        power = None
+        if R.is_finite:
+            k = _gl_exponent(R, n) - 1
+            power = per_call_us(lambda A: A**k, [(A,) for A in mats])
         times = [
             per_call_us(lambda A, B: A @ B, list(zip(mats, others))),
+            power,
             per_call_us(char_poly, [(A,) for A in mats]),
             per_call_us(poly_at_matrix, list(zip(polys, mats))),
             per_call_us(comaximality, pairs),
@@ -156,7 +167,8 @@ def main():
         invertible = sum(A.ring.is_unit(char_poly(A).coeff(0)) for A in mats)
         comaximal = sum(comaximality(*p) is not None for p in pairs)
         case = f"{n}x{n} {label}"
-        print(f"{case:>18} " + " ".join(f"{t:>14.1f}" for t in times))
+        cells = (f"{'-':>14}" if t is None else f"{t:>14.1f}" for t in times)
+        print(f"{case:>18} " + " ".join(cells))
         print(
             f"{'':>18} {invertible}/{INPUTS} invertible, {comaximal}/{INPUTS} comaximal, "
             f"{len(splits)}/{INPUTS} with a gSRC, {len(sp_splits)}/{INPUTS} with a gSP"

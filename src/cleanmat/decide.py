@@ -240,6 +240,14 @@ def decide_ring_strongly_clean(
             "gSRC",
             details={"instances": total, "certificates_verified": total},
         )
+    if n == 1:
+        return Decision(
+            YES,
+            "gSRC",
+            reason="every stalk is local, so for each a either a or a - 1 is a unit, "
+            "and t - a splits with f0 = t - a or f1 = t - a on every stalk: "
+            "every 1x1 matrix is strongly clean",
+        )
     if n == 2:
         return jclean_quadratic_criterion(R)
     return Decision(

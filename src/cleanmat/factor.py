@@ -66,7 +66,7 @@ from fractions import Fraction
 
 from .errors import VerificationFailed
 from .matrices import sylvester_solve
-from .polys import Poly, certificate_parts, monic_divide
+from .polys import Poly, certificate_parts, monic_divide, raw_product
 from .rings import Element, Ring, block_ring
 from .stalks import ZLocStalk
 
@@ -629,18 +629,14 @@ def gsp_search(h: Poly, R: Ring) -> SearchResult:
 
 
 def _stalk_splits(R: Ring, gcert) -> list:
-    """Stalk i's (raw h, raw split parts) of a global certificate's blocks."""
+    """Stalk i's raw split parts of a global certificate's blocks."""
     splits = [None] * R.num_stalks
     for b in gcert.blocks:
         c = b.cert
-        if isinstance(c, SPCertificate):
-            h = c.h0 * c.p0
-        elif c.bezout_u is None:
+        if isinstance(c, SRCCertificate) and c.bezout_u is None:
             raise VerificationFailed(["SR-only certificate cannot split the module"])
-        else:
-            h = c.f0 * c.f1
         for k, i in enumerate(b.support):
-            splits[i] = h.parts[k], _raw_parts(c, k)
+            splits[i] = _raw_parts(c, k)
     if None in splits:
         raise VerificationFailed(["block supports do not partition the stalks"])
     return splits
@@ -671,9 +667,12 @@ def certificate_polys(R: Ring, gcert) -> tuple[list, list]:
     """
     mode = "SP" if isinstance(gcert, GSPCertificate) else "SRC"
     parts, fills = [], []
-    for i, (h, split) in enumerate(_stalk_splits(R, gcert)):
+    for i, split in enumerate(_stalk_splits(R, gcert)):
+        s = R.stalks[i]
         entry = None
-        if R.stalks[i].finite:
+        if s.finite:
+            # the memo key's h = f0*f1 (h0*p0), multiplied on this stalk only
+            h = raw_product(s, split[0], split[1])
             entry = _STALK_MEMO.get((R.stalk_ring(i).key, h, mode))
             if entry is not None and (entry[0] is None or entry[0][1] != split):
                 entry = None

@@ -9,11 +9,12 @@ exhaustive scan's encoding.  Every operator (``+ - neg * @ ** == hash``) and
 every public function (``identity``, ``zeros``, ``companion``,
 ``sylvester``, ``sylvester_solve``, ``char_poly``, ``poly_at_matrix``,
 ``random_with_charpoly``) runs one raw kernel per stalk with that stalk's
-own ``dot``/``submul``/``add``/``sub``/``mul``/``neg``/``inv``.  Every
-multi-term step calls a primitive that reduces once per result: a product
-entry or a Berkowitz step is one ``dot``, and an elimination or
-transvection step is one ``submul(x, f, y) = x - f*y`` per entry, never a
-``mul`` then a ``sub``.
+own ``matmul``/``dot``/``submul``/``add``/``sub``/``mul``/``neg``/``inv``.
+Every multi-term step calls a primitive that reduces once per result: a
+product (of ``@``, ``**`` and each Horner step) is one stalk ``matmul``, a
+Berkowitz step is one ``dot``, and an elimination or transvection step is
+one ``submul(x, f, y) = x - f*y`` per entry, never a ``mul`` then a
+``sub``.
 The kernels and the raw-grid format are private to this module: the
 certificate constructions in ``decide`` and the verifiers in ``verify`` use
 the public operations only.
@@ -101,10 +102,7 @@ class SquareMatrix:
         self._check(other)
         return _matrix(
             self.ring,
-            [
-                _raw_matmul(s, a, b)
-                for s, a, b in zip(self.ring.stalks, self.grids, other.grids)
-            ],
+            [s.matmul(a, b) for s, a, b in zip(self.ring.stalks, self.grids, other.grids)],
         )
 
     def __mul__(self, other):
@@ -252,22 +250,23 @@ def _raw_identity(s, n: int) -> list:
     return [[one if i == j else zero for j in range(n)] for i in range(n)]
 
 
-def _raw_matmul(s, a: list, b: list) -> list:
-    dot = s.dot
-    cols = list(zip(*b))
-    return [[dot(row, col) for col in cols] for row in a]
-
-
 def _raw_power(s, a: list, k: int) -> list:
-    """a^k by binary powering, k >= 0."""
-    acc = _raw_identity(s, len(a))
-    while k:
+    """a^k by binary powering, k >= 0, with no product by the identity.
+
+    For k == 1 the result is a itself: a matrix's grids are never changed
+    once it is built, so the two matrices may share them.
+    """
+    if not k:
+        return _raw_identity(s, len(a))
+    matmul = s.matmul
+    acc = None
+    while True:
         if k & 1:
-            acc = _raw_matmul(s, acc, a)
+            acc = a if acc is None else matmul(acc, a)
         k >>= 1
-        if k:
-            a = _raw_matmul(s, a, a)
-    return acc
+        if not k:
+            return acc
+        a = matmul(a, a)
 
 
 def _raw_berkowitz(s, a: list) -> list:
@@ -314,12 +313,12 @@ def _raw_horner(s, coeffs, a: list) -> list:
     lead = coeffs[-1]
     if len(coeffs) == 1:
         return [[lead if i == j else zero for j in range(n)] for i in range(n)]
-    mul = s.mul
+    mul, matmul = s.mul, s.matmul
     acc = [[mul(lead, x) for x in row] for row in a]
     for i in range(n):
         acc[i][i] = add(acc[i][i], coeffs[-2])
     for c in reversed(coeffs[:-2]):
-        acc = _raw_matmul(s, acc, a)
+        acc = matmul(acc, a)
         for i in range(n):
             acc[i][i] = add(acc[i][i], c)
     return acc

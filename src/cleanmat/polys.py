@@ -23,10 +23,12 @@ a monic divisor is exact over any commutative ring.  The unit tests
 ``unit_at_zero`` and ``unit_at_one`` read each stalk's constant coefficient
 and coefficient sum, with no evaluation.
 
-``certificate_parts`` is the one public raw kernel: from one stalk's split
-h = f0*f1 and Bezout cofactor u it builds the stalk's certificate
+Two raw kernels are public.  ``certificate_parts`` builds, from one
+stalk's split h = f0*f1 and Bezout cofactor u, the stalk's certificate
 polynomials (e, w) of a strongly clean pair, or x of a Drazin inverse, with
-``_raw_mul``, ``_raw_divide`` and ``submul``.
+``_raw_mul``, ``_raw_divide`` and ``submul``.  ``raw_product`` is
+``_raw_mul`` itself, the stalk product behind ``*``, for callers that hold
+raw stalk values.
 """
 
 from __future__ import annotations
@@ -238,9 +240,18 @@ def _raw_sub(s, a, b) -> tuple:
 
 
 def _raw_mul(s, a, b) -> tuple:
-    """The convolution of a and b, one ``dot`` per output coefficient."""
+    """The convolution of a and b, one ``dot`` per output coefficient.
+
+    A factor equal to 1, such as a degree-0 monic factor of a split, returns
+    the other factor with no dot.
+    """
     if not a or not b:
         return ()
+    one = (s.one,)
+    if a == one:
+        return tuple(b)
+    if b == one:
+        return tuple(a)
     dot = s.dot
     m, n = len(a), len(b)
     rb = b[::-1]
@@ -250,6 +261,10 @@ def _raw_mul(s, a, b) -> tuple:
         # a[i] pairs with b[k - i] = rb[n - 1 - k + i] for lo <= i < hi
         out.append(dot(a[lo:hi], rb[n - 1 - k + lo : n - 1 - k + hi]))
     return _trim(s, out)
+
+
+# one stalk's product a*b of raw, trimmed coefficient tuples, trimmed
+raw_product = _raw_mul
 
 
 def _raw_translate(s, a, c) -> tuple:

@@ -10,16 +10,21 @@ the same in a ring, in its block rings and in the stalk's own ring.
 
 Every stalk class defines the same primitives, which the matrix and
 polynomial kernels call: ``add``, ``sub``, ``mul``, ``neg``, ``inv`` and
-``is_unit`` on single values, and three multi-term ones, ``dot``, ``sum``
-and ``submul(x, c, y) = x - c*y``.  A multi-term primitive reduces once per
-result: one ``% q`` on Z/p^k, one lowest-terms ``Fraction`` on Z_(p) (an
-integer numerator is accumulated over a running common denominator), one
-chain of table lookups on a table stalk.  So an elimination step is one
-``submul`` per entry, not a ``mul`` and a ``sub``.  No kernel divides by a
-non-unit.  Beyond the primitives a stalk describes itself: ``nil_index``
-(the least c with m^c = 0 for its maximal ideal m), ``in_max_ideal`` and
-``is_nilpotent``, and on a finite stalk ``size`` and ``elements``, from
-which the Drazin-inverse oracle counts the residue field.
+``is_unit`` on single values, three multi-term ones, ``dot``, ``sum`` and
+``submul(x, c, y) = x - c*y``, and ``matmul``, the product of two raw n x n
+grids.  A multi-term primitive reduces once per result: one ``% q`` on
+Z/p^k, one lowest-terms ``Fraction`` on Z_(p) (an integer numerator is
+accumulated over a running common denominator), one chain of table lookups
+on a table stalk.  So an elimination step is one ``submul`` per entry, not a
+``mul`` and a ``sub``.  ``matmul`` is one ``dot`` per entry on Z_(p) and
+table stalks.  On Z/p^k it is straight-line integer code, one sum of n
+products reduced once per entry, generated from n alone and compiled once
+per size (up to ``STRAIGHT_LINE_MAX``), the way ``collections.namedtuple``
+generates its class.  No kernel divides by a non-unit.  Beyond the
+primitives a stalk describes itself: ``nil_index`` (the least c with
+m^c = 0 for its maximal ideal m), ``in_max_ideal`` and ``is_nilpotent``,
+and on a finite stalk ``size`` and ``elements``, from which the
+Drazin-inverse oracle counts the residue field.
 """
 
 from __future__ import annotations
@@ -31,6 +36,10 @@ from math import gcd
 from operator import mul
 
 MAX_TABLE_SIZE = 64
+
+# Z/p^k grids up to this size multiply by generated straight-line code; its
+# source grows as n^3, so larger grids take the per-entry ``dot`` loop.
+STRAIGHT_LINE_MAX = 8
 
 
 def is_prime(n: int) -> bool:
@@ -65,6 +74,40 @@ def factorize(n: int) -> list[tuple[int, int]]:
     return out
 
 
+def _matmul_by_dots(dot, a, b) -> list:
+    """The grid product a @ b with one ``dot`` per entry."""
+    cols = list(zip(*b))
+    return [[dot(row, col) for col in cols] for row in a]
+
+
+@lru_cache(maxsize=None)
+def _straight_line_matmul(n: int):
+    """The function (a, b, q) -> a @ b mod q for n x n grids of ints, 1 <= n.
+
+    Its source is built from n alone: the entries of a and b are unpacked
+    into locals and each product entry is written out as one sum of n
+    products, reduced once by ``% q``.
+    """
+
+    def unpack(x: str) -> str:
+        rows = ("(" + "".join(f"{x}{i}_{j}, " for j in range(n)) + ")" for i in range(n))
+        return ", ".join(rows) + ","
+
+    def entry(i: int, j: int) -> str:
+        return "(" + " + ".join(f"a{i}_{k} * b{k}_{j}" for k in range(n)) + ") % q"
+
+    rows = ("[" + ", ".join(entry(i, j) for j in range(n)) + "]" for i in range(n))
+    source = (
+        "def matmul(a, b, q):\n"
+        f"    {unpack('a')} = a\n"
+        f"    {unpack('b')} = b\n"
+        f"    return [{', '.join(rows)}]\n"
+    )
+    namespace: dict = {}
+    exec(compile(source, f"<Z/q matmul {n}x{n}>", "exec"), namespace)
+    return namespace["matmul"]
+
+
 class ZModStalk:
     """The local ring Z/p^k."""
 
@@ -96,6 +139,12 @@ class ZModStalk:
 
     def dot(self, xs, ys):
         return sum(map(mul, xs, ys)) % self.q
+
+    def matmul(self, a, b):
+        n = len(a)
+        if 0 < n <= STRAIGHT_LINE_MAX:
+            return _straight_line_matmul(n)(a, b, self.q)
+        return _matmul_by_dots(self.dot, a, b)
 
     def sum(self, xs):
         return sum(xs) % self.q
@@ -198,6 +247,9 @@ class ZLocStalk:
                 num = num * (td // g) + tn * (den // g)
                 den = den // g * td
         return Fraction(num, den)
+
+    def matmul(self, a, b):
+        return _matmul_by_dots(self.dot, a, b)
 
     def sum(self, xs):
         return self.dot(xs, repeat(self.one))
@@ -308,6 +360,9 @@ class TableStalk:
         for a, b in zip(xs, ys):
             acc = add[acc][mul_t[a][b]]
         return acc
+
+    def matmul(self, a, b):
+        return _matmul_by_dots(self.dot, a, b)
 
     def sum(self, xs):
         add = self._add

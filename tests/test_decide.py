@@ -142,6 +142,27 @@ def test_ring_level_decisions(zloc, zmod):
     assert d.verdict == "unknown"
 
 
+def test_ring_level_degree_one_is_yes_on_infinite_rings(zloc, zloc2_squared):
+    """Every stalk is local, so each 1x1 matrix [a] has a or a - 1 a unit.
+
+    The ring-level answer is yes with that reason, and the matrix-level
+    decider agrees on seeded 1x1 matrices, including a = 0, 1 and p.
+    """
+    mixed = build_ring(
+        {"type": "product", "factors": [{"type": "zmod", "n": 4}, {"type": "zloc", "p": 3}]}
+    )
+    for R in (zloc(5), mixed, zloc2_squared):
+        d = decide_ring_strongly_clean(R, 1)
+        assert (d.verdict, d.route) == ("yes", "gSRC")
+        assert "either a or a - 1 is a unit" in d.reason
+        assert d.certificate is None and d.refutation is None
+        rng = random.Random(R.key)
+        samples = [R.zero, R.one, R.from_int(5), R.from_int(6)]
+        samples += [R.random_element(rng) for _ in range(8)]
+        for a in samples:
+            assert decide_strongly_clean(SquareMatrix(R, [[a]])).verdict == "yes"
+
+
 def test_jclean_criterion(zloc, zmod):
     d = jclean_quadratic_criterion(zloc(2))
     assert d.verdict == "no"

@@ -10,8 +10,9 @@ Only ``stalks.py`` knows how a stalk stores its operations: no other module
 may read a stalk's private ``_add``, ``_mul``, ``_neg`` or ``_inv``.
 
 A multi-term stalk step reduces once per result: ``matrices.py`` and
-``polys.py`` call the fused ``submul(x, c, y) = x - c*y`` (or ``dot``), so
-neither may nest a ``mul`` call inside an ``add`` or ``sub`` call.
+``polys.py`` call the fused ``submul(x, c, y) = x - c*y`` (or ``dot``, and
+for a whole matrix product the stalk's ``matmul``), so neither may nest a
+``mul`` call inside an ``add`` or ``sub`` call.
 
 A Pierce block is its support: ``factor.py`` builds each block idempotent
 as the indicator of its support and ``verify.py`` checks it on raw stalk
@@ -76,10 +77,10 @@ def test_no_module_but_polys_imports_its_private_names():
 def test_the_guard_sees_a_private_import(tmp_path):
     bad = tmp_path / "bad.py"
     bad.write_text(
-        "from .matrices import SquareMatrix, _raw_matmul\nfrom .polys import Poly, _poly\n",
+        "from .matrices import SquareMatrix, _raw_power\nfrom .polys import Poly, _poly\n",
         encoding="utf-8",
     )
-    assert _private_imports(bad, "matrices") == ["_raw_matmul"]
+    assert _private_imports(bad, "matrices") == ["_raw_power"]
     assert _private_imports(bad, "polys") == ["_poly"]
 
 

@@ -375,23 +375,23 @@ def test_glued_poly_costs_each_stalk_its_own_degree(name, monkeypatch):
 
     With f_i of different degrees, poly_at_matrix(glue_polys(R, fs), A)
     restricts to poly_at_matrix(f_i, A_i) on stalk i, and stalk i makes
-    exactly max(deg f_i - 1, 0) matmuls (n^2 stalk dots each): the
-    coefficients above its own degree are zeros that Horner skips, and its
-    first step lead*A + c*I needs no matmul.
+    exactly max(deg f_i - 1, 0) calls of its ``matmul``: the coefficients
+    above its own degree are zeros that Horner skips, and its first step
+    lead*A + c*I needs no matmul.
     """
     R = build_ring(CERT_RINGS[name])
     assert R.num_stalks == 2 and R.stalks[0] is not R.stalks[1]
     rng = random.Random(name)
     n = 3
     A = SquareMatrix(R, [[R.random_element(rng) for _ in range(n)] for _ in range(n)])
-    dots = [0, 0]
+    matmuls = [0, 0]
     for i, s in enumerate(R.stalks):
 
-        def counted(xs, ys, i=i, plain=s.dot):
-            dots[i] += 1
-            return plain(xs, ys)
+        def counted(a, b, i=i, plain=s.matmul):
+            matmuls[i] += 1
+            return plain(a, b)
 
-        monkeypatch.setattr(s, "dot", counted)
+        monkeypatch.setattr(s, "matmul", counted)
 
     def random_poly(S, d):
         if d < 0:
@@ -404,7 +404,7 @@ def test_glued_poly_costs_each_stalk_its_own_degree(name, monkeypatch):
     for degrees in ((3, 1), (1, 3), (0, 2), (2, -1)):
         fs = [random_poly(R.stalk_ring(i), d) for i, d in enumerate(degrees)]
         expected = [poly_at_matrix(f, A.restrict(i)) for i, f in enumerate(fs)]
-        dots[:] = [0, 0]
+        matmuls[:] = [0, 0]
         glued = poly_at_matrix(glue_polys(R, fs), A)
-        assert dots == [max(d - 1, 0) * n * n for d in degrees]
+        assert matmuls == [max(d - 1, 0) for d in degrees]
         assert [glued.restrict(i) for i in range(2)] == expected

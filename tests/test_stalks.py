@@ -4,7 +4,9 @@ The multi-term primitives ``dot``, ``sum`` and ``submul`` reduce once per
 result, so each must equal the fold of single ``add``/``sub``/``mul`` steps
 it replaces, on every stalk kind.  A Z_(p) result must also be a
 ``Fraction`` in lowest terms with a positive denominator prime to p, as a
-single ``add``/``mul`` gives.
+single ``add``/``mul`` gives.  A grid product ``matmul`` must equal one
+``dot`` per entry; on Z/p^k it runs generated straight-line code, made once
+per size.
 """
 
 from __future__ import annotations
@@ -18,8 +20,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cleanmat import stalks
 from cleanmat.rings import build_ring
-from cleanmat.stalks import TableStalk, ZLocStalk, ZModStalk, zloc_stalk
+from cleanmat.stalks import TableStalk, ZLocStalk, ZModStalk, zloc_stalk, zmod_stalk
 from conftest import CERT_RINGS
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "cleanmat"
@@ -128,8 +131,81 @@ def test_zloc_examples():
     assert s.submul(big, big, Fraction(1)) == 0 and s.sum([big, -big]) == 0
 
 
+# Every stalk of the certificate rings, and Z/p^k stalks with large residues.
+MATMUL_STALKS = {
+    f"{name} stalk {i}": s
+    for name, d in CERT_RINGS.items()
+    for i, s in enumerate(build_ring(d).stalks)
+} | {"Z/2^20": zmod_stalk(2, 20), "Z/1000000007": zmod_stalk(1000000007, 1)}
+
+
+def dot_matmul(s, a, b):
+    """a @ b with one ``s.dot`` per entry, row of a against column of b."""
+    n = len(a)
+    return [[s.dot(a[i], [b[k][j] for k in range(n)]) for j in range(n)] for i in range(n)]
+
+
+def special_grids(s, n):
+    """The identity, the zero grid and, on a finite stalk, the largest raw value."""
+    ident = [[s.one if i == j else s.zero for j in range(n)] for i in range(n)]
+    zeros = [[s.zero] * n for _ in range(n)]
+    grids = [ident, zeros]
+    if s.finite:
+        grids.append([[s.size - 1] * n for _ in range(n)])
+    return grids
+
+
+@pytest.mark.parametrize("name", MATMUL_STALKS)
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_matmul_is_a_dot_per_entry(name, data):
+    s = MATMUL_STALKS[name]
+    n = data.draw(st.integers(1, 6))
+    grid = st.lists(st.lists(values(s), min_size=n, max_size=n), min_size=n, max_size=n)
+    a, b = data.draw(grid), data.draw(grid)
+    v = s.matmul(a, b)
+    assert v == dot_matmul(s, a, b)
+    for row in v:
+        for x in row:
+            assert_canonical(s, x)
+
+
+@pytest.mark.parametrize("name", MATMUL_STALKS)
+def test_matmul_on_identity_and_zero_grids(name):
+    s = MATMUL_STALKS[name]
+    for n in range(1, 7):
+        grids = special_grids(s, n)
+        ident, zeros = grids[:2]
+        for g in grids:
+            assert s.matmul(ident, g) == s.matmul(g, ident) == g
+            assert s.matmul(zeros, g) == s.matmul(g, zeros) == zeros
+            assert s.matmul(g, g) == dot_matmul(s, g, g)
+
+
+def test_zmod_matmul_is_generated_once_per_size(monkeypatch):
+    made = []
+
+    def counting_compile(source, filename, mode):
+        made.append(filename)
+        return compile(source, filename, mode)
+
+    monkeypatch.setattr(stalks, "compile", counting_compile, raising=False)
+    stalks._straight_line_matmul.cache_clear()
+    big = stalks.STRAIGHT_LINE_MAX + 1
+    for s in (zmod_stalk(2, 2), zmod_stalk(3, 1), zmod_stalk(2, 20), zmod_stalk(1000000007, 1)):
+        for n in (*range(1, 7), big):
+            g = [[(i * n + j) % s.q for j in range(n)] for i in range(n)]
+            for _ in range(3):
+                assert s.matmul(g, g) == dot_matmul(s, g, g)
+    # one kernel per size 1..6, shared by every q; a larger grid takes the dot loop
+    assert len(made) == 6 and len(set(made)) == 6
+    assert stalks._straight_line_matmul.cache_info().currsize == 6
+
+
 # Stalk attributes every kernel may read.
-PRIMITIVES = {"zero", "one", "add", "sub", "mul", "neg", "inv", "is_unit", "dot", "sum", "submul"}
+PRIMITIVES = {
+    "zero", "one", "add", "sub", "mul", "neg", "inv", "is_unit", "dot", "sum", "submul", "matmul",
+}
 
 
 def _stalk_reads(path: Path) -> set[str]:
