@@ -1,126 +1,128 @@
-"""The exhaustive strong-cleanness scan over table-encoded finite rings.
+"""The exhaustive strong-cleanness scan over a table-encoded finite ring.
 
-The scan walks the |R|^(n^2) candidate matrices E in mixed-radix order
+The scan walks the |S|^(n^2) candidate matrices E in mixed-radix order
 (last entry fastest) and returns the first with E^2 = E, EA = AE and
-det(A - E) a unit, entirely in vectorized small-int table arithmetic.
+det(A - E) a unit, in pure-Python arithmetic on lists of element indices.
 
 Only idempotents can pass, and they are few (386 of the 65,536 2x2
-matrices over Z/16), so the scan keeps an idempotent index: the E^2 = E
-survivors of each chunk of the enumeration, built the first time a scan
-reaches the chunk and kept by the caller (``brute`` keeps it on the ring's
-cached ``RingTable``).  Later scans test EA = AE and the determinant on
-the indexed idempotents only.  The determinant's permutation table is
-likewise built once per matrix size and shared read-only.
+matrices over Z/16), so the scan walks an idempotent index instead: per n,
+the (enumeration index, E) with E^2 = E in enumeration order, kept by the
+caller (``brute`` keeps it on the ring's cached ``RingTable``).  The index
+grows lazily from one generator, only as far as a scan reaches, so a
+one-off scan costs no more than a walk of the candidates up to its hit.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
-
-import numpy as np
+from bisect import bisect_left
 
 # read by perfbench/run.py's env stamp; the scan has no jit tier
 HAVE_NUMBA = False
 
 
-# n -> the read-only (permutations, signs) arrays of ``permutation_table``
-_PERMUTATION_TABLES: dict = {}
-
-
-def permutation_table(n: int):
-    """The permutations of range(n) and their signs, built once per n.
-
-    The arrays are cached and read-only, so every scan of an n x n matrix
-    shares them.
-    """
-    if n not in _PERMUTATION_TABLES:
-        perms = list(itertools.permutations(range(n)))
-        signs = []
-        for p in perms:
-            inv = sum(
-                1 for i in range(n) for j in range(i + 1, n) if p[i] > p[j]
-            )
-            signs.append(1 if inv % 2 == 0 else -1)
-        table = np.array(perms, dtype=np.int64), np.array(signs, dtype=np.int64)
-        for arr in table:
-            arr.flags.writeable = False
-        _PERMUTATION_TABLES[n] = table
-    return _PERMUTATION_TABLES[n]
+@functools.cache
+def permutation_table(n: int) -> tuple[tuple, tuple]:
+    """The permutations of range(n) and their signs, as tuples, built once per n."""
+    perms = tuple(itertools.permutations(range(n)))
+    signs = tuple(
+        -1 if sum(p[i] > p[j] for i in range(n) for j in range(i + 1, n)) % 2 else 1
+        for p in perms
+    )
+    return perms, signs
 
 
 def scan_strongly_clean(
-    add, mul, neg, unit, a, n, perms, signs, one, zero, start, stop, *,
-    chunk=1 << 14, idempotents=None,
+    add, mul, neg, unit, a, n, perms, signs, one, zero, start, stop, *, idempotents=None
 ):
     """First enumeration index in [start, stop) whose E certifies A, or -1.
 
-    The enumeration is cut into chunks on a fixed grid, [lo, lo + chunk).
-    The first scan to reach a chunk decodes it and keeps its E^2 = E
-    survivors, their enumeration indices and E arrays, in ``idempotents``
-    under the key (n, lo, hi); later scans read them back instead of
-    decoding and squaring every candidate again.  With no dict given, the
-    survivors are kept for this call only.  Survivors stay in enumeration
-    order, so the first hit is the one a full scan finds.
+    ``a`` holds A's rows of element indices.  ``idempotents[n]`` is the
+    index, a pair (list, generator) created by the first scan of an n x n
+    matrix and extended only when a scan needs a candidate past the end of
+    the list; with no dict given it is kept for this call only.
     """
     if idempotents is None:
         idempotents = {}
-    total = add.shape[0] ** (n * n)
-    for lo in range(start - start % chunk, min(stop, total), chunk):
-        key = (n, lo, min(total, lo + chunk))
-        if key not in idempotents:
-            idempotents[key] = _chunk_idempotents(add, mul, zero, n, *key[1:])
-        sel, E = idempotents[key]
-        if lo < start or key[2] > stop:
-            mask = (sel >= start) & (sel < stop)
-            sel, E = sel[mask], E[mask]
-        if not sel.size:
+    if n not in idempotents:
+        idempotents[n] = [], _idempotents(add, mul, zero, n)
+    found, more = idempotents[n]
+    rows = range(n)
+    at = bisect_left(found, (start,))
+    while True:
+        if at == len(found):
+            entry = next(more, None)
+            if entry is None:
+                return -1
+            found.append(entry)
+        k, e = found[at]
+        at += 1
+        if k >= stop:
+            return -1
+        if k < start:
             continue
-
-        Ab = np.broadcast_to(a, E.shape)
-        mask = (
-            _batch_matmul(add, mul, zero, E, Ab)
-            == _batch_matmul(add, mul, zero, Ab, E)
-        ).all(axis=(1, 2))
-        if not mask.any():
+        if any(
+            _dot(add, mul, zero, e[i], a, j) != _dot(add, mul, zero, a[i], e, j)
+            for i in rows
+            for j in rows
+        ):
             continue
-        sel, E = sel[mask], E[mask]
-
-        U = add[a[None, :, :], neg[E]]
-        dets = np.full(sel.size, zero, dtype=np.int64)
-        for p, s in zip(perms, signs):
-            prod = np.full(sel.size, one, dtype=np.int64)
-            for i in range(n):
-                prod = mul[prod, U[:, i, p[i]]]
-            if s < 0:
-                prod = neg[prod]
-            dets = add[dets, prod]
-        mask = unit[dets]
-        if mask.any():
-            return int(sel[np.nonzero(mask)[0][0]])
-    return -1
+        u = [[add[x][neg[y]] for x, y in zip(ra, re)] for ra, re in zip(a, e)]
+        det = zero
+        for p, sign in zip(perms, signs):
+            prod = one
+            for i in rows:
+                prod = mul[prod][u[i][p[i]]]
+            det = add[det][prod if sign > 0 else neg[prod]]
+        if unit[det]:
+            return k
 
 
-def _chunk_idempotents(add, mul, zero, n, lo, hi):
-    """Enumeration indices in [lo, hi) whose matrix E has E^2 = E, and the Es."""
-    m = add.shape[0]
-    sel = np.arange(lo, hi, dtype=np.int64)
-    E = np.empty((sel.size, n, n), dtype=np.int64)
-    rem = sel.copy()
-    for pos in range(n * n - 1, -1, -1):
-        E[:, pos // n, pos % n] = rem % m
-        rem //= m
-    mask = (_batch_matmul(add, mul, zero, E, E) == E).all(axis=(1, 2))
-    sel, E = sel[mask], E[mask]
-    sel.flags.writeable = E.flags.writeable = False
-    return sel, E
+def _dot(add, mul, zero, row, b, j):
+    """Entry j of the row vector ``row`` times the matrix ``b``."""
+    acc = zero
+    for x, b_row in zip(row, b):
+        acc = add[acc][mul[x][b_row[j]]]
+    return acc
 
 
-def _batch_matmul(add, mul, zero, X, Y):
-    B, n, _ = X.shape
-    C = np.full((B, n, n), zero, dtype=np.int64)
-    for k in range(n):
-        term = mul[X[:, :, k][:, :, None], Y[:, k, :][:, None, :]]
-        C = add[C, term]
-    return C
+def _idempotents(add, mul, zero, n):
+    """Yield (enumeration index, E as rows) for every E with E^2 = E, in order.
 
+    A depth-first walk sets the entries in row-major order, smallest index
+    first.  Entry (i, j) of E^2 is tested as soon as row i and column j are
+    set, so a partial matrix that already fails is dropped with all its
+    completions.
+    """
+    m = len(add)
+    nn = n * n
+    # position -> the entries of E^2 complete once it is set: (flat index, row, column)
+    due = [[] for _ in range(nn)]
+    for i in range(n):
+        for j in range(n):
+            due[max(i * n + n - 1, nn - n + j)].append(
+                (i * n + j, range(i * n, i * n + n), range(j, nn, n))
+            )
+    e = [zero] * nn
 
+    def squares(pos):
+        for ij, row, col in due[pos]:
+            acc = zero
+            for r, c in zip(row, col):
+                acc = add[acc][mul[e[r]][e[c]]]
+            if acc != e[ij]:
+                return False
+        return True
+
+    def walk(pos, k):
+        for x in range(m):
+            e[pos] = x
+            if not squares(pos):
+                continue
+            if pos == nn - 1:
+                yield k * m + x, tuple(tuple(e[r : r + n]) for r in range(0, nn, n))
+            else:
+                yield from walk(pos + 1, k * m + x)
+
+    return walk(0, 0)

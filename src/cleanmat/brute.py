@@ -3,17 +3,21 @@
 The strong-cleanness scan and the Drazin-inverse oracle for
 pi-regularity are the independent side of the two audits
 (``theorem_main_audit`` and ``pi_regular_audit``), the only place the
-package runs them: no decider consults an oracle.  Finite rings are
-encoded as numpy operation tables and handed to the scan in ``_kernels``;
-enumeration order is the canonical element order, so results are
-deterministic.  numpy and ``_kernels`` are imported by the functions that
-use them, so importing this module does not load numpy.
+package runs them: no decider consults an oracle.
 
-Each ring's ``RingTable`` is encoded once and cached, and it also holds the
-scan's idempotent index: for each matrix size n and chunk of the
-enumeration, the candidates with E^2 = E.  The first scan that reaches a
-chunk builds its entry, and every later scan of an n x n matrix over the
-same ring tests only those idempotents, in the same order.
+The scan runs stalk by stalk, as the Pierce sheaf allows: A is strongly
+clean iff each restriction A_i over the stalk ring S_i is, and the
+per-stalk pairs (E_i, U_i) glue entry by entry into one pair over R.  Each
+stalk ring is encoded as Python lists of element indices (add, mul, neg
+and unit tables) and handed to the pure-Python scan in ``_kernels``;
+enumeration order is the canonical element order, so results are
+deterministic.  ``_kernels`` is imported by the function that runs it.
+
+Each stalk ring's ``RingTable`` is encoded once and cached, and it also
+holds the scan's idempotent index: for each matrix size n, the candidates
+with E^2 = E in enumeration order, found lazily as far as some scan has
+reached.  Every later scan of an n x n matrix over the same stalk ring
+tests those idempotents first, in the same order.
 
 Neither oracle solves or eliminates anything.  ``_gl_exponent`` computes
 M, a multiple of the exponent of GL_n(R), from each stalk's residue field
@@ -27,15 +31,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from math import lcm
-from typing import TYPE_CHECKING
 
-from .errors import DEFAULT_BUDGET, InfiniteRing, UnsupportedSize, enumeration_size
+from .errors import DEFAULT_BUDGET, BudgetExceeded, InfiniteRing, UnsupportedSize
+from .errors import enumeration_size
 from .matrices import PiRegularCertificate, SquareMatrix, StrongCleanCertificate
 from .rings import Element, Ring
 from .stalks import factorize
-
-if TYPE_CHECKING:
-    import numpy as np
 
 ENCODE_CAP = 1024
 
@@ -45,13 +46,13 @@ class RingTable:
     ring: Ring
     elements: list[Element]
     index: dict
-    add: np.ndarray
-    mul: np.ndarray
-    neg: np.ndarray
-    unit: np.ndarray
+    add: list[list[int]]
+    mul: list[list[int]]
+    neg: list[int]
+    unit: list[bool]
     zero: int
     one: int
-    # the scan kernel's idempotent index: (n, lo, hi) -> (indices, E arrays)
+    # the scan kernel's idempotent index: n -> (idempotents found so far, their generator)
     idempotents: dict = field(default_factory=dict)
 
 
@@ -65,34 +66,21 @@ def encode_ring(R: Ring) -> RingTable:
         raise UnsupportedSize(f"|R| = {R.size} exceeds the {ENCODE_CAP} encode cap")
     if R.key in _TABLE_CACHE:
         return _TABLE_CACHE[R.key]
-    import numpy as np
-
     elems = list(R.elements())
     index = {e: i for i, e in enumerate(elems)}
-    m = len(elems)
-    add = np.empty((m, m), dtype=np.int64)
-    mul = np.empty((m, m), dtype=np.int64)
-    neg = np.empty(m, dtype=np.int64)
-    unit = np.zeros(m, dtype=bool)
-    for i, a in enumerate(elems):
-        neg[i] = index[-a]
-        unit[i] = R.is_unit(a)
-        for j, b in enumerate(elems):
-            add[i, j] = index[a + b]
-            mul[i, j] = index[a * b]
     tab = RingTable(
-        R, elems, index, add, mul, neg, unit, index[R.zero], index[R.one]
+        R, elems, index,
+        [[index[a + b] for b in elems] for a in elems],
+        [[index[a * b] for b in elems] for a in elems],
+        [index[-a] for a in elems], [R.is_unit(a) for a in elems],
+        index[R.zero], index[R.one],
     )
     _TABLE_CACHE[R.key] = tab
     return tab
 
 
-def encode_matrix(tab: RingTable, A: SquareMatrix) -> np.ndarray:
-    import numpy as np
-
-    return np.array(
-        [[tab.index[x] for x in row] for row in A.rows], dtype=np.int64
-    )
+def encode_matrix(tab: RingTable, A: SquareMatrix) -> list[list[int]]:
+    return [[tab.index[x] for x in row] for row in A.rows]
 
 
 def decode_matrix(tab: RingTable, flat_index: int, n: int) -> SquareMatrix:
@@ -114,39 +102,43 @@ def strongly_clean_bruteforce(
 ) -> StrongCleanCertificate | None:
     """Exhaustive scan for E with E^2 = E, EA = AE, A - E a unit.
 
-    Returns a verified certificate, or None after scanning every candidate
-    (definitive absence).  Raises when the ring is infinite or the scan would
-    exceed the budget.
+    Scans A.restrict(i) over each stalk ring S_i and glues the first hit
+    of every stalk into E.  Returns a verified certificate, or None when
+    some stalk has no hit after scanning every candidate (definitive
+    absence).  Raises when the ring is infinite or the sum over the stalks
+    of |S_i|^(n^2) candidates exceeds the budget, before any scan starts.
     """
     R = A.ring
     if not R.is_finite:
         raise InfiniteRing(f"brute force cannot scan {R.label()}")
-    total = enumeration_size(R.size, A.n * A.n, budget, "candidates")
+    n = A.n
+    totals = [enumeration_size(s.size, n * n, budget, "candidates") for s in R.stalks]
+    if sum(totals) > budget:
+        raise BudgetExceeded(f"{sum(totals)} candidates exceed budget {budget}")
     from . import _kernels
 
-    tab = encode_ring(R)
-    perms, signs = _kernels.permutation_table(A.n)
-    hit = _kernels.scan_strongly_clean(
-        tab.add,
-        tab.mul,
-        tab.neg,
-        tab.unit,
-        encode_matrix(tab, A),
-        A.n,
-        perms,
-        signs,
-        tab.one,
-        tab.zero,
-        0,
-        total,
-        idempotents=tab.idempotents,
+    perms, signs = _kernels.permutation_table(n)
+    hits = []
+    for i, total in enumerate(totals):
+        tab = encode_ring(R.stalk_ring(i))
+        a = encode_matrix(tab, A.restrict(i))
+        hit = _kernels.scan_strongly_clean(
+            tab.add, tab.mul, tab.neg, tab.unit, a, n, perms, signs, tab.one, tab.zero,
+            0, total, idempotents=tab.idempotents,
+        )
+        if hit < 0:
+            return None
+        hits.append(decode_matrix(tab, hit, n).rows)
+    E = SquareMatrix(
+        R,
+        [
+            [R.from_parts([Ei[r][c].parts[0] for Ei in hits]) for c in range(n)]
+            for r in range(n)
+        ],
     )
-    if hit < 0:
-        return None
-    E = decode_matrix(tab, hit, A.n)
     U = A - E
-    U_inv = U ** (_gl_exponent(R, A.n) - 1)
-    assert E @ E == E and E @ U == U @ E and U @ U_inv == SquareMatrix.identity(R, A.n)
+    U_inv = U ** (_gl_exponent(R, n) - 1)
+    assert E @ E == E and E @ U == U @ E and U @ U_inv == SquareMatrix.identity(R, n)
     return StrongCleanCertificate(E, U, U_inv)
 
 

@@ -100,7 +100,9 @@ def build_parser() -> Parser:
             if name == "decide"
             else "strong pi-regularity decision",
         )
-        common(sp, cmd_decide)
+        common(sp, cmd_decide, ring=False)
+        # optional under --verify, which reads the ring from its document
+        sp.add_argument("--ring", help="ring descriptor JSON or @file")
         sp.add_argument("--poly", help="monic coefficients (with --companion)")
         sp.add_argument("--matrix", help="row-major matrix JSON or @file")
         sp.add_argument("--companion", action="store_true")
@@ -228,7 +230,8 @@ def _parse_document(doc):
     return R, A, h, certs
 
 
-def _verify_document(doc) -> list[str]:
+def _verify_document(doc, ring=None) -> list[str]:
+    """Failures of the document's certificates; ``ring``, if given, must be its ring."""
     from .verify import (
         verify_gsp,
         verify_gsrc,
@@ -242,6 +245,8 @@ def _verify_document(doc) -> list[str]:
         R, A, h, certs = _parse_document(doc)
     except (KeyError, IndexError, TypeError, AttributeError) as exc:
         raise UsageError(f"malformed document ({type(exc).__name__}: {exc})") from exc
+    if ring is not None and ring.key != R.key:
+        raise UsageError(f"--ring {ring.label()} does not match the document's ring {R.label()}")
     fails = []
     for t, cert in certs:
         if t in ("strong_clean", "pi_regular") and A is None:
@@ -265,11 +270,13 @@ def _verify_document(doc) -> list[str]:
 
 def cmd_decide(args) -> int:
     if args.verify:
-        doc = _load(args.verify)
-        fails = _verify_document(doc)
+        ring = None if args.ring is None else ring_from_json(_load(args.ring))
+        fails = _verify_document(_load(args.verify), ring)
         out = {"command": "verify", "valid": not fails, "failures": fails}
         _emit(out, args)
         return 0 if not fails else 3
+    if args.ring is None:
+        raise UsageError("the following arguments are required: --ring")
     R = ring_from_json(_load(args.ring))
     pi = args.command == "pi-regular"
     if not pi and args.degree is not None:

@@ -26,7 +26,7 @@ polynomials once and evaluate them at every matrix that shares it.
 Every decider is search, construct, verify: no exhaustive oracle runs on a
 decision path.  The oracles of ``brute`` run only in the two audits, which
 import them where they run, so deciding one matrix loads neither them nor
-numpy.
+the scan kernel.
 """
 
 from __future__ import annotations
@@ -225,6 +225,14 @@ def decide_ring_strongly_clean(
     R: Ring, n: int, budget: int = DEFAULT_BUDGET
 ) -> Decision:
     """Is Mat_n(R) strongly clean?  (Equivalently: every monic degree-n h has a gSRC.)"""
+    if n == 1:
+        return Decision(
+            YES,
+            "gSRC",
+            reason="every stalk is local, so for each a either a or a - 1 is a unit, "
+            "and t - a splits with f0 = t - a or f1 = t - a on every stalk: "
+            "every 1x1 matrix is strongly clean",
+        )
     if R.is_finite:
         total = enumeration_size(R.size, n, budget, "monic polynomials")
         for h in monic_polys(R, n):
@@ -239,14 +247,6 @@ def decide_ring_strongly_clean(
             YES,
             "gSRC",
             details={"instances": total, "certificates_verified": total},
-        )
-    if n == 1:
-        return Decision(
-            YES,
-            "gSRC",
-            reason="every stalk is local, so for each a either a or a - 1 is a unit, "
-            "and t - a splits with f0 = t - a or f1 = t - a on every stalk: "
-            "every 1x1 matrix is strongly clean",
         )
     if n == 2:
         return jclean_quadratic_criterion(R)

@@ -32,8 +32,12 @@ ring's nilpotents by powering on each stalk.  ``radical_membership_definitional`
 ``is_clean_definitional`` and ``is_j_clean_definitional`` classify a finite
 ring from the definitions (1 + a*s a unit for every s; r - e or
 r*e + (1 - e) a unit for some idempotent e), without its stalk structure.
-``table_axiom_failure_numpy`` checks the ring axioms of two operation
-tables as whole-array numpy comparisons and returns the first failure.
+``unindexed_scan`` is the exhaustive strong-cleanness scan over the whole
+ring, vectorized in numpy: it decodes every candidate of a range chunk by
+chunk and tests E^2 = E, EA = AE and det(A - E), with no idempotent index
+and no stalk split.  ``table_axiom_failure_numpy`` checks the ring axioms
+of two operation tables as whole-array numpy comparisons and returns the
+first failure.  Both skip the calling test when numpy is not installed.
 """
 
 from __future__ import annotations
@@ -42,6 +46,8 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
+
+import pytest
 
 from cleanmat.errors import (
     BudgetExceeded,
@@ -563,7 +569,52 @@ def is_j_clean_definitional(R) -> bool:
     )
 
 
-# -- ring axioms of operation tables, vectorized ----------------------------------------
+# -- vectorized numpy references ----------------------------------------------------
+
+
+def unindexed_scan(
+    add, mul, neg, unit, a, n, perms, signs, one, zero, start, stop, chunk=1 << 14
+):
+    """The first enumeration index in [start, stop) whose E certifies A, or -1.
+
+    Takes the arguments of ``cleanmat._kernels.scan_strongly_clean`` (list
+    tables of one ring, A's rows of element indices) and scans the
+    candidates of [start, stop) chunk by chunk, testing E^2 = E, EA = AE and
+    det(A - E) on every one.
+    """
+    np = pytest.importorskip("numpy")
+    add, mul, neg, unit, a = (np.asarray(t) for t in (add, mul, neg, unit, a))
+    m = add.shape[0]
+    nn = n * n
+
+    def matmul(X, Y):
+        C = np.full((X.shape[0], n, n), zero, dtype=np.int64)
+        for k in range(n):
+            C = add[C, mul[X[:, :, k][:, :, None], Y[:, k, :][:, None, :]]]
+        return C
+
+    for base in range(start, stop, chunk):
+        sel = np.arange(base, min(stop, base + chunk), dtype=np.int64)
+        E = np.empty((sel.size, n, n), dtype=np.int64)
+        rem = sel.copy()
+        for pos in range(nn - 1, -1, -1):
+            E[:, pos // n, pos % n] = rem % m
+            rem //= m
+        Ab = np.broadcast_to(a, E.shape)
+        mask = (matmul(E, E) == E).all(axis=(1, 2))
+        mask &= (matmul(E, Ab) == matmul(Ab, E)).all(axis=(1, 2))
+        sel, E = sel[mask], E[mask]
+        U = add[a[None, :, :], neg[E]]
+        dets = np.full(sel.size, zero, dtype=np.int64)
+        for p, sign in zip(perms, signs):
+            prod = np.full(sel.size, one, dtype=np.int64)
+            for i in range(n):
+                prod = mul[prod, U[:, i, p[i]]]
+            dets = add[dets, neg[prod] if sign < 0 else prod]
+        hits = np.nonzero(unit[dets])[0]
+        if hits.size:
+            return int(sel[hits[0]])
+    return -1
 
 
 def table_axiom_failure_numpy(add, mul):
@@ -572,7 +623,7 @@ def table_axiom_failure_numpy(add, mul):
     Axioms are tried in the order ``cleanmat.rings`` checks them; the witness
     of an equational axiom is the first offending index tuple in C order.
     """
-    import numpy as np
+    np = pytest.importorskip("numpy")
 
     A = np.asarray(add, dtype=np.int64)
     M = np.asarray(mul, dtype=np.int64)

@@ -3,7 +3,6 @@ from __future__ import annotations
 import itertools
 import random
 
-import numpy as np
 import pytest
 
 from cleanmat import _kernels, brute
@@ -24,7 +23,12 @@ from cleanmat.rings import build_ring
 from cleanmat.verify import verify_pi_regular, verify_strong_clean
 
 from conftest import CERT_RINGS
-from oracles import drazin_bruteforce, inverse_adjugate, pi_regular_bruteforce
+from oracles import (
+    drazin_bruteforce,
+    inverse_adjugate,
+    pi_regular_bruteforce,
+    unindexed_scan,
+)
 
 
 def test_spec_examples(zmod):
@@ -47,9 +51,14 @@ def test_spec_examples(zmod):
 
 
 def test_budget_and_infinite_ring(zmod, zloc):
-    A = SquareMatrix.identity(zmod(12), 2)
+    A = SquareMatrix.identity(zmod(16), 2)
     with pytest.raises(BudgetExceeded):
         strongly_clean_bruteforce(A, budget=100)
+    # the budget counts the candidates of every stalk: 4^4 + 3^4 over Z/12
+    A = SquareMatrix.identity(zmod(12), 2)
+    assert strongly_clean_bruteforce(A, budget=337) is not None
+    with pytest.raises(BudgetExceeded, match="^337 candidates exceed budget 336$"):
+        strongly_clean_bruteforce(A, budget=336)
     with pytest.raises(InfiniteRing):
         strongly_clean_bruteforce(SquareMatrix.identity(zloc(2), 2))
     with pytest.raises(InfiniteRing):
@@ -238,58 +247,28 @@ def test_encode_ring_tables(zmod):
     R = zmod(6)
     tab = encode_ring(R)
     m = R.size
-    assert tab.add.shape == (m, m) and tab.mul.shape == (m, m)
+    assert len(tab.add) == len(tab.mul) == m
+    assert all(len(row) == m for row in tab.add + tab.mul)
     for i, a in enumerate(tab.elements):
         for j, b in enumerate(tab.elements):
-            assert tab.elements[tab.add[i, j]] == a + b
-            assert tab.elements[tab.mul[i, j]] == a * b
+            assert tab.elements[tab.add[i][j]] == a + b
+            assert tab.elements[tab.mul[i][j]] == a * b
         assert tab.elements[tab.neg[i]] == -a
         assert tab.unit[i] == R.is_unit(a)
-    assert np.count_nonzero(tab.unit) == 2  # 1 and 5
+    assert sum(tab.unit) == 2  # 1 and 5
 
 
 # -- the idempotent index -------------------------------------------------------------
 
 
-def _unindexed_scan(
-    add, mul, neg, unit, a, n, perms, signs, one, zero, start, stop, chunk=1 << 14
-):
-    """Oracle: the scan without an index, which decodes every candidate of
-    [start, stop) chunk by chunk and tests E^2 = E, EA = AE and det(A - E)."""
-    m = add.shape[0]
-    nn = n * n
-
-    def matmul(X, Y):
-        C = np.full((X.shape[0], n, n), zero, dtype=np.int64)
-        for k in range(n):
-            C = add[C, mul[X[:, :, k][:, :, None], Y[:, k, :][:, None, :]]]
-        return C
-
-    for base in range(start, stop, chunk):
-        sel = np.arange(base, min(stop, base + chunk), dtype=np.int64)
-        E = np.empty((sel.size, n, n), dtype=np.int64)
-        rem = sel.copy()
-        for pos in range(nn - 1, -1, -1):
-            E[:, pos // n, pos % n] = rem % m
-            rem //= m
-        Ab = np.broadcast_to(a, E.shape)
-        mask = (matmul(E, E) == E).all(axis=(1, 2))
-        mask &= (matmul(E, Ab) == matmul(Ab, E)).all(axis=(1, 2))
-        sel, E = sel[mask], E[mask]
-        U = add[a[None, :, :], neg[E]]
-        dets = np.full(sel.size, zero, dtype=np.int64)
-        for p, sign in zip(perms, signs):
-            prod = np.full(sel.size, one, dtype=np.int64)
-            for i in range(n):
-                prod = mul[prod, U[:, i, p[i]]]
-            dets = add[dets, neg[prod] if sign < 0 else prod]
-        hits = np.nonzero(unit[dets])[0]
-        if hits.size:
-            return int(sel[hits[0]])
-    return -1
+def _scan_args(tab, A):
+    """The scan kernel's arguments before start and stop, for A over tab's ring."""
+    perms, signs = _kernels.permutation_table(A.n)
+    a = encode_matrix(tab, A)
+    return tab.add, tab.mul, tab.neg, tab.unit, a, A.n, perms, signs, tab.one, tab.zero
 
 
-def _check_index(R, matrices, ranges=None, chunk=1 << 14, warm=None):
+def _check_index(R, matrices, ranges=None, warm=None):
     """Indexed scans, cold and warm, give the oracle's first hit.
 
     ``ranges(total, hit)`` lists extra [start, stop) ranges for a matrix;
@@ -297,33 +276,29 @@ def _check_index(R, matrices, ranges=None, chunk=1 << 14, warm=None):
     """
     tab = encode_ring(R)
     n = matrices[0].n
-    perms, signs = _kernels.permutation_table(n)
     total = R.size ** (n * n)
     warm = {} if warm is None else warm
     jobs = []
     for A in matrices:
-        a = encode_matrix(tab, A)
-        args = (tab.add, tab.mul, tab.neg, tab.unit, a, n, perms, signs, tab.one, tab.zero)
-        hit = _unindexed_scan(*args, 0, total, chunk=chunk)
+        args = _scan_args(tab, A)
+        hit = unindexed_scan(*args, 0, total)
         spans = [(0, total)] + (ranges(total, hit) if ranges else [])
         for start, stop in spans:
-            want = _unindexed_scan(*args, start, stop, chunk=chunk)
-            jobs.append((args, start, stop, want))
+            jobs.append((args, start, stop, unindexed_scan(*args, start, stop)))
 
     def scan(args, start, stop, index):
-        return _kernels.scan_strongly_clean(
-            *args, start, stop, chunk=chunk, idempotents=index
-        )
+        return _kernels.scan_strongly_clean(*args, start, stop, idempotents=index)
 
     for args, start, stop, want in jobs:
         assert scan(args, start, stop, {}) == want  # cold
         assert scan(args, start, stop, warm) == want  # warming up
-    built = dict(warm)
+    built = {key: (list(found), more) for key, (found, more) in warm.items()}
     for args, start, stop, want in jobs:
         assert scan(args, start, stop, warm) == want  # warm
-    # the warm pass read the index and built no entry again
+    # the warm pass read the index and grew it by no entry
     assert warm.keys() == built.keys()
-    assert all(warm[k] is built[k] for k in built)
+    for key, (found, more) in warm.items():
+        assert found == built[key][0] and more is built[key][1]
     return warm
 
 
@@ -350,9 +325,10 @@ def test_index_matches_unindexed_scan_on_seeded_matrices(zmod, f4_ring, dual_rin
         _check_index(R, mats)
 
 
-def test_index_on_sub_ranges_and_small_chunks(zmod, dual_ring):
-    # a chunk of 100 puts many chunk boundaries inside each scan, so starts
-    # fall mid-chunk and stops fall before, at and after the first hit
+def test_index_on_sub_ranges_past_its_frontier(zmod, dual_ring):
+    # the index grows only as far as a scan reaches, so these ranges start
+    # and stop before, inside and past the part built so far, and stop
+    # before, at and after the first hit
     rng = random.Random(99)
 
     def ranges(total, hit):
@@ -369,12 +345,11 @@ def test_index_on_sub_ranges_and_small_chunks(zmod, dual_ring):
             SquareMatrix(R, [[R.random_element(rng) for _ in range(n)] for _ in range(n)])
             for _ in range(6)
         ] + [SquareMatrix.identity(R, n), SquareMatrix.zeros(R, n)]
-        for chunk in (100, 1 << 14):
-            _check_index(R, mats, ranges, chunk=chunk)
+        _check_index(R, mats, ranges)
 
 
 def test_one_index_serves_every_matrix_size(zmod):
-    # with a chunk of 10, chunks of different sizes n share their bounds
+    # one dict holds an index per matrix size, each grown by its own scans
     rng = random.Random(5)
     for R in (zmod(2), zmod(3)):
         index = {}
@@ -383,36 +358,95 @@ def test_one_index_serves_every_matrix_size(zmod):
                 SquareMatrix(R, [[R.random_element(rng) for _ in range(n)] for _ in range(n)])
                 for _ in range(4)
             ]
-            _check_index(R, mats, chunk=10, warm=index)
-        assert {key[0] for key in index} == {1, 2, 3}
+            _check_index(R, mats, warm=index)
+        assert set(index) == {1, 2, 3}
 
 
 def test_index_holds_exactly_the_idempotents(zmod):
-    chunk = 1000
     for R, n, count in (
         (zmod(8), 2, 98), (zmod(9), 2, 110), (zmod(12), 2, 364), (zmod(16), 2, 386),
         (zmod(2), 3, 58), (zmod(3), 3, 236),
     ):
         tab = encode_ring(R)
         total = R.size ** (n * n)
-        indices = []
-        for lo in range(0, total, chunk):
-            sel, E = _kernels._chunk_idempotents(
-                tab.add, tab.mul, tab.zero, n, lo, min(total, lo + chunk)
-            )
-            assert [decode_matrix(tab, int(i), n) for i in sel] == [
-                SquareMatrix(R, [[tab.elements[x] for x in row] for row in e])
-                for e in E
-            ]
-            indices += sel.tolist()
-        assert len(indices) == count
+        index = list(_kernels._idempotents(tab.add, tab.mul, tab.zero, n))
+        assert [decode_matrix(tab, k, n) for k, _ in index] == [
+            SquareMatrix(R, [[tab.elements[x] for x in row] for row in e]) for _, e in index
+        ]
+        assert len(index) == count
         if total <= 20736:
             idempotents = []
             for i in range(total):
                 M = decode_matrix(tab, i, n)
                 if M @ M == M:
                     idempotents.append(i)
-            assert indices == idempotents
+            assert [k for k, _ in index] == idempotents
+
+
+def test_a_scan_grows_the_index_only_to_its_hit(zmod, f2xf2_ring):
+    """A cold scan stops the index at its hit; a scan whose hit is indexed
+    grows it by no entry.  Checked on each stalk ring's index as
+    ``strongly_clean_bruteforce`` keeps it (F2 x F2's two stalks share one)."""
+    grown = 0
+    for R, n in ((zmod(16), 2), (zmod(12), 2), (f2xf2_ring, 2), (zmod(3), 3)):
+        tabs = [encode_ring(R.stalk_ring(i)) for i in range(R.num_stalks)]
+        for tab in tabs:
+            tab.idempotents.clear()
+
+        def sizes():
+            return [len(tab.idempotents[n][0]) if n in tab.idempotents else 0 for tab in tabs]
+
+        for h in monic_polys(R, n):
+            A = companion(h)
+            before = sizes()
+            cert = strongly_clean_bruteforce(A)
+            after = sizes()
+            reached = {}
+            for i, tab in enumerate(tabs):
+                E = tuple(map(tuple, encode_matrix(tab, cert.E.restrict(i))))
+                hit = [e for _, e in tab.idempotents[n][0]].index(E)
+                reached[id(tab)] = max(reached.get(id(tab), 0), hit + 1)
+            for i, tab in enumerate(tabs):
+                assert after[i] == max(before[i], reached[id(tab)]), (R.label(), h, i)
+            grown += after != before
+            assert strongly_clean_bruteforce(A) == cert
+            assert sizes() == after
+    assert grown > 0
+
+
+def test_scan_matches_the_whole_ring_reference(zmod):
+    """Per-stalk scans against the unindexed scan of the whole ring.
+
+    On every companion of degree <= 2 over the finite rings of CERT_RINGS,
+    and of degree 3 over Z/2 and Z/3, a certificate exists iff the
+    reference finds one.  On a single-stalk ring E is the reference's first
+    hit; on a multi-stalk ring each E.restrict(i) is the first hit of the
+    reference over that stalk ring.
+    """
+    cases = [(R, d) for R in _finite_cert_rings() for d in (1, 2)]
+    cases += [(zmod(2), 3), (zmod(3), 3)]
+
+    def reference(tab, A):
+        # small chunks: most first hits come early in the enumeration
+        return unindexed_scan(*_scan_args(tab, A), 0, len(tab.elements) ** (d * d), chunk=1 << 12)
+
+    checked = 0
+    for R, d in cases:
+        tab = encode_ring(R)
+        for h in monic_polys(R, d):
+            A = companion(h)
+            cert = strongly_clean_bruteforce(A)
+            want = reference(tab, A)
+            assert (cert is None) == (want < 0), (R.label(), h)
+            if R.num_stalks == 1:
+                assert cert.E == decode_matrix(tab, want, d), (R.label(), h)
+            else:
+                for i in range(R.num_stalks):
+                    st = encode_ring(R.stalk_ring(i))
+                    hit = reference(st, A.restrict(i))
+                    assert cert.E.restrict(i) == decode_matrix(st, hit, d), (R.label(), h, i)
+            checked += 1
+    assert checked == (12 + 144) + (16 + 256) + 3 * (4 + 16) + 8 + 27
 
 
 def test_permutation_table_is_built_once_per_size_and_read_only():
@@ -420,10 +454,12 @@ def test_permutation_table_is_built_once_per_size_and_read_only():
         perms, signs = _kernels.permutation_table(n)
         again = _kernels.permutation_table(n)
         assert again[0] is perms and again[1] is signs
-        assert not perms.flags.writeable and not signs.flags.writeable
-        with pytest.raises(ValueError):
-            perms[0, 0] = 1
-        assert sorted(map(tuple, perms.tolist())) == sorted(itertools.permutations(range(n)))
-        # the sign of a permutation is the determinant of its permutation matrix
-        for p, s in zip(perms.tolist(), signs.tolist()):
-            assert s == round(np.linalg.det(np.eye(n)[p]))
+        assert isinstance(perms, tuple) and isinstance(signs, tuple)
+        assert all(isinstance(p, tuple) for p in perms)
+        with pytest.raises(TypeError):
+            perms[0] = perms[-1]
+        assert sorted(perms) == sorted(itertools.permutations(range(n)))
+        # the sign of a permutation is -1 to the number of its inversions
+        for p, s in zip(perms, signs):
+            inversions = sum(p[i] > p[j] for i, j in itertools.combinations(range(n), 2))
+            assert s == (-1) ** inversions

@@ -176,6 +176,26 @@ def test_verify_roundtrip_pi_regular(capsys, tmp_path):
     assert code == 0 and json.loads(vout)["valid"] is True
 
 
+def test_verify_reads_the_ring_from_its_document(capsys, tmp_path):
+    """--ring is optional under --verify; given, it must name the document's ring."""
+    z6 = '{"type":"zmod","n":6}'
+    valid = {"command": "verify", "failures": [], "valid": True}
+    for command in ("decide", "pi-regular"):
+        _, out, _ = run(capsys, command, "--ring", z6, "--poly", "[2,3,1]", "--companion")
+        p = tmp_path / f"{command}.json"
+        p.write_text(out)
+        for ring in ([], ["--ring", z6], ["--ring", '{"n":6,"type":"zmod"}']):
+            code, vout, err = run(capsys, command, *ring, "--verify", f"@{p}")
+            assert (code, json.loads(vout), err) == (0, valid, ""), ring
+        code, vout, err = run(capsys, command, "--ring", '{"type":"zmod","n":12}', "--verify", f"@{p}")
+        assert (code, vout) == (1, "")
+        assert err == "error: --ring Z/12 does not match the document's ring Z/6\n"
+        # without --verify the ring is still required
+        code, vout, err = run(capsys, command, "--poly", "[2,3,1]", "--companion")
+        assert (code, vout) == (1, "")
+        assert err == "error: the following arguments are required: --ring\n"
+
+
 def test_pi_regular_over_f4_answers_from_gsp_alone(capsys, tmp_path):
     # t^10 + 1 over F4: an exhaustive table solve would face 4^10 candidate
     # vectors, while the gSP certificate is built and verified directly
@@ -313,7 +333,8 @@ def _python(*argv, timeout=10):
 
 
 def test_numpy_loads_only_for_the_exhaustive_scan():
-    """ring and a companion decide run without numpy; the audit's scan loads it."""
+    """No command loads numpy, the exhaustive scan included; the scan kernel
+    loads only for the audit."""
     code = textwrap.dedent(
         """
         import contextlib, io, sys
@@ -324,10 +345,11 @@ def test_numpy_loads_only_for_the_exhaustive_scan():
         with contextlib.redirect_stdout(out):
             assert main(["ring", "--ring", z6]) == 0
             assert main(["decide", "--ring", z6, "--poly", "[2,3,1]", "--companion"]) == 0
-        assert "numpy" not in sys.modules, "numpy loaded without a scan"
+        assert "cleanmat._kernels" not in sys.modules, "the kernel loaded without a scan"
         with contextlib.redirect_stdout(out):
             assert main(["audit", "--ring", z6, "--degree", "2"]) == 0
-        assert "numpy" in sys.modules, "the audit's scan did not load numpy"
+        assert "cleanmat._kernels" in sys.modules, "the audit did not run the scan"
+        assert "numpy" not in sys.modules, "a command loaded numpy"
         print("ok")
         """
     )
@@ -343,11 +365,16 @@ def test_large_zmod_rings_do_not_hang():
         assert res.returncode == 0, res.stderr
         doc = json.loads(res.stdout)
         assert doc["size"] == n and doc["classification"]["is_local"] is True
-    res = _python(
-        "-m", "cleanmat.cli", "decide", "--ring", '{"type":"zmod","n":1000000007}', "--degree", "1"
-    )
+    big = ["-m", "cleanmat.cli", "decide", "--ring", '{"type":"zmod","n":1000000007}']
+    res = _python(*big, "--degree", "2")
     assert res.returncode == 1 and res.stdout == ""
-    assert res.stderr == "error: 1000000007 monic polynomials exceed budget 1000000\n"
+    assert res.stderr == "error: 1000000007^2 monic polynomials exceed budget 1000000\n"
+    # every 1x1 matrix over a clean ring is strongly clean: nothing to enumerate
+    res = _python(*big, "--degree", "1")
+    assert (res.returncode, res.stderr) == (0, "")
+    decision = json.loads(res.stdout)["decision"]
+    assert (decision["verdict"], decision["route"]) == ("yes", "gSRC")
+    assert "details" not in decision and "either a or a - 1 is a unit" in decision["reason"]
 
 
 @pytest.mark.parametrize(

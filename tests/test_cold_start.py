@@ -108,8 +108,9 @@ def test_only_z5_example_loads_quadz5(loaded):
 
 
 def test_numpy_loads_only_for_the_scan(loaded):
-    assert [name for name, rec in loaded.items() if rec["numpy"]] == ["audit"]
-    assert "_kernels" in loaded["audit"]["modules"]
+    """No command loads numpy; the scan kernel loads only for the audit's scan."""
+    assert [name for name, rec in loaded.items() if rec["numpy"]] == []
+    assert [name for name, rec in loaded.items() if "_kernels" in rec["modules"]] == ["audit"]
 
 
 def test_building_table_rings_loads_no_numpy():

@@ -33,6 +33,9 @@ small: at import time ``__init__.py``, ``cli.py`` and ``serialize.py``
 import only the standard library and ``errors``, ``stalks``, ``rings`` and
 ``serialize``; everything else is imported inside the function that runs it.
 
+The package has no third-party runtime dependency: no module imports
+numpy, at any level, and ``pyproject.toml`` lists no dependency.
+
 The benchmark harness under ``perfbench/`` is frozen: it calls the package
 by name, so the names, parameters and methods it uses must keep existing.
 """
@@ -44,6 +47,8 @@ import importlib
 import inspect
 import sys
 from pathlib import Path
+
+import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "cleanmat"
 
@@ -346,6 +351,42 @@ def test_the_guard_sees_an_import_time_import(tmp_path):
         encoding="utf-8",
     )
     assert _outside_cold_start_layer(bad) == [".decide", ".factor", ".quadz5", "numpy"]
+
+
+def _imported_roots(path: Path) -> set[str]:
+    """Top-level names of every absolute import in ``path``, at any level."""
+    roots = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            roots.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            roots.add(node.module.split(".")[0])
+    return roots
+
+
+def test_no_module_imports_numpy():
+    offenders = [p.name for p in sorted(SRC.glob("*.py")) if "numpy" in _imported_roots(p)]
+    assert offenders == []
+
+
+def test_the_guard_sees_numpy_in_a_function_body(tmp_path):
+    bad = tmp_path / "bad.py"
+    bad.write_text(
+        "from typing import TYPE_CHECKING\n"
+        "if TYPE_CHECKING:\n"
+        "    import numpy.typing\n"
+        "def f():\n"
+        "    from numpy import array\n",
+        encoding="utf-8",
+    )
+    assert _imported_roots(bad) == {"typing", "numpy"}
+
+
+def test_pyproject_lists_no_runtime_dependency():
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = SRC.parents[1] / "pyproject.toml"
+    project = tomllib.loads(pyproject.read_text(encoding="utf-8"))["project"]
+    assert project.get("dependencies", []) == []
 
 
 # module -> the names ``perfbench/`` calls in it
