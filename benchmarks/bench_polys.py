@@ -9,7 +9,8 @@ The table gives the per-call microseconds of ``h * g``,
 ``factor.comaximality(g, h)`` (a Sylvester matrix of size
 deg g + deg h), ``factor.gsrc_search(h, R)``, ``verify.verify_gsrc`` of the
 certificates that search found (over Z_(p) some h have none, so that column
-averages over fewer inputs) and ``factor.gsp_search(h, R)``, as the best of
+averages over fewer inputs), ``factor.gsp_search(h, R)`` and
+``verify.verify_gsp`` of the certificates it found, as the best of
 10 passes over the inputs, each pass scaled to nominal machine speed by
 ``perfbench/pace.py``'s reference loop (``paced.best``).  The two searches
 keep each finite stalk's answer in their per-stalk memo, so their best pass
@@ -34,7 +35,7 @@ sys.path.insert(0, str(ROOT / "perfbench"))
 from cleanmat.factor import comaximality, gsp_search, gsrc_search  # noqa: E402
 from cleanmat.polys import Poly, monic_divide  # noqa: E402
 from cleanmat.rings import build_ring  # noqa: E402
-from cleanmat.verify import verify_gsrc  # noqa: E402
+from cleanmat.verify import verify_gsp, verify_gsrc  # noqa: E402
 from paced import best  # noqa: E402
 from workloads import FUZZ_RINGS  # noqa: E402
 
@@ -69,7 +70,7 @@ def per_call_us(fn, args):
 def main():
     ops = [
         "h * g", "monic_divide", "translate", "h(x)", "comaximality", "gsrc_search",
-        "verify_gsrc", "gsp_search",
+        "verify_gsrc", "gsp_search", "verify_gsp",
     ]
     print(
         f"per-call microseconds at nominal speed, best of {PASSES} passes "
@@ -82,6 +83,8 @@ def main():
         inp = inputs(R)
         found = [(h, gsrc_search(h, R, "SRC")) for h, _, _, _ in inp]
         certs = [(h, res.certificate) for h, res in found if res.found]
+        found_sp = [(h, gsp_search(h, R)) for h, _, _, _ in inp]
+        certs_sp = [(h, res.certificate) for h, res in found_sp if res.found]
         times = [
             per_call_us(lambda h, g: h * g, [(h, g) for h, g, _, _ in inp]),
             per_call_us(monic_divide, [(h, g) for h, g, _, _ in inp]),
@@ -91,6 +94,7 @@ def main():
             per_call_us(lambda h: gsrc_search(h, R, "SRC"), [(h,) for h, _, _, _ in inp]),
             per_call_us(lambda h, c: verify_gsrc(h, R, c), certs),
             per_call_us(lambda h: gsp_search(h, R), [(h,) for h, _, _, _ in inp]),
+            per_call_us(lambda h, c: verify_gsp(h, R, c), certs_sp),
         ]
         totals = [a + b for a, b in zip(totals, times)]
         print(f"{k:>2} {R.label():>16} " + " ".join(f"{t:>13.1f}" for t in times))

@@ -9,9 +9,11 @@ The scan runs stalk by stalk, as the Pierce sheaf allows: A is strongly
 clean iff each restriction A_i over the stalk ring S_i is, and the
 per-stalk pairs (E_i, U_i) glue entry by entry into one pair over R.  Each
 stalk ring is encoded as Python lists of element indices (add, mul, neg
-and unit tables) and handed to the pure-Python scan in ``_kernels``;
-enumeration order is the canonical element order, so results are
-deterministic.  ``_kernels`` is imported by the function that runs it.
+and unit tables, filled from the stalk's raw values; a ring of several
+stalks glues its stalks' tables in mixed radix) and handed to the
+pure-Python scan in ``_kernels``; enumeration order is the canonical
+element order, so results are deterministic.  ``_kernels`` is imported by
+the function that runs it.
 
 Each stalk ring's ``RingTable`` is encoded once and cached, and it also
 holds the scan's idempotent index: for each matrix size n, the candidates
@@ -66,17 +68,33 @@ def encode_ring(R: Ring) -> RingTable:
         raise UnsupportedSize(f"|R| = {R.size} exceeds the {ENCODE_CAP} encode cap")
     if R.key in _TABLE_CACHE:
         return _TABLE_CACHE[R.key]
+    add, mul, neg, unit = _stalk_tables(R.stalks[0])
+    for s in R.stalks[1:]:
+        # elements run in mixed radix, the first stalk most significant
+        add2, mul2, neg2, unit2 = _stalk_tables(s)
+        m = len(neg2)
+        add = [[x * m + y for x in ra for y in rb] for ra in add for rb in add2]
+        mul = [[x * m + y for x in ra for y in rb] for ra in mul for rb in mul2]
+        neg = [x * m + y for x in neg for y in neg2]
+        unit = [a and b for a in unit for b in unit2]
     elems = list(R.elements())
     index = {e: i for i, e in enumerate(elems)}
-    tab = RingTable(
-        R, elems, index,
-        [[index[a + b] for b in elems] for a in elems],
-        [[index[a * b] for b in elems] for a in elems],
-        [index[-a] for a in elems], [R.is_unit(a) for a in elems],
-        index[R.zero], index[R.one],
-    )
+    tab = RingTable(R, elems, index, add, mul, neg, unit, index[R.zero], index[R.one])
     _TABLE_CACHE[R.key] = tab
     return tab
+
+
+def _stalk_tables(s) -> tuple:
+    """Stalk s's add, mul, neg and unit tables on its element indices, from raw values."""
+    values = list(s.elements())
+    index = {v: i for i, v in enumerate(values)}
+    add, mul = s.add, s.mul
+    return (
+        [[index[add(a, b)] for b in values] for a in values],
+        [[index[mul(a, b)] for b in values] for a in values],
+        [index[s.neg(a)] for a in values],
+        [s.is_unit(a) for a in values],
+    )
 
 
 def encode_matrix(tab: RingTable, A: SquareMatrix) -> list[list[int]]:

@@ -66,7 +66,7 @@ from fractions import Fraction
 
 from .errors import VerificationFailed
 from .matrices import sylvester_solve
-from .polys import Poly, certificate_parts, monic_divide, raw_product
+from .polys import Poly, certificate_parts, monic_divide, raw_product, trimmed_poly
 from .rings import Element, Ring, block_ring
 from .stalks import ZLocStalk
 
@@ -539,18 +539,20 @@ def _raw_parts(cert, k: int = 0) -> tuple:
 
 
 def _glue_src_block(R: Ring, support: tuple[int, ...], raws) -> SRCCertificate:
+    """One SR(C) block's certificate from its stalks' raw parts, already trimmed."""
     B = block_ring(R, support)
     f0s, f1s, us, vs = zip(*raws)
-    f0, f1 = Poly.from_parts(B, f0s), Poly.from_parts(B, f1s)
+    f0, f1 = trimmed_poly(B, f0s), trimmed_poly(B, f1s)
     if None in us:
         return SRCCertificate(f0, f1, None, None, "SR")
-    return SRCCertificate(f0, f1, Poly.from_parts(B, us), Poly.from_parts(B, vs), "SRC")
+    return SRCCertificate(f0, f1, trimmed_poly(B, us), trimmed_poly(B, vs), "SRC")
 
 
 def _glue_sp_block(R: Ring, support: tuple[int, ...], raws) -> SPCertificate:
+    """One SP block's certificate from its stalks' raw parts, already trimmed."""
     B = block_ring(R, support)
     h0s, p0s = zip(*raws)
-    return SPCertificate(Poly.from_parts(B, h0s), Poly.from_parts(B, p0s))
+    return SPCertificate(trimmed_poly(B, h0s), trimmed_poly(B, p0s))
 
 
 def _assemble_global(R: Ring, choices, glue) -> list[Block]:

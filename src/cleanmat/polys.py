@@ -15,7 +15,7 @@ degrees.
 ``coeff(i)`` box Elements on demand, for serializing and printing.  Every
 operation (``+ - neg *``, ``translate``, evaluation and ``monic_divide``)
 runs one raw kernel per stalk with that stalk's own
-``add``/``sub``/``neg``/``dot``/``submul``, and ``restrict``, ``on_block`` and
+``add``/``sub``/``neg``/``dot``/``submul``, and ``restrict`` and
 ``glue_polys`` select parts.  A product coefficient is one ``dot``, and a
 step of division, translation or evaluation is one
 ``submul(x, c, y) = x - c*y``, so each result is reduced once.  Division by
@@ -23,18 +23,21 @@ a monic divisor is exact over any commutative ring.  The unit tests
 ``unit_at_zero`` and ``unit_at_one`` read each stalk's constant coefficient
 and coefficient sum, with no evaluation.
 
-Two raw kernels are public.  ``certificate_parts`` builds, from one
+Three raw kernels are public.  ``certificate_parts`` builds, from one
 stalk's split h = f0*f1 and Bezout cofactor u, the stalk's certificate
 polynomials (e, w) of a strongly clean pair, or x of a Drazin inverse, with
-``_raw_mul``, ``_raw_divide`` and ``submul``.  ``raw_product`` is
-``_raw_mul`` itself, the stalk product behind ``*``, for callers that hold
-raw stalk values.
+``_raw_mul``, ``_raw_divide`` and ``submul``.  ``raw_product`` and
+``raw_sum`` are ``_raw_mul`` and ``_raw_add`` themselves, the stalk product
+and sum behind ``*`` and ``+``, for callers that hold raw stalk values, such
+as the verifiers' leaf checks.  ``trimmed_poly`` is the constructor every
+operation ends in: ``Poly.from_parts`` without its trim, for parts taken
+from existing polynomials.
 """
 
 from __future__ import annotations
 
 from .errors import NonMonicDivisor, RingMismatch, VerificationFailed
-from .rings import Element, Ring, block_ring
+from .rings import Element, Ring
 
 
 class Poly:
@@ -194,10 +197,6 @@ class Poly:
     def restrict(self, i: int) -> "Poly":
         return _poly(self.ring.stalk_ring(i), [self.parts[i]])
 
-    def on_block(self, indices) -> "Poly":
-        indices = tuple(indices)
-        return _poly(block_ring(self.ring, indices), [self.parts[i] for i in indices])
-
 
 def _poly(ring: Ring, parts) -> Poly:
     """The polynomial whose state is ``parts``, already trimmed per stalk."""
@@ -205,6 +204,10 @@ def _poly(ring: Ring, parts) -> Poly:
     p.ring = ring
     p.parts = tuple(parts)
     return p
+
+
+# ``Poly.from_parts`` without its trim, for parts taken from existing polynomials
+trimmed_poly = _poly
 
 
 # -- raw per-stalk kernels -----------------------------------------------------------
@@ -263,8 +266,9 @@ def _raw_mul(s, a, b) -> tuple:
     return _trim(s, out)
 
 
-# one stalk's product a*b of raw, trimmed coefficient tuples, trimmed
+# one stalk's product a*b and sum a+b of raw, trimmed coefficient tuples, trimmed
 raw_product = _raw_mul
+raw_sum = _raw_add
 
 
 def _raw_translate(s, a, c) -> tuple:

@@ -1,16 +1,22 @@
 """Independent re-verification of every certificate kind.
 
-These checks use only ring primitives (multiplication and unit tests) and
-never consult the search code, so a certificate accepted here is evidence
-on its own.  Each verifier returns a list of failure strings; empty means
-valid.
+These checks use only stalk primitives, the raw polynomial kernels of
+``polys`` and the public matrix operations, never the search code, so a
+certificate accepted here is evidence on its own.  Each verifier returns a
+list of failure strings; empty means valid.
 
-The polynomial certificates are checked on raw stalk values: f(0) is a
-unit when every stalk's constant coefficient is, and f(1) when every
-stalk's coefficient sum is.  A gSRC/gSP block is a set of stalks, so the
-blocks are checked on their supports: the supports must partition the
-stalks and each block idempotent must equal the indicator of its support,
-which together make the idempotents a complete orthogonal set.
+A polynomial certificate is checked stalk by stalk on raw ``parts``.  A
+gSRC/gSP certificate's blocks number at most deg(h)+1, their supports
+partition the stalks and each idempotent is its support's indicator, which
+makes the idempotents a complete orthogonal set; then one leaf check per
+block walks the stalks of its block ring against h's parts there.
+``verify_src`` and ``verify_sp`` are that leaf on h's own ring.  It tests a
+split f0*f1 (h0*p0 for SP) in one pass: both factors monic, their
+``raw_product`` equal to h, f0(0) a unit by its constant coefficient, f1(1)
+by its coefficient sum, and u*f0 + v*f1 = 1 by ``raw_product`` and
+``raw_sum``; then the kind, or p0's nilpotent lower coefficients.
+Polynomials a check combines must share a ring, or ``RingMismatch`` is
+raised; a product over a ring other than the block's is not h, nor a sum 1.
 
 The matrix certificates are checked with the public matrix operations
 ``@``, ``+``, ``**`` and ``==``: E^2 = E, E + U = A, EU = UE and
@@ -23,7 +29,7 @@ produced the certificate.
 
 from __future__ import annotations
 
-from .errors import VerificationFailed
+from .errors import RingMismatch, VerificationFailed
 from .factor import (
     Block,
     GSPCertificate,
@@ -32,57 +38,80 @@ from .factor import (
     SRCCertificate,
 )
 from .matrices import PiRegularCertificate, SquareMatrix, StrongCleanCertificate
-from .polys import Poly
-from .rings import Ring
+from .polys import Poly, raw_product, raw_sum
+from .rings import Ring, block_ring
 
 
-def verify_src(h: Poly, cert: SRCCertificate) -> list[str]:
-    R = h.ring
-    fails = []
-    if not cert.f0.is_monic or not cert.f1.is_monic:
-        fails.append("factors are not monic")
-    if cert.f0 * cert.f1 != h:
-        fails.append("f0 * f1 != h")
-    if not cert.f0.unit_at_zero:
-        fails.append("f0(0) is not a unit")
-    if not cert.f1.unit_at_one:
-        fails.append("f1(1) is not a unit")
-    if cert.kind not in ("SR", "SRC"):
-        fails.append(f"unknown certificate kind {cert.kind!r}")
-    elif cert.kind == "SRC":
-        if cert.bezout_u is None or cert.bezout_v is None:
-            fails.append("SRC certificate lacks a Bezout pair")
-        elif cert.bezout_u * cert.f0 + cert.bezout_v * cert.f1 != Poly.one(R):
-            fails.append("Bezout identity u*f0 + v*f1 = 1 fails")
+def _split(B: Ring, hs, f0: Poly, f1: Poly, *pair: Poly) -> tuple[bool, ...]:
+    """(monic, f0*f1 = h, f0(0) unit, f1(1) unit, u*f0 + v*f1 = 1) of a block.
+
+    ``hs`` are h's parts on the stalks of the block ring B and ``pair`` is
+    (u, v) or empty; one pass walks the stalks of the ring K they share.
+    The SP leaf reads the first three.
+    """
+    K = f0.ring
+    for p in (f1, *pair):
+        if p.ring is not K and p.ring.key != K.key:
+            raise RingMismatch("polynomials over different rings")
+    on_B = K is B or K.key == B.key
+    n0, n1 = len(f0.parts[0]), len(f1.parts[0])
+    monic, product, unit0, unit1, bezout = n0 > 0 and n1 > 0, on_B, True, True, on_B
+    for k, s in enumerate(K.stalks):
+        a, b, one = f0.parts[k], f1.parts[k], s.one
+        monic = monic and len(a) == n0 and len(b) == n1 and a[-1] == one and b[-1] == one
+        product = product and raw_product(s, a, b) == hs[k]
+        unit0 = unit0 and bool(a) and s.is_unit(a[0])
+        unit1 = unit1 and s.is_unit(s.sum(b))
+        if pair and bezout:
+            ua, vb = raw_product(s, pair[0].parts[k], a), raw_product(s, pair[1].parts[k], b)
+            bezout = raw_sum(s, ua, vb) == (one,)
+    return monic, product, unit0, unit1, bezout
+
+
+def _src_leaf(B: Ring, hs, cert: SRCCertificate) -> list[str]:
+    kind, u, v = cert.kind, cert.bezout_u, cert.bezout_v
+    pair = (u, v) if kind == "SRC" and u is not None and v is not None else ()
+    monic, product, unit0, unit1, bezout = _split(B, hs, cert.f0, cert.f1, *pair)
+    checks = (
+        ("factors are not monic", monic),
+        ("f0 * f1 != h", product),
+        ("f0(0) is not a unit", unit0),
+        ("f1(1) is not a unit", unit1),
+    )
+    fails = [msg for msg, ok in checks if not ok]
+    if kind not in ("SR", "SRC"):
+        fails.append(f"unknown certificate kind {kind!r}")
+    elif kind == "SRC" and not pair:
+        fails.append("SRC certificate lacks a Bezout pair")
+    elif pair and not bezout:
+        fails.append("Bezout identity u*f0 + v*f1 = 1 fails")
     return fails
 
 
-def verify_sp(h: Poly, cert: SPCertificate) -> list[str]:
-    R = h.ring
-    fails = []
-    if not cert.h0.is_monic or not cert.p0.is_monic:
-        fails.append("factors are not monic")
-    if cert.h0 * cert.p0 != h:
-        fails.append("h0 * p0 != h")
-    if not cert.h0.unit_at_zero:
-        fails.append("h0(0) is not a unit")
-    d = cert.p0.degree
-    for i in range(d):
+def _sp_leaf(B: Ring, hs, cert: SPCertificate) -> list[str]:
+    monic, product, unit0, _, _ = _split(B, hs, cert.h0, cert.p0)
+    checks = (
+        ("factors are not monic", monic),
+        ("h0 * p0 != h", product),
+        ("h0(0) is not a unit", unit0),
+    )
+    fails = [msg for msg, ok in checks if not ok]
+    for i in range(cert.p0.degree):
         # a stalk shorter than i + 1 has coefficient 0 there, which is nilpotent
-        if not all(
-            i >= len(p) or s.is_nilpotent(p[i]) for s, p in zip(R.stalks, cert.p0.parts)
-        ):
+        if not all(i >= len(p) or s.is_nilpotent(p[i]) for s, p in zip(B.stalks, cert.p0.parts)):
             fails.append(f"p0 coefficient {i} is not nilpotent")
     return fails
 
 
-def _verify_blocks(h: Poly, R: Ring, blocks: list[Block], leaf) -> list[str]:
-    """Blocks partition the stalks, each idempotent is its support's indicator.
+def verify_src(h: Poly, cert: SRCCertificate) -> list[str]:
+    return _src_leaf(h.ring, h.parts, cert)
 
-    Those two facts make the idempotents a complete orthogonal set, so both
-    are checked on raw stalk values; then each block's certificate is
-    checked over its block ring.
-    """
+
+def verify_sp(h: Poly, cert: SPCertificate) -> list[str]:
+    return _sp_leaf(h.ring, h.parts, cert)
+
+
+def _verify_blocks(h: Poly, R: Ring, blocks: list[Block], leaf) -> list[str]:
     fails = []
     if len(blocks) > h.degree + 1:
         fails.append(f"{len(blocks)} blocks exceed the deg(h)+1 bound")
@@ -95,17 +124,18 @@ def _verify_blocks(h: Poly, R: Ring, blocks: list[Block], leaf) -> list[str]:
     ):
         fails.append("block idempotent does not match its support")
     for b in blocks:
-        for msg in leaf(h.on_block(b.support), b.cert):
+        B = block_ring(h.ring, b.support)
+        for msg in leaf(B, [h.parts[i] for i in b.support], b.cert):
             fails.append(f"block {b.support}: {msg}")
     return fails
 
 
 def verify_gsrc(h: Poly, R: Ring, cert: GSRCCertificate) -> list[str]:
-    return _verify_blocks(h, R, cert.blocks, verify_src)
+    return _verify_blocks(h, R, cert.blocks, _src_leaf)
 
 
 def verify_gsp(h: Poly, R: Ring, cert: GSPCertificate) -> list[str]:
-    return _verify_blocks(h, R, cert.blocks, verify_sp)
+    return _verify_blocks(h, R, cert.blocks, _sp_leaf)
 
 
 def verify_strong_clean(A: SquareMatrix, cert: StrongCleanCertificate) -> list[str]:

@@ -17,6 +17,11 @@ polynomial by Fraction Horner at every rational-root-theorem candidate.
 boxed Element rows, with every product an Element fold (``fold_matmul``,
 powers as repeated products) and every comparison entry by entry, so they
 share no matrix kernel with the verifiers in ``cleanmat.verify``.
+``verify_src_boxed``, ``verify_sp_boxed``, ``verify_gsrc_boxed`` and
+``verify_gsp_boxed`` are the polynomial-certificate verifiers on boxed
+polynomials: each block's h is rebuilt over its block ring, and every
+product and sum is a fold, so they share no kernel with the stalk-by-stalk
+leaf checks of ``cleanmat.verify``.
 ``strong_clean_reference``, ``gsrc_reference``, ``triangular_reference`` and
 ``drazin_reference`` build the strong-clean and Drazin certificates as
 products of matrix polynomials, each a sum of powers of A, with U^-1 =
@@ -64,7 +69,7 @@ from cleanmat.matrices import (
 )
 from cleanmat.polys import Poly
 from cleanmat.quadz5 import ONE, THETA, QuadInt
-from cleanmat.rings import Element, RadicalMembership
+from cleanmat.rings import Element, RadicalMembership, block_ring
 
 
 # -- Element-level polynomial arithmetic ----------------------------------------------
@@ -350,6 +355,97 @@ def verify_pi_regular_elementwise(A: SquareMatrix, cert: PiRegularCertificate) -
     if not _same(fold_matmul(cert.Y, Ak1), Ak):
         fails.append("Y A^{k+1} != A^k")
     return fails
+
+
+# -- the polynomial-certificate verifiers on boxed block polynomials ------------------
+#
+# The checks of ``cleanmat.verify`` as they read before they ran on raw parts:
+# h is rebuilt as a polynomial over each block's ring, every product and sum
+# is an Element fold, a unit test evaluates on Elements, and every comparison
+# is a whole-polynomial ``==`` (so a polynomial over another ring is unequal).
+
+
+def _on_block(h: Poly, support) -> Poly:
+    """h as a polynomial over the block ring of the stalks in ``support``."""
+    support = tuple(support)
+    return Poly.from_parts(block_ring(h.ring, support), [h.parts[i] for i in support])
+
+
+def _monic_boxed(p: Poly) -> bool:
+    cs = p.coeffs
+    return bool(cs) and cs[-1] == p.ring.one
+
+
+def _unit_at(p: Poly, x) -> bool:
+    return p.ring.is_unit(fold_eval(p, x))
+
+
+def verify_src_boxed(h: Poly, cert) -> list[str]:
+    R = h.ring
+    fails = []
+    if not _monic_boxed(cert.f0) or not _monic_boxed(cert.f1):
+        fails.append("factors are not monic")
+    if fold_poly_mul(cert.f0, cert.f1) != h:
+        fails.append("f0 * f1 != h")
+    if not _unit_at(cert.f0, cert.f0.ring.zero):
+        fails.append("f0(0) is not a unit")
+    if not _unit_at(cert.f1, cert.f1.ring.one):
+        fails.append("f1(1) is not a unit")
+    if cert.kind not in ("SR", "SRC"):
+        fails.append(f"unknown certificate kind {cert.kind!r}")
+    elif cert.kind == "SRC":
+        if cert.bezout_u is None or cert.bezout_v is None:
+            fails.append("SRC certificate lacks a Bezout pair")
+        elif fold_poly_add(
+            fold_poly_mul(cert.bezout_u, cert.f0), fold_poly_mul(cert.bezout_v, cert.f1)
+        ) != Poly.one(R):
+            fails.append("Bezout identity u*f0 + v*f1 = 1 fails")
+    return fails
+
+
+def verify_sp_boxed(h: Poly, cert) -> list[str]:
+    R = h.ring
+    fails = []
+    if not _monic_boxed(cert.h0) or not _monic_boxed(cert.p0):
+        fails.append("factors are not monic")
+    if fold_poly_mul(cert.h0, cert.p0) != h:
+        fails.append("h0 * p0 != h")
+    if not _unit_at(cert.h0, cert.h0.ring.zero):
+        fails.append("h0(0) is not a unit")
+    d = cert.p0.degree
+    for i in range(d):
+        # a stalk shorter than i + 1 has coefficient 0 there, which is nilpotent
+        if not all(
+            i >= len(p) or s.is_nilpotent(p[i]) for s, p in zip(R.stalks, cert.p0.parts)
+        ):
+            fails.append(f"p0 coefficient {i} is not nilpotent")
+    return fails
+
+
+def _verify_blocks_boxed(h: Poly, R, blocks, leaf) -> list[str]:
+    fails = []
+    if len(blocks) > h.degree + 1:
+        fails.append(f"{len(blocks)} blocks exceed the deg(h)+1 bound")
+    covered = sorted(i for b in blocks for i in b.support)
+    if covered != list(range(R.num_stalks)):
+        fails.append("block supports do not partition the stalks")
+    if any(
+        b.idempotent.ring.key != R.key or b.idempotent.parts != R.indicator(b.support).parts
+        for b in blocks
+    ):
+        fails.append("block idempotent does not match its support")
+    for b in blocks:
+        for msg in leaf(_on_block(h, b.support), b.cert):
+            fails.append(f"block {b.support}: {msg}")
+    return fails
+
+
+def verify_gsrc_boxed(h: Poly, R, cert) -> list[str]:
+    return _verify_blocks_boxed(h, R, cert.blocks, verify_src_boxed)
+
+
+def verify_gsp_boxed(h: Poly, R, cert) -> list[str]:
+    return _verify_blocks_boxed(h, R, cert.blocks, verify_sp_boxed)
 
 
 # -- the certificate constructions as matrix products ---------------------------------

@@ -258,6 +258,27 @@ def test_encode_ring_tables(zmod):
     assert sum(tab.unit) == 2  # 1 and 5
 
 
+def test_encoded_tables_equal_the_boxed_construction():
+    """Tables filled from raw stalk values, glued over the stalks, equal the
+    tables of boxed Element arithmetic, on every finite stalk ring of
+    ``CERT_RINGS`` and on each whole finite ring."""
+    rings = [build_ring(d) for d in CERT_RINGS.values()]
+    stalk_rings = [
+        R.stalk_ring(i) for R in rings for i, s in enumerate(R.stalks) if s.finite
+    ]
+    assert len(stalk_rings) == 8
+    for R in stalk_rings + [R for R in rings if R.is_finite and R.num_stalks > 1]:
+        tab = encode_ring(R)
+        elems = list(R.elements())
+        index = {e: i for i, e in enumerate(elems)}
+        assert tab.elements == elems and tab.index == index
+        assert tab.add == [[index[a + b] for b in elems] for a in elems], R.label()
+        assert tab.mul == [[index[a * b] for b in elems] for a in elems], R.label()
+        assert tab.neg == [index[-a] for a in elems]
+        assert tab.unit == [R.is_unit(a) for a in elems]
+        assert (tab.zero, tab.one) == (index[R.zero], index[R.one])
+
+
 # -- the idempotent index -------------------------------------------------------------
 
 

@@ -25,6 +25,11 @@ A certificate polynomial is built stalk by stalk on raw values, by
 arithmetic, so it neither calls ``monic_divide`` nor makes a
 ``Poly.constant``.
 
+A polynomial certificate is verified stalk by stalk on raw parts:
+``verify.py`` calls no ``on_block``, uses the name ``Poly`` only in
+annotations (so it makes no ``Poly.one``) and applies no operator to a
+certificate's polynomial or to h.
+
 No decider consults an exhaustive oracle: in ``decide.py`` only the two
 audits, ``theorem_main_audit`` and ``pi_regular_audit``, import ``.brute``.
 
@@ -234,6 +239,96 @@ def test_the_guard_sees_boxed_certificate_arithmetic(tmp_path):
     )
     assert _boxed_certificate_uses(bad) == [
         "Poly.constant", "monic_divide", "monic_divide", "polys.monic_divide"
+    ]
+
+
+# the polynomial fields of SR(C) and SP certificates
+POLY_FIELDS = {"f0", "f1", "h0", "p0", "bezout_u", "bezout_v"}
+
+
+def _boxed_poly_uses(path: Path) -> list[str]:
+    """``on_block`` calls, uses of the name ``Poly`` outside annotations, and
+    Poly arithmetic: a binary operator, unary ``-``, ``==`` or ``!=`` with an
+    operand that is a certificate's polynomial field, a name assigned from
+    one, or a parameter annotated ``Poly``.
+    """
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    annotated = set()
+    polys = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.arg) and node.annotation is not None:
+            annotated.update(map(id, ast.walk(node.annotation)))
+            if "Poly" in ast.unparse(node.annotation):
+                polys.add(node.arg)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.returns:
+            annotated.update(map(id, ast.walk(node.returns)))
+        elif isinstance(node, ast.AnnAssign):
+            annotated.update(map(id, ast.walk(node.annotation)))
+        elif isinstance(node, ast.Assign):
+            for target in node.targets:
+                pairs = [(target, node.value)]
+                if isinstance(target, ast.Tuple) and isinstance(node.value, ast.Tuple):
+                    pairs = list(zip(target.elts, node.value.elts))
+                polys.update(
+                    t.id
+                    for t, v in pairs
+                    if isinstance(t, ast.Name)
+                    and isinstance(v, ast.Attribute)
+                    and v.attr in POLY_FIELDS
+                )
+
+    def is_poly(e) -> bool:
+        return (isinstance(e, ast.Attribute) and e.attr in POLY_FIELDS) or (
+            isinstance(e, ast.Name) and e.id in polys
+        )
+
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr == "on_block":
+            found.append(ast.unparse(node))
+        elif isinstance(node, ast.Name) and node.id == "Poly" and id(node) not in annotated:
+            found.append("Poly")
+        elif isinstance(node, ast.BinOp) and (is_poly(node.left) or is_poly(node.right)):
+            found.append(ast.unparse(node))
+        elif (
+            isinstance(node, ast.UnaryOp)
+            and isinstance(node.op, ast.USub)
+            and is_poly(node.operand)
+        ):
+            found.append(ast.unparse(node))
+        elif (
+            isinstance(node, ast.Compare)
+            and any(isinstance(op, (ast.Eq, ast.NotEq)) for op in node.ops)
+            and any(map(is_poly, [node.left, *node.comparators]))
+        ):
+            found.append(ast.unparse(node))
+    return sorted(found)
+
+
+def test_verify_checks_polynomial_certificates_on_raw_parts():
+    assert _boxed_poly_uses(SRC / "verify.py") == []
+
+
+def test_the_guard_sees_boxed_polynomial_verification(tmp_path):
+    bad = tmp_path / "bad.py"
+    bad.write_text(
+        "from .polys import Poly\n"
+        "def verify_src(h: Poly, cert) -> list[str]:\n"
+        "    u, f0 = cert.bezout_u, cert.f0\n"
+        "    if cert.f0 * cert.f1 != h or cert.bezout_u is None:\n"
+        "        return [h.degree + 1]\n"
+        "    one: Poly = Poly.one(h.ring)\n"
+        "    return [u * f0 + cert.bezout_v * cert.f1 == one, -f0, not u, h.on_block((0,))]\n",
+        encoding="utf-8",
+    )
+    assert _boxed_poly_uses(bad) == [
+        "-f0",
+        "Poly",
+        "cert.bezout_v * cert.f1",
+        "cert.f0 * cert.f1",
+        "cert.f0 * cert.f1 != h",
+        "h.on_block",
+        "u * f0",
     ]
 
 

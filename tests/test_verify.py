@@ -1,4 +1,4 @@
-"""The matrix verifiers agree with Element-fold oracles.
+"""The verifiers agree with Element-fold oracles.
 
 ``verify_strong_clean`` and ``verify_pi_regular`` check their identities
 with the public matrix operations, which run per-stalk raw kernels.  Over
@@ -6,6 +6,12 @@ every ring of ``CERT_RINGS`` at n = 1, 2, 3 they must return the same
 failure list as ``tests/oracles.py``'s versions, whose products are Element
 folds, on valid certificates and on certificates with one entry changed on
 one stalk.
+
+``verify_src``, ``verify_sp``, ``verify_gsrc`` and ``verify_gsp`` check each
+block stalk by stalk on raw parts.  Over every ring of ``CERT_RINGS`` and
+Z_(2), Z_(3), at degrees 1 to 3, they must return the same failure list as
+the boxed-polynomial references of ``tests/oracles.py``, or raise the same
+exception type, on every found certificate and on each single tamper of it.
 """
 
 from __future__ import annotations
@@ -17,13 +23,33 @@ import pytest
 
 from cleanmat.decide import pi_regular_from_gsp, strong_clean_from_gsrc
 from cleanmat.errors import RingMismatch
-from cleanmat.factor import gsp_search, gsrc_search
+from cleanmat.factor import (
+    SRCCertificate,
+    gsp_search,
+    gsrc_search,
+    sp_search,
+    src_search,
+)
 from cleanmat.matrices import SquareMatrix, random_with_charpoly
 from cleanmat.polys import Poly
 from cleanmat.rings import Element, build_ring
-from cleanmat.verify import verify_pi_regular, verify_strong_clean
+from cleanmat.verify import (
+    verify_gsp,
+    verify_gsrc,
+    verify_pi_regular,
+    verify_sp,
+    verify_src,
+    verify_strong_clean,
+)
 from conftest import CERT_RINGS
-from oracles import verify_pi_regular_elementwise, verify_strong_clean_elementwise
+from oracles import (
+    verify_gsp_boxed,
+    verify_gsrc_boxed,
+    verify_pi_regular_elementwise,
+    verify_sp_boxed,
+    verify_src_boxed,
+    verify_strong_clean_elementwise,
+)
 
 
 def _tamper(M: SquareMatrix, rng) -> SquareMatrix:
@@ -114,3 +140,152 @@ def test_power_matches_repeated_products(zmod, k):
     for _ in range(k):
         acc = acc @ A
     assert A**k == acc
+
+
+# -- the polynomial certificates against the boxed references ------------------------
+
+POLY_CERT_RINGS = {
+    **CERT_RINGS,
+    "Z_(2)": {"type": "zloc", "p": 2},
+    "Z_(3)": {"type": "zloc", "p": 3},
+}
+# a ring no certificate of the rings above lives over
+OTHER_RING = build_ring({"type": "zmod", "n": 7})
+
+
+def _outcome(verifier, *args):
+    """The failure list, or the type of the exception raised."""
+    try:
+        return verifier(*args)
+    except Exception as exc:  # noqa: BLE001 - the type is the outcome compared
+        return type(exc)
+
+
+def _plus_one(f: Poly) -> Poly:
+    return f + Poly.one(f.ring)
+
+
+def _plus_one_on_last(f: Poly) -> Poly:
+    """f + 1 on its ring's last stalk only."""
+    last = f.ring.num_stalks - 1
+    return f + Poly.from_parts(
+        f.ring, [(s.one,) if k == last else () for k, s in enumerate(f.ring.stalks)]
+    )
+
+
+def _longer_on_first(f: Poly) -> Poly:
+    """f with its first stalk replaced by t^(deg f + 1), monic there."""
+    s = f.ring.stalks[0]
+    first = (s.zero,) * len(f.parts[0]) + (s.one,)
+    return Poly.from_parts(f.ring, [first, *f.parts[1:]])
+
+
+def _elsewhere(f: Poly) -> Poly:
+    """A monic polynomial of f's degree over ``OTHER_RING``."""
+    return Poly.t_power(OTHER_RING, max(f.degree, 0))
+
+
+def _leaf_tampers(cert):
+    """Single tampers of one SR(C) or SP certificate."""
+    if isinstance(cert, SRCCertificate):
+        out = [
+            replace(cert, f0=cert.f0 + cert.f0),
+            replace(cert, f1=cert.f1 + cert.f1),
+            replace(cert, f1=_longer_on_first(cert.f1)),
+            replace(cert, kind=5),
+            replace(cert, f0=_elsewhere(cert.f0)),
+            replace(cert, f0=_elsewhere(cert.f0), f1=_elsewhere(cert.f1)),
+        ]
+        if cert.bezout_u is not None:
+            u, v = cert.bezout_u, cert.bezout_v
+            out += [
+                replace(cert, bezout_u=_plus_one(u)),
+                replace(cert, bezout_v=_plus_one(v)),
+                replace(cert, kind="SR"),
+                replace(cert, bezout_v=None),
+                replace(cert, bezout_u=_elsewhere(u)),
+                replace(cert, bezout_v=_elsewhere(v)),
+                replace(
+                    cert,
+                    f0=_elsewhere(cert.f0),
+                    f1=_elsewhere(cert.f1),
+                    bezout_u=_elsewhere(u),
+                    bezout_v=_elsewhere(v),
+                ),
+            ]
+        return out
+    return [
+        replace(cert, h0=cert.h0 + cert.h0),
+        replace(cert, p0=cert.p0 + cert.p0),
+        replace(cert, h0=_longer_on_first(cert.h0)),
+        replace(cert, p0=_plus_one_on_last(cert.p0)),
+        replace(cert, h0=_elsewhere(cert.h0)),
+        replace(cert, h0=_elsewhere(cert.h0), p0=_elsewhere(cert.p0)),
+    ]
+
+
+def _block_tampers(R, gcert):
+    """Single tampers of a gSRC or gSP certificate's blocks."""
+    blocks = gcert.blocks
+    out = [replace(gcert, blocks=blocks[:-1])]
+    first = blocks[0]
+    for bad in _leaf_tampers(first.cert):
+        out.append(replace(gcert, blocks=[replace(first, cert=bad), *blocks[1:]]))
+    wrong = R.one if len(first.support) < R.num_stalks else R.zero
+    out.append(replace(gcert, blocks=[replace(first, idempotent=wrong), *blocks[1:]]))
+    if len(first.support) > 1:
+        out.append(
+            replace(gcert, blocks=[replace(first, support=first.support[::-1]), *blocks[1:]])
+        )
+        out.append(
+            replace(gcert, blocks=[replace(first, support=first.support[:-1]), *blocks[1:]])
+        )
+    if len(blocks) > 1:
+        second = blocks[1]
+        swapped = [
+            replace(first, support=second.support),
+            replace(second, support=first.support),
+            *blocks[2:],
+        ]
+        out.append(replace(gcert, blocks=swapped))
+    return out
+
+
+def _certificate_cases(R, rng):
+    """(verifier, reference, h, context, certificate, tampers) of every found certificate."""
+    for d in (1, 2, 3):
+        for _ in range(5):
+            h = Poly(R, [R.random_element(rng) for _ in range(d)] + [R.one])
+            for verifier, reference, res in (
+                (verify_gsrc, verify_gsrc_boxed, gsrc_search(h, R, "SRC")),
+                (verify_gsrc, verify_gsrc_boxed, gsrc_search(h, R, "SR")),
+                (verify_gsp, verify_gsp_boxed, gsp_search(h, R)),
+            ):
+                if res.found:
+                    cert = res.certificate
+                    yield verifier, reference, h, (R,), cert, _block_tampers(R, cert)
+            for verifier, reference, res in (
+                (verify_src, verify_src_boxed, src_search(h, R, "SRC")),
+                (verify_src, verify_src_boxed, src_search(h, R, "SR")),
+                (verify_sp, verify_sp_boxed, sp_search(h, R)),
+            ):
+                if res.found:
+                    cert = res.certificate
+                    yield verifier, reference, h, (), cert, _leaf_tampers(cert)
+
+
+@pytest.mark.parametrize("name", list(POLY_CERT_RINGS))
+def test_leaf_verifiers_match_the_boxed_references(name):
+    R = build_ring(POLY_CERT_RINGS[name])
+    rng = random.Random(25)
+    certs = rejected = raised = 0
+    for verifier, reference, h, ctx, cert, tampers in _certificate_cases(R, rng):
+        certs += 1
+        assert verifier(h, *ctx, cert) == reference(h, *ctx, cert) == []
+        for bad_h, bad in [(_plus_one(h), cert)] + [(h, t) for t in tampers]:
+            got = _outcome(verifier, bad_h, *ctx, bad)
+            assert got == _outcome(reference, bad_h, *ctx, bad), (h, bad)
+            rejected += got != []
+            raised += got is RingMismatch
+    # nearly every tamper is rejected: kind "SR" beside a valid Bezout pair is not
+    assert certs >= 50 and rejected >= 8 * certs and raised >= certs
