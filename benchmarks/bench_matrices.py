@@ -5,7 +5,7 @@ For each case a fixed seed draws 64 random matrices, 64 random monic
 polynomials of degree n, and 64 random monic pairs (f0, f1) with
 deg f0 + deg f1 = n.  The table gives the per-call microseconds of ``A @ B``,
 ``char_poly``, ``poly_at_matrix``, ``factor.comaximality`` (whose Sylvester
-matrix is n x n) and ``similar``, ``random_with_charpoly(h, seed)`` on the
+system is n x n) and ``similar``, ``random_with_charpoly(h, seed)`` on the
 64 polynomials with one seed each, with B a second random matrix, and
 ``A ** k`` for k = M - 1, M = ``brute._gl_exponent(R, n)``: the power chain
 of the exhaustive scan's U^-1 = U^(M-1) and of the Drazin oracle's

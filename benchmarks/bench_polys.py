@@ -6,8 +6,11 @@ For every ring of the fuzz_mixed pool (``perfbench/workloads.py``'s
 3 (in turn), a monic g of degree 1..deg h, and two random elements x and c.
 The table gives the per-call microseconds of ``h * g``,
 ``monic_divide(h, g)``, ``h.translate(c)``, the evaluation ``h(x)``,
-``factor.comaximality(g, h)`` (a Sylvester matrix of size
-deg g + deg h), ``factor.gsrc_search(h, R)``, ``verify.verify_gsrc`` of the
+``factor.comaximality(g, h)`` (a Sylvester system of size
+deg g + deg h), ``polys.raw_bezout`` on the stalks of (g, h) up to the
+first that has no pair (the loop ``comaximality`` runs, without its monic
+pass and its ``Poly`` results),
+``factor.gsrc_search(h, R)``, ``verify.verify_gsrc`` of the
 certificates that search found (over Z_(p) some h have none, so that column
 averages over fewer inputs), ``factor.gsp_search(h, R)`` and
 ``verify.verify_gsp`` of the certificates it found, as the best of
@@ -33,7 +36,7 @@ sys.path.insert(0, str(ROOT / "src"))
 sys.path.insert(0, str(ROOT / "perfbench"))
 
 from cleanmat.factor import comaximality, gsp_search, gsrc_search  # noqa: E402
-from cleanmat.polys import Poly, monic_divide  # noqa: E402
+from cleanmat.polys import Poly, monic_divide, raw_bezout  # noqa: E402
 from cleanmat.rings import build_ring  # noqa: E402
 from cleanmat.verify import verify_gsp, verify_gsrc  # noqa: E402
 from paced import best  # noqa: E402
@@ -67,9 +70,16 @@ def per_call_us(fn, args):
     return 1e6 * best(one_pass, PASSES)[0] / len(args)
 
 
+def stalk_bezouts(R, g, h):
+    for stalk in zip(R.stalks, g.parts, h.parts):
+        if raw_bezout(*stalk) is None:
+            return
+
+
 def main():
     ops = [
-        "h * g", "monic_divide", "translate", "h(x)", "comaximality", "gsrc_search",
+        "h * g", "monic_divide", "translate", "h(x)", "comaximality", "raw_bezout",
+        "gsrc_search",
         "verify_gsrc", "gsp_search", "verify_gsp",
     ]
     print(
@@ -91,6 +101,7 @@ def main():
             per_call_us(lambda h, c: h.translate(c), [(h, c) for h, _, _, c in inp]),
             per_call_us(lambda h, x: h(x), [(h, x) for h, _, x, _ in inp]),
             per_call_us(comaximality, [(g, h) for h, g, _, _ in inp]),
+            per_call_us(stalk_bezouts, [(R, g, h) for h, g, _, _ in inp]),
             per_call_us(lambda h: gsrc_search(h, R, "SRC"), [(h,) for h, _, _, _ in inp]),
             per_call_us(lambda h, c: verify_gsrc(h, R, c), certs),
             per_call_us(lambda h: gsp_search(h, R), [(h,) for h, _, _, _ in inp]),

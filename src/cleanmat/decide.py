@@ -49,7 +49,6 @@ from .errors import (
 from .factor import (
     GSRCCertificate,
     certificate_polys,
-    comaximality,
     gsp_search,
     gsrc_search,
     keep_certificate_polys,
@@ -63,7 +62,7 @@ from .matrices import (
     poly_at_matrix,
     random_with_charpoly,
 )
-from .polys import Poly, certificate_parts, glue_polys
+from .polys import Poly, certificate_parts, raw_bezout, raw_product
 from .rings import Element, Ring
 from .stalks import ZLocStalk, ZModStalk
 from .verify import (
@@ -356,40 +355,38 @@ def sqrt_one_plus_radical(v: Element):
 # -- audits ---------------------------------------------------------------------------
 
 
-def _diagonal_split(R: Ring, diag) -> tuple[Poly, Poly, Poly]:
-    """(f0, f1, u) of the unit/non-unit split of a triangular diagonal.
+def _diagonal_split(R: Ring, diag) -> list[tuple]:
+    """Each stalk's raw (f0, f1, u) of the unit/non-unit split of a triangular diagonal.
 
     Per stalk, f0 collects t - d over the unit diagonal entries and f1 the
     rest; f0(0) is a product of units, f1(1) a product of 1 - (non-unit)s,
     and the resultant is a product of unit differences, so the SRC machinery
-    applies with no search.  f0 * f1 is the char polynomial of every
-    upper-triangular matrix with this diagonal.
+    applies with no search, and ``raw_bezout`` gives u.  f0 * f1 is the char
+    polynomial of every upper-triangular matrix with this diagonal.
     """
-    parts = []
-    for i in range(R.num_stalks):
-        S = R.stalk_ring(i)
-        f0, f1 = Poly.one(S), Poly.one(S)
+    splits = []
+    for i, s in enumerate(R.stalks):
+        f0 = f1 = (s.one,)
         for d in diag:
-            x = R.restrict_element(d, i)
-            lin = Poly(S, [-x, S.one])
-            if S.is_unit(x):
-                f0 = f0 * lin
+            x = d.parts[i]
+            lin = (s.neg(x), s.one)
+            if s.is_unit(x):
+                f0 = raw_product(s, f0, lin)
             else:
-                f1 = f1 * lin
-        bez = comaximality(f0, f1)
+                f1 = raw_product(s, f1, lin)
+        bez = raw_bezout(s, f0, f1)
         if bez is None:
             raise VerificationFailed(
                 ["triangular unit/non-unit split is not comaximal"]
             )
-        parts.append((f0, f1, bez[0]))
-    return tuple(glue_polys(R, list(ps)) for ps in zip(*parts))
+        splits.append((f0, f1, bez[0]))
+    return splits
 
 
 def _triangular_polys(R: Ring, diag) -> tuple[Poly, Poly]:
     """(e, w) of the diagonal split, built stalk by stalk by ``certificate_parts``."""
-    f0, f1, u = _diagonal_split(R, diag)
     return _joined(
-        R, [certificate_parts(*stalk) for stalk in zip(R.stalks, f0.parts, f1.parts, u.parts)]
+        R, [certificate_parts(s, *split) for s, split in zip(R.stalks, _diagonal_split(R, diag))]
     )
 
 

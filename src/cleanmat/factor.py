@@ -4,8 +4,8 @@ Four searches are exposed:
 
 * ``src_search``: factor h = f0*f1 with f0(0) and f1(1) units; with
   comaximality of the factors as an extra requirement the pair is certified
-  by an explicit Bezout identity u*f0 + v*f1 = 1 from one unit-pivot solve
-  of the Sylvester system.
+  by an explicit Bezout identity u*f0 + v*f1 = 1, which ``comaximality``
+  solves stalk by stalk with the raw kernel ``polys.raw_bezout``.
 * ``gsrc_search``: the globalized form; one factorization per idempotent
   block, with blocks grouped by deg(f0) so at most deg(h)+1 blocks appear.
   A block is a set of stalks, and its idempotent is the indicator of that
@@ -27,9 +27,12 @@ still scans the monic candidates of a finite stalk, and only at degrees
 above b; those scans are exhaustive.  Over Z_(p) the degree splits
 0, 1, n-1, n are decided completely (trivial unit tests plus rational-root
 enumeration; Z_(p) is integrally closed, so monic linear factors come from
-rational roots); middle splits of degree >= 4 polynomials fall back to a
-bounded-height scan and report ``incomplete`` when they find nothing, which
-is distinct from a definitive ``absent``.
+rational roots).  A middle degree d of a degree >= 4 polynomial is
+``absent`` outside the window b <= d <= n - a, for a = ord_t(h mod p) and
+b = ord_(t-1)(h mod p): a unit f0(0) leaves t^a to f1 mod p and a unit
+f1(1) leaves (t-1)^b to f0 mod p.  Inside the window it falls back to a
+bounded-height scan and reports ``incomplete`` when that finds nothing,
+which is distinct from a definitive ``absent``.
 
 The unit tests read raw coefficients: f(0) is a unit when every stalk's
 constant coefficient is, f(1) when every stalk's coefficient sum is
@@ -61,12 +64,12 @@ what they did and a failed construction stores nothing.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import VerificationFailed
-from .matrices import sylvester_solve
-from .polys import Poly, certificate_parts, monic_divide, raw_product, trimmed_poly
+from .polys import Poly, certificate_parts, monic_divide, raw_bezout, raw_product, trimmed_poly
 from .rings import Element, Ring, block_ring
 from .stalks import ZLocStalk
 
@@ -127,34 +130,37 @@ class SearchResult:
 def comaximality(f0: Poly, f1: Poly):
     """Bezout pair (u, v) with u*f0 + v*f1 = 1, or None if not comaximal.
 
-    The matrix M of (u, v) -> u*f0 + v*f1 on monomial bases (deg u < deg f1,
-    deg v < deg f0) is the Sylvester matrix, square of size deg f0 + deg f1;
-    its determinant is the resultant up to sign.  For monic polynomials over
-    a ring whose stalks are local, the resultant is a unit exactly when the
-    pair is comaximal.  One solve settles both: ``sylvester_solve`` runs a
-    unit-pivot elimination of M (u, v) = e_0 on each stalk and returns None
-    exactly when some column has no unit pivot, that is when the resultant
-    is not a unit; otherwise its answer is the unique solution, and the
-    identity u*f0 + v*f1 = 1 is checked exactly before it is returned.
-
-    Non-monic input raises ``ValueError``, tested once: by ``sylvester_solve``
-    when both factors have degree >= 1, and here when one is a constant.
+    Monic f0, f1 over a ring with local stalks are comaximal exactly when
+    their resultant is a unit on every stalk, and then the pair with
+    deg u < deg f1 and deg v < deg f0 is unique: ``polys.raw_bezout`` solves
+    for it on each stalk and checks the identity.  Non-monic input raises
+    ``ValueError`` and polynomials over different rings ``RingMismatch``.
+    Monicity is tested once: in one raw pass over the stalks when both
+    factors have degree >= 1, and by ``is_monic`` when one is a constant.
     """
     R = f0.ring
-    if len(f0.parts[0]) < 2 or len(f1.parts[0]) < 2:
+    n0, n1 = len(f0.parts[0]), len(f1.parts[0])
+    if n0 < 2 or n1 < 2:
         if not f0.is_monic or not f1.is_monic:
             raise ValueError("comaximality needs monic polynomials")
         f0._check(f1)
         if f0.degree == 0:
             return Poly.one(R), Poly.zero(R)
         return Poly.zero(R), Poly.one(R)
-    bez = sylvester_solve(f0, f1)
-    if bez is None:
-        return None
-    u, v = bez
-    if (u * f0 + v * f1) != Poly.one(R):
-        raise VerificationFailed(["resultant Bezout pair failed its identity check"])
-    return u, v
+    f0._check(f1)
+    if not all(
+        len(a) == n0 and len(b) == n1 and a[-1] == s.one and b[-1] == s.one
+        for s, a, b in zip(R.stalks, f0.parts, f1.parts)
+    ):
+        raise ValueError("comaximality needs monic polynomials")
+    us, vs = [], []
+    for s, a, b in zip(R.stalks, f0.parts, f1.parts):
+        bez = raw_bezout(s, a, b)
+        if bez is None:
+            return None
+        us.append(bez[0])
+        vs.append(bez[1])
+    return trimmed_poly(R, us), trimmed_poly(R, vs)
 
 
 # -- rational roots over Z_(p) ------------------------------------------------------
@@ -188,7 +194,7 @@ def rational_roots(h: Poly) -> list[Fraction]:
     coeffs = h.parts[0]
     scale = 1
     for c in coeffs:
-        scale = scale * c.denominator // _gcd(scale, c.denominator)
+        scale = math.lcm(scale, c.denominator)
     ints = [c.numerator * (scale // c.denominator) for c in coeffs]
     roots = set()
     # strip powers of t
@@ -203,7 +209,7 @@ def rational_roots(h: Poly) -> list[Fraction]:
         rest = ints[-2::-1]
         for a in _divisors(const):
             for b in _divisors(lead):
-                if _gcd(a, b) != 1:
+                if math.gcd(a, b) != 1:
                     continue
                 for num in (a, -a):
                     # Horner on the homogenized sum: acc = sum c_i num^i b^(n-i)
@@ -216,13 +222,6 @@ def rational_roots(h: Poly) -> list[Fraction]:
     for r in roots:
         assert r.denominator % stalk.p != 0, "monic root escaped Z_(p)"
     return sorted(roots)
-
-
-def _gcd(a, b):
-    a, b = abs(a), abs(b)
-    while b:
-        a, b = b, a % b
-    return a
 
 
 # -- per-degree outcome profiles ---------------------------------------------------
@@ -390,6 +389,12 @@ def _src_outcomes_zloc(h: Poly, mode: str):
             )
             yield DegreeOutcome(cert, True, note)
         else:
+            # a unit f0(0) leaves t^a to f1 mod p, a unit f1(1) leaves (t-1)^b to f0 mod p
+            lo, hi = _first_unit_index(h.translate(R.one)), n - _first_unit_index(h)
+            if not lo <= d <= hi:
+                note = f"f0(0) and f1(1) units force {lo} <= deg f0 <= {hi}"
+                yield DegreeOutcome(None, True, note)
+                continue
             cert = None
             span = range(-BOUNDED_HEIGHT, BOUNDED_HEIGHT + 1)
             p = R.stalks[0].p
@@ -645,17 +650,16 @@ def _stalk_splits(R: Ring, gcert) -> list:
 
 
 def _stalk_polys(R: Ring, i: int, split: tuple, mode: str) -> tuple:
-    """``certificate_parts`` of stalk i's split; an SP split's u is solved first."""
+    """``certificate_parts`` of stalk i's split; an SP split's u comes from ``raw_bezout``."""
     s = R.stalks[i]
     if mode != "SP":
         f0, f1, u, _ = split
         return certificate_parts(s, f0, f1, u)
     h0, p0 = split
-    S = R.stalk_ring(i)
-    bez = comaximality(Poly.from_parts(S, [h0]), Poly.from_parts(S, [p0]))
+    bez = raw_bezout(s, h0, p0)
     if bez is None:
         raise VerificationFailed(["SP factors are not comaximal on a local stalk"])
-    return certificate_parts(s, h0, p0, bez[0].parts[0], drazin=True)
+    return certificate_parts(s, h0, p0, bez[0], drazin=True)
 
 
 def certificate_polys(R: Ring, gcert) -> tuple[list, list]:

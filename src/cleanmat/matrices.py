@@ -7,28 +7,22 @@ sees it: its only state besides ``ring`` and ``n`` is ``grids``, one raw grid
 property boxes Elements on demand, for serializing, printing and the
 exhaustive scan's encoding.  Every operator (``+ - neg * @ ** == hash``) and
 every public function (``identity``, ``zeros``, ``companion``,
-``sylvester``, ``sylvester_solve``, ``char_poly``, ``poly_at_matrix``,
-``random_with_charpoly``) runs one raw kernel per stalk with that stalk's
-own ``matmul``/``dot``/``submul``/``add``/``sub``/``mul``/``neg``/``inv``.
+``char_poly``, ``poly_at_matrix``, ``random_with_charpoly``) runs one raw
+kernel per stalk with that stalk's own
+``matmul``/``dot``/``submul``/``add``/``sub``/``mul``/``neg``/``inv``.
 Every multi-term step calls a primitive that reduces once per result: a
 product (of ``@``, ``**`` and each Horner step) is one stalk ``matmul``, a
-Berkowitz step is one ``dot``, and an elimination or transvection step is
-one ``submul(x, f, y) = x - f*y`` per entry, never a ``mul`` then a
-``sub``.
+Berkowitz step is one ``dot``, and a transvection step is one
+``submul(x, f, y) = x - f*y`` per entry, never a ``mul`` then a ``sub``.
 The kernels and the raw-grid format are private to this module: the
 certificate constructions in ``decide`` and the verifiers in ``verify`` use
 the public operations only.
 
 The characteristic polynomial is computed by the Berkowitz algorithm, which
 uses no divisions and is therefore valid over rings with zero divisors.
-The one elimination is ``sylvester_solve``, on each local stalk in the
-stalk's own arithmetic.  Over a local ring a matrix is invertible exactly
-when elimination finds a unit pivot in every column, so it pivots on the
-first unit of each column, stops at a column that has none, and solves the
-Sylvester system M x = e_0 by back substitution.  Nothing inverts a
-matrix: ``random_with_charpoly`` conjugates a companion matrix by
-elementary operations, each row operation followed by the column operation
-of its inverse.
+Nothing here eliminates or inverts a matrix: ``random_with_charpoly``
+conjugates a companion matrix by elementary operations, each row operation
+followed by the column operation of its inverse.
 """
 
 from __future__ import annotations
@@ -191,53 +185,6 @@ def companion(h: Poly) -> SquareMatrix:
     return _matrix(ring, grids)
 
 
-def sylvester(f0: Poly, f1: Poly) -> SquareMatrix:
-    """The matrix of (u, v) -> u*f0 + v*f1 on monomial bases, for monic f0, f1.
-
-    Column j < deg f1 holds t^j * f0 and column deg f1 + j holds t^j * f1;
-    the matrix is square of size deg f0 + deg f1.
-    """
-    if not f0.is_monic or not f1.is_monic:
-        raise ValueError("sylvester needs monic polynomials")
-    if f0.ring.key != f1.ring.key:
-        raise RingMismatch("polynomials over different rings")
-    return _matrix(
-        f0.ring,
-        [_raw_sylvester(s, a, b) for s, a, b in zip(f0.ring.stalks, f0.parts, f1.parts)],
-    )
-
-
-def sylvester_solve(f0: Poly, f1: Poly):
-    """(u, v) with u*f0 + v*f1 = 1 and deg u < deg f1, deg v < deg f0, or None.
-
-    For monic f0, f1 of degree >= 1 (anything else raises ``ValueError``)
-    this is the solution of M (u, v) = e_0 for M = ``sylvester(f0, f1)``, by
-    one unit-pivot elimination per stalk.
-    It is None exactly when some stalk's M has a column with no unit pivot,
-    that is when the resultant is not a unit.  Both polynomials are tested
-    for monicity in one pass over the stalks, before any solve.
-    """
-    if f0.ring.key != f1.ring.key:
-        raise RingMismatch("polynomials over different rings")
-    stalks = f0.ring.stalks
-    n0, n1 = len(f0.parts[0]), len(f1.parts[0])
-    if min(n0, n1) < 2 or not all(
-        len(a) == n0 and len(b) == n1 and a[-1] == s.one and b[-1] == s.one
-        for s, a, b in zip(stalks, f0.parts, f1.parts)
-    ):
-        raise ValueError("a Sylvester solve needs monic polynomials of degree >= 1")
-    d1 = n1 - 1
-    us, vs = [], []
-    for s, a, b in zip(stalks, f0.parts, f1.parts):
-        m = _raw_sylvester(s, a, b)
-        x = _raw_unit_solve(s, m, [s.one] + [s.zero] * (len(m) - 1))
-        if x is None:
-            return None
-        us.append(x[:d1])
-        vs.append(x[d1:])
-    return Poly.from_parts(f0.ring, us), Poly.from_parts(f0.ring, vs)
-
-
 # -- raw per-stalk kernels -----------------------------------------------------------
 #
 # Each helper takes a stalk and raw grids of that stalk's values (lists of
@@ -322,48 +269,6 @@ def _raw_horner(s, coeffs, a: list) -> list:
         for i in range(n):
             acc[i][i] = add(acc[i][i], c)
     return acc
-
-
-def _raw_unit_solve(s, a: list, b: list):
-    """The solution x of a x = b on a local stalk, or None when det a is not a unit.
-
-    Forward elimination pivots column c on its first unit at or below the
-    diagonal and fails at a column that has none; back substitution then
-    scales by the stored pivot inverses.
-    """
-    n = len(a)
-    is_unit, mul, sub, submul, zero = s.is_unit, s.mul, s.sub, s.submul, s.zero
-    m = [row + [v] for row, v in zip(a, b)]
-    pivot_inv = []
-    for c in range(n):
-        for p in range(c, n):
-            if is_unit(m[p][c]):
-                break
-        else:
-            return None
-        m[c], m[p] = m[p], m[c]
-        k = s.inv(m[c][c])
-        pivot_inv.append(k)
-        top = m[c][c + 1 :]
-        for r in range(c + 1, n):
-            row = m[r]
-            if row[c] != zero:
-                f = mul(row[c], k)
-                row[c + 1 :] = [submul(x, f, y) for x, y in zip(row[c + 1 :], top)]
-    x = [zero] * n
-    for c in reversed(range(n)):
-        row = m[c]
-        x[c] = mul(sub(row[n], s.dot(row[c + 1 : n], x[c + 1 :])), pivot_inv[c])
-    return x
-
-
-def _raw_sylvester(s, a, b) -> list:
-    """The Sylvester grid of two monic stalk polynomials a, b (see ``sylvester``)."""
-    d0, d1 = len(a) - 1, len(b) - 1
-    z = s.zero
-    cols = [[z] * j + list(a) + [z] * (d1 - 1 - j) for j in range(d1)]
-    cols += [[z] * j + list(b) + [z] * (d0 - 1 - j) for j in range(d0)]
-    return [list(row) for row in zip(*cols)]
 
 
 def _raw_transvect(s, a: list, i: int, j: int, c) -> None:

@@ -15,18 +15,21 @@ degrees.
 ``coeff(i)`` box Elements on demand, for serializing and printing.  Every
 operation (``+ - neg *``, ``translate``, evaluation and ``monic_divide``)
 runs one raw kernel per stalk with that stalk's own
-``add``/``sub``/``neg``/``dot``/``submul``, and ``restrict`` and
-``glue_polys`` select parts.  A product coefficient is one ``dot``, and a
+``add``/``sub``/``neg``/``dot``/``submul``, and ``restrict`` selects one
+stalk's part.  A product coefficient is one ``dot``, and a
 step of division, translation or evaluation is one
 ``submul(x, c, y) = x - c*y``, so each result is reduced once.  Division by
 a monic divisor is exact over any commutative ring.  The unit tests
 ``unit_at_zero`` and ``unit_at_one`` read each stalk's constant coefficient
 and coefficient sum, with no evaluation.
 
-Three raw kernels are public.  ``certificate_parts`` builds, from one
-stalk's split h = f0*f1 and Bezout cofactor u, the stalk's certificate
-polynomials (e, w) of a strongly clean pair, or x of a Drazin inverse, with
-``_raw_mul``, ``_raw_divide`` and ``submul``.  ``raw_product`` and
+Four raw kernels are public.  ``raw_bezout`` solves one stalk's Bezout
+identity u*f0 + v*f1 = 1 by a unit-pivot elimination of the Sylvester
+system, the one elimination of the package, and returns None when the pair
+is not comaximal.  ``certificate_parts`` builds, from one stalk's split
+h = f0*f1 and Bezout cofactor u, the stalk's certificate polynomials (e, w)
+of a strongly clean pair, or x of a Drazin inverse, with ``_raw_mul``,
+``_raw_divide`` and ``submul``.  ``raw_product`` and
 ``raw_sum`` are ``_raw_mul`` and ``_raw_add`` themselves, the stalk product
 and sum behind ``*`` and ``+``, for callers that hold raw stalk values, such
 as the verifiers' leaf checks.  ``trimmed_poly`` is the constructor every
@@ -334,6 +337,59 @@ def _shift_inverse(s, f, r, what: str) -> tuple:
     return tuple(submul(zero, c, v) for v in q)
 
 
+def raw_bezout(s, a, b):
+    """(u, v) with u*a + v*b = 1, len(u) < len(b), len(v) < len(a), or None.
+
+    a and b are raw monic polynomials on the local stalk s.  The matrix M
+    of (u, v) -> u*a + v*b on monomial bases is the Sylvester matrix: column
+    j < deg b holds t^j * a and column deg b + j holds t^j * b.  Its
+    determinant is the resultant up to sign, and over a local ring M is
+    invertible exactly when elimination finds a unit pivot in every column.
+    So M (u, v) = e_0 is solved by pivoting each column on its first unit at
+    or below the diagonal, and the answer is None at a column that has none,
+    that is when the pair is not comaximal.  Back substitution scales by
+    the stored pivot inverses.  The identity u*a + v*b = 1 is checked
+    exactly, and a pair that fails it raises ``VerificationFailed``.  A
+    factor equal to 1 gives its pair with no elimination.
+    """
+    one = (s.one,)
+    if a == one:
+        return one, ()
+    if b == one:
+        return (), one
+    d0, d1 = len(a) - 1, len(b) - 1
+    n = d0 + d1
+    is_unit, mul, sub, submul, zero = s.is_unit, s.mul, s.sub, s.submul, s.zero
+    cols = [[zero] * j + list(a) + [zero] * (d1 - 1 - j) for j in range(d1)]
+    cols += [[zero] * j + list(b) + [zero] * (d0 - 1 - j) for j in range(d0)]
+    cols.append([s.one] + [zero] * (n - 1))
+    m = [list(row) for row in zip(*cols)]
+    pivot_inv = []
+    for c in range(n):
+        for p in range(c, n):
+            if is_unit(m[p][c]):
+                break
+        else:
+            return None
+        m[c], m[p] = m[p], m[c]
+        k = s.inv(m[c][c])
+        pivot_inv.append(k)
+        top = m[c][c + 1 :]
+        for r in range(c + 1, n):
+            row = m[r]
+            if row[c] != zero:
+                f = mul(row[c], k)
+                row[c + 1 :] = [submul(x, f, y) for x, y in zip(row[c + 1 :], top)]
+    x = [zero] * n
+    for c in reversed(range(n)):
+        row = m[c]
+        x[c] = mul(sub(row[n], s.dot(row[c + 1 : n], x[c + 1 :])), pivot_inv[c])
+    u, v = _trim(s, x[:d1]), _trim(s, x[d1:])
+    if _raw_add(s, _raw_mul(s, u, a), _raw_mul(s, v, b)) != one:
+        raise VerificationFailed(["resultant Bezout pair failed its identity check"])
+    return u, v
+
+
 def certificate_parts(s, f0, f1, u, drazin: bool = False) -> tuple:
     """One stalk's certificate polynomials of the split h = f0*f1, raw.
 
@@ -393,10 +449,3 @@ def monic_divide(f: Poly, g: Poly):
         rs.append(r)
     r = _poly(f.ring, rs)
     return _poly(f.ring, qs), r, r.is_zero
-
-
-def glue_polys(R: Ring, per_stalk: list[Poly]) -> Poly:
-    """Assemble a polynomial over R from one single-stalk polynomial per stalk."""
-    if len(per_stalk) != R.num_stalks:
-        raise RingMismatch("need exactly one polynomial per stalk")
-    return _poly(R, [p.parts[0] for p in per_stalk])

@@ -7,7 +7,7 @@ arithmetic of ``cleanmat.polys``; the polynomial oracles below use only
 them.  ``char_poly_cofactor`` expands det(tI - A) over the polynomial ring,
 ``inverse_adjugate`` inverts a matrix as adj(A) / det A (the package has
 no general inverse) and ``comaximality_cramer`` takes the Bezout pair of
-two monic polynomials by Cramer's rule on the Sylvester matrix, both with
+two monic polynomials by Cramer's rule on their ``sylvester`` matrix, both with
 determinants by cofactor expansion on Elements; ``matrix_classify``
 classifies a matrix from that inverse, its char poly and its square.
 ``rational_roots_horner`` finds the rational roots of a monic Z_(p)
@@ -236,12 +236,26 @@ def inverse_adjugate(A: SquareMatrix) -> SquareMatrix | None:
     )
 
 
+def sylvester(f0: Poly, f1: Poly) -> SquareMatrix:
+    """The matrix of (u, v) -> u*f0 + v*f1 on monomial bases, for monic f0, f1.
+
+    Column j < deg f1 holds t^j * f0 and column deg f1 + j holds t^j * f1;
+    the matrix is square of size deg f0 + deg f1.
+    """
+    if not f0.is_monic or not f1.is_monic:
+        raise ValueError("sylvester needs monic polynomials")
+    d0, d1 = f0.degree, f1.degree
+    n = d0 + d1
+    cols = [[_coeff(f0, r - j) for r in range(n)] for j in range(d1)]
+    cols += [[_coeff(f1, r - j) for r in range(n)] for j in range(d0)]
+    return SquareMatrix(f0.ring, [[cols[c][r] for c in range(n)] for r in range(n)])
+
+
 def comaximality_cramer(f0: Poly, f1: Poly):
     """Bezout pair (u, v) with u*f0 + v*f1 = 1, or None if not comaximal.
 
-    Column j < deg f1 of the Sylvester matrix holds t^j * f0 and column
-    deg f1 + j holds t^j * f1; the pair is comaximal exactly when its
-    determinant (the resultant up to sign) is a unit, and then Cramer's rule
+    The pair is comaximal exactly when the determinant of its ``sylvester``
+    matrix M (the resultant up to sign) is a unit, and then Cramer's rule
     solves M (u, v) = e_0 with one determinant per coefficient.
     """
     if not f0.is_monic or not f1.is_monic:
@@ -251,14 +265,9 @@ def comaximality_cramer(f0: Poly, f1: Poly):
         return Poly.one(R), Poly.zero(R)
     if f1.degree == 0:
         return Poly.zero(R), Poly.one(R)
-    d0, d1 = f0.degree, f1.degree
-    n = d0 + d1
-    cols = []
-    for j in range(d1):
-        cols.append([_coeff(f0, r - j) for r in range(n)])
-    for j in range(d0):
-        cols.append([_coeff(f1, r - j) for r in range(n)])
-    M = [[cols[c][r] for c in range(n)] for r in range(n)]
+    d1 = f1.degree
+    M = [list(row) for row in sylvester(f0, f1).rows]
+    n = len(M)
     res_inv = R.inv(_det_cofactor(R, M))
     if res_inv is None:
         return None

@@ -45,7 +45,7 @@ from cleanmat.factor import (
     gsrc_search,
 )
 from cleanmat.matrices import SquareMatrix, companion, random_with_charpoly
-from cleanmat.polys import Poly, certificate_parts, monic_divide
+from cleanmat.polys import Poly, certificate_parts, monic_divide, raw_bezout
 from cleanmat.rings import build_ring
 from conftest import CERT_RINGS
 
@@ -192,8 +192,10 @@ def test_a_triangular_split_without_unit_values_fails_verification(zmod, monkeyp
     honest = decide_mod._diagonal_split
 
     def swapped(R, diag):
-        f0, f1, _ = honest(R, diag)
-        return f1, f0, comaximality(f1, f0)[0]
+        return [
+            (f1, f0, raw_bezout(s, f1, f0)[0])
+            for s, (f0, f1, _) in zip(R.stalks, honest(R, diag))
+        ]
 
     monkeypatch.setattr(decide_mod, "_diagonal_split", swapped)
     T = SquareMatrix.from_ints(zmod(3), [[1, 1], [0, 0]])

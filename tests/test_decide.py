@@ -51,6 +51,27 @@ def test_decide_paper_example(zloc2_squared):
     assert not verify_strong_clean(companion(h), d.certificate)
 
 
+def test_zloc_middle_degrees_outside_the_unit_window_are_absent(zloc):
+    """Over Z_(p), f0(0) and f1(1) units force b <= deg f0 <= n - a, for
+    a = ord_t(h mod p) and b = ord_(t-1)(h mod p), so a middle degree outside
+    that window is a complete absence with no bounded-height scan."""
+    # t^16 + 1 = (t - 1)^16 mod 2: the window is [16, 16], and f0 = h is found
+    Z2 = zloc(2)
+    h = Poly.from_ints(Z2, [1] + [0] * 15 + [1])
+    res = gsrc_search(h, Z2, "SRC")
+    (stalk,) = res.transcript["stalks"]
+    window = "f0(0) and f1(1) units force 16 <= deg f0 <= 16"
+    assert [stalk["degrees"][str(d)] for d in range(2, 15)] == [window] * 13
+    d = decide_strongly_clean(companion(h))
+    assert (d.verdict, d.route) == ("yes", "gSRC")
+    # t^2 (t^2 - t + 3): a = 3 and b = 1, so degree 2 lies outside [1, 1]
+    h = Poly.from_ints(zloc(3), [0, 0, 3, -1, 1])
+    d = decide_strongly_clean(companion(h))
+    assert (d.verdict, d.route) == ("no", "companion_negation")
+    (stalk,) = d.refutation["gsrc_transcript"]["stalks"]
+    assert stalk["degrees"]["2"] == "f0(0) and f1(1) units force 1 <= deg f0 <= 1"
+
+
 def test_decide_zero_matrix(zmod, zloc):
     for R in (zmod(6), zloc(2)):
         Z = SquareMatrix.zeros(R, 2)
@@ -258,7 +279,7 @@ def test_triangular_construction_and_sweep(zmod):
 def _no_bezout_pair(monkeypatch):
     import cleanmat.decide as decide_mod
 
-    monkeypatch.setattr(decide_mod, "comaximality", lambda f0, f1: None)
+    monkeypatch.setattr(decide_mod, "raw_bezout", lambda s, a, b: None)
 
 
 def test_triangular_sweep_fails_hard_on_a_non_comaximal_split(zmod, monkeypatch):

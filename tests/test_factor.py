@@ -23,15 +23,20 @@ from cleanmat.factor import (
     sp_search,
     src_search,
 )
-from cleanmat.matrices import sylvester, sylvester_solve
-from cleanmat.polys import Poly, glue_polys, monic_divide
-from cleanmat.errors import NonMonicDivisor
+from cleanmat.polys import Poly, monic_divide, raw_bezout
+from cleanmat.errors import NonMonicDivisor, RingMismatch
 from cleanmat.rings import Element, block_ring, build_ring
 from cleanmat.serialize import dumps_canonical, to_jsonable
 from cleanmat.verify import verify_gsp, verify_gsrc, verify_sp, verify_src
 
 from conftest import CERT_RINGS
-from oracles import comaximality_cramer, inverse_adjugate, nilpotents, rational_roots_horner
+from oracles import (
+    comaximality_cramer,
+    inverse_adjugate,
+    nilpotents,
+    rational_roots_horner,
+    sylvester,
+)
 
 
 def ints(R, p):
@@ -47,6 +52,9 @@ def test_comaximality_examples(zmod):
     f = Poly.from_ints(R4, [3, 2, 1])
     u, v = comaximality(Poly.one(R4), f)
     assert u == Poly.one(R4) and v.is_zero
+    for g in (Poly.one(R8), Poly.from_ints(R8, [1, 1])):
+        with pytest.raises(RingMismatch):
+            comaximality(g, f)
 
 
 def _non_monic_polys(R):
@@ -73,18 +81,14 @@ def test_public_entries_reject_non_monic_input():
             comaximality(g, h)
         with pytest.raises(ValueError):
             comaximality(h, g)
-        with pytest.raises(ValueError):
-            sylvester_solve(g, h)
-        with pytest.raises(ValueError):
-            sylvester_solve(h, g)
         for search in (src_search, gsrc_search, sp_search, gsp_search):
             with pytest.raises(ValueError):
                 search(g, R)
 
 
 def test_only_the_public_entry_of_a_search_runs_is_monic(monkeypatch):
-    """Divisions test the divisor inside their own loop and Sylvester solves in one
-    raw pass, so neither they nor the Hensel rounds call ``is_monic``."""
+    """Divisions test the divisor inside their own loop and ``comaximality`` its
+    factors in one raw pass, so neither they nor the Hensel rounds call ``is_monic``."""
     tests = []
     is_monic = Poly.is_monic.fget
     monkeypatch.setattr(Poly, "is_monic", property(lambda p: tests.append(p) or is_monic(p)))
@@ -431,11 +435,11 @@ def _oracle_searches(h, R, mode):
 
 
 def _oracle_glue(R, support, certs, mode):
-    """One block's certificate, glued from one-stalk certificates by ``glue_polys``."""
+    """One block's certificate, glued from the parts of one-stalk certificates."""
     B = block_ring(R, support)
 
     def glued(attr):
-        return glue_polys(B, [getattr(c, attr) for c in certs])
+        return Poly.from_parts(B, [getattr(c, attr).parts[0] for c in certs])
 
     if mode == "SP":
         return SPCertificate(glued("h0"), glued("p0"))
@@ -556,6 +560,15 @@ def _bezout_parts(bez):
     return tuple(c.parts for c in u.coeffs), tuple(c.parts for c in v.coeffs)
 
 
+def _assert_kernel_agrees(f0, f1, got):
+    """``raw_bezout`` on each stalk gives ``got``'s parts there, or None on some stalk."""
+    per_stalk = [raw_bezout(s, a, b) for s, a, b in zip(f0.ring.stalks, f0.parts, f1.parts)]
+    if got is None:
+        assert None in per_stalk, (f0, f1)
+    else:
+        assert per_stalk == list(zip(got[0].parts, got[1].parts)), (f0, f1)
+
+
 def test_comaximality_matches_cramer_oracle_exhaustive(
     zmod, f4_ring, dual_ring, f2xf2_ring
 ):
@@ -567,7 +580,9 @@ def test_comaximality_matches_cramer_oracle_exhaustive(
             for d1 in range(4 - d0):
                 for f0 in monics[d0]:
                     for f1 in monics[d1]:
-                        got = _bezout_parts(comaximality(f0, f1))
+                        bez = comaximality(f0, f1)
+                        _assert_kernel_agrees(f0, f1, bez)
+                        got = _bezout_parts(bez)
                         assert got == _bezout_parts(comaximality_cramer(f0, f1)), (
                             R.label(), f0, f1,
                         )
@@ -600,12 +615,12 @@ def test_comaximality_matches_cramer_oracle_seeded(zloc):
             g = _random_monic(Z43, rng.randint(0, 1), rng)
             split.append((f0, f0 * g + Poly.constant(Element(Z43, k))))
     for f0, f1 in pairs + split:
-        assert _bezout_parts(comaximality(f0, f1)) == _bezout_parts(
-            comaximality_cramer(f0, f1)
-        ), (f0, f1)
+        bez = comaximality(f0, f1)
+        _assert_kernel_agrees(f0, f1, bez)
+        assert _bezout_parts(bez) == _bezout_parts(comaximality_cramer(f0, f1)), (f0, f1)
     for f0, f1 in split:
         assert comaximality(f0, f1) is None
-        per_stalk = [comaximality(f0.restrict(i), f1.restrict(i)) for i in range(2)]
+        per_stalk = [raw_bezout(*stalk) for stalk in zip(Z43.stalks, f0.parts, f1.parts)]
         assert [b is None for b in per_stalk].count(True) == 1
     assert any(comaximality(f0, f1) is None for f0, f1 in pairs)
     assert any(comaximality(f0, f1) is not None for f0, f1 in pairs)
@@ -662,10 +677,8 @@ def test_comaximality_matches_cramer_oracle_per_ring(label):
             assert (u, v) == (Poly(R, w[: f1.degree]), Poly(R, w[f1.degree :]))
     assert all(comaximality(f0, f1) is None for f0, f1 in refuted)
     assert any(comaximality(f0, f1) is not None for f0, f1 in pairs)
-    # a degree-0 factor has no Sylvester system; comaximality answers it directly
+    # a degree-0 factor needs no Sylvester solve; comaximality answers it directly
     f1 = pairs[0][1]
-    with pytest.raises(ValueError):
-        sylvester_solve(Poly.one(R), f1)
     assert comaximality(Poly.one(R), f1) == (Poly.one(R), Poly.zero(R))
 
 

@@ -20,6 +20,12 @@ values, so neither may use the Element-level idempotent bookkeeping
 (``primitive_idempotents``, ``idempotent_support``,
 ``is_complete_orthogonal``).
 
+A Bezout pair is solved on raw stalk values by ``polys.raw_bezout``, the
+one elimination of the package: ``matrices.py`` defines no Sylvester solve
+(no name containing ``sylvester``, and no ``_raw_unit_solve``), and
+``factor.py``, which solves through the kernel, imports nothing from
+``.matrices``.
+
 A certificate polynomial is built stalk by stalk on raw values, by
 ``polys.certificate_parts``: ``decide.py`` builds none with boxed
 arithmetic, so it neither calls ``monic_divide`` nor makes a
@@ -168,6 +174,52 @@ def test_the_guard_sees_an_unfused_submul(tmp_path):
         encoding="utf-8",
     )
     assert _unfused_submuls(bad) == ["s.add(s.mul(c, k), x)", "sub(v, mul(c, w))"]
+
+
+def _matrices_imports(path: Path) -> list[str]:
+    """The names imported from ``.matrices``, and ``matrices`` imported whole."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ImportFrom):
+            if (node.module or "").split(".")[-1] == "matrices":
+                found += [alias.name for alias in node.names]
+            else:
+                found += [a.name for a in node.names if a.name == "matrices"]
+        elif isinstance(node, ast.Import):
+            found += [a.name for a in node.names if a.name.split(".")[-1] == "matrices"]
+    return sorted(found)
+
+
+def _sylvester_solve_names(path: Path) -> list[str]:
+    """Functions and assigned names that contain ``sylvester`` or are ``_raw_unit_solve``."""
+    names = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            names.append(node.id)
+    return sorted(n for n in names if "sylvester" in n or n == "_raw_unit_solve")
+
+
+def test_the_bezout_solve_is_one_raw_kernel_in_polys():
+    assert _matrices_imports(SRC / "factor.py") == []
+    assert _sylvester_solve_names(SRC / "matrices.py") == []
+
+
+def test_the_guard_sees_a_sylvester_solve_outside_polys(tmp_path):
+    bad = tmp_path / "bad.py"
+    bad.write_text(
+        "import cleanmat.matrices\n"
+        "from . import matrices, polys\n"
+        "from .matrices import sylvester_solve\n"
+        "def sylvester(f0, f1):\n"
+        "    _raw_unit_solve = None\n"
+        "def _raw_sylvester(s, a, b):\n"
+        "    return a\n",
+        encoding="utf-8",
+    )
+    assert _matrices_imports(bad) == ["cleanmat.matrices", "matrices", "sylvester_solve"]
+    assert _sylvester_solve_names(bad) == ["_raw_sylvester", "_raw_unit_solve", "sylvester"]
 
 
 BOXED_IDEMPOTENT_NAMES = {"primitive_idempotents", "idempotent_support", "is_complete_orthogonal"}

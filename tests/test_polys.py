@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from cleanmat.errors import NonMonicDivisor, RingMismatch
 from cleanmat.factor import comaximality
-from cleanmat.polys import Poly, glue_polys, monic, monic_divide
+from cleanmat.polys import Poly, monic, monic_divide
 from cleanmat.rings import build_ring
 from conftest import CERT_RINGS
 from oracles import (
@@ -54,13 +54,6 @@ def test_coefficients_from_another_ring_are_rejected(zmod):
     for bad in (lambda: h(R12.one), lambda: h.translate(R12.one), lambda: h + Poly.one(R12)):
         with pytest.raises(RingMismatch):
             bad()
-
-
-def test_glue_polys_roundtrip(zmod):
-    R = zmod(12)
-    h = Poly.from_ints(R, [7, 10, 1])
-    parts = [h.restrict(i) for i in range(R.num_stalks)]
-    assert glue_polys(R, parts) == h
 
 
 @st.composite
@@ -144,7 +137,7 @@ def _kernel_pool(R, rng):
             S = R.stalk_ring(i)
             d = (i + k) % 4
             stalk_polys.append(Poly(S, [S.random_element(rng) for _ in range(d)] + [S.one]))
-        pool.append(glue_polys(R, stalk_polys))
+        pool.append(Poly.from_parts(R, [f.parts[0] for f in stalk_polys]))
     cofactors = []
     for _ in range(16):
         bez = comaximality(monic_of(rng.randint(1, 3)), monic_of(rng.randint(1, 3)))
