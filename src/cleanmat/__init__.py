@@ -30,7 +30,6 @@ _SOURCES = {
     "gsp_search": "factor",
     "gsrc_search": "factor",
     "jclean_quadratic_criterion": "decide",
-    "pierce_glue": "rings",
     "sp_search": "factor",
     "src_search": "factor",
     "sqrt_one_plus_radical": "decide",

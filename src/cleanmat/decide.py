@@ -235,13 +235,9 @@ def decide_ring_strongly_clean(
     if R.is_finite:
         total = enumeration_size(R.size, n, budget, "monic polynomials")
         for h in monic_polys(R, n):
-            res = gsrc_search(h, R, "SRC")
-            # finite stalks are Henselian, so every h has a gSRC split
-            if not res.found:
-                raise VerificationFailed(
-                    [f"no gSRC split of a degree-{n} polynomial over the finite ring {R.label()}"]
-                )
-            ensure(verify_gsrc(h, R, res.certificate))
+            # finite stalks are Henselian: each stalk's degree-b lift is a hit
+            # (or the search raises), so every h has a gSRC split
+            ensure(verify_gsrc(h, R, gsrc_search(h, R, "SRC").certificate))
         return Decision(
             YES,
             "gSRC",

@@ -18,39 +18,54 @@ A local ring is a ring with one stalk, so the search over a local ring is
 degree profile, whose certificate is glued over its one block, R itself.
 
 Every search works stalk by stalk, in degree order, and stops once it has
-its answer.  A finite stalk is a Henselian local ring, so its lowest-degree
-split is constructed, not searched for: for SP, deg(p0) must be ord_t(h mod
-m) and p0 is the Hensel lift of that power of t; for SR/SRC, deg(f0) >= b =
+its answer.  A stalk is searched on its raw coefficients: an outcome
+generator takes the stalk and the tuple ``h.parts[i]`` and yields, for each
+degree split, the split's raw certificate parts (or None), whether that
+degree is decided and its transcript note.  No one-stalk ``Poly`` is built:
+divisions, Taylor shifts, products and sums are the stalk kernels of
+``polys`` (``raw_divide``, ``raw_translate``, ``raw_product``, ``raw_sum``)
+and every Bezout pair is one ``raw_bezout``.
+
+A finite stalk is a Henselian local ring, so its lowest-degree split is
+constructed, not searched for: for SP, deg(p0) must be ord_t(h mod m) and
+p0 is the Hensel lift of that power of t; for SR/SRC, deg(f0) >= b =
 ord_(t-1)(h mod m) and the degree-b split is the unique lift of (t-1)^b.
 Only ``src_search``, which needs one degree split shared by every stalk,
-still scans the monic candidates of a finite stalk, and only at degrees
-above b; those scans are exhaustive.  Over Z_(p) the degree splits
-0, 1, n-1, n are decided completely (trivial unit tests plus rational-root
-enumeration; Z_(p) is integrally closed, so monic linear factors come from
-rational roots).  A middle degree d of a degree >= 4 polynomial is
-``absent`` outside the window b <= d <= n - a, for a = ord_t(h mod p) and
-b = ord_(t-1)(h mod p): a unit f0(0) leaves t^a to f1 mod p and a unit
-f1(1) leaves (t-1)^b to f0 mod p.  Inside the window it falls back to a
-bounded-height scan and reports ``incomplete`` when that finds nothing,
-which is distinct from a definitive ``absent``.
+still scans the monic candidates of a finite stalk, as raw tuples and only
+at degrees above b; those scans are exhaustive.
 
-The unit tests read raw coefficients: f(0) is a unit when every stalk's
-constant coefficient is, f(1) when every stalk's coefficient sum is
-(``Poly.unit_at_zero`` / ``Poly.unit_at_one``).  Rational-root candidates
-a/b are tested with the integer identity sum c_i a^i b^(n-i) = 0.
+Over Z_(p) the search reads the integer polynomial scale*h, scale the lcm
+of the denominators.  The scale is prime to p, so a value is a unit exactly
+when p does not divide its integer: h(0) and h(1) are units when p does not
+divide the constant and the sum of the integers.  The degree splits 0, 1,
+n-1 and n are decided completely: 0 and n by those unit tests, 1 and n-1 by
+the rational roots of the integer polynomial (Z_(p) is integrally closed,
+so monic linear factors come from rational roots; a candidate a/b is a root
+when sum c_i a^i b^(n-i) = 0).  A middle degree d of a degree >= 4
+polynomial is ``absent`` outside the window b <= d <= n - a, for
+a = ord_t(h mod p) and b = ord_(t-1)(h mod p): a unit f0(0) leaves t^a to
+f1 mod p and a unit f1(1) leaves (t-1)^b to f0 mod p.  Inside the window it
+falls back to a bounded-height scan of monic integer candidates f0, each
+divided into scale*h over Z, and reports ``incomplete`` when that finds
+nothing, which is distinct from a definitive ``absent``.
 
-``gsrc_search`` and ``gsp_search`` decide each stalk on its own, and a
-stalk's lowest-degree hit is a pure function of the stalk ring, the raw
-stalk coefficients and the mode ("SRC", "SR" or "SP").  Over a finite stalk
-it is memoized under the key (stalk ring key, raw coefficient tuple, mode)
-in one module-level memo of at most ``STALK_MEMO_CAP`` entries, evicting the
-least recently used.  An entry holds raw parts, note strings and, once a
-certificate has been built from the entry's hit, that hit's raw certificate
-polynomials; every call, hit or miss, rebuilds fresh polynomials,
-certificates and transcript dicts from it, so no caller can change what a
-later call gets.  Z_(p) stalks are not memoized, a search that raises leaves
-no entry, and ``src_search``/``sp_search`` do not use the memo.  Callers
-still verify every certificate they receive.
+``src_search`` and ``sp_search`` read each stalk's outcomes degree by
+degree until one degree has a split on every stalk, and glue those raw
+parts into one block.  ``gsrc_search`` and ``gsp_search`` take each
+stalk's lowest-degree hit on its own, and group the stalks into blocks by
+that degree.  A stalk's hit, notes and completeness are a pure function of
+the stalk ring, the raw stalk coefficients and the mode ("SRC", "SR" or
+"SP"), and that triple is the stalk's memo entry.  Over a finite stalk it
+is memoized under the key (stalk ring key, raw coefficient tuple, mode) in
+one module-level memo of at most ``STALK_MEMO_CAP`` entries, evicting the
+least recently used; entries with the same notes share one notes tuple.
+An entry holds raw parts, note strings and, once a certificate has been
+built from the entry's hit, that hit's raw certificate polynomials; every
+call, hit or miss, rebuilds fresh polynomials, certificates and transcript
+dicts from it, so no caller can change what a later call gets.  Z_(p)
+stalks are not memoized, a search that raises leaves no entry, and
+``src_search``/``sp_search`` do not use the memo.  Callers still verify
+every certificate they receive.
 
 ``certificate_polys`` gives each stalk's raw certificate polynomials of a
 global split, (e, w) of a gSRC and (x,) of a gSP, from the kernel
@@ -69,7 +84,16 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import VerificationFailed
-from .polys import Poly, certificate_parts, monic_divide, raw_bezout, raw_product, trimmed_poly
+from .polys import (
+    Poly,
+    certificate_parts,
+    raw_bezout,
+    raw_divide,
+    raw_product,
+    raw_sum,
+    raw_translate,
+    trimmed_poly,
+)
 from .rings import Element, Ring, block_ring
 from .stalks import ZLocStalk
 
@@ -179,23 +203,18 @@ def _divisors(n: int):
     return small + large[::-1]
 
 
-def rational_roots(h: Poly) -> list[Fraction]:
-    """All roots of a monic h over Z_(p) (they are rational, and p-integral).
+def _integer_poly(coeffs) -> tuple[list[int], int]:
+    """(ints, scale) with ints[i] = scale * coeffs[i], scale the lcm of the denominators.
 
-    Clears denominators and enumerates a/b in lowest terms with a | const,
-    b | lead of the integer polynomial sum c_i t^i; a/b is a root exactly
-    when the integer sum c_i a^i b^(n-i) is 0.  Z_(p) is integrally closed,
-    so every rational root of a monic polynomial over it already lies in
-    Z_(p).
+    Over Z_(p) the scale is prime to p, so a coefficient, or a sum of
+    coefficients, is a unit exactly when p does not divide its integer.
     """
-    ring = h.ring
-    stalk = ring.stalks[0]
-    assert isinstance(stalk, ZLocStalk)
-    coeffs = h.parts[0]
-    scale = 1
-    for c in coeffs:
-        scale = math.lcm(scale, c.denominator)
-    ints = [c.numerator * (scale // c.denominator) for c in coeffs]
+    scale = math.lcm(*(c.denominator for c in coeffs))
+    return [c.numerator * (scale // c.denominator) for c in coeffs], scale
+
+
+def _integer_roots(ints: list[int], p: int) -> list[Fraction]:
+    """The rational roots of the integer polynomial sum ints[i] t^i, sorted."""
     roots = set()
     # strip powers of t
     v = 0
@@ -220,109 +239,113 @@ def rational_roots(h: Poly) -> list[Fraction]:
                     if acc == 0:
                         roots.add(Fraction(num, b))
     for r in roots:
-        assert r.denominator % stalk.p != 0, "monic root escaped Z_(p)"
+        assert r.denominator % p != 0, "monic root escaped Z_(p)"
     return sorted(roots)
 
 
-# -- per-degree outcome profiles ---------------------------------------------------
+def rational_roots(h: Poly) -> list[Fraction]:
+    """All roots of a monic h over Z_(p) (they are rational, and p-integral).
+
+    Clears denominators and enumerates a/b in lowest terms with a | const,
+    b | lead of the integer polynomial sum c_i t^i; a/b is a root exactly
+    when the integer sum c_i a^i b^(n-i) is 0.  Z_(p) is integrally closed,
+    so every rational root of a monic polynomial over it already lies in
+    Z_(p).
+    """
+    stalk = h.ring.stalks[0]
+    assert isinstance(stalk, ZLocStalk)
+    return _integer_roots(_integer_poly(h.parts[0])[0], stalk.p)
 
 
-@dataclass
-class DegreeOutcome:
-    cert: object | None
-    complete: bool
-    note: str
+# -- per-stalk searches on raw values -----------------------------------------------
+#
+# Each outcome generator takes a stalk s and the raw coefficients h of a monic
+# polynomial on it, and yields one (parts, complete, note) per degree split
+# 0..deg h, in degree order: parts is the split's raw certificate parts,
+# (f0, f1, u, v) for SR(C) (u = v = None for SR) and (h0, p0) for SP, or None.
 
 
 class _Profile:
     """One stalk's outcomes for deg 0..n, computed in degree order on demand."""
 
-    def __init__(self, degree: int, outcomes):
-        self.degree = degree
-        self.examined: list[DegreeOutcome] = []
+    def __init__(self, outcomes):
+        self.examined: list[tuple] = []
         self._rest = iter(outcomes)
 
-    def at(self, d: int) -> DegreeOutcome:
+    def at(self, d: int) -> tuple:
         while len(self.examined) <= d:
             self.examined.append(next(self._rest))
         return self.examined[d]
 
-    def first_hit(self):
-        """(degree, certificate) of the lowest degree with one, or None."""
-        for d in range(self.degree + 1):
-            out = self.at(d)
-            if out.cert is not None:
-                return d, out.cert
-        return None
 
-    @property
-    def complete(self) -> bool:
-        return all(out.complete for out in self.examined)
+def _value_repr(s, v) -> str:
+    """The repr of the Element with value v of the stalk's own ring."""
+    return f"<{s.value_to_json(v)} in {s.label()}>"
 
 
-def _hensel_split(h: Poly, a: int):
-    """Newton-lift h = q*p with p monic, p = t^a mod m, over a finite local ring.
+def _first_unit_index(s, h) -> int:
+    """Index of the first unit coefficient of a raw monic h."""
+    return next(i for i, c in enumerate(h) if s.is_unit(c))
+
+
+def _hensel_split(s, h, a: int):
+    """Newton-lift h = q*p with p monic, p = t^a mod m, over a finite local stalk.
 
     ``a`` must be ord_t(h mod m), the index of the first unit coefficient of
     h; then t^a and (h mod m)/t^a are coprime, finite local rings are
     Henselian, and the lift exists and is unique.  Each round divides h by p
     (quotient q, remainder r) and adds r*u mod p to p, where u*q + v*p = 1;
     the remainder's ideal order doubles, so the lift is exact within
-    ceil(log2(nil index)) + 1 rounds.  Returns (q, p, rounds).
+    ceil(log2(nil index)) + 1 rounds.  Returns raw (q, p, rounds).
     """
-    R = h.ring
-    limit = (R.max_nil_index() - 1).bit_length() + 1
-    p = Poly.t_power(R, a)
+    limit = (s.nil_index() - 1).bit_length() + 1
+    p = (s.zero,) * a + (s.one,)
     for rounds in range(1, limit + 1):
-        q, r, exact = monic_divide(h, p)
-        if exact:
+        q, r = raw_divide(s, h, p)
+        if not r:
             return q, p, rounds
-        bez = comaximality(q, p)
+        bez = raw_bezout(s, q, p)
         if bez is None:
             break
-        p = p + monic_divide(r * bez[0], p)[1]
+        p = raw_sum(s, p, raw_divide(s, raw_product(s, r, bez[0]), p)[1])
     raise VerificationFailed(
-        [f"Hensel lift of {h!r} from t^{a} did not converge in {limit} rounds"]
+        [f"Hensel lift of {h} over {s.label()} from t^{a} did not converge in {limit} rounds"]
     )
 
 
-def _first_unit_index(h: Poly) -> int:
-    """Index of the first unit coefficient of a monic h over a single stalk."""
-    s = h.ring.stalks[0]
-    return next(i for i, c in enumerate(h.parts[0]) if s.is_unit(c))
-
-
-def _attempt_pair(h: Poly, f0: Poly, mode: str):
-    """Check one monic candidate f0; return an SRCCertificate or None."""
-    R = h.ring
-    q, _, exact = monic_divide(h, f0)
-    if not exact:
-        return None
-    f1 = q
-    if not f0.unit_at_zero or not f1.unit_at_one:
-        return None
+def _split_parts(s, f0, f1, mode: str):
+    """The parts of a split with units f0(0) and f1(1), or None if SRC finds it not comaximal."""
     if mode == "SR":
-        return SRCCertificate(f0, f1, None, None, "SR")
-    bez = comaximality(f0, f1)
-    if bez is None:
-        return None
-    return SRCCertificate(f0, f1, bez[0], bez[1], "SRC")
+        return f0, f1, None, None
+    bez = raw_bezout(s, f0, f1)
+    return None if bez is None else (f0, f1, *bez)
 
 
-def _monic_candidates(R: Ring, d: int):
-    """Monic degree-d (d >= 1) polynomials with unit constant term, canonical order.
-
-    R is a single-stalk ring, so its canonical order is its stalk's.
-    """
-    (s,) = R.stalks
+def _monic_candidates(s, d: int):
+    """Raw monic degree-d (d >= 1) polynomials with unit constant term, canonical order."""
     elems = s.elements()
-    units = [x for x in elems if s.is_unit(x)]
-    for c0 in units:
-        for mids in itertools.product(elems, repeat=d - 1):
-            yield Poly.from_parts(R, [(c0, *mids, s.one)])
+    for c0 in elems:
+        if s.is_unit(c0):
+            for mids in itertools.product(elems, repeat=d - 1):
+                yield (c0, *mids, s.one)
 
 
-def _src_outcomes_finite(h: Poly, mode: str):
+def _first_split(s, h, candidates, mode: str):
+    """The parts of the first candidate f0 that splits h, or None.
+
+    Every candidate is monic with f0(0) a unit; it splits h when it divides
+    h, f1 = h/f0 has f1(1) a unit and, for SRC, the pair is comaximal.
+    """
+    for f0 in candidates:
+        f1, r = raw_divide(s, h, f0)
+        if not r and s.is_unit(s.sum(f1)):
+            parts = _split_parts(s, f0, f1, mode)
+            if parts is not None:
+                return parts
+    return None
+
+
+def _src_outcomes_finite(s, h, mode: str):
     """Degrees below b are impossible, b is lifted, degrees above b are scanned.
 
     With b = ord_(t-1)(h mod m), f1(1) a unit forces (t-1)^b to divide
@@ -331,137 +354,153 @@ def _src_outcomes_finite(h: Poly, mode: str):
     get the same pair.  It is found as the SP lift of g(t) = h(t+1) at t^b,
     shifted back by t -> t-1.
     """
-    R = h.ring
-    g = h.translate(R.one)
-    b = _first_unit_index(g)
+    g = raw_translate(s, h, s.one)
+    b = _first_unit_index(s, g)
+    note = f"(t-1)^{b} divides h mod m but not f1 mod m, so deg f0 >= {b}"
     for _ in range(b):
-        yield DegreeOutcome(
-            None, True, f"(t-1)^{b} divides h mod m but not f1 mod m, so deg f0 >= {b}"
-        )
-    q, p, _ = _hensel_split(g, b)
-    f0, f1 = p.translate(-R.one), q.translate(-R.one)
-    bez = (None, None)
-    if mode == "SRC":
-        bez = comaximality(f0, f1)
-        if bez is None:
-            raise VerificationFailed([f"Hensel split of {h!r} is not comaximal"])
-    yield DegreeOutcome(SRCCertificate(f0, f1, *bez, mode), True, "found")
-    for d in range(b + 1, h.degree + 1):
-        cert = None
-        for f0 in _monic_candidates(R, d):
-            cert = _attempt_pair(h, f0, mode)
-            if cert is not None:
-                break
-        note = "found" if cert else f"exhausted all monic degree-{d} candidates"
-        yield DegreeOutcome(cert, True, note)
+        yield None, True, note
+    q, p, _ = _hensel_split(s, g, b)
+    back = s.neg(s.one)
+    parts = _split_parts(s, raw_translate(s, p, back), raw_translate(s, q, back), mode)
+    if parts is None:
+        raise VerificationFailed([f"Hensel split of {h} over {s.label()} is not comaximal"])
+    yield parts, True, "found"
+    for d in range(b + 1, len(h)):
+        parts = _first_split(s, h, _monic_candidates(s, d), mode)
+        note = "found" if parts else f"exhausted all monic degree-{d} candidates"
+        yield parts, True, note
 
 
-def _src_outcomes_zloc(h: Poly, mode: str):
-    R = h.ring
-    n = h.degree
-    roots = None
+def _src_outcomes_zloc(s, h, mode: str):
+    """Degrees 0, 1, n-1 and n decided, middle degrees windowed, then scanned to a height.
 
-    def linear(r: Fraction) -> Poly:
-        return Poly(R, [R.from_parts((-r,)), R.one])
-
+    Unit tests read the integer polynomial ``ints`` = scale * h: a value's
+    numerator is prime to p exactly when its integer is.  A monic factor
+    that passes the unit tests gets its Bezout pair from ``raw_bezout``.
+    """
+    n = len(h) - 1
+    p = s.p
+    ints, scale = _integer_poly(h)
+    one = (s.one,)
+    roots = window = None
     for d in range(n + 1):
         if d == 0:
-            cert = _attempt_pair(h, Poly.one(R), mode)
-            note = "found" if cert else f"h(1) = {h(R.one)!r} is not a unit"
-            yield DegreeOutcome(cert, True, note)
+            if sum(ints) % p:
+                yield _split_parts(s, one, h, mode), True, "found"
+            else:
+                h1 = _value_repr(s, Fraction(sum(ints), scale))
+                yield None, True, f"h(1) = {h1} is not a unit"
         elif d == n:
-            cert = _attempt_pair(h, h, mode)
-            note = "found" if cert else f"h(0) = {h(R.zero)!r} is not a unit"
-            yield DegreeOutcome(cert, True, note)
+            if ints[0] % p:
+                yield _split_parts(s, h, one, mode), True, "found"
+            else:
+                yield None, True, f"h(0) = {_value_repr(s, h[0])} is not a unit"
         elif d in (1, n - 1):
             if roots is None:
-                roots = rational_roots(h)
-            cert = None
-            for r in roots:
-                f0 = linear(r) if d == 1 else monic_divide(h, linear(r))[0]
-                cert = _attempt_pair(h, f0, mode)
-                if cert is not None:
-                    break
+                roots = _integer_roots(ints, p)
+            # f0 = t - r for d = 1, f0 = h/(t - r) for d = n - 1
+            lins = [(-r, s.one) for r in roots]
+            f0s = lins if d == 1 else [raw_divide(s, h, lin)[0] for lin in lins]
+            parts = _first_split(s, h, [f0 for f0 in f0s if s.is_unit(f0[0])], mode)
             note = (
                 "found"
-                if cert
+                if parts
                 else f"all rational roots {[str(r) for r in roots]} fail the unit tests"
             )
-            yield DegreeOutcome(cert, True, note)
+            yield parts, True, note
         else:
             # a unit f0(0) leaves t^a to f1 mod p, a unit f1(1) leaves (t-1)^b to f0 mod p
-            lo, hi = _first_unit_index(h.translate(R.one)), n - _first_unit_index(h)
+            if window is None:
+                lo = _first_unit_index(s, raw_translate(s, h, s.one))
+                window = lo, n - _first_unit_index(s, h)
+            lo, hi = window
             if not lo <= d <= hi:
-                note = f"f0(0) and f1(1) units force {lo} <= deg f0 <= {hi}"
-                yield DegreeOutcome(None, True, note)
+                yield None, True, f"f0(0) and f1(1) units force {lo} <= deg f0 <= {hi}"
                 continue
-            cert = None
             span = range(-BOUNDED_HEIGHT, BOUNDED_HEIGHT + 1)
-            p = R.stalks[0].p
-            for c0 in span:
-                if c0 % p == 0:
-                    continue
-                for mids in itertools.product(span, repeat=d - 1):
-                    f0 = Poly.from_ints(R, [c0, *mids, 1])
-                    cert = _attempt_pair(h, f0, mode)
-                    if cert is not None:
-                        break
-                if cert is not None:
-                    break
+            candidates = (
+                tuple(map(Fraction, (c0, *mids, 1)))
+                for c0 in span
+                if c0 % p
+                for mids in itertools.product(span, repeat=d - 1)
+            )
+            parts = _first_split(s, h, candidates, mode)
             note = (
                 "found"
-                if cert
+                if parts
                 else f"bounded search (height {BOUNDED_HEIGHT}) exhausted; not decisive"
             )
-            yield DegreeOutcome(cert, cert is not None, note)
+            yield parts, parts is not None, note
 
 
-def _src_profile(h: Poly, mode: str) -> _Profile:
-    outcomes = _src_outcomes_finite if h.ring.is_finite else _src_outcomes_zloc
-    return _Profile(h.degree, outcomes(h, mode))
-
-
-def _sp_outcomes(h: Poly):
-    R = h.ring
-    n = h.degree
-    if R.is_finite:
+def _sp_outcomes(s, h):
+    """One deg(p0) can split h: ord_t(h mod m), lifted on a finite stalk, exact on Z_(p)."""
+    n = len(h) - 1
+    if s.finite:
         # p0 = t^d mod m and h0(0) a unit force d = ord_t(h mod m)
-        a = _first_unit_index(h)
-        q, p, _ = _hensel_split(h, a)
+        a = _first_unit_index(s, h)
+        q, p, _ = _hensel_split(s, h, a)
         for d in range(n + 1):
             if d == a:
-                yield DegreeOutcome(SPCertificate(q, p), True, "found")
+                yield (q, p), True, "found"
             else:
-                note = f"no nilpotent-tail divisor of degree {d}"
-                yield DegreeOutcome(None, True, note)
+                yield None, True, f"no nilpotent-tail divisor of degree {d}"
         return
     # Z_(p) is a domain: Nil = 0, so p0 must be exactly t^d and only the
     # t-adic valuation of h can work.
-    (s,) = R.stalks
-    a = h.parts[0]
     val = 0
-    while a[val] == s.zero:  # h is monic, so a[n] = 1 stops the scan
+    while not h[val].numerator:  # h is monic, so h[n] = 1 stops the scan
         val += 1
     for d in range(n + 1):
-        cert = None
-        note = f"p0 = t^{d} does not divide h"
         if d == val:
-            h0 = Poly.from_parts(R, [a[d:]])
-            if h0.unit_at_zero:
-                cert = SPCertificate(h0, Poly.t_power(R, d))
-                note = "found"
+            if s.is_unit(h[d]):
+                yield (h[d:], (s.zero,) * d + (s.one,)), True, "found"
             else:
-                note = f"h0(0) = {h0.coeff(0)!r} is not a unit"
+                yield None, True, f"h0(0) = {_value_repr(s, h[d])} is not a unit"
         elif d < val:
-            note = f"h0(0) would be 0 (valuation of h is {val})"
-        yield DegreeOutcome(cert, True, note)
+            yield None, True, f"h0(0) would be 0 (valuation of h is {val})"
+        else:
+            yield None, True, f"p0 = t^{d} does not divide h"
 
 
-def _sp_profile(h: Poly) -> _Profile:
-    """SP outcomes per deg(p0); one lift decides every degree, so all are filled."""
-    profile = _Profile(h.degree, _sp_outcomes(h))
-    profile.at(h.degree)
+def _outcomes(s, h, mode: str):
+    """Stalk s's outcome generator of raw h in ``mode``."""
+    if mode == "SP":
+        return _sp_outcomes(s, h)
+    return (_src_outcomes_finite if s.finite else _src_outcomes_zloc)(s, h, mode)
+
+
+def _profile(s, h, mode: str) -> _Profile:
+    """Stalk s's profile of raw h; one SP lift decides every degree, so all are filled."""
+    profile = _Profile(_outcomes(s, h, mode))
+    if mode == "SP":
+        profile.at(len(h) - 1)
     return profile
+
+
+def _notes(examined) -> tuple:
+    """(degree, note) of every examined outcome, in degree order."""
+    return tuple(
+        (str(d), note if complete else note + " [incomplete]")
+        for d, (_, complete, note) in enumerate(examined)
+    )
+
+
+def _stalk_search(s, h, mode: str) -> list:
+    """The memo entry of raw h on stalk s: [hit, notes, complete, None].
+
+    hit is (degree, parts) of the lowest degree split, or None; the last
+    slot is for the hit's certificate polynomials.  The SR(C) search stops
+    at its hit; one SP lift decides every degree, so SP examines them all.
+    """
+    examined, hit = [], None
+    for d, out in enumerate(_outcomes(s, h, mode)):
+        examined.append(out)
+        if out[0] is not None and hit is None:
+            hit = d, out[0]
+            if mode != "SP":
+                break
+    return [hit, _notes(examined), all(out[1] for out in examined), None]
 
 
 # -- public searches -----------------------------------------------------------------
@@ -470,14 +509,6 @@ def _sp_profile(h: Poly) -> _Profile:
 def _require_monic(h: Poly):
     if not h.is_monic:
         raise ValueError(f"{h!r} is not monic")
-
-
-def _notes(prof: _Profile) -> tuple:
-    """(degree, note) of every degree the stalk's search examined."""
-    return tuple(
-        (str(d), out.note + ("" if out.complete else " [incomplete]"))
-        for d, out in enumerate(prof.examined)
-    )
 
 
 def _transcript(R: Ring, notes, mode: str) -> dict:
@@ -490,7 +521,7 @@ def _transcript(R: Ring, notes, mode: str) -> dict:
 
 def _profile_transcript(R: Ring, profiles, mode: str) -> dict:
     """The outcome of every degree each stalk's search examined."""
-    return _transcript(R, [_notes(prof) for prof in profiles], mode)
+    return _transcript(R, [_notes(prof.examined) for prof in profiles], mode)
 
 
 def _common_degree_result(h: Poly, R: Ring, profiles, mode: str, glue) -> SearchResult:
@@ -498,10 +529,10 @@ def _common_degree_result(h: Poly, R: Ring, profiles, mode: str, glue) -> Search
     undecided = False
     for d in range(h.degree + 1):
         outs = [prof.at(d) for prof in profiles]
-        if all(out.cert for out in outs):
-            cert = glue(R, tuple(range(R.num_stalks)), [_raw_parts(o.cert) for o in outs])
+        if all(parts is not None for parts, _, _ in outs):
+            cert = glue(R, tuple(range(R.num_stalks)), [parts for parts, _, _ in outs])
             return SearchResult(FOUND, cert, _profile_transcript(R, profiles, mode))
-        if any(out.cert is None and out.complete for out in outs):
+        if any(parts is None and complete for parts, complete, _ in outs):
             continue  # this degree split is definitively impossible at some stalk
         undecided = True
     status = INCOMPLETE if undecided else ABSENT
@@ -516,31 +547,17 @@ def src_search(h: Poly, R: Ring, mode: str = "SRC") -> SearchResult:
     combines the per-stalk degree profiles at each uniform degree.
     """
     _require_monic(h)
-    profiles = [_src_profile(h.restrict(i), mode) for i in range(R.num_stalks)]
+    if mode not in ("SR", "SRC"):
+        raise ValueError(f"src_search mode must be 'SR' or 'SRC', not {mode!r}")
+    profiles = [_profile(s, a, mode) for s, a in zip(R.stalks, h.parts)]
     return _common_degree_result(h, R, profiles, mode, _glue_src_block)
 
 
 def sp_search(h: Poly, R: Ring) -> SearchResult:
     """Single-block SP factorization over R: one common deg(p0) on every stalk."""
     _require_monic(h)
-    profiles = [_sp_profile(h.restrict(i)) for i in range(R.num_stalks)]
+    profiles = [_profile(s, a, "SP") for s, a in zip(R.stalks, h.parts)]
     return _common_degree_result(h, R, profiles, "SP", _glue_sp_block)
-
-
-def _raw_parts(cert, k: int = 0) -> tuple:
-    """The raw parts of stalk k of a certificate, None for a missing cofactor.
-
-    SR(C): (f0, f1, u, v); SP: (h0, p0).  Blocks are glued from these.
-    """
-    if isinstance(cert, SPCertificate):
-        return cert.h0.parts[k], cert.p0.parts[k]
-    u, v = cert.bezout_u, cert.bezout_v
-    return (
-        cert.f0.parts[k],
-        cert.f1.parts[k],
-        None if u is None else u.parts[k],
-        None if v is None else v.parts[k],
-    )
 
 
 def _glue_src_block(R: Ring, support: tuple[int, ...], raws) -> SRCCertificate:
@@ -579,25 +596,24 @@ def _assemble_global(R: Ring, choices, glue) -> list[Block]:
 # where hit is None or (degree, raw certificate parts) and polys is None until a
 # certificate built from hit verifies; insertion order is recency
 _STALK_MEMO: dict = {}
-
-
-def _stalk_step(h: Poly, i: int, mode: str) -> list:
-    """Stalk i's lowest-degree hit, examined notes and completeness, all raw."""
-    hi = h.restrict(i)
-    prof = _sp_profile(hi) if mode == "SP" else _src_profile(hi, mode)
-    hit = prof.first_hit()
-    raw = None if hit is None else (hit[0], _raw_parts(hit[1]))
-    return [raw, _notes(prof), prof.complete, None]
+# each distinct notes tuple of a memo entry -> itself; finite stalks have few
+_MEMO_NOTES: dict = {}
 
 
 def _stalk_first_hit(h: Poly, R: Ring, i: int, mode: str) -> list:
-    """``_stalk_step``, looked up in the memo first when stalk i is finite."""
-    if not R.stalks[i].finite:
-        return _stalk_step(h, i, mode)
-    key = (R.stalk_ring(i).key, h.parts[i], mode)
+    """``_stalk_search`` of stalk i, looked up in the memo first when the stalk is finite.
+
+    A new entry's notes tuple is stored once in ``_MEMO_NOTES`` and shared
+    by every entry with the same notes.
+    """
+    s, a = R.stalks[i], h.parts[i]
+    if not s.finite:
+        return _stalk_search(s, a, mode)
+    key = (R.stalk_ring(i).key, a, mode)
     entry = _STALK_MEMO.pop(key, None)
     if entry is None:
-        entry = _stalk_step(h, i, mode)
+        entry = _stalk_search(s, a, mode)
+        entry[1] = _MEMO_NOTES.setdefault(entry[1], entry[1])
         while len(_STALK_MEMO) >= STALK_MEMO_CAP:
             del _STALK_MEMO[next(iter(_STALK_MEMO))]
     _STALK_MEMO[key] = entry
@@ -643,7 +659,16 @@ def _stalk_splits(R: Ring, gcert) -> list:
         if isinstance(c, SRCCertificate) and c.bezout_u is None:
             raise VerificationFailed(["SR-only certificate cannot split the module"])
         for k, i in enumerate(b.support):
-            splits[i] = _raw_parts(c, k)
+            if isinstance(c, SPCertificate):
+                splits[i] = c.h0.parts[k], c.p0.parts[k]
+            else:
+                v = c.bezout_v
+                splits[i] = (
+                    c.f0.parts[k],
+                    c.f1.parts[k],
+                    c.bezout_u.parts[k],
+                    None if v is None else v.parts[k],
+                )
     if None in splits:
         raise VerificationFailed(["block supports do not partition the stalks"])
     return splits

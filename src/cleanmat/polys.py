@@ -15,26 +15,27 @@ degrees.
 ``coeff(i)`` box Elements on demand, for serializing and printing.  Every
 operation (``+ - neg *``, ``translate``, evaluation and ``monic_divide``)
 runs one raw kernel per stalk with that stalk's own
-``add``/``sub``/``neg``/``dot``/``submul``, and ``restrict`` selects one
-stalk's part.  A product coefficient is one ``dot``, and a
-step of division, translation or evaluation is one
+``add``/``sub``/``neg``/``dot``/``submul``.  A product coefficient is one
+``dot``, and a step of division, translation or evaluation is one
 ``submul(x, c, y) = x - c*y``, so each result is reduced once.  Division by
 a monic divisor is exact over any commutative ring.  The unit tests
 ``unit_at_zero`` and ``unit_at_one`` read each stalk's constant coefficient
 and coefficient sum, with no evaluation.
 
-Four raw kernels are public.  ``raw_bezout`` solves one stalk's Bezout
+Six raw kernels are public.  ``raw_bezout`` solves one stalk's Bezout
 identity u*f0 + v*f1 = 1 by a unit-pivot elimination of the Sylvester
 system, the one elimination of the package, and returns None when the pair
 is not comaximal.  ``certificate_parts`` builds, from one stalk's split
 h = f0*f1 and Bezout cofactor u, the stalk's certificate polynomials (e, w)
 of a strongly clean pair, or x of a Drazin inverse, with ``_raw_mul``,
-``_raw_divide`` and ``submul``.  ``raw_product`` and
-``raw_sum`` are ``_raw_mul`` and ``_raw_add`` themselves, the stalk product
-and sum behind ``*`` and ``+``, for callers that hold raw stalk values, such
-as the verifiers' leaf checks.  ``trimmed_poly`` is the constructor every
-operation ends in: ``Poly.from_parts`` without its trim, for parts taken
-from existing polynomials.
+``_raw_divide`` and ``submul``.  ``raw_product``, ``raw_sum``,
+``raw_divide`` and ``raw_translate`` are ``_raw_mul``, ``_raw_add``,
+``_raw_divide`` and ``_raw_translate`` themselves, the stalk kernels behind
+``*``, ``+``, ``monic_divide`` and ``translate``, for callers that hold raw
+stalk values: the verifiers' leaf checks and the stalk searches.
+``trimmed_poly`` is the constructor every operation ends in:
+``Poly.from_parts`` without its trim, for parts taken from existing
+polynomials.
 """
 
 from __future__ import annotations
@@ -197,9 +198,6 @@ class Poly:
             terms.append(f"{v}" if i == 0 else f"{v}*t^{i}")
         return "<poly " + " + ".join(terms) + ">"
 
-    def restrict(self, i: int) -> "Poly":
-        return _poly(self.ring.stalk_ring(i), [self.parts[i]])
-
 
 def _poly(ring: Ring, parts) -> Poly:
     """The polynomial whose state is ``parts``, already trimmed per stalk."""
@@ -321,6 +319,11 @@ def _raw_divide(s, f, g):
         for i, gc in enumerate(low):
             rem[base + i] = submul(rem[base + i], c, gc)
     return tuple(q), _trim(s, rem[:dg])
+
+
+# one stalk's division (q, r) by a raw monic divisor and Taylor shift a(t + c)
+raw_divide = _raw_divide
+raw_translate = _raw_translate
 
 
 def _shift_inverse(s, f, r, what: str) -> tuple:

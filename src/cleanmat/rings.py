@@ -25,7 +25,6 @@ from dataclasses import dataclass
 from operator import itemgetter
 
 from .errors import (
-    IncompleteCover,
     InfiniteRing,
     MalformedDescriptor,
     NonRing,
@@ -223,9 +222,6 @@ class Ring:
             self._stalk_rings[i] = build_ring(self.stalks[i].ring_descriptor())
         return self._stalk_rings[i]
 
-    def restrict_element(self, a: Element, i: int) -> Element:
-        return Element(self.stalk_ring(i), (a.parts[i],))
-
     def indicator(self, support) -> Element:
         """The idempotent that is 1 on the stalks in ``support`` and 0 elsewhere."""
         return Element(
@@ -252,15 +248,6 @@ class Ring:
             for bits in itertools.product((0, 1), repeat=self.num_stalks)
         )
         return [Element(self, p) for p in parts]
-
-    def idempotent_support(self, e: Element) -> tuple[int, ...]:
-        support = []
-        for i, (s, v) in enumerate(zip(self.stalks, e.parts)):
-            if v == s.one:
-                support.append(i)
-            elif v != s.zero:
-                raise ValueError(f"{e!r} is not an idempotent of {self.label()}")
-        return tuple(support)
 
     # -- radical / classification --------------------------------------------------
 
@@ -475,51 +462,3 @@ def block_ring(R: Ring, indices: tuple[int, ...]) -> Ring:
         )
     R._block_rings[indices] = ring
     return ring
-
-
-def embed_from_block(R: Ring, b: Element, indices: tuple[int, ...]) -> Element:
-    parts = list(R.zero.parts)
-    for i, v in zip(indices, b.parts):
-        parts[i] = v
-    return Element(R, tuple(parts))
-
-
-def is_complete_orthogonal(R: Ring, idems: list[Element]) -> bool:
-    for i, e in enumerate(idems):
-        if not R.is_idempotent(e):
-            return False
-        for f in idems[i + 1 :]:
-            if e * f != R.zero:
-                return False
-    total = R.zero
-    for e in idems:
-        total = total + e
-    return total == R.one
-
-
-def pierce_glue(R: Ring, blocks) -> Element:
-    """Glue per-block values along a complete orthogonal set of idempotents.
-
-    Each block is a pair ``(e, v)`` where ``e`` is an idempotent of ``R`` and
-    ``v`` is either an element of ``R`` or an element of the block subring
-    ``e*R``.  The result is the unique element restricting to ``v`` on the
-    stalks covered by each ``e``.
-    """
-    idems = [e for e, _ in blocks]
-    if not is_complete_orthogonal(R, idems):
-        raise IncompleteCover("idempotents are not a complete orthogonal set")
-    acc = R.zero
-    for e, v in blocks:
-        if not isinstance(v, Element):
-            raise RingMismatch(f"block value {v!r} is not a ring element")
-        if v.ring.key == R.key:
-            acc = acc + e * v
-            continue
-        support = R.idempotent_support(e)
-        B = block_ring(R, support)
-        if v.ring.key != B.key:
-            raise RingMismatch(
-                f"block value lives in {v.ring.label()}, expected {B.label()} or {R.label()}"
-            )
-        acc = acc + embed_from_block(R, v, support)
-    return acc

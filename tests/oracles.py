@@ -43,6 +43,12 @@ chunk and tests E^2 = E, EA = AE and det(A - E), with no idempotent index
 and no stalk split.  ``table_axiom_failure_numpy`` checks the ring axioms
 of two operation tables as whole-array numpy comparisons and returns the
 first failure.  Both skip the calling test when numpy is not installed.
+``restrict_element``, ``restrict_poly``, ``idempotent_support``,
+``is_complete_orthogonal`` and ``pierce_glue`` are the Pierce restriction
+and gluing on boxed Elements, which no decision needs.
+``stalk_search_boxed`` and ``stalk_outcomes_boxed`` are the per-stalk
+searches of ``cleanmat.factor`` written on one-stalk polynomials, every
+step a ``Poly`` operation, for the differential test of the raw searches.
 """
 
 from __future__ import annotations
@@ -56,10 +62,18 @@ import pytest
 
 from cleanmat.errors import (
     BudgetExceeded,
+    IncompleteCover,
     InfiniteRing,
     NonMonicDivisor,
     RingMismatch,
     VerificationFailed,
+)
+from cleanmat.factor import (
+    BOUNDED_HEIGHT,
+    SPCertificate,
+    SRCCertificate,
+    comaximality,
+    rational_roots,
 )
 from cleanmat.matrices import (
     PiRegularCertificate,
@@ -67,7 +81,7 @@ from cleanmat.matrices import (
     StrongCleanCertificate,
     char_poly,
 )
-from cleanmat.polys import Poly
+from cleanmat.polys import Poly, monic_divide
 from cleanmat.quadz5 import ONE, THETA, QuadInt
 from cleanmat.rings import Element, RadicalMembership, block_ring
 
@@ -503,7 +517,7 @@ def triangular_reference(T: SquareMatrix):
         S = R.stalk_ring(i)
         f0, f1 = Poly.one(S), Poly.one(S)
         for d in range(T.n):
-            x = R.restrict_element(T.rows[d][d], i)
+            x = restrict_element(R, T.rows[d][d], i)
             lin = Poly(S, [-x, S.one])
             if S.is_unit(x):
                 f0 = fold_poly_mul(f0, lin)
@@ -759,3 +773,285 @@ def table_axiom_failure_numpy(add, mul):
     if one_rows[0] == zero_rows[0]:
         return "one equals zero", None
     return None
+
+
+# -- Pierce restriction and gluing on boxed Elements ----------------------------------
+
+
+def restrict_element(R, a: Element, i: int) -> Element:
+    """The value of a on stalk i, as an element of the stalk ring."""
+    return Element(R.stalk_ring(i), (a.parts[i],))
+
+
+def restrict_poly(h: Poly, i: int) -> Poly:
+    """The stalk-i part of h, as a polynomial over the stalk ring."""
+    return Poly.from_parts(h.ring.stalk_ring(i), [h.parts[i]])
+
+
+def idempotent_support(R, e: Element) -> tuple[int, ...]:
+    """The stalks on which the idempotent e is 1; any other non-0 value raises."""
+    support = []
+    for i, (s, v) in enumerate(zip(R.stalks, e.parts)):
+        if v == s.one:
+            support.append(i)
+        elif v != s.zero:
+            raise ValueError(f"{e!r} is not an idempotent of {R.label()}")
+    return tuple(support)
+
+
+def is_complete_orthogonal(R, idems: list[Element]) -> bool:
+    for i, e in enumerate(idems):
+        if not R.is_idempotent(e):
+            return False
+        for f in idems[i + 1 :]:
+            if e * f != R.zero:
+                return False
+    total = R.zero
+    for e in idems:
+        total = total + e
+    return total == R.one
+
+
+def pierce_glue(R, blocks) -> Element:
+    """Glue per-block values along a complete orthogonal set of idempotents.
+
+    Each block is a pair ``(e, v)`` where ``e`` is an idempotent of ``R`` and
+    ``v`` is either an element of ``R`` or an element of the block subring
+    ``e*R``.  The result is the unique element restricting to ``v`` on the
+    stalks covered by each ``e``.
+    """
+    idems = [e for e, _ in blocks]
+    if not is_complete_orthogonal(R, idems):
+        raise IncompleteCover("idempotents are not a complete orthogonal set")
+    acc = R.zero
+    for e, v in blocks:
+        if not isinstance(v, Element):
+            raise RingMismatch(f"block value {v!r} is not a ring element")
+        if v.ring.key == R.key:
+            acc = acc + e * v
+            continue
+        support = idempotent_support(R, e)
+        B = block_ring(R, support)
+        if v.ring.key != B.key:
+            raise RingMismatch(
+                f"block value lives in {v.ring.label()}, expected {B.label()} or {R.label()}"
+            )
+        parts = list(R.zero.parts)
+        for i, x in zip(support, v.parts):
+            parts[i] = x
+        acc = acc + Element(R, tuple(parts))
+    return acc
+
+
+# -- the per-stalk searches on one-stalk polynomials ----------------------------------
+#
+# ``cleanmat.factor`` searches each stalk on its raw coefficients.  These are
+# the same searches written on boxed one-stalk polynomials (``restrict_poly``):
+# every division is ``monic_divide``, every Taylor shift ``translate``, every
+# unit test ``unit_at_zero``/``unit_at_one`` and every Bezout pair
+# ``comaximality``.  Each outcome generator yields (certificate, complete,
+# note) per degree split, in degree order.
+
+
+def _first_unit_index_boxed(h: Poly) -> int:
+    s = h.ring.stalks[0]
+    return next(i for i, c in enumerate(h.parts[0]) if s.is_unit(c))
+
+
+def hensel_split_boxed(h: Poly, a: int):
+    """(q, p, rounds): the Newton lift h = q*p with p = t^a mod m, on Polys."""
+    R = h.ring
+    limit = (R.max_nil_index() - 1).bit_length() + 1
+    p = Poly.t_power(R, a)
+    for rounds in range(1, limit + 1):
+        q, r, exact = monic_divide(h, p)
+        if exact:
+            return q, p, rounds
+        bez = comaximality(q, p)
+        if bez is None:
+            break
+        p = p + monic_divide(r * bez[0], p)[1]
+    raise VerificationFailed([f"Hensel lift of {h!r} from t^{a} did not converge"])
+
+
+def _attempt_pair(h: Poly, f0: Poly, mode: str):
+    """An SRCCertificate of the monic candidate f0, or None."""
+    q, _, exact = monic_divide(h, f0)
+    if not exact:
+        return None
+    f1 = q
+    if not f0.unit_at_zero or not f1.unit_at_one:
+        return None
+    if mode == "SR":
+        return SRCCertificate(f0, f1, None, None, "SR")
+    bez = comaximality(f0, f1)
+    if bez is None:
+        return None
+    return SRCCertificate(f0, f1, bez[0], bez[1], "SRC")
+
+
+def _monic_candidates_boxed(R, d: int):
+    (s,) = R.stalks
+    elems = s.elements()
+    units = [x for x in elems if s.is_unit(x)]
+    for c0 in units:
+        for mids in itertools.product(elems, repeat=d - 1):
+            yield Poly.from_parts(R, [(c0, *mids, s.one)])
+
+
+def src_outcomes_finite_boxed(h: Poly, mode: str):
+    R = h.ring
+    g = h.translate(R.one)
+    b = _first_unit_index_boxed(g)
+    for _ in range(b):
+        yield None, True, f"(t-1)^{b} divides h mod m but not f1 mod m, so deg f0 >= {b}"
+    q, p, _ = hensel_split_boxed(g, b)
+    f0, f1 = p.translate(-R.one), q.translate(-R.one)
+    bez = (None, None)
+    if mode == "SRC":
+        bez = comaximality(f0, f1)
+        if bez is None:
+            raise VerificationFailed([f"Hensel split of {h!r} is not comaximal"])
+    yield SRCCertificate(f0, f1, *bez, mode), True, "found"
+    for d in range(b + 1, h.degree + 1):
+        cert = None
+        for f0 in _monic_candidates_boxed(R, d):
+            cert = _attempt_pair(h, f0, mode)
+            if cert is not None:
+                break
+        note = "found" if cert else f"exhausted all monic degree-{d} candidates"
+        yield cert, True, note
+
+
+def src_outcomes_zloc_boxed(h: Poly, mode: str):
+    R = h.ring
+    n = h.degree
+    roots = None
+
+    def linear(r: Fraction) -> Poly:
+        return Poly(R, [R.from_parts((-r,)), R.one])
+
+    for d in range(n + 1):
+        if d == 0:
+            cert = _attempt_pair(h, Poly.one(R), mode)
+            yield cert, True, "found" if cert else f"h(1) = {h(R.one)!r} is not a unit"
+        elif d == n:
+            cert = _attempt_pair(h, h, mode)
+            yield cert, True, "found" if cert else f"h(0) = {h(R.zero)!r} is not a unit"
+        elif d in (1, n - 1):
+            if roots is None:
+                roots = rational_roots(h)
+            cert = None
+            for r in roots:
+                f0 = linear(r) if d == 1 else monic_divide(h, linear(r))[0]
+                cert = _attempt_pair(h, f0, mode)
+                if cert is not None:
+                    break
+            note = (
+                "found"
+                if cert
+                else f"all rational roots {[str(r) for r in roots]} fail the unit tests"
+            )
+            yield cert, True, note
+        else:
+            lo = _first_unit_index_boxed(h.translate(R.one))
+            hi = n - _first_unit_index_boxed(h)
+            if not lo <= d <= hi:
+                yield None, True, f"f0(0) and f1(1) units force {lo} <= deg f0 <= {hi}"
+                continue
+            cert = None
+            span = range(-BOUNDED_HEIGHT, BOUNDED_HEIGHT + 1)
+            p = R.stalks[0].p
+            for c0 in span:
+                if c0 % p == 0:
+                    continue
+                for mids in itertools.product(span, repeat=d - 1):
+                    cert = _attempt_pair(h, Poly.from_ints(R, [c0, *mids, 1]), mode)
+                    if cert is not None:
+                        break
+                if cert is not None:
+                    break
+            note = (
+                "found"
+                if cert
+                else f"bounded search (height {BOUNDED_HEIGHT}) exhausted; not decisive"
+            )
+            yield cert, cert is not None, note
+
+
+def sp_outcomes_boxed(h: Poly):
+    R = h.ring
+    n = h.degree
+    if R.is_finite:
+        a = _first_unit_index_boxed(h)
+        q, p, _ = hensel_split_boxed(h, a)
+        for d in range(n + 1):
+            if d == a:
+                yield SPCertificate(q, p), True, "found"
+            else:
+                yield None, True, f"no nilpotent-tail divisor of degree {d}"
+        return
+    (s,) = R.stalks
+    a = h.parts[0]
+    val = 0
+    while a[val] == s.zero:
+        val += 1
+    for d in range(n + 1):
+        cert = None
+        note = f"p0 = t^{d} does not divide h"
+        if d == val:
+            h0 = Poly.from_parts(R, [a[d:]])
+            if h0.unit_at_zero:
+                cert = SPCertificate(h0, Poly.t_power(R, d))
+                note = "found"
+            else:
+                note = f"h0(0) = {h0.coeff(0)!r} is not a unit"
+        elif d < val:
+            note = f"h0(0) would be 0 (valuation of h is {val})"
+        yield cert, True, note
+
+
+def _cert_parts(cert) -> tuple | None:
+    """The raw parts of a one-stalk certificate: (f0, f1, u, v) or (h0, p0)."""
+    if cert is None:
+        return None
+    if isinstance(cert, SPCertificate):
+        return cert.h0.parts[0], cert.p0.parts[0]
+    fields = (cert.f0, cert.f1, cert.bezout_u, cert.bezout_v)
+    return tuple(None if f is None else f.parts[0] for f in fields)
+
+
+def _stalk_outcomes_boxed(h: Poly, mode: str):
+    if mode == "SP":
+        outcomes = sp_outcomes_boxed(h)
+    elif h.ring.is_finite:
+        outcomes = src_outcomes_finite_boxed(h, mode)
+    else:
+        outcomes = src_outcomes_zloc_boxed(h, mode)
+    for cert, done, note in outcomes:
+        yield _cert_parts(cert), done, note
+
+
+def stalk_outcomes_boxed(h: Poly, mode: str) -> list:
+    """(raw parts or None, complete, note) of every degree split 0..deg h of a one-stalk h."""
+    return list(_stalk_outcomes_boxed(h, mode))
+
+
+def stalk_search_boxed(h: Poly, mode: str) -> tuple:
+    """(hit, notes, complete) of a one-stalk h: its lowest degree split and what was examined.
+
+    The SR(C) search stops at its first hit; one SP lift decides every
+    degree, so SP examines them all.
+    """
+    examined, hit = [], None
+    for d, out in enumerate(_stalk_outcomes_boxed(h, mode)):
+        examined.append(out)
+        if out[0] is not None and hit is None:
+            hit = d, out[0]
+            if mode != "SP":
+                break
+    notes = tuple(
+        (str(d), note if done else note + " [incomplete]")
+        for d, (_, done, note) in enumerate(examined)
+    )
+    return hit, notes, all(done for _, done, _ in examined)

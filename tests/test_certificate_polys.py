@@ -23,7 +23,7 @@ import random
 import re
 
 import pytest
-from oracles import drazin_reference, gsrc_reference, triangular_reference
+from oracles import drazin_reference, gsrc_reference, restrict_poly, triangular_reference
 
 import cleanmat.decide as decide_mod
 from cleanmat import factor
@@ -146,7 +146,7 @@ def test_the_kernel_builds_the_polynomials_it_promises(name):
                     on_s = [Poly.from_parts(S, [f.parts[k]]) for f in (f0, f1, u)]
                     out = certificate_parts(R.stalks[i], *(f.parts[0] for f in on_s), drazin)
                     g0, g1, _ = on_s
-                    one, ts = Poly.one(S), t.restrict(i)
+                    one, ts = Poly.one(S), restrict_poly(t, i)
                     got = [Poly.from_parts(S, [p]) for p in out]
                     if drazin:
                         (x,) = got

@@ -25,6 +25,7 @@ from cleanmat.polys import Poly
 from cleanmat.rings import Element, build_ring
 from cleanmat.stalks import factorize
 from cleanmat.verify import verify_gsrc, verify_pi_regular, verify_src, verify_strong_clean
+from conftest import CERT_RINGS
 
 
 def test_decide_companion_negative(zloc):
@@ -310,17 +311,14 @@ def _no_split_searches(monkeypatch):
     monkeypatch.setattr(decide_mod, "gsp_search", lambda h, R: SearchResult("absent", None, {}))
 
 
-def test_ring_level_decide_fails_hard_without_a_split_on_a_finite_ring(zmod, monkeypatch, capsys):
-    from cleanmat.cli import main
-
-    _no_split_searches(monkeypatch)
-    with pytest.raises(VerificationFailed, match="no gSRC split"):
-        decide_ring_strongly_clean(zmod(4), 2)
-    code = main(["decide", "--ring", '{"type":"zmod","n":4}', "--degree", "2"])
-    out = capsys.readouterr()
-    assert code == 3 and out.out == ""
-    assert out.err.startswith("verification failure:") and out.err.count("\n") == 1
-    assert "Traceback" not in out.err
+@pytest.mark.parametrize("name", [n for n, d in CERT_RINGS.items() if build_ring(d).is_finite])
+def test_gsrc_search_finds_a_split_of_every_polynomial_over_a_finite_ring(name):
+    # every finite stalk is Henselian: its degree-b lift is a hit, so the
+    # ring-level decision needs no fallback for an absent split
+    R = build_ring(CERT_RINGS[name])
+    for n in range(4):
+        for h in monic_polys(R, n):
+            assert gsrc_search(h, R, "SRC").found, (name, h)
 
 
 def test_audits_count_an_absence_over_a_finite_ring_as_a_disagreement(zmod, monkeypatch, capsys):

@@ -23,7 +23,7 @@ from cleanmat.factor import (
     sp_search,
     src_search,
 )
-from cleanmat.polys import Poly, monic_divide, raw_bezout
+from cleanmat.polys import Poly, monic_divide, raw_bezout, raw_product
 from cleanmat.errors import NonMonicDivisor, RingMismatch
 from cleanmat.rings import Element, block_ring, build_ring
 from cleanmat.serialize import dumps_canonical, to_jsonable
@@ -35,6 +35,7 @@ from oracles import (
     inverse_adjugate,
     nilpotents,
     rational_roots_horner,
+    restrict_poly,
     sylvester,
 )
 
@@ -101,8 +102,9 @@ def test_only_the_public_entry_of_a_search_runs_is_monic(monkeypatch):
         assert search(h, R).found and len(tests) == 1
     # a Hensel lift of several rounds, over a stalk with nil index 4
     tests.clear()
-    q, p, rounds = _hensel_split(Poly.from_ints(R, [2, 4, 1, 1]), 2)
-    assert rounds > 1 and q * p == Poly.from_ints(R, [2, 4, 1, 1]) and tests == []
+    h = Poly.from_ints(R, [2, 4, 1, 1])
+    q, p, rounds = _hensel_split(R.stalks[0], h.parts[0], 2)
+    assert rounds > 1 and raw_product(R.stalks[0], q, p) == h.parts[0] and tests == []
 
 
 def test_src_local_z8(zmod):
@@ -323,12 +325,12 @@ def test_reduction_compatibility(zmod):
         c = res.certificate
         for i in range(R.num_stalks):
             fails = verify_src(
-                h.restrict(i),
+                restrict_poly(h, i),
                 type(c)(
-                    c.f0.restrict(i),
-                    c.f1.restrict(i),
-                    c.bezout_u.restrict(i),
-                    c.bezout_v.restrict(i),
+                    restrict_poly(c.f0, i),
+                    restrict_poly(c.f1, i),
+                    restrict_poly(c.bezout_u, i),
+                    restrict_poly(c.bezout_v, i),
                     "SRC",
                 ),
             )
@@ -401,7 +403,7 @@ def _oracle_searches(h, R, mode):
     ``mode`` is "SR" or "SRC" (gsrc_search / src_search) or "SP" (gsp_search /
     sp_search); a stalk's profile at degree d is the first scanned hit.
     """
-    stalk_polys = [h.restrict(i) for i in range(R.num_stalks)]
+    stalk_polys = [restrict_poly(h, i) for i in range(R.num_stalks)]
     memo = {}
 
     def at(i, d):
@@ -494,8 +496,10 @@ def test_hensel_lift_round_bound(zmod, dual_ring):
                 h = Poly(R, [*lows, R.one])
                 for g in (h, h.translate(R.one)):
                     a = next(i for i, c in enumerate(g.coeffs) if R.is_unit(c))
-                    q, p, rounds = _hensel_split(g, a)
-                    assert q * p == g and rounds <= bound, (R.label(), h)
+                    q, p, rounds = _hensel_split(R.stalks[0], g.parts[0], a)
+                    assert raw_product(R.stalks[0], q, p) == g.parts[0], (R.label(), h)
+                    assert rounds <= bound, (R.label(), h)
+                    p = Poly.from_parts(R, [p])
                     assert all(R.radical_membership(c).in_nil for c in p.coeffs[:-1])
 
 

@@ -31,6 +31,11 @@ A certificate polynomial is built stalk by stalk on raw values, by
 arithmetic, so it neither calls ``monic_divide`` nor makes a
 ``Poly.constant``.
 
+A stalk is searched on its raw coefficients: no function of ``factor.py``
+restricts a polynomial to a stalk, calls a boxed ``Poly`` operation
+(``monic_divide``, ``translate``, a unit test, a constructor from parts or
+ints) or applies an operator to a ``Poly``.
+
 A polynomial certificate is verified stalk by stalk on raw parts:
 ``verify.py`` calls no ``on_block``, uses the name ``Poly`` only in
 annotations (so it makes no ``Poly.one``) and applies no operator to a
@@ -381,6 +386,106 @@ def test_the_guard_sees_boxed_polynomial_verification(tmp_path):
         "cert.f0 * cert.f1 != h",
         "h.on_block",
         "u * f0",
+    ]
+
+
+# the boxed Poly operations a stalk search used to run on one-stalk polynomials
+BOXED_SEARCH_NAMES = {
+    "monic_divide", "translate", "unit_at_zero", "unit_at_one", "from_parts", "from_ints",
+    "t_power", "coeff", "coeffs",
+}
+
+
+def _boxed_search_uses(path: Path) -> list[str]:
+    """``.restrict(`` calls, the boxed ``Poly`` operations of ``BOXED_SEARCH_NAMES``
+    (``monic_divide`` also imported), and, per function, an operator,
+    ``==``/``!=`` or a call applied to a Poly: a parameter annotated ``Poly``,
+    a certificate's polynomial field, or a name assigned from one, from a
+    Poly's method, from a ``Poly`` constructor or from ``trimmed_poly``.
+    """
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+            if node.func.attr == "restrict":
+                found.append(ast.unparse(node.func))
+        if isinstance(node, ast.Attribute) and node.attr in BOXED_SEARCH_NAMES:
+            found.append(ast.unparse(node))
+        elif isinstance(node, ast.Name) and node.id == "monic_divide":
+            found.append(node.id)
+        elif isinstance(node, ast.ImportFrom):
+            found += [a.name for a in node.names if a.name == "monic_divide"]
+
+    def makes_poly(v, polys) -> bool:
+        if isinstance(v, ast.Call):
+            f = ast.unparse(v.func)
+            method_of_poly = isinstance(v.func, ast.Attribute) and is_poly(v.func.value, polys)
+            return f.startswith("Poly") or f == "trimmed_poly" or method_of_poly
+        return is_poly(v, polys)
+
+    def is_poly(e, polys) -> bool:
+        return (isinstance(e, ast.Attribute) and e.attr in POLY_FIELDS) or (
+            isinstance(e, ast.Name) and e.id in polys
+        )
+
+    for fn in ast.walk(tree):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        polys = {
+            a.arg
+            for a in fn.args.args + fn.args.kwonlyargs
+            if a.annotation is not None and "Poly" in ast.unparse(a.annotation)
+        }
+        for node in ast.walk(fn):
+            if isinstance(node, ast.Assign) and makes_poly(node.value, polys):
+                polys.update(t.id for t in node.targets if isinstance(t, ast.Name))
+        for node in ast.walk(fn):
+            if isinstance(node, ast.BinOp) and (
+                is_poly(node.left, polys) or is_poly(node.right, polys)
+            ):
+                found.append(ast.unparse(node))
+            elif isinstance(node, ast.UnaryOp) and is_poly(node.operand, polys):
+                found.append(ast.unparse(node))
+            elif (
+                isinstance(node, ast.Compare)
+                and any(isinstance(op, (ast.Eq, ast.NotEq)) for op in node.ops)
+                and any(is_poly(e, polys) for e in [node.left, *node.comparators])
+            ):
+                found.append(ast.unparse(node))
+            elif isinstance(node, ast.Call) and is_poly(node.func, polys):
+                found.append(ast.unparse(node))
+    return sorted(found)
+
+
+def test_the_stalk_searches_run_on_raw_values():
+    assert _boxed_search_uses(SRC / "factor.py") == []
+
+
+def test_the_guard_sees_a_boxed_stalk_search(tmp_path):
+    bad = tmp_path / "bad.py"
+    bad.write_text(
+        "from .polys import Poly, monic_divide, trimmed_poly\n"
+        "def _stalk_step(h: Poly, i, R):\n"
+        "    hi = h.restrict(i)\n"
+        "    g = trimmed_poly(R, [hi.parts[0]])\n"
+        "    q, r, exact = monic_divide(hi, g)\n"
+        "    if g.unit_at_one and hi(R.one) and -g and hi == g:\n"
+        "        return g * hi, Poly.from_ints(R, [1, 1]).translate(R.one)\n"
+        "def raw(s, h, f0):\n"
+        "    return h + f0, -h, h == f0, s.one * 2\n",
+        encoding="utf-8",
+    )
+    assert _boxed_search_uses(bad) == [
+        "-g",
+        "Poly.from_ints",
+        "Poly.from_ints(R, [1, 1]).translate",
+        "g * hi",
+        "g.unit_at_one",
+        "h.restrict",
+        "hi == g",
+        "hi(R.one)",
+        "monic_divide",
+        "monic_divide",
     ]
 
 

@@ -19,6 +19,7 @@ from oracles import (
     fold_poly_mul,
     fold_poly_sub,
     fold_translate,
+    restrict_poly,
 )
 
 
@@ -89,7 +90,7 @@ def test_restriction_keeps_monic_degree(zmod):
     R = zmod(12)
     h = Poly.from_ints(R, [5, 0, 3, 1])
     for i in range(R.num_stalks):
-        hx = h.restrict(i)
+        hx = restrict_poly(h, i)
         assert hx.is_monic and hx.degree == h.degree
 
 

@@ -4,10 +4,11 @@ A global search decides each finite stalk once per (stalk ring, raw stalk
 coefficients, mode) and keeps the outcome in ``factor._STALK_MEMO``.  These
 tests compare every search over the small test rings with an empty memo and
 with one that already holds the answer, check that callers cannot reach the
-memo through what they get back, and check the memo's bound and that a
-failed search leaves nothing behind.  The Pierce restriction test checks the
+memo through what they get back, and check the memo's bound, that entries
+with equal notes share one notes tuple and that a failed search leaves
+nothing behind.  The Pierce restriction test checks the
 invariant the memo relies on: stalk i of a global search is the search of
-``h.restrict(i)`` over the stalk ring.
+h restricted to stalk i (``oracles.restrict_poly``) over the stalk ring.
 
 A memo entry also keeps the certificate polynomials built from its first
 hit.  The certificate tests compare constructions and audits with an empty
@@ -25,6 +26,7 @@ from fractions import Fraction
 
 import pytest
 from conftest import CERT_RINGS, f2xf2_tables
+from oracles import restrict_poly
 
 from cleanmat import factor
 from cleanmat.decide import (
@@ -179,10 +181,23 @@ def test_a_search_that_raises_leaves_no_entry(monkeypatch):
     assert len(factor._STALK_MEMO) == 1
 
 
+def test_memo_entries_with_the_same_notes_share_one_tuple():
+    R = build_ring(CERT_RINGS["Z/16"])
+    for h in _monic_polys(R, 2):
+        for search in SEARCHES.values():
+            search(h, R)
+    notes = [entry[1] for entry in factor._STALK_MEMO.values()]
+    assert len(notes) == 3 * 16**2 + 3 * 16 + 3
+    assert len({id(n) for n in notes}) == len(set(notes)) < 20
+
+
 def test_gsrc_search_rejects_an_unknown_mode():
     R = build_ring(CERT_RINGS["Z/12"])
     with pytest.raises(ValueError):
         gsrc_search(Poly.from_ints(R, [2, 3, 1]), R, "SP")
+    # src_search reads the SP outcomes of a stalk under the mode "SP"
+    with pytest.raises(ValueError):
+        factor.src_search(Poly.from_ints(R, [2, 3, 1]), R, "SP")
 
 
 # -- Pierce restriction ----------------------------------------------------------------
@@ -222,7 +237,7 @@ def test_stalk_i_of_a_global_search_is_the_search_of_the_restriction(name):
             key = (i, h.parts[i], mode)
             if key not in local:
                 factor._STALK_MEMO.clear()
-                local[key] = SEARCHES[mode](h.restrict(i), R.stalk_ring(i))
+                local[key] = SEARCHES[mode](restrict_poly(h, i), R.stalk_ring(i))
     factor._STALK_MEMO.clear()
     for h in polys:
         for mode, search in SEARCHES.items():
