@@ -12,42 +12,33 @@ Per stalk.  ``gsrc_search`` (SRC) and ``gsp_search`` over the one-stalk
 rings Z_(2), Z_(3), Z_(5) and Z/9, on ``STALK_INPUTS`` seeded monic h of
 each degree 1-3, with the memo emptied before every call, so each call runs
 the stalk search itself.  The cells are microseconds per call, the best of
-``PASSES`` passes, measured in fresh interpreters: ``STALK_RUNS`` runs of
-this checkout's ``src/``, and with ``--parent DIR`` as many runs of the
-``src/`` of another checkout (a parent commit), alternating with them.
-Each cell is the median over the runs, printed ``parent -> change``.
+``PASSES`` passes.  To compare two commits, copy this script into the other
+checkout's ``benchmarks/`` and run it there too.
 
 Every timing is scaled to nominal machine speed by ``perfbench/pace.py``'s
 reference loop (``paced.best``), so runs taken while the host's speed
-drifts stay comparable; the ring-level cells print the raw best time
-beside it.  On a checkout without the memo both ring-level columns time the
-same cold search.  Run with ``python benchmarks/bench_searches.py [--parent
-DIR]``, DIR being the root of the other checkout.
+drifts stay comparable; the raw best time is printed beside it.  On a
+checkout without the memo both ring-level columns time the same cold
+search.  Run with ``python benchmarks/bench_searches.py``.
 """
 
 from __future__ import annotations
 
-import argparse
-import json
-import os
-import statistics
-import subprocess
+import random
 import sys
-import textwrap
 from pathlib import Path
 
-ROOT = Path(__file__).resolve().parents[1]
 # run against this checkout's src/ whether or not the package is installed
-sys.path.insert(0, str(ROOT / "src"))
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from cleanmat import factor  # noqa: E402
 from cleanmat.decide import decide_ring_strongly_clean  # noqa: E402
+from cleanmat.polys import Poly  # noqa: E402
 from cleanmat.rings import build_ring  # noqa: E402
 from paced import best  # noqa: E402
 
 PASSES = 5
 CASES = [("Z/60", {"type": "zmod", "n": 60}, 2), ("Z/12", {"type": "zmod", "n": 12}, 3)]
-STALK_RUNS = 5
 STALK_INPUTS = 64
 STALK_RINGS = [
     ("Z_(2)", {"type": "zloc", "p": 2}),
@@ -56,43 +47,8 @@ STALK_RINGS = [
     ("Z/9", {"type": "zmod", "n": 9}),
 ]
 
-# one run of the per-stalk table; argv: the benchmarks directory
-STALK_CHILD = textwrap.dedent(
-    f"""
-    import json, random, sys
-    sys.path.insert(0, sys.argv[1])
-    from paced import best
-    from cleanmat import factor
-    from cleanmat.polys import Poly
-    from cleanmat.rings import build_ring
 
-    memo = factor._STALK_MEMO
-    out = {{}}
-    for label, descriptor in {STALK_RINGS!r}:
-        R = build_ring(descriptor)
-        rng = random.Random(2027)
-        for n in (1, 2, 3):
-            hs = [
-                Poly(R, [R.random_element(rng) for _ in range(n)] + [R.one])
-                for _ in range({STALK_INPUTS})
-            ]
-            searches = {{
-                "gsrc": lambda h: factor.gsrc_search(h, R, "SRC"),
-                "gsp": lambda h: factor.gsp_search(h, R),
-            }}
-            for name, search in searches.items():
-                def one_pass():
-                    for h in hs:
-                        memo.clear()
-                        search(h)
-                out[f"{{label}} {{n}} {{name}}"] = 1e6 * best(one_pass, {PASSES})[0] / len(hs)
-    print(json.dumps(out))
-    """
-)
-
-
-def ring_level():
-    memo = getattr(factor, "_STALK_MEMO", {})
+def ring_level(memo):
     print(f"ms per decide_ring_strongly_clean, best of {PASSES} passes; scaled (raw)")
     print(f"{'ring':>6} {'n':>2} {'cold':>17} {'warm':>17} {'verdict':>8} {'entries':>8}")
     for label, descriptor, n in CASES:
@@ -106,53 +62,40 @@ def ring_level():
         print(f"{label:>6} {n:>2} {cells} {verdict:>8} {len(memo):>8}")
 
 
-def stalk_run(src: Path) -> dict:
-    env = {**os.environ, "PYTHONPATH": str(src)}
-    res = subprocess.run(
-        [sys.executable, "-c", STALK_CHILD, str(ROOT / "benchmarks")],
-        capture_output=True,
-        text=True,
-        env=env,
-        check=True,
-    )
-    return json.loads(res.stdout)
-
-
-def per_stalk(parent: Path | None):
-    sides = {"change": ROOT / "src"}
-    if parent is not None:
-        sides = {"parent": parent / "src", **sides}
-    runs = {side: [] for side in sides}
-    for k in range(STALK_RUNS):
-        # alternate which side runs first in each pair
-        order = list(sides) if k % 2 == 0 else list(sides)[::-1]
-        for side in order:
-            runs[side].append(stalk_run(sides[side]))
-    med = {
-        side: {key: statistics.median(r[key] for r in rs) for key in rs[0]}
-        for side, rs in runs.items()
-    }
+def per_stalk(memo):
     print(
-        f"\nus per call with a cold memo, median of {STALK_RUNS} runs "
-        f"({' -> '.join(sides)}), each the best of {PASSES} passes over "
-        f"{STALK_INPUTS} seeded h"
+        f"\nus per call with a cold memo, best of {PASSES} passes"
+        f" over {STALK_INPUTS} seeded h; scaled (raw)"
     )
-    print(f"{'stalk':>6} {'n':>2} {'gsrc_search':>22} {'gsp_search':>22}")
-    for label, _ in STALK_RINGS:
+    print(f"{'stalk':>6} {'n':>2} {'gsrc_search':>17} {'gsp_search':>17}")
+    for label, descriptor in STALK_RINGS:
+        R = build_ring(descriptor)
+        rng = random.Random(2027)
         for n in (1, 2, 3):
+            hs = [
+                Poly(R, [R.random_element(rng) for _ in range(n)] + [R.one])
+                for _ in range(STALK_INPUTS)
+            ]
             cells = []
-            for name in ("gsrc", "gsp"):
-                key = f"{label} {n} {name}"
-                cells.append(" -> ".join(f"{med[side][key]:.1f}" for side in sides))
-            print(f"{label:>6} {n:>2} " + " ".join(f"{c:>22}" for c in cells))
+            for search in (
+                lambda h: factor.gsrc_search(h, R, "SRC"),
+                lambda h: factor.gsp_search(h, R),
+            ):
+
+                def one_pass(search=search):
+                    for h in hs:
+                        memo.clear()
+                        search(h)
+
+                s, r = best(one_pass, PASSES)
+                cells.append(f"{1e6 * s / len(hs):>8.1f} ({1e6 * r / len(hs):>6.1f})")
+            print(f"{label:>6} {n:>2} " + " ".join(cells))
 
 
 def main():
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--parent", type=Path, help="root of the checkout to compare with")
-    parent = parser.parse_args().parent
-    ring_level()
-    per_stalk(parent)
+    memo = getattr(factor, "_STALK_MEMO", {})
+    ring_level(memo)
+    per_stalk(memo)
 
 
 if __name__ == "__main__":

@@ -237,7 +237,9 @@ def decide_ring_strongly_clean(
         for h in monic_polys(R, n):
             # finite stalks are Henselian: each stalk's degree-b lift is a hit
             # (or the search raises), so every h has a gSRC split
-            ensure(verify_gsrc(h, R, gsrc_search(h, R, "SRC").certificate))
+            res = gsrc_search(h, R, "SRC")
+            assert res.found, f"no gSRC split of {h!r} over the finite ring {R.label()}"
+            ensure(verify_gsrc(h, R, res.certificate))
         return Decision(
             YES,
             "gSRC",
