@@ -4,7 +4,8 @@
 For each case a fixed seed draws 64 random matrices, 64 random monic
 polynomials of degree n, and 64 random monic pairs (f0, f1) with
 deg f0 + deg f1 = n.  The table gives the per-call microseconds of ``A @ B``,
-``char_poly``, ``poly_at_matrix``, ``factor.comaximality`` (whose Sylvester
+``char_poly``, ``poly_at_matrix``, ``raw_bezout`` (``polys.raw_bezout``
+of a pair on each stalk up to the first that has none; its Sylvester
 system is n x n) and ``similar``, ``random_with_charpoly(h, seed)`` on the
 64 polynomials with one seed each, with B a second random matrix, and
 ``A ** k`` for k = M - 1, M = ``brute._gl_exponent(R, n)``: the power chain
@@ -42,14 +43,14 @@ from cleanmat.decide import (  # noqa: E402
     strong_clean_from_gsrc,
     strong_clean_triangular,
 )
-from cleanmat.factor import comaximality, gsp_search, gsrc_search  # noqa: E402
+from cleanmat.factor import gsp_search, gsrc_search  # noqa: E402
 from cleanmat.matrices import (  # noqa: E402
     SquareMatrix,
     char_poly,
     poly_at_matrix,
     random_with_charpoly,
 )
-from cleanmat.polys import Poly  # noqa: E402
+from cleanmat.polys import Poly, raw_bezout  # noqa: E402
 from cleanmat.rings import build_ring  # noqa: E402
 from cleanmat.verify import verify_strong_clean  # noqa: E402
 from paced import best  # noqa: E402
@@ -104,6 +105,12 @@ def inputs(descriptor, n):
     return mats, others, polys, pairs, splits, sp_splits, triangulars
 
 
+def comaximal(f0, f1) -> bool:
+    """Whether every stalk has a Bezout pair, solved up to the first that has none."""
+    stalks = zip(f0.ring.stalks, f0.parts, f1.parts)
+    return all(raw_bezout(*stalk) is not None for stalk in stalks)
+
+
 def per_call_us(fn, args, before=None):
     def one_pass():
         for a in args:
@@ -118,7 +125,7 @@ def main():
         "A ** k",
         "char_poly",
         "poly_at_matrix",
-        "comaximality",
+        "raw_bezout",
         "similar",
         "from_gsrc",
         "gsrc cold",
@@ -155,7 +162,7 @@ def main():
             power,
             per_call_us(char_poly, [(A,) for A in mats]),
             per_call_us(poly_at_matrix, list(zip(polys, mats))),
-            per_call_us(comaximality, pairs),
+            per_call_us(comaximal, pairs),
             per_call_us(random_with_charpoly, [(h, SEED + i) for i, h in enumerate(polys)]),
             warm[0],
             cold[0],
@@ -165,12 +172,12 @@ def main():
             per_call_us(verify_strong_clean, [(A, c) for A, _, c in splits]),
         ]
         invertible = sum(A.ring.is_unit(char_poly(A).coeff(0)) for A in mats)
-        comaximal = sum(comaximality(*p) is not None for p in pairs)
+        coprime = sum(comaximal(*p) for p in pairs)
         case = f"{n}x{n} {label}"
         cells = (f"{'-':>14}" if t is None else f"{t:>14.1f}" for t in times)
         print(f"{case:>18} " + " ".join(cells))
         print(
-            f"{'':>18} {invertible}/{INPUTS} invertible, {comaximal}/{INPUTS} comaximal, "
+            f"{'':>18} {invertible}/{INPUTS} invertible, {coprime}/{INPUTS} comaximal, "
             f"{len(splits)}/{INPUTS} with a gSRC, {len(sp_splits)}/{INPUTS} with a gSP"
         )
 

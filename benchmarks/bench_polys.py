@@ -1,15 +1,14 @@
 #!/usr/bin/env python3
-"""Micro-benchmark of the polynomial layer: per-call time of each Poly operation.
+"""Micro-benchmark of the polynomial layer: per-call time of each polynomial operation.
 
 For every ring of the fuzz_mixed pool (``perfbench/workloads.py``'s
 ``FUZZ_RINGS``) a fixed seed draws 48 inputs: a monic h of degree 1, 2 or
-3 (in turn), a monic g of degree 1..deg h, and two random elements x and c.
-The table gives the per-call microseconds of ``h * g``,
-``monic_divide(h, g)``, ``h.translate(c)``, the evaluation ``h(x)``,
-``factor.comaximality(g, h)`` (a Sylvester system of size
-deg g + deg h), ``polys.raw_bezout`` on the stalks of (g, h) up to the
-first that has no pair (the loop ``comaximality`` runs, without its monic
-pass and its ``Poly`` results),
+3 (in turn), a monic g of degree 1..deg h, and a random element c.
+The table gives the per-call microseconds of ``h * g`` and of the raw
+stalk kernels the searches, constructions and verifiers run, each called
+once per stalk: ``polys.raw_divide`` of h by g, ``polys.raw_translate`` of
+h by c, and ``polys.raw_bezout`` of (g, h) (a Sylvester system of size
+deg g + deg h) up to the first stalk that has no pair; then
 ``factor.gsrc_search(h, R)``, ``verify.verify_gsrc`` of the
 certificates that search found (over Z_(p) some h have none, so that column
 averages over fewer inputs), ``factor.gsp_search(h, R)`` and
@@ -35,8 +34,8 @@ ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
 sys.path.insert(0, str(ROOT / "perfbench"))
 
-from cleanmat.factor import comaximality, gsp_search, gsrc_search  # noqa: E402
-from cleanmat.polys import Poly, monic_divide, raw_bezout  # noqa: E402
+from cleanmat.factor import gsp_search, gsrc_search  # noqa: E402
+from cleanmat.polys import Poly, raw_bezout, raw_divide, raw_translate  # noqa: E402
 from cleanmat.rings import build_ring  # noqa: E402
 from cleanmat.verify import verify_gsp, verify_gsrc  # noqa: E402
 from paced import best  # noqa: E402
@@ -58,7 +57,7 @@ def inputs(R):
         d = 1 + i % 3
         h = monic(d)
         g = monic(rng.randint(1, d))
-        out.append((h, g, R.random_element(rng), R.random_element(rng)))
+        out.append((h, g, R.random_element(rng)))
     return out
 
 
@@ -70,6 +69,16 @@ def per_call_us(fn, args):
     return 1e6 * best(one_pass, PASSES)[0] / len(args)
 
 
+def stalk_divides(R, h, g):
+    for stalk in zip(R.stalks, h.parts, g.parts):
+        raw_divide(*stalk)
+
+
+def stalk_translates(R, h, c):
+    for stalk in zip(R.stalks, h.parts, c.parts):
+        raw_translate(*stalk)
+
+
 def stalk_bezouts(R, g, h):
     for stalk in zip(R.stalks, g.parts, h.parts):
         if raw_bezout(*stalk) is None:
@@ -78,9 +87,8 @@ def stalk_bezouts(R, g, h):
 
 def main():
     ops = [
-        "h * g", "monic_divide", "translate", "h(x)", "comaximality", "raw_bezout",
-        "gsrc_search",
-        "verify_gsrc", "gsp_search", "verify_gsp",
+        "h * g", "raw_divide", "raw_translate", "raw_bezout",
+        "gsrc_search", "verify_gsrc", "gsp_search", "verify_gsp",
     ]
     print(
         f"per-call microseconds at nominal speed, best of {PASSES} passes "
@@ -91,20 +99,18 @@ def main():
     for k, descriptor in enumerate(FUZZ_RINGS):
         R = build_ring(descriptor)
         inp = inputs(R)
-        found = [(h, gsrc_search(h, R, "SRC")) for h, _, _, _ in inp]
+        found = [(h, gsrc_search(h, R, "SRC")) for h, _, _ in inp]
         certs = [(h, res.certificate) for h, res in found if res.found]
-        found_sp = [(h, gsp_search(h, R)) for h, _, _, _ in inp]
+        found_sp = [(h, gsp_search(h, R)) for h, _, _ in inp]
         certs_sp = [(h, res.certificate) for h, res in found_sp if res.found]
         times = [
-            per_call_us(lambda h, g: h * g, [(h, g) for h, g, _, _ in inp]),
-            per_call_us(monic_divide, [(h, g) for h, g, _, _ in inp]),
-            per_call_us(lambda h, c: h.translate(c), [(h, c) for h, _, _, c in inp]),
-            per_call_us(lambda h, x: h(x), [(h, x) for h, _, x, _ in inp]),
-            per_call_us(comaximality, [(g, h) for h, g, _, _ in inp]),
-            per_call_us(stalk_bezouts, [(R, g, h) for h, g, _, _ in inp]),
-            per_call_us(lambda h: gsrc_search(h, R, "SRC"), [(h,) for h, _, _, _ in inp]),
+            per_call_us(lambda h, g: h * g, [(h, g) for h, g, _ in inp]),
+            per_call_us(stalk_divides, [(R, h, g) for h, g, _ in inp]),
+            per_call_us(stalk_translates, [(R, h, c) for h, _, c in inp]),
+            per_call_us(stalk_bezouts, [(R, g, h) for h, g, _ in inp]),
+            per_call_us(lambda h: gsrc_search(h, R, "SRC"), [(h,) for h, _, _ in inp]),
             per_call_us(lambda h, c: verify_gsrc(h, R, c), certs),
-            per_call_us(lambda h: gsp_search(h, R), [(h,) for h, _, _, _ in inp]),
+            per_call_us(lambda h: gsp_search(h, R), [(h,) for h, _, _ in inp]),
             per_call_us(lambda h, c: verify_gsp(h, R, c), certs_sp),
         ]
         totals = [a + b for a, b in zip(totals, times)]

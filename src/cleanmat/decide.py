@@ -51,7 +51,6 @@ from .factor import (
     certificate_polys,
     gsp_search,
     gsrc_search,
-    keep_certificate_polys,
 )
 from .matrices import (
     PiRegularCertificate,
@@ -132,10 +131,7 @@ def strong_clean_from_gsrc(
     ``factor.certificate_polys``; an SR-only certificate has no Bezout pair
     and raises ``VerificationFailed``.
     """
-    parts, fills = certificate_polys(A.ring, gcert)
-    cert = _strong_clean(A, *_joined(A.ring, parts))
-    keep_certificate_polys(fills)
-    return cert
+    return _strong_clean(A, *_joined(A.ring, certificate_polys(A.ring, gcert)))
 
 
 def pi_regular_from_gsp(A: SquareMatrix, gcert) -> PiRegularCertificate:
@@ -149,8 +145,7 @@ def pi_regular_from_gsp(A: SquareMatrix, gcert) -> PiRegularCertificate:
     A^{k+1} X = A^k.
     """
     R = A.ring
-    parts, fills = certificate_polys(R, gcert)
-    (x,) = _joined(R, parts)
+    (x,) = _joined(R, certificate_polys(R, gcert))
     X = poly_at_matrix(x, A)
     K = A.n * R.max_nil_index()
     Ak = A
@@ -160,7 +155,6 @@ def pi_regular_from_gsp(A: SquareMatrix, gcert) -> PiRegularCertificate:
         if Ak1 @ X == Ak:
             cert = PiRegularCertificate(k, X, X)
             ensure(verify_pi_regular(A, cert))
-            keep_certificate_polys(fills)
             return cert
         Ak = Ak1
     raise VerificationFailed(
@@ -463,12 +457,10 @@ def theorem_main_audit(
             continue
         routes["gsrc_found"] += 1
         ensure(verify_gsrc(h, R, res.certificate))
-        parts, fills = certificate_polys(R, res.certificate)
-        e, w = _joined(R, parts)
+        e, w = _joined(R, certificate_polys(R, res.certificate))
         for j in range(samples):
             A = random_with_charpoly(h, seed * 1_000_003 + idx * 101 + j)
             _strong_clean(A, e, w)
-            keep_certificate_polys(fills)
             routes["similar_certified"] += 1
     return AuditReport(
         ring=R.descriptor,

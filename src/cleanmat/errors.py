@@ -54,14 +54,6 @@ class RingMismatch(CleanmatError):
     pass
 
 
-class IncompleteCover(CleanmatError):
-    """Idempotents handed to a glue operation do not sum to 1."""
-
-
-class NonMonicDivisor(CleanmatError):
-    pass
-
-
 class BudgetExceeded(CleanmatError):
     pass
 

@@ -4,8 +4,8 @@ Four searches are exposed:
 
 * ``src_search``: factor h = f0*f1 with f0(0) and f1(1) units; with
   comaximality of the factors as an extra requirement the pair is certified
-  by an explicit Bezout identity u*f0 + v*f1 = 1, which ``comaximality``
-  solves stalk by stalk with the raw kernel ``polys.raw_bezout``.
+  by an explicit Bezout identity u*f0 + v*f1 = 1, which ``polys.raw_bezout``
+  solves on each stalk.
 * ``gsrc_search``: the globalized form; one factorization per idempotent
   block, with blocks grouped by deg(f0) so at most deg(h)+1 blocks appear.
   A block is a set of stalks, and its idempotent is the indicator of that
@@ -41,8 +41,11 @@ divide the constant and the sum of the integers.  The degree splits 0, 1,
 n-1 and n are decided completely: 0 and n by those unit tests, 1 and n-1 by
 the rational roots of the integer polynomial (Z_(p) is integrally closed,
 so monic linear factors come from rational roots; a candidate a/b is a root
-when sum c_i a^i b^(n-i) = 0).  A middle degree d of a degree >= 4
-polynomial is ``absent`` outside the window b <= d <= n - a, for
+when sum c_i a^i b^(n-i) = 0).  The candidates a | c_0 and b | c_n come from
+trial division up to the square root, so a c_0 or c_n whose square root, or
+a candidate pair count, exceeds ``errors.DEFAULT_BUDGET`` raises
+``BudgetExceeded`` before the enumeration starts.  A middle degree d of a
+degree >= 4 polynomial is ``absent`` outside the window b <= d <= n - a, for
 a = ord_t(h mod p) and b = ord_(t-1)(h mod p): a unit f0(0) leaves t^a to
 f1 mod p and a unit f1(1) leaves (t-1)^b to f0 mod p.  Inside the window it
 falls back to a bounded-height scan of monic integer candidates f0, each
@@ -70,10 +73,11 @@ every certificate they receive.
 ``certificate_polys`` gives each stalk's raw certificate polynomials of a
 global split, (e, w) of a gSRC and (x,) of a gSP, from the kernel
 ``polys.certificate_parts``.  A finite stalk whose split is exactly the
-first hit of its memo entry reads them from the entry once they are built;
-``keep_certificate_polys`` stores newly built ones there after the
-certificate that used them has verified, so the searches themselves cost
-what they did and a failed construction stores nothing.
+first hit of its memo entry stores them in the entry when it first builds
+them and reads them from there afterwards, so the searches themselves cost
+what they did.  The parts are a pure function of the split, and every
+certificate built from them is verified, so storing them before that
+verification risks nothing.
 """
 
 from __future__ import annotations
@@ -83,7 +87,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import VerificationFailed
+from .errors import DEFAULT_BUDGET, BudgetExceeded, VerificationFailed
 from .polys import (
     Poly,
     certificate_parts,
@@ -95,7 +99,6 @@ from .polys import (
     trimmed_poly,
 )
 from .rings import Element, Ring, block_ring
-from .stalks import ZLocStalk
 
 BOUNDED_HEIGHT = 3
 STALK_MEMO_CAP = 4096
@@ -148,49 +151,11 @@ class SearchResult:
         return self.status == FOUND
 
 
-# -- comaximality via the Sylvester resultant -------------------------------------
-
-
-def comaximality(f0: Poly, f1: Poly):
-    """Bezout pair (u, v) with u*f0 + v*f1 = 1, or None if not comaximal.
-
-    Monic f0, f1 over a ring with local stalks are comaximal exactly when
-    their resultant is a unit on every stalk, and then the pair with
-    deg u < deg f1 and deg v < deg f0 is unique: ``polys.raw_bezout`` solves
-    for it on each stalk and checks the identity.  Non-monic input raises
-    ``ValueError`` and polynomials over different rings ``RingMismatch``.
-    Monicity is tested once: in one raw pass over the stalks when both
-    factors have degree >= 1, and by ``is_monic`` when one is a constant.
-    """
-    R = f0.ring
-    n0, n1 = len(f0.parts[0]), len(f1.parts[0])
-    if n0 < 2 or n1 < 2:
-        if not f0.is_monic or not f1.is_monic:
-            raise ValueError("comaximality needs monic polynomials")
-        f0._check(f1)
-        if f0.degree == 0:
-            return Poly.one(R), Poly.zero(R)
-        return Poly.zero(R), Poly.one(R)
-    f0._check(f1)
-    if not all(
-        len(a) == n0 and len(b) == n1 and a[-1] == s.one and b[-1] == s.one
-        for s, a, b in zip(R.stalks, f0.parts, f1.parts)
-    ):
-        raise ValueError("comaximality needs monic polynomials")
-    us, vs = [], []
-    for s, a, b in zip(R.stalks, f0.parts, f1.parts):
-        bez = raw_bezout(s, a, b)
-        if bez is None:
-            return None
-        us.append(bez[0])
-        vs.append(bez[1])
-    return trimmed_poly(R, us), trimmed_poly(R, vs)
-
-
 # -- rational roots over Z_(p) ------------------------------------------------------
 
 
 def _divisors(n: int):
+    """The positive divisors of n, ascending, by trial division up to isqrt(|n|)."""
     n = abs(n)
     small, large = [], []
     d = 1
@@ -214,7 +179,12 @@ def _integer_poly(coeffs) -> tuple[list[int], int]:
 
 
 def _integer_roots(ints: list[int], p: int) -> list[Fraction]:
-    """The rational roots of the integer polynomial sum ints[i] t^i, sorted."""
+    """The rational roots of the integer polynomial sum ints[i] t^i, sorted.
+
+    A constant or leading coefficient whose square root, or a count of
+    candidate pairs, exceeds ``DEFAULT_BUDGET`` raises ``BudgetExceeded``
+    before that enumeration starts.
+    """
     roots = set()
     # strip powers of t
     v = 0
@@ -226,8 +196,18 @@ def _integer_roots(ints: list[int], p: int) -> list[Fraction]:
     if len(ints) > 1:
         const, lead = ints[0], ints[-1]
         rest = ints[-2::-1]
-        for a in _divisors(const):
-            for b in _divisors(lead):
+        for k in (const, lead):
+            if math.isqrt(abs(k)) > DEFAULT_BUDGET:
+                raise BudgetExceeded(
+                    f"{math.isqrt(abs(k))} trial divisions of {k} exceed budget {DEFAULT_BUDGET}"
+                )
+        nums, dens = _divisors(const), _divisors(lead)
+        if len(nums) * len(dens) > DEFAULT_BUDGET:
+            raise BudgetExceeded(
+                f"{len(nums) * len(dens)} rational-root candidates exceed budget {DEFAULT_BUDGET}"
+            )
+        for a in nums:
+            for b in dens:
                 if math.gcd(a, b) != 1:
                     continue
                 for num in (a, -a):
@@ -241,20 +221,6 @@ def _integer_roots(ints: list[int], p: int) -> list[Fraction]:
     for r in roots:
         assert r.denominator % p != 0, "monic root escaped Z_(p)"
     return sorted(roots)
-
-
-def rational_roots(h: Poly) -> list[Fraction]:
-    """All roots of a monic h over Z_(p) (they are rational, and p-integral).
-
-    Clears denominators and enumerates a/b in lowest terms with a | const,
-    b | lead of the integer polynomial sum c_i t^i; a/b is a root exactly
-    when the integer sum c_i a^i b^(n-i) is 0.  Z_(p) is integrally closed,
-    so every rational root of a monic polynomial over it already lies in
-    Z_(p).
-    """
-    stalk = h.ring.stalks[0]
-    assert isinstance(stalk, ZLocStalk)
-    return _integer_roots(_integer_poly(h.parts[0])[0], stalk.p)
 
 
 # -- per-stalk searches on raw values -----------------------------------------------
@@ -594,7 +560,7 @@ def _assemble_global(R: Ring, choices, glue) -> list[Block]:
 
 # (stalk ring key, raw stalk coefficients, mode) -> [hit, notes, complete, polys],
 # where hit is None or (degree, raw certificate parts) and polys is None until a
-# certificate built from hit verifies; insertion order is recency
+# certificate is built from hit; insertion order is recency
 _STALK_MEMO: dict = {}
 # each distinct notes tuple of a memo entry -> itself; finite stalks have few
 _MEMO_NOTES: dict = {}
@@ -687,17 +653,16 @@ def _stalk_polys(R: Ring, i: int, split: tuple, mode: str) -> tuple:
     return certificate_parts(s, h0, p0, bez[0], drazin=True)
 
 
-def certificate_polys(R: Ring, gcert) -> tuple[list, list]:
+def certificate_polys(R: Ring, gcert) -> list:
     """Each stalk's raw certificate polynomials of a gSRC or gSP certificate.
 
     Stalk i gets ``polys.certificate_parts`` of its split: (e, w) for a
     gSRC, (x,) for a gSP.  A finite stalk whose split is exactly the first
-    hit of its memo entry reads them from the entry when they are there.
-    Returns the per-stalk parts and the entries they are still to fill,
-    for ``keep_certificate_polys`` once the certificate has verified.
+    hit of its memo entry reads them from the entry, and stores them there
+    when it builds them.
     """
     mode = "SP" if isinstance(gcert, GSPCertificate) else "SRC"
-    parts, fills = [], []
+    parts = []
     for i, split in enumerate(_stalk_splits(R, gcert)):
         s = R.stalks[i]
         entry = None
@@ -707,17 +672,10 @@ def certificate_polys(R: Ring, gcert) -> tuple[list, list]:
             entry = _STALK_MEMO.get((R.stalk_ring(i).key, h, mode))
             if entry is not None and (entry[0] is None or entry[0][1] != split):
                 entry = None
-        if entry is not None and entry[3] is not None:
-            parts.append(entry[3])
+        if entry is None:
+            parts.append(_stalk_polys(R, i, split, mode))
             continue
-        polys = _stalk_polys(R, i, split, mode)
-        parts.append(polys)
-        if entry is not None:
-            fills.append((entry, polys))
-    return parts, fills
-
-
-def keep_certificate_polys(fills: list) -> None:
-    """Store built certificate polynomials in the memo entries they belong to."""
-    for entry, polys in fills:
-        entry[3] = polys
+        if entry[3] is None:
+            entry[3] = _stalk_polys(R, i, split, mode)
+        parts.append(entry[3])
+    return parts

@@ -57,10 +57,6 @@ class SquareMatrix:
         return _matrix(ring, [_raw_identity(s, n) for s in ring.stalks])
 
     @classmethod
-    def zeros(cls, ring: Ring, n: int) -> "SquareMatrix":
-        return _matrix(ring, [[[s.zero] * n for _ in range(n)] for s in ring.stalks])
-
-    @classmethod
     def from_ints(cls, ring: Ring, rows) -> "SquareMatrix":
         return cls(ring, [[ring.from_int(v) for v in row] for row in rows])
 

@@ -12,35 +12,30 @@ degrees.
 
 ``Poly(ring, coeffs)`` unpacks Element coefficients once and
 ``Poly.from_parts`` takes raw values per stalk; the ``coeffs`` property and
-``coeff(i)`` box Elements on demand, for serializing and printing.  Every
-operation (``+ - neg *``, ``translate``, evaluation and ``monic_divide``)
-runs one raw kernel per stalk with that stalk's own
-``add``/``sub``/``neg``/``dot``/``submul``.  A product coefficient is one
-``dot``, and a step of division, translation or evaluation is one
-``submul(x, c, y) = x - c*y``, so each result is reduced once.  Division by
-a monic divisor is exact over any commutative ring.  The unit tests
-``unit_at_zero`` and ``unit_at_one`` read each stalk's constant coefficient
-and coefficient sum, with no evaluation.
+``coeff(i)`` box Elements on demand, for serializing and printing.  The
+ring operations ``+ - neg *`` run one raw kernel per stalk with that
+stalk's own ``add``/``sub``/``neg``/``dot``; a product coefficient is one
+``dot``, so each is reduced once.
 
-Six raw kernels are public.  ``raw_bezout`` solves one stalk's Bezout
-identity u*f0 + v*f1 = 1 by a unit-pivot elimination of the Sylvester
-system, the one elimination of the package, and returns None when the pair
-is not comaximal.  ``certificate_parts`` builds, from one stalk's split
-h = f0*f1 and Bezout cofactor u, the stalk's certificate polynomials (e, w)
-of a strongly clean pair, or x of a Drazin inverse, with ``_raw_mul``,
-``_raw_divide`` and ``submul``.  ``raw_product``, ``raw_sum``,
-``raw_divide`` and ``raw_translate`` are ``_raw_mul``, ``_raw_add``,
-``_raw_divide`` and ``_raw_translate`` themselves, the stalk kernels behind
-``*``, ``+``, ``monic_divide`` and ``translate``, for callers that hold raw
-stalk values: the verifiers' leaf checks and the stalk searches.
-``trimmed_poly`` is the constructor every operation ends in:
-``Poly.from_parts`` without its trim, for parts taken from existing
-polynomials.
+Every other operation runs on one stalk's raw values, in the stalk
+searches, the certificate constructions and the verifiers' leaf checks,
+through six public kernels.  ``raw_product`` and ``raw_sum`` are the
+kernels behind ``*`` and ``+``.  ``raw_divide`` divides by a monic divisor,
+which is exact over any commutative ring, and ``raw_translate`` is the
+Taylor shift a(t + c); a step of either is one ``submul(x, c, y) = x - c*y``.
+``raw_bezout`` solves one stalk's Bezout identity u*f0 + v*f1 = 1 by a
+unit-pivot elimination of the Sylvester system, the one elimination of the
+package, and returns None when the pair is not comaximal.
+``certificate_parts`` builds, from one stalk's split h = f0*f1 and Bezout
+cofactor u, the stalk's certificate polynomials (e, w) of a strongly clean
+pair, or x of a Drazin inverse.  ``trimmed_poly`` is the constructor every
+operation ends in: ``Poly.from_parts`` without its trim, for parts taken
+from existing polynomials.
 """
 
 from __future__ import annotations
 
-from .errors import NonMonicDivisor, RingMismatch, VerificationFailed
+from .errors import RingMismatch, VerificationFailed
 from .rings import Element, Ring
 
 
@@ -78,14 +73,6 @@ class Poly:
     def one(cls, ring: Ring) -> "Poly":
         return _poly(ring, [(s.one,) for s in ring.stalks])
 
-    @classmethod
-    def constant(cls, c: Element) -> "Poly":
-        return cls(c.ring, [c])
-
-    @classmethod
-    def t_power(cls, ring: Ring, d: int) -> "Poly":
-        return _poly(ring, [(s.zero,) * d + (s.one,) for s in ring.stalks])
-
     @property
     def coeffs(self) -> tuple:
         """The coefficients as Elements, low degree first, boxed on each access."""
@@ -109,16 +96,6 @@ class Poly:
                 return False
         return True
 
-    @property
-    def unit_at_zero(self) -> bool:
-        """Whether p(0) is a unit: every stalk's constant coefficient is one."""
-        return all(p and s.is_unit(p[0]) for s, p in zip(self.ring.stalks, self.parts))
-
-    @property
-    def unit_at_one(self) -> bool:
-        """Whether p(1) is a unit: every stalk's coefficient sum is one."""
-        return all(s.is_unit(s.sum(p)) for s, p in zip(self.ring.stalks, self.parts))
-
     def coeff(self, i: int) -> Element:
         R = self.ring
         if i < 0:
@@ -130,12 +107,6 @@ class Poly:
     def _check(self, other: "Poly"):
         if self.ring.key != other.ring.key:
             raise RingMismatch("polynomials over different rings")
-
-    def _scalar(self, c: Element) -> tuple:
-        """The stalk values of an Element of this ring."""
-        if isinstance(c, Element) and (c.ring is self.ring or c.ring.key == self.ring.key):
-            return c.parts
-        raise RingMismatch(f"{c!r} is not an element of {self.ring.label()}")
 
     def _stalkwise(self, kernel, other: "Poly") -> "Poly":
         self._check(other)
@@ -159,16 +130,6 @@ class Poly:
     def __mul__(self, other: "Poly") -> "Poly":
         return self._stalkwise(_raw_mul, other)
 
-    def translate(self, c: Element) -> "Poly":
-        """The polynomial p(t + c) (Taylor shift by repeated synthetic division)."""
-        return _poly(
-            self.ring,
-            [
-                _raw_translate(s, a, v)
-                for s, a, v in zip(self.ring.stalks, self.parts, self._scalar(c))
-            ],
-        )
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, Poly):
             return NotImplemented
@@ -176,16 +137,6 @@ class Poly:
 
     def __hash__(self):
         return hash((self.ring.key, self.parts))
-
-    def __call__(self, x: Element) -> Element:
-        """Horner evaluation, stalk by stalk."""
-        R = self.ring
-        return Element(
-            R,
-            tuple(
-                _raw_eval(s, a, v) for s, a, v in zip(R.stalks, self.parts, self._scalar(x))
-            ),
-        )
 
     def __repr__(self):
         if self.is_zero:
@@ -214,8 +165,8 @@ trimmed_poly = _poly
 # -- raw per-stalk kernels -----------------------------------------------------------
 #
 # Each helper takes a stalk and tuples of that stalk's raw values, low degree
-# first and trimmed, and returns a trimmed tuple; the operations above wrap
-# them, one call per stalk.
+# first and trimmed, and returns a trimmed tuple; the ring operations above
+# wrap the sum, difference and product, one call per stalk.
 
 
 def _trim(s, values) -> tuple:
@@ -272,8 +223,8 @@ raw_product = _raw_mul
 raw_sum = _raw_add
 
 
-def _raw_translate(s, a, c) -> tuple:
-    """a(t + c); the leading value never changes, so the result stays trimmed.
+def raw_translate(s, a, c) -> tuple:
+    """a(t + c) on stalk s; the leading value never changes, so it stays trimmed.
 
     Each synthetic-division step adds c times the next value, as a
     ``submul`` by -c.
@@ -287,19 +238,8 @@ def _raw_translate(s, a, c) -> tuple:
     return tuple(out)
 
 
-def _raw_eval(s, a, x):
-    """a(x) by Horner; the step acc*x + c is ``submul(c, acc, -x)``."""
-    if not a:
-        return s.zero
-    submul, nx = s.submul, s.neg(x)
-    acc = a[-1]
-    for c in a[-2::-1]:
-        acc = submul(c, acc, nx)
-    return acc
-
-
-def _raw_divide(s, f, g):
-    """(q, r) with f = q*g + r and len(r) < len(g), for g monic on this stalk.
+def raw_divide(s, f, g):
+    """(q, r) with f = q*g + r and len(r) < len(g), for g monic on stalk s.
 
     q's leading value is f's, so q is trimmed as built.
     """
@@ -321,18 +261,13 @@ def _raw_divide(s, f, g):
     return tuple(q), _trim(s, rem[:dg])
 
 
-# one stalk's division (q, r) by a raw monic divisor and Taylor shift a(t + c)
-raw_divide = _raw_divide
-raw_translate = _raw_translate
-
-
 def _shift_inverse(s, f, r, what: str) -> tuple:
     """The inverse of t - r modulo f on this stalk, for f(r) a unit.
 
     With f = (t - r)*q + f(r), (t - r)*(-f(r)^{-1} q) = 1 mod f.  A value
     f(r) that is not a unit raises ``VerificationFailed`` naming ``what``.
     """
-    q, rem = _raw_divide(s, f, (s.neg(r), s.one))
+    q, rem = raw_divide(s, f, (s.neg(r), s.one))
     c = s.inv(rem[0] if rem else s.zero)
     if c is None:
         raise VerificationFailed([f"{what} is not a unit"])
@@ -421,34 +356,6 @@ def certificate_parts(s, f0, f1, u, drazin: bool = False) -> tuple:
     a0 = _shift_inverse(s, f0, s.zero, f"{n0}(0)")
     e = _raw_mul(s, u, f0)
     if drazin:
-        return (_raw_divide(s, _raw_sub(s, a0, _raw_mul(s, a0, e)), h)[1],)
+        return (raw_divide(s, _raw_sub(s, a0, _raw_mul(s, a0, e)), h)[1],)
     a1 = _shift_inverse(s, f1, s.one, f"{n1}(1)")
-    return e, _raw_divide(s, _raw_add(s, a0, _raw_mul(s, _raw_sub(s, a1, a0), e)), h)[1]
-
-
-def monic(ring: Ring, coeffs) -> Poly:
-    p = Poly(ring, coeffs)
-    if not p.is_monic:
-        raise ValueError(f"polynomial {p!r} is not monic")
-    return p
-
-
-def monic_divide(f: Poly, g: Poly):
-    """Long division f = q*g + r by a monic divisor; returns (q, r, exact).
-
-    A divisor that is not monic raises ``NonMonicDivisor``.  The test is
-    made stalk by stalk in the division's own loop (every stalk of g has the
-    length of the first and ends in ``s.one``), not by a separate
-    ``is_monic`` walk.
-    """
-    f._check(g)
-    n = len(g.parts[0])
-    qs, rs = [], []
-    for s, a, b in zip(f.ring.stalks, f.parts, g.parts):
-        if not n or len(b) != n or b[-1] != s.one:
-            raise NonMonicDivisor(f"divisor {g!r} is not monic")
-        q, r = _raw_divide(s, a, b)
-        qs.append(q)
-        rs.append(r)
-    r = _poly(f.ring, rs)
-    return _poly(f.ring, qs), r, r.is_zero
+    return e, raw_divide(s, _raw_add(s, a0, _raw_mul(s, _raw_sub(s, a1, a0), e)), h)[1]

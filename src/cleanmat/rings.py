@@ -212,9 +212,6 @@ class Ring:
             parts.append(iv)
         return Element(self, tuple(parts))
 
-    def is_idempotent(self, a: Element) -> bool:
-        return a * a == a
-
     # -- Pierce decomposition ----------------------------------------------------
 
     def stalk_ring(self, i: int) -> "Ring":

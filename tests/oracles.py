@@ -47,12 +47,15 @@ first failure.  Both skip the calling test when numpy is not installed.
 ``is_complete_orthogonal`` and ``pierce_glue`` are the Pierce restriction
 and gluing on boxed Elements, which no decision needs.
 ``stalk_search_boxed`` and ``stalk_outcomes_boxed`` are the per-stalk
-searches of ``cleanmat.factor`` written on one-stalk polynomials, every
-step a ``Poly`` operation, for the differential test of the raw searches.
+searches of ``cleanmat.factor`` written on one-stalk polynomials with the
+Element-level references above, for the differential test of the raw
+searches.  Only the trial divisions of their candidate scans run a kernel
+of ``cleanmat.polys``: ``divide_by_kernel``, one ``raw_divide``.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
@@ -60,28 +63,15 @@ from math import lcm
 
 import pytest
 
-from cleanmat.errors import (
-    BudgetExceeded,
-    IncompleteCover,
-    InfiniteRing,
-    NonMonicDivisor,
-    RingMismatch,
-    VerificationFailed,
-)
-from cleanmat.factor import (
-    BOUNDED_HEIGHT,
-    SPCertificate,
-    SRCCertificate,
-    comaximality,
-    rational_roots,
-)
+from cleanmat.errors import BudgetExceeded, InfiniteRing, RingMismatch, VerificationFailed
+from cleanmat.factor import BOUNDED_HEIGHT, SPCertificate, SRCCertificate
 from cleanmat.matrices import (
     PiRegularCertificate,
     SquareMatrix,
     StrongCleanCertificate,
     char_poly,
 )
-from cleanmat.polys import Poly, monic_divide
+from cleanmat.polys import Poly, raw_divide
 from cleanmat.quadz5 import ONE, THETA, QuadInt
 from cleanmat.rings import Element, RadicalMembership, block_ring
 
@@ -148,7 +138,7 @@ def fold_monic_divide(f: Poly, g: Poly):
     """Long division f = q*g + r by a monic g on Elements; returns (q, r, exact)."""
     cs = g.coeffs
     if not cs or cs[-1] != g.ring.one:
-        raise NonMonicDivisor(f"divisor {g!r} is not monic")
+        raise ValueError(f"divisor {g!r} is not monic")
     _check_rings(f, g)
     ring = f.ring
     rem = list(f.coeffs)
@@ -166,13 +156,18 @@ def fold_monic_divide(f: Poly, g: Poly):
     return Poly(ring, q), r, r.is_zero
 
 
+def t_power(R, d: int) -> Poly:
+    """The monic t^d over R."""
+    return Poly.from_ints(R, [0] * d + [1])
+
+
 def char_poly_cofactor(A: SquareMatrix) -> Poly:
     """det(tI - A) by cofactor expansion over the polynomial ring."""
     ring = A.ring
-    t = Poly.t_power(ring, 1)
+    t = t_power(ring, 1)
     grid = [
         [
-            fold_poly_sub(t if i == j else Poly.zero(ring), Poly.constant(A.rows[i][j]))
+            fold_poly_sub(t if i == j else Poly.zero(ring), Poly(ring, [A.rows[i][j]]))
             for j in range(A.n)
         ]
         for i in range(A.n)
@@ -270,7 +265,8 @@ def comaximality_cramer(f0: Poly, f1: Poly):
 
     The pair is comaximal exactly when the determinant of its ``sylvester``
     matrix M (the resultant up to sign) is a unit, and then Cramer's rule
-    solves M (u, v) = e_0 with one determinant per coefficient.
+    solves M (u, v) = e_0: with column i replaced by e_0 the determinant is
+    the (0, i) cofactor of M, so coefficient i is that cofactor over det M.
     """
     if not f0.is_monic or not f1.is_monic:
         raise ValueError("comaximality needs monic polynomials")
@@ -285,11 +281,10 @@ def comaximality_cramer(f0: Poly, f1: Poly):
     res_inv = R.inv(_det_cofactor(R, M))
     if res_inv is None:
         return None
-    e0 = [R.one] + [R.zero] * (n - 1)
     w = []
     for i in range(n):
-        rows = [[e0[r] if c == i else M[r][c] for c in range(n)] for r in range(n)]
-        w.append(_det_cofactor(R, rows) * res_inv)
+        cofactor = _det_cofactor(R, [row[:i] + row[i + 1 :] for row in M[1:]])
+        w.append((cofactor if i % 2 == 0 else -cofactor) * res_inv)
     u = Poly(R, w[:d1])
     v = Poly(R, w[d1:])
     if fold_poly_add(fold_poly_mul(u, f0), fold_poly_mul(v, f1)) != Poly.one(R):
@@ -302,8 +297,8 @@ def rational_roots_horner(h: Poly) -> list[Fraction]:
 
     Every candidate r = a/b with a | const and b | lead of the cleared integer
     polynomial (after dividing out t^v) is evaluated at the Fraction
-    coefficients themselves, so no integer identity is shared with
-    ``factor.rational_roots``.
+    coefficients themselves, so no integer identity is shared with the integer
+    root search of ``cleanmat.factor``.
     """
     (coeffs,) = h.parts
     v = next(i for i, c in enumerate(coeffs) if c != 0)
@@ -480,7 +475,7 @@ def verify_gsp_boxed(h: Poly, R, cert) -> list[str]:
 
 def poly_at_matrix_powers(f: Poly, A: SquareMatrix) -> SquareMatrix:
     """sum f_k A^k with every power taken by ``**``."""
-    acc = SquareMatrix.zeros(A.ring, A.n)
+    acc = SquareMatrix.from_ints(A.ring, [[0] * A.n] * A.n)
     for k, c in enumerate(f.coeffs):
         acc = acc + (A**k) * c
     return acc
@@ -801,7 +796,7 @@ def idempotent_support(R, e: Element) -> tuple[int, ...]:
 
 def is_complete_orthogonal(R, idems: list[Element]) -> bool:
     for i, e in enumerate(idems):
-        if not R.is_idempotent(e):
+        if e * e != e:
             return False
         for f in idems[i + 1 :]:
             if e * f != R.zero:
@@ -822,7 +817,7 @@ def pierce_glue(R, blocks) -> Element:
     """
     idems = [e for e, _ in blocks]
     if not is_complete_orthogonal(R, idems):
-        raise IncompleteCover("idempotents are not a complete orthogonal set")
+        raise ValueError("idempotents are not a complete orthogonal set")
     acc = R.zero
     for e, v in blocks:
         if not isinstance(v, Element):
@@ -845,82 +840,99 @@ def pierce_glue(R, blocks) -> Element:
 
 # -- the per-stalk searches on one-stalk polynomials ----------------------------------
 #
-# ``cleanmat.factor`` searches each stalk on its raw coefficients.  These are
-# the same searches written on boxed one-stalk polynomials (``restrict_poly``):
-# every division is ``monic_divide``, every Taylor shift ``translate``, every
-# unit test ``unit_at_zero``/``unit_at_one`` and every Bezout pair
-# ``comaximality``.  Each outcome generator yields (certificate, complete,
-# note) per degree split, in degree order.
+# ``cleanmat.factor`` searches each stalk on its raw coefficients with the
+# kernels of ``cleanmat.polys``.  These are the same searches written on boxed
+# one-stalk polynomials (``restrict_poly``) with the Element-level references
+# above: every Taylor shift is ``fold_translate``, every unit test a
+# ``fold_eval``, every Bezout pair ``comaximality_cramer``, every rational root
+# ``rational_roots_horner`` and every division ``fold_monic_divide``, except in
+# the two candidate scans, whose many trial divisions take one ``raw_divide``
+# each (``divide_by_kernel``).  Each outcome generator yields (certificate,
+# complete, note) per degree split, in degree order.
 
 
 def _first_unit_index_boxed(h: Poly) -> int:
-    s = h.ring.stalks[0]
-    return next(i for i, c in enumerate(h.parts[0]) if s.is_unit(c))
+    R = h.ring
+    return next(i for i, c in enumerate(h.coeffs) if R.is_unit(c))
 
 
+# the searches meet the same factor pairs and lifts again and again, and both
+# are pure functions of their input, so each is computed once
+_cramer_once = functools.lru_cache(maxsize=1 << 14)(comaximality_cramer)
+
+
+def divide_by_kernel(f: Poly, g: Poly):
+    """``fold_monic_divide``'s (q, r, exact) of one-stalk polynomials, by ``raw_divide``."""
+    (s,) = f.ring.stalks
+    q, r = raw_divide(s, f.parts[0], g.parts[0])
+    return Poly.from_parts(f.ring, [q]), Poly.from_parts(f.ring, [r]), not r
+
+
+@functools.lru_cache(maxsize=1 << 12)
 def hensel_split_boxed(h: Poly, a: int):
     """(q, p, rounds): the Newton lift h = q*p with p = t^a mod m, on Polys."""
     R = h.ring
     limit = (R.max_nil_index() - 1).bit_length() + 1
-    p = Poly.t_power(R, a)
+    p = t_power(R, a)
     for rounds in range(1, limit + 1):
-        q, r, exact = monic_divide(h, p)
+        q, r, exact = fold_monic_divide(h, p)
         if exact:
             return q, p, rounds
-        bez = comaximality(q, p)
+        bez = _cramer_once(q, p)
         if bez is None:
             break
-        p = p + monic_divide(r * bez[0], p)[1]
+        p = fold_poly_add(p, fold_monic_divide(fold_poly_mul(r, bez[0]), p)[1])
     raise VerificationFailed([f"Hensel lift of {h!r} from t^{a} did not converge"])
 
 
-def _attempt_pair(h: Poly, f0: Poly, mode: str):
+def _attempt_pair(h: Poly, f0: Poly, mode: str, divide=fold_monic_divide):
     """An SRCCertificate of the monic candidate f0, or None."""
-    q, _, exact = monic_divide(h, f0)
-    if not exact:
-        return None
-    f1 = q
-    if not f0.unit_at_zero or not f1.unit_at_one:
+    R = h.ring
+    f1, _, exact = divide(h, f0)
+    if not exact or not _unit_at(f0, R.zero) or not _unit_at(f1, R.one):
         return None
     if mode == "SR":
         return SRCCertificate(f0, f1, None, None, "SR")
-    bez = comaximality(f0, f1)
+    bez = _cramer_once(f0, f1)
     if bez is None:
         return None
     return SRCCertificate(f0, f1, bez[0], bez[1], "SRC")
 
 
+def _first_candidate_pair(h: Poly, candidates, mode: str):
+    """The ``_attempt_pair`` of the first candidate that has one, or None."""
+    for f0 in candidates:
+        cert = _attempt_pair(h, f0, mode, divide_by_kernel)
+        if cert is not None:
+            return cert
+    return None
+
+
 def _monic_candidates_boxed(R, d: int):
     (s,) = R.stalks
     elems = s.elements()
-    units = [x for x in elems if s.is_unit(x)]
-    for c0 in units:
+    for c0 in (x for x in elems if s.is_unit(x)):
         for mids in itertools.product(elems, repeat=d - 1):
             yield Poly.from_parts(R, [(c0, *mids, s.one)])
 
 
 def src_outcomes_finite_boxed(h: Poly, mode: str):
     R = h.ring
-    g = h.translate(R.one)
+    g = fold_translate(h, R.one)
     b = _first_unit_index_boxed(g)
     for _ in range(b):
         yield None, True, f"(t-1)^{b} divides h mod m but not f1 mod m, so deg f0 >= {b}"
     q, p, _ = hensel_split_boxed(g, b)
-    f0, f1 = p.translate(-R.one), q.translate(-R.one)
+    f0, f1 = fold_translate(p, -R.one), fold_translate(q, -R.one)
     bez = (None, None)
     if mode == "SRC":
-        bez = comaximality(f0, f1)
+        bez = _cramer_once(f0, f1)
         if bez is None:
             raise VerificationFailed([f"Hensel split of {h!r} is not comaximal"])
     yield SRCCertificate(f0, f1, *bez, mode), True, "found"
     for d in range(b + 1, h.degree + 1):
-        cert = None
-        for f0 in _monic_candidates_boxed(R, d):
-            cert = _attempt_pair(h, f0, mode)
-            if cert is not None:
-                break
-        note = "found" if cert else f"exhausted all monic degree-{d} candidates"
-        yield cert, True, note
+        cert = _first_candidate_pair(h, _monic_candidates_boxed(R, d), mode)
+        yield cert, True, "found" if cert else f"exhausted all monic degree-{d} candidates"
 
 
 def src_outcomes_zloc_boxed(h: Poly, mode: str):
@@ -934,16 +946,18 @@ def src_outcomes_zloc_boxed(h: Poly, mode: str):
     for d in range(n + 1):
         if d == 0:
             cert = _attempt_pair(h, Poly.one(R), mode)
-            yield cert, True, "found" if cert else f"h(1) = {h(R.one)!r} is not a unit"
+            note = f"h(1) = {fold_eval(h, R.one)!r} is not a unit"
+            yield cert, True, "found" if cert else note
         elif d == n:
             cert = _attempt_pair(h, h, mode)
-            yield cert, True, "found" if cert else f"h(0) = {h(R.zero)!r} is not a unit"
+            note = f"h(0) = {fold_eval(h, R.zero)!r} is not a unit"
+            yield cert, True, "found" if cert else note
         elif d in (1, n - 1):
             if roots is None:
-                roots = rational_roots(h)
+                roots = rational_roots_horner(h)
             cert = None
             for r in roots:
-                f0 = linear(r) if d == 1 else monic_divide(h, linear(r))[0]
+                f0 = linear(r) if d == 1 else fold_monic_divide(h, linear(r))[0]
                 cert = _attempt_pair(h, f0, mode)
                 if cert is not None:
                     break
@@ -954,23 +968,20 @@ def src_outcomes_zloc_boxed(h: Poly, mode: str):
             )
             yield cert, True, note
         else:
-            lo = _first_unit_index_boxed(h.translate(R.one))
+            lo = _first_unit_index_boxed(fold_translate(h, R.one))
             hi = n - _first_unit_index_boxed(h)
             if not lo <= d <= hi:
                 yield None, True, f"f0(0) and f1(1) units force {lo} <= deg f0 <= {hi}"
                 continue
-            cert = None
             span = range(-BOUNDED_HEIGHT, BOUNDED_HEIGHT + 1)
             p = R.stalks[0].p
-            for c0 in span:
-                if c0 % p == 0:
-                    continue
-                for mids in itertools.product(span, repeat=d - 1):
-                    cert = _attempt_pair(h, Poly.from_ints(R, [c0, *mids, 1]), mode)
-                    if cert is not None:
-                        break
-                if cert is not None:
-                    break
+            candidates = (
+                Poly.from_ints(R, [c0, *mids, 1])
+                for c0 in span
+                if c0 % p
+                for mids in itertools.product(span, repeat=d - 1)
+            )
+            cert = _first_candidate_pair(h, candidates, mode)
             note = (
                 "found"
                 if cert
@@ -991,18 +1002,15 @@ def sp_outcomes_boxed(h: Poly):
             else:
                 yield None, True, f"no nilpotent-tail divisor of degree {d}"
         return
-    (s,) = R.stalks
-    a = h.parts[0]
-    val = 0
-    while a[val] == s.zero:
-        val += 1
+    coeffs = h.coeffs
+    val = next(i for i, c in enumerate(coeffs) if c != R.zero)
     for d in range(n + 1):
         cert = None
         note = f"p0 = t^{d} does not divide h"
         if d == val:
-            h0 = Poly.from_parts(R, [a[d:]])
-            if h0.unit_at_zero:
-                cert = SPCertificate(h0, Poly.t_power(R, d))
+            h0 = Poly(R, coeffs[d:])
+            if _unit_at(h0, R.zero):
+                cert = SPCertificate(h0, t_power(R, d))
                 note = "found"
             else:
                 note = f"h0(0) = {h0.coeff(0)!r} is not a unit"

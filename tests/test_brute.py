@@ -40,14 +40,14 @@ def test_spec_examples(zmod):
     assert not verify_strong_clean(A, cert)
 
     R6 = zmod(6)
-    Z = SquareMatrix.zeros(R6, 2)
+    Z = SquareMatrix.from_ints(R6, [[0, 0], [0, 0]])
     cert = strongly_clean_bruteforce(Z)
     assert cert.E == SquareMatrix.identity(R6, 2)
     assert cert.U == -SquareMatrix.identity(R6, 2)
 
     V = SquareMatrix.from_ints(R6, [[5, 0], [0, 1]])
     cert = strongly_clean_bruteforce(V)
-    assert cert.E == SquareMatrix.zeros(R6, 2) and cert.U == V
+    assert cert.E == SquareMatrix.from_ints(R6, [[0, 0], [0, 0]]) and cert.U == V
 
 
 def test_budget_and_infinite_ring(zmod, zloc):
@@ -121,7 +121,7 @@ def test_pi_regular_examples(zmod):
     R4 = zmod(4)
     N = SquareMatrix.from_ints(R4, [[0, 1], [0, 0]])
     cert = pi_regular_oracle(N)
-    assert cert.k == 2 and cert.X == SquareMatrix.zeros(R4, 2)
+    assert cert.k == 2 and cert.X == SquareMatrix.from_ints(R4, [[0, 0], [0, 0]])
 
     R6 = zmod(6)
     C = companion(Poly.from_ints(R6, [2, 3, 1]))
@@ -365,7 +365,7 @@ def test_index_on_sub_ranges_past_its_frontier(zmod, dual_ring):
         mats = [
             SquareMatrix(R, [[R.random_element(rng) for _ in range(n)] for _ in range(n)])
             for _ in range(6)
-        ] + [SquareMatrix.identity(R, n), SquareMatrix.zeros(R, n)]
+        ] + [SquareMatrix.identity(R, n), SquareMatrix.from_ints(R, [[0] * n] * n)]
         _check_index(R, mats, ranges)
 
 

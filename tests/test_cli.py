@@ -397,6 +397,33 @@ def test_huge_degrees_fail_fast_on_the_budget(argv, message):
     assert elapsed < 1.0
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (
+            ["decide", "--ring", '{"type":"zloc","p":2}', "--companion",
+             "--poly", "[200000000000000000000000000000,1,1]"],
+            "447213595499957 trial divisions of 200000000000000000000000000000",
+        ),
+        (
+            ["factor", "--ring", '{"type":"zloc","p":3}', "--mode", "gsrc",
+             "--poly", "[3000000000000000000000000000000,2,1]"],
+            "1732050807568877 trial divisions of 3000000000000000000000000000000",
+        ),
+    ],
+    ids=["decide", "factor"],
+)
+def test_rational_roots_of_huge_coefficients_fail_fast_on_the_budget(argv, message):
+    """The rational-root candidates of a Z_(p) polynomial come from trial
+    division up to the square root of its constant, checked before it starts."""
+    start = time.perf_counter()
+    res = _python("-m", "cleanmat.cli", *argv)
+    elapsed = time.perf_counter() - start
+    assert res.returncode == 1 and res.stdout == ""
+    assert res.stderr == f"error: {message} exceed budget 1000000\n"
+    assert elapsed < 1.0
+
+
 def test_jclean_on_a_large_finite_stalk_does_not_hang():
     """A finite local stalk answers by Hensel's lemma, not by a root scan."""
     res = _python("-m", "cleanmat.cli", "jclean", "--ring", '{"type":"zmod","n":1048576}')

@@ -19,13 +19,14 @@ from cleanmat.decide import (
     triangular_sweep,
 )
 from cleanmat.errors import BudgetExceeded, NotInRadical, TwoNotUnit, VerificationFailed
-from cleanmat.factor import SRCCertificate, comaximality, gsrc_search
+from cleanmat.factor import SRCCertificate, gsrc_search
 from cleanmat.matrices import SquareMatrix, companion, random_with_charpoly
 from cleanmat.polys import Poly
 from cleanmat.rings import Element, build_ring
 from cleanmat.stalks import factorize
 from cleanmat.verify import verify_gsrc, verify_pi_regular, verify_src, verify_strong_clean
 from conftest import CERT_RINGS
+from oracles import comaximality_cramer
 
 
 def test_decide_companion_negative(zloc):
@@ -75,7 +76,7 @@ def test_zloc_middle_degrees_outside_the_unit_window_are_absent(zloc):
 
 def test_decide_zero_matrix(zmod, zloc):
     for R in (zmod(6), zloc(2)):
-        Z = SquareMatrix.zeros(R, 2)
+        Z = SquareMatrix.from_ints(R, [[0, 0], [0, 0]])
         d = decide_strongly_clean(Z)
         assert d.verdict == "yes"
         assert d.certificate.E == SquareMatrix.identity(R, 2)
@@ -136,7 +137,7 @@ def test_pi_regular_implies_strongly_clean_decisions(zmod, f4_ring, dual_ring, f
                 assert decide_strongly_clean(A).verdict == "yes"
                 # the SP pair re-verifies as an SRC pair per block
                 for b in dp.factorization.blocks:
-                    u, v = comaximality(b.cert.h0, b.cert.p0)
+                    u, v = comaximality_cramer(b.cert.h0, b.cert.p0)
                     upgraded = SRCCertificate(b.cert.h0, b.cert.p0, u, v, "SRC")
                     assert not verify_src(b.cert.h0 * b.cert.p0, upgraded)
 
@@ -267,7 +268,7 @@ def test_triangular_construction_and_sweep(zmod):
     R4 = zmod(4)
     I = SquareMatrix.identity(R4, 2)
     cert = strong_clean_triangular(I)
-    assert cert.E == SquareMatrix.zeros(R4, 2) and cert.U == I
+    assert cert.E == SquareMatrix.from_ints(R4, [[0, 0], [0, 0]]) and cert.U == I
 
     rep = triangular_sweep(R4, 2)
     assert rep.instances == 64 and rep.agreements == 64

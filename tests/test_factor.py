@@ -16,15 +16,15 @@ from cleanmat.factor import (
     SPCertificate,
     SRCCertificate,
     _hensel_split,
-    comaximality,
+    _integer_poly,
+    _integer_roots,
     gsp_search,
     gsrc_search,
-    rational_roots,
     sp_search,
     src_search,
 )
-from cleanmat.polys import Poly, monic_divide, raw_bezout, raw_product
-from cleanmat.errors import NonMonicDivisor, RingMismatch
+from cleanmat.polys import Poly, raw_bezout, raw_product
+from cleanmat.errors import BudgetExceeded
 from cleanmat.rings import Element, block_ring, build_ring
 from cleanmat.serialize import dumps_canonical, to_jsonable
 from cleanmat.verify import verify_gsp, verify_gsrc, verify_sp, verify_src
@@ -32,11 +32,15 @@ from cleanmat.verify import verify_gsp, verify_gsrc, verify_sp, verify_src
 from conftest import CERT_RINGS
 from oracles import (
     comaximality_cramer,
+    divide_by_kernel,
+    fold_eval,
+    fold_translate,
     inverse_adjugate,
     nilpotents,
     rational_roots_horner,
     restrict_poly,
     sylvester,
+    t_power,
 )
 
 
@@ -44,18 +48,30 @@ def ints(R, p):
     return [R.to_int(c) for c in p.coeffs]
 
 
+def bezout(f0: Poly, f1: Poly):
+    """(u, v) with u*f0 + v*f1 = 1, one ``raw_bezout`` per stalk, or None if
+    some stalk has no pair."""
+    per_stalk = [raw_bezout(s, a, b) for s, a, b in zip(f0.ring.stalks, f0.parts, f1.parts)]
+    if None in per_stalk:
+        return None
+    us, vs = zip(*per_stalk)
+    return Poly.from_parts(f0.ring, us), Poly.from_parts(f0.ring, vs)
+
+
+def rational_roots(h: Poly) -> list[Fraction]:
+    """The rational roots of a monic h over Z_(p), by the search's integer kernel."""
+    return _integer_roots(_integer_poly(h.parts[0])[0], h.ring.stalks[0].p)
+
+
 def test_comaximality_examples(zmod):
     R8 = zmod(8)
-    u, v = comaximality(Poly.from_ints(R8, [1, 1]), Poly.from_ints(R8, [2, 1]))
+    u, v = bezout(Poly.from_ints(R8, [1, 1]), Poly.from_ints(R8, [2, 1]))
     assert ints(R8, u) == [7] and ints(R8, v) == [1]
     R4 = zmod(4)
-    assert comaximality(Poly.from_ints(R4, [1, 1]), Poly.from_ints(R4, [3, 1])) is None
+    assert bezout(Poly.from_ints(R4, [1, 1]), Poly.from_ints(R4, [3, 1])) is None
     f = Poly.from_ints(R4, [3, 2, 1])
-    u, v = comaximality(Poly.one(R4), f)
+    u, v = bezout(Poly.one(R4), f)
     assert u == Poly.one(R4) and v.is_zero
-    for g in (Poly.one(R8), Poly.from_ints(R8, [1, 1])):
-        with pytest.raises(RingMismatch):
-            comaximality(g, f)
 
 
 def _non_monic_polys(R):
@@ -76,27 +92,19 @@ def test_public_entries_reject_non_monic_input():
     h = Poly.from_ints(R, [2, 3, 1])
     for name, g in _non_monic_polys(R).items():
         assert not g.is_monic, name
-        with pytest.raises(NonMonicDivisor):
-            monic_divide(h, g)
-        with pytest.raises(ValueError):
-            comaximality(g, h)
-        with pytest.raises(ValueError):
-            comaximality(h, g)
         for search in (src_search, gsrc_search, sp_search, gsp_search):
             with pytest.raises(ValueError):
                 search(g, R)
 
 
 def test_only_the_public_entry_of_a_search_runs_is_monic(monkeypatch):
-    """Divisions test the divisor inside their own loop and ``comaximality`` its
-    factors in one raw pass, so neither they nor the Hensel rounds call ``is_monic``."""
+    """A search tests its input once; the stalk kernels and the Hensel rounds
+    run on raw values and never call ``is_monic``."""
     tests = []
     is_monic = Poly.is_monic.fget
     monkeypatch.setattr(Poly, "is_monic", property(lambda p: tests.append(p) or is_monic(p)))
     R = build_ring(CERT_RINGS["Z/16"])
-    h, g = Poly.from_ints(R, [2, 3, 5, 1]), Poly.from_ints(R, [3, 1])
-    assert monic_divide(h, g)[2] is False and tests == []
-    assert comaximality(g, h) is not None and tests == []
+    h = Poly.from_ints(R, [2, 3, 5, 1])
     for search in (gsp_search, sp_search):
         tests.clear()
         assert search(h, R).found and len(tests) == 1
@@ -132,9 +140,9 @@ def test_src_local_zloc_complete_quadratic(zloc):
     res = src_search(Poly.from_ints(Z2, [2, -1, 1]), Z2)
     assert res.status == "absent"
     # trivial split: t factors as 1 * t with f1(1) = 1
-    res = src_search(Poly.t_power(Z2, 1), Z2)
+    res = src_search(t_power(Z2, 1), Z2)
     assert res.found and res.certificate.f0.degree == 0
-    assert res.certificate.f1 == Poly.t_power(Z2, 1)
+    assert res.certificate.f1 == t_power(Z2, 1)
 
 
 def test_src_local_matches_bruteforce_enumeration(zmod, f4_ring, dual_ring):
@@ -153,10 +161,10 @@ def test_src_local_matches_bruteforce_enumeration(zmod, f4_ring, dual_ring):
                         f0 = Poly(R, coeffs)
                         if not f0.is_monic or f0.degree != d:
                             continue
-                        q, _, exact = monic_divide(h, f0)
+                        q, _, exact = divide_by_kernel(h, f0)
                         if not exact:
                             continue
-                        if R.is_unit(f0(R.zero)) and R.is_unit(q(R.one)):
+                        if R.is_unit(fold_eval(f0, R.zero)) and R.is_unit(fold_eval(q, R.one)):
                             oracle = True
             got = src_search(h, h.ring, "SR").found
             assert got == oracle, (R.label(), [R.render_value(c) for c in h.coeffs])
@@ -188,7 +196,15 @@ def test_rational_roots():
     h = Poly(Z2, [Element(Z2, (Fraction(1, 3),)), Element(Z2, (Fraction(4, 3),)), Z2.one])
     # (t + 1)(t + 1/3)
     assert rational_roots(h) == [Fraction(-1), Fraction(-1, 3)]
-    assert rational_roots(Poly.t_power(Z2, 2)) == [Fraction(0)]
+    assert rational_roots(t_power(Z2, 2)) == [Fraction(0)]
+
+
+def test_rational_roots_refuse_an_enumeration_past_the_budget():
+    # isqrt(10^13) trial divisions, then 6720 * 240 candidate pairs a/b
+    with pytest.raises(BudgetExceeded, match="trial divisions"):
+        _integer_roots([10**13, 1, 1], 3)
+    with pytest.raises(BudgetExceeded, match="candidates"):
+        _integer_roots([963761198400, 1, 720720], 17)
 
 
 def test_gsrc_paper_example(zloc2_squared):
@@ -222,10 +238,10 @@ def test_gsrc_stalk_failure_is_global_failure(zloc):
 
 def test_gsrc_trivial(zmod):
     R = zmod(6)
-    res = gsrc_search(Poly.t_power(R, 1), R)
+    res = gsrc_search(t_power(R, 1), R)
     assert res.found and len(res.certificate.blocks) == 1
     b = res.certificate.blocks[0]
-    assert b.cert.f0.degree == 0 and b.cert.f1 == Poly.t_power(R, 1)
+    assert b.cert.f0.degree == 0 and b.cert.f1 == t_power(R, 1)
 
 
 def test_src_z6_requires_full_divisor_scan(zmod):
@@ -269,7 +285,7 @@ def test_gsp_z6_blocks_and_single_block_absence(zmod):
 
 def test_gsp_trivial_and_nilpotent(zmod, zloc):
     for R in (zmod(6), zmod(4)):
-        res = gsp_search(Poly.t_power(R, 2), R)
+        res = gsp_search(t_power(R, 2), R)
         assert res.found and len(res.certificate.blocks) == 1
         b = res.certificate.blocks[0]
         assert b.cert.h0 == Poly.one(b.cert.h0.ring)
@@ -278,7 +294,7 @@ def test_gsp_trivial_and_nilpotent(zmod, zloc):
 
 
 def test_sp_implies_src_upgrade(zmod):
-    # every SP certificate is an SR pair whose comaximality upgrade succeeds
+    # every SP certificate is an SR pair whose Bezout upgrade succeeds
     for n in (4, 6, 9):
         R = zmod(n)
         for h in _all_monic(R, 2):
@@ -286,11 +302,11 @@ def test_sp_implies_src_upgrade(zmod):
             if not res.found:
                 continue
             for b in res.certificate.blocks:
-                bez = comaximality(b.cert.h0, b.cert.p0)
+                bez = bezout(b.cert.h0, b.cert.p0)
                 assert bez is not None
                 B = b.cert.h0.ring
                 # p0(1) = 1 + (sum of nilpotents) is a unit, so SP is also SR
-                assert B.is_unit(b.cert.p0(B.one))
+                assert B.is_unit(fold_eval(b.cert.p0, B.one))
 
 
 def _all_monic(R, n):
@@ -375,12 +391,12 @@ def _oracle_src_at(h, d, mode):
     for c0 in heads:
         for mids in itertools.product(elems, repeat=max(d - 1, 0)):
             f0 = Poly(R, [c0, *mids, R.one]) if d else Poly.one(R)
-            f1, _, exact = monic_divide(h, f0)
-            if not exact or not R.is_unit(f1(R.one)):
+            f1, _, exact = divide_by_kernel(h, f0)
+            if not exact or not R.is_unit(fold_eval(f1, R.one)):
                 continue
             if mode == "SR":
                 return SRCCertificate(f0, f1, None, None, "SR")
-            bez = comaximality(f0, f1)
+            bez = comaximality_cramer(f0, f1)
             if bez is not None:
                 return SRCCertificate(f0, f1, bez[0], bez[1], "SRC")
     return None
@@ -391,8 +407,8 @@ def _oracle_sp_at(h, d):
     R = h.ring
     for low in itertools.product(nilpotents(R), repeat=d):
         p0 = Poly(R, [*low, R.one])
-        h0, _, exact = monic_divide(h, p0)
-        if exact and R.is_unit(h0(R.zero)):
+        h0, _, exact = divide_by_kernel(h, p0)
+        if exact and R.is_unit(fold_eval(h0, R.zero)):
             return SPCertificate(h0, p0)
     return None
 
@@ -494,7 +510,7 @@ def test_hensel_lift_round_bound(zmod, dual_ring):
         for n in range(1, max_degree + 1):
             for lows in itertools.product(elems, repeat=n):
                 h = Poly(R, [*lows, R.one])
-                for g in (h, h.translate(R.one)):
+                for g in (h, fold_translate(h, R.one)):
                     a = next(i for i, c in enumerate(g.coeffs) if R.is_unit(c))
                     q, p, rounds = _hensel_split(R.stalks[0], g.parts[0], a)
                     assert raw_product(R.stalks[0], q, p) == g.parts[0], (R.label(), h)
@@ -554,7 +570,7 @@ def _assert_one_block(one, glob):
         assert block.cert == one.certificate
 
 
-# -- oracle: comaximality by Cramer's rule on the Sylvester matrix -------------------
+# -- oracle: the Bezout pair by Cramer's rule on the Sylvester matrix ---------------
 
 
 def _bezout_parts(bez):
@@ -562,15 +578,6 @@ def _bezout_parts(bez):
         return None
     u, v = bez
     return tuple(c.parts for c in u.coeffs), tuple(c.parts for c in v.coeffs)
-
-
-def _assert_kernel_agrees(f0, f1, got):
-    """``raw_bezout`` on each stalk gives ``got``'s parts there, or None on some stalk."""
-    per_stalk = [raw_bezout(s, a, b) for s, a, b in zip(f0.ring.stalks, f0.parts, f1.parts)]
-    if got is None:
-        assert None in per_stalk, (f0, f1)
-    else:
-        assert per_stalk == list(zip(got[0].parts, got[1].parts)), (f0, f1)
 
 
 def test_comaximality_matches_cramer_oracle_exhaustive(
@@ -584,9 +591,7 @@ def test_comaximality_matches_cramer_oracle_exhaustive(
             for d1 in range(4 - d0):
                 for f0 in monics[d0]:
                     for f1 in monics[d1]:
-                        bez = comaximality(f0, f1)
-                        _assert_kernel_agrees(f0, f1, bez)
-                        got = _bezout_parts(bez)
+                        got = _bezout_parts(bezout(f0, f1))
                         assert got == _bezout_parts(comaximality_cramer(f0, f1)), (
                             R.label(), f0, f1,
                         )
@@ -617,17 +622,15 @@ def test_comaximality_matches_cramer_oracle_seeded(zloc):
         for k in ((nonunits[0], units[1]), (units[0], nonunits[1])):
             f0 = _random_monic(Z43, rng.randint(1, 2), rng)
             g = _random_monic(Z43, rng.randint(0, 1), rng)
-            split.append((f0, f0 * g + Poly.constant(Element(Z43, k))))
+            split.append((f0, f0 * g + Poly(Z43, [Element(Z43, k)])))
     for f0, f1 in pairs + split:
-        bez = comaximality(f0, f1)
-        _assert_kernel_agrees(f0, f1, bez)
+        bez = bezout(f0, f1)
         assert _bezout_parts(bez) == _bezout_parts(comaximality_cramer(f0, f1)), (f0, f1)
     for f0, f1 in split:
-        assert comaximality(f0, f1) is None
         per_stalk = [raw_bezout(*stalk) for stalk in zip(Z43.stalks, f0.parts, f1.parts)]
         assert [b is None for b in per_stalk].count(True) == 1
-    assert any(comaximality(f0, f1) is None for f0, f1 in pairs)
-    assert any(comaximality(f0, f1) is not None for f0, f1 in pairs)
+    assert any(bezout(f0, f1) is None for f0, f1 in pairs)
+    assert any(bezout(f0, f1) is not None for f0, f1 in pairs)
 
 
 COMAX_RINGS = {
@@ -668,9 +671,9 @@ def test_comaximality_matches_cramer_oracle_per_ring(label):
         f0 = _random_monic(R, rng.randint(1, 2), rng)
         g = _random_monic(R, 1, rng)
         c = _nonunit_on(R, rng.randrange(R.num_stalks), rng)
-        refuted += [(f0, f0 * g + Poly.constant(c)), (f0, f0 * g)]
+        refuted += [(f0, f0 * g + Poly(R, [c])), (f0, f0 * g)]
     for f0, f1 in pairs + refuted:
-        got = comaximality(f0, f1)
+        got = bezout(f0, f1)
         assert _bezout_parts(got) == _bezout_parts(comaximality_cramer(f0, f1)), (f0, f1)
         # the one solve is column 0 of the Sylvester inverse, None where it has none
         M_inv = inverse_adjugate(sylvester(f0, f1))
@@ -679,11 +682,11 @@ def test_comaximality_matches_cramer_oracle_per_ring(label):
             u, v = got
             w = [row[0] for row in M_inv.rows]
             assert (u, v) == (Poly(R, w[: f1.degree]), Poly(R, w[f1.degree :]))
-    assert all(comaximality(f0, f1) is None for f0, f1 in refuted)
-    assert any(comaximality(f0, f1) is not None for f0, f1 in pairs)
-    # a degree-0 factor needs no Sylvester solve; comaximality answers it directly
+    assert all(bezout(f0, f1) is None for f0, f1 in refuted)
+    assert any(bezout(f0, f1) is not None for f0, f1 in pairs)
+    # a degree-0 factor needs no Sylvester solve; the kernel answers it directly
     f1 = pairs[0][1]
-    assert comaximality(Poly.one(R), f1) == (Poly.one(R), Poly.zero(R))
+    assert bezout(Poly.one(R), f1) == (Poly.one(R), Poly.zero(R))
 
 
 def _zloc_root_polys(p, rng):
@@ -693,7 +696,7 @@ def _zloc_root_polys(p, rng):
     polys = []
     for k in range(60):
         roots = [s.random(rng) for _ in range(rng.randint(0, 2))]
-        h = Poly.t_power(Z, k % 3)
+        h = t_power(Z, k % 3)
         for r in roots:
             h = h * Poly.from_parts(Z, [[-r, s.one]])
         rest = rng.randint(0 if roots or k % 3 else 1, 2)

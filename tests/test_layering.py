@@ -54,6 +54,10 @@ numpy, at any level, and ``pyproject.toml`` lists no dependency.
 
 The benchmark harness under ``perfbench/`` is frozen: it calls the package
 by name, so the names, parameters and methods it uses must keep existing.
+
+Code that only tests reach belongs with the tests: every module-level public
+function of ``src/cleanmat`` is called or imported somewhere in the package
+or exported by ``cleanmat.__all__``, except the few listed with a reason.
 """
 
 from __future__ import annotations
@@ -695,3 +699,90 @@ def test_the_benchmark_entry_points_exist():
     from cleanmat.rings import Ring
 
     assert callable(Ring.classify) and callable(SquareMatrix.__matmul__)
+
+
+# public functions that nothing in the package uses and ``__all__`` does not
+# export, each with the reason it stays
+UNREFERENCED_PUBLIC = {
+    "decide.strong_clean_triangular": "the public construction for one matrix",
+}
+
+
+def _references(tree) -> set[str]:
+    """Names read, as attributes or imported in ``tree``; a name read where a
+    function binds it (a parameter or an assignment) is that function's own."""
+    found = set()
+
+    def visit(node, local):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            args = node.args
+            params = args.posonlyargs + args.args + args.kwonlyargs
+            params += [a for a in (args.vararg, args.kwarg) if a is not None]
+            stores = [n for n in ast.walk(node) if isinstance(n, ast.Name)]
+            local = local | {a.arg for a in params}
+            local |= {n.id for n in stores if isinstance(n.ctx, ast.Store)}
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            if node.id not in local:
+                found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            found.update(a.name for a in node.names)
+        for child in ast.iter_child_nodes(node):
+            visit(child, local)
+
+    visit(tree, frozenset())
+    return found
+
+
+def _unreferenced_public_functions(src: Path, exported) -> list[str]:
+    """``module.name`` of each module-level public function in ``src`` that no
+    module there references and ``exported`` does not list."""
+    trees = {p.stem: ast.parse(p.read_text(encoding="utf-8")) for p in sorted(src.glob("*.py"))}
+    used = set().union(*map(_references, trees.values()))
+    return sorted(
+        f"{module}.{node.name}"
+        for module, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and not node.name.startswith("_")
+        and node.name not in used
+        and node.name not in exported
+    )
+
+
+def test_every_public_function_is_used_or_exported():
+    import cleanmat
+
+    assert _unreferenced_public_functions(SRC, cleanmat.__all__) == sorted(UNREFERENCED_PUBLIC)
+
+
+def test_the_guard_sees_a_function_only_tests_use(tmp_path):
+    (tmp_path / "polys.py").write_text(
+        "def raw_divide(s, f, g):\n"
+        "    return f\n"
+        "def monic_divide(f, g):\n"
+        "    return raw_divide(f.stalk, f, g)\n"
+        "def monic(ring, coeffs):\n"
+        "    return _checked(coeffs)\n"
+        "def _checked(coeffs):\n"
+        "    return coeffs\n"
+        "def gsrc_search(h, R):\n"
+        "    return h\n"
+        "class Poly:\n"
+        "    def translate(self, c):\n"
+        "        return self\n",
+        encoding="utf-8",
+    )
+    (tmp_path / "verify.py").write_text(
+        "from .polys import raw_divide\n"
+        "def check(f, g):\n"
+        "    monic = f.monic_divide\n"
+        "    return lambda monic: monic(raw_divide(None, f, g))\n",
+        encoding="utf-8",
+    )
+    # a local or a parameter named ``monic`` is no use of the function; an
+    # attribute ``monic_divide`` is
+    assert _unreferenced_public_functions(tmp_path, ["gsrc_search"]) == [
+        "polys.monic", "verify.check"
+    ]

@@ -1,9 +1,11 @@
 """The raw per-stalk searches of ``cleanmat.factor`` against the boxed oracle.
 
 ``factor`` searches a stalk on its raw coefficients.  ``oracles`` keeps the
-same searches written on one-stalk ``Poly`` values (every division
-``monic_divide``, every unit test ``unit_at_zero``/``unit_at_one``, every
-Bezout pair ``comaximality``).  For SRC, SR and SP the two must agree on
+same searches written on one-stalk ``Poly`` values with its Element-level
+references (Taylor shifts ``fold_translate``, unit tests ``fold_eval``,
+Bezout pairs ``comaximality_cramer``, rational roots
+``rational_roots_horner``, divisions ``fold_monic_divide`` outside the
+candidate scans).  For SRC, SR and SP the two must agree on
 the memo entry of every stalk, (hit, notes, complete), and on the outcome
 of every degree split, which ``src_search`` and ``sp_search`` read beyond
 the first hit:

@@ -10,7 +10,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cleanmat.errors import (
-    IncompleteCover,
     MalformedDescriptor,
     NonRing,
     NotPrime,
@@ -168,7 +167,7 @@ def test_pierce_glue_crt(zmod):
 def test_pierce_glue_incomplete_cover(zmod):
     R12 = zmod(12)
     e9 = next(e for e in R12.idempotents() if R12.to_int(e) == 9)
-    with pytest.raises(IncompleteCover):
+    with pytest.raises(ValueError, match="not a complete orthogonal set"):
         pierce_glue(R12, [(e9, R12.one)])
 
 

@@ -221,7 +221,9 @@ def _stalk_reads(path: Path) -> set[str]:
 
 def test_the_stalk_classes_define_what_the_kernels_call():
     reads = _stalk_reads(SRC / "matrices.py") | _stalk_reads(SRC / "polys.py")
-    assert PRIMITIVES <= reads
+    # the stalk searches and the verifiers' leaf checks also read ``sum``
+    raw_callers = _stalk_reads(SRC / "factor.py") | _stalk_reads(SRC / "verify.py")
+    assert PRIMITIVES <= reads | raw_callers
     assert {type(s) for s in STALKS.values()} == {ZModStalk, ZLocStalk, TableStalk}
     for name, s in STALKS.items():
-        assert [attr for attr in sorted(reads) if not hasattr(s, attr)] == [], name
+        assert [attr for attr in sorted(reads | PRIMITIVES) if not hasattr(s, attr)] == [], name

@@ -182,7 +182,7 @@ def _longer_on_first(f: Poly) -> Poly:
 
 def _elsewhere(f: Poly) -> Poly:
     """A monic polynomial of f's degree over ``OTHER_RING``."""
-    return Poly.t_power(OTHER_RING, max(f.degree, 0))
+    return Poly.from_ints(OTHER_RING, [0] * max(f.degree, 0) + [1])
 
 
 def _leaf_tampers(cert):
