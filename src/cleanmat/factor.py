@@ -56,19 +56,23 @@ nothing, which is distinct from a definitive ``absent``.
 degree until one degree has a split on every stalk, and glue those raw
 parts into one block.  ``gsrc_search`` and ``gsp_search`` take each
 stalk's lowest-degree hit on its own, and group the stalks into blocks by
-that degree.  A stalk's hit, notes and completeness are a pure function of
-the stalk ring, the raw stalk coefficients and the mode ("SRC", "SR" or
-"SP"), and that triple is the stalk's memo entry.  Over a finite stalk it
-is memoized under the key (stalk ring key, raw coefficient tuple, mode) in
-one module-level memo of at most ``STALK_MEMO_CAP`` entries, evicting the
-least recently used; entries with the same notes share one notes tuple.
+that degree; when every hit has one degree, the one block on the full
+support is built directly.  A stalk's hit, notes and completeness are a
+pure function of the stalk ring, the raw stalk coefficients and the mode
+("SRC", "SR" or "SP"), and that triple is the stalk's memo entry.  Over a
+finite stalk it is memoized under the key (stalk ring key, raw coefficient
+tuple, mode) in one module-level memo of at most ``STALK_MEMO_CAP``
+entries, evicting the least recently used; entries with the same notes
+share one notes tuple.
 An entry holds raw parts, note strings and, once a certificate has been
 built from the entry's hit, that hit's raw certificate polynomials; every
-call, hit or miss, rebuilds fresh polynomials, certificates and transcript
-dicts from it, so no caller can change what a later call gets.  Z_(p)
-stalks are not memoized, a search that raises leaves no entry, and
-``src_search``/``sp_search`` do not use the memo.  Callers still verify
-every certificate they receive.
+call, hit or miss, builds fresh polynomials and certificates from it.  A
+result keeps each stalk's notes tuple, which is immutable, and renders its
+own transcript dict from them the first time its transcript is read, so
+no caller can change what a later call gets, and a caller that never reads
+a transcript never renders one.  Z_(p) stalks are not memoized, a search
+that raises leaves no entry, and ``src_search``/``sp_search`` do not use
+the memo.  Callers still verify every certificate they receive.
 
 ``certificate_polys`` gives each stalk's raw certificate polynomials of a
 global split, (e, w) of a gSRC and (x,) of a gSP, from the kernel
@@ -86,6 +90,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import DEFAULT_BUDGET, BudgetExceeded, VerificationFailed
 from .polys import (
@@ -140,11 +145,43 @@ class GSPCertificate:
     blocks: list[Block]
 
 
-@dataclass
+class _Notes(NamedTuple):
+    """A transcript before it is rendered: each stalk's ``_notes`` tuple."""
+
+    ring: Ring
+    stalks: tuple
+    mode: str
+
+    def render(self) -> dict:
+        R = self.ring
+        stalks = [
+            {"stalk": R.stalk_ring(i).label(), "degrees": dict(n)}
+            for i, n in enumerate(self.stalks)
+        ]
+        return {"mode": self.mode, "stalks": stalks}
+
+
 class SearchResult:
-    status: str  # found | absent | incomplete
-    certificate: object | None
-    transcript: dict
+    """A search's status (found | absent | incomplete), certificate and transcript.
+
+    The searches pass the transcript as ``_Notes``, whose notes tuples are
+    immutable (a finite stalk's are its memo entry's); the transcript dict
+    is rendered from them the first time it is read, once per result.  A
+    dict passed in is kept as it is.
+    """
+
+    __slots__ = ("status", "certificate", "_transcript")
+
+    def __init__(self, status: str, certificate, transcript):
+        self.status = status
+        self.certificate = certificate
+        self._transcript = transcript
+
+    @property
+    def transcript(self) -> dict:
+        if type(self._transcript) is _Notes:
+            self._transcript = self._transcript.render()
+        return self._transcript
 
     @property
     def found(self) -> bool:
@@ -477,17 +514,9 @@ def _require_monic(h: Poly):
         raise ValueError(f"{h!r} is not monic")
 
 
-def _transcript(R: Ring, notes, mode: str) -> dict:
-    """The transcript document from each stalk's ``_notes``."""
-    stalks = [
-        {"stalk": R.stalk_ring(i).label(), "degrees": dict(n)} for i, n in enumerate(notes)
-    ]
-    return {"mode": mode, "stalks": stalks}
-
-
-def _profile_transcript(R: Ring, profiles, mode: str) -> dict:
+def _profile_transcript(R: Ring, profiles, mode: str) -> _Notes:
     """The outcome of every degree each stalk's search examined."""
-    return _transcript(R, [_notes(prof.examined) for prof in profiles], mode)
+    return _Notes(R, tuple([_notes(prof.examined) for prof in profiles]), mode)
 
 
 def _common_degree_result(h: Poly, R: Ring, profiles, mode: str, glue) -> SearchResult:
@@ -544,7 +573,16 @@ def _glue_sp_block(R: Ring, support: tuple[int, ...], raws) -> SPCertificate:
 
 
 def _assemble_global(R: Ring, choices, glue) -> list[Block]:
-    """Group per-stalk (degree, raw parts) hits by degree into <= n+1 blocks."""
+    """Group per-stalk (degree, raw parts) hits by degree into <= n+1 blocks.
+
+    When every stalk's hit has one degree, that is one block on the full
+    support, built directly.
+    """
+    d = choices[0][0]
+    if all(c[0] == d for c in choices):
+        support = tuple(range(R.num_stalks))
+        certs = [c[1] for c in choices]
+        return [Block(support, R.indicator(support), glue(R, support, certs))]
     groups: dict[int, list[int]] = {}
     for i, (d, _) in enumerate(choices):
         groups.setdefault(d, []).append(i)
@@ -588,14 +626,19 @@ def _stalk_first_hit(h: Poly, R: Ring, i: int, mode: str) -> list:
 
 def _global_result(h: Poly, R: Ring, mode: str, glue, wrap) -> SearchResult:
     """Each stalk's lowest-degree certificate, grouped into blocks by degree."""
-    steps = [_stalk_first_hit(h, R, i, mode) for i in range(R.num_stalks)]
-    transcript = _transcript(R, [notes for _, notes, _, _ in steps], mode)
-    missing = [complete for hit, _, complete, _ in steps if hit is None]
+    hits, notes, missing = [], [], []
+    for i in range(R.num_stalks):
+        hit, stalk_notes, complete, _ = _stalk_first_hit(h, R, i, mode)
+        hits.append(hit)
+        notes.append(stalk_notes)
+        if hit is None:
+            missing.append(complete)
+    transcript = _Notes(R, tuple(notes), mode)
     if missing:
         status = ABSENT if any(missing) else INCOMPLETE
         return SearchResult(status, None, transcript)
-    blocks = _assemble_global(R, [hit for hit, _, _, _ in steps], glue)
-    assert len(blocks) <= h.degree + 1
+    blocks = _assemble_global(R, hits, glue)
+    assert len(blocks) == 1 or len(blocks) <= h.degree + 1
     return SearchResult(FOUND, wrap(blocks), transcript)
 
 

@@ -144,7 +144,9 @@ class Ring:
         self.factors = factors
         self.key = json.dumps(descriptor, sort_keys=True, separators=(",", ":"))
         self._stalk_rings: dict[int, Ring] = {}
-        self._block_rings: dict[tuple[int, ...], Ring] = {}
+        # the full support in stalk order is the idempotent 1, whose subring is R
+        self._block_rings: dict[tuple[int, ...], Ring] = {tuple(range(len(self.stalks))): self}
+        self._indicators: dict[tuple, tuple] = {}
         self.zero = Element(self, tuple(s.zero for s in self.stalks))
         self.one = Element(self, tuple(s.one for s in self.stalks))
 
@@ -219,12 +221,23 @@ class Ring:
             self._stalk_rings[i] = build_ring(self.stalks[i].ring_descriptor())
         return self._stalk_rings[i]
 
+    def indicator_parts(self, support) -> tuple:
+        """The stalk values of ``indicator(support)``, cached per support tuple."""
+        support = tuple(support)
+        parts = self._indicators.get(support)
+        if parts is None:
+            parts = self._indicators[support] = tuple(
+                s.one if i in support else s.zero for i, s in enumerate(self.stalks)
+            )
+        return parts
+
     def indicator(self, support) -> Element:
-        """The idempotent that is 1 on the stalks in ``support`` and 0 elsewhere."""
-        return Element(
-            self,
-            tuple(s.one if i in support else s.zero for i, s in enumerate(self.stalks)),
-        )
+        """The idempotent that is 1 on the stalks in ``support`` and 0 elsewhere.
+
+        Each call returns a new Element on the support's cached parts tuple,
+        which is immutable, so what a caller does to the Element stays there.
+        """
+        return Element(self, self.indicator_parts(support))
 
     def primitive_idempotents(self) -> list[Element]:
         """One indicator idempotent per stalk, in stalk order."""
@@ -438,16 +451,17 @@ def build_ring(descriptor: dict) -> Ring:
 def block_ring(R: Ring, indices: tuple[int, ...]) -> Ring:
     """The subring e*R for the idempotent e supported on the given stalks.
 
-    Its stalks are R's stalks at ``indices``, in that order.  The full
-    support in order is the idempotent 1, whose subring is R itself.
+    Its stalks are R's stalks at ``indices``, in that order.  ``indices`` may
+    be any iterable; it is read as a tuple, the key of the ring's cache of
+    block rings, which starts with the full support in order (the idempotent
+    1) mapped to R itself.  A repeated call returns the same ring.
     """
     indices = tuple(indices)
+    ring = R._block_rings.get(indices)
+    if ring is not None:
+        return ring
     if not indices:
         raise ValueError("a block needs at least one stalk")
-    if indices == tuple(range(R.num_stalks)):
-        return R
-    if indices in R._block_rings:
-        return R._block_rings[indices]
     if len(indices) == 1:
         ring = R.stalk_ring(indices[0])
     else:

@@ -132,6 +132,12 @@ def to_jsonable(obj):
             }
     factor = _loaded("factor")
     if factor is not None:
+        if isinstance(obj, factor.SearchResult):
+            return {
+                "status": obj.status,
+                "certificate": to_jsonable(obj.certificate),
+                "transcript": to_jsonable(obj.transcript),
+            }
         if isinstance(obj, factor.SRCCertificate):
             out = {
                 "type": "src",

@@ -8,8 +8,11 @@ list of failure strings; empty means valid.
 A polynomial certificate is checked stalk by stalk on raw ``parts``.  A
 gSRC/gSP certificate's blocks number at most deg(h)+1, their supports
 partition the stalks and each idempotent is its support's indicator, which
-makes the idempotents a complete orthogonal set; then one leaf check per
-block walks the stalks of its block ring against h's parts there.
+makes the idempotents a complete orthogonal set.  One pass over the blocks
+checks all of it: each block marks the stalks of its support, compares its
+idempotent's parts with ``Ring.indicator_parts`` of the support (no
+Element is built) and runs one leaf check, which walks the stalks of its
+block ring against h's parts there.
 ``verify_src`` and ``verify_sp`` are that leaf on h's own ring.  It tests a
 split f0*f1 (h0*p0 for SP) in one pass: both factors monic, their
 ``raw_product`` equal to h, f0(0) a unit by its constant coefficient, f1(1)
@@ -112,22 +115,32 @@ def verify_sp(h: Poly, cert: SPCertificate) -> list[str]:
 
 
 def _verify_blocks(h: Poly, R: Ring, blocks: list[Block], leaf) -> list[str]:
+    """The block checks in one pass; messages in the order bound, partition, idempotents, leaves."""
+    n, H, hs = R.num_stalks, h.ring, h.parts
+    covered = [False] * n
+    partition = idempotents = True
+    leaf_fails = []
+    for b in blocks:
+        support, e = b.support, b.idempotent
+        for i in support:
+            if 0 <= i < n and not covered[i]:
+                covered[i] = True
+            else:
+                partition = False
+        if idempotents and (
+            (e.ring is not R and e.ring.key != R.key) or e.parts != R.indicator_parts(support)
+        ):
+            idempotents = False
+        for msg in leaf(block_ring(H, support), tuple(map(hs.__getitem__, support)), b.cert):
+            leaf_fails.append(f"block {support}: {msg}")
     fails = []
     if len(blocks) > h.degree + 1:
         fails.append(f"{len(blocks)} blocks exceed the deg(h)+1 bound")
-    covered = sorted(i for b in blocks for i in b.support)
-    if covered != list(range(R.num_stalks)):
+    if not (partition and all(covered)):
         fails.append("block supports do not partition the stalks")
-    if any(
-        b.idempotent.ring.key != R.key or b.idempotent.parts != R.indicator(b.support).parts
-        for b in blocks
-    ):
+    if not idempotents:
         fails.append("block idempotent does not match its support")
-    for b in blocks:
-        B = block_ring(h.ring, b.support)
-        for msg in leaf(B, [h.parts[i] for i in b.support], b.cert):
-            fails.append(f"block {b.support}: {msg}")
-    return fails
+    return fails + leaf_fails
 
 
 def verify_gsrc(h: Poly, R: Ring, cert: GSRCCertificate) -> list[str]:

@@ -41,6 +41,12 @@ A polynomial certificate is verified stalk by stalk on raw parts:
 annotations (so it makes no ``Poly.one``) and applies no operator to a
 certificate's polynomial or to h.
 
+The verifier reads nothing the search wrote: ``verify.py`` names none of
+``factor``'s memo (``_STALK_MEMO``, ``_MEMO_NOTES``), its certificate
+polynomials (``certificate_polys``) or its block assembly
+(``_assemble_global``), so a certificate it accepts is checked against h
+and the ring alone.
+
 No decider consults an exhaustive oracle: in ``decide.py`` only the two
 audits, ``theorem_main_audit`` and ``pi_regular_audit``, import ``.brute``.
 
@@ -490,6 +496,42 @@ def test_the_guard_sees_a_boxed_stalk_search(tmp_path):
         "hi(R.one)",
         "monic_divide",
         "monic_divide",
+    ]
+
+
+SEARCH_STATE_NAMES = {"_STALK_MEMO", "_MEMO_NOTES", "certificate_polys", "_assemble_global"}
+
+
+def _search_state_uses(path: Path) -> list[str]:
+    """Names, attributes, imports and string constants naming the search's state."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Name):
+            found.append(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.append(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            found += [alias.name for alias in node.names]
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            found.append(node.value)
+    return sorted(name for name in found if name in SEARCH_STATE_NAMES)
+
+
+def test_verify_reads_nothing_the_search_computed():
+    assert _search_state_uses(SRC / "verify.py") == []
+
+
+def test_the_guard_sees_the_search_state_in_verify(tmp_path):
+    bad = tmp_path / "bad.py"
+    bad.write_text(
+        "from .factor import _STALK_MEMO, certificate_polys\n"
+        "from . import factor\n"
+        "def f(R, g):\n"
+        "    return factor._MEMO_NOTES, getattr(factor, '_assemble_global')\n",
+        encoding="utf-8",
+    )
+    assert _search_state_uses(bad) == [
+        "_MEMO_NOTES", "_STALK_MEMO", "_assemble_global", "certificate_polys"
     ]
 
 

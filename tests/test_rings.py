@@ -303,6 +303,32 @@ def test_the_full_block_is_the_ring_itself(label):
         assert stalks == [R.stalks[i].ring_descriptor() for i in order]
 
 
+def test_block_ring_reads_its_indices_as_a_tuple():
+    zloc2 = {"type": "zloc", "p": 2}
+    R = build_ring({"type": "product", "factors": [zloc2, zloc2]})
+    for full in ([0, 1], range(2), (0, 1)):
+        assert block_ring(R, full) is R
+    B = block_ring(R, (1, 0))
+    assert B is not R and B.descriptor["type"] == "product"
+    assert [s.ring_descriptor() for s in B.stalks] == [
+        R.stalks[i].ring_descriptor() for i in (1, 0)
+    ]
+    with pytest.raises(ValueError):
+        block_ring(R, ())
+    assert block_ring(R, (1, 0)) is B and block_ring(R, [1, 0]) is B
+    assert block_ring(R, [1]) is block_ring(R, (1,))
+
+
+def test_each_indicator_is_a_new_element_on_its_supports_parts():
+    R = build_ring({"type": "zmod", "n": 12})
+    e = R.indicator((1,))
+    assert e.parts == (0, 1) and R.indicator([1]).parts is e.parts
+    # changing one Element leaves the next indicator of the support alone
+    e.parts = R.one.parts
+    assert R.indicator((1,)) is not e and R.indicator((1,)).parts == (0, 1)
+    assert R.indicator((0, 1)) == R.one and R.indicator(()) == R.zero
+
+
 @settings(max_examples=60, deadline=None)
 @given(n=st.integers(2, 120), a=st.integers(-200, 200), b=st.integers(-200, 200))
 def test_arithmetic_commutes_with_restriction(n, a, b):

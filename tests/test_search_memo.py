@@ -126,17 +126,21 @@ def test_mutating_a_result_does_not_change_the_next_one():
     R = build_ring(CERT_RINGS["Z/12"])
     h = Poly.from_ints(R, [2, 3, 1])
     for search in SEARCHES.values():
+        expected = _seen(search(h, R))
         first = search(h, R)
-        expected = _seen(first)
-        first.transcript["mode"] = "tampered"
-        first.transcript["stalks"][0]["degrees"]["0"] = "tampered"
-        first.transcript["stalks"].append({})
         block = first.certificate.blocks[0]
         block.support = (7,)
+        block.idempotent.parts = R.zero.parts
         for attr in ("f0", "f1", "bezout_u", "h0", "p0"):
             if getattr(block.cert, attr, None) is not None:
                 setattr(block.cert, attr, Poly.one(R))
         first.certificate.blocks.append(block)
+        second = search(h, R)
+        # first's transcript is rendered only now, after the second call
+        first.transcript["mode"] = "tampered"
+        first.transcript["stalks"][0]["degrees"]["0"] = "tampered"
+        first.transcript["stalks"].append({})
+        assert _seen(second) == expected
         assert _seen(search(h, R)) == expected
 
 

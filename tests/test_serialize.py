@@ -6,12 +6,14 @@ import pytest
 
 from cleanmat.rings import build_ring
 from cleanmat.serialize import (
+    dumps_canonical,
     element_from_json,
     element_to_json,
     matrix_from_json,
     matrix_to_json,
     poly_from_json,
     poly_to_json,
+    to_jsonable,
 )
 
 
@@ -77,3 +79,42 @@ def test_element_parse_errors(zmod):
         element_from_json(R, [1, 2, 3])  # matches neither stalks nor factors
     with pytest.raises(ValueError):
         element_from_json(R, True)
+
+
+def _result_document(res):
+    """A search result's document: status, certificate and transcript, each encoded."""
+    return {
+        "status": res.status,
+        "certificate": to_jsonable(res.certificate),
+        "transcript": to_jsonable(res.transcript),
+    }
+
+
+# over Z_(2): an SRC split, no split at all, and a middle degree the bounded scan leaves open
+ZLOC2_STATUS_POLYS = [(-3, -3, -3, -3, 1), (-2, -3, -3, -3, 1), (-2, -3, -2, -2, 1)]
+
+
+def test_a_search_result_encodes_as_its_three_fields():
+    from cleanmat.factor import SearchResult, gsp_search, gsrc_search, src_search
+    from cleanmat.polys import Poly
+
+    rings = [build_ring({"type": "zloc", "p": 2}), build_ring({"type": "zmod", "n": 12})]
+    cases = [(rings[0], ints) for ints in ZLOC2_STATUS_POLYS] + [(rings[1], (2, 3, 1))]
+    statuses = set()
+    for R, ints in cases:
+        h = Poly.from_ints(R, ints)
+        for search in (src_search, gsrc_search, gsp_search):
+            res = search(h, R)
+            statuses.add((search.__name__, res.status))
+            # encoded before the transcript was ever read, and again after
+            doc = to_jsonable(res)
+            assert list(doc) == ["status", "certificate", "transcript"]
+            assert doc == _result_document(res) == to_jsonable(res)
+            assert dumps_canonical(doc) == dumps_canonical(_result_document(search(h, R)))
+    assert {st for _, st in statuses} == {"found", "absent", "incomplete"}
+    assert {name for name, _ in statuses} == {"src_search", "gsrc_search", "gsp_search"}
+    assert to_jsonable(SearchResult("absent", None, {})) == {
+        "status": "absent",
+        "certificate": None,
+        "transcript": {},
+    }

@@ -274,6 +274,19 @@ def _certificate_cases(R, rng):
                     yield verifier, reference, h, (), cert, _leaf_tampers(cert)
 
 
+@pytest.mark.parametrize("name", ["Z/12", "Z/4 x Z_(3)", "F4"])
+def test_an_idempotent_changed_in_place_is_rejected(name):
+    R = build_ring(CERT_RINGS[name])
+    h = Poly.from_ints(R, [2, 3, 1])
+    for search, verifier in ((gsrc_search, verify_gsrc), (gsp_search, verify_gsp)):
+        cert = search(h, R).certificate
+        assert verifier(h, R, cert) == []
+        cert.blocks[0].idempotent.parts = R.zero.parts
+        assert verifier(h, R, cert) == ["block idempotent does not match its support"]
+        # the search's next block carries its support's indicator again
+        assert verifier(h, R, search(h, R).certificate) == []
+
+
 @pytest.mark.parametrize("name", list(POLY_CERT_RINGS))
 def test_leaf_verifiers_match_the_boxed_references(name):
     R = build_ring(POLY_CERT_RINGS[name])
