@@ -56,8 +56,7 @@ nothing, which is distinct from a definitive ``absent``.
 degree until one degree has a split on every stalk, and glue those raw
 parts into one block.  ``gsrc_search`` and ``gsp_search`` take each
 stalk's lowest-degree hit on its own, and group the stalks into blocks by
-that degree; when every hit has one degree, the one block on the full
-support is built directly.  A stalk's hit, notes and completeness are a
+that degree.  A stalk's hit, notes and completeness are a
 pure function of the stalk ring, the raw stalk coefficients and the mode
 ("SRC", "SR" or "SP"), and that triple is the stalk's memo entry.  Over a
 finite stalk it is memoized under the key (stalk ring key, raw coefficient
@@ -573,16 +572,7 @@ def _glue_sp_block(R: Ring, support: tuple[int, ...], raws) -> SPCertificate:
 
 
 def _assemble_global(R: Ring, choices, glue) -> list[Block]:
-    """Group per-stalk (degree, raw parts) hits by degree into <= n+1 blocks.
-
-    When every stalk's hit has one degree, that is one block on the full
-    support, built directly.
-    """
-    d = choices[0][0]
-    if all(c[0] == d for c in choices):
-        support = tuple(range(R.num_stalks))
-        certs = [c[1] for c in choices]
-        return [Block(support, R.indicator(support), glue(R, support, certs))]
+    """Group per-stalk (degree, raw parts) hits by degree into <= n+1 blocks."""
     groups: dict[int, list[int]] = {}
     for i, (d, _) in enumerate(choices):
         groups.setdefault(d, []).append(i)
@@ -638,7 +628,7 @@ def _global_result(h: Poly, R: Ring, mode: str, glue, wrap) -> SearchResult:
         status = ABSENT if any(missing) else INCOMPLETE
         return SearchResult(status, None, transcript)
     blocks = _assemble_global(R, hits, glue)
-    assert len(blocks) == 1 or len(blocks) <= h.degree + 1
+    assert len(blocks) <= h.degree + 1
     return SearchResult(FOUND, wrap(blocks), transcript)
 
 
