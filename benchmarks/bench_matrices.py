@@ -21,8 +21,9 @@ on the polynomials that have a gSRC factorization, ``from_gsp`` is
 upper-triangular T (all three include the verifier call the construction
 makes), and ``verify_sc`` is ``verify.verify_strong_clean`` of the
 ``from_gsrc`` certificates.  ``from_gsrc`` and ``from_gsp`` are timed warm,
-with each finite stalk's certificate polynomials in the search memo
-(``factor._STALK_MEMO``), and cold, with the memo emptied before every pass
+with each finite stalk split's certificate polynomials in their cache
+(``decide._memo_polys``), and cold, with that cache and the search memo
+(``factor._memo_search``) emptied by ``cache_clear()`` before every pass,
 so that every stalk builds its polynomials.
 Run with ``python benchmarks/bench_matrices.py``.
 """
@@ -36,7 +37,7 @@ from pathlib import Path
 # run against this checkout's src/ whether or not the package is installed
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from cleanmat import factor  # noqa: E402
+from cleanmat import decide, factor  # noqa: E402
 from cleanmat.brute import _gl_exponent  # noqa: E402
 from cleanmat.decide import (  # noqa: E402
     pi_regular_from_gsp,
@@ -58,7 +59,6 @@ from paced import best  # noqa: E402
 SEED = 2024
 INPUTS = 64
 PASSES = 20
-
 CASES = [
     ("Z/16", {"type": "zmod", "n": 16}, 2),
     ("Z/12", {"type": "zmod", "n": 12}, 2),
@@ -111,6 +111,12 @@ def comaximal(f0, f1) -> bool:
     return all(raw_bezout(*stalk) is not None for stalk in stalks)
 
 
+def clear_caches():
+    """Empty the stalk search memo and the certificate-polynomial cache."""
+    factor._memo_search.cache_clear()
+    decide._memo_polys.cache_clear()
+
+
 def per_call_us(fn, args, before=None):
     def one_pass():
         for a in args:
@@ -142,15 +148,14 @@ def main():
     for label, descriptor, n in CASES:
         mats, others, polys, pairs, splits, sp_splits, triangulars = inputs(descriptor, n)
         gsrc_args = [(A, g) for A, g, _ in splits]
-        # the warm columns run first: emptying the memo drops the searches' entries
+        # the warm columns run first: emptying the caches drops the searches' entries
         warm = [
             per_call_us(strong_clean_from_gsrc, gsrc_args),
             per_call_us(pi_regular_from_gsp, sp_splits),
         ]
-        clear = factor._STALK_MEMO.clear
         cold = [
-            per_call_us(strong_clean_from_gsrc, gsrc_args, clear),
-            per_call_us(pi_regular_from_gsp, sp_splits, clear),
+            per_call_us(strong_clean_from_gsrc, gsrc_args, clear_caches),
+            per_call_us(pi_regular_from_gsp, sp_splits, clear_caches),
         ]
         R = mats[0].ring
         power = None

@@ -26,9 +26,9 @@ passes.
 
 Every timing is scaled to nominal machine speed by ``perfbench/pace.py``'s
 reference loop (``paced.best``), so runs taken while the host's speed
-drifts stay comparable; the raw best time is printed beside it.  On a
-checkout without the memo both ring-level columns time the same cold
-search.  Run with ``python benchmarks/bench_searches.py``.
+drifts stay comparable; the raw best time is printed beside it.  The memo
+is ``factor._memo_search``, emptied by its ``cache_clear()``.  Run with
+``python benchmarks/bench_searches.py``.
 """
 
 from __future__ import annotations
@@ -86,12 +86,12 @@ def ring_level(memo):
     for label, descriptor, n in CASES:
         R = build_ring(descriptor)
         run = lambda: decide_ring_strongly_clean(R, n)  # noqa: E731
-        cold = best(run, PASSES, before=memo.clear)
-        memo.clear()
+        cold = best(run, PASSES, before=memo.cache_clear)
+        memo.cache_clear()
         verdict = run().verdict
         warm = best(run, PASSES)
         cells = " ".join(f"{1e3 * s:>8.1f} ({1e3 * r:>6.1f})" for s, r in (cold, warm))
-        print(f"{label:>6} {n:>2} {cells} {verdict:>8} {len(memo):>8}")
+        print(f"{label:>6} {n:>2} {cells} {verdict:>8} {memo.cache_info().currsize:>8}")
 
 
 def per_stalk(memo):
@@ -113,7 +113,7 @@ def per_stalk(memo):
 
                 def one_pass(search=search):
                     for h in hs:
-                        memo.clear()
+                        memo.cache_clear()
                         search(h)
 
                 s, r = best(one_pass, PASSES)
@@ -152,7 +152,7 @@ def global_result():
 
 
 def main():
-    memo = getattr(factor, "_STALK_MEMO", {})
+    memo = factor._memo_search
     ring_level(memo)
     per_stalk(memo)
     global_result()

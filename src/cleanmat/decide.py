@@ -14,11 +14,15 @@ The certificates live in R[A] and are built stalk by stalk: on each stalk
 an SRC split h = f0*f1 with Bezout pair u*f0 + v*f1 = 1 gives raw
 polynomials e and w of degree < n with (t - e) w = 1 mod h, and an SP
 split h = h0*p0 gives x, all from ``polys.certificate_parts`` (its
-docstring derives them).  ``factor.certificate_polys`` reads a stalk's
-polynomials from the search memo when its split is the memo's first hit,
-so a repeated stalk split builds them once.  The stalks' parts are joined
-into polynomials over R, and E = e(A), U = A - E, U^{-1} = w(A) and
-X = x(A) by ``poly_at_matrix`` (which runs every stalk at its own degree).
+docstring derives them).  ``certificate_polys`` reads each stalk's split
+off a global certificate and builds its polynomials; on a finite stalk the
+builder is an ``lru_cache`` of ``factor.STALK_MEMO_CAP`` entries keyed by
+(stalk, split, mode), so a split that recurs, in another h or another
+decision, is built once, and a Z_(p) split is built every time.  The
+polynomials are a pure function of the split, and every certificate built
+from them is verified.  The stalks' parts are joined into polynomials
+over R, and E = e(A), U = A - E, U^{-1} = w(A) and X = x(A) by
+``poly_at_matrix`` (which runs every stalk at its own degree).
 No certificate inverts a matrix.  A split whose f0(0), f1(1) or h0(0) is
 not a unit raises ``VerificationFailed``.  The audits build each split's
 polynomials once and evaluate them at every matrix that shares it.
@@ -31,6 +35,7 @@ the scan kernel.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import time
@@ -47,8 +52,11 @@ from .errors import (
     enumeration_size,
 )
 from .factor import (
+    STALK_MEMO_CAP,
+    GSPCertificate,
     GSRCCertificate,
-    certificate_polys,
+    SPCertificate,
+    SRCCertificate,
     gsp_search,
     gsrc_search,
 )
@@ -109,6 +117,58 @@ def monic_polys(R: Ring, n: int):
 # -- certificate constructions --------------------------------------------------------
 
 
+def _stalk_splits(R: Ring, gcert) -> list:
+    """Stalk i's raw split parts of a global certificate's blocks."""
+    splits = [None] * R.num_stalks
+    for b in gcert.blocks:
+        c = b.cert
+        if isinstance(c, SRCCertificate) and c.bezout_u is None:
+            raise VerificationFailed(["SR-only certificate cannot split the module"])
+        for k, i in enumerate(b.support):
+            if isinstance(c, SPCertificate):
+                splits[i] = c.h0.parts[k], c.p0.parts[k]
+            else:
+                v = c.bezout_v
+                splits[i] = (
+                    c.f0.parts[k],
+                    c.f1.parts[k],
+                    c.bezout_u.parts[k],
+                    None if v is None else v.parts[k],
+                )
+    if None in splits:
+        raise VerificationFailed(["block supports do not partition the stalks"])
+    return splits
+
+
+def _stalk_polys(s, split: tuple, mode: str) -> tuple:
+    """``certificate_parts`` of a split on stalk s; an SP split's u comes from ``raw_bezout``."""
+    if mode != "SP":
+        f0, f1, u, _ = split
+        return certificate_parts(s, f0, f1, u)
+    h0, p0 = split
+    bez = raw_bezout(s, h0, p0)
+    if bez is None:
+        raise VerificationFailed(["SP factors are not comaximal on a local stalk"])
+    return certificate_parts(s, h0, p0, bez[0], drazin=True)
+
+
+# ``_stalk_polys`` of finite stalks; a Z_(p) split seldom repeats, so it is not kept
+_memo_polys = functools.lru_cache(maxsize=STALK_MEMO_CAP)(_stalk_polys)
+
+
+def certificate_polys(R: Ring, gcert) -> list:
+    """Each stalk's raw certificate polynomials of a gSRC or gSP certificate.
+
+    Stalk i gets ``polys.certificate_parts`` of its split: (e, w) for a
+    gSRC, (x,) for a gSP.
+    """
+    mode = "SP" if isinstance(gcert, GSPCertificate) else "SRC"
+    return [
+        (_memo_polys if s.finite else _stalk_polys)(s, split, mode)
+        for s, split in zip(R.stalks, _stalk_splits(R, gcert))
+    ]
+
+
 def _joined(R: Ring, parts) -> tuple[Poly, ...]:
     """The polynomials over R whose stalk i is ``parts[i][j]``, one per position j."""
     return tuple(Poly.from_parts(R, ps) for ps in zip(*parts))
@@ -128,7 +188,7 @@ def strong_clean_from_gsrc(
     """Build (E, U) from a gSRC factorization of the char polynomial of A.
 
     E = e(A) and U^{-1} = w(A) for the stalks' (e, w) of
-    ``factor.certificate_polys``; an SR-only certificate has no Bezout pair
+    ``certificate_polys``; an SR-only certificate has no Bezout pair
     and raises ``VerificationFailed``.
     """
     return _strong_clean(A, *_joined(A.ring, certificate_polys(A.ring, gcert)))
@@ -139,7 +199,7 @@ def pi_regular_from_gsp(A: SquareMatrix, gcert) -> PiRegularCertificate:
 
     Per stalk, the SP pair is comaximal (the resultant of h0 and p0 is a
     unit), so it has a Bezout pair, and X = x(A) for the stalks' x of
-    ``factor.certificate_polys`` inverts A on ker h0(A) while killing the
+    ``certificate_polys`` inverts A on ker h0(A) while killing the
     nilpotent part: X is the Drazin inverse of A, the witness
     ``brute.pi_regular_oracle`` returns.  k is the first exponent with
     A^{k+1} X = A^k.

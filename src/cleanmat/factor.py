@@ -56,35 +56,24 @@ nothing, which is distinct from a definitive ``absent``.
 degree until one degree has a split on every stalk, and glue those raw
 parts into one block.  ``gsrc_search`` and ``gsp_search`` take each
 stalk's lowest-degree hit on its own, and group the stalks into blocks by
-that degree.  A stalk's hit, notes and completeness are a
-pure function of the stalk ring, the raw stalk coefficients and the mode
-("SRC", "SR" or "SP"), and that triple is the stalk's memo entry.  Over a
-finite stalk it is memoized under the key (stalk ring key, raw coefficient
-tuple, mode) in one module-level memo of at most ``STALK_MEMO_CAP``
-entries, evicting the least recently used; entries with the same notes
-share one notes tuple.
-An entry holds raw parts, note strings and, once a certificate has been
-built from the entry's hit, that hit's raw certificate polynomials; every
-call, hit or miss, builds fresh polynomials and certificates from it.  A
-result keeps each stalk's notes tuple, which is immutable, and renders its
+that degree.  A stalk's (hit, notes, complete) is an immutable triple and
+a pure function of the stalk, its raw coefficients and the mode ("SRC",
+"SR" or "SP").  Stalks are interned, so on a finite stalk ``_memo_search``
+keeps the triple in an ``lru_cache`` of ``STALK_MEMO_CAP`` entries keyed by
+the stalk object itself; entries with the same notes share one notes
+tuple.  Z_(p) stalks are searched on every call, a search that raises
+leaves no entry, and ``src_search``/``sp_search`` do not use the memo.
+Every call, hit or miss, builds fresh polynomials and certificates from
+the raw parts.  A result keeps each stalk's notes tuple and renders its
 own transcript dict from them the first time its transcript is read, so
 no caller can change what a later call gets, and a caller that never reads
-a transcript never renders one.  Z_(p) stalks are not memoized, a search
-that raises leaves no entry, and ``src_search``/``sp_search`` do not use
-the memo.  Callers still verify every certificate they receive.
-
-``certificate_polys`` gives each stalk's raw certificate polynomials of a
-global split, (e, w) of a gSRC and (x,) of a gSP, from the kernel
-``polys.certificate_parts``.  A finite stalk whose split is exactly the
-first hit of its memo entry stores them in the entry when it first builds
-them and reads them from there afterwards, so the searches themselves cost
-what they did.  The parts are a pure function of the split, and every
-certificate built from them is verified, so storing them before that
-verification risks nothing.
+a transcript never renders one.  Callers still verify every certificate
+they receive.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -94,7 +83,6 @@ from typing import NamedTuple
 from .errors import DEFAULT_BUDGET, BudgetExceeded, VerificationFailed
 from .polys import (
     Poly,
-    certificate_parts,
     raw_bezout,
     raw_divide,
     raw_product,
@@ -152,10 +140,9 @@ class _Notes(NamedTuple):
     mode: str
 
     def render(self) -> dict:
-        R = self.ring
         stalks = [
-            {"stalk": R.stalk_ring(i).label(), "degrees": dict(n)}
-            for i, n in enumerate(self.stalks)
+            {"stalk": s.label(), "degrees": dict(n)}
+            for s, n in zip(self.ring.stalks, self.stalks)
         ]
         return {"mode": self.mode, "stalks": stalks}
 
@@ -163,10 +150,9 @@ class _Notes(NamedTuple):
 class SearchResult:
     """A search's status (found | absent | incomplete), certificate and transcript.
 
-    The searches pass the transcript as ``_Notes``, whose notes tuples are
-    immutable (a finite stalk's are its memo entry's); the transcript dict
-    is rendered from them the first time it is read, once per result.  A
-    dict passed in is kept as it is.
+    The searches pass the transcript as ``_Notes``, the stalks' immutable
+    notes tuples, rendered into the transcript dict the first time it is
+    read, once per result.  A dict passed in is kept as it is.
     """
 
     __slots__ = ("status", "certificate", "_transcript")
@@ -488,12 +474,12 @@ def _notes(examined) -> tuple:
     )
 
 
-def _stalk_search(s, h, mode: str) -> list:
-    """The memo entry of raw h on stalk s: [hit, notes, complete, None].
+def _stalk_search(s, h, mode: str) -> tuple:
+    """(hit, notes, complete) of raw h on stalk s.
 
-    hit is (degree, parts) of the lowest degree split, or None; the last
-    slot is for the hit's certificate polynomials.  The SR(C) search stops
-    at its hit; one SP lift decides every degree, so SP examines them all.
+    hit is (degree, parts) of the lowest degree split, or None.  The SR(C)
+    search stops at its hit; one SP lift decides every degree, so SP
+    examines them all.
     """
     examined, hit = [], None
     for d, out in enumerate(_outcomes(s, h, mode)):
@@ -502,7 +488,7 @@ def _stalk_search(s, h, mode: str) -> list:
             hit = d, out[0]
             if mode != "SP":
                 break
-    return [hit, _notes(examined), all(out[1] for out in examined), None]
+    return hit, _notes(examined), all(out[1] for out in examined)
 
 
 # -- public searches -----------------------------------------------------------------
@@ -586,39 +572,22 @@ def _assemble_global(R: Ring, choices, glue) -> list[Block]:
 
 # -- the per-stalk step of the global searches, memoized on finite stalks -----------
 
-# (stalk ring key, raw stalk coefficients, mode) -> [hit, notes, complete, polys],
-# where hit is None or (degree, raw certificate parts) and polys is None until a
-# certificate is built from hit; insertion order is recency
-_STALK_MEMO: dict = {}
 # each distinct notes tuple of a memo entry -> itself; finite stalks have few
 _MEMO_NOTES: dict = {}
 
 
-def _stalk_first_hit(h: Poly, R: Ring, i: int, mode: str) -> list:
-    """``_stalk_search`` of stalk i, looked up in the memo first when the stalk is finite.
-
-    A new entry's notes tuple is stored once in ``_MEMO_NOTES`` and shared
-    by every entry with the same notes.
-    """
-    s, a = R.stalks[i], h.parts[i]
-    if not s.finite:
-        return _stalk_search(s, a, mode)
-    key = (R.stalk_ring(i).key, a, mode)
-    entry = _STALK_MEMO.pop(key, None)
-    if entry is None:
-        entry = _stalk_search(s, a, mode)
-        entry[1] = _MEMO_NOTES.setdefault(entry[1], entry[1])
-        while len(_STALK_MEMO) >= STALK_MEMO_CAP:
-            del _STALK_MEMO[next(iter(_STALK_MEMO))]
-    _STALK_MEMO[key] = entry
-    return entry
+@functools.lru_cache(maxsize=STALK_MEMO_CAP)
+def _memo_search(s, h, mode: str) -> tuple:
+    """``_stalk_search`` of a finite stalk, whose notes tuple is shared through ``_MEMO_NOTES``."""
+    hit, notes, complete = _stalk_search(s, h, mode)
+    return hit, _MEMO_NOTES.setdefault(notes, notes), complete
 
 
 def _global_result(h: Poly, R: Ring, mode: str, glue, wrap) -> SearchResult:
     """Each stalk's lowest-degree certificate, grouped into blocks by degree."""
     hits, notes, missing = [], [], []
-    for i in range(R.num_stalks):
-        hit, stalk_notes, complete, _ = _stalk_first_hit(h, R, i, mode)
+    for s, a in zip(R.stalks, h.parts):
+        hit, stalk_notes, complete = (_memo_search if s.finite else _stalk_search)(s, a, mode)
         hits.append(hit)
         notes.append(stalk_notes)
         if hit is None:
@@ -645,70 +614,3 @@ def gsp_search(h: Poly, R: Ring) -> SearchResult:
     """Globalized SP factorization; complete over every in-scope ring."""
     _require_monic(h)
     return _global_result(h, R, "SP", _glue_sp_block, GSPCertificate)
-
-
-# -- certificate polynomials, built once per memoized stalk split ------------------
-
-
-def _stalk_splits(R: Ring, gcert) -> list:
-    """Stalk i's raw split parts of a global certificate's blocks."""
-    splits = [None] * R.num_stalks
-    for b in gcert.blocks:
-        c = b.cert
-        if isinstance(c, SRCCertificate) and c.bezout_u is None:
-            raise VerificationFailed(["SR-only certificate cannot split the module"])
-        for k, i in enumerate(b.support):
-            if isinstance(c, SPCertificate):
-                splits[i] = c.h0.parts[k], c.p0.parts[k]
-            else:
-                v = c.bezout_v
-                splits[i] = (
-                    c.f0.parts[k],
-                    c.f1.parts[k],
-                    c.bezout_u.parts[k],
-                    None if v is None else v.parts[k],
-                )
-    if None in splits:
-        raise VerificationFailed(["block supports do not partition the stalks"])
-    return splits
-
-
-def _stalk_polys(R: Ring, i: int, split: tuple, mode: str) -> tuple:
-    """``certificate_parts`` of stalk i's split; an SP split's u comes from ``raw_bezout``."""
-    s = R.stalks[i]
-    if mode != "SP":
-        f0, f1, u, _ = split
-        return certificate_parts(s, f0, f1, u)
-    h0, p0 = split
-    bez = raw_bezout(s, h0, p0)
-    if bez is None:
-        raise VerificationFailed(["SP factors are not comaximal on a local stalk"])
-    return certificate_parts(s, h0, p0, bez[0], drazin=True)
-
-
-def certificate_polys(R: Ring, gcert) -> list:
-    """Each stalk's raw certificate polynomials of a gSRC or gSP certificate.
-
-    Stalk i gets ``polys.certificate_parts`` of its split: (e, w) for a
-    gSRC, (x,) for a gSP.  A finite stalk whose split is exactly the first
-    hit of its memo entry reads them from the entry, and stores them there
-    when it builds them.
-    """
-    mode = "SP" if isinstance(gcert, GSPCertificate) else "SRC"
-    parts = []
-    for i, split in enumerate(_stalk_splits(R, gcert)):
-        s = R.stalks[i]
-        entry = None
-        if s.finite:
-            # the memo key's h = f0*f1 (h0*p0), multiplied on this stalk only
-            h = raw_product(s, split[0], split[1])
-            entry = _STALK_MEMO.get((R.stalk_ring(i).key, h, mode))
-            if entry is not None and (entry[0] is None or entry[0][1] != split):
-                entry = None
-        if entry is None:
-            parts.append(_stalk_polys(R, i, split, mode))
-            continue
-        if entry[3] is None:
-            entry[3] = _stalk_polys(R, i, split, mode)
-        parts.append(entry[3])
-    return parts

@@ -14,7 +14,9 @@ idempotents (each block of a finite commutative ring is local; the build
 checks it), each block keeping its own tables.  Every element is stored as
 its tuple of stalk values, and a stalk value is the same in the ring, in its
 block rings and in ``stalk_ring(i)``, which makes gluing a constructor and
-restriction a projection.
+restriction a projection.  The stalks come from the interning constructors
+of ``stalks``, so equal stalks are one object, in one ring (the two blocks
+of F2 x F2) and across rings: ``stalk_ring(i).stalks[0] is stalks[i]``.
 """
 
 from __future__ import annotations
@@ -34,9 +36,9 @@ from .errors import (
 )
 from .stalks import (
     MAX_TABLE_SIZE,
-    TableStalk,
     factorize,
     is_prime,
+    table_stalk,
     zloc_stalk,
     zmod_stalk,
 )
@@ -400,7 +402,7 @@ def _build_table_ring(descriptor: dict) -> Ring:
     for e in sorted(primitive):
         members = sorted({mul_t[e][r] for r in range(m)})
         rank = {x: i for i, x in enumerate(members)}
-        stalk = TableStalk(
+        stalk = table_stalk(
             tuple(tuple(rank[add_t[a][b]] for b in members) for a in members),
             tuple(tuple(rank[mul_t[a][b]] for b in members) for a in members),
             rank[e],

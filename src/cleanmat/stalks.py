@@ -7,6 +7,8 @@ three kinds: Z/p^k (``ZModStalk``), the localization of Z at a prime
 ints for Z/p^k, ``Fraction`` for Z_(p), and ranks in the block for table
 stalks.  A table stalk carries its block's own tables, so a raw value means
 the same in a ring, in its block rings and in the stalk's own ring.
+Stalks are interned: ``zmod_stalk``, ``zloc_stalk`` and ``table_stalk``
+return one object per distinct stalk, so a stalk is its own cache key.
 
 Every stalk class defines the same primitives, which the matrix and
 polynomial kernels call: ``add``, ``sub``, ``mul``, ``neg``, ``inv`` and
@@ -484,3 +486,8 @@ def zmod_stalk(p: int, k: int) -> ZModStalk:
 @lru_cache(maxsize=None)
 def zloc_stalk(p: int) -> ZLocStalk:
     return ZLocStalk(p)
+
+
+@lru_cache(maxsize=None)
+def table_stalk(add_table: tuple, mul_table: tuple, one: int, zero: int) -> TableStalk:
+    return TableStalk(add_table, mul_table, one, zero)

@@ -2,7 +2,14 @@ from __future__ import annotations
 
 import pytest
 
+from cleanmat import decide, factor
 from cleanmat.rings import build_ring
+
+
+def clear_stalk_caches():
+    """Empty the stalk search memo and the certificate-polynomial cache."""
+    factor._memo_search.cache_clear()
+    decide._memo_polys.cache_clear()
 
 
 def zmod_tables(n: int):

@@ -10,10 +10,10 @@ the two must be equal on every input.  A split whose f0(0), f1(1) or h0(0)
 is not a unit has no such polynomials and fails verification.
 
 Each stalk's polynomials come from the raw kernel ``certificate_parts``,
-and a stalk split the search memo holds builds them once: the oracle
-agreement is checked with an empty memo and again with the polynomials
-read from it, and the kernel's results are checked against the identities
-that define them.
+and a finite stalk split is built once and then read from its cache: the
+oracle agreement is checked with empty caches and again with the
+polynomials read from them, and the kernel's results are checked against
+the identities that define them.
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ from oracles import (
 )
 
 import cleanmat.decide as decide_mod
-from cleanmat import factor
 from cleanmat.decide import (
     monic_polys,
     pi_regular_from_gsp,
@@ -53,7 +52,7 @@ from cleanmat.factor import (
 from cleanmat.matrices import SquareMatrix, companion, random_with_charpoly
 from cleanmat.polys import Poly, certificate_parts, raw_bezout
 from cleanmat.rings import build_ring
-from conftest import CERT_RINGS
+from conftest import CERT_RINGS, clear_stalk_caches
 
 SEED = 19
 
@@ -117,13 +116,13 @@ def test_seeded_infinite_splits_match_the_product_oracle():
 def test_the_oracle_agrees_from_a_cold_and_a_warm_memo(descriptor):
     R = build_ring(descriptor)
     for idx, h in enumerate(monic_polys(R, 2)):
-        factor._STALK_MEMO.clear()
+        clear_stalk_caches()
         gsrc, gsp = gsrc_search(h, R, "SRC"), gsp_search(h, R)
         A = random_with_charpoly(h, SEED + idx)
-        # built from the split, then read from the memo
+        # built from the split, then read from the cache
         for _ in range(2):
             _check(A, gsrc.certificate, gsp.certificate)
-    factor._STALK_MEMO.clear()
+    clear_stalk_caches()
 
 
 def _mod(f: Poly, h: Poly) -> Poly:

@@ -42,10 +42,15 @@ annotations (so it makes no ``Poly.one``) and applies no operator to a
 certificate's polynomial or to h.
 
 The verifier reads nothing the search wrote: ``verify.py`` names none of
-``factor``'s memo (``_STALK_MEMO``, ``_MEMO_NOTES``), its certificate
-polynomials (``certificate_polys``) or its block assembly
-(``_assemble_global``), so a certificate it accepts is checked against h
-and the ring alone.
+``factor``'s memo (``_memo_search``, ``_MEMO_NOTES``), its block assembly
+(``_assemble_global``) or ``decide``'s certificate polynomials
+(``certificate_polys`` and their cache ``_memo_polys``), so a certificate
+it accepts is checked against h and the ring alone.
+
+The search builds no certificate polynomials: ``factor.py`` names neither
+the kernel ``certificate_parts`` nor ``decide``'s construction
+(``certificate_polys``, ``_memo_polys``), so a construction reads its
+split off the certificate and never reaches into the search memo.
 
 No decider consults an exhaustive oracle: in ``decide.py`` only the two
 audits, ``theorem_main_audit`` and ``pi_regular_audit``, import ``.brute``.
@@ -499,11 +504,14 @@ def test_the_guard_sees_a_boxed_stalk_search(tmp_path):
     ]
 
 
-SEARCH_STATE_NAMES = {"_STALK_MEMO", "_MEMO_NOTES", "certificate_polys", "_assemble_global"}
+SEARCH_STATE_NAMES = {
+    "_memo_search", "_MEMO_NOTES", "_assemble_global", "certificate_polys", "_memo_polys"
+}
+CONSTRUCTION_NAMES = {"certificate_parts", "certificate_polys", "_memo_polys"}
 
 
-def _search_state_uses(path: Path) -> list[str]:
-    """Names, attributes, imports and string constants naming the search's state."""
+def _names_used(path: Path, names: set) -> list[str]:
+    """Names, attributes, imports and string constants of ``path`` that are in ``names``."""
     found = []
     for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
         if isinstance(node, ast.Name):
@@ -514,24 +522,45 @@ def _search_state_uses(path: Path) -> list[str]:
             found += [alias.name for alias in node.names]
         elif isinstance(node, ast.Constant) and isinstance(node.value, str):
             found.append(node.value)
-    return sorted(name for name in found if name in SEARCH_STATE_NAMES)
+    return sorted(name for name in found if name in names)
 
 
 def test_verify_reads_nothing_the_search_computed():
-    assert _search_state_uses(SRC / "verify.py") == []
+    assert _names_used(SRC / "verify.py", SEARCH_STATE_NAMES) == []
 
 
 def test_the_guard_sees_the_search_state_in_verify(tmp_path):
     bad = tmp_path / "bad.py"
     bad.write_text(
-        "from .factor import _STALK_MEMO, certificate_polys\n"
-        "from . import factor\n"
+        "from .factor import _memo_search\n"
+        "from .decide import certificate_polys\n"
+        "from . import decide, factor\n"
         "def f(R, g):\n"
-        "    return factor._MEMO_NOTES, getattr(factor, '_assemble_global')\n",
+        "    factor._MEMO_NOTES.clear()\n"
+        "    return decide._memo_polys, getattr(factor, '_assemble_global')\n",
         encoding="utf-8",
     )
-    assert _search_state_uses(bad) == [
-        "_MEMO_NOTES", "_STALK_MEMO", "_assemble_global", "certificate_polys"
+    assert _names_used(bad, SEARCH_STATE_NAMES) == [
+        "_MEMO_NOTES", "_assemble_global", "_memo_polys", "_memo_search", "certificate_polys"
+    ]
+
+
+def test_the_search_builds_no_certificate_polynomials():
+    assert _names_used(SRC / "factor.py", CONSTRUCTION_NAMES) == []
+
+
+def test_the_guard_sees_a_construction_in_factor(tmp_path):
+    bad = tmp_path / "bad.py"
+    bad.write_text(
+        "from .polys import certificate_parts\n"
+        "from . import decide\n"
+        "def f(R, s, split):\n"
+        "    decide._memo_polys(s, split, 'SRC')\n"
+        "    return certificate_parts(s, *split), getattr(decide, 'certificate_polys')\n",
+        encoding="utf-8",
+    )
+    assert _names_used(bad, CONSTRUCTION_NAMES) == [
+        "_memo_polys", "certificate_parts", "certificate_parts", "certificate_polys"
     ]
 
 

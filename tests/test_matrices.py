@@ -381,15 +381,18 @@ def test_glued_poly_costs_each_stalk_its_own_degree(name, monkeypatch):
     its first step lead*A + c*I needs no matmul.
     """
     R = build_ring(CERT_RINGS[name])
-    assert R.num_stalks == 2 and R.stalks[0] is not R.stalks[1]
+    assert R.num_stalks == 2
     rng = random.Random(name)
     n = 3
     A = SquareMatrix(R, [[R.random_element(rng) for _ in range(n)] for _ in range(n)])
     matmuls = [0, 0]
-    for i, s in enumerate(R.stalks):
+    # F2 x F2's two blocks are one stalk object, so a call is told apart by
+    # its right factor, which Horner takes to be stalk i's grid of A
+    for s in dict.fromkeys(R.stalks):
 
-        def counted(a, b, i=i, plain=s.matmul):
-            matmuls[i] += 1
+        def counted(a, b, plain=s.matmul):
+            for i, grid in enumerate(A.grids):
+                matmuls[i] += grid is b
             return plain(a, b)
 
         monkeypatch.setattr(s, "matmul", counted)

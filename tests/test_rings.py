@@ -279,15 +279,27 @@ def test_table_values_mean_the_same_in_every_ring(tables):
         for j in range(len(add)):
             assert parse[add[i][j]] == parse[i] + parse[j]
             assert parse[mul[i][j]] == parse[i] * parse[j]
-    # a stalk's own ring computes with the very same values
+    # building the tables again gives the same stalks
+    again = _table_ring(tables)
+    assert again is not R
+    assert all(a is b for a, b in zip(again.stalks, R.stalks, strict=True))
+    # a stalk's own ring computes with the very same values, on the same stalk
     for k, s in enumerate(R.stalks):
         own = R.stalk_ring(k).stalks[0]
+        assert own is s
         assert own.elements() == s.elements()
         assert (own.zero, own.one) == (s.zero, s.one)
         for a in s.elements():
             for b in s.elements():
                 assert own.add(a, b) == s.add(a, b)
                 assert own.mul(a, b) == s.mul(a, b)
+
+
+def test_equal_table_blocks_are_one_stalk(f2xf2_ring):
+    # F2 x F2's two blocks have the same tables, so they are one stalk
+    first, second = f2xf2_ring.stalks
+    assert first is second
+    assert block_ring(f2xf2_ring, (1,)).stalks[0] is first
 
 
 @pytest.mark.parametrize("label", sorted(CERT_RINGS))
@@ -436,7 +448,8 @@ def _nil_index_by_products(s) -> int:
 )
 def test_table_nil_index_is_stored_once(tables, monkeypatch):
     R = _table_ring(tables)
-    for s in R.stalks:
+    # F2 x F2's two blocks are one stalk, patched once
+    for s in dict.fromkeys(R.stalks):
         expected = _nil_index_by_products(s)
         assert s.nil_index() == s._ideal_power_index() == expected
         # the stored value answers later calls without another closure

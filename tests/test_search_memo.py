@@ -1,21 +1,24 @@
-"""The per-stalk memo of ``gsrc_search``/``gsp_search`` changes no result.
+"""The per-stalk caches of the global searches and constructions change no result.
 
-A global search decides each finite stalk once per (stalk ring, raw stalk
-coefficients, mode) and keeps the outcome in ``factor._STALK_MEMO``.  These
-tests compare every search over the small test rings with an empty memo and
-with one that already holds the answer, check that callers cannot reach the
-memo through what they get back, and check the memo's bound, that entries
-with equal notes share one notes tuple and that a failed search leaves
-nothing behind.  The Pierce restriction test checks the
-invariant the memo relies on: stalk i of a global search is the search of
-h restricted to stalk i (``oracles.restrict_poly``) over the stalk ring.
+A global search decides each finite stalk once per (stalk, raw stalk
+coefficients, mode) and keeps the outcome in ``factor._memo_search``, an
+``lru_cache`` keyed by the interned stalk object.  These tests compare
+every search over the small test rings with an empty memo and with one
+that already holds the answer, check that callers cannot reach the memo
+through what they get back, and check through ``cache_info`` the memo's
+bound and recency, that entries with equal notes share one notes tuple
+and that a failed search leaves nothing behind.  The Pierce restriction
+test checks the invariant the memo relies on: stalk i of a global search
+is the search of h restricted to stalk i (``oracles.restrict_poly``) over
+the stalk ring.
 
-A memo entry also keeps the certificate polynomials built from its first
-hit, stored when they are first built.  The certificate tests compare
-constructions and audits with an empty memo, with the entry's polynomials
-already stored and with entries filled by other polynomials sharing a
-stalk; they check that a split other than the entry's hit gets its own
-polynomials, and that a Z_(p) stalk is built on every construction.
+The certificate polynomials of a finite stalk split are kept in
+``decide._memo_polys``, an ``lru_cache`` keyed by (stalk, split, mode).
+The certificate tests compare constructions and audits with empty caches
+and with caches filled by other polynomials sharing a stalk; they check
+that a repeated split is built once, that a split other than the search's
+first hit gets its own polynomials, and that a Z_(p) split is built on
+every construction.
 """
 
 from __future__ import annotations
@@ -25,10 +28,10 @@ import itertools
 from fractions import Fraction
 
 import pytest
-from conftest import CERT_RINGS, f2xf2_tables
+from conftest import CERT_RINGS, clear_stalk_caches, f2xf2_tables
 from oracles import restrict_poly
 
-from cleanmat import factor
+from cleanmat import decide, factor
 from cleanmat.decide import (
     pi_regular_audit,
     pi_regular_from_gsp,
@@ -76,11 +79,20 @@ def _seen(res):
     return res.status, dumps_canonical(res.transcript), cert
 
 
+MEMO = factor._memo_search
+POLYS = decide._memo_polys
+
+
+def _sizes():
+    """How many entries the search memo and the certificate-polynomial cache hold."""
+    return MEMO.cache_info().currsize, POLYS.cache_info().currsize
+
+
 @pytest.fixture(autouse=True)
 def empty_memo():
-    factor._STALK_MEMO.clear()
+    clear_stalk_caches()
     yield
-    factor._STALK_MEMO.clear()
+    clear_stalk_caches()
 
 
 MEMO_RINGS = [name for name, d in CERT_RINGS.items() if d["type"] != "product"] + [
@@ -94,32 +106,40 @@ def test_cold_and_warm_memo_give_the_same_result(name):
     finite = [i for i, s in enumerate(R.stalks) if s.finite]
     for h in _monic_polys(R):
         # one entry per distinct finite stalk polynomial (the two F2 stalks of
-        # F2 x F2 share theirs), none for the Z_(3) stalk
-        entries = len({(R.stalk_ring(i).key, h.parts[i]) for i in finite})
+        # F2 x F2 are one object and share theirs), none for the Z_(3) stalk
+        entries = len({(R.stalks[i], h.parts[i]) for i in finite})
         for mode, search in SEARCHES.items():
-            factor._STALK_MEMO.clear()
+            MEMO.cache_clear()
             cold = _seen(search(h, R))
-            assert len(factor._STALK_MEMO) == entries
+            assert MEMO.cache_info().currsize == entries
             assert _seen(search(h, R)) == cold, (h, mode)
-            assert len(factor._STALK_MEMO) == entries
+            # both searches look up every finite stalk, and only the first misses
+            hits, misses = MEMO.cache_info()[:2]
+            assert (hits, misses) == (2 * len(finite) - entries, entries)
+            assert MEMO.cache_info().currsize == entries
 
 
 def test_a_memo_warmed_by_other_rings_gives_the_same_result():
-    # Z/4 is a stalk of Z/12, of Z/4 x Z_(3) and a ring of its own, so the
-    # three share memo entries
+    # Z/4 is a stalk of Z/12, of Z/4 x Z_(3) and a ring of its own, one
+    # stalk object in all three, so the three share memo entries
     rings = [build_ring(CERT_RINGS[n]) for n in ("Z/12", "Z/4 x Z_(3)")]
     rings.append(build_ring({"type": "zmod", "n": 4}))
+    assert rings[0].stalks[0] is rings[1].stalks[0] is rings[2].stalks[0]
     cold = {}
     for R in rings:
         for h in _monic_polys(R, 2):
             for mode, search in SEARCHES.items():
-                factor._STALK_MEMO.clear()
+                MEMO.cache_clear()
                 cold[R.key, h.parts, mode] = _seen(search(h, R))
-    factor._STALK_MEMO.clear()
+    MEMO.cache_clear()
     for R in rings:
         for h in _monic_polys(R, 2):
             for mode, search in SEARCHES.items():
                 assert _seen(search(h, R)) == cold[R.key, h.parts, mode], (R.label(), h, mode)
+        if R is rings[0]:
+            # Z/12 reached every Z/4 polynomial of degree <= 2
+            misses = MEMO.cache_info().misses
+    assert MEMO.cache_info().misses == misses
 
 
 def test_mutating_a_result_does_not_change_the_next_one():
@@ -144,27 +164,42 @@ def test_mutating_a_result_does_not_change_the_next_one():
         assert _seen(search(h, R)) == expected
 
 
-def test_the_memo_never_holds_more_than_its_cap():
-    # Z/17 at degree 3 has 17^3 = 4913 distinct stalk polynomials
+def _cap_plus_one():
+    """Z/17, and cap + 1 of its monic polynomials (17^3 = 4913 at degree 3)."""
     R = build_ring({"type": "zmod", "n": 17})
     cap = factor.STALK_MEMO_CAP
-    assert cap < 17**3
-    polys = list(_monic_polys(R))
+    assert MEMO.cache_info().maxsize == cap < 17**3
+    return R, list(itertools.islice(_monic_polys(R), cap + 1))
+
+
+def test_the_memo_never_holds_more_than_its_cap():
+    R, polys = _cap_plus_one()
+    cap = len(polys) - 1
     for k, h in enumerate(polys):
         gsp_search(h, R)
-        assert len(factor._STALK_MEMO) == min(k + 1, cap)
-    # the oldest keys were evicted, the newest are kept
-    keys = list(factor._STALK_MEMO)
-    assert [key[1] for key in keys] == [h.parts[0] for h in polys[-cap:]]
+        assert MEMO.cache_info().currsize == min(k + 1, cap)
+    # the newest cap keys are kept, each a hit, and the oldest was evicted
+    misses = MEMO.cache_info().misses
+    for h in polys[1:]:
+        gsp_search(h, R)
+    assert MEMO.cache_info().misses == misses
+    gsp_search(polys[0], R)
+    assert MEMO.cache_info().misses == misses + 1
 
 
 def test_a_hit_becomes_the_most_recent_entry():
-    R = build_ring({"type": "zmod", "n": 5})
-    polys = list(_monic_polys(R, 1))
-    for h in polys:
+    R, polys = _cap_plus_one()
+    cap = len(polys) - 1
+    for h in polys[:cap]:
         gsp_search(h, R)
+    # a hit on the oldest entry leaves the second oldest to the next eviction
     gsp_search(polys[0], R)
-    assert [key[1] for key in factor._STALK_MEMO] == [h.parts[0] for h in polys[1:] + polys[:1]]
+    gsp_search(polys[cap], R)
+    misses = MEMO.cache_info().misses
+    gsp_search(polys[0], R)
+    assert MEMO.cache_info().misses == misses
+    gsp_search(polys[1], R)
+    assert MEMO.cache_info().misses == misses + 1
 
 
 def test_a_search_that_raises_leaves_no_entry(monkeypatch):
@@ -178,10 +213,10 @@ def test_a_search_that_raises_leaves_no_entry(monkeypatch):
     for search in SEARCHES.values():
         with pytest.raises(VerificationFailed):
             search(h, R)
-    assert factor._STALK_MEMO == {}
+    assert MEMO.cache_info().currsize == 0
     monkeypatch.undo()
     assert gsrc_search(h, R).found
-    assert len(factor._STALK_MEMO) == 1
+    assert MEMO.cache_info().currsize == 1
 
 
 def test_memo_entries_with_the_same_notes_share_one_tuple():
@@ -189,8 +224,11 @@ def test_memo_entries_with_the_same_notes_share_one_tuple():
     for h in _monic_polys(R, 2):
         for search in SEARCHES.values():
             search(h, R)
-    notes = [entry[1] for entry in factor._STALK_MEMO.values()]
-    assert len(notes) == 3 * 16**2 + 3 * 16 + 3
+    entries = 3 * 16**2 + 3 * 16 + 3
+    assert MEMO.cache_info().currsize == entries
+    s = R.stalks[0]
+    notes = [MEMO(s, h.parts[0], mode)[1] for h in _monic_polys(R, 2) for mode in SEARCHES]
+    assert MEMO.cache_info().currsize == entries
     assert len({id(n) for n in notes}) == len(set(notes)) < 20
 
 
@@ -239,9 +277,9 @@ def test_stalk_i_of_a_global_search_is_the_search_of_the_restriction(name):
         for i, mode in itertools.product(range(R.num_stalks), SEARCHES):
             key = (i, h.parts[i], mode)
             if key not in local:
-                factor._STALK_MEMO.clear()
+                MEMO.cache_clear()
                 local[key] = SEARCHES[mode](restrict_poly(h, i), R.stalk_ring(i))
-    factor._STALK_MEMO.clear()
+    MEMO.cache_clear()
     for h in polys:
         for mode, search in SEARCHES.items():
             attrs = ("h0", "p0") if mode == "SP" else ("f0", "f1", "bezout_u", "bezout_v")
@@ -256,7 +294,7 @@ def test_stalk_i_of_a_global_search_is_the_search_of_the_restriction(name):
             assert res.found == all(found)
 
 
-# -- certificate polynomials kept beside the first hit ---------------------------------
+# -- certificate polynomials cached by split ------------------------------------------
 
 
 def _certificates(h, R, seed):
@@ -266,13 +304,6 @@ def _certificates(h, R, seed):
     return strong_clean_from_gsrc(A, gsrc.certificate), pi_regular_from_gsp(A, gsp.certificate)
 
 
-def _kept(R):
-    """The memo entries of R's stalk rings, and how many hold built polynomials."""
-    keys = {R.stalk_ring(i).key for i, s in enumerate(R.stalks) if s.finite}
-    entries = [e for k, e in factor._STALK_MEMO.items() if k[0] in keys]
-    return len(entries), sum(e[3] is not None for e in entries)
-
-
 @pytest.mark.parametrize("name", PIERCE_RINGS)
 def test_certificates_are_the_same_from_a_cold_and_a_warm_memo(name):
     R = build_ring(PIERCE_RINGS[name])
@@ -280,19 +311,21 @@ def test_certificates_are_the_same_from_a_cold_and_a_warm_memo(name):
     mixed = 0
     cold = {}
     for idx, h in enumerate(polys):
-        factor._STALK_MEMO.clear()
+        clear_stalk_caches()
         cold[h] = _certificates(h, R, idx)
-        # the construction stored one stalk split's polynomials per entry
-        finite = _kept(R)[0]
-        assert _kept(R) == (finite, finite), h
+        # each memo entry's hit is one finite stalk split, built once
+        searched, built = _sizes()
+        assert searched == built > 0, h
+        misses = POLYS.cache_info().misses
         assert _certificates(h, R, idx) == cold[h], h
+        assert POLYS.cache_info().misses == misses, h
         # blocks group stalks by deg f0, so two blocks mean two degrees
         mixed += len(gsrc_search(h, R).certificate.blocks) > 1
     # warm: each stalk split's polynomials come from whichever h built them first
-    factor._STALK_MEMO.clear()
+    clear_stalk_caches()
     for idx, h in enumerate(polys):
         assert _certificates(h, R, idx) == cold[h], h
-    assert _kept(R)[1] > 0
+    assert POLYS.cache_info().hits > 0
     if R.num_stalks > 1:
         assert mixed > 0, "no h whose stalks split at different degrees"
 
@@ -314,9 +347,10 @@ def test_audit_reports_are_the_same_from_a_cold_and_a_warm_memo(name, n):
             )
         ]
 
-    factor._STALK_MEMO.clear()
+    clear_stalk_caches()
     cold = reports()
-    assert _kept(R)[1] == _kept(R)[0] > 0
+    searched, built = _sizes()
+    assert searched == built > 0
     assert reports() == cold
     assert all(not rep.disagreements for rep in cold)
 
@@ -325,18 +359,17 @@ def test_a_stalk_split_is_built_once_and_a_zp_stalk_every_time(monkeypatch):
     R = build_ring(CERT_RINGS["Z/4 x Z_(3)"])
     h = Poly.from_ints(R, [2, 3, 1])
     built = []
-    kernel = factor.certificate_parts
+    kernel = decide.certificate_parts
     monkeypatch.setattr(
-        factor, "certificate_parts", lambda s, *a, **k: built.append(s.label()) or kernel(s, *a, **k)
+        decide, "certificate_parts", lambda s, *a, **k: built.append(s.label()) or kernel(s, *a, **k)
     )
     first = _certificates(h, R, 0)
     assert built == ["Z/4", "Z_(3)", "Z/4", "Z_(3)"]
     built.clear()
     assert _certificates(h, R, 0) == first
     assert built == ["Z_(3)", "Z_(3)"]
-    # only the Z/4 stalk has entries, one per mode
-    assert {key[0] for key in factor._STALK_MEMO} == {R.stalk_ring(0).key}
-    assert len(factor._STALK_MEMO) == 2
+    # only the Z/4 stalk has entries, one per mode in each cache
+    assert _sizes() == (2, 2)
 
 
 def test_a_split_other_than_the_first_hit_gets_its_own_polynomials():
@@ -349,21 +382,23 @@ def test_a_split_other_than_the_first_hit_gets_its_own_polynomials():
     assert found.blocks[0].cert.f0 == Poly.one(R)
     by_search = strong_clean_from_gsrc(A, found)
     assert by_search.E == SquareMatrix.identity(R, 2)
-    kept = [e[3] for e in factor._STALK_MEMO.values()]
     # the Bezout pair of (h, 1) is (0, 1)
     u, v = Poly.zero(R), Poly.one(R)
     other = GSRCCertificate([Block((0,), R.one, SRCCertificate(h, Poly.one(R), u, v, "SRC"))])
     by_hand = strong_clean_from_gsrc(A, other)
     assert by_hand.E == SquareMatrix.from_ints(R, [[0, 0], [0, 0]]) and by_hand.U == A
-    assert [e[3] for e in factor._STALK_MEMO.values()] == kept
+    # each split was built once, and both are kept
+    assert POLYS.cache_info()[1:] == (2, POLYS.cache_info().maxsize, 2)
     assert strong_clean_from_gsrc(A, found) == by_search
+    assert strong_clean_from_gsrc(A, other) == by_hand
+    assert POLYS.cache_info()[:2] == (2, 2)
 
 
 def test_constructions_keep_the_memo_within_its_cap():
     R = build_ring({"type": "zmod", "n": 17})
     cap = factor.STALK_MEMO_CAP
+    assert POLYS.cache_info().maxsize == cap
     for k, h in enumerate(_monic_polys(R)):
         gsp = gsp_search(h, R).certificate
-        factor.certificate_polys(R, gsp)
-        assert len(factor._STALK_MEMO) == min(k + 1, cap)
-    assert all(entry[3] is not None for entry in factor._STALK_MEMO.values())
+        decide.certificate_polys(R, gsp)
+        assert _sizes() == (min(k + 1, cap), min(k + 1, cap))
