@@ -5,8 +5,8 @@ The workload mirrors the two audits: the companion matrix of every monic
 quadratic over each ring goes through ``strongly_clean_bruteforce`` and
 ``pi_regular_oracle`` as ``theorem_main_audit`` and ``pi_regular_audit``
 call them.  The first table gives the scan's time per companion with a
-cold idempotent index (every ring's index emptied before each call) and
-with a warm one (filled by an earlier pass).  The second gives the
+cold idempotent index (the ring's stalk indexes emptied before each call)
+and with a warm one (filled by an earlier pass).  The second gives the
 oracle's time per companion.  Each time is the best of ``PASSES`` passes,
 scaled to nominal machine speed by ``perfbench/pace.py``'s reference loop
 (``paced.best``), with the raw best time beside it.  Run with
@@ -46,9 +46,9 @@ def _cell(seconds: tuple[float, float], calls: int) -> str:
     return f"{1e6 * scaled / calls:>9.1f} ({1e6 * raw / calls:>7.1f})"
 
 
-def _empty_indexes():
-    for tab in brute._TABLE_CACHE.values():
-        tab.idempotents.clear()
+def _empty_indexes(R):
+    for s in R.stalks:
+        brute._stalk_tables(s)[4].clear()
 
 
 def scan():
@@ -60,7 +60,7 @@ def scan():
 
         def cold():
             for C in mats:
-                _empty_indexes()
+                _empty_indexes(R)
                 assert strongly_clean_bruteforce(C) is not None
 
         def warm():

@@ -1,4 +1,4 @@
-"""The exhaustive strong-cleanness scan over a table-encoded finite ring.
+"""The exhaustive strong-cleanness scan over a finite ring's operation tables.
 
 The scan walks the |S|^(n^2) candidate matrices E in mixed-radix order
 (last entry fastest) and returns the first with E^2 = E, EA = AE and
@@ -7,9 +7,10 @@ det(A - E) a unit, in pure-Python arithmetic on lists of element indices.
 Only idempotents can pass, and they are few (386 of the 65,536 2x2
 matrices over Z/16), so the scan walks an idempotent index instead: per n,
 the (enumeration index, E) with E^2 = E in enumeration order, kept by the
-caller (``brute`` keeps it on the ring's cached ``RingTable``).  The index
-grows lazily from one generator, only as far as a scan reaches, so a
-one-off scan costs no more than a walk of the candidates up to its hit.
+caller (``brute`` keeps one per stalk, beside the stalk's cached tables).
+The index grows lazily from one generator, only as far as a scan reaches,
+so a one-off scan costs no more than a walk of the candidates up to its
+hit.
 """
 
 from __future__ import annotations

@@ -11,8 +11,9 @@ partition the stalks and each idempotent is its support's indicator, which
 makes the idempotents a complete orthogonal set.  One pass over the blocks
 checks all of it: each block marks the stalks of its support, compares its
 idempotent's parts with ``Ring.indicator_parts`` of the support (no
-Element is built) and runs one leaf check, which walks the stalks of its
-block ring against h's parts there.
+Element is built) and, if its support is non-empty and names only R's
+stalks, runs one leaf check, which walks the stalks of its block ring
+against h's parts there.  Any other support fails the partition.
 ``verify_src`` and ``verify_sp`` are that leaf on h's own ring.  It tests a
 split f0*f1 (h0*p0 for SP) in one pass: both factors monic, their
 ``raw_product`` equal to h, f0(0) a unit by its constant coefficient, f1(1)
@@ -122,17 +123,22 @@ def _verify_blocks(h: Poly, R: Ring, blocks: list[Block], leaf) -> list[str]:
     leaf_fails = []
     for b in blocks:
         support, e = b.support, b.idempotent
+        # a leaf runs only on a block ring of R's stalks
+        in_range = bool(support)
         for i in support:
             if 0 <= i < n and not covered[i]:
                 covered[i] = True
             else:
+                in_range = in_range and 0 <= i < n
                 partition = False
+        partition = partition and in_range
         if idempotents and (
             (e.ring is not R and e.ring.key != R.key) or e.parts != R.indicator_parts(support)
         ):
             idempotents = False
-        for msg in leaf(block_ring(H, support), tuple(map(hs.__getitem__, support)), b.cert):
-            leaf_fails.append(f"block {support}: {msg}")
+        if in_range:
+            for msg in leaf(block_ring(H, support), tuple(map(hs.__getitem__, support)), b.cert):
+                leaf_fails.append(f"block {support}: {msg}")
     fails = []
     if len(blocks) > h.degree + 1:
         fails.append(f"{len(blocks)} blocks exceed the deg(h)+1 bound")

@@ -37,6 +37,10 @@ ring's nilpotents by powering on each stalk.  ``radical_membership_definitional`
 ``is_clean_definitional`` and ``is_j_clean_definitional`` classify a finite
 ring from the definitions (1 + a*s a unit for every s; r - e or
 r*e + (1 - e) a unit for some idempotent e), without its stalk structure.
+``encode_ring`` writes a finite ring as tables on its element indices, in
+the canonical order: it glues the stalk tables of ``cleanmat.brute`` in
+mixed radix, the whole-ring reference for the stalk-by-stalk scan, and its
+``RingTable`` encodes and decodes matrices.
 ``unindexed_scan`` is the exhaustive strong-cleanness scan over the whole
 ring, vectorized in numpy: it decodes every candidate of a range chunk by
 chunk and tests E^2 = E, EA = AE and det(A - E), with no idempotent index
@@ -63,6 +67,7 @@ from math import lcm
 
 import pytest
 
+from cleanmat.brute import _stalk_tables
 from cleanmat.errors import BudgetExceeded, InfiniteRing, RingMismatch, VerificationFailed
 from cleanmat.factor import BOUNDED_HEIGHT, SPCertificate, SRCCertificate
 from cleanmat.matrices import (
@@ -681,6 +686,55 @@ def is_j_clean_definitional(R) -> bool:
         )
         for r in R.elements()
     )
+
+
+# -- whole-ring table encoding --------------------------------------------------------
+
+
+@dataclass
+class RingTable:
+    """A finite ring as tables on the indices of its canonical element order."""
+
+    ring: object
+    elements: list
+    index: dict
+    add: list
+    mul: list
+    neg: list
+    unit: list
+    zero: int
+    one: int
+
+    def encode(self, A: SquareMatrix) -> list[list[int]]:
+        """A's rows of element indices."""
+        return [[self.index[x] for x in row] for row in A.rows]
+
+    def decode(self, flat_index: int, n: int) -> SquareMatrix:
+        """The n x n matrix at ``flat_index`` of the mixed-radix enumeration
+        (last entry fastest)."""
+        m = len(self.elements)
+        entries = []
+        for _ in range(n * n):
+            flat_index, x = divmod(flat_index, m)
+            entries.append(self.elements[x])
+        entries.reverse()
+        return SquareMatrix(self.ring, [entries[i : i + n] for i in range(0, n * n, n)])
+
+
+def encode_ring(R) -> RingTable:
+    """R's tables, glued in mixed radix (the first stalk most significant)
+    from each stalk's ``brute._stalk_tables``."""
+    add, mul, neg, unit, _ = _stalk_tables(R.stalks[0])
+    for s in R.stalks[1:]:
+        add2, mul2, neg2, unit2, _ = _stalk_tables(s)
+        m = len(neg2)
+        add = [[x * m + y for x in ra for y in rb] for ra in add for rb in add2]
+        mul = [[x * m + y for x in ra for y in rb] for ra in mul for rb in mul2]
+        neg = [x * m + y for x in neg for y in neg2]
+        unit = [a and b for a in unit for b in unit2]
+    elems = list(R.elements())
+    index = {e: i for i, e in enumerate(elems)}
+    return RingTable(R, elems, index, add, mul, neg, unit, index[R.zero], index[R.one])
 
 
 # -- vectorized numpy references ----------------------------------------------------

@@ -5,16 +5,15 @@ import random
 
 import pytest
 
-from cleanmat import _kernels, brute
+from cleanmat import _kernels
 from cleanmat.brute import (
     _gl_exponent,
-    decode_matrix,
-    encode_matrix,
-    encode_ring,
+    _stalk_gl_exponent,
+    _stalk_tables,
     pi_regular_oracle,
     strongly_clean_bruteforce,
 )
-from cleanmat.errors import BudgetExceeded, InfiniteRing
+from cleanmat.errors import BudgetExceeded, InfiniteRing, UnsupportedSize
 from cleanmat.decide import decide_pi_regular, monic_polys, pi_regular_from_gsp
 from cleanmat.factor import gsp_search
 from cleanmat.matrices import SquareMatrix, companion, random_with_charpoly
@@ -25,10 +24,16 @@ from cleanmat.verify import verify_pi_regular, verify_strong_clean
 from conftest import CERT_RINGS
 from oracles import (
     drazin_bruteforce,
+    encode_ring,
     inverse_adjugate,
     pi_regular_bruteforce,
     unindexed_scan,
 )
+
+
+def _raw(A, i=0):
+    """A's raw values on stalk i, as rows."""
+    return [[x.parts[i] for x in row] for row in A.rows]
 
 
 def test_spec_examples(zmod):
@@ -59,6 +64,11 @@ def test_budget_and_infinite_ring(zmod, zloc):
     assert strongly_clean_bruteforce(A, budget=337) is not None
     with pytest.raises(BudgetExceeded, match="^337 candidates exceed budget 336$"):
         strongly_clean_bruteforce(A, budget=336)
+    # the encode cap bounds each stalk, not the ring: Z/2046 = Z/2 x Z/3 x
+    # Z/11 x Z/31 scans, the prime Z/1031 raises before building a table
+    assert strongly_clean_bruteforce(SquareMatrix.from_ints(zmod(2046), [[5]])) is not None
+    with pytest.raises(UnsupportedSize, match=r"^\|R\| = 1031 exceeds the 1024 encode cap$"):
+        strongly_clean_bruteforce(SquareMatrix.from_ints(zmod(1031), [[5]]))
     with pytest.raises(InfiniteRing):
         strongly_clean_bruteforce(SquareMatrix.identity(zloc(2), 2))
     with pytest.raises(InfiniteRing):
@@ -69,15 +79,14 @@ def test_scan_order_and_range_exhaustion(zmod):
     # the first witness for [[0,0],[1,1]] over Z/2 is E = [[1,0],[1,0]],
     # mixed-radix index 1010_2 = 10; a scan stopping short must return -1
     R2 = zmod(2)
-    tab = encode_ring(R2)
-    A = SquareMatrix.from_ints(R2, [[0, 0], [1, 1]])
-    a = encode_matrix(tab, A)
+    s = R2.stalks[0]
+    add, mul, neg, unit, _ = _stalk_tables(s)
+    a = _raw(SquareMatrix.from_ints(R2, [[0, 0], [1, 1]]))
     perms, signs = _kernels.permutation_table(2)
 
     def scan(start, stop):
         return _kernels.scan_strongly_clean(
-            tab.add, tab.mul, tab.neg, tab.unit, a, 2, perms, signs,
-            tab.one, tab.zero, start, stop,
+            add, mul, neg, unit, a, 2, perms, signs, s.one, s.zero, start, stop,
         )
 
     assert scan(0, 16) == 10
@@ -205,16 +214,21 @@ def _finite_cert_rings():
 
 def test_gl_exponent_is_computed_once_per_ring_and_size():
     """The cached exponent equals a recomputation with the cache emptied, on
-    every finite ring of CERT_RINGS at n = 1..3, and is kept per (key, n)."""
+    every finite ring of CERT_RINGS at n = 1..3; each stalk's exponent is
+    computed once per (stalk, n), and rings that share a stalk share it."""
     cases = [(R, n) for R in _finite_cert_rings() for n in (1, 2, 3)]
     direct = {}
     for R, n in cases:
-        brute._GL_EXPONENTS.clear()
+        _stalk_gl_exponent.cache_clear()
         direct[R.key, n] = _gl_exponent(R, n)
-    brute._GL_EXPONENTS.clear()
+    _stalk_gl_exponent.cache_clear()
     for R, n in cases + cases[::-1]:
         assert _gl_exponent(R, n) == direct[R.key, n], (R.label(), n)
-    assert brute._GL_EXPONENTS == direct
+    # F2 x F2's two stalks are one stalk, computed once per n
+    keys = {(s, n) for R, n in cases for s in R.stalks}
+    info = _stalk_gl_exponent.cache_info()
+    assert info.misses == info.currsize == len(keys) == 3 * 6
+    assert info.hits == 2 * sum(R.num_stalks for R, _ in cases) - len(keys)
 
 
 def test_scan_certificate_inverse_is_the_adjugate_inverse():
@@ -244,6 +258,7 @@ def test_pi_regular_implies_strongly_clean(zmod):
 
 
 def test_encode_ring_tables(zmod):
+    # the whole-ring reference glues Z/2's and Z/3's tables in mixed radix
     R = zmod(6)
     tab = encode_ring(R)
     m = R.size
@@ -259,15 +274,30 @@ def test_encode_ring_tables(zmod):
 
 
 def test_encoded_tables_equal_the_boxed_construction():
-    """Tables filled from raw stalk values, glued over the stalks, equal the
-    tables of boxed Element arithmetic, on every finite stalk ring of
-    ``CERT_RINGS`` and on each whole finite ring."""
+    """Each finite stalk's tables over its raw values equal the tables of
+    boxed Element arithmetic over its stalk ring, on every finite stalk of
+    ``CERT_RINGS``; so do the whole-ring reference's tables, glued over the
+    stalks, on each finite ring of several stalks.  Equal stalks share one
+    table tuple."""
     rings = [build_ring(d) for d in CERT_RINGS.values()]
     stalk_rings = [
         R.stalk_ring(i) for R in rings for i, s in enumerate(R.stalks) if s.finite
     ]
     assert len(stalk_rings) == 8
-    for R in stalk_rings + [R for R in rings if R.is_finite and R.num_stalks > 1]:
+    for S in stalk_rings:
+        s = S.stalks[0]
+        add, mul, neg, unit, _ = _stalk_tables(s)
+        elems = list(S.elements())
+        assert [e.parts for e in elems] == [(v,) for v in range(s.size)], S.label()
+        assert add == [[(a + b).parts[0] for b in elems] for a in elems], S.label()
+        assert mul == [[(a * b).parts[0] for b in elems] for a in elems], S.label()
+        assert neg == [(-a).parts[0] for a in elems]
+        assert unit == [S.is_unit(a) for a in elems]
+        assert (s.zero, s.one) == (S.zero.parts[0], S.one.parts[0])
+    F2xF2, Z12, Z4xZ3 = (build_ring(CERT_RINGS[k]) for k in ("F2 x F2", "Z/12", "Z/4 x Z_(3)"))
+    assert _stalk_tables(F2xF2.stalks[0]) is _stalk_tables(F2xF2.stalks[1])
+    assert _stalk_tables(Z12.stalks[0]) is _stalk_tables(Z4xZ3.stalks[0])
+    for R in [R for R in rings if R.is_finite and R.num_stalks > 1]:
         tab = encode_ring(R)
         elems = list(R.elements())
         index = {e: i for i, e in enumerate(elems)}
@@ -285,7 +315,7 @@ def test_encoded_tables_equal_the_boxed_construction():
 def _scan_args(tab, A):
     """The scan kernel's arguments before start and stop, for A over tab's ring."""
     perms, signs = _kernels.permutation_table(A.n)
-    a = encode_matrix(tab, A)
+    a = tab.encode(A)
     return tab.add, tab.mul, tab.neg, tab.unit, a, A.n, perms, signs, tab.one, tab.zero
 
 
@@ -391,14 +421,14 @@ def test_index_holds_exactly_the_idempotents(zmod):
         tab = encode_ring(R)
         total = R.size ** (n * n)
         index = list(_kernels._idempotents(tab.add, tab.mul, tab.zero, n))
-        assert [decode_matrix(tab, k, n) for k, _ in index] == [
+        assert [tab.decode(k, n) for k, _ in index] == [
             SquareMatrix(R, [[tab.elements[x] for x in row] for row in e]) for _, e in index
         ]
         assert len(index) == count
         if total <= 20736:
             idempotents = []
             for i in range(total):
-                M = decode_matrix(tab, i, n)
+                M = tab.decode(i, n)
                 if M @ M == M:
                     idempotents.append(i)
             assert [k for k, _ in index] == idempotents
@@ -406,16 +436,16 @@ def test_index_holds_exactly_the_idempotents(zmod):
 
 def test_a_scan_grows_the_index_only_to_its_hit(zmod, f2xf2_ring):
     """A cold scan stops the index at its hit; a scan whose hit is indexed
-    grows it by no entry.  Checked on each stalk ring's index as
+    grows it by no entry.  Checked on each stalk's index dict as
     ``strongly_clean_bruteforce`` keeps it (F2 x F2's two stalks share one)."""
     grown = 0
     for R, n in ((zmod(16), 2), (zmod(12), 2), (f2xf2_ring, 2), (zmod(3), 3)):
-        tabs = [encode_ring(R.stalk_ring(i)) for i in range(R.num_stalks)]
-        for tab in tabs:
-            tab.idempotents.clear()
+        indexes = [_stalk_tables(s)[4] for s in R.stalks]
+        for index in indexes:
+            index.clear()
 
         def sizes():
-            return [len(tab.idempotents[n][0]) if n in tab.idempotents else 0 for tab in tabs]
+            return [len(index[n][0]) if n in index else 0 for index in indexes]
 
         for h in monic_polys(R, n):
             A = companion(h)
@@ -423,12 +453,12 @@ def test_a_scan_grows_the_index_only_to_its_hit(zmod, f2xf2_ring):
             cert = strongly_clean_bruteforce(A)
             after = sizes()
             reached = {}
-            for i, tab in enumerate(tabs):
-                E = tuple(map(tuple, encode_matrix(tab, cert.E.restrict(i))))
-                hit = [e for _, e in tab.idempotents[n][0]].index(E)
-                reached[id(tab)] = max(reached.get(id(tab), 0), hit + 1)
-            for i, tab in enumerate(tabs):
-                assert after[i] == max(before[i], reached[id(tab)]), (R.label(), h, i)
+            for i, index in enumerate(indexes):
+                E = tuple(map(tuple, _raw(cert.E, i)))
+                hit = [e for _, e in index[n][0]].index(E)
+                reached[id(index)] = max(reached.get(id(index), 0), hit + 1)
+            for i, index in enumerate(indexes):
+                assert after[i] == max(before[i], reached[id(index)]), (R.label(), h, i)
             grown += after != before
             assert strongly_clean_bruteforce(A) == cert
             assert sizes() == after
@@ -460,12 +490,12 @@ def test_scan_matches_the_whole_ring_reference(zmod):
             want = reference(tab, A)
             assert (cert is None) == (want < 0), (R.label(), h)
             if R.num_stalks == 1:
-                assert cert.E == decode_matrix(tab, want, d), (R.label(), h)
+                assert cert.E == tab.decode(want, d), (R.label(), h)
             else:
                 for i in range(R.num_stalks):
                     st = encode_ring(R.stalk_ring(i))
                     hit = reference(st, A.restrict(i))
-                    assert cert.E.restrict(i) == decode_matrix(st, hit, d), (R.label(), h, i)
+                    assert cert.E.restrict(i) == st.decode(hit, d), (R.label(), h, i)
             checked += 1
     assert checked == (12 + 144) + (16 + 256) + 3 * (4 + 16) + 8 + 27
 

@@ -55,6 +55,10 @@ split off the certificate and never reaches into the search memo.
 No decider consults an exhaustive oracle: in ``decide.py`` only the two
 audits, ``theorem_main_audit`` and ``pi_regular_audit``, import ``.brute``.
 
+The oracles cache per interned stalk: ``brute.py`` binds no module-level
+dict, so each table or exponent it keeps is an ``lru_cache`` of a function
+of the stalk.
+
 A CLI command is a fresh process, so the modules every command imports stay
 small: at import time ``__init__.py``, ``cli.py`` and ``serialize.py``
 import only the standard library and ``errors``, ``stalks``, ``rings`` and
@@ -605,6 +609,56 @@ def test_the_guard_sees_an_oracle_on_a_decision_path(tmp_path):
         encoding="utf-8",
     )
     assert _brute_importers(bad) == ["<module>", "decide_pi_regular", "pi_regular_audit"]
+
+
+DICT_FACTORIES = {"dict", "defaultdict", "OrderedDict", "Counter"}
+
+
+def _module_level_dicts(path: Path) -> list[str]:
+    """Names bound at module level to a dict: a display, a comprehension, a
+    call of a dict type, or any value under a ``dict`` annotation."""
+    found = []
+    for node in ast.parse(path.read_text(encoding="utf-8")).body:
+        if isinstance(node, ast.Assign):
+            targets, annotation = node.targets, None
+        elif isinstance(node, ast.AnnAssign):
+            targets, annotation = [node.target], node.annotation
+        else:
+            continue
+        value = node.value
+        if (
+            isinstance(value, (ast.Dict, ast.DictComp))
+            or (isinstance(value, ast.Call) and _call_name(value.func) in DICT_FACTORIES)
+            or (annotation is not None and "dict" in ast.unparse(annotation).lower())
+        ):
+            found += [t.id for t in targets if isinstance(t, ast.Name)]
+    return sorted(found)
+
+
+def test_the_oracles_keep_no_module_level_dict_cache():
+    assert _module_level_dicts(SRC / "brute.py") == []
+
+
+def test_the_guard_sees_a_module_level_dict_cache(tmp_path):
+    bad = tmp_path / "bad.py"
+    bad.write_text(
+        "from collections import defaultdict\n"
+        "from functools import lru_cache\n"
+        "ENCODE_CAP = 1024\n"
+        "_TABLE_CACHE: dict[str, object] = {}\n"
+        "_GL_EXPONENTS = dict()\n"
+        "_INDEX = {n: [] for n in range(3)}\n"
+        "_BY_STALK = defaultdict(list)\n"
+        "_NAMES: Dict = None\n"
+        "@lru_cache(maxsize=None)\n"
+        "def _tables(s):\n"
+        "    local = {}\n"
+        "    return local\n",
+        encoding="utf-8",
+    )
+    assert _module_level_dicts(bad) == [
+        "_BY_STALK", "_GL_EXPONENTS", "_INDEX", "_NAMES", "_TABLE_CACHE"
+    ]
 
 
 COLD_START_MODULES = ("__init__.py", "cli.py", "serialize.py")

@@ -24,6 +24,9 @@ import pytest
 from cleanmat.decide import pi_regular_from_gsp, strong_clean_from_gsrc
 from cleanmat.errors import RingMismatch
 from cleanmat.factor import (
+    Block,
+    GSPCertificate,
+    SPCertificate,
     SRCCertificate,
     gsp_search,
     gsrc_search,
@@ -302,3 +305,92 @@ def test_leaf_verifiers_match_the_boxed_references(name):
             raised += got is RingMismatch
     # nearly every tamper is rejected: kind "SR" beside a valid Bezout pair is not
     assert certs >= 50 and rejected >= 8 * certs and raised >= certs
+
+
+# -- in-memory certificates that no document can carry ---------------------------------
+
+PARTITION = "block supports do not partition the stalks"
+IDEMPOTENT = "block idempotent does not match its support"
+
+
+def _z12_certificates():
+    """Z/12, h = t^2 + 8t (t^2 on Z/4, t^2 + 2t on Z/3), and its gSRC and gSP
+    certificates, each with one block per stalk, with their verifiers."""
+    R = build_ring(CERT_RINGS["Z/12"])
+    h = Poly.from_ints(R, [0, 8, 1])
+    out = []
+    for search, verifier in ((gsrc_search, verify_gsrc), (gsp_search, verify_gsp)):
+        cert = search(h, R).certificate
+        cert = replace(cert, blocks=sorted(cert.blocks, key=lambda b: b.support))
+        assert [b.support for b in cert.blocks] == [(0,), (1,)]
+        assert verifier(h, R, cert) == []
+        out.append((verifier, cert))
+    return R, h, out
+
+
+@pytest.mark.parametrize("support", [(2,), (-1,), ()])
+def test_a_support_outside_the_stalks_fails_the_partition(support):
+    """A block whose support is empty or names no stalk of R fails the
+    partition and runs no leaf; the verifier does not raise."""
+    R, h, certs = _z12_certificates()
+    for verifier, cert in certs:
+        first, second = cert.blocks
+        # first's certificate lives on Z/4: a leaf run on any other stalk fails
+        bad = replace(cert, blocks=[first, replace(second, support=support, cert=first.cert)])
+        assert verifier(h, R, bad) == [PARTITION, IDEMPOTENT]
+        # with the idempotent R.zero, the indicator of every support here
+        zero = replace(second, support=support, idempotent=R.zero)
+        assert verifier(h, R, replace(cert, blocks=[first, zero])) == [PARTITION]
+        # beside blocks that already partition the stalks
+        assert verifier(h, R, replace(cert, blocks=[first, second, zero])) == [PARTITION]
+
+
+def test_a_duplicated_block_fails_the_partition():
+    """A repeated stalk fails the partition; the repeated block still runs
+    its leaf, on its own stalks."""
+    R, h, certs = _z12_certificates()
+    for verifier, cert in certs:
+        first, second = cert.blocks
+        assert verifier(h, R, replace(cert, blocks=[first, second, second])) == [PARTITION]
+        # second's certificate lives on Z/3, so its leaf fails on stalk 0
+        again = replace(first, cert=second.cert)
+        fails = verifier(h, R, replace(cert, blocks=[first, second, again]))
+        assert fails[0] == PARTITION and len(fails) > 1
+        assert all(msg.startswith("block (0,): ") for msg in fails[1:])
+
+
+def test_a_block_idempotent_is_checked_against_the_ring_key():
+    """An idempotent over another ring with the support's parts is rejected;
+    one over a second build of R is accepted."""
+    R, h, certs = _z12_certificates()
+    Z4xZ3 = build_ring({"type": "product", "factors": [{"type": "zmod", "n": 4}, {"type": "zmod", "n": 3}]})
+    R_again = build_ring(CERT_RINGS["Z/12"])
+    assert Z4xZ3.key != R.key and R_again is not R and R_again.key == R.key
+    for verifier, cert in certs:
+        first, second = cert.blocks
+        for ring, want in ((Z4xZ3, [IDEMPOTENT]), (R_again, [])):
+            e = Element(ring, first.idempotent.parts)
+            got = verifier(h, R, replace(cert, blocks=[replace(first, idempotent=e), second]))
+            assert got == want, ring.label()
+
+
+def test_a_p0_with_stalk_parts_of_different_lengths_is_rejected():
+    """p0 = t^2 on Z/4 and 1 on Z/3: its coefficient 1 lies past the end of
+    the Z/3 part, where it is 0, and the leaf returns failures."""
+    R = build_ring(CERT_RINGS["Z/12"])
+    h = Poly.from_ints(R, [0, 8, 1])
+    sp = SPCertificate(Poly.one(R), Poly.from_parts(R, [(0, 0, 1), (1,)]))
+    fails = ["factors are not monic", "h0 * p0 != h", "p0 coefficient 0 is not nilpotent"]
+    assert verify_sp(h, sp) == fails
+    whole = GSPCertificate([Block((0, 1), R.one, sp)])
+    assert verify_gsp(h, R, whole) == [f"block (0, 1): {msg}" for msg in fails]
+
+
+def test_a_factor_over_a_second_build_of_the_ring_is_accepted():
+    R = build_ring(CERT_RINGS["Z/12"])
+    h = Poly.from_ints(R, [2, 3, 1])
+    cert = src_search(h, R, "SRC").certificate
+    assert cert.kind == "SRC" and verify_src(h, cert) == []
+    R_again = build_ring(CERT_RINGS["Z/12"])
+    f1 = Poly.from_parts(R_again, cert.f1.parts)
+    assert f1.ring is not R and verify_src(h, replace(cert, f1=f1)) == []
