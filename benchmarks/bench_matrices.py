@@ -8,9 +8,11 @@ deg f0 + deg f1 = n.  The table gives the per-call microseconds of ``A @ B``,
 of a pair on each stalk up to the first that has none; its Sylvester
 system is n x n) and ``similar``, ``random_with_charpoly(h, seed)`` on the
 64 polynomials with one seed each, with B a second random matrix, and
-``A ** k`` for k = M - 1, M = ``brute._gl_exponent(R, n)``: the power chain
-of the exhaustive scan's U^-1 = U^(M-1) and of the Drazin oracle's
-A^(2M-1), left blank over a ring with a Z_(p) stalk, which has no such M.
+``A ** k`` for k = M - 1, M the lcm over the stalks of
+``brute._stalk_gl_exponent(s, n)``: the whole-ring power chain of U^-1 =
+U^(M-1) and of the Drazin inverse A^(2M-1) in the whole-ring reference
+oracles of ``tests/oracles.py``, left blank over a ring with a Z_(p)
+stalk, which has no such M.
 Each is the best of 20 passes over the inputs, each pass scaled to nominal
 machine speed by ``perfbench/pace.py``'s reference loop (``paced.best``).
 The last columns time the audits' certificate layer: ``from_gsrc`` is
@@ -32,13 +34,14 @@ from __future__ import annotations
 
 import random
 import sys
+from math import lcm
 from pathlib import Path
 
 # run against this checkout's src/ whether or not the package is installed
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from cleanmat import decide, factor  # noqa: E402
-from cleanmat.brute import _gl_exponent  # noqa: E402
+from cleanmat.brute import _stalk_gl_exponent  # noqa: E402
 from cleanmat.decide import (  # noqa: E402
     pi_regular_from_gsp,
     strong_clean_from_gsrc,
@@ -160,7 +163,7 @@ def main():
         R = mats[0].ring
         power = None
         if R.is_finite:
-            k = _gl_exponent(R, n) - 1
+            k = lcm(*(_stalk_gl_exponent(s, n) for s in R.stalks)) - 1
             power = per_call_us(lambda A: A**k, [(A,) for A in mats])
         times = [
             per_call_us(lambda A, B: A @ B, list(zip(mats, others))),

@@ -5,31 +5,26 @@ pi-regularity are the independent side of the two audits
 (``theorem_main_audit`` and ``pi_regular_audit``), the only place the
 package runs them: no decider consults an oracle.
 
-The scan runs stalk by stalk, as the Pierce sheaf allows: A is strongly
-clean iff each restriction A_i over the stalk ring S_i is, and the
-per-stalk pairs (E_i, U_i) glue entry by entry into one pair over R.  A
-finite stalk's raw values are 0 ... |S| - 1 in ``elements()`` order, so
-they are the scan's element indices as they stand: ``_stalk_tables``
-fills add, mul, neg and unit tables over them with the stalk's own
-primitives, and A_i's raw values go to the pure-Python scan in
-``_kernels`` unchanged.  Enumeration order is the canonical element order,
-so results are deterministic.  ``_kernels`` is imported by the function
-that runs it.
+Both run stalk by stalk, as the Pierce sheaf allows, and a stalk's answer
+is a pure function of the stalk and the restriction A_i =
+``A.restrict(i)``: ``_stalk_scan`` and ``_stalk_drazin`` keep it in an
+``lru_cache`` of ``factor.STALK_MEMO_CAP`` entries keyed by the interned
+stalk and A_i (which compares by its raw grid), so rings and calls that
+share a stalk matrix share its entry.  The oracles make their checks
+first, then glue the stalk answers with ``SquareMatrix.glue``.
 
-The tables are cached per interned stalk, so every ring with that stalk
-shares them, and beside them the scan's idempotent index: for each matrix
-size n, the candidates with E^2 = E in enumeration order, found lazily as
-far as some scan has reached.  Every later scan of an n x n matrix over
-the same stalk tests those idempotents first, in the same order, and a
-hit's E is read off its index entry.
+A finite stalk's raw values 0 ... |S| - 1 (in ``elements()`` order) are
+the scan's element indices: ``_stalk_tables`` fills add, mul, neg and unit
+tables over them once per stalk, beside the scan's idempotent index (per
+size n, the E^2 = E candidates in enumeration order, found lazily as far
+as some scan has reached).  A_i's raw values go to the pure-Python scan in
+``_kernels``, imported by the function that runs it; enumeration order is
+canonical, so results are deterministic.  A memo hit runs no scan.
 
-Neither oracle solves or eliminates anything.  ``_gl_exponent`` computes
-M, a multiple of the exponent of GL_n(R), as the lcm of each stalk's
-exponent, which comes from the stalk's residue field and nilpotency index,
-once per stalk and size.  The scan's certificate takes U^-1 = U^(M-1), and
-over a finite ring the Drazin inverse of A is a power of A too:
-A^(2M-1), as M is past the Fitting index.  Both use only matrix products,
-powers and equality.
+Neither oracle solves anything.  ``_stalk_gl_exponent`` is M, a multiple
+of the exponent of GL_n(S), from the stalk's residue field and nilpotency
+index.  A stalk's certificate takes U^-1 = U^(M-1), and its Drazin inverse
+is A_i^(2M-1), as M is past the Fitting index.
 """
 
 from __future__ import annotations
@@ -40,8 +35,8 @@ from math import lcm
 
 from .errors import DEFAULT_BUDGET, BudgetExceeded, InfiniteRing, UnsupportedSize
 from .errors import enumeration_size
+from .factor import STALK_MEMO_CAP
 from .matrices import PiRegularCertificate, SquareMatrix, StrongCleanCertificate
-from .rings import Ring
 from .stalks import factorize
 
 ENCODE_CAP = 1024
@@ -73,11 +68,10 @@ def strongly_clean_bruteforce(
 ) -> StrongCleanCertificate | None:
     """Exhaustive scan for E with E^2 = E, EA = AE, A - E a unit.
 
-    Scans A.restrict(i) over each stalk ring S_i and glues the first hit
-    of every stalk into E.  Returns a verified certificate, or None when
-    some stalk has no hit after scanning every candidate (definitive
-    absence).  Raises when the ring is infinite or the sum over the stalks
-    of |S_i|^(n^2) candidates exceeds the budget, before any scan starts.
+    Glues each stalk's first hit E_i and its U_i^-1; None when some stalk
+    has no hit among all its candidates (definitive absence).  Raises when
+    the ring is infinite or the sum over the stalks of |S_i|^(n^2)
+    candidates exceeds the budget, before any scan starts.
     """
     R = A.ring
     if not R.is_finite:
@@ -86,34 +80,34 @@ def strongly_clean_bruteforce(
     totals = [enumeration_size(s.size, n * n, budget, "candidates") for s in R.stalks]
     if sum(totals) > budget:
         raise BudgetExceeded(f"{sum(totals)} candidates exceed budget {budget}")
-    from . import _kernels
-
-    perms, signs = _kernels.permutation_table(n)
-    hits = []
-    for i, (s, total) in enumerate(zip(R.stalks, totals)):
-        add, mul, neg, unit, index = _stalk_tables(s)
-        a = [[x.parts[0] for x in row] for row in A.restrict(i).rows]
-        hit = _kernels.scan_strongly_clean(
-            add, mul, neg, unit, a, n, perms, signs, s.one, s.zero, 0, total,
-            idempotents=index,
-        )
-        if hit < 0:
-            return None
-        found = index[n][0]
-        hits.append(found[bisect_left(found, (hit,))][1])
-    E = SquareMatrix(
-        R, [[R.from_parts([e[r][c] for e in hits]) for c in range(n)] for r in range(n)]
-    )
+    hits = [_stalk_scan(s, A.restrict(i)) for i, s in enumerate(R.stalks)]
+    if None in hits:
+        return None
+    E, U_inv = (SquareMatrix.glue(R, part) for part in zip(*hits))
     U = A - E
-    U_inv = U ** (_gl_exponent(R, n) - 1)
     assert E @ E == E and E @ U == U @ E and U @ U_inv == SquareMatrix.identity(R, n)
     return StrongCleanCertificate(E, U, U_inv)
 
 
-def _gl_exponent(R: Ring, n: int) -> int:
-    """A multiple of the exponent of GL_n(R), for a finite ring R: the lcm
-    of its stalks' ``_stalk_gl_exponent``."""
-    return lcm(*(_stalk_gl_exponent(s, n) for s in R.stalks))
+@lru_cache(maxsize=STALK_MEMO_CAP)
+def _stalk_scan(s, A: SquareMatrix) -> tuple | None:
+    """(E, (A - E)^(M-1)) for the scan's first hit E on A over the finite
+    stalk s, M = ``_stalk_gl_exponent(s, n)``; None if nothing hits."""
+    from . import _kernels
+
+    n = A.n
+    add, mul, neg, unit, index = _stalk_tables(s)
+    a = [[x.parts[0] for x in row] for row in A.rows]
+    hit = _kernels.scan_strongly_clean(
+        add, mul, neg, unit, a, n, *_kernels.permutation_table(n), s.one, s.zero,
+        0, s.size ** (n * n), idempotents=index,
+    )
+    if hit < 0:
+        return None
+    found = index[n][0]
+    S, e = A.ring, found[bisect_left(found, (hit,))][1]
+    E = SquareMatrix(S, [[S.from_parts((x,)) for x in row] for row in e])
+    return E, (A - E) ** (_stalk_gl_exponent(s, n) - 1)
 
 
 @lru_cache(maxsize=None)
@@ -139,25 +133,35 @@ def _stalk_gl_exponent(s, n: int) -> int:
 def pi_regular_oracle(A: SquareMatrix) -> PiRegularCertificate | None:
     """Drazin-inverse oracle: the first k with A^{k+1}D = A^k, and D, as (k, D, D).
 
-    D is a power of A (Drazin 1958).  By Fitting's lemma R^n = im e + ker e
-    for an idempotent e commuting with A, with A invertible on im e and
-    A^K = 0 on ker e once K = n * (max stalk nilpotency index): modulo a
-    stalk's maximal ideal the nilpotent part vanishes within n steps, and
-    the nilpotency index kills the rest.  So u = A e + (I - e) is a unit, and
-    for M a multiple of the exponent of GL_n(R) with M >= K (``_gl_exponent``
-    is one), A^M = u^M e = e and D = A^(2M-1) = u^-1 e is the Drazin
-    inverse.  It commutes with A, so the witness D A^{k+1} = A^k holds with
-    the same k.
+    D glues the stalks' Drazin inverses.  On each stalk the identity holds
+    from its first k on, so over R from the largest; D commutes with A, so
+    the witness D A^{k+1} = A^k holds with the same k.
     """
     R = A.ring
     if not R.is_finite:
         raise InfiniteRing("the Drazin-inverse oracle needs a finite ring")
-    K = A.n * R.max_nil_index()
-    D = A ** (2 * _gl_exponent(R, A.n) - 1)
-    Ak = A
-    for k in range(1, K + 1):
-        Ak1 = Ak @ A
-        if Ak1 @ D == Ak:
-            return PiRegularCertificate(k, D, D)
-        Ak = Ak1
+    parts = [_stalk_drazin(s, A.restrict(i)) for i, s in enumerate(R.stalks)]
+    if None in parts:
+        return None
+    ks, Ds = zip(*parts)
+    D = SquareMatrix.glue(R, Ds)
+    return PiRegularCertificate(max(ks), D, D)
+
+
+@lru_cache(maxsize=STALK_MEMO_CAP)
+def _stalk_drazin(s, A: SquareMatrix) -> tuple | None:
+    """(k, D) for A over the finite stalk s: the first k with A^{k+1}D = A^k
+    and D = A^(2M-1), M = ``_stalk_gl_exponent(s, n)``, the Drazin inverse.
+
+    By Fitting's lemma S^n = im e + ker e for an idempotent e commuting with
+    A, A invertible on im e and A^K = 0 on ker e, K = n * (nilpotency index
+    of s).  So u = A e + (I - e) is a unit, and as u^M = I and M >= K,
+    A^M = u^M e = e and A^(2M-1) = u^-1 e (Drazin 1958).
+    """
+    D = A ** (2 * _stalk_gl_exponent(s, A.n) - 1)
+    AD, Ak = A @ D, A
+    for k in range(1, A.n * s.nil_index() + 1):
+        if Ak @ AD == Ak:
+            return k, D
+        Ak = Ak @ A
     return None

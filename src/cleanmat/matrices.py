@@ -139,6 +139,11 @@ class SquareMatrix:
     def restrict(self, i: int) -> "SquareMatrix":
         return _matrix(self.ring.stalk_ring(i), [self.grids[i]])
 
+    @classmethod
+    def glue(cls, ring: Ring, parts) -> "SquareMatrix":
+        """The inverse of ``restrict``: ``parts[i]`` is the restriction to stalk i."""
+        return _matrix(ring, [M.grids[0] for M in parts])
+
 
 def _matrix(ring: Ring, grids: list) -> SquareMatrix:
     """The matrix whose state is ``grids``, one raw grid per stalk of ``ring``."""

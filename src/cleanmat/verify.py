@@ -19,8 +19,9 @@ split f0*f1 (h0*p0 for SP) in one pass: both factors monic, their
 ``raw_product`` equal to h, f0(0) a unit by its constant coefficient, f1(1)
 by its coefficient sum, and u*f0 + v*f1 = 1 by ``raw_product`` and
 ``raw_sum``; then the kind, or p0's nilpotent lower coefficients.
-Polynomials a check combines must share a ring, or ``RingMismatch`` is
-raised; a product over a ring other than the block's is not h, nor a sum 1.
+Polynomials a check combines must share a ring, and a gSRC/gSP check's h
+must be over R, or ``RingMismatch`` is raised; a product over a ring other
+than the block's is not h, nor a sum 1.
 
 The matrix certificates are checked with the public matrix operations
 ``@``, ``+``, ``**`` and ``==``: E^2 = E, E + U = A, EU = UE and
@@ -118,6 +119,8 @@ def verify_sp(h: Poly, cert: SPCertificate) -> list[str]:
 def _verify_blocks(h: Poly, R: Ring, blocks: list[Block], leaf) -> list[str]:
     """The block checks in one pass; messages in the order bound, partition, idempotents, leaves."""
     n, H, hs = R.num_stalks, h.ring, h.parts
+    if H is not R and H.key != R.key:
+        raise RingMismatch("h is not over the certificate's ring")
     covered = [False] * n
     partition = idempotents = True
     leaf_fails = []

@@ -2,14 +2,17 @@ from __future__ import annotations
 
 import pytest
 
-from cleanmat import decide, factor
+from cleanmat import brute, decide, factor
 from cleanmat.rings import build_ring
 
 
 def clear_stalk_caches():
-    """Empty the stalk search memo and the certificate-polynomial cache."""
+    """Empty the stalk search memo, the certificate-polynomial cache and
+    the two oracle memos."""
     factor._memo_search.cache_clear()
     decide._memo_polys.cache_clear()
+    brute._stalk_scan.cache_clear()
+    brute._stalk_drazin.cache_clear()
 
 
 def zmod_tables(n: int):

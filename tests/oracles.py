@@ -47,6 +47,11 @@ chunk and tests E^2 = E, EA = AE and det(A - E), with no idempotent index
 and no stalk split.  ``table_axiom_failure_numpy`` checks the ring axioms
 of two operation tables as whole-array numpy comparisons and returns the
 first failure.  Both skip the calling test when numpy is not installed.
+``whole_ring_scan`` and ``whole_ring_drazin`` are the exhaustive oracles
+of ``cleanmat.brute`` on the whole matrix, with no per-stalk memo: the
+scan's stalk hits glued Element by Element, with U^-1 = U^(M-1), and the
+Drazin inverse A^(2M-1) with its k found on the whole matrix, where M =
+``gl_exponent(R, n)`` is the lcm of the stalks' GL exponents.
 ``restrict_element``, ``restrict_poly``, ``idempotent_support``,
 ``is_complete_orthogonal`` and ``pierce_glue`` are the Pierce restriction
 and gluing on boxed Elements, which no decision needs.
@@ -67,7 +72,8 @@ from math import lcm
 
 import pytest
 
-from cleanmat.brute import _stalk_tables
+from cleanmat import _kernels
+from cleanmat.brute import _stalk_gl_exponent, _stalk_tables
 from cleanmat.errors import BudgetExceeded, InfiniteRing, RingMismatch, VerificationFailed
 from cleanmat.factor import BOUNDED_HEIGHT, SPCertificate, SRCCertificate
 from cleanmat.matrices import (
@@ -446,6 +452,8 @@ def verify_sp_boxed(h: Poly, cert) -> list[str]:
 
 
 def _verify_blocks_boxed(h: Poly, R, blocks, leaf) -> list[str]:
+    if h.ring.key != R.key:
+        raise RingMismatch("h is not over the certificate's ring")
     fails = []
     if len(blocks) > h.degree + 1:
         fails.append(f"{len(blocks)} blocks exceed the deg(h)+1 bound")
@@ -610,6 +618,49 @@ def drazin_bruteforce(A: SquareMatrix, budget: int = 10**4):
         if ds:
             return k, [SquareMatrix(R, [[elems[i] for i in row] for row in d]) for d in ds]
         ak = ak1
+    return None
+
+
+def gl_exponent(R, n: int) -> int:
+    """A multiple of the exponent of GL_n(R), for a finite ring R: the lcm
+    of its stalks' ``brute._stalk_gl_exponent``."""
+    return lcm(*(_stalk_gl_exponent(s, n) for s in R.stalks))
+
+
+def whole_ring_scan(A: SquareMatrix) -> StrongCleanCertificate | None:
+    """The stalk scans' first hits glued entry by entry into E, and
+    U^-1 = U^(M-1) over the whole ring, M = ``gl_exponent(R, n)``."""
+    R, n = A.ring, A.n
+    perms, signs = _kernels.permutation_table(n)
+    hits = []
+    for i, s in enumerate(R.stalks):
+        add, mul, neg, unit, index = _stalk_tables(s)
+        a = [[x.parts[0] for x in row] for row in A.restrict(i).rows]
+        hit = _kernels.scan_strongly_clean(
+            add, mul, neg, unit, a, n, perms, signs, s.one, s.zero, 0, s.size ** (n * n),
+            idempotents=index,
+        )
+        if hit < 0:
+            return None
+        hits.append(next(e for k, e in index[n][0] if k == hit))
+    E = SquareMatrix(
+        R, [[R.from_parts([e[r][c] for e in hits]) for c in range(n)] for r in range(n)]
+    )
+    U = A - E
+    return StrongCleanCertificate(E, U, U ** (gl_exponent(R, n) - 1))
+
+
+def whole_ring_drazin(A: SquareMatrix) -> PiRegularCertificate | None:
+    """D = A^(2M-1), M = ``gl_exponent(R, n)``, and the first k up to
+    n * (max nilpotency index) with A^{k+1} D = A^k, on the whole matrix."""
+    R = A.ring
+    D = A ** (2 * gl_exponent(R, A.n) - 1)
+    Ak = A
+    for k in range(1, A.n * R.max_nil_index() + 1):
+        Ak1 = Ak @ A
+        if Ak1 @ D == Ak:
+            return PiRegularCertificate(k, D, D)
+        Ak = Ak1
     return None
 
 

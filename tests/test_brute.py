@@ -7,27 +7,36 @@ import pytest
 
 from cleanmat import _kernels
 from cleanmat.brute import (
-    _gl_exponent,
+    _stalk_drazin,
     _stalk_gl_exponent,
+    _stalk_scan,
     _stalk_tables,
     pi_regular_oracle,
     strongly_clean_bruteforce,
 )
 from cleanmat.errors import BudgetExceeded, InfiniteRing, UnsupportedSize
-from cleanmat.decide import decide_pi_regular, monic_polys, pi_regular_from_gsp
+from cleanmat.decide import (
+    decide_pi_regular,
+    monic_polys,
+    pi_regular_from_gsp,
+    theorem_main_audit,
+)
 from cleanmat.factor import gsp_search
 from cleanmat.matrices import SquareMatrix, companion, random_with_charpoly
 from cleanmat.polys import Poly
 from cleanmat.rings import build_ring
 from cleanmat.verify import verify_pi_regular, verify_strong_clean
 
-from conftest import CERT_RINGS
+from conftest import CERT_RINGS, clear_stalk_caches
 from oracles import (
     drazin_bruteforce,
     encode_ring,
+    gl_exponent,
     inverse_adjugate,
     pi_regular_bruteforce,
     unindexed_scan,
+    whole_ring_drazin,
+    whole_ring_scan,
 )
 
 
@@ -190,12 +199,12 @@ def test_pi_regular_oracle_answers_the_f4_degree_10_companion(f4_ring):
 
 
 def test_gl_exponent_is_a_multiple_of_every_unit_order(zmod, f4_ring, dual_ring, f2xf2_ring):
-    """u ** _gl_exponent(R, n) == I for every invertible n x n matrix u, and
+    """u ** gl_exponent(R, n) == I for every invertible n x n matrix u, and
     the exponent is past the oracle's Fitting bound n * (max nilpotency index)."""
     cases = [(R, 2) for R in (zmod(4), zmod(8), zmod(9), f4_ring, dual_ring, f2xf2_ring)]
     cases.append((zmod(2), 3))
     for R, n in cases:
-        exponent = _gl_exponent(R, n)
+        exponent = gl_exponent(R, n)
         assert exponent >= n * R.max_nil_index()
         I = SquareMatrix.identity(R, n)
         units = 0
@@ -220,10 +229,10 @@ def test_gl_exponent_is_computed_once_per_ring_and_size():
     direct = {}
     for R, n in cases:
         _stalk_gl_exponent.cache_clear()
-        direct[R.key, n] = _gl_exponent(R, n)
+        direct[R.key, n] = gl_exponent(R, n)
     _stalk_gl_exponent.cache_clear()
     for R, n in cases + cases[::-1]:
-        assert _gl_exponent(R, n) == direct[R.key, n], (R.label(), n)
+        assert gl_exponent(R, n) == direct[R.key, n], (R.label(), n)
     # F2 x F2's two stalks are one stalk, computed once per n
     keys = {(s, n) for R, n in cases for s in R.stalks}
     info = _stalk_gl_exponent.cache_info()
@@ -244,6 +253,52 @@ def test_scan_certificate_inverse_is_the_adjugate_inverse():
                 assert not verify_strong_clean(A, cert)
                 checked += 1
     assert checked == (12 + 144) + (16 + 256) + 3 * (4 + 16)
+
+
+def test_memoized_oracles_match_the_whole_ring_oracles(zmod):
+    """The per-stalk memoized oracles give the whole-ring oracles' (E, U, U^-1)
+    and (k, X), from a cold memo and then from the warm one, on every
+    companion of degree <= 2 over Z/12, Z/16, F4, dual-F2 and F2 x F2; at
+    degree 3 over Z/9 the Drazin oracle only, as 9^9 scan candidates exceed
+    the default budget."""
+    rings = [build_ring(CERT_RINGS[k]) for k in ("Z/12", "Z/16", "F4", "dual-F2", "F2 x F2")]
+    cases = [(R, d, True) for R in rings for d in (1, 2)] + [(zmod(9), 3, False)]
+    clear_stalk_caches()
+    for memo in ("cold", "warm"):
+        scans, drazins = _stalk_scan.cache_info(), _stalk_drazin.cache_info()
+        checked = 0
+        for R, d, scan in cases:
+            for h in monic_polys(R, d):
+                A = companion(h)
+                if scan:
+                    cert, want = strongly_clean_bruteforce(A), whole_ring_scan(A)
+                    got = (cert.E, cert.U, cert.U_inv)
+                    assert got == (want.E, want.U, want.U_inv), (R.label(), h)
+                cert, want = pi_regular_oracle(A), whole_ring_drazin(A)
+                assert (cert.k, cert.X, cert.Y) == (want.k, want.X, want.Y), (R.label(), h)
+                checked += 1
+        assert checked == (12 + 144) + (16 + 256) + 3 * (4 + 16) + 729
+        # the warm pass is served by the memo alone
+        grew = (
+            _stalk_scan.cache_info().misses - scans.misses,
+            _stalk_drazin.cache_info().misses - drazins.misses,
+        )
+        assert (grew == (0, 0)) == (memo == "warm"), (memo, grew)
+
+
+def test_the_scan_memo_counts_one_scan_per_stalk_matrix(zmod):
+    """theorem_main_audit(Z/12, 2) from a cold memo scans each of the 16 Z/4
+    and 9 Z/3 stalk matrices of its 144 companions once; a second run scans
+    none.  The CLI's audit over Z/6 scans 4 + 9 stalk matrices, not 2 * 36."""
+    clear_stalk_caches()
+    theorem_main_audit(zmod(12), 2)
+    info = _stalk_scan.cache_info()
+    assert (info.misses, info.hits) == (25, 2 * 144 - 25)
+    theorem_main_audit(zmod(12), 2)
+    assert _stalk_scan.cache_info().misses == 25
+    clear_stalk_caches()
+    theorem_main_audit(zmod(6), 2)
+    assert _stalk_scan.cache_info().misses == 13
 
 
 def test_pi_regular_implies_strongly_clean(zmod):
@@ -437,7 +492,8 @@ def test_index_holds_exactly_the_idempotents(zmod):
 def test_a_scan_grows_the_index_only_to_its_hit(zmod, f2xf2_ring):
     """A cold scan stops the index at its hit; a scan whose hit is indexed
     grows it by no entry.  Checked on each stalk's index dict as
-    ``strongly_clean_bruteforce`` keeps it (F2 x F2's two stalks share one)."""
+    ``strongly_clean_bruteforce`` keeps it (F2 x F2's two stalks share one).
+    The scan memo is emptied before each call, as a memo hit runs no scan."""
     grown = 0
     for R, n in ((zmod(16), 2), (zmod(12), 2), (f2xf2_ring, 2), (zmod(3), 3)):
         indexes = [_stalk_tables(s)[4] for s in R.stalks]
@@ -450,6 +506,7 @@ def test_a_scan_grows_the_index_only_to_its_hit(zmod, f2xf2_ring):
         for h in monic_polys(R, n):
             A = companion(h)
             before = sizes()
+            _stalk_scan.cache_clear()
             cert = strongly_clean_bruteforce(A)
             after = sizes()
             reached = {}
@@ -460,6 +517,7 @@ def test_a_scan_grows_the_index_only_to_its_hit(zmod, f2xf2_ring):
             for i, index in enumerate(indexes):
                 assert after[i] == max(before[i], reached[id(index)]), (R.label(), h, i)
             grown += after != before
+            _stalk_scan.cache_clear()
             assert strongly_clean_bruteforce(A) == cert
             assert sizes() == after
     assert grown > 0

@@ -8,7 +8,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cleanmat.brute import _gl_exponent
 from cleanmat.matrices import (
     SquareMatrix,
     char_poly,
@@ -26,6 +25,7 @@ from oracles import (
     fold_dot,
     fold_eval,
     fold_matmul,
+    gl_exponent,
     inverse_adjugate,
     matrix_classify,
 )
@@ -139,9 +139,10 @@ def _random_matrix(R, rng, n):
 @pytest.mark.parametrize("name", ["Z/12", "Z/27", "Z_(2)", "Z/4 x Z_(3)", "dual-F2", "F2 x F2"])
 def test_inverse_at_larger_sizes(name):
     """At n = 4..6, A is invertible exactly when char_poly(A)(0) is a unit,
-    and over a finite ring its inverse is the power A^(M-1) that the
-    exhaustive scan's certificate takes, M = ``brute._gl_exponent(R, n)``.
-    The inverse it is compared with is ``inverse_adjugate``."""
+    and over a finite ring its inverse is the power A^(M-1), M =
+    ``oracles.gl_exponent(R, n)``, the lcm of the GL exponents that the
+    exhaustive scan's certificate takes on each stalk.  The inverse it is
+    compared with is ``inverse_adjugate``."""
     R = _ring(name)
     rng = random.Random(name)
     seen = set()
@@ -158,7 +159,7 @@ def test_inverse_at_larger_sizes(name):
             if inv is not None:
                 assert A @ inv == I and inv @ A == I
                 if R.is_finite:
-                    assert A ** (_gl_exponent(R, n) - 1) == inv
+                    assert A ** (gl_exponent(R, n) - 1) == inv
             seen.add(inv is not None)
     assert seen == {False, True}
 

@@ -394,3 +394,24 @@ def test_a_factor_over_a_second_build_of_the_ring_is_accepted():
     R_again = build_ring(CERT_RINGS["Z/12"])
     f1 = Poly.from_parts(R_again, cert.f1.parts)
     assert f1.ring is not R and verify_src(h, replace(cert, f1=f1)) == []
+
+
+def test_h_over_another_ring_raises_ring_mismatch():
+    """h = t^2 + 3t + 2 over Z/4 against valid Z/12 gSRC and gSP certificates:
+    both verifiers and their boxed references raise ``RingMismatch`` before
+    any block is checked, whether or not the stalk counts differ."""
+    R = build_ring(CERT_RINGS["Z/12"])
+    h = Poly.from_ints(R, [2, 3, 1])
+    Z4 = {"type": "zmod", "n": 4}
+    Z4xZ3 = build_ring({"type": "product", "factors": [Z4, {"type": "zmod", "n": 3}]})
+    for search, verifier, reference in (
+        (gsrc_search, verify_gsrc, verify_gsrc_boxed),
+        (gsp_search, verify_gsp, verify_gsp_boxed),
+    ):
+        cert = search(h, R).certificate
+        assert verifier(h, R, cert) == reference(h, R, cert) == []
+        for other in (build_ring(Z4), Z4xZ3):
+            h_other = Poly.from_ints(other, [2, 3, 1])
+            for check in (verifier, reference):
+                with pytest.raises(RingMismatch, match="^h is not over the certificate's ring$"):
+                    check(h_other, R, cert)
