@@ -5,19 +5,28 @@ For each command kind of the CLI benchmark cycle (``cli_cold``: the README
 examples and their seeded siblings), N fresh interpreters each time
 ``import cleanmat.cli`` and ``cleanmat.cli.main(argv)`` in process and
 report the ``cleanmat.*`` modules left in ``sys.modules``.  The table gives
-the median milliseconds over the N runs and the module count.  Interpreter
-start-up is not in the figure; it is the same for every command.
+the median milliseconds over the N runs in each bytecode state and the
+module count.  Interpreter start-up is not in the figure; it is the same for
+every command.
 
-The children import a copy of ``src/cleanmat`` made without its
-``__pycache__`` and run with ``-B``, so every ``cleanmat`` module is
-compiled from source (the standard library keeps its bytecode): the state
-of a fresh clone run with ``PYTHONDONTWRITEBYTECODE=1``.  Run with
+Each column is one stated bytecode state of ``cleanmat`` (the standard
+library keeps its own bytecode in both):
+
+- *from source*: the children import a copy of ``src/cleanmat`` made
+  without its ``__pycache__`` and run with ``-B``, so every module is
+  compiled on import: the state of a fresh clone run with
+  ``PYTHONDONTWRITEBYTECODE=1``;
+- *warm bytecode*: a second copy is compiled with ``compileall`` first and
+  the children run without ``-B``, so every module loads from its ``.pyc``.
+
+The runs of one command alternate between the two copies.  Run with
 ``python benchmarks/bench_cold_start.py [--runs N]`` (default 15).
 """
 
 from __future__ import annotations
 
 import argparse
+import compileall
 import contextlib
 import io
 import json
@@ -76,10 +85,11 @@ def commands(verify_doc: Path) -> dict:
     }
 
 
-def run_child(argv, src: Path) -> dict:
+def run_child(argv, src: Path, from_source: bool) -> dict:
     env = {**os.environ, "PYTHONPATH": str(src)}
+    flags = ["-B"] if from_source else []
     res = subprocess.run(
-        [sys.executable, "-B", "-c", CHILD, *argv],
+        [sys.executable, *flags, "-c", CHILD, *argv],
         capture_output=True,
         text=True,
         env=env,
@@ -95,22 +105,34 @@ def main_bench(runs: int) -> None:
         with contextlib.redirect_stdout(out):
             main(["decide", "--ring", ZLOC2, "--poly", "[2,-1,1]", "--companion"])
         verify_doc.write_text(out.getvalue(), encoding="utf-8")
-        src = Path(tmp) / "src"
-        shutil.copytree(
-            SRC / "cleanmat", src / "cleanmat", ignore=shutil.ignore_patterns("__pycache__")
-        )
+        cold, warm = Path(tmp) / "cold", Path(tmp) / "warm"
+        for src in (cold, warm):
+            shutil.copytree(
+                SRC / "cleanmat", src / "cleanmat", ignore=shutil.ignore_patterns("__pycache__")
+            )
+        if not compileall.compile_dir(warm / "cleanmat", quiet=1):
+            raise SystemExit("compileall failed on the warm copy")
+        # bytecode state -> (copy of cleanmat, compiled from source on import)
+        states = {"source": (cold, True), "warm": (warm, False)}
         rows = []
         for name, (argv, rc) in commands(verify_doc).items():
-            recs = [run_child(argv, src) for _ in range(runs)]
-            if any(r["rc"] != rc for r in recs):
-                raise SystemExit(f"{name}: exit code {recs[0]['rc']}, expected {rc}")
-            counts = {r["modules"] for r in recs}
-            rows.append((name, statistics.median(r["s"] for r in recs) * 1e3, counts.pop()))
-    print(f"python {sys.version.split()[0]}, {runs} fresh interpreters per command, no bytecode cache")
-    print(f"{'command':<20} {'import+main ms':>15} {'cleanmat modules':>17}")
-    for name, ms, count in rows:
-        print(f"{name:<20} {ms:>15.1f} {count:>17}")
-    print(f"{'mean':<20} {statistics.fmean(ms for _, ms, _ in rows):>15.1f}")
+            recs = {state: [] for state in states}
+            for _ in range(runs):
+                for state, (src, from_source) in states.items():
+                    recs[state].append(run_child(argv, src, from_source))
+            every = recs["source"] + recs["warm"]
+            if any(r["rc"] != rc for r in every):
+                raise SystemExit(f"{name}: exit code {every[0]['rc']}, expected {rc}")
+            ms = [statistics.median(r["s"] for r in recs[state]) * 1e3 for state in states]
+            rows.append((name, *ms, {r["modules"] for r in every}.pop()))
+    version = sys.version.split()[0]
+    print(f"python {version}, {runs} fresh interpreters per command and bytecode state")
+    header = f"{'from source ms':>15} {'warm bytecode ms':>17} {'cleanmat modules':>17}"
+    print(f"{'command':<20} {header}")
+    for name, source_ms, warm_ms, count in rows:
+        print(f"{name:<20} {source_ms:>15.1f} {warm_ms:>17.1f} {count:>17}")
+    means = [statistics.fmean(row[k] for row in rows) for k in (1, 2)]
+    print(f"{'mean':<20} {means[0]:>15.1f} {means[1]:>17.1f}")
 
 
 if __name__ == "__main__":

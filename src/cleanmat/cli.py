@@ -9,7 +9,9 @@ Every command is a fresh process, so its start-up counts: this module
 imports only ``errors`` and ``serialize`` (with ``rings`` and ``stalks``
 behind it), and each ``cmd_*`` handler imports the modules it runs.
 ``ring`` builds and classifies a ring and loads nothing more, ``factor``
-loads no decider, and only ``z5-example`` loads ``quadz5``.
+loads no decider, and only ``z5-example`` loads ``quadz5``.  The result
+records are plain ``__slots__`` classes that ``serialize`` encodes type by
+type, so no command imports ``dataclasses`` or ``inspect``.
 """
 
 from __future__ import annotations
@@ -154,7 +156,6 @@ def _decision_exit(decision) -> int:
 
 def cmd_ring(args) -> int:
     R = ring_from_json(_load(args.ring))
-    cls = R.classify()
     doc = {
         "command": "ring",
         "ring": R.descriptor,
@@ -165,11 +166,7 @@ def cmd_ring(args) -> int:
         "idempotents": [to_jsonable(e) for e in R.idempotents()]
         if R.num_stalks <= 10
         else None,
-        "classification": {
-            "is_local": cls.is_local,
-            "is_clean": cls.is_clean,
-            "is_j_clean": cls.is_j_clean,
-        },
+        "classification": to_jsonable(R.classify()),
     }
     _emit(doc, args)
     return 0
@@ -181,18 +178,11 @@ def cmd_factor(args) -> int:
     R = ring_from_json(_load(args.ring))
     h = poly_from_json(R, _load(args.poly))
     mode = args.mode
-    if mode == "sr":
-        res = src_search(h, R, "SR")
-    elif mode == "src":
-        res = src_search(h, R, "SRC")
-    elif mode == "gsr":
-        res = gsrc_search(h, R, "SR")
-    elif mode == "gsrc":
-        res = gsrc_search(h, R, "SRC")
-    elif mode == "sp":
-        res = sp_search(h, R)
+    if mode in ("sp", "gsp"):
+        res = (gsp_search if mode == "gsp" else sp_search)(h, R)
     else:
-        res = gsp_search(h, R)
+        search = gsrc_search if mode.startswith("g") else src_search
+        res = search(h, R, "SRC" if mode.endswith("src") else "SR")
     doc = {
         "command": "factor",
         "ring": R.descriptor,

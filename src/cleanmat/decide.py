@@ -39,7 +39,6 @@ import functools
 import itertools
 import math
 import time
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import (
@@ -47,6 +46,7 @@ from .errors import (
     BudgetExceeded,
     InfiniteRing,
     NotInRadical,
+    Record,
     TwoNotUnit,
     VerificationFailed,
     enumeration_size,
@@ -85,26 +85,39 @@ NO = "no"
 UNKNOWN = "unknown"
 
 
-@dataclass
-class Decision:
-    verdict: str
-    route: str
-    certificate: object | None = None
-    factorization: object | None = None
-    refutation: dict | None = None
-    reason: str | None = None
-    details: dict | None = None
+class Decision(Record):
+    __slots__ = ("verdict", "route", "certificate", "factorization", "refutation", "reason", "details")
+
+    def __init__(
+        self,
+        verdict: str,
+        route: str,
+        certificate=None,
+        factorization=None,
+        refutation: dict | None = None,
+        reason: str | None = None,
+        details: dict | None = None,
+    ):
+        self.verdict, self.route, self.certificate = verdict, route, certificate
+        self.factorization, self.refutation = factorization, refutation
+        self.reason, self.details = reason, details
 
 
-@dataclass
-class AuditReport:
-    ring: dict
-    degree: int
-    instances: int
-    agreements: int
-    disagreements: list
-    routes: dict
-    wall_time_s: float = field(default=0.0)
+class AuditReport(Record):
+    __slots__ = ("ring", "degree", "instances", "agreements", "disagreements", "routes", "wall_time_s")
+
+    def __init__(
+        self,
+        ring: dict,
+        degree: int,
+        instances: int,
+        agreements: int,
+        disagreements: list,
+        routes: dict,
+        wall_time_s: float = 0.0,
+    ):
+        self.ring, self.degree, self.instances, self.agreements = ring, degree, instances, agreements
+        self.disagreements, self.routes, self.wall_time_s = disagreements, routes, wall_time_s
 
 
 def monic_polys(R: Ring, n: int):
@@ -232,9 +245,7 @@ def decide_strongly_clean(A: SquareMatrix) -> Decision:
     if res.found:
         ensure(verify_gsrc(h, R, res.certificate))
         cert = strong_clean_from_gsrc(A, res.certificate)
-        return Decision(
-            YES, "gSRC", certificate=cert, factorization=res.certificate
-        )
+        return Decision(YES, "gSRC", certificate=cert, factorization=res.certificate)
     if res.status == "absent" and A == companion(h):
         return Decision(
             NO,
@@ -355,9 +366,7 @@ def jclean_quadratic_criterion(R: Ring) -> Decision:
                 {"stalk": S.label(), "status": "all roots found", "checked": checked}
             )
     if a_elem is None:
-        return Decision(
-            YES, "jclean_root", details={"stalks": stalk_reports}
-        )
+        return Decision(YES, "jclean_root", details={"stalks": stalk_reports})
     h = Poly(R, [a_elem, R.from_int(-1), R.one])
     return Decision(
         NO,
@@ -374,31 +383,23 @@ def sqrt_one_plus_radical(v: Element):
     if not R.radical_membership(v - R.one).in_jacobson:
         raise NotInRadical(f"{v!r} - 1 is not in rad({R.label()})")
     parts = []
-    for i, stalk in enumerate(R.stalks):
-        vx = v.parts[i]
+    for stalk, vx in zip(R.stalks, v.parts):
         if isinstance(stalk, ZLocStalk):
             s0 = _fraction_sqrt(vx)
-            if s0 is None:
-                return None
-            pick = None
-            for cand in (s0, -s0):
-                if (cand - 1).numerator % stalk.p == 0:
-                    pick = cand
-                    break
-            if pick is None:
-                return None
-            parts.append(pick)
+            cands = () if s0 is None else (s0, -s0)
+            pick = next((c for c in cands if (c - 1).numerator % stalk.p == 0), None)
         else:
-            pick = None
-            for cand in stalk.elements():
-                if stalk.mul(cand, cand) == vx and stalk.in_max_ideal(
-                    stalk.sub(cand, stalk.one)
-                ):
-                    pick = cand
-                    break
-            if pick is None:
-                return None
-            parts.append(pick)
+            pick = next(
+                (
+                    c
+                    for c in stalk.elements()
+                    if stalk.mul(c, c) == vx and stalk.in_max_ideal(stalk.sub(c, stalk.one))
+                ),
+                None,
+            )
+        if pick is None:
+            return None
+        parts.append(pick)
     s = R.from_parts(tuple(parts))
     assert s * s == v
     return s

@@ -1,4 +1,4 @@
-"""Exception types shared across the package, and the default enumeration budget."""
+"""Exception types, the record bases and the default enumeration budget of the package."""
 
 # the largest enumeration an exhaustive search or audit may start; the CLI's
 # --budget default, kept here so building its parser imports no search module
@@ -17,6 +17,47 @@ def enumeration_size(base: int, exp: int, budget: int, what: str) -> int:
             count = total if done == exp else f"{base}^{exp}"
             raise BudgetExceeded(f"{count} {what} exceed budget {budget}")
     return total
+
+
+class Record:
+    """A result record whose fields are its ``__slots__``, in ``__init__`` order.
+
+    Records of one type are equal when their fields are, so a mutable record
+    is unhashable; copying and pickling rebuild a record through ``__init__``.
+    """
+
+    __slots__ = ()
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        return type(other) is type(self) and self._fields() == other._fields()
+
+    def __reduce__(self):
+        return type(self), self._fields()
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+
+class FrozenRecord(Record):
+    """An immutable, hashable record: ``__init__`` sets each field once."""
+
+    __slots__ = ()
+
+    def __init__(self, *fields):
+        for name, value in zip(self.__slots__, fields):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    __delattr__ = __setattr__
+
+    def __hash__(self):
+        return hash(self._fields())
 
 
 class CleanmatError(Exception):

@@ -76,11 +76,9 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple
 
-from .errors import DEFAULT_BUDGET, BudgetExceeded, VerificationFailed
+from .errors import DEFAULT_BUDGET, BudgetExceeded, Record, VerificationFailed
 from .polys import (
     Poly,
     raw_bezout,
@@ -100,44 +98,51 @@ ABSENT = "absent"
 INCOMPLETE = "incomplete"
 
 
-@dataclass
-class SRCCertificate:
-    f0: Poly
-    f1: Poly
-    bezout_u: Poly | None
-    bezout_v: Poly | None
-    kind: str  # "SR" or "SRC"
+class SRCCertificate(Record):
+    """h = f0 f1; kind "SRC" adds the Bezout pair u f0 + v f1 = 1, kind "SR" has none."""
+
+    __slots__ = ("f0", "f1", "bezout_u", "bezout_v", "kind")
+
+    def __init__(self, f0: Poly, f1: Poly, bezout_u: Poly | None, bezout_v: Poly | None, kind: str):
+        self.f0, self.f1, self.bezout_u, self.bezout_v, self.kind = f0, f1, bezout_u, bezout_v, kind
 
 
-@dataclass
-class SPCertificate:
-    h0: Poly
-    p0: Poly
+class SPCertificate(Record):
+    __slots__ = ("h0", "p0")
+
+    def __init__(self, h0: Poly, p0: Poly):
+        self.h0, self.p0 = h0, p0
 
 
-@dataclass
-class Block:
-    support: tuple[int, ...]
-    idempotent: Element
-    cert: object  # SRCCertificate or SPCertificate over the block subring
+class Block(Record):
+    __slots__ = ("support", "idempotent", "cert")
+
+    def __init__(self, support: tuple[int, ...], idempotent: Element, cert):
+        # cert: an SRCCertificate or SPCertificate over the block subring
+        self.support, self.idempotent, self.cert = support, idempotent, cert
 
 
-@dataclass
-class GSRCCertificate:
-    blocks: list[Block]
+class GSRCCertificate(Record):
+    __slots__ = ("blocks",)
+
+    def __init__(self, blocks: list[Block]):
+        self.blocks = blocks
 
 
-@dataclass
-class GSPCertificate:
-    blocks: list[Block]
+class GSPCertificate(Record):
+    __slots__ = ("blocks",)
+
+    def __init__(self, blocks: list[Block]):
+        self.blocks = blocks
 
 
-class _Notes(NamedTuple):
+class _Notes:
     """A transcript before it is rendered: each stalk's ``_notes`` tuple."""
 
-    ring: Ring
-    stalks: tuple
-    mode: str
+    __slots__ = ("ring", "stalks", "mode")
+
+    def __init__(self, ring: Ring, stalks: tuple, mode: str):
+        self.ring, self.stalks, self.mode = ring, stalks, mode
 
     def render(self) -> dict:
         stalks = [

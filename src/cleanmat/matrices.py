@@ -28,9 +28,8 @@ followed by the column operation of its inverse.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 
-from .errors import RingMismatch
+from .errors import Record, RingMismatch
 from .polys import Poly
 from .rings import Element, Ring
 
@@ -317,22 +316,22 @@ def poly_at_matrix(f: Poly, A: SquareMatrix) -> SquareMatrix:
     )
 
 
-@dataclass
-class StrongCleanCertificate:
+class StrongCleanCertificate(Record):
     """A = E + U with E idempotent, U invertible, EU = UE."""
 
-    E: SquareMatrix
-    U: SquareMatrix
-    U_inv: SquareMatrix
+    __slots__ = ("E", "U", "U_inv")
+
+    def __init__(self, E: SquareMatrix, U: SquareMatrix, U_inv: SquareMatrix):
+        self.E, self.U, self.U_inv = E, U, U_inv
 
 
-@dataclass
-class PiRegularCertificate:
+class PiRegularCertificate(Record):
     """Witnesses A^{k+1} X = A^k and Y A^{k+1} = A^k."""
 
-    k: int
-    X: SquareMatrix
-    Y: SquareMatrix
+    __slots__ = ("k", "X", "Y")
+
+    def __init__(self, k: int, X: SquareMatrix, Y: SquareMatrix):
+        self.k, self.X, self.Y = k, X, Y
 
 
 # -- seeded similar matrices ----------------------------------------------------------

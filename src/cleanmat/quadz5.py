@@ -13,9 +13,8 @@ either side.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
-from .errors import NotInModule
+from .errors import FrozenRecord, NotInModule
 
 
 class QuadInt:
@@ -143,16 +142,15 @@ def sqrt_in_ring(d: QuadInt) -> "QuadInt | None":
     return None
 
 
-@dataclass(frozen=True)
-class MElem:
+class MElem(FrozenRecord):
     """An element [a, b] of M = A (+) A; both components must lie in A."""
 
-    a: QuadInt
-    b: QuadInt
+    __slots__ = ("a", "b")
 
-    def __post_init__(self):
-        if not ideal_membership(self.a) or not ideal_membership(self.b):
-            raise ValueError(f"[{self.a}, {self.b}] is not in A (+) A")
+    def __init__(self, a: QuadInt, b: QuadInt):
+        if not ideal_membership(a) or not ideal_membership(b):
+            raise ValueError(f"[{a}, {b}] is not in A (+) A")
+        super().__init__(a, b)
 
     def __add__(self, other):
         return MElem(self.a + other.a, self.b + other.b)
@@ -209,16 +207,7 @@ def char_poly_2x2(m) -> tuple[QuadInt, QuadInt]:
 
 
 def mat_mul_2x2(x, y):
-    return [
-        [
-            x[0][0] * y[0][0] + x[0][1] * y[1][0],
-            x[0][0] * y[0][1] + x[0][1] * y[1][1],
-        ],
-        [
-            x[1][0] * y[0][0] + x[1][1] * y[1][0],
-            x[1][0] * y[0][1] + x[1][1] * y[1][1],
-        ],
-    ]
+    return [[x[i][0] * y[0][j] + x[i][1] * y[1][j] for j in range(2)] for i in range(2)]
 
 
 def mat_sub_2x2(x, y):
@@ -366,31 +355,15 @@ def run_audit() -> dict:
         "verified": cert["verified"],
     }
 
-    discrepancies = []
-    if dt != PRINTED_CHI_CONST:
-        discrepancies.append(
-            {
-                "quantity": "characteristic polynomial constant term",
-                "printed": repr(PRINTED_CHI_CONST),
-                "recomputed": repr(dt),
-            }
+    discrepancies = [
+        {"quantity": quantity, "printed": repr(printed), "recomputed": repr(recomputed)}
+        for quantity, printed, recomputed in (
+            ("characteristic polynomial constant term", PRINTED_CHI_CONST, dt),
+            ("characteristic polynomial trace", PRINTED_CHI_TRACE, tr),
+            ("discriminant", PRINTED_DISCRIMINANT, disc),
         )
-    if tr != PRINTED_CHI_TRACE:
-        discrepancies.append(
-            {
-                "quantity": "characteristic polynomial trace",
-                "printed": repr(PRINTED_CHI_TRACE),
-                "recomputed": repr(tr),
-            }
-        )
-    if disc != PRINTED_DISCRIMINANT:
-        discrepancies.append(
-            {
-                "quantity": "discriminant",
-                "printed": repr(PRINTED_DISCRIMINANT),
-                "recomputed": repr(disc),
-            }
-        )
+        if recomputed != printed
+    ]
     if exists:
         discrepancies.append(
             {

@@ -23,10 +23,11 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass
+from math import prod
 from operator import itemgetter
 
 from .errors import (
+    FrozenRecord,
     InfiniteRing,
     MalformedDescriptor,
     NonRing,
@@ -121,17 +122,18 @@ class Element:
         return f"<{self.ring.render_value(self)} in {self.ring.label()}>"
 
 
-@dataclass(frozen=True)
-class RingClassification:
-    is_local: bool
-    is_clean: bool
-    is_j_clean: bool
+class RingClassification(FrozenRecord):
+    __slots__ = ("is_local", "is_clean", "is_j_clean")
+
+    def __init__(self, is_local: bool, is_clean: bool, is_j_clean: bool):
+        super().__init__(is_local, is_clean, is_j_clean)
 
 
-@dataclass(frozen=True)
-class RadicalMembership:
-    in_jacobson: bool
-    in_nil: bool
+class RadicalMembership(FrozenRecord):
+    __slots__ = ("in_jacobson", "in_nil")
+
+    def __init__(self, in_jacobson: bool, in_nil: bool):
+        super().__init__(in_jacobson, in_nil)
 
 
 class Ring:
@@ -181,12 +183,7 @@ class Ring:
 
     @property
     def size(self):
-        if not self.is_finite:
-            return None
-        n = 1
-        for s in self.stalks:
-            n *= s.size
-        return n
+        return prod(s.size for s in self.stalks) if self.is_finite else None
 
     def from_parts(self, parts) -> Element:
         return Element(self, tuple(parts))
@@ -208,13 +205,8 @@ class Ring:
         return all(s.is_unit(v) for s, v in zip(self.stalks, a.parts))
 
     def inv(self, a: Element):
-        parts = []
-        for s, v in zip(self.stalks, a.parts):
-            iv = s.inv(v)
-            if iv is None:
-                return None
-            parts.append(iv)
-        return Element(self, tuple(parts))
+        parts = tuple(s.inv(v) for s, v in zip(self.stalks, a.parts))
+        return None if None in parts else Element(self, parts)
 
     # -- Pierce decomposition ----------------------------------------------------
 

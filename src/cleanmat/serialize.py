@@ -9,23 +9,17 @@ Only ``rings`` is imported at module level.  The parsers import the module
 whose type they build when they run, and ``to_jsonable`` imports nothing:
 an object can be an instance of a class only once the class's module is
 loaded, so it tests only against the types of modules already in
-``sys.modules``.
+``sys.modules``.  Each record type has its own encoder, with the fields of
+``docs/schemas.md``; an object of any other type raises ``TypeError``.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import sys
 from fractions import Fraction
-from typing import TYPE_CHECKING
 
-from .rings import Element, Ring, block_ring, build_ring
-
-if TYPE_CHECKING:
-    from .factor import SPCertificate, SRCCertificate
-    from .matrices import SquareMatrix
-    from .polys import Poly
+from .rings import Element, RadicalMembership, Ring, RingClassification, block_ring, build_ring
 
 
 def element_to_json(a: Element):
@@ -67,11 +61,11 @@ def _table_element(R: Ring, idx: int) -> Element:
     return Element(R, R.table_values[idx])
 
 
-def poly_to_json(p: Poly):
+def poly_to_json(p):
     return [element_to_json(c) for c in p.coeffs]
 
 
-def poly_from_json(R: Ring, data, require_monic: bool = True) -> Poly:
+def poly_from_json(R: Ring, data, require_monic: bool = True):
     from .polys import Poly
 
     if not isinstance(data, list):
@@ -82,11 +76,11 @@ def poly_from_json(R: Ring, data, require_monic: bool = True) -> Poly:
     return p
 
 
-def matrix_to_json(A: SquareMatrix):
+def matrix_to_json(A):
     return [[element_to_json(x) for x in row] for row in A.rows]
 
 
-def matrix_from_json(R: Ring, data) -> SquareMatrix:
+def matrix_from_json(R: Ring, data):
     from .matrices import SquareMatrix
 
     if not isinstance(data, list) or not data:
@@ -109,6 +103,10 @@ def to_jsonable(obj):
         return f"{obj.numerator}/{obj.denominator}"
     if isinstance(obj, Element):
         return element_to_json(obj)
+    if isinstance(obj, RingClassification):
+        return {"is_local": obj.is_local, "is_clean": obj.is_clean, "is_j_clean": obj.is_j_clean}
+    if isinstance(obj, RadicalMembership):
+        return {"in_jacobson": obj.in_jacobson, "in_nil": obj.in_nil}
     polys = _loaded("polys")
     if polys is not None and isinstance(obj, polys.Poly):
         return poly_to_json(obj)
@@ -155,6 +153,12 @@ def to_jsonable(obj):
                 "h0": poly_to_json(obj.h0),
                 "p0": poly_to_json(obj.p0),
             }
+        if isinstance(obj, factor.Block):
+            return {
+                "support": list(obj.support),
+                "idempotent": element_to_json(obj.idempotent),
+                "cert": to_jsonable(obj.cert),
+            }
         if isinstance(obj, factor.GSRCCertificate):
             return {"type": "gsrc", "blocks": [to_jsonable(b) for b in obj.blocks]}
         if isinstance(obj, factor.GSPCertificate):
@@ -178,16 +182,11 @@ def to_jsonable(obj):
                 "disagreements": [to_jsonable(d) for d in obj.disagreements],
                 "routes": obj.routes,
             }
-    if dataclasses.is_dataclass(obj):
-        return {
-            f.name: to_jsonable(getattr(obj, f.name))
-            for f in dataclasses.fields(obj)
-        }
     if isinstance(obj, dict):
         return {str(k): to_jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [to_jsonable(v) for v in obj]
-    return repr(obj)
+    raise TypeError(f"no canonical JSON encoding for {type(obj).__name__}")
 
 
 def dumps_canonical(doc, pretty: bool = False) -> str:
@@ -202,7 +201,7 @@ def dumps_canonical(doc, pretty: bool = False) -> str:
 # -- certificate parsing (the verify round-trip) --------------------------------------
 
 
-def src_cert_from_json(R: Ring, data) -> SRCCertificate:
+def src_cert_from_json(R: Ring, data):
     from .factor import SRCCertificate
 
     kind = data["kind"]
@@ -221,7 +220,7 @@ def src_cert_from_json(R: Ring, data) -> SRCCertificate:
     )
 
 
-def sp_cert_from_json(R: Ring, data) -> SPCertificate:
+def sp_cert_from_json(R: Ring, data):
     from .factor import SPCertificate
 
     return SPCertificate(

@@ -60,6 +60,8 @@ searches of ``cleanmat.factor`` written on one-stalk polynomials with the
 Element-level references above, for the differential test of the raw
 searches.  Only the trial divisions of their candidate scans run a kernel
 of ``cleanmat.polys``: ``divide_by_kernel``, one ``raw_divide``.
+``replace`` rebuilds one of the package's records with some fields changed,
+for the tamper tests.
 """
 
 from __future__ import annotations
@@ -1168,3 +1170,18 @@ def stalk_search_boxed(h: Poly, mode: str) -> tuple:
         for d, (_, done, note) in enumerate(examined)
     )
     return hit, notes, all(done for _, done, _ in examined)
+
+
+# -- records --------------------------------------------------------------------------
+
+
+def replace(obj, **changes):
+    """A copy of the record ``obj`` with the named fields changed, built by its ``__init__``.
+
+    The package's records take their ``__slots__`` as ``__init__`` arguments,
+    in order; naming a field the record does not have is a ``TypeError``.
+    """
+    unknown = set(changes) - set(obj.__slots__)
+    if unknown:
+        raise TypeError(f"{type(obj).__name__} has no field {sorted(unknown)}")
+    return type(obj)(*(changes.get(name, getattr(obj, name)) for name in obj.__slots__))

@@ -1,8 +1,9 @@
 """Cold start: each CLI command loads only the modules it runs.
 
 Every command runs in a fresh interpreter, as ``python -m cleanmat.cli``
-does, and reports the ``cleanmat`` modules and whether numpy ended up in
-``sys.modules``.  The package itself re-exports its ``__all__`` lazily, so
+does, and reports the ``cleanmat`` modules, whether numpy ended up in
+``sys.modules`` and which of ``dataclasses``, ``inspect`` and ``typing``
+did.  The package itself re-exports its ``__all__`` lazily, so
 ``import cleanmat`` alone loads no submodule.
 """
 
@@ -33,6 +34,7 @@ PROBE = textwrap.dedent(
         "rc": rc,
         "modules": sorted(m.split(".", 1)[1] for m in sys.modules if m.startswith("cleanmat.")),
         "numpy": "numpy" in sys.modules,
+        "stdlib": [m for m in ("dataclasses", "inspect", "typing") if m in sys.modules],
     }))
     """
 )
@@ -113,6 +115,23 @@ def test_numpy_loads_only_for_the_scan(loaded):
     """No command loads numpy; the scan kernel loads only for the audit's scan."""
     assert [name for name, rec in loaded.items() if rec["numpy"]] == []
     assert [name for name, rec in loaded.items() if "_kernels" in rec["modules"]] == ["audit"]
+
+
+def test_no_command_loads_dataclasses_or_inspect(loaded):
+    stdlib = {name: set(rec["stdlib"]) & {"dataclasses", "inspect"} for name, rec in loaded.items()}
+    assert stdlib == {name: set() for name in COMMANDS}
+
+
+def test_without_site_no_command_loads_typing():
+    """``site`` may load ``typing`` itself (a ``.pth`` file can), so only ``-S`` shows the CLI's own.
+
+    ``audit`` loads the most package modules of any command.
+    """
+    res = _python("-S", "-c", PROBE, *COMMANDS["audit"])
+    assert res.returncode == 0, res.stderr
+    rec = json.loads(res.stdout)
+    assert rec["rc"] == 0 and "_kernels" in rec["modules"]
+    assert rec["stdlib"] == []
 
 
 def test_building_table_rings_loads_no_numpy():

@@ -67,6 +67,10 @@ import only the standard library and ``errors``, ``stalks``, ``rings`` and
 The package has no third-party runtime dependency: no module imports
 numpy, at any level, and ``pyproject.toml`` lists no dependency.
 
+The result records are plain ``__slots__`` classes: no module imports
+``dataclasses``, at any level, so no CLI command loads it or the
+``inspect`` behind it.
+
 The benchmark harness under ``perfbench/`` is frozen: it calls the package
 by name, so the names, parameters and methods it uses must keep existing.
 
@@ -761,6 +765,25 @@ def test_the_guard_sees_numpy_in_a_function_body(tmp_path):
         encoding="utf-8",
     )
     assert _imported_roots(bad) == {"typing", "numpy"}
+
+
+def test_no_module_imports_dataclasses():
+    offenders = [p.name for p in sorted(SRC.glob("*.py")) if "dataclasses" in _imported_roots(p)]
+    assert offenders == []
+
+
+def test_the_guard_sees_a_dataclass_import(tmp_path):
+    bad = tmp_path / "bad.py"
+    bad.write_text(
+        "from dataclasses import dataclass\n"
+        "def f(obj):\n"
+        "    import dataclasses\n"
+        "    return dataclasses.fields(obj)\n",
+        encoding="utf-8",
+    )
+    assert _imported_roots(bad) == {"dataclasses"}
+    bad.write_text("def f(obj):\n    import dataclasses\n", encoding="utf-8")
+    assert _imported_roots(bad) == {"dataclasses"}
 
 
 def test_pyproject_lists_no_runtime_dependency():

@@ -23,13 +23,12 @@ every construction.
 
 from __future__ import annotations
 
-import dataclasses
 import itertools
 from fractions import Fraction
 
 import pytest
 from conftest import CERT_RINGS, clear_stalk_caches, f2xf2_tables
-from oracles import restrict_poly
+from oracles import replace, restrict_poly
 
 from cleanmat import decide, factor
 from cleanmat.decide import (
@@ -339,7 +338,7 @@ def test_audit_reports_are_the_same_from_a_cold_and_a_warm_memo(name, n):
 
     def reports():
         return [
-            dataclasses.replace(rep, wall_time_s=0.0)
+            replace(rep, wall_time_s=0.0)
             for rep in (
                 theorem_main_audit(R, n, samples=2, seed=3),
                 pi_regular_audit(R, n),

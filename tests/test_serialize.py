@@ -118,3 +118,35 @@ def test_a_search_result_encodes_as_its_three_fields():
         "certificate": None,
         "transcript": {},
     }
+
+
+def test_records_encode_with_the_schema_fields(zmod):
+    from cleanmat.factor import Block, GSRCCertificate, gsrc_search
+    from cleanmat.polys import Poly
+
+    R = zmod(12)
+    assert to_jsonable(R.classify()) == {"is_local": False, "is_clean": True, "is_j_clean": True}
+    for v, inside in ((6, True), (3, False)):
+        membership = to_jsonable(R.radical_membership(R.from_int(v)))
+        assert membership == {"in_jacobson": inside, "in_nil": inside}
+    cert = gsrc_search(Poly.from_ints(R, (2, 3, 1)), R).certificate
+    block = cert.blocks[0]
+    assert isinstance(cert, GSRCCertificate) and isinstance(block, Block)
+    assert to_jsonable(block) == {
+        "support": list(block.support),
+        "idempotent": element_to_json(block.idempotent),
+        "cert": to_jsonable(block.cert),
+    }
+    assert to_jsonable(cert) == {"type": "gsrc", "blocks": [to_jsonable(b) for b in cert.blocks]}
+
+
+def test_an_object_of_no_known_type_raises():
+    class Opaque:
+        pass
+
+    with pytest.raises(TypeError, match="Opaque"):
+        to_jsonable(Opaque())
+    with pytest.raises(TypeError, match="object"):
+        to_jsonable({"nested": [object()]})
+    with pytest.raises(TypeError, match="set"):
+        to_jsonable({1, 2})

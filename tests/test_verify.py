@@ -17,7 +17,6 @@ exception type, on every found certificate and on each single tamper of it.
 from __future__ import annotations
 
 import random
-from dataclasses import replace
 
 import pytest
 
@@ -46,6 +45,7 @@ from cleanmat.verify import (
 )
 from conftest import CERT_RINGS
 from oracles import (
+    replace,
     verify_gsp_boxed,
     verify_gsrc_boxed,
     verify_pi_regular_elementwise,
